@@ -73,9 +73,9 @@ Run TimeIngest(const char* format, const std::string& path, int threads,
   Run run{format, threads, 0.0, ""};
   for (int r = 0; r < reps; ++r) {
     hcd::StageTelemetry telemetry;
+    telemetry.Install();
     hcd::IngestOptions options;
     options.io_threads = threads;
-    options.sink = &telemetry;
     hcd::Graph g;
     hcd::Timer timer;
     const hcd::Status s =
@@ -83,6 +83,7 @@ Run TimeIngest(const char* format, const std::string& path, int threads,
             ? hcd::IngestEdgeListText(path, options, &g)
             : hcd::IngestBinary(path, options, &g);
     const double seconds = timer.Seconds();
+    telemetry.Uninstall();
     HCD_CHECK(s.ok()) << s.ToString();
     if (r == 0 || seconds < run.seconds) {
       run.seconds = seconds;

@@ -151,7 +151,7 @@ void BenchBatchRefresh() {
     options.full_rebuild_threshold = 1.1;  // measure the splice itself
     const hcd::RebuildPlan plan = PlanRebuild(flat, touched, options);
     hcd::FlatHcdIndex spliced;
-    HCD_CHECK(ApplyRebuild(plan, flat, updated, cd, nullptr, &spliced).ok());
+    HCD_CHECK(ApplyRebuild(plan, flat, updated, cd, &spliced).ok());
     const double freeze_seconds = freeze_timer.Seconds();
     const double incr_seconds = apply_seconds + freeze_seconds;
 

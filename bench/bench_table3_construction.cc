@@ -5,10 +5,10 @@
 // (LCPS/PHCD, "x"); then PHCD at the maximum swept thread count with LB and
 // the local-k-core-search experiment RC at the same thread count.
 //
-// Construction times come from the engine's per-stage telemetry: each
-// configuration runs on a fresh HcdEngine (borrowing the shared dataset)
-// and reports its "construction" stage, so the timing isolates the build
-// from decomposition exactly like the paper's measurement.
+// Construction times come from the per-stage telemetry: each configuration
+// runs on a fresh HcdEngine (borrowing the shared dataset) under its own
+// stage collector, and its "construction" stage isolates the build from
+// decomposition exactly like the paper's measurement.
 
 #include <cstdio>
 
@@ -20,30 +20,21 @@
 
 namespace {
 
-/// Best-of-`reps` seconds of the "construction" stage for one engine
-/// configuration over a borrowed graph.
-double ConstructionSeconds(const hcd::Graph& g, hcd::EngineAlgo algo,
-                           int threads, int reps = 3) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    hcd::HcdEngine engine(&g, {.algo = algo, .threads = threads});
-    engine.Forest();
-    const double s = engine.telemetry().StageSeconds("construction");
-    if (r == 0 || s < best) best = s;
-  }
-  return best;
-}
+constexpr char kBuild[] = "construction";
 
-/// Best-of-`reps` seconds of the "construction.freeze" stage (forest ->
-/// flat query index) at the given thread count; the forest build itself is
-/// excluded because Flat() times only the freeze.
-double FreezeSeconds(const hcd::Graph& g, int threads, int reps = 3) {
+/// Best-of-`reps` seconds of `stage` ("construction" or
+/// "construction.freeze") over fresh engines of one configuration on a
+/// borrowed graph, each run up to Flat().
+double StageSeconds(const hcd::Graph& g, hcd::EngineAlgo algo, int threads,
+                    const char* stage, int reps = 3) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    hcd::HcdEngine engine(&g,
-                          {.algo = hcd::EngineAlgo::kPhcd, .threads = threads});
+    hcd::StageTelemetry telemetry;
+    telemetry.Install();
+    hcd::HcdEngine engine(&g, {.algo = algo, .threads = threads});
     engine.Flat();
-    const double s = engine.telemetry().StageSeconds("construction.freeze");
+    telemetry.Uninstall();
+    const double s = telemetry.StageSeconds(stage);
     if (r == 0 || s < best) best = s;
   }
   return best;
@@ -67,17 +58,18 @@ int main() {
     const hcd::CoreDecomposition& cd = engine.Coreness();
     const hcd::HcdForest& forest = engine.Forest();
 
-    const double phcd1 = ConstructionSeconds(g, hcd::EngineAlgo::kPhcd, 1);
-    const double lcps = ConstructionSeconds(g, hcd::EngineAlgo::kLcps, 1);
+    const double phcd1 = StageSeconds(g, hcd::EngineAlgo::kPhcd, 1, kBuild);
+    const double lcps = StageSeconds(g, hcd::EngineAlgo::kLcps, 1, kBuild);
     const double lb1 =
         hcd::bench::TimeWithThreads(1, [&] { hcd::UnionFindLowerBound(g, cd); }, 3);
 
-    const double phcdp = ConstructionSeconds(g, hcd::EngineAlgo::kPhcd, pmax);
+    const double phcdp = StageSeconds(g, hcd::EngineAlgo::kPhcd, pmax, kBuild);
     const double lbp = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::UnionFindLowerBound(g, cd); }, 3);
     const double rcp = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::RcComputeParents(g, cd, forest); });
-    const double frzp = FreezeSeconds(g, pmax);
+    const double frzp = StageSeconds(g, hcd::EngineAlgo::kPhcd, pmax,
+                                     "construction.freeze");
 
     hcd::bench::ReportBaseline("table3_phcd", ds.name, 1, phcd1);
     hcd::bench::ReportBaseline("table3_lcps", ds.name, 1, lcps);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/telemetry.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "search/best_k.h"
@@ -18,6 +19,8 @@ int main(int argc, char** argv) {
   const uint64_t edges = argc > 2 ? std::atoll(argv[2]) : 80000;
   const uint64_t seed = argc > 3 ? std::atoll(argv[3]) : 7;
 
+  hcd::StageTelemetry telemetry;
+  telemetry.Install();
   hcd::HcdEngine engine(hcd::RMatGraph500(scale, edges, seed));
   const hcd::CoreDecomposition& cd = engine.Coreness();
   const hcd::FlatHcdIndex& flat = engine.Flat();
@@ -52,8 +55,9 @@ int main(int argc, char** argv) {
                 prof.scores[k]);
   }
 
+  telemetry.Uninstall();
   std::printf("\n== pipeline stages ==\n");
-  for (const hcd::StageRecord& r : engine.telemetry().records()) {
+  for (const hcd::StageRecord& r : telemetry.records()) {
     std::printf("  %-18s %8.3f ms\n", r.stage.c_str(), r.seconds * 1e3);
   }
   return 0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -54,6 +55,8 @@ int main(int argc, char** argv) {
   // builds the eager SearchIndex, and nothing is ever recomputed. (For
   // concurrent serving, take engine.Snapshot() and give each worker thread
   // its own SearchWorkspace — see engine/snapshot.h.)
+  hcd::StageTelemetry telemetry;
+  telemetry.Install();
   hcd::HcdEngine engine(std::move(graph));
 
   std::printf("core decomposition: k_max=%u\n", engine.Coreness().k_max);
@@ -70,10 +73,11 @@ int main(int argc, char** argv) {
                 r.best_score);
   }
 
+  telemetry.Uninstall();
   std::printf("\nper-stage telemetry:\n");
-  for (const hcd::StageRecord& r : engine.telemetry().records()) {
+  for (const hcd::StageRecord& r : telemetry.records()) {
     std::printf("  %-18s %8.3f ms\n", r.stage.c_str(), r.seconds * 1e3);
   }
-  std::printf("peak stage: %s\n", engine.telemetry().PeakStage().c_str());
+  std::printf("peak stage: %s\n", telemetry.PeakStage().c_str());
   return 0;
 }

@@ -132,29 +132,6 @@ double Histogram::Quantile(double q) const {
   return HistogramBucketQuantile(buckets, q);
 }
 
-std::atomic<MetricsRegistry*> MetricsRegistry::current_{nullptr};
-
-MetricsRegistry::MetricsRegistry() = default;
-
-MetricsRegistry::~MetricsRegistry() {
-  HCD_CHECK(current_.load(std::memory_order_relaxed) != this)
-      << "destroying the installed registry; Uninstall() first";
-}
-
-void MetricsRegistry::Install() {
-  MetricsRegistry* expected = nullptr;
-  HCD_CHECK(current_.compare_exchange_strong(expected, this,
-                                             std::memory_order_release))
-      << "another metrics registry is already installed";
-}
-
-void MetricsRegistry::Uninstall() {
-  MetricsRegistry* expected = this;
-  HCD_CHECK(current_.compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_release))
-      << "this registry is not the installed one";
-}
-
 MetricsRegistry::Instrument* MetricsRegistry::GetInstrument(
     const std::string& name, const std::string& help,
     const MetricLabels& labels, Kind kind) {

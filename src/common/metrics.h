@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/installed.h"
+
 namespace hcd {
 
 /// Label set attached to one instrument, e.g. {{"stage", "load"}}. Order is
@@ -104,24 +106,17 @@ double HistogramBucketQuantile(
 /// same instrument; requesting an existing name with a different type
 /// aborts — the exposition would be self-contradictory otherwise.
 ///
-/// Like Tracer, a registry can be published process-wide with Install() so
-/// the `ScopedStage` bridge (telemetry.h) records every stage's wall time
-/// into the `hcd_stage_seconds` histogram family without any caller wiring;
-/// with no registry installed that bridge is a single pointer test.
-class MetricsRegistry {
+/// Like Tracer, a registry can be published process-wide with Install()
+/// (installed.h) so the `ScopedStage` bridge (telemetry.h) records every
+/// stage's wall time into the `hcd_stage_seconds` histogram family without
+/// any caller wiring; with no registry installed that bridge is a single
+/// pointer test.
+class MetricsRegistry : public Installed<MetricsRegistry> {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// The process-wide registry, or null when none is installed.
-  static MetricsRegistry* Current() {
-    return current_.load(std::memory_order_relaxed);
-  }
-  void Install();
-  void Uninstall();
 
   Counter* GetCounter(const std::string& name, const std::string& help = "",
                       const MetricLabels& labels = {});
@@ -170,8 +165,6 @@ class MetricsRegistry {
 
   Instrument* GetInstrument(const std::string& name, const std::string& help,
                             const MetricLabels& labels, Kind kind);
-
-  static std::atomic<MetricsRegistry*> current_;
 
   std::atomic<uint64_t> lookups_{0};
   mutable std::mutex mu_;

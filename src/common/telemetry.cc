@@ -14,10 +14,24 @@ std::string DoubleToJson(double value) {
 
 const std::string kEmpty;
 
+/// Active stages currently open on this thread; the next stage to start
+/// nests at this depth.
+thread_local uint32_t t_stage_depth = 0;
+
 }  // namespace
 
+void ScopedStage::Start(std::string_view stage) {
+  record_.stage = stage;
+  record_.depth = t_stage_depth++;
+  start_ = std::chrono::steady_clock::now();
+  if (tracer_ != nullptr) start_ns_ = tracer_->NowNs();
+}
+
 void ScopedStage::Finish() {
-  record_.seconds = timer_.Seconds();
+  --t_stage_depth;
+  record_.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count();
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = record_.stage;
@@ -48,12 +62,14 @@ void ScopedStage::Finish() {
           ->Increment(c.value);
     }
   }
-  if (sink_ != nullptr) sink_->RecordStage(record_);
+  if (telemetry_ != nullptr) telemetry_->RecordStage(std::move(record_));
 }
 
 double StageTelemetry::TotalSeconds() const {
   double total = 0.0;
-  for (const StageRecord& r : records_) total += r.seconds;
+  for (const StageRecord& r : records_) {
+    if (r.depth == 0) total += r.seconds;
+  }
   return total;
 }
 

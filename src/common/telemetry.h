@@ -1,14 +1,16 @@
 #ifndef HCD_COMMON_TELEMETRY_H_
 #define HCD_COMMON_TELEMETRY_H_
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/installed.h"
 #include "common/metrics.h"
-#include "common/timer.h"
 #include "common/trace.h"
 
 namespace hcd {
@@ -20,42 +22,41 @@ struct StageCounter {
   uint64_t value = 0;
 };
 
-/// One completed pipeline stage: a label, its wall time, and any cheap
-/// counters the stage chose to report.
+/// One completed pipeline stage: a label, its wall time, any cheap counters
+/// the stage chose to report, and how many stages enclosed it on the thread
+/// that ran it (0 for an outermost stage).
 struct StageRecord {
   std::string stage;
   double seconds = 0.0;
   std::vector<StageCounter> counters;
+  uint32_t depth = 0;
 };
 
-/// Receiver for per-stage telemetry. Library entry points take an optional
-/// `TelemetrySink*` defaulted to null; passing null keeps the call free of
-/// any instrumentation cost beyond a pointer test.
+/// Process-wide collector of stage records, in completion order, that can
+/// render them as a machine-readable JSON report (used by `hcd_cli --json`).
 ///
-/// Thread-safety contract: build-phase stages (load, decomposition,
-/// construction, search index building) are reported from the orchestrating
-/// thread — never from inside a parallel region — so a plain sink such as
-/// `StageTelemetry` suffices there. Serve-phase stages (`search.score` from
-/// `QuerySnapshot::Search`) may be reported by many query threads at once;
-/// those callers must hand the library a thread-safe sink — wrap any plain
-/// sink in `ConcurrentTelemetrySink` below.
-class TelemetrySink {
+/// Like Tracer and MetricsRegistry, a collector is published with Install()
+/// (installed.h) and every `ScopedStage` in the library then reports to it
+/// without any caller wiring. RecordStage may be called from any thread (a
+/// live writer finishes stages off the main thread); the read side —
+/// records() and the summaries below — must run at a quiescent point, after
+/// every recording thread has been joined.
+class StageTelemetry : public Installed<StageTelemetry> {
  public:
-  virtual ~TelemetrySink() = default;
-  virtual void RecordStage(const StageRecord& record) = 0;
-};
+  StageTelemetry() = default;
 
-/// Concrete sink that accumulates stage records in order and can render
-/// them as a machine-readable JSON report (used by `hcd_cli --json`).
-class StageTelemetry : public TelemetrySink {
- public:
-  void RecordStage(const StageRecord& record) override {
-    records_.push_back(record);
+  StageTelemetry(const StageTelemetry&) = delete;
+  StageTelemetry& operator=(const StageTelemetry&) = delete;
+
+  void RecordStage(StageRecord record) {
+    std::lock_guard<std::mutex> lock(mu_);
+    records_.push_back(std::move(record));
   }
 
   const std::vector<StageRecord>& records() const { return records_; }
 
-  /// Sum of all recorded stage times.
+  /// Sum of the outermost (depth 0) stage times, so a stage nested in
+  /// another is not counted twice.
   double TotalSeconds() const;
 
   /// Label of the longest recorded stage, or "" when empty.
@@ -74,53 +75,30 @@ class StageTelemetry : public TelemetrySink {
   void Clear() { records_.clear(); }
 
  private:
+  std::mutex mu_;
   std::vector<StageRecord> records_;
 };
 
-/// Thread-safe decorator: serializes RecordStage calls onto an inner sink
-/// with a mutex, making any single-threaded sink usable from concurrent
-/// query threads. Record order across threads is the mutex acquisition
-/// order (per-stage counts and totals are exact; inter-thread ordering is
-/// not meaningful). The inner sink must outlive the decorator, and must not
-/// be written through any other path while the decorator is in use.
-class ConcurrentTelemetrySink : public TelemetrySink {
- public:
-  explicit ConcurrentTelemetrySink(TelemetrySink* inner) : inner_(inner) {}
-
-  void RecordStage(const StageRecord& record) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    inner_->RecordStage(record);
-  }
-
- private:
-  std::mutex mu_;
-  TelemetrySink* inner_;
-};
-
-/// RAII stage timer: starts on construction and reports the stage to the
-/// sink on destruction.
-///
-/// The stage also bridges into the process-wide observability layer when
-/// one is installed: with a Tracer::Current() it records a span (counters
-/// become span args), and with a MetricsRegistry::Current() it observes the
-/// stage's wall time in the `hcd_stage_seconds{stage=...}` histogram family
-/// and bumps `hcd_stage_runs_total` / `hcd_stage_counter_total`. With a
-/// null sink and neither installed, every operation reduces to pointer
-/// tests (two relaxed atomic loads at construction) — no clock read, no
-/// allocation — which is how un-instrumented library calls stay free.
+/// RAII stage timer: starts on construction and, on destruction, reports
+/// the stage to every process-wide backend that is installed. With a
+/// StageTelemetry::Current() it appends a StageRecord; with a
+/// Tracer::Current() it records a span (counters become span args); with a
+/// MetricsRegistry::Current() it observes the stage's wall time in the
+/// `hcd_stage_seconds{stage=...}` histogram family and bumps
+/// `hcd_stage_runs_total` / `hcd_stage_counter_total`. With none installed,
+/// every operation reduces to pointer tests (three relaxed atomic loads at
+/// construction) — no clock read, no allocation — which is how
+/// un-instrumented library calls stay free.
 class ScopedStage {
  public:
-  ScopedStage(TelemetrySink* sink, std::string stage)
-      : sink_(sink),
-        tracer_(Tracer::Current()),
-        registry_(MetricsRegistry::Current()) {
-    if (!Active()) return;
-    record_.stage = std::move(stage);
-    if (tracer_ != nullptr) start_ns_ = tracer_->NowNs();
+  explicit ScopedStage(std::string_view stage)
+      : tracer_(Tracer::Current()),
+        registry_(MetricsRegistry::Current()),
+        telemetry_(StageTelemetry::Current()) {
+    if (Active()) Start(stage);
   }
   ~ScopedStage() {
-    if (!Active()) return;
-    Finish();
+    if (Active()) Finish();
   }
 
   ScopedStage(const ScopedStage&) = delete;
@@ -133,18 +111,20 @@ class ScopedStage {
 
  private:
   bool Active() const {
-    return sink_ != nullptr || tracer_ != nullptr || registry_ != nullptr;
+    return tracer_ != nullptr || registry_ != nullptr || telemetry_ != nullptr;
   }
 
-  /// Out-of-line slow path: reports to the sink, the tracer and the metrics
-  /// registry (whichever are present).
+  /// Out-of-line slow paths: Start names the record, takes the thread's
+  /// nesting depth and reads the clock; Finish reports to whichever
+  /// backends are present.
+  void Start(std::string_view stage);
   void Finish();
 
-  TelemetrySink* sink_;
   Tracer* tracer_;
   MetricsRegistry* registry_;
+  StageTelemetry* telemetry_;
   StageRecord record_;
-  Timer timer_;
+  std::chrono::steady_clock::time_point start_;
   uint64_t start_ns_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/check.h"
 #include "common/telemetry.h"
 
 namespace hcd {
@@ -41,31 +40,10 @@ std::string TraceIdHex(uint64_t id) {
   return buf;
 }
 
-std::atomic<Tracer*> Tracer::current_{nullptr};
-
 Tracer::Tracer(size_t max_spans_per_thread)
     : max_spans_per_thread_(max_spans_per_thread),
       id_(NextTracerId()),
       epoch_ns_(SteadyNowNs()) {}
-
-Tracer::~Tracer() {
-  HCD_CHECK(current_.load(std::memory_order_relaxed) != this)
-      << "destroying the installed tracer; Uninstall() first";
-}
-
-void Tracer::Install() {
-  Tracer* expected = nullptr;
-  HCD_CHECK(current_.compare_exchange_strong(expected, this,
-                                             std::memory_order_release))
-      << "another tracer is already installed";
-}
-
-void Tracer::Uninstall() {
-  Tracer* expected = this;
-  HCD_CHECK(current_.compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_release))
-      << "this tracer is not the installed one";
-}
 
 uint64_t Tracer::NowNs() const { return SteadyNowNs() - epoch_ns_; }
 

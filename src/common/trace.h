@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/installed.h"
 #include "common/status.h"
 
 namespace hcd {
@@ -45,9 +46,9 @@ struct TraceSpanRecord {
 /// clock read per span edge plus the append. Export renders every buffer as
 /// Chrome trace-event JSON loadable in Perfetto / chrome://tracing.
 ///
-/// Enabling is process-wide: Install() publishes the tracer so that
-/// `ScopedSpan` (and the `ScopedStage` bridge in telemetry.h) pick it up
-/// anywhere in the library. With no tracer installed the instrumentation
+/// Enabling is process-wide: Install() (installed.h) publishes the tracer so
+/// that `ScopedSpan` (and the `ScopedStage` bridge in telemetry.h) pick it
+/// up anywhere in the library. With no tracer installed the instrumentation
 /// compiles down to one relaxed atomic load and a null test per span — no
 /// allocation, no clock read (asserted by tests/trace_test.cc and measured
 /// by bench_micro).
@@ -59,30 +60,16 @@ struct TraceSpanRecord {
 /// or past the implicit barrier of the OpenMP region that recorded. The
 /// per-buffer published-size counter uses release/acquire so a reader that
 /// is ordered after the writers (join / barrier) sees fully written spans.
-class Tracer {
+class Tracer : public Installed<Tracer> {
  public:
   /// `max_spans_per_thread` bounds memory for long-lived processes: once a
   /// thread's buffer is full, further spans on that thread are counted in
-  /// TotalDropped() and discarded.
+  /// TotalDropped() and discarded. Spans stay readable after Uninstall()
+  /// until the tracer is destroyed.
   explicit Tracer(size_t max_spans_per_thread = size_t{1} << 20);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  /// The process-wide tracer, or null when tracing is disabled (the
-  /// default). One relaxed atomic load.
-  static Tracer* Current() {
-    return current_.load(std::memory_order_relaxed);
-  }
-
-  /// Publishes this tracer as Current(). Checks that no other tracer is
-  /// installed; Uninstall() before installing another.
-  void Install();
-
-  /// Clears Current() (checks this tracer was the one installed). Spans
-  /// already recorded stay readable until the tracer is destroyed.
-  void Uninstall();
 
   /// Nanoseconds since this tracer's construction (steady clock).
   uint64_t NowNs() const;
@@ -133,8 +120,6 @@ class Tracer {
   };
 
   ThreadBuffer* BufferForThisThread();
-
-  static std::atomic<Tracer*> current_;
 
   const size_t max_spans_per_thread_;
   const uint64_t id_;            ///< process-unique, for the TLS cache

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "parallel/omp_utils.h"
 
@@ -19,8 +20,8 @@ std::vector<VertexId> KShellSizes(const CoreDecomposition& cd) {
   return sizes;
 }
 
-CoreDecomposition BzCoreDecomposition(const Graph& graph, TelemetrySink* sink) {
-  ScopedStage stage(sink, "decomposition");
+CoreDecomposition BzCoreDecomposition(const Graph& graph) {
+  ScopedStage stage("decomposition");
   const VertexId n = graph.NumVertices();
   CoreDecomposition cd;
   cd.coreness.assign(n, 0);
@@ -76,8 +77,8 @@ CoreDecomposition BzCoreDecomposition(const Graph& graph, TelemetrySink* sink) {
   return cd;
 }
 
-CoreDecomposition PkcCoreDecomposition(const Graph& graph, TelemetrySink* sink) {
-  ScopedStage stage(sink, "decomposition");
+CoreDecomposition PkcCoreDecomposition(const Graph& graph) {
+  ScopedStage stage("decomposition");
   const VertexId n = graph.NumVertices();
   CoreDecomposition cd;
   cd.coreness.assign(n, 0);

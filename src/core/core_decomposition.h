@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "graph/graph.h"
 
 namespace hcd {
@@ -23,17 +22,15 @@ struct CoreDecomposition {
 std::vector<VertexId> KShellSizes(const CoreDecomposition& cd);
 
 /// Serial Batagelj-Zaversnik peeling, O(m) (reference serial algorithm,
-/// "CD" in the paper's Figure 10). With a sink, records a "decomposition"
-/// stage (counters: k_max).
-CoreDecomposition BzCoreDecomposition(const Graph& graph,
-                                      TelemetrySink* sink = nullptr);
+/// "CD" in the paper's Figure 10). Records a "decomposition" stage
+/// (counters: k_max).
+CoreDecomposition BzCoreDecomposition(const Graph& graph);
 
 /// Parallel PKC-style core decomposition (Kabir & Madduri): level-
 /// synchronous peeling with thread-local worklists and atomic degree
 /// decrements, O(n * k_max + m) work. Uses the current OpenMP thread count.
-/// With a sink, records a "decomposition" stage (counters: levels, k_max).
-CoreDecomposition PkcCoreDecomposition(const Graph& graph,
-                                       TelemetrySink* sink = nullptr);
+/// Records a "decomposition" stage (counters: levels, k_max).
+CoreDecomposition PkcCoreDecomposition(const Graph& graph);
 
 }  // namespace hcd
 

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/timer.h"
+#include "common/telemetry.h"
 #include "graph/ingest.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
@@ -54,35 +54,25 @@ HcdEngine::HcdEngine(const Graph* graph, EngineOptions options)
 
 Status HcdEngine::Load(const std::string& path, const EngineOptions& options,
                        std::unique_ptr<HcdEngine>* out) {
-  Timer timer;
   Graph graph;
-  // Ingest sub-stages land in a staging sink (the engine does not exist
-  // yet) and are replayed into the engine's telemetry after construction.
-  StageTelemetry ingest_stages;
-  IngestOptions ingest_options;
-  ingest_options.io_threads =
-      options.io_threads > 0 ? options.io_threads : options.threads;
-  ingest_options.sink = options.telemetry ? &ingest_stages : nullptr;
-  IngestStats ingest_stats;
-  Status s = HasSuffix(path, ".bin")
-                 ? IngestBinary(path, ingest_options, &graph, &ingest_stats)
-                 : IngestEdgeListText(path, ingest_options, &graph,
-                                      &ingest_stats);
-  if (!s.ok()) return s;
-  const double seconds = timer.Seconds();
-  out->reset(new HcdEngine(std::move(graph), options));
-  if (TelemetrySink* sink = (*out)->sink()) {
-    for (const StageRecord& r : ingest_stages.records()) sink->RecordStage(r);
-    StageRecord record;
-    record.stage = "load";
-    record.seconds = seconds;
-    record.counters = {{"n", (*out)->graph().NumVertices()},
-                       {"m", (*out)->graph().NumEdges()},
-                       {"bytes", ingest_stats.bytes},
-                       {"edges_dropped", ingest_stats.self_loops_dropped +
-                                             ingest_stats.duplicates_dropped}};
-    sink->RecordStage(record);
+  {
+    ScopedStage stage("load");
+    IngestOptions ingest_options;
+    ingest_options.io_threads =
+        options.io_threads > 0 ? options.io_threads : options.threads;
+    IngestStats ingest_stats;
+    Status s = HasSuffix(path, ".bin")
+                   ? IngestBinary(path, ingest_options, &graph, &ingest_stats)
+                   : IngestEdgeListText(path, ingest_options, &graph,
+                                        &ingest_stats);
+    if (!s.ok()) return s;
+    stage.AddCounter("n", graph.NumVertices());
+    stage.AddCounter("m", graph.NumEdges());
+    stage.AddCounter("bytes", ingest_stats.bytes);
+    stage.AddCounter("edges_dropped", ingest_stats.self_loops_dropped +
+                                          ingest_stats.duplicates_dropped);
   }
+  out->reset(new HcdEngine(std::move(graph), options));
   return Status::Ok();
 }
 
@@ -92,8 +82,8 @@ const CoreDecomposition& HcdEngine::Coreness() {
     if (options_.threads > 0) guard.emplace(options_.threads);
     cd_ = std::make_shared<const CoreDecomposition>(
         options_.algo == EngineAlgo::kNaive
-            ? BzCoreDecomposition(*graph_, sink())
-            : PkcCoreDecomposition(*graph_, sink()));
+            ? BzCoreDecomposition(*graph_)
+            : PkcCoreDecomposition(*graph_));
   }
   return *cd_;
 }
@@ -103,7 +93,7 @@ const VertexRank& HcdEngine::Rank() {
     const CoreDecomposition& cd = Coreness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "rank");
+    ScopedStage stage("rank");
     rank_ = ComputeVertexRank(cd);
   }
   return *rank_;
@@ -113,7 +103,7 @@ const EdgeIndexer& HcdEngine::Edges() {
   if (!eidx_) {
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.index");
+    ScopedStage stage("truss.index");
     eidx_ = BuildEdgeIndexer(*graph_);
     stage.AddCounter("edges", eidx_->NumEdges());
   }
@@ -125,7 +115,7 @@ const TriangleIndexer& HcdEngine::Triangles() {
     const EdgeIndexer& eidx = Edges();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.index");
+    ScopedStage stage("nucleus.index");
     tidx_ = BuildTriangleIndexer(*graph_, eidx);
     stage.AddCounter("triangles", tidx_->NumTriangles());
   }
@@ -137,7 +127,7 @@ const TrussDecomposition& HcdEngine::Trussness() {
     const EdgeIndexer& eidx = Edges();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.decomposition");
+    ScopedStage stage("truss.decomposition");
     td_ = PeelTrussDecomposition(*graph_, eidx);
     stage.AddCounter("k_max", td_->k_max);
   }
@@ -150,7 +140,7 @@ const NucleusDecomposition& HcdEngine::NucleusTheta() {
     const TriangleIndexer& tidx = Triangles();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.decomposition");
+    ScopedStage stage("nucleus.decomposition");
     nd_ = PeelNucleusDecomposition(*graph_, eidx, tidx);
     stage.AddCounter("k_max", nd_->k_max);
   }
@@ -164,7 +154,7 @@ const HcdForest& HcdEngine::Forest() {
     const TrussDecomposition& td = Trussness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "truss.construction");
+    ScopedStage stage("truss.construction");
     forest_ = options_.algo == EngineAlgo::kNaive
                   ? NaiveTrussHierarchy(*graph_, eidx, td)
                   : BuildTrussHierarchy(*graph_, eidx, td);
@@ -177,7 +167,7 @@ const HcdForest& HcdEngine::Forest() {
     const NucleusDecomposition& nd = NucleusTheta();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage(sink(), "nucleus.construction");
+    ScopedStage stage("nucleus.construction");
     forest_ = options_.algo == EngineAlgo::kNaive
                   ? NaiveNucleusHierarchy(*graph_, eidx, tidx, nd)
                   : BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
@@ -190,14 +180,14 @@ const HcdForest& HcdEngine::Forest() {
     if (options_.threads > 0) guard.emplace(options_.threads);
     switch (options_.algo) {
       case EngineAlgo::kPhcd:
-        forest_ = PhcdBuild(*graph_, cd, sink());
+        forest_ = PhcdBuild(*graph_, cd);
         break;
       case EngineAlgo::kLcps:
-        forest_ = LcpsBuild(*graph_, cd, sink());
+        forest_ = LcpsBuild(*graph_, cd);
         break;
       case EngineAlgo::kNaive: {
-        // The oracle builder has no sink parameter; time it here.
-        ScopedStage stage(sink(), "construction");
+        // The oracle builder records no stage of its own; time it here.
+        ScopedStage stage("construction");
         forest_ = NaiveHcdBuild(*graph_, cd);
         stage.AddCounter("nodes", forest_->NumNodes());
         break;
@@ -214,20 +204,20 @@ const FlatHcdIndex& HcdEngine::Flat() {
     if (options_.threads > 0) guard.emplace(options_.threads);
     switch (options_.hierarchy) {
       case HierarchyKind::kCore: {
-        ScopedStage stage(sink(), "construction.freeze");
+        ScopedStage stage("construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(Freeze(forest));
         stage.AddCounter("nodes", flat_->NumNodes());
         break;
       }
       case HierarchyKind::kTruss: {
-        ScopedStage stage(sink(), "truss.construction.freeze");
+        ScopedStage stage("truss.construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(
             FreezeTruss(*graph_, *eidx_, forest));
         stage.AddCounter("nodes", flat_->NumNodes());
         break;
       }
       case HierarchyKind::kNucleus: {
-        ScopedStage stage(sink(), "nucleus.construction.freeze");
+        ScopedStage stage("nucleus.construction.freeze");
         flat_ = std::make_shared<const FlatHcdIndex>(
             FreezeNucleus(*graph_, *tidx_, forest));
         stage.AddCounter("nodes", flat_->NumNodes());
@@ -273,7 +263,7 @@ const ElementSearchIndex& HcdEngine::ElementSearcher() {
     Flat();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    element_searcher_.emplace(flat_, sink());
+    element_searcher_.emplace(flat_);
   }
   return *element_searcher_;
 }
@@ -295,7 +285,7 @@ const SnapshotState& HcdEngine::SealedState() {
         owned_graph_ != nullptr ? owned_graph_
                                 : std::make_shared<const Graph>(*graph_);
     state_ = SnapshotState::Create(std::move(graph), cd_, flat_,
-                                   /*epoch=*/0, sink());
+                                   /*epoch=*/0);
   }
   return *state_;
 }
@@ -310,7 +300,11 @@ QuerySnapshot HcdEngine::Snapshot() {
 }
 
 SearchResult HcdEngine::Search(Metric metric) {
-  const SearchHit hit = Snapshot().Search(metric, &workspace_, sink());
+  // Sealing first keeps the search-index stages outside this one.
+  const QuerySnapshot snapshot = Snapshot();
+  ScopedStage stage("search.score");
+  const SearchHit hit = snapshot.Search(metric, &workspace_);
+  stage.AddCounter("nodes", snapshot.flat().NumNodes());
   SearchResult result;
   result.best_node = hit.best_node;
   result.best_score = hit.best_score;

@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "engine/snapshot.h"
 #include "graph/graph.h"
@@ -59,8 +58,6 @@ struct EngineOptions {
   /// 0 falls back to `threads`. Lets I/O-bound loading use a different
   /// width than the compute stages.
   int io_threads = 0;
-  /// When false, stages run un-instrumented and telemetry() stays empty.
-  bool telemetry = true;
 };
 
 /// The build-phase pipeline object behind every consumer of the library:
@@ -71,9 +68,10 @@ struct EngineOptions {
 /// each stage once.
 ///
 /// Thread counts are applied per stage with ThreadCountGuard (never by
-/// mutating global OpenMP state), and every stage reports wall time and
-/// cheap counters to the engine's StageTelemetry unless telemetry is
-/// disabled.
+/// mutating global OpenMP state), and every stage is a ScopedStage: its
+/// wall time and cheap counters reach whichever process-wide backends are
+/// installed (StageTelemetry, Tracer, MetricsRegistry; see
+/// common/telemetry.h).
 ///
 /// Thread-safety: the engine itself is not thread-safe — one engine is
 /// driven by one orchestrating thread. Concurrency lives on the serve side:
@@ -95,26 +93,14 @@ class HcdEngine {
 
   /// Loads a graph (binary when `path` ends in ".bin", else SNAP edge-list
   /// text) through the parallel validated ingest layer and wraps it in an
-  /// engine. Records the ingest sub-stages ("load.read", "load.parse",
-  /// "load.remap", "load.build" / "load.validate") followed by an
-  /// aggregate "load" stage (counters: n, m, bytes, edges_dropped).
+  /// engine. Records a "load" stage (counters: n, m, bytes, edges_dropped)
+  /// around the ingest sub-stages ("load.read", "load.parse", "load.remap",
+  /// "load.build" / "load.validate"), which complete first.
   static Status Load(const std::string& path, const EngineOptions& options,
                      std::unique_ptr<HcdEngine>* out);
 
   const Graph& graph() const { return *graph_; }
   const EngineOptions& options() const { return options_; }
-
-  /// Per-stage telemetry accumulated so far. Consumers may record their
-  /// own stages (e.g. the CLI records "serialize").
-  StageTelemetry& telemetry() { return telemetry_; }
-  const StageTelemetry& telemetry() const { return telemetry_; }
-
-  /// The engine's sink, or null when options().telemetry is false. Pass to
-  /// library calls made outside the engine to merge their stages into the
-  /// same report.
-  TelemetrySink* sink() {
-    return options_.telemetry ? &telemetry_ : nullptr;
-  }
 
   /// Core decomposition (stage "decomposition"): PKC for phcd/lcps, the
   /// serial BZ reference for naive. Computed on first call.
@@ -200,7 +186,6 @@ class HcdEngine {
   std::shared_ptr<const Graph> owned_graph_;  ///< null when borrowing
   const Graph* graph_;
   EngineOptions options_;
-  StageTelemetry telemetry_;
   // Stage caches. Coreness and the flat index are refcounted so sealing
   // shares them with the SnapshotState without a move or copy — references
   // handed out before Snapshot() stay valid after it. Rank and the builder

@@ -91,7 +91,7 @@ Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
 
     FlatHcdIndex flat;
     const Status s = ApplyRebuild(plan, old_state->flat(), *new_graph,
-                                  *new_cd, nullptr, &flat);
+                                  *new_cd, &flat);
     if (!s.ok()) return s;
     new_flat = std::make_shared<const FlatHcdIndex>(std::move(flat));
   }

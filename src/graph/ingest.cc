@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "graph/binary_format.h"
 #include "graph/builder.h"
@@ -206,7 +207,7 @@ Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
 
   std::vector<char> buf;
   {
-    ScopedStage stage(options.sink, "load.read");
+    ScopedStage stage("load.read");
     HCD_RETURN_IF_ERROR(ReadWholeFile(path, &buf));
     stage.AddCounter("bytes", buf.size());
   }
@@ -238,7 +239,7 @@ Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
   uint64_t total_lines = 0;
   uint64_t total_edges = 0;
   {
-    ScopedStage stage(options.sink, "load.parse");
+    ScopedStage stage("load.parse");
     // Static scheduling: only ~threads*8 chunky iterations, so the dynamic
     // wrapper's 512-iteration grain would hand them all to one thread.
     ParallelFor(size_t{0}, num_chunks, [&](size_t c) {
@@ -286,7 +287,7 @@ Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
   EdgeList edges(total_edges);
   uint64_t num_ids = 0;
   {
-    ScopedStage stage(options.sink, "load.remap");
+    ScopedStage stage("load.remap");
     std::vector<uint64_t> ids(2 * total_edges);
     ParallelFor(size_t{0}, static_cast<size_t>(total_edges), [&](size_t i) {
       ids[2 * i] = raw[i].u;
@@ -313,7 +314,7 @@ Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
   if (stats != nullptr) stats->vertices = num_ids;
 
   {
-    ScopedStage stage(options.sink, "load.build");
+    ScopedStage stage("load.build");
     GraphBuilder b;
     b.AddEdgesUnfiltered(std::move(edges));
     BuildStats bstats;
@@ -338,7 +339,7 @@ Status IngestBinary(const std::string& path, const IngestOptions& options,
   uint64_t n = 0;
   uint64_t adj_size = 0;
   {
-    ScopedStage stage(options.sink, "load.read");
+    ScopedStage stage("load.read");
     FdCloser f{::open(path.c_str(), O_RDONLY)};
     if (f.fd < 0) return Status::IoError("cannot open " + path);
     struct stat st;
@@ -396,7 +397,7 @@ Status IngestBinary(const std::string& path, const IngestOptions& options,
   }
 
   {
-    ScopedStage stage(options.sink, "load.validate");
+    ScopedStage stage("load.validate");
     if (offsets.front() != 0 || offsets.back() != adj_size) {
       return Status::Corruption(path + ": inconsistent offsets");
     }

@@ -5,20 +5,17 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "graph/graph.h"
 
 namespace hcd {
 
 /// Knobs for the parallel ingest pipeline (text parse and binary load).
+/// Each ingest records its stages: "load.read", "load.parse", "load.remap",
+/// "load.build" (text) and "load.read", "load.validate" (binary).
 struct IngestOptions {
   /// OpenMP threads for every ingest stage (read, parse, remap, build,
   /// validate); 0 keeps the ambient setting. Applied with a scoped guard.
   int io_threads = 0;
-  /// Optional per-stage telemetry receiver; stages are named "load.read",
-  /// "load.parse", "load.remap", "load.build" (text) and "load.read",
-  /// "load.validate" (binary).
-  TelemetrySink* sink = nullptr;
 };
 
 /// What ingest saw and normalized; all counters are zero-initialized and

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/flat_index.h"
@@ -68,7 +67,7 @@ RebuildPlan PlanRebuild(const FlatHcdIndex& old_index,
 /// decomposition of `new_graph`.
 Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
                     const Graph& new_graph, const CoreDecomposition& new_cd,
-                    TelemetrySink* sink, FlatHcdIndex* out);
+                    FlatHcdIndex* out);
 
 }  // namespace hcd
 

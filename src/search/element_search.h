@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "hcd/flat_index.h"
 
 namespace hcd {
@@ -42,14 +41,13 @@ struct ElementHit {
 /// query methods concurrently, each with its own ElementWorkspace — the
 /// QuerySnapshot-grade contract the socket server and query-bench rely on.
 ///
-/// With a sink, construction records the "search.element" stage.
+/// Construction records the "search.element" stage.
 class ElementSearchIndex {
  public:
   /// The index must be non-core (a core hierarchy scores through the
   /// metric machinery of SearchIndex instead). Shares ownership of the
   /// flat index so the search object can outlive its builder.
-  explicit ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat,
-                              TelemetrySink* sink = nullptr);
+  explicit ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat);
 
   ElementSearchIndex(const ElementSearchIndex&) = delete;
   ElementSearchIndex& operator=(const ElementSearchIndex&) = delete;

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/flat_index.h"
@@ -23,12 +22,12 @@ namespace hcd {
 ///
 /// The constructor only reads its arguments; it keeps no references, so the
 /// index stays valid even if the graph is destroyed (scoring needs only the
-/// frozen FlatHcdIndex alongside it). With a sink, construction records the
+/// frozen FlatHcdIndex alongside it). Construction records the
 /// "search.preprocess", "search.primary_a" and "search.primary_b" stages.
 class SearchIndex {
  public:
   SearchIndex(const Graph& graph, const CoreDecomposition& cd,
-              const FlatHcdIndex& index, TelemetrySink* sink = nullptr);
+              const FlatHcdIndex& index);
 
   SearchIndex(const SearchIndex&) = delete;
   SearchIndex& operator=(const SearchIndex&) = delete;

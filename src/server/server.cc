@@ -372,7 +372,12 @@ Status QueryServer::Start() {
 
 void QueryServer::Stop() {
   if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Under the workers' queue mutex, for the same reason as the ticker's
+    // below: a notify lost there would hang Stop in join.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   queue_cv_.notify_all();
   {
     // Taken so the ticker is either still before its predicate check (and

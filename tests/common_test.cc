@@ -152,6 +152,17 @@ TEST(StageTelemetry, PeakStageTieKeepsTheFirstRecord) {
   EXPECT_DOUBLE_EQ(telemetry.TotalSeconds(), 5.0);
 }
 
+TEST(StageTelemetry, TotalSecondsCountsOnlyOutermostStages) {
+  StageTelemetry telemetry;
+  telemetry.RecordStage({"load.read", 1.0, {}, /*depth=*/1});
+  telemetry.RecordStage({"load", 3.0, {}, /*depth=*/0});
+  telemetry.RecordStage({"decomposition", 2.0, {}, /*depth=*/0});
+  EXPECT_DOUBLE_EQ(telemetry.TotalSeconds(), 5.0);
+  EXPECT_EQ(telemetry.PeakStage(), "load");
+  // Depth shapes the total only; the report does not render it.
+  EXPECT_EQ(telemetry.ToJson().find("depth"), std::string::npos);
+}
+
 TEST(StageTelemetry, ToJsonSurvivesHostileStageAndCounterNames) {
   StageTelemetry telemetry;
   StageRecord record;

@@ -1,16 +1,18 @@
 // Tests for the HcdEngine pipeline layer: stage memoization (each stage
 // computed at most once per engine), options plumbing (algorithm selection,
-// thread-count guarding, telemetry on/off), the Load factory, and the JSON
-// telemetry shape behind `hcd_cli --json`.
+// thread-count guarding), the stages an installed collector receives, the
+// Load factory, and the JSON telemetry shape behind `hcd_cli --json`.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/telemetry.h"
+#include "common/timer.h"
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -24,33 +26,6 @@
 
 namespace hcd {
 namespace {
-
-/// Sink that counts RecordStage calls per stage label.
-class CountingSink : public TelemetrySink {
- public:
-  void RecordStage(const StageRecord& record) override {
-    ++total_;
-    for (auto& [stage, count] : per_stage_) {
-      if (stage == record.stage) {
-        ++count;
-        return;
-      }
-    }
-    per_stage_.push_back({record.stage, 1});
-  }
-
-  size_t total() const { return total_; }
-  size_t Count(const std::string& stage) const {
-    for (const auto& [s, count] : per_stage_) {
-      if (s == stage) return count;
-    }
-    return 0;
-  }
-
- private:
-  size_t total_ = 0;
-  std::vector<std::pair<std::string, size_t>> per_stage_;
-};
 
 TEST(EngineTest, StagesAreMemoized) {
   HcdEngine engine(RMatGraph500(9, 3000, 5));
@@ -68,6 +43,8 @@ TEST(EngineTest, StagesAreMemoized) {
 }
 
 TEST(EngineTest, DecompositionRunsExactlyOnce) {
+  StageTelemetry t;
+  t.Install();
   HcdEngine engine(RMatGraph500(9, 3000, 5));
   // Exercise every stage, several times, in an order where each stage
   // demands its prerequisites.
@@ -79,7 +56,7 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   engine.Forest();
   engine.Flat();
   engine.Searcher();
-  const StageTelemetry& t = engine.telemetry();
+  t.Uninstall();
   EXPECT_EQ(t.CountStage("decomposition"), 1u);
   EXPECT_EQ(t.CountStage("construction"), 1u);
   EXPECT_EQ(t.CountStage("construction.freeze"), 1u);
@@ -90,25 +67,25 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   EXPECT_EQ(t.CountStage("search.score"), 3u);
 }
 
-TEST(EngineTest, SinkParameterPlumbing) {
-  // The optional TelemetrySink* threaded through the library entry points:
-  // null means no instrumentation, a sink receives exactly one stage per
-  // call.
+TEST(EngineTest, InstalledCollectorGetsOneStagePerLibraryCall) {
   Graph g = ErdosRenyiGnm(300, 900, 1);
-  CountingSink sink;
-  CoreDecomposition cd = PkcCoreDecomposition(g, &sink);
-  EXPECT_EQ(sink.total(), 1u);
-  EXPECT_EQ(sink.Count("decomposition"), 1u);
-  PhcdBuild(g, cd, &sink);
-  EXPECT_EQ(sink.Count("construction"), 1u);
-  LcpsBuild(g, cd, &sink);
-  EXPECT_EQ(sink.Count("construction"), 2u);
-  BzCoreDecomposition(g, &sink);
-  EXPECT_EQ(sink.Count("decomposition"), 2u);
-  // Null-sink calls still work and add nothing.
+  StageTelemetry t;
+  t.Install();
+  CoreDecomposition cd = PkcCoreDecomposition(g);
+  EXPECT_EQ(t.records().size(), 1u);
+  EXPECT_EQ(t.CountStage("decomposition"), 1u);
+  PhcdBuild(g, cd);
+  EXPECT_EQ(t.CountStage("construction"), 1u);
+  LcpsBuild(g, cd);
+  EXPECT_EQ(t.CountStage("construction"), 2u);
+  BzCoreDecomposition(g);
+  EXPECT_EQ(t.CountStage("decomposition"), 2u);
+  t.Uninstall();
+  EXPECT_EQ(t.records().size(), 4u);
+  // Uninstalled, the calls still work and add nothing.
   CoreDecomposition cd2 = PkcCoreDecomposition(g);
   EXPECT_EQ(cd2.coreness, cd.coreness);
-  EXPECT_EQ(sink.total(), 4u);
+  EXPECT_EQ(t.records().size(), 4u);
 }
 
 TEST(EngineTest, AlgoSelectionProducesEquivalentForests) {
@@ -138,13 +115,6 @@ TEST(EngineTest, ThreadOptionDoesNotLeakGlobalState) {
   EXPECT_EQ(MaxThreads(), ambient);
 }
 
-TEST(EngineTest, TelemetryOffLeavesNoRecords) {
-  HcdEngine engine(RMatGraph500(8, 2000, 3), {.telemetry = false});
-  EXPECT_EQ(engine.sink(), nullptr);
-  engine.Search(Metric::kConductance);
-  EXPECT_TRUE(engine.telemetry().records().empty());
-}
-
 TEST(EngineTest, SearchMatchesDirectPbks) {
   Graph g = RMatGraph500(9, 3000, 7);
   HcdEngine engine(&g);
@@ -163,15 +133,41 @@ TEST(EngineTest, LoadRecordsLoadStage) {
   const std::string path = ::testing::TempDir() + "/engine_test_graph.bin";
   ASSERT_TRUE(SaveBinary(g, path).ok());
 
+  StageTelemetry t;
+  t.Install();
   std::unique_ptr<HcdEngine> engine;
-  ASSERT_TRUE(HcdEngine::Load(path, {}, &engine).ok());
+  const Status s = HcdEngine::Load(path, {}, &engine);
+  t.Uninstall();
+  ASSERT_TRUE(s.ok());
   EXPECT_EQ(engine->graph().NumVertices(), g.NumVertices());
   EXPECT_EQ(engine->graph().NumEdges(), g.NumEdges());
-  EXPECT_EQ(engine->telemetry().CountStage("load"), 1u);
+  EXPECT_EQ(t.CountStage("load"), 1u);
 
   std::unique_ptr<HcdEngine> missing;
   EXPECT_FALSE(
       HcdEngine::Load("/nonexistent/graph.bin", {}, &missing).ok());
+}
+
+TEST(EngineTest, LoadTotalSecondsCountsNestedStagesOnce) {
+  Graph g = ErdosRenyiGnm(20000, 200000, 4);
+  const std::string path = ::testing::TempDir() + "/engine_test_total.txt";
+  ASSERT_TRUE(SaveEdgeListText(g, path).ok());
+
+  StageTelemetry t;
+  t.Install();
+  std::unique_ptr<HcdEngine> engine;
+  Timer timer;
+  const Status s = HcdEngine::Load(path, {}, &engine);
+  const double wall = timer.Seconds();
+  t.Uninstall();
+  ASSERT_TRUE(s.ok());
+  // "load" encloses load.read/parse/remap/build; summing them all would
+  // read about twice the wall time.
+  EXPECT_EQ(t.CountStage("load.parse"), 1u);
+  EXPECT_GT(t.StageSeconds("load.parse"), 0.0);
+  EXPECT_LE(t.TotalSeconds(), wall);
+  EXPECT_DOUBLE_EQ(t.TotalSeconds(), t.StageSeconds("load"));
+  std::remove(path.c_str());
 }
 
 TEST(EngineTest, ParseAndNameRoundTrip) {
@@ -214,11 +210,6 @@ TEST(TelemetryTest, JsonShape) {
 TEST(TelemetryTest, JsonEscaping) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
   EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
-TEST(TelemetryTest, ScopedStageNullSinkIsNoop) {
-  ScopedStage stage(nullptr, "anything");
-  stage.AddCounter("n", 1);  // must not crash
 }
 
 }  // namespace

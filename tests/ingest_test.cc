@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "engine/engine.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -425,16 +426,21 @@ TEST(Ingest, EngineLoadRecordsIngestStages) {
   ASSERT_TRUE(SaveEdgeListText(g, text_path).ok());
   ASSERT_TRUE(SaveBinary(g, bin_path).ok());
 
+  StageTelemetry telemetry;
+  telemetry.Install();
   std::unique_ptr<HcdEngine> engine;
-  ASSERT_TRUE(HcdEngine::Load(text_path, {.io_threads = 2}, &engine).ok());
+  EXPECT_TRUE(HcdEngine::Load(text_path, {.io_threads = 2}, &engine).ok());
   for (const char* stage :
        {"load.read", "load.parse", "load.remap", "load.build", "load"}) {
-    EXPECT_EQ(engine->telemetry().CountStage(stage), 1u) << stage;
+    EXPECT_EQ(telemetry.CountStage(stage), 1u) << stage;
   }
 
-  ASSERT_TRUE(HcdEngine::Load(bin_path, {}, &engine).ok());
+  telemetry.Clear();
+  const Status s = HcdEngine::Load(bin_path, {}, &engine);
+  telemetry.Uninstall();
+  ASSERT_TRUE(s.ok());
   for (const char* stage : {"load.read", "load.validate", "load"}) {
-    EXPECT_EQ(engine->telemetry().CountStage(stage), 1u) << stage;
+    EXPECT_EQ(telemetry.CountStage(stage), 1u) << stage;
   }
   EXPECT_EQ(engine->graph().NumEdges(), g.NumEdges());
   std::remove(text_path.c_str());

@@ -68,7 +68,7 @@ TEST(Rebuild, IncrementalMatchesFullFreezeAcrossBatches) {
       EXPECT_FALSE(plan.full_rebuild);
       FlatHcdIndex spliced;
       ASSERT_TRUE(
-          ApplyRebuild(plan, current, updated, cd, nullptr, &spliced).ok());
+          ApplyRebuild(plan, current, updated, cd, &spliced).ok());
       ASSERT_TRUE(ValidateHcd(updated, cd, spliced).ok());
       ASSERT_TRUE(HcdEquals(spliced, FreshFlat(updated, cd)));
       current = std::move(spliced);
@@ -92,7 +92,7 @@ TEST(Rebuild, FullRebuildPathMatchesToo) {
   EXPECT_TRUE(plan.full_rebuild);
   FlatHcdIndex rebuilt;
   ASSERT_TRUE(
-      ApplyRebuild(plan, current, updated, cd, nullptr, &rebuilt).ok());
+      ApplyRebuild(plan, current, updated, cd, &rebuilt).ok());
   ASSERT_TRUE(HcdEquals(rebuilt, FreshFlat(updated, cd)));
 }
 
@@ -104,7 +104,7 @@ TEST(Rebuild, UntouchedPlanReproducesTheIndex) {
   EXPECT_TRUE(plan.dirty_roots.empty());
   EXPECT_EQ(plan.dirty_fraction, 0.0);
   FlatHcdIndex copy;
-  ASSERT_TRUE(ApplyRebuild(plan, flat, g, cd, nullptr, &copy).ok());
+  ASSERT_TRUE(ApplyRebuild(plan, flat, g, cd, &copy).ok());
   EXPECT_TRUE(HcdEquals(copy, flat));
 }
 
@@ -144,8 +144,7 @@ TEST(Rebuild, RejectsVertexSetChange) {
   const CoreDecomposition bigger_cd = BzCoreDecomposition(bigger);
   FlatHcdIndex out;
   EXPECT_FALSE(
-      ApplyRebuild(PlanRebuild(flat, {}, {}), flat, bigger, bigger_cd,
-                   nullptr, &out)
+      ApplyRebuild(PlanRebuild(flat, {}, {}), flat, bigger, bigger_cd, &out)
           .ok());
 }
 

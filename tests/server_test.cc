@@ -470,6 +470,20 @@ TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
   EXPECT_EQ(stats.connections, 1u);
 }
 
+// Stopping right after starting catches idle workers between their wait
+// predicate and the wait itself. A wake-up lost there leaves a worker
+// asleep and Stop hung in join, so every cycle must return.
+TEST(QueryServerTest, BackToBackStartStopNeverHangs) {
+  LiveEngine live(ErdosRenyiGnm(50, 100, 3));
+  ServerOptions options;
+  options.workers = 8;
+  QueryServer server(&live.manager(), options);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    ASSERT_TRUE(server.Start().ok()) << "cycle " << cycle;
+    server.Stop();
+  }
+}
+
 TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
   Graph graph = ErdosRenyiGnm(180, 900, 29);
 

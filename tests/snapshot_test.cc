@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/telemetry.h"
+#include "common/metrics.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "search/pbks.h"
@@ -123,29 +123,20 @@ TEST(SnapshotTest, SnapshotsShareTheEngineState) {
   EXPECT_EQ(&c.flat(), &a.flat());
 }
 
-TEST(SnapshotTest, ConcurrentTelemetrySinkRecordsEveryQuery) {
-  Graph g = RMatGraph500(8, 2000, 3);
-  HcdEngine engine(&g);
+TEST(SnapshotTest, SearchDoesNoRegistryLookups) {
+  HcdEngine engine(RMatGraph500(8, 2000, 3));
   const QuerySnapshot snapshot = engine.Snapshot();
-  StageTelemetry telemetry;
-  ConcurrentTelemetrySink sink(&telemetry);
-  constexpr int kThreads = 8;
-  constexpr int kQueriesPerThread = 25;
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&snapshot, &sink, t] {
-      SearchWorkspace ws;
-      for (int q = 0; q < kQueriesPerThread; ++q) {
-        const size_t mi = (static_cast<size_t>(q) + t) % kMetricCount;
-        snapshot.Search(kAllMetrics[mi], &ws, &sink);
-      }
-    });
+  MetricsRegistry registry;
+  registry.Install();
+  const uint64_t before = registry.lookup_count();
+  SearchWorkspace ws;
+  for (int q = 0; q < 100; ++q) {
+    snapshot.Search(kAllMetrics[static_cast<size_t>(q) % kMetricCount], &ws);
   }
-  for (std::thread& worker : pool) worker.join();
-  // The mutexed decorator lost no record to the concurrency.
-  EXPECT_EQ(telemetry.CountStage("search.score"),
-            static_cast<size_t>(kThreads) * kQueriesPerThread);
+  const uint64_t after = registry.lookup_count();
+  registry.Uninstall();
+  // A served query records no stage, so it never takes the registry mutex.
+  EXPECT_EQ(after, before);
 }
 
 }  // namespace

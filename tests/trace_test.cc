@@ -1,6 +1,6 @@
 // Tests for the span tracer: recording semantics, thread attribution,
-// Chrome JSON export, the ScopedStage bridge, and the contract that the
-// disabled path performs no allocation.
+// Chrome JSON export, the ScopedStage bridge to the three process-wide
+// backends, and the contract that the disabled path performs no allocation.
 
 #include <gtest/gtest.h>
 
@@ -94,13 +94,16 @@ TEST(Tracer, InstallPublishesAndUninstallClears) {
 TEST(Tracer, DisabledPathDoesNotAllocate) {
   ASSERT_EQ(Tracer::Current(), nullptr);
   ASSERT_EQ(MetricsRegistry::Current(), nullptr);
+  ASSERT_EQ(StageTelemetry::Current(), nullptr);
   const uint64_t before = g_alloc_count.load();
   for (int i = 0; i < 1000; ++i) {
     ScopedSpan span("disabled");
     span.AddArg("i", static_cast<uint64_t>(i));
     span.AddArg("name", "text");
-    ScopedStage stage(nullptr, "disabled-stage");
+    ScopedStage stage("disabled-stage");
     stage.AddCounter("i", static_cast<uint64_t>(i));
+    // A name too long for the small-string buffer costs nothing either.
+    ScopedStage long_stage("disabled-stage-with-a-long-name");
   }
   const uint64_t after = g_alloc_count.load();
   EXPECT_EQ(after, before) << "disabled instrumentation must not allocate";
@@ -282,23 +285,28 @@ TEST(Tracer, WriteChromeJsonReportsIoError) {
 }
 
 /// The ScopedStage bridge feeds all three backends from one scope: the
-/// sink gets a StageRecord, the tracer a span whose args are the stage
+/// collector gets a StageRecord, the tracer a span whose args are the stage
 /// counters, and the registry the stage histogram/counter family.
-TEST(ScopedStageBridge, ReportsToSinkTracerAndRegistry) {
+TEST(ScopedStageBridge, ReportsToCollectorTracerAndRegistry) {
   Tracer tracer;
   MetricsRegistry registry;
-  StageTelemetry sink;
+  StageTelemetry collector;
   tracer.Install();
   registry.Install();
+  collector.Install();
   {
-    ScopedStage stage(&sink, "bridged");
+    ScopedStage stage("bridged");
     stage.AddCounter("widgets", 5);
   }
+  collector.Uninstall();
   registry.Uninstall();
   tracer.Uninstall();
 
-  ASSERT_EQ(sink.records().size(), 1u);
-  EXPECT_EQ(sink.records()[0].stage, "bridged");
+  ASSERT_EQ(collector.records().size(), 1u);
+  EXPECT_EQ(collector.records()[0].stage, "bridged");
+  EXPECT_EQ(collector.records()[0].depth, 0u);
+  ASSERT_EQ(collector.records()[0].counters.size(), 1u);
+  EXPECT_EQ(collector.records()[0].counters[0].value, 5u);
 
   const std::vector<TraceSpanRecord> spans = tracer.CollectSpans();
   ASSERT_EQ(spans.size(), 1u);
@@ -319,15 +327,46 @@ TEST(ScopedStageBridge, ReportsToSinkTracerAndRegistry) {
   EXPECT_EQ(widgets->Value(), 5u);
 }
 
-/// Without a sink, a tracer alone still activates the stage (spans appear),
-/// and with nothing at all the stage records nowhere.
+/// Without a collector, a tracer alone still activates the stage (spans
+/// appear).
 TEST(ScopedStageBridge, TracerAloneActivatesStage) {
   Tracer tracer;
   tracer.Install();
-  { ScopedStage stage(nullptr, "tracer-only"); }
+  { ScopedStage stage("tracer-only"); }
   tracer.Uninstall();
   ASSERT_EQ(tracer.NumSpans(), 1u);
   EXPECT_EQ(tracer.CollectSpans()[0].span.name, "tracer-only");
+}
+
+/// Stages finished on many threads at once all reach the collector, and
+/// each thread's nesting depth is its own: every inner stage sits at depth
+/// 1 under its thread's outer stage, so TotalSeconds counts outer stages
+/// only.
+TEST(ScopedStageBridge, StagesFromConcurrentThreadsAreAllRecorded) {
+  StageTelemetry collector;
+  collector.Install();
+  constexpr int kThreads = 8;
+  constexpr int kStagesPerThread = 50;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([] {
+      for (int i = 0; i < kStagesPerThread; ++i) {
+        ScopedStage outer("outer");
+        ScopedStage inner("inner");
+        inner.AddCounter("i", static_cast<uint64_t>(i));
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  collector.Uninstall();
+
+  const size_t expected = static_cast<size_t>(kThreads) * kStagesPerThread;
+  EXPECT_EQ(collector.CountStage("outer"), expected);
+  EXPECT_EQ(collector.CountStage("inner"), expected);
+  for (const StageRecord& r : collector.records()) {
+    EXPECT_EQ(r.depth, r.stage == "inner" ? 1u : 0u) << r.stage;
+  }
+  EXPECT_DOUBLE_EQ(collector.TotalSeconds(), collector.StageSeconds("outer"));
 }
 
 }  // namespace

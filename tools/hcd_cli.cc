@@ -635,7 +635,7 @@ Status AdoptSnapshotIfRequested(const CliArgs& args, HcdEngine* engine) {
       args.snapshot_mode_set ? args.snapshot_mode : hcd::SnapshotMode::kRead;
   hcd::FlatHcdIndex flat;
   {
-    ScopedStage stage(engine->sink(), "load.snapshot");
+    ScopedStage stage("load.snapshot");
     Status s = hcd::LoadFlatSnapshot(args.snapshot_path, mode, &flat);
     if (!s.ok()) return s;
     stage.AddCounter("nodes", flat.NumNodes());
@@ -644,9 +644,14 @@ Status AdoptSnapshotIfRequested(const CliArgs& args, HcdEngine* engine) {
       std::make_shared<const hcd::FlatHcdIndex>(std::move(flat)));
 }
 
+/// The invocation's stage record, installed by main for every command.
+const hcd::StageTelemetry& Stages() {
+  return *hcd::StageTelemetry::Current();
+}
+
 /// Prints the shared JSON envelope: command, effective options, graph
-/// shape, optional extra fields (`",\"result\":{...}"`), and the engine's
-/// per-stage telemetry.
+/// shape, optional extra fields (`",\"result\":{...}"`), and the
+/// invocation's per-stage telemetry.
 void PrintJsonReport(const char* command, const CliArgs& args,
                      HcdEngine& engine, const std::string& extra = "") {
   std::printf("{\"command\":\"%s\",\"algo\":\"%s\",\"threads\":%d,"
@@ -654,7 +659,7 @@ void PrintJsonReport(const char* command, const CliArgs& args,
               command, hcd::EngineAlgoName(args.options.algo),
               args.options.threads, engine.graph().NumVertices(),
               static_cast<unsigned long long>(engine.graph().NumEdges()),
-              extra.c_str(), engine.telemetry().ToJson().c_str());
+              extra.c_str(), Stages().ToJson().c_str());
 }
 
 int CmdGen(const CliArgs& args) {
@@ -698,16 +703,14 @@ int CmdGen(const CliArgs& args) {
 int CmdConvert(const CliArgs& args) {
   if (args.pos.size() != 2) return Usage();
   Graph g;
-  hcd::StageTelemetry telemetry;
   hcd::IngestOptions ingest_options;
   ingest_options.io_threads = args.options.io_threads > 0
                                   ? args.options.io_threads
                                   : args.options.threads;
-  ingest_options.sink = args.options.telemetry ? &telemetry : nullptr;
   Status s = hcd::IngestEdgeListText(args.pos[0], ingest_options, &g);
   if (!s.ok()) return Fail(s);
   {
-    ScopedStage stage(ingest_options.sink, "serialize");
+    ScopedStage stage("serialize");
     s = hcd::SaveBinary(g, args.pos[1]);
   }
   if (!s.ok()) return Fail(s);
@@ -716,7 +719,7 @@ int CmdConvert(const CliArgs& args) {
                 "\"m\":%llu},\"telemetry\":%s}\n",
                 hcd::JsonEscape(args.pos[1]).c_str(), g.NumVertices(),
                 static_cast<unsigned long long>(g.NumEdges()),
-                telemetry.ToJson().c_str());
+                Stages().ToJson().c_str());
   } else {
     std::printf("converted %s -> %s (n=%u m=%llu)\n", args.pos[0].c_str(),
                 args.pos[1].c_str(), g.NumVertices(),
@@ -751,7 +754,7 @@ int CmdStats(const CliArgs& args) {
   std::printf("k_max     %u\n", cd.k_max);
   std::printf("|T|       %u\n", flat.NumNodes());
   std::printf("%s", hcd::ForestStatsToString(hcd::ComputeForestStats(flat)).c_str());
-  std::printf("(computed in %.3fs)\n", engine->telemetry().TotalSeconds());
+  std::printf("(computed in %.3fs)\n", Stages().TotalSeconds());
   return 0;
 }
 
@@ -762,7 +765,7 @@ int CmdBuild(const CliArgs& args) {
   if (!s.ok()) return Fail(s);
   const hcd::FlatHcdIndex& flat = engine->Flat();
   {
-    ScopedStage stage(engine->sink(), "serialize");
+    ScopedStage stage("serialize");
     s = hcd::SaveFlatIndex(flat, args.pos[1]);
     stage.AddCounter("nodes", flat.NumNodes());
   }
@@ -773,7 +776,7 @@ int CmdBuild(const CliArgs& args) {
                         std::to_string(flat.NumNodes()) + "}");
     return 0;
   }
-  const hcd::StageTelemetry& t = engine->telemetry();
+  const hcd::StageTelemetry& t = Stages();
   // Non-core kinds record kind-prefixed stage names.
   const bool core = args.options.hierarchy == hcd::HierarchyKind::kCore;
   const std::string prefix =
@@ -813,7 +816,7 @@ int CmdSearch(const CliArgs& args) {
   std::printf("best k-core under %s: k=%u |S|=%llu score=%.6f (%.3fs)\n",
               hcd::MetricName(metric), flat.Level(r.best_node),
               static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-              r.best_score, engine->telemetry().TotalSeconds());
+              r.best_score, Stages().TotalSeconds());
   return 0;
 }
 
@@ -826,7 +829,7 @@ int CmdExport(const CliArgs& args) {
   if (!s.ok()) return Fail(s);
   const hcd::FlatHcdIndex& flat = engine->Flat();
   {
-    ScopedStage stage(engine->sink(), "serialize");
+    ScopedStage stage("serialize");
     std::ofstream out(args.pos[1]);
     if (!out) {
       return Fail(Status::IoError("cannot write " + args.pos[1]));
@@ -855,7 +858,7 @@ int CmdBestK(const CliArgs& args) {
   {
     std::optional<hcd::ThreadCountGuard> guard;
     if (args.options.threads > 0) guard.emplace(args.options.threads);
-    ScopedStage stage(engine->sink(), "bestk");
+    ScopedStage stage("bestk");
     r = hcd::FindBestK(engine->graph(), cd, metric);
   }
   if (args.json) {
@@ -873,7 +876,7 @@ int CmdBestK(const CliArgs& args) {
               "(|K_k|=%llu vertices, %.3fs)\n",
               args.pos[1].c_str(), r.best_k, r.best_score,
               static_cast<unsigned long long>(r.per_k[r.best_k].n_s),
-              engine->telemetry().StageSeconds("bestk"));
+              Stages().StageSeconds("bestk"));
   return 0;
 }
 
@@ -890,18 +893,18 @@ int CmdTruss(const CliArgs& args) {
   hcd::TrussForest forest;
   hcd::DensestTrussResult best;
   {
-    ScopedStage stage(engine->sink(), "truss.decomposition");
+    ScopedStage stage("truss.decomposition");
     index = hcd::BuildEdgeIndexer(g);
     td = hcd::PeelTrussDecomposition(g, index);
     stage.AddCounter("k_max", td.k_max);
   }
   {
-    ScopedStage stage(engine->sink(), "truss.hierarchy");
+    ScopedStage stage("truss.hierarchy");
     forest = hcd::BuildTrussHierarchy(g, index, td);
     stage.AddCounter("nodes", forest.NumNodes());
   }
   {
-    ScopedStage stage(engine->sink(), "truss.densest");
+    ScopedStage stage("truss.densest");
     best = hcd::DensestTruss(g, index, forest);
   }
   if (args.json) {
@@ -920,7 +923,7 @@ int CmdTruss(const CliArgs& args) {
               best.community.vertices.size(),
               static_cast<unsigned long long>(best.community.num_edges),
               best.community.AverageDegree());
-  std::printf("(computed in %.3fs)\n", engine->telemetry().TotalSeconds());
+  std::printf("(computed in %.3fs)\n", Stages().TotalSeconds());
   return 0;
 }
 
@@ -942,7 +945,7 @@ int CmdInfluential(const CliArgs& args) {
   {
     std::optional<hcd::ThreadCountGuard> guard;
     if (args.options.threads > 0) guard.emplace(args.options.threads);
-    ScopedStage stage(engine->sink(), "influential");
+    ScopedStage stage("influential");
     top = hcd::TopInfluentialCommunities(g, weights, k, r);
   }
   if (args.json) {
@@ -993,7 +996,7 @@ int CmdElementQueryBench(const CliArgs& args) {
   std::vector<hcd::bench::LatencyRecorder> recorders(workers);
   double wall = 0.0;
   {
-    ScopedStage stage(engine->sink(), "serve");
+    ScopedStage stage("serve");
     hcd::Timer timer;
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -1100,13 +1103,13 @@ int CmdQueryBench(const CliArgs& args) {
   // against the shared snapshot. Worker t serves query ids t, t+workers,
   // ... so every worker sees every metric in the mix. Each worker owns a
   // reusable SearchWorkspace and private per-metric LatencyRecorders
-  // (merged after the join); the engine telemetry gets one aggregate
-  // "serve" stage rather than one record per query.
+  // (merged after the join); the stage record gets one aggregate "serve"
+  // stage rather than one record per query.
   std::vector<std::vector<hcd::bench::LatencyRecorder>> recorders(
       workers, std::vector<hcd::bench::LatencyRecorder>(workload.size()));
   double wall = 0.0;
   {
-    ScopedStage stage(engine->sink(), "serve");
+    ScopedStage stage("serve");
     hcd::Timer timer;
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -1549,7 +1552,7 @@ int CmdServe(const CliArgs& args) {
   hcd::server::ServerOptions options;
   if (args.options.hierarchy != hcd::HierarchyKind::kCore) {
     if (snapshot_flat != nullptr) {
-      snapshot_element_index.emplace(snapshot_flat, nullptr);
+      snapshot_element_index.emplace(snapshot_flat);
       options.element_index = &*snapshot_element_index;
     } else {
       element_engine.emplace(Graph(graph), args.options);
@@ -1957,10 +1960,13 @@ int main(int argc, char** argv) {
 
   // Observability backends live for the whole invocation: every ScopedStage
   // and ScopedSpan below RunCommand reports into them, and the files are
-  // written after the command (and its root span) finish. With neither flag
-  // the tracer/registry stay uninstalled and the whole layer is a no-op.
+  // written after the command (and its root span) finish. The stage
+  // collector is always installed, since the reports and prose timings read
+  // it; with neither flag the tracer/registry stay uninstalled.
+  hcd::StageTelemetry stages;
   hcd::Tracer tracer;
   hcd::MetricsRegistry registry;
+  stages.Install();
   if (!args.trace_out.empty()) tracer.Install();
   // The server commands always get a registry: the in-process /metrics
   // endpoint (and serve-bench's --server-metrics-out) serve its Prometheus
@@ -1982,6 +1988,7 @@ int main(int argc, char** argv) {
     if (!s.ok() && rc == 0) rc = Fail(s);
   }
   if (metrics_installed) registry.Uninstall();
+  stages.Uninstall();
   if (!args.metrics_out.empty()) {
     const std::string text = HasSuffix(args.metrics_out, ".json")
                                  ? registry.RenderJson()
