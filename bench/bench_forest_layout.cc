@@ -7,8 +7,8 @@
 //   (2) bottom-up accumulation — folding per-node tallies into parents,
 //       ragged order-array walk vs a single reverse-preorder loop;
 //   (3) Freeze — the one-time cost of producing the flat index;
-//   (4) snapshot I/O — v1 builder-shaped save/load vs v2 bulk-array
-//       save/load (load includes full Adopt validation).
+//   (4) snapshot I/O — v2 bulk-array save/load (load includes full
+//       Adopt validation).
 //
 // Honors HCD_BENCH_SMALL=1 (smoke mode, used by CI) by shrinking the graph.
 
@@ -100,29 +100,18 @@ int main() {
       [&] { g_sink += hcd::Freeze(forest).NumNodes(); }, reps);
   std::printf("Freeze (one-time)    | %10.4fs\n", freeze);
 
-  // (4) Snapshot save/load, v1 builder stream vs v2 bulk arrays.
-  const std::string v1_path = "bench_layout.v1.forest";
-  const std::string v2_path = "bench_layout.v2.forest";
-  const double v1_save = hcd::bench::TimeIt(
-      [&] { hcd::SaveForest(forest, v1_path).ok(); }, reps);
-  const double v2_save = hcd::bench::TimeIt(
-      [&] { hcd::SaveFlatIndex(flat, v2_path).ok(); }, reps);
-  const double v1_load = hcd::bench::TimeIt([&] {
+  // (4) Snapshot save/load of the v2 bulk arrays.
+  const std::string path = "bench_layout.v2.forest";
+  const double save = hcd::bench::TimeIt(
+      [&] { hcd::SaveFlatIndex(flat, path).ok(); }, reps);
+  const double load = hcd::bench::TimeIt([&] {
     hcd::FlatHcdIndex loaded;
-    if (hcd::LoadFlatIndex(v1_path, &loaded).ok()) g_sink += loaded.NumNodes();
+    if (hcd::LoadFlatIndex(path, &loaded).ok()) g_sink += loaded.NumNodes();
   }, reps);
-  const double v2_load = hcd::bench::TimeIt([&] {
-    hcd::FlatHcdIndex loaded;
-    if (hcd::LoadFlatIndex(v2_path, &loaded).ok()) g_sink += loaded.NumNodes();
-  }, reps);
-  std::printf("snapshot save        | v1     %10.4fs | v2   %10.4fs | %7.2fx\n",
-              v1_save, v2_save, v1_save / v2_save);
-  std::printf("snapshot load        | v1     %10.4fs | v2   %10.4fs | %7.2fx\n",
-              v1_load, v2_load, v1_load / v2_load);
-  std::printf("(v1 load includes the Freeze migration; v2 load includes "
-              "Adopt validation.)\n");
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::printf("snapshot save (v2)   | %10.4fs\n", save);
+  std::printf("snapshot load (v2)   | %10.4fs (includes Adopt validation)\n",
+              load);
+  std::remove(path.c_str());
 
   return g_sink == 0xdeadbeef ? 1 : 0;  // g_sink is always consumed
 }

@@ -202,7 +202,7 @@ void BM_TypeBPrimary(benchmark::State& state) {
 BENCHMARK(BM_TypeBPrimary);
 
 // One served query over the loopback socket protocol, instruments live.
-// The server resolves every counter/histogram once at Start, so the
+// The server resolves every counter/histogram once at construction, so the
 // per-request path must perform ZERO registry lookups — each lookup takes
 // the registry mutex and two map walks, which would serialize the worker
 // pool. The reported `registry_lookups_per_request` counter is asserted

@@ -2,6 +2,7 @@
 #define HCD_COMMON_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -22,8 +23,9 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 /// from any number of threads.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Returns the value after this increment.
+  uint64_t Increment(uint64_t delta = 1) {
+    return value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -31,21 +33,24 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins double gauge (stored as a bit pattern so the atomic is
-/// always lock-free).
+/// Double gauge, stored as a bit pattern so the atomic is always
+/// lock-free. Set is last-write-wins; Add is a compare-exchange loop, so
+/// concurrent Add(+1)/Add(-1) pairs always net to zero (a Set of a count
+/// loaded separately could leave a stale value behind).
 class Gauge {
  public:
   void Set(double value) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    bits_.store(bits, std::memory_order_relaxed);
+    bits_.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
+  }
+  void Add(double delta) {
+    uint64_t bits = bits_.load(std::memory_order_relaxed);
+    while (!bits_.compare_exchange_weak(
+        bits, std::bit_cast<uint64_t>(std::bit_cast<double>(bits) + delta),
+        std::memory_order_relaxed)) {
+    }
   }
   double Value() const {
-    const uint64_t bits = bits_.load(std::memory_order_relaxed);
-    double value;
-    __builtin_memcpy(&value, &bits, sizeof(value));
-    return value;
+    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
 
  private:

@@ -224,7 +224,7 @@ class FlatHcdIndex {
 /// bottom-up sizing pass. The forest must satisfy the builder contract
 /// (every parent edge strictly decreases the level walking up); violations
 /// abort, as in HcdForest::BuildChildren — untrusted inputs must go through
-/// LoadForest / LoadFlatIndex, which return Status instead.
+/// LoadFlatIndex / MapFlatIndex, which return Status instead.
 FlatHcdIndex Freeze(const HcdForest& forest);
 
 /// Freeze and release the builder representation's memory.

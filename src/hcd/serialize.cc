@@ -4,7 +4,6 @@
 #include <cstring>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/mapped_file.h"
 #include "common/metrics.h"
@@ -14,7 +13,6 @@
 namespace hcd {
 namespace {
 
-constexpr uint64_t kForestMagicV1 = 0x484344464f523031ULL;  // "HCDFOR01"
 constexpr uint64_t kForestMagicV2 = 0x484344464f523032ULL;  // "HCDFOR02"
 constexpr uint64_t kForestMagicV3 = 0x484344464f523033ULL;  // "HCDFOR03"
 
@@ -48,33 +46,6 @@ Status OpenForRead(const std::string& path, FilePtr* f, uint64_t* file_size) {
   *file_size = static_cast<uint64_t>(end);
   std::rewind(f->get());
   return Status::Ok();
-}
-
-uint64_t RemainingBytes(std::FILE* f, uint64_t file_size) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || static_cast<uint64_t>(pos) > file_size) return 0;
-  return file_size - static_cast<uint64_t>(pos);
-}
-
-template <typename T>
-bool WriteVec(std::FILE* f, const std::vector<T>& v) {
-  uint64_t size = v.size();
-  if (std::fwrite(&size, sizeof(size), 1, f) != 1) return false;
-  if (size == 0) return true;
-  return std::fwrite(v.data(), sizeof(T), v.size(), f) == v.size();
-}
-
-/// Reads a length-prefixed array, refusing to allocate more elements than
-/// the rest of the file could possibly hold — a corrupt 64-bit count must
-/// fail cleanly instead of driving a giant resize.
-template <typename T>
-bool ReadVec(std::FILE* f, uint64_t file_size, std::vector<T>* v) {
-  uint64_t size = 0;
-  if (std::fread(&size, sizeof(size), 1, f) != 1) return false;
-  if (size > RemainingBytes(f, file_size) / sizeof(T)) return false;
-  v->resize(size);
-  if (size == 0) return true;
-  return std::fread(v->data(), sizeof(T), size, f) == size;
 }
 
 uint64_t PaddedSectionBytes(uint64_t count) {
@@ -123,60 +94,6 @@ void RecordSnapshotLoad(const char* mode, double seconds) {
                        {{"mode", mode}})
         ->Observe(seconds);
   }
-}
-
-/// v1 body after the magic word. Every structural property the builders
-/// guarantee is re-validated here: this is the untrusted-input path, so
-/// violations return Corruption instead of tripping the builder CHECKs.
-Status LoadForestV1Body(std::FILE* f, uint64_t file_size,
-                        const std::string& path, HcdForest* forest) {
-  uint64_t n = 0;
-  uint64_t num_nodes = 0;
-  bool ok = std::fread(&n, sizeof(n), 1, f) == 1;
-  ok = ok && std::fread(&num_nodes, sizeof(num_nodes), 1, f) == 1;
-  if (!ok) return Status::Corruption(path + ": truncated header");
-  if (n >= kInvalidVertex || num_nodes >= kInvalidNode) {
-    return Status::Corruption(path + ": implausible header counts");
-  }
-
-  std::vector<uint32_t> levels;
-  std::vector<TreeNodeId> parents;
-  if (!ReadVec(f, file_size, &levels) || !ReadVec(f, file_size, &parents) ||
-      levels.size() != num_nodes || parents.size() != num_nodes) {
-    return Status::Corruption(path + ": truncated node tables");
-  }
-
-  HcdForest result(static_cast<VertexId>(n));
-  for (uint64_t t = 0; t < num_nodes; ++t) {
-    TreeNodeId id = result.NewNode(levels[t]);
-    (void)id;
-  }
-  for (uint64_t t = 0; t < num_nodes; ++t) {
-    std::vector<VertexId> verts;
-    if (!ReadVec(f, file_size, &verts)) {
-      return Status::Corruption(path + ": truncated vertex lists");
-    }
-    for (VertexId v : verts) {
-      if (v >= n) return Status::Corruption(path + ": vertex out of range");
-      if (result.Tid(v) != kInvalidNode) {
-        return Status::Corruption(path + ": vertex placed in two nodes");
-      }
-      result.AddVertex(static_cast<TreeNodeId>(t), v);
-    }
-  }
-  for (uint64_t t = 0; t < num_nodes; ++t) {
-    if (parents[t] == kInvalidNode) continue;
-    if (parents[t] >= num_nodes) {
-      return Status::Corruption(path + ": parent out of range");
-    }
-    if (levels[parents[t]] >= levels[t]) {
-      return Status::Corruption(path + ": parent level inversion");
-    }
-    result.SetParent(static_cast<TreeNodeId>(t), parents[t]);
-  }
-  result.BuildChildren();
-  *forest = std::move(result);
-  return Status::Ok();
 }
 
 /// Validated header counts of a v2/v3 flat snapshot. One struct serves both
@@ -377,49 +294,6 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
 
 }  // namespace
 
-Status SaveForest(const HcdForest& forest, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-
-  uint64_t n = forest.NumVertices();
-  uint64_t num_nodes = forest.NumNodes();
-  bool ok = std::fwrite(&kForestMagicV1, sizeof(kForestMagicV1), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&n, sizeof(n), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&num_nodes, sizeof(num_nodes), 1, f.get()) == 1;
-
-  std::vector<uint32_t> levels(num_nodes);
-  std::vector<TreeNodeId> parents(num_nodes);
-  for (TreeNodeId t = 0; t < num_nodes; ++t) {
-    levels[t] = forest.Level(t);
-    parents[t] = forest.Parent(t);
-  }
-  ok = ok && WriteVec(f.get(), levels) && WriteVec(f.get(), parents);
-  for (TreeNodeId t = 0; t < num_nodes && ok; ++t) {
-    std::vector<VertexId> verts(forest.Vertices(t).begin(),
-                                forest.Vertices(t).end());
-    ok = WriteVec(f.get(), verts);
-  }
-  if (!ok) return Status::IoError("short write to " + path);
-  return Status::Ok();
-}
-
-Status LoadForest(const std::string& path, HcdForest* forest) {
-  FilePtr f;
-  uint64_t file_size = 0;
-  HCD_RETURN_IF_ERROR(OpenForRead(path, &f, &file_size));
-
-  uint64_t magic = 0;
-  if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  if (magic == kForestMagicV2 || magic == kForestMagicV3) {
-    return Status::InvalidArgument(
-        path + ": flat snapshot; load with LoadFlatIndex");
-  }
-  if (magic != kForestMagicV1) return Status::Corruption(path + ": bad magic");
-  return LoadForestV1Body(f.get(), file_size, path, forest);
-}
-
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (f == nullptr) return Status::IoError("cannot open " + path);
@@ -494,11 +368,6 @@ Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index) {
     s = LoadFlatV2Body(f.get(), file_size, path, index);
   } else if (magic == kForestMagicV3) {
     s = LoadFlatV3Body(f.get(), file_size, path, index);
-  } else if (magic == kForestMagicV1) {
-    HcdForest forest;
-    HCD_RETURN_IF_ERROR(LoadForestV1Body(f.get(), file_size, path, &forest));
-    *index = Freeze(std::move(forest));
-    s = Status::Ok();
   } else {
     return Status::Corruption(path + ": bad magic");
   }
@@ -519,12 +388,6 @@ Status MapFlatIndex(const std::string& path, FlatHcdIndex* index) {
   }
   uint64_t magic = 0;
   std::memcpy(&magic, file->data(), sizeof(magic));
-  if (magic == kForestMagicV1) {
-    // v1 is builder-shaped, not a flat layout — nothing to alias. Drop the
-    // mapping and take the copying migration path instead.
-    file.reset();
-    return LoadFlatIndex(path, index);
-  }
   if (magic != kForestMagicV2 && magic != kForestMagicV3) {
     return Status::Corruption(path + ": bad magic");
   }

@@ -6,22 +6,17 @@
 
 #include "common/status.h"
 #include "hcd/flat_index.h"
-#include "hcd/forest.h"
 
 namespace hcd {
 
 /// Snapshot formats
 /// ----------------
-/// v1 ("HCDFOR01"): builder-shaped stream — header, level/parent tables,
-/// then one length-prefixed vertex list per node. Kept for backward
-/// compatibility; new snapshots are always v2.
-///
 /// v2 ("HCDFOR02"): the FlatHcdIndex layout itself. A fixed 64-byte header
 /// (magic + section element counts) followed by the index's arrays written
 /// verbatim, each section padded to 8-byte alignment. Loading is a handful
 /// of bulk reads (mmap-friendly: every section sits at a computable aligned
 /// offset) funneled through FlatHcdIndex::Adopt, which validates all
-/// structural invariants, so corrupt files of any version yield
+/// structural invariants, so corrupt files of either version yield
 /// Status::Corruption — never an abort. v2 carries no kind tag and always
 /// loads as HierarchyKind::kCore.
 ///
@@ -33,23 +28,17 @@ namespace hcd {
 /// materialization). Core indexes keep writing v2, byte-identical to
 /// before, so existing snapshots and their hashes are untouched; a v3
 /// file tagged kCore is rejected as non-canonical.
-
-/// Writes a v1 builder-shaped snapshot of the forest (levels, parents and
-/// vertex memberships; children are rebuilt on load).
-Status SaveForest(const HcdForest& forest, const std::string& path);
-
-/// Loads a v1 forest snapshot written by SaveForest. Rejects v2 files
-/// (use LoadFlatIndex) and corrupt v1 files with a non-ok Status.
-Status LoadForest(const std::string& path, HcdForest* forest);
+///
+/// Any other magic, including the retired v1 builder stream ("HCDFOR01"),
+/// is rejected with Status::Corruption.
 
 /// Writes a flat snapshot: v2 for a core index (byte-identical to the
 /// pre-kind format), v3 for truss / nucleus. Byte-for-byte deterministic:
 /// saving a loaded index reproduces the input file exactly.
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path);
 
-/// Loads a snapshot of any version into a flat index: v2/v3 files are read
-/// section-by-section as whole arrays (v2 adopts as kCore); v1 files are
-/// loaded as a forest and converted via Freeze (the migration path).
+/// Loads a v2/v3 snapshot into a flat index, reading it section by section
+/// as whole arrays (v2 adopts as kCore).
 Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index);
 
 /// Zero-copy load: mmaps the file read-only and aliases every v2/v3 section
@@ -58,9 +47,8 @@ Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index);
 /// truncated or padded file fails with Status::Corruption before any byte
 /// past the header is touched, never with a fault. The aliased sections
 /// still funnel through FlatHcdIndex::Adopt, so every structural-corruption
-/// case the copying loader rejects is rejected here too. v1 files fall back
-/// to the copying LoadFlatIndex (they have no flat layout to alias). The
-/// resulting index answers bit-identically to a read-loaded one.
+/// case the copying loader rejects is rejected here too. The resulting index
+/// answers bit-identically to a read-loaded one.
 Status MapFlatIndex(const std::string& path, FlatHcdIndex* index);
 
 /// How snapshot bytes reach memory: kRead copies them into owned arrays,

@@ -258,62 +258,65 @@ QueryServer::QueryServer(const SnapshotManager* manager, ServerOptions options)
   if (options_.cache) {
     cache_ = std::make_unique<ResultCache>(options_.cache_options);
   }
+  // Resolve every instrument once, here: the per-request path must perform
+  // zero registry lookups (bench_micro's zero-lookup row and server_test
+  // assert exactly this), and stats() is valid from construction on.
+  registry_ = MetricsRegistry::Current();
+  if (registry_ == nullptr) {
+    own_registry_ = std::make_unique<MetricsRegistry>();
+    registry_ = own_registry_.get();
+  }
+  MetricsRegistry& registry = *registry_;
+  instruments_.requests = registry.GetCounter(
+      "hcd_server_requests_total", "Query requests answered by the server.");
+  instruments_.cache_hits = registry.GetCounter(
+      "hcd_server_cache_hits_total",
+      "Query requests answered from the epoch-keyed result cache.");
+  instruments_.overload = registry.GetCounter(
+      "hcd_server_overload_total",
+      "Connections shed by admission control (pending queue full).");
+  instruments_.bad_requests = registry.GetCounter(
+      "hcd_server_bad_requests_total",
+      "Malformed frames; the offending connection is closed.");
+  instruments_.connections = registry.GetCounter(
+      "hcd_server_connections_total", "Connections handed to workers.");
+  instruments_.metrics_requests = registry.GetCounter(
+      "hcd_server_metrics_requests_total", "Metrics expositions served.");
+  instruments_.stats_requests = registry.GetCounter(
+      "hcd_server_stats_requests_total", "Live-stats documents served.");
+  instruments_.slow_log_dropped = registry.GetCounter(
+      "hcd_server_slow_log_dropped_total",
+      "Slow-query log lines refused by a full ring buffer.");
+  // Registered here (it is incremented by Tracer::PublishDroppedSpans)
+  // so the serving smoke can assert its presence and zero value.
+  registry.GetCounter("hcd_trace_dropped_spans_total",
+                      "Trace spans discarded by full per-thread buffers.");
+  const std::string latency_name = "hcd_query_latency_seconds";
+  const std::string latency_help =
+      "End-to-end latency of one served query (queue wait included).";
+  instruments_.latency = registry.GetHistogram(latency_name, latency_help);
+  instruments_.latency_by_metric.resize(std::size(kAllMetrics));
+  for (size_t i = 0; i < std::size(kAllMetrics); ++i) {
+    instruments_.latency_by_metric[i] = registry.GetHistogram(
+        latency_name, latency_help, {{"metric", MetricName(kAllMetrics[i])}});
+  }
+  for (int phase = 0; phase < kNumPhases; ++phase) {
+    instruments_.phases[phase] = registry.GetHistogram(
+        "hcd_server_phase_seconds",
+        "Per-phase share of each served query's latency.",
+        {{"phase", PhaseName(phase)}});
+  }
+  instruments_.queue_depth = registry.GetGauge(
+      "hcd_server_queue_depth", "Accepted connections waiting for a worker.");
+  instruments_.inflight = registry.GetGauge(
+      "hcd_server_inflight",
+      "Requests currently between frame read and response write.");
 }
 
 QueryServer::~QueryServer() { Stop(); }
 
 Status QueryServer::Start() {
   HCD_CHECK(!started_) << "query server already started";
-  // Resolve every instrument once, first thing, before the socket exists
-  // and before any server thread could run: the per-request path must
-  // perform zero registry lookups (bench_micro's zero-lookup row and
-  // server_test assert exactly this), and resolving before any other
-  // Start step can fail means the registry can never end up tracking only
-  // part of what the plain-atomic ServerStats mirror counts.
-  if (MetricsRegistry* registry = MetricsRegistry::Current()) {
-    instruments_.requests = registry->GetCounter(
-        "hcd_server_requests_total", "Query requests answered by the server.");
-    instruments_.cache_hits = registry->GetCounter(
-        "hcd_server_cache_hits_total",
-        "Query requests answered from the epoch-keyed result cache.");
-    instruments_.overload = registry->GetCounter(
-        "hcd_server_overload_total",
-        "Connections shed by admission control (pending queue full).");
-    instruments_.bad_requests = registry->GetCounter(
-        "hcd_server_bad_requests_total",
-        "Malformed frames; the offending connection is closed.");
-    instruments_.slow_log_dropped = registry->GetCounter(
-        "hcd_server_slow_log_dropped_total",
-        "Slow-query log lines refused by a full ring buffer.");
-    // Registered here (it is incremented by Tracer::PublishDroppedSpans)
-    // so the serving smoke can assert its presence and zero value.
-    registry->GetCounter("hcd_trace_dropped_spans_total",
-                         "Trace spans discarded by full per-thread buffers.");
-    const std::string latency_name = "hcd_query_latency_seconds";
-    const std::string latency_help =
-        "End-to-end latency of one served query (queue wait included).";
-    instruments_.latency = registry->GetHistogram(latency_name, latency_help);
-    instruments_.latency_by_metric.resize(std::size(kAllMetrics));
-    for (size_t i = 0; i < std::size(kAllMetrics); ++i) {
-      instruments_.latency_by_metric[i] = registry->GetHistogram(
-          latency_name, latency_help, {{"metric", MetricName(kAllMetrics[i])}});
-    }
-    for (int phase = 0; phase < kNumPhases; ++phase) {
-      instruments_.phases[phase] = registry->GetHistogram(
-          "hcd_server_phase_seconds",
-          "Per-phase share of each served query's latency.",
-          {{"phase", PhaseName(phase)}});
-    }
-    instruments_.queue_depth = registry->GetGauge(
-        "hcd_server_queue_depth",
-        "Accepted connections waiting for a worker.");
-    instruments_.inflight = registry->GetGauge(
-        "hcd_server_inflight",
-        "Requests currently between frame read and response write.");
-    instruments_.queue_depth->Set(0.0);
-    instruments_.inflight->Set(0.0);
-  }
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IoError(std::string("socket: ") + std::strerror(errno));
@@ -378,6 +381,10 @@ void QueryServer::Stop() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stop_.store(true, std::memory_order_relaxed);
   }
+  // Wakes the acceptor's poll at once (POLLHUP, and accept then fails), so
+  // Stop does not wait out a poll interval. The fd is closed after the
+  // join, so the acceptor never polls a closed (or reused) descriptor.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   queue_cv_.notify_all();
   {
     // Taken so the ticker is either still before its predicate check (and
@@ -393,16 +400,13 @@ void QueryServer::Stop() {
   workers_.clear();
   if (stats_ticker_.joinable()) stats_ticker_.join();
   // Connections still pending were never owned by a worker: shed them.
-  // The registry's overload counter moves in lockstep with the atomic so
-  // the two views cannot drift across a shutdown.
   for (const PendingConn& conn : pending_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    if (instruments_.overload != nullptr) instruments_.overload->Increment();
+    instruments_.overload->Increment();
     WriteFrame(conn.fd, EncodeStatusOnlyResponse(ResponseStatus::kOverloaded));
     ::close(conn.fd);
   }
   pending_.clear();
-  if (instruments_.queue_depth != nullptr) instruments_.queue_depth->Set(0.0);
+  instruments_.queue_depth->Set(0.0);
   if (slow_log_ != nullptr) slow_log_->Stop();
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -424,17 +428,14 @@ void QueryServer::AcceptLoop() {
       if (pending_.size() <
           idle_workers_ + static_cast<size_t>(options_.max_pending)) {
         pending_.push_back({fd, StampNow(Tracer::Current())});
-        if (instruments_.queue_depth != nullptr) {
-          instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
-        }
+        instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
         admitted = true;
       }
     }
     if (admitted) {
       queue_cv_.notify_one();
     } else {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.overload != nullptr) instruments_.overload->Increment();
+      instruments_.overload->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kOverloaded));
       ::close(fd);
     }
@@ -444,7 +445,7 @@ void QueryServer::AcceptLoop() {
 void QueryServer::WorkerLoop() {
   // Worker-owned serve state, created once per worker lifetime: the
   // epoch-cached snapshot reader, the reusable scoring workspaces and the
-  // timing scratch (instruments were already resolved at Start).
+  // timing scratch (the constructor already resolved the instruments).
   WorkerContext ctx(*manager_);
   while (true) {
     PendingConn conn;
@@ -459,15 +460,13 @@ void QueryServer::WorkerLoop() {
       conn = pending_.front();
       pending_.pop_front();
       ctx.queue_depth = pending_.size();
-      if (instruments_.queue_depth != nullptr) {
-        instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
-      }
+      instruments_.queue_depth->Set(static_cast<double>(pending_.size()));
     }
     ctx.conn_enqueue_ns = conn.enqueue_ns;
     ctx.conn_queue_ns =
         StampDelta(conn.enqueue_ns, StampNow(Tracer::Current()));
     ctx.first_request = true;
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    instruments_.connections->Increment();
     ServeConnection(conn.fd, &ctx);
     ::close(conn.fd);
   }
@@ -482,42 +481,30 @@ void QueryServer::ServeConnection(int fd, WorkerContext* ctx) {
     // response write is attributed to exactly one phase.
     Tracer* const tracer = Tracer::Current();
     const uint64_t t0 = StampNow(tracer);
-    if (read == ReadResult::kError) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
-      WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
-      return;
-    }
     MessageType type;
-    if (!DecodeRequestType(payload, &type)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
+    if (read == ReadResult::kError || !DecodeRequestType(payload, &type)) {
+      instruments_.bad_requests->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
       return;
     }
     if (type == MessageType::kMetrics) {
-      metrics_requests_.fetch_add(1, std::memory_order_relaxed);
-      MetricsRegistry* registry = MetricsRegistry::Current();
-      const std::string text =
-          registry != nullptr ? registry->RenderPrometheus() : std::string();
-      if (!WriteFrame(fd, EncodeMetricsResponse(text))) return;
+      instruments_.metrics_requests->Increment();
+      const MetricsRegistry* installed = MetricsRegistry::Current();
+      const MetricsRegistry& exposed =
+          installed != nullptr ? *installed : *registry_;
+      if (!WriteFrame(fd, EncodeMetricsResponse(exposed.RenderPrometheus()))) {
+        return;
+      }
       continue;
     }
     if (type == MessageType::kStats) {
-      stats_requests_.fetch_add(1, std::memory_order_relaxed);
+      instruments_.stats_requests->Increment();
       if (!WriteFrame(fd, EncodeMetricsResponse(RenderStatsJson()))) return;
       continue;
     }
     QueryRequest request;
     if (!DecodeQueryRequest(payload, &request)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.bad_requests != nullptr) {
-        instruments_.bad_requests->Increment();
-      }
+      instruments_.bad_requests->Increment();
       WriteFrame(fd, EncodeStatusOnlyResponse(ResponseStatus::kBadRequest));
       return;
     }
@@ -529,11 +516,7 @@ void QueryServer::ServeConnection(int fd, WorkerContext* ctx) {
 bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
                               WorkerContext* ctx, uint64_t t0, uint64_t t1,
                               Tracer* tracer) {
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) {
-    instruments_.inflight->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  }
+  instruments_.inflight->Add(1.0);
   // The generation this request is answered on is fixed here: a publish
   // racing with the request leaves this query on its acquired snapshot,
   // and the cache refuses to mix the two epochs.
@@ -603,12 +586,8 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   // that fetches metrics right after reading its last response must see
   // every answered request counted (the CI smoke pins the exact total).
   // The latency/phase recording stays after the write so it covers it.
-  const uint64_t seq = requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (response.cache_hit) cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_.requests != nullptr) {
-    instruments_.requests->Increment();
-    if (response.cache_hit) instruments_.cache_hits->Increment();
-  }
+  const uint64_t seq = instruments_.requests->Increment();
+  if (response.cache_hit) instruments_.cache_hits->Increment();
 
   const bool ok = WriteFrame(fd, EncodeQueryResponse(response));
   const uint64_t t4 = StampNow(tracer);  // response on the wire
@@ -616,11 +595,7 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   const uint64_t stamps[5] = {t0, t1, t2, t3, t4};
   RecordRequestObservability(request, response, ctx, seq, stamps, tracer);
 
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  if (instruments_.inflight != nullptr) {
-    instruments_.inflight->Set(
-        static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-  }
+  instruments_.inflight->Add(-1.0);
   return ok;
 }
 
@@ -647,19 +622,11 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       static_cast<double>(timings.search_ns) * 1e-9,
       static_cast<double>(timings.encode_ns) * 1e-9,
   };
-  // The always-on mirrors feed the kStats windows whether or not a
-  // registry is installed; the registry instruments see the same values.
-  latency_hist_.Observe(total_seconds);
+  instruments_.latency->Observe(total_seconds);
+  instruments_.latency_by_metric[static_cast<size_t>(request.metric)]->Observe(
+      total_seconds);
   for (int phase = 0; phase < kNumPhases; ++phase) {
-    phase_hist_[phase].Observe(phase_seconds[phase]);
-  }
-  if (instruments_.requests != nullptr) {
-    instruments_.latency->Observe(total_seconds);
-    instruments_.latency_by_metric[static_cast<size_t>(request.metric)]
-        ->Observe(total_seconds);
-    for (int phase = 0; phase < kNumPhases; ++phase) {
-      instruments_.phases[phase]->Observe(phase_seconds[phase]);
-    }
+    instruments_.phases[phase]->Observe(phase_seconds[phase]);
   }
 
   if (tracer != nullptr) {
@@ -719,8 +686,7 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
       record.epoch = response.epoch;
       record.queue_depth = ctx->queue_depth;
       record.timings = timings;
-      if (!slow_log_->Append(FormatSlowLogRecord(record)) &&
-          instruments_.slow_log_dropped != nullptr) {
+      if (!slow_log_->Append(FormatSlowLogRecord(record))) {
         instruments_.slow_log_dropped->Increment();
       }
     }
@@ -743,18 +709,15 @@ WindowSample QueryServer::CaptureSample() const {
   WindowSample sample;
   sample.at_seconds = static_cast<double>(SteadyNowNs()) * 1e-9;
   sample.counters.resize(kNumWindowCounters);
-  sample.counters[kWinRequests] = requests_.load(std::memory_order_relaxed);
-  sample.counters[kWinCacheHits] =
-      cache_hits_.load(std::memory_order_relaxed);
-  sample.counters[kWinBadRequests] =
-      bad_requests_.load(std::memory_order_relaxed);
-  sample.counters[kWinShed] = shed_.load(std::memory_order_relaxed);
-  sample.counters[kWinConnections] =
-      connections_.load(std::memory_order_relaxed);
+  sample.counters[kWinRequests] = instruments_.requests->Value();
+  sample.counters[kWinCacheHits] = instruments_.cache_hits->Value();
+  sample.counters[kWinBadRequests] = instruments_.bad_requests->Value();
+  sample.counters[kWinShed] = instruments_.overload->Value();
+  sample.counters[kWinConnections] = instruments_.connections->Value();
   sample.histograms.reserve(1 + kNumPhases);
-  sample.histograms.push_back(SampleHistogram(latency_hist_));
+  sample.histograms.push_back(SampleHistogram(*instruments_.latency));
   for (int phase = 0; phase < kNumPhases; ++phase) {
-    sample.histograms.push_back(SampleHistogram(phase_hist_[phase]));
+    sample.histograms.push_back(SampleHistogram(*instruments_.phases[phase]));
   }
   return sample;
 }
@@ -811,8 +774,8 @@ std::string QueryServer::RenderStatsJson() const {
     out += std::to_string(pending_.size());
   }
   out += ",\"inflight\":";
-  out += std::to_string(
-      std::max<int64_t>(0, inflight_.load(std::memory_order_relaxed)));
+  out += std::to_string(static_cast<int64_t>(
+      std::max(0.0, instruments_.inflight->Value())));
   out += ",\"totals\":{\"requests\":";
   out += std::to_string(totals.requests);
   out += ",\"cache_hits\":";
@@ -885,14 +848,14 @@ std::string QueryServer::RenderStatsJson() const {
   // Lifetime totals over the same histograms, for tools (serve-bench's
   // --server-phase-report) that want attribution across a whole run.
   out += "],\"total\":{\"latency_us\":";
-  out += QuantilesJson(SampleHistogram(latency_hist_));
+  out += QuantilesJson(SampleHistogram(*instruments_.latency));
   out += ",\"phases_us\":{";
   for (int phase = 0; phase < kNumPhases; ++phase) {
     if (phase > 0) out += ',';
     out += '"';
     out += PhaseName(phase);
     out += "\":";
-    out += QuantilesJson(SampleHistogram(phase_hist_[phase]));
+    out += QuantilesJson(SampleHistogram(*instruments_.phases[phase]));
   }
   out += "}}}";
   return out;
@@ -900,13 +863,13 @@ std::string QueryServer::RenderStatsJson() const {
 
 ServerStats QueryServer::stats() const {
   ServerStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.metrics_requests = metrics_requests_.load(std::memory_order_relaxed);
-  stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  stats.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.connections = connections_.load(std::memory_order_relaxed);
+  stats.requests = instruments_.requests->Value();
+  stats.cache_hits = instruments_.cache_hits->Value();
+  stats.metrics_requests = instruments_.metrics_requests->Value();
+  stats.stats_requests = instruments_.stats_requests->Value();
+  stats.bad_requests = instruments_.bad_requests->Value();
+  stats.shed = instruments_.overload->Value();
+  stats.connections = instruments_.connections->Value();
   return stats;
 }
 

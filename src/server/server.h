@@ -110,8 +110,8 @@ struct ServerOptions {
   int stats_tick_millis = 1000;
 };
 
-/// Counters mirrored into the metrics registry (kept as plain atomics too
-/// so tests and serve-bench's self mode can read them without a registry).
+/// Lifetime totals read from the server's registry counters (see
+/// QueryServer for which registry that is).
 struct ServerStats {
   uint64_t requests = 0;       ///< query requests answered
   uint64_t cache_hits = 0;     ///< answered from the result cache
@@ -133,32 +133,38 @@ struct ServerStats {
 /// generation they acquired, and the result cache invalidates itself
 /// wholesale per shard on first sight of the new epoch.
 ///
-/// With a MetricsRegistry installed, Start() resolves (once, never per
-/// request, and before any server thread exists so the registry can never
-/// drift from the plain-atomic ServerStats mirror): counters
-/// hcd_server_requests_total, hcd_server_cache_hits_total,
+/// The registry's instruments are the server's only record. The
+/// constructor resolves them once (never per request) from the installed
+/// MetricsRegistry, or, when none is installed, from a registry the server
+/// owns: counters hcd_server_requests_total, hcd_server_cache_hits_total,
 /// hcd_server_overload_total, hcd_server_bad_requests_total,
-/// hcd_server_slow_log_dropped_total, hcd_trace_dropped_spans_total, the
-/// hcd_query_latency_seconds histogram family (one unlabeled series plus
-/// one {metric=...} child per metric), the per-phase
-/// hcd_server_phase_seconds{phase=queue|decode|cache|search|encode}
-/// histograms, and the hcd_server_queue_depth / hcd_server_inflight
-/// gauges. The kMetrics endpoint serves the installed registry's
-/// Prometheus rendering.
+/// hcd_server_connections_total, hcd_server_metrics_requests_total,
+/// hcd_server_stats_requests_total, hcd_server_slow_log_dropped_total and
+/// hcd_trace_dropped_spans_total, the hcd_query_latency_seconds histogram
+/// family (one unlabeled series plus one {metric=...} child per metric),
+/// the per-phase hcd_server_phase_seconds{phase=queue|decode|cache|search|
+/// encode} histograms, and the hcd_server_queue_depth / hcd_server_inflight
+/// gauges. stats(), the kStats document and the kMetrics exposition all
+/// read these same objects. Two servers built under one installed registry
+/// therefore share (and both report) its counts. The kMetrics endpoint
+/// serves the installed registry's Prometheus rendering, or the server's
+/// own registry's when none is installed.
 ///
 /// Request-scoped observability (docs/OBSERVABILITY.md "Request-scoped
 /// serving"): every query is timed with consecutive monotonic stamps so
 /// its decode/cache/search/encode phases sum exactly to its wall time
 /// (plus the connection's pending-queue wait, attributed to the first
-/// request). The per-phase histograms and an internal always-on mirror
-/// feed both the slow-query log and the kStats rolling windows; with a
-/// Tracer installed each request additionally records a `serve.request`
-/// span plus one span per phase, all carrying the request's wire trace id,
-/// so the client's `client.query` lane and the server's lanes pair up in
-/// one Perfetto view.
+/// request). The same stamps feed the per-phase histograms (and through
+/// them the kStats rolling windows) and the slow-query log; with a Tracer
+/// installed each request additionally records a `serve.request` span plus
+/// one span per phase, all carrying the request's wire trace id, so the
+/// client's `client.query` lane and the server's lanes pair up in one
+/// Perfetto view.
 class QueryServer {
  public:
-  /// The manager must outlive the server. Does not listen yet.
+  /// The manager, and the MetricsRegistry installed at this point if any
+  /// (the server keeps its instruments), must outlive the server. Does
+  /// not listen yet.
   QueryServer(const SnapshotManager* manager, ServerOptions options);
 
   /// Stops and joins if still running.
@@ -180,6 +186,8 @@ class QueryServer {
   uint16_t port() const { return port_; }
   int workers() const { return static_cast<int>(workers_.size()); }
 
+  /// Valid from construction on; counts whatever the instruments' registry
+  /// has counted (see the class comment).
   ServerStats stats() const;
   /// Null when ServerOptions::cache is false.
   const ResultCache* cache() const { return cache_.get(); }
@@ -198,14 +206,17 @@ class QueryServer {
   static const char* PhaseName(int phase);
 
  private:
-  /// Instrument pointers resolved once at Start so the per-request path
-  /// performs zero registry lookups (latency_by_metric indexed by Metric
-  /// value, phases by Phase).
+  /// Instrument pointers resolved once by the constructor, so the
+  /// per-request path performs zero registry lookups (latency_by_metric
+  /// indexed by Metric value, phases by Phase). None is ever null.
   struct Instruments {
     Counter* requests = nullptr;
     Counter* cache_hits = nullptr;
     Counter* overload = nullptr;
     Counter* bad_requests = nullptr;
+    Counter* connections = nullptr;
+    Counter* metrics_requests = nullptr;
+    Counter* stats_requests = nullptr;
     Counter* slow_log_dropped = nullptr;
     Histogram* latency = nullptr;
     std::vector<Histogram*> latency_by_metric;
@@ -265,6 +276,10 @@ class QueryServer {
   ServerOptions options_;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<SlowQueryLog> slow_log_;
+  /// Set only when no registry was installed at construction.
+  std::unique_ptr<MetricsRegistry> own_registry_;
+  /// The registry the instruments were resolved from.
+  MetricsRegistry* registry_ = nullptr;
   Instruments instruments_;
 
   int listen_fd_ = -1;
@@ -283,23 +298,9 @@ class QueryServer {
   mutable std::mutex ticker_mu_;
   std::condition_variable ticker_cv_;
 
-  /// Always-on mirrors of the latency and phase histograms (observed next
-  /// to the registry instruments): the kStats windows and totals read
-  /// these, so live introspection works with or without a registry.
-  Histogram latency_hist_;
-  Histogram phase_hist_[kNumPhases];
   RollingWindow windows_;
   uint64_t start_steady_ns_ = 0;   ///< uptime origin
   uint64_t start_unix_ms_ = 0;     ///< wall-clock stamp of Start()
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> metrics_requests_{0};
-  std::atomic<uint64_t> stats_requests_{0};
-  std::atomic<uint64_t> bad_requests_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> connections_{0};
-  std::atomic<int64_t> inflight_{0};  ///< requests between decode and write
 };
 
 }  // namespace hcd::server

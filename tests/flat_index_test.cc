@@ -1,7 +1,7 @@
 // Tests for the frozen flat representation: Freeze equivalence against the
 // builder forest, the preorder/CSR structural invariants, Adopt's
 // validation of every invariant, v2 snapshot round-trips (bit-identical),
-// the v1 -> v2 migration path, corrupt-v2 rejection, and the element
+// corrupt-v2 rejection (the retired v1 magic included), and the element
 // domains (kind-tagged truss/nucleus freezes, v3 snapshots, corrupt-v3
 // rejection).
 
@@ -300,7 +300,7 @@ TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 snapshots: bit-identical round trip, v1 migration, corrupt files.
+// v2 snapshots: bit-identical round trip, corrupt files.
 
 std::vector<char> ReadAll(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -336,23 +336,6 @@ TEST(FlatIndexSnapshot, V2RoundTripIsBitIdentical) {
   EXPECT_EQ(ReadAll(path1), ReadAll(path2));
   std::remove(path1.c_str());
   std::remove(path2.c_str());
-}
-
-TEST(FlatIndexSnapshot, V1MigratesThroughFreeze) {
-  Graph g = PlantedForest({OnionSpec(4, 6), OnionSpec(6, 5)}, 31);
-  CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest forest = NaiveHcdBuild(g, cd);
-  const std::string path = ::testing::TempDir() + "/flat_migrate.bin";
-  ASSERT_TRUE(SaveForest(forest, path).ok());
-
-  FlatHcdIndex migrated;
-  ASSERT_TRUE(LoadFlatIndex(path, &migrated).ok());
-  EXPECT_TRUE(HcdEquals(forest, migrated));
-  // Migration produces the same index as freezing directly.
-  const FlatHcdIndex direct = Freeze(forest);
-  EXPECT_EQ(migrated.data().levels, direct.data().levels);
-  EXPECT_EQ(migrated.data().vertices, direct.data().vertices);
-  std::remove(path.c_str());
 }
 
 class FlatSnapshotCorruption : public ::testing::Test {
@@ -411,6 +394,11 @@ TEST_F(FlatSnapshotCorruption, Truncation) {
 
 TEST_F(FlatSnapshotCorruption, BadMagic) {
   ExpectCorrupt(WithHeaderWord(0, 0x4242424242424242ULL), "bad magic");
+}
+
+// The v1 builder-stream format is retired: its magic is just a bad one.
+TEST_F(FlatSnapshotCorruption, RetiredV1MagicIsRejected) {
+  ExpectCorrupt(WithHeaderWord(0, 0x484344464f523031ULL), "v1 magic");
 }
 
 TEST_F(FlatSnapshotCorruption, HeaderCountsDisagreeWithFileSize) {
@@ -605,9 +593,6 @@ void ExpectV3RoundTrip(const FlatHcdIndex& flat, const char* tag) {
   EXPECT_EQ(loaded.data().element_members, flat.data().element_members);
   ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
   EXPECT_EQ(ReadAll(path1), ReadAll(path2));
-  // A v3 file is not a builder forest.
-  HcdForest forest;
-  EXPECT_EQ(LoadForest(path1, &forest).code(), StatusCode::kInvalidArgument);
   std::remove(path1.c_str());
   std::remove(path2.c_str());
 }
@@ -789,21 +774,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<testing::GraphCase>& info) {
       return std::string(info.param.name);
     });
-
-TEST(FlatSnapshotMapped, V1FallsBackToCopyingMigration) {
-  // v1 files carry a builder stream, not flat sections — nothing to alias.
-  // MapFlatIndex must transparently hand them to the copying migrator.
-  Graph g = PlantedHierarchy(OnionSpec(4, 6), 7);
-  HcdForest forest = NaiveHcdBuild(g, BzCoreDecomposition(g));
-  const std::string path = ::testing::TempDir() + "/flat_map_v1.bin";
-  ASSERT_TRUE(SaveForest(forest, path).ok());
-
-  FlatHcdIndex migrated;
-  ASSERT_TRUE(MapFlatIndex(path, &migrated).ok());
-  EXPECT_FALSE(migrated.mapped());
-  EXPECT_TRUE(HcdEquals(forest, migrated));
-  std::remove(path.c_str());
-}
 
 TEST(FlatSnapshotMapped, SurvivesSourceFileUnlink) {
   // POSIX keeps mapped pages alive after the last directory entry goes;

@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
-#include <vector>
 
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "hcd/export.h"
-#include "hcd/flat_index.h"
 #include "hcd/naive_hcd.h"
-#include "hcd/serialize.h"
 #include "hcd/stats.h"
 #include "hcd/validate.h"
 
@@ -97,130 +93,6 @@ TEST(ForestStats, EmptyForest) {
   ForestStats stats = ComputeForestStats(HcdForest(0));
   EXPECT_EQ(stats.num_nodes, 0u);
   EXPECT_EQ(stats.depth, 0u);
-}
-
-TEST(Serialize, RoundTrip) {
-  Graph g = PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 5), 11);
-  CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
-  const std::string path = ::testing::TempDir() + "/forest.bin";
-  ASSERT_TRUE(SaveForest(f, path).ok());
-  HcdForest loaded;
-  ASSERT_TRUE(LoadForest(path, &loaded).ok());
-  EXPECT_TRUE(HcdEquals(f, loaded));
-  EXPECT_TRUE(ValidateHcd(g, cd, loaded).ok());
-  std::remove(path.c_str());
-}
-
-// Hand-writes a v1 snapshot from raw tables, so tests can express states
-// the SaveForest API cannot produce (inverted parents, duplicated
-// vertices, absurd counts).
-void WriteV1File(const std::string& path, uint64_t n,
-                 const std::vector<uint32_t>& levels,
-                 const std::vector<TreeNodeId>& parents,
-                 const std::vector<std::vector<VertexId>>& verts) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const uint64_t magic = 0x484344464f523031ULL;  // "HCDFOR01"
-  const uint64_t num_nodes = levels.size();
-  std::fwrite(&magic, sizeof(magic), 1, f);
-  std::fwrite(&n, sizeof(n), 1, f);
-  std::fwrite(&num_nodes, sizeof(num_nodes), 1, f);
-  auto write_vec = [f](const auto& v) {
-    const uint64_t size = v.size();
-    std::fwrite(&size, sizeof(size), 1, f);
-    if (size > 0) std::fwrite(v.data(), sizeof(v[0]), v.size(), f);
-  };
-  write_vec(levels);
-  write_vec(parents);
-  for (const auto& vs : verts) write_vec(vs);
-  std::fclose(f);
-}
-
-TEST(Serialize, V1ParentLevelInversionIsCorruption) {
-  // Node 1 (level 1) claims node 0 (level 2) as parent: walking up must
-  // strictly decrease the level, so this must be rejected cleanly rather
-  // than trip the builder's BuildChildren CHECK.
-  const std::string path = ::testing::TempDir() + "/forest_inverted.bin";
-  WriteV1File(path, 2, {2, 1}, {kInvalidNode, 0}, {{0}, {1}});
-  HcdForest f;
-  Status s = LoadForest(path, &f);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_NE(s.message().find("parent level inversion"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, V1DuplicateVertexPlacementIsCorruption) {
-  // Vertex 0 appears in both nodes. In release builds AddVertex would
-  // silently overwrite tid_, so the loader must catch it first.
-  const std::string path = ::testing::TempDir() + "/forest_dup.bin";
-  WriteV1File(path, 2, {1, 2}, {kInvalidNode, 0}, {{0}, {0}});
-  HcdForest f;
-  Status s = LoadForest(path, &f);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_NE(s.message().find("placed in two nodes"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, V1HugeVectorCountIsCorruption) {
-  // A 2^60 element count in the levels table must fail before any
-  // allocation: the remaining file could not possibly hold it.
-  const std::string path = ::testing::TempDir() + "/forest_huge.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const uint64_t magic = 0x484344464f523031ULL;
-  const uint64_t n = 4;
-  const uint64_t num_nodes = 1;
-  const uint64_t huge = 1ULL << 60;
-  std::fwrite(&magic, sizeof(magic), 1, f);
-  std::fwrite(&n, sizeof(n), 1, f);
-  std::fwrite(&num_nodes, sizeof(num_nodes), 1, f);
-  std::fwrite(&huge, sizeof(huge), 1, f);
-  std::fclose(f);
-  HcdForest loaded;
-  EXPECT_EQ(LoadForest(path, &loaded).code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, V1ImplausibleHeaderCountsAreCorruption) {
-  const std::string path = ::testing::TempDir() + "/forest_counts.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const uint64_t magic = 0x484344464f523031ULL;
-  const uint64_t n = ~0ULL;  // >= kInvalidVertex
-  const uint64_t num_nodes = 1;
-  std::fwrite(&magic, sizeof(magic), 1, f);
-  std::fwrite(&n, sizeof(n), 1, f);
-  std::fwrite(&num_nodes, sizeof(num_nodes), 1, f);
-  std::fclose(f);
-  HcdForest loaded;
-  EXPECT_EQ(LoadForest(path, &loaded).code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadForestRejectsV2Snapshots) {
-  Graph g = PlantedHierarchy(BranchingSpec(2, 6, 2, 2, 4), 3);
-  CoreDecomposition cd = BzCoreDecomposition(g);
-  const FlatHcdIndex flat = Freeze(NaiveHcdBuild(g, cd));
-  const std::string path = ::testing::TempDir() + "/forest_v2_reject.bin";
-  ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
-  HcdForest loaded;
-  Status s = LoadForest(path, &loaded);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("LoadFlatIndex"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/forest_bad.bin";
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr);
-  const char junk[32] = "not a forest";
-  std::fwrite(junk, 1, sizeof(junk), file);
-  std::fclose(file);
-  HcdForest f;
-  EXPECT_EQ(LoadForest(path, &f).code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(Export, DotContainsAllNodesAndEdges) {

@@ -22,8 +22,8 @@ using hcd::testing::ParseJson;
 TEST(Counter, IncrementsMonotonically) {
   Counter c;
   EXPECT_EQ(c.Value(), 0u);
-  c.Increment();
-  c.Increment(41);
+  EXPECT_EQ(c.Increment(), 1u);
+  EXPECT_EQ(c.Increment(41), 42u);
   EXPECT_EQ(c.Value(), 42u);
 }
 
@@ -34,6 +34,28 @@ TEST(Gauge, LastWriteWins) {
   EXPECT_EQ(g.Value(), 3.25);
   g.Set(-1e300);
   EXPECT_EQ(g.Value(), -1e300);
+}
+
+// Add is the in-flight gauge's only update: concurrent +1/-1 pairs must
+// net to exactly zero (the TSan job runs this).
+TEST(Gauge, ConcurrentAddPairsNetToZero) {
+  Gauge g;
+  constexpr int kThreads = 8;
+  constexpr int kPairs = 100000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&g] {
+      for (int i = 0; i < kPairs; ++i) {
+        g.Add(1.0);
+        g.Add(-1.0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(g.Value(), 0.0);
+  g.Add(2.5);
+  EXPECT_EQ(g.Value(), 2.5);
 }
 
 TEST(Histogram, BucketBoundsArePowersOfTwoMicroseconds) {

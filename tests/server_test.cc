@@ -484,6 +484,28 @@ TEST(QueryServerTest, BackToBackStartStopNeverHangs) {
   }
 }
 
+// Stop wakes the acceptor out of its poll by shutting the listening socket
+// down, so stopping an idle server takes no poll interval (100 ms).
+TEST(QueryServerTest, StopOfAnIdleServerReturnsImmediately) {
+  LiveEngine live(ErdosRenyiGnm(50, 100, 5));
+  ServerOptions options;
+  options.workers = 2;
+  QueryServer server(&live.manager(), options);
+  std::vector<double> stop_ms;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    ASSERT_TRUE(server.Start().ok()) << "cycle " << cycle;
+    // Let the acceptor block in its poll before stopping.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto begin = std::chrono::steady_clock::now();
+    server.Stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count());
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  EXPECT_LT(stop_ms[stop_ms.size() / 2], 20.0);
+}
+
 TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
   Graph graph = ErdosRenyiGnm(180, 900, 29);
 
@@ -713,8 +735,8 @@ TEST(QueryServerTest, ServesMetricsAndResolvesInstrumentsOnce) {
     QueryServer server(&live.manager(), ServerOptions{});
     ASSERT_TRUE(server.Start().ok());
 
-    // Every instrument was resolved at Start: the serve path must perform
-    // zero registry lookups per request.
+    // Every instrument was resolved at construction: the serve path must
+    // perform zero registry lookups per request.
     const uint64_t lookups_after_start = registry.lookup_count();
     QueryClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
@@ -740,6 +762,79 @@ TEST(QueryServerTest, ServesMetricsAndResolvesInstrumentsOnce) {
               std::string::npos);
     server.Stop();
     EXPECT_EQ(server.stats().metrics_requests, 1u);
+  }
+  registry.Uninstall();
+}
+
+// With no registry installed the server resolves its instruments from a
+// registry it owns, and kMetrics serves that one.
+TEST(QueryServerTest, ServesItsOwnMetricsWithoutAnInstalledRegistry) {
+  ASSERT_EQ(MetricsRegistry::Current(), nullptr);
+  LiveEngine live(ErdosRenyiGnm(150, 500, 42));
+  QueryServer server(&live.manager(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  QueryRequest request;
+  QueryResponse response;
+  constexpr int kRequests = 7;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client.Query(request, &response).ok());
+  }
+  std::string text;
+  ASSERT_TRUE(client.FetchMetrics(&text).ok());
+  EXPECT_NE(text.find("hcd_server_requests_total 7\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("hcd_server_cache_hits_total 6\n"), std::string::npos);
+  EXPECT_NE(text.find("hcd_server_connections_total 1\n"), std::string::npos);
+  server.Stop();
+  EXPECT_EQ(server.stats().requests, 7u);
+  EXPECT_EQ(server.stats().metrics_requests, 1u);
+}
+
+// hcd_server_inflight moves by Add(+1)/Add(-1) around each request, so
+// once concurrent pipelining clients are done it reads exactly 0 (a Set of
+// a separately loaded count could leave a stale 1 behind).
+TEST(QueryServerTest, InflightGaugeReturnsToZeroAfterPipelinedClients) {
+  MetricsRegistry registry;
+  registry.Install();
+  {
+    LiveEngine live(ErdosRenyiGnm(150, 600, 61));
+    ServerOptions options;
+    options.workers = 4;
+    QueryServer server(&live.manager(), options);
+    ASSERT_TRUE(server.Start().ok());
+    constexpr int kClients = 4;
+    constexpr int kBatch = 32;
+    constexpr int kRounds = 8;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&server, c] {
+        QueryClient client;
+        ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+        for (int round = 0; round < kRounds; ++round) {
+          for (int i = 0; i < kBatch; ++i) {
+            QueryRequest request;
+            request.metric = kAllMetrics[(c + i) % std::size(kAllMetrics)];
+            request.k = static_cast<uint32_t>(i % 3);
+            ASSERT_TRUE(client.SendQuery(request).ok());
+          }
+          for (int i = 0; i < kBatch; ++i) {
+            QueryResponse response;
+            ASSERT_TRUE(client.ReadQueryResponse(&response).ok());
+            ASSERT_EQ(response.status, ResponseStatus::kOk);
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    server.Stop();
+    EXPECT_EQ(server.stats().requests,
+              static_cast<uint64_t>(kClients * kBatch * kRounds));
+    EXPECT_EQ(registry.GetGauge("hcd_server_inflight")->Value(), 0.0);
+    JsonValue doc;
+    ASSERT_TRUE(ParseJson(server.RenderStatsJson(), &doc));
+    EXPECT_EQ(doc.Find("server")->Find("inflight")->number, 0.0);
   }
   registry.Uninstall();
 }
@@ -862,7 +957,7 @@ TEST(QueryServerTest, SoakCachedServingStaysConsistentAcrossHandover) {
 
 // --- request-scoped observability -------------------------------------------
 
-TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
+TEST(QueryServerTest, StatsJsonReadsTheRegistryHistograms) {
   MetricsRegistry registry;
   registry.Install();
   {
@@ -900,9 +995,9 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
     EXPECT_EQ(totals->Find("bad_requests")->number, 0.0);
     EXPECT_EQ(totals->Find("connections")->number, 1.0);
 
-    // The lifetime quantiles are rendered from the same always-on
-    // histogram the registry instrument mirrors, so the JSON p99 equals
-    // the registry histogram's Quantile (modulo %.6g formatting).
+    // The lifetime quantiles are rendered from the registry's own
+    // histogram, so the JSON p99 equals its Quantile (modulo %.6g
+    // formatting).
     const JsonValue* total = doc.Find("total");
     ASSERT_NE(total, nullptr);
     const JsonValue* latency = total->Find("latency_us");
@@ -914,7 +1009,7 @@ TEST(QueryServerTest, StatsJsonMatchesTheAlwaysOnHistograms) {
                 registry_p99 * 1e-4 + 1e-9);
 
     // Every phase histogram saw every request, and the per-phase p99s are
-    // rendered from the registry-mirrored data too.
+    // rendered from the registry's phase histograms too.
     const JsonValue* phases = total->Find("phases_us");
     for (const char* phase :
          {"queue", "decode", "cache", "search", "encode"}) {
@@ -1076,11 +1171,10 @@ TEST(QueryServerTest, TraceSpansPairClientAndServerByTraceId) {
   EXPECT_EQ(client_ids, server_ids);
 }
 
-// The registry-drift regression test: after a run mixing answered
-// queries, a malformed frame, and connections shed both by admission
-// control and by Stop, every registry counter equals its ServerStats
-// mirror (instruments are resolved before any server thread exists, and
-// every path that bumps an atomic bumps its instrument).
+// After a run mixing answered queries, a malformed frame, and connections
+// shed by Stop, every ServerStats field equals the installed registry's
+// counter: stats() reads the registry's instruments, there is no second
+// record to drift from them.
 TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
   MetricsRegistry registry;
   registry.Install();
@@ -1108,7 +1202,7 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
 
     // Park the worker on a connection that stays open, then queue two more
     // connections behind it; Stop must shed them through the instrumented
-    // path (the historical drift bug: Stop bumped only the atomic).
+    // path.
     QueryClient busy;
     ASSERT_TRUE(busy.Connect("127.0.0.1", server.port()).ok());
     QueryRequest request;
@@ -1145,6 +1239,9 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
               stats.bad_requests);
     EXPECT_EQ(registry.GetCounter("hcd_server_overload_total")->Value(),
               stats.shed);
+    EXPECT_EQ(stats.connections, 3u);
+    EXPECT_EQ(registry.GetCounter("hcd_server_connections_total")->Value(),
+              stats.connections);
     EXPECT_EQ(
         registry.GetHistogram("hcd_query_latency_seconds")->TotalCount(),
         stats.requests);

@@ -4,7 +4,6 @@
 
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "hcd/serialize.h"
 #include "hcd/validate.h"
 #include "parallel/omp_utils.h"
 #include "tests/test_util.h"
@@ -165,19 +164,6 @@ TEST(DensestTruss, FindsTheClique) {
   EXPECT_EQ(best.level, 6u);
   EXPECT_EQ(best.community.vertices.size(), 6u);
   EXPECT_DOUBLE_EQ(best.community.AverageDegree(), 5.0);
-}
-
-TEST(TrussHierarchy, SerializesLikeAnyForest) {
-  Graph g = RingOfCliques(5, 5);
-  EdgeIndexer index = BuildEdgeIndexer(g);
-  TrussDecomposition td = PeelTrussDecomposition(g, index);
-  TrussForest forest = BuildTrussHierarchy(g, index, td);
-  const std::string path = ::testing::TempDir() + "/truss_forest.bin";
-  ASSERT_TRUE(SaveForest(forest, path).ok());
-  TrussForest loaded;
-  ASSERT_TRUE(LoadForest(path, &loaded).ok());
-  EXPECT_TRUE(HcdEquals(forest, loaded));
-  std::remove(path.c_str());
 }
 
 TEST(TrussCommunity, PaperFigure1) {

@@ -1968,9 +1968,10 @@ int main(int argc, char** argv) {
   hcd::MetricsRegistry registry;
   stages.Install();
   if (!args.trace_out.empty()) tracer.Install();
-  // The server commands always get a registry: the in-process /metrics
-  // endpoint (and serve-bench's --server-metrics-out) serve its Prometheus
-  // rendering even when no --metrics-out file was requested.
+  // The server commands always get a registry: the /metrics endpoint (and
+  // serve-bench's --server-metrics-out) should carry the process-wide
+  // instruments (stage histograms, snapshot gauges) next to the server's
+  // own, even when no --metrics-out file was requested.
   const bool metrics_installed =
       !args.metrics_out.empty() || cmd == "serve" || cmd == "serve-bench";
   if (metrics_installed) registry.Install();
