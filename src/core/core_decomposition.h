@@ -28,8 +28,12 @@ CoreDecomposition BzCoreDecomposition(const Graph& graph);
 
 /// Parallel PKC-style core decomposition (Kabir & Madduri): level-
 /// synchronous peeling with thread-local worklists and atomic degree
-/// decrements, O(n * k_max + m) work. Uses the current OpenMP thread count.
-/// Records a "decomposition" stage (counters: levels, k_max).
+/// decrements. Once half the scanned vertices are peeled, rounds scan a
+/// compacted list of the unpeeled ones, rebuilt each time it halves, so the
+/// scans cost O(n + m) in all instead of O(n * k_max). A round whose scan
+/// and seeds both stay below kParallelGrain runs on one thread. Uses the
+/// current OpenMP thread count. Records a "decomposition" stage (counters:
+/// levels, k_max, compactions).
 CoreDecomposition PkcCoreDecomposition(const Graph& graph);
 
 }  // namespace hcd

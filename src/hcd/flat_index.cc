@@ -297,7 +297,8 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
 
   // Subtree node / vertex counts, bottom-up. Nodes of equal level are never
   // ancestor/descendant, so each descending-level group is one parallel
-  // step whose reads (children) were all written by earlier groups.
+  // step whose reads (children) were all written by earlier groups; a group
+  // below kParallelGrain nodes runs on the calling thread.
   std::vector<TreeNodeId> sub_nodes(num_nodes);
   std::vector<uint32_t> sub_verts(num_nodes);
   {
@@ -307,9 +308,10 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
     BuildDescLevelOrder(old_levels, &old_order, &old_group_offsets);
     span.AddArg("level_groups", old_group_offsets.size() - 1);
     for (size_t g = 0; g + 1 < old_group_offsets.size(); ++g) {
-      const uint32_t begin = old_group_offsets[g];
-      const uint32_t end = old_group_offsets[g + 1];
-      ParallelFor(begin, end, [&](uint32_t i) {
+      const int64_t begin = old_group_offsets[g];
+      const int64_t end = old_group_offsets[g + 1];
+#pragma omp parallel for schedule(static) if (end - begin >= kParallelGrain)
+      for (int64_t i = begin; i < end; ++i) {
         const TreeNodeId t = old_order[i];
         TreeNodeId sn = 1;
         uint32_t sv = static_cast<uint32_t>(forest.Vertices(t).size());
@@ -319,7 +321,7 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
         }
         sub_nodes[t] = sn;
         sub_verts[t] = sv;
-      });
+      }
     }
   }
 
@@ -350,22 +352,26 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
 
   std::vector<TreeNodeId> old2new(num_nodes);
   // One preorder DFS per tree; trees write disjoint ranges of every output
-  // array, so the loop is embarrassingly parallel (dynamic: tree sizes are
-  // typically very skewed). The parallel/for split exists so each worker can
+  // array, so the loop is embarrassingly parallel. Tree sizes are very
+  // skewed but most roots are singletons, so roots are handed out in
+  // guided chunks (large first, never below 64): one root at a time made
+  // the scheduler the cost. The parallel/for split exists so each worker can
   // carry a span of its own — the trace then shows the tree-size skew
-  // directly.
+  // directly. A forest below kParallelGrain nodes is numbered on one
+  // thread.
   {
     ScopedSpan span("freeze.preorder");
     span.AddArg("roots", num_roots);
-#pragma omp parallel
+#pragma omp parallel if (num_nodes >= kParallelGrain)
     {
       ScopedSpan worker_span("freeze.preorder.worker");
       TreeNodeId numbered = 0;
-#pragma omp for schedule(dynamic)
+      std::vector<TreeNodeId> stack;  // reused: most trees are one node
+#pragma omp for schedule(guided, 64)
       for (int64_t r = 0; r < static_cast<int64_t>(num_roots); ++r) {
         TreeNodeId next_id = node_base[r];
         uint32_t next_slot = vert_base[r];
-        std::vector<TreeNodeId> stack = {old_roots[r]};
+        stack.push_back(old_roots[r]);
         while (!stack.empty()) {
           const TreeNodeId old_t = stack.back();
           stack.pop_back();

@@ -1,5 +1,6 @@
 #include "hcd/phcd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -40,14 +41,16 @@ HcdForest PhcdBuildSerial(const Graph& graph, const CoreDecomposition& cd) {
     shell_span.AddArg("k", ck);
     shell_span.AddArg("shell_size", shell.size());
 
-    // Steps 1+2 fused (serial-only optimization): capture the pivot of an
-    // adjacent k'-core on an edge immediately before the union over that
-    // edge. The first edge that merges a core performs its capture while
-    // the core is still untouched, so every adjacent core's original pivot
-    // is recorded; later edges into the now-merged component read a pivot
-    // of shell coreness and are skipped.
+    // Steps 1+2 fused (as in the parallel path; DESIGN.md §13): capture the
+    // pivot of an adjacent k'-core on an edge immediately before the union
+    // over that edge. The first edge that merges a core performs its
+    // capture while the core is still untouched, so every adjacent core's
+    // original pivot is recorded; later edges into the now-merged component
+    // read a pivot of shell coreness and are skipped.
     kpc_pivot.clear();
+    uint64_t volume = 0;
     for (VertexId v : shell) {
+      volume += graph.Degree(v);
       VertexId rv = uf.Find(v);
       for (VertexId u : graph.Neighbors(v)) {
         if (coreness[u] > ck) {
@@ -63,6 +66,9 @@ HcdForest PhcdBuildSerial(const Graph& graph, const CoreDecomposition& cd) {
         }
       }
     }
+
+    shell_span.AddArg("volume", volume);
+    shell_span.AddArg("parallel", uint64_t{0});
 
     // Step 3: group the shell into new nodes by pivot.
     pivot_of.resize(shell.size());
@@ -98,7 +104,8 @@ HcdForest PhcdBuildSerial(const Graph& graph, const CoreDecomposition& cd) {
   return forest;
 }
 
-HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
+HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd,
+                            uint64_t* parallel_shells) {
   const VertexId n = graph.NumVertices();
   HcdForest forest(n);
 
@@ -112,84 +119,106 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
   // end.
   std::vector<TreeNodeId> parent_of;  // indexed by TreeNodeId
 
-  // Dedup flags for kpc_pivot ("atomic add if not exists", Line 9).
+  // Dedup flags for the captured child pivots ("atomic add if not exists",
+  // Line 9).
   std::unique_ptr<std::atomic<bool>[]> in_kpc(new std::atomic<bool>[n]);
   for (VertexId v = 0; v < n; ++v) {
     in_kpc[v].store(false, std::memory_order_relaxed);
   }
 
-  std::vector<VertexId> kpc_pivot;
+  // Per-thread captures: (child pivot, that pivot's component pivot once
+  // the shell is merged).
+  struct Capture {
+    VertexId child;
+    VertexId parent;
+  };
+  std::vector<Capture> kpc;
   std::vector<VertexId> pivot_of;  // pivot per shell position
   const int pmax = MaxThreads();
-  std::vector<std::vector<VertexId>> local_kpc(pmax);
+  std::vector<std::vector<Capture>> local_kpc(pmax);
 
   for (int64_t k = cd.k_max; k >= 0; --k) {
     const auto shell = vr.Shell(static_cast<uint32_t>(k));
     if (shell.empty()) continue;
     const uint32_t ck = static_cast<uint32_t>(k);
     const int64_t shell_size = static_cast<int64_t>(shell.size());
-    // One span per shell level, with nested per-step spans and per-worker
-    // spans inside the two heavy parallel steps, so a trace shows how the
-    // union-find merge work balances across threads at every level.
+    int64_t volume = 0;
+    for (VertexId v : shell) volume += graph.Degree(v);
+    const bool parallel = volume >= kParallelGrain;
+    *parallel_shells += parallel;
+    // One span per shell level, with per-worker spans inside the parallel
+    // region, so a trace shows how the union-find merge work balances
+    // across threads at every level (and which levels ran on one thread).
     ScopedSpan shell_span("phcd.shell");
     shell_span.AddArg("k", ck);
     shell_span.AddArg("shell_size", shell.size());
+    shell_span.AddArg("volume", volume);
+    shell_span.AddArg("parallel", parallel);
 
-    // Step 1: pivots of existing k'-cores (k' > k) adjacent to the k-shell.
-    kpc_pivot.clear();
-    {
-      ScopedSpan step_span("phcd.pivots");
-#pragma omp parallel num_threads(pmax)
-      {
-        ScopedSpan worker_span("phcd.pivots.worker");
-        worker_span.AddArg("k", ck);
-        auto& mine = local_kpc[ThreadId()];
-        mine.clear();
-#pragma omp for schedule(dynamic, 256)
-        for (int64_t i = 0; i < shell_size; ++i) {
-          VertexId v = shell[i];
-          for (VertexId u : graph.Neighbors(v)) {
-            if (coreness[u] > ck) {
-              VertexId pvt = uf.GetPivot(u);
-              if (!in_kpc[pvt].exchange(true)) mine.push_back(pvt);
-            }
-          }
-        }
-      }
-      for (auto& mine : local_kpc) {
-        kpc_pivot.insert(kpc_pivot.end(), mine.begin(), mine.end());
-      }
-      step_span.AddArg("pivots", kpc_pivot.size());
-    }
-
-    // Step 2: connect the k-shell to the existing graph.
+    // Steps 1+2 fused into one pass over the shell's adjacency: before each
+    // union over a shell-to-k'-core edge, the same thread reads that
+    // core's pivot. Only such an edge can first touch a k'-core, so the
+    // thread whose union touches it first has read its original pivot.
+    // A later read sees a pivot of coreness k (skipped) or, while a merge
+    // propagates, the original pivot of another core already merged with
+    // the shell (a true child; in_kpc drops the repeat). After the loop's
+    // barrier the union-find is quiescent, so each thread resolves its
+    // captures' new pivots (Step 4's lookups) and the shell's pivots
+    // (Step 3's) in the same region.
+    pivot_of.resize(shell.size());
+    // Deep shells hold few vertices of high degree, so chunks shrink until
+    // every thread gets several.
+    const int64_t chunk = std::clamp<int64_t>(shell_size / (8 * pmax), 1, 256);
     {
       ScopedSpan step_span("phcd.union");
-#pragma omp parallel num_threads(pmax)
+#pragma omp parallel num_threads(pmax) if (parallel)
       {
         ScopedSpan worker_span("phcd.union.worker");
         worker_span.AddArg("k", ck);
-#pragma omp for schedule(dynamic, 256)
+        auto& mine = local_kpc[ThreadId()];
+#pragma omp for schedule(dynamic, chunk)
         for (int64_t i = 0; i < shell_size; ++i) {
-          VertexId v = shell[i];
+          const VertexId v = shell[i];
+          // A root v's component had at some point. Another thread may
+          // link it away, but a neighbour whose root equals it is in v's
+          // component all the same, so the edge is skipped without a union.
+          VertexId rv = uf.Find(v);
           for (VertexId u : graph.Neighbors(v)) {
-            if (coreness[u] > ck || (coreness[u] == ck && u > v)) {
-              uf.Union(v, u);
+            if (coreness[u] > ck) {
+              const VertexId ru = uf.Find(u);
+              if (ru == rv) continue;
+              const VertexId pvt = uf.GetPivot(ru);
+              if (coreness[pvt] > ck && !in_kpc[pvt].exchange(true)) {
+                mine.push_back({pvt, kInvalidVertex});
+              }
+              rv = uf.Union(rv, ru);
+            } else if (coreness[u] == ck && u > v) {
+              const VertexId ru = uf.Find(u);
+              if (ru != rv) rv = uf.Union(rv, ru);
             }
           }
         }
+        for (Capture& c : mine) c.parent = uf.GetPivot(c.child);
+#pragma omp for schedule(static) nowait
+        for (int64_t i = 0; i < shell_size; ++i) {
+          pivot_of[i] = uf.GetPivot(shell[i]);
+        }
       }
+      // Every buffer is drained and cleared, not only those of the threads
+      // that ran: a shell below the grain runs on one thread and must not
+      // re-read another thread's captures from an earlier shell.
+      kpc.clear();
+      for (auto& mine : local_kpc) {
+        kpc.insert(kpc.end(), mine.begin(), mine.end());
+        mine.clear();
+      }
+      step_span.AddArg("pivots", kpc.size());
     }
 
-    // Step 3: one new tree node per pivot; group the shell by pivot. The
-    // pivot lookups run in parallel; node membership is then appended
-    // serially from the cached pivots (O(|H_k|) with no synchronization).
+    // Step 3: one new tree node per pivot; group the shell by pivot. Node
+    // membership is appended serially from the cached pivots (O(|H_k|)
+    // with no synchronization).
     ScopedSpan group_span("phcd.group");
-    pivot_of.resize(shell.size());
-#pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < shell_size; ++i) {
-      pivot_of[i] = uf.GetPivot(shell[i]);
-    }
     for (size_t i = 0; i < shell.size(); ++i) {
       if (pivot_of[i] == shell[i]) {
         TreeNodeId node = forest.NewNode(ck);
@@ -203,19 +232,16 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
       }
     }
 
-    // Step 4: the stored child pivots now live in components whose pivot is
-    // a k-shell vertex; that vertex's node is the parent.
-#pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < static_cast<int64_t>(kpc_pivot.size()); ++i) {
-      VertexId child_pivot = kpc_pivot[i];
-      VertexId new_pivot = uf.GetPivot(child_pivot);
-      HCD_DCHECK(new_pivot != child_pivot);
-      TreeNodeId child = forest.Tid(child_pivot);
-      TreeNodeId parent = forest.Tid(new_pivot);
+    // Step 4: the captured child pivots now live in components whose pivot
+    // is a k-shell vertex; that vertex's node is the parent.
+    for (const Capture& c : kpc) {
+      HCD_DCHECK(c.parent != c.child);
+      const TreeNodeId child = forest.Tid(c.child);
+      const TreeNodeId parent = forest.Tid(c.parent);
       HCD_DCHECK(child != kInvalidNode);
       HCD_DCHECK(parent != kInvalidNode);
       parent_of[child] = parent;
-      in_kpc[child_pivot].store(false, std::memory_order_relaxed);
+      in_kpc[c.child].store(false, std::memory_order_relaxed);
     }
   }
 
@@ -232,13 +258,16 @@ HcdForest PhcdBuildParallel(const Graph& graph, const CoreDecomposition& cd) {
 
 HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd) {
   ScopedStage stage("construction");
+  uint64_t parallel_shells = 0;
   HcdForest forest =
       graph.NumVertices() == 0
           ? HcdForest(0)
-          : (MaxThreads() == 1 ? PhcdBuildSerial(graph, cd)
-                               : PhcdBuildParallel(graph, cd));
+          : (MaxThreads() == 1
+                 ? PhcdBuildSerial(graph, cd)
+                 : PhcdBuildParallel(graph, cd, &parallel_shells));
   stage.AddCounter("shells", cd.k_max + 1);
   stage.AddCounter("nodes", forest.NumNodes());
+  stage.AddCounter("parallel_shells", parallel_shells);
   return forest;
 }
 

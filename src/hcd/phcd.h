@@ -21,15 +21,18 @@ namespace hcd {
 ///   Step 3  groups the k-shell into new tree nodes by pivot;
 ///   Step 4  assigns each recorded child pivot's node the node of its
 ///           component's new pivot as parent.
-/// Steps run as parallel loops over the k-shell separated by barriers, so
-/// pivot reads always observe quiescent union-find state.
+/// Steps 1 and 2 are one pass over the shell's adjacency: each
+/// shell-to-core edge reads the core's pivot just before its union (see
+/// DESIGN.md, "PHCD"). That pass is one parallel loop; a barrier then makes
+/// the union-find quiescent for the pivot reads of Steps 3 and 4. A shell
+/// whose adjacency volume is below kParallelGrain runs on one thread.
 ///
 /// Work: O(n sqrt(p) + m alpha(n)) union-find operations overall. Uses the
 /// current OpenMP thread count; with one thread this is the paper's
 /// "PHCD (1)" serial configuration.
 ///
 /// Requires `cd` to be the core decomposition of `graph`. Records a
-/// "construction" stage (counters: shells, nodes).
+/// "construction" stage (counters: shells, nodes, parallel_shells).
 HcdForest PhcdBuild(const Graph& graph, const CoreDecomposition& cd);
 
 }  // namespace hcd

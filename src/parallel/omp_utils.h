@@ -21,6 +21,15 @@ inline int ThreadId() { return omp_get_thread_num(); }
 /// Hardware concurrency reported to OpenMP.
 inline int HardwareThreads() { return omp_get_num_procs(); }
 
+/// Work, in adjacency entries or tree nodes, below which one level of a
+/// level-synchronous build step (a PKC peeling round, a PHCD shell, a
+/// Freeze or PBKS level group, the Freeze preorder) runs on the calling
+/// thread instead of opening a parallel region. It is applied at those
+/// per-level call sites only, never inside ParallelFor: ingest and
+/// GraphBuilder call ParallelFor over a few heavy chunks, which an
+/// iteration-count threshold would make serial.
+inline constexpr int64_t kParallelGrain = 1 << 12;
+
 /// RAII guard that sets the OpenMP thread count and restores the previous
 /// value on scope exit; used by benchmarks sweeping thread counts.
 class ThreadCountGuard {

@@ -51,13 +51,13 @@ void WaitFreeUnionFind::PropagatePivot(VertexId x, VertexId cand) {
   }
 }
 
-void WaitFreeUnionFind::Union(VertexId u, VertexId v) {
+VertexId WaitFreeUnionFind::Union(VertexId u, VertexId v) {
   HCD_DCHECK(u < n_);
   HCD_DCHECK(v < n_);
   while (true) {
     VertexId ru = Find(u);
     VertexId rv = Find(v);
-    if (ru == rv) return;
+    if (ru == rv) return ru;
     uint32_t rank_u = uf_rank_[ru].load();
     uint32_t rank_v = uf_rank_[rv].load();
     if (rank_u < rank_v || (rank_u == rank_v && ru < rv)) {
@@ -72,7 +72,7 @@ void WaitFreeUnionFind::Union(VertexId u, VertexId v) {
     // (current) root. Concurrent updaters of pivot_[rv] that lose the race
     // with our load re-propagate on their own (see PropagatePivot).
     PropagatePivot(ru, pivot_[rv].load());
-    return;
+    return ru;
   }
 }
 

@@ -39,8 +39,10 @@ class WaitFreeUnionFind {
   /// Representative of v's component. Lock-free; applies path halving.
   VertexId Find(VertexId v);
 
-  /// Merges the components of u and v. Lock-free.
-  void Union(VertexId u, VertexId v);
+  /// Merges the components of u and v. Lock-free. Returns the root of the
+  /// merged component at the moment of the merge (a concurrent union may
+  /// since have linked it under another root).
+  VertexId Union(VertexId u, VertexId v);
 
   /// True iff u and v are in the same component. Exact in quiescent phases.
   bool SameSet(VertexId u, VertexId v);

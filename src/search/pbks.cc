@@ -31,11 +31,13 @@ struct NodeTallies {
 /// group accumulate into their parents concurrently (atomics: two
 /// same-level nodes may share a parent). When a node's group is reached,
 /// all its children (strictly higher levels) are final. No sort and no
-/// group-boundary scan — the frozen index ships both.
+/// group-boundary scan — the frozen index ships both. A group below
+/// kParallelGrain nodes runs on the calling thread.
 void AccumulateUp(const FlatHcdIndex& index, NodeTallies* t) {
   for (size_t g = 0; g < index.NumLevelGroups(); ++g) {
     const std::span<const TreeNodeId> group = index.LevelGroup(g);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (static_cast<int64_t>(group.size()) >= kParallelGrain)
     for (int64_t idx = 0; idx < static_cast<int64_t>(group.size()); ++idx) {
       const TreeNodeId node = group[idx];
       const TreeNodeId pa = index.Parent(node);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "core/julienne.h"
 #include "core/mpm.h"
@@ -140,6 +141,32 @@ TEST(PkcCoreDecomposition, RandomSweep) {
     CoreDecomposition bz = BzCoreDecomposition(g);
     CoreDecomposition pkc = PkcCoreDecomposition(g);
     EXPECT_EQ(bz.coreness, pkc.coreness) << "seed=" << seed;
+  }
+}
+
+// A skewed graph with a deep core: the first rounds scan all n vertices in
+// parallel, later rounds scan a compacted list (rebuilt as it halves) and
+// mostly run on one thread, except where a short scan finds a hub-heavy
+// frontier. Repeated at 2 and 4 threads so a race in the compaction or in
+// the seeding of a frontier has a chance to show.
+TEST(PkcCoreDecomposition, CompactedRoundsMatchBzOnSkewedGraph) {
+  const Graph g = RMatGraph500(14, 200'000, 7);
+  const CoreDecomposition bz = BzCoreDecomposition(g);
+  ASSERT_GT(bz.k_max, 50u);
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const CoreDecomposition pkc = PkcCoreDecomposition(g);
+      telemetry.Uninstall();
+      ASSERT_GE(testing::LastStageCounter(telemetry, "decomposition",
+                                          "compactions"),
+                2u);
+      ASSERT_EQ(pkc.coreness, bz.coreness)
+          << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(pkc.k_max, bz.k_max);
+    }
   }
 }
 

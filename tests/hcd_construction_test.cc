@@ -6,7 +6,9 @@
 #include "core/core_decomposition.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "common/telemetry.h"
 #include "hcd/divide_conquer.h"
+#include "hcd/flat_index.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
@@ -192,6 +194,39 @@ TEST(HcdConstruction, SparseFragmentedStress) {
     HcdForest oracle = NaiveHcdBuild(g, cd);
     EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle)) << "seed=" << seed;
     EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle)) << "seed=" << seed;
+  }
+}
+
+// The suite graphs are too small for any shell to reach kParallelGrain, so
+// this one is what drives the parallel union pass: hub-heavy shells above
+// the grain next to thin shells below it, which run on one thread between
+// parallel ones. Repeated builds give the races a chance to show.
+TEST(HcdConstruction, PhcdRepeatedParallelBuildsMatchLcps) {
+  const Graph g = RMatGraph500(14, 200'000, 7);
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const HcdForest lcps = LcpsBuild(g, cd);
+  const FlatHcdIndex lcps_flat = Freeze(lcps);
+  const std::vector<VertexId> shell_sizes = KShellSizes(cd);
+  const uint64_t shells = static_cast<uint64_t>(
+      std::count_if(shell_sizes.begin(), shell_sizes.end(),
+                    [](VertexId size) { return size > 0; }));
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const HcdForest phcd = PhcdBuild(g, cd);
+      telemetry.Uninstall();
+      const uint64_t parallel_shells =
+          testing::LastStageCounter(telemetry, "construction",
+                                    "parallel_shells");
+      ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
+      ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
+      ASSERT_TRUE(HcdEquals(phcd, lcps))
+          << "threads=" << threads << " rep=" << rep;
+      ASSERT_TRUE(HcdEquals(Freeze(phcd), lcps_flat))
+          << "threads=" << threads << " rep=" << rep;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -249,6 +250,22 @@ inline std::vector<GraphCase> StandardGraphSuite() {
     cases.push_back({"mixture", std::move(b).Build(13)});
   }
   return cases;
+}
+
+/// Value of `counter` on the last `stage` record `telemetry` holds, or 0
+/// when there is no such record or counter.
+inline uint64_t LastStageCounter(const StageTelemetry& telemetry,
+                                 const std::string& stage,
+                                 const std::string& counter) {
+  const auto& records = telemetry.records();
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    if (it->stage != stage) continue;
+    for (const StageCounter& c : it->counters) {
+      if (c.name == counter) return c.value;
+    }
+    return 0;
+  }
+  return 0;
 }
 
 /// Seeds for randomized property sweeps.
