@@ -1,8 +1,10 @@
 #include "search/pbks.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
+#include "common/trace.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
@@ -73,6 +75,46 @@ std::vector<PrimaryValues> ToPrimaryValues(const NodeTallies& t) {
 
 inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
 
+/// The graph with every edge oriented from its lower-rank to its higher-rank
+/// endpoint (vertex rank, Definition 4): Out(v) is N+(v), the neighbours
+/// ranked above v. m entries in all, since each edge is kept once.
+struct OrientedAdjacency {
+  std::vector<EdgeIndex> offset;  // n + 1
+  std::vector<VertexId> target;   // m
+
+  std::span<const VertexId> Out(VertexId v) const {
+    return {target.data() + offset[v],
+            static_cast<size_t>(offset[v + 1] - offset[v])};
+  }
+};
+
+/// Builds the rank-oriented CSR in two parallel passes over the adjacency:
+/// count each vertex's out-degree, prefix-sum, then fill.
+OrientedAdjacency OrientByRank(const Graph& graph,
+                               const std::vector<VertexId>& rank) {
+  const VertexId n = graph.NumVertices();
+  OrientedAdjacency out;
+  out.offset.assign(static_cast<size_t>(n) + 1, 0);
+#pragma omp parallel for schedule(guided, 256)
+  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
+    const VertexId v = static_cast<VertexId>(vi);
+    EdgeIndex d = 0;
+    for (VertexId u : graph.Neighbors(v)) d += rank[u] > rank[v];
+    out.offset[v + 1] = d;
+  }
+  for (VertexId v = 0; v < n; ++v) out.offset[v + 1] += out.offset[v];
+  out.target.resize(out.offset[n]);
+#pragma omp parallel for schedule(guided, 256)
+  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
+    const VertexId v = static_cast<VertexId>(vi);
+    EdgeIndex pos = out.offset[v];
+    for (VertexId u : graph.Neighbors(v)) {
+      if (rank[u] > rank[v]) out.target[pos++] = u;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<PrimaryValues> PbksTypeAPrimary(
@@ -109,47 +151,58 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
     const VertexRank& vr, const CorenessNeighborCounts& pre) {
   const VertexId n = graph.NumVertices();
   NodeTallies t(index.NumNodes());
-  const std::vector<VertexId>& rank = vr.rank;
 
-  // Ordering of Algorithm 5 line 4: enumerate each edge once, from the
-  // higher-degree endpoint.
-  auto degree_less = [&graph](VertexId a, VertexId b) {
-    const VertexId da = graph.Degree(a);
-    const VertexId db = graph.Degree(b);
-    return da < db || (da == db && a < b);
-  };
+  // --- Triangles (lines 2-7), counted once, at the lowest-rank corner.
+  // With every edge oriented towards its higher-rank endpoint, a triangle
+  // v < u < w (by rank) has the out-edges v->u, v->w and u->w: v's pass
+  // marks u and w and finds w in N+(u). Neither u nor w has v as an
+  // out-neighbour, so no other pass sees it. The oriented CSR lives for
+  // this block only.
+  {
+    ScopedSpan span("pbks.triangles");
+    const OrientedAdjacency out = OrientByRank(graph, vr.rank);
+    uint64_t wedge_checks = 0;
+    uint64_t max_out_degree = 0;
+#pragma omp parallel reduction(+ : wedge_checks) \
+    reduction(max : max_out_degree)
+    {
+      std::vector<uint8_t> mark(n, 0);
+#pragma omp for schedule(dynamic, 16)
+      for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
+        const VertexId v = static_cast<VertexId>(vi);
+        const auto nv = out.Out(v);
+        max_out_degree = std::max<uint64_t>(max_out_degree, nv.size());
+        for (VertexId u : nv) mark[u] = 1;
+        int64_t count = 0;
+        for (VertexId u : nv) {
+          const auto nu = out.Out(u);
+          wedge_checks += nu.size();
+          for (VertexId w : nu) count += mark[w];
+        }
+        for (VertexId u : nv) mark[u] = 0;
+        if (count != 0) {
+          const TreeNodeId i = index.Tid(v);
+#pragma omp atomic
+          t.triangles[i] += count;
+        }
+      }
+    }
+    span.AddArg("max_out_degree", max_out_degree);
+    span.AddArg("wedge_checks", wedge_checks);
+  }
 
+  // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
+  // reach coreness >= c(v) appear with v (the lowest-rank member); wedges
+  // whose lowest arm has coreness k < c(v) appear at any neighbor w of
+  // coreness k.
 #pragma omp parallel
   {
-    std::vector<uint8_t> mark(n, 0);
     std::vector<VertexId> cnt(cd.k_max + 1, 0);
     std::vector<VertexId> rep(cd.k_max + 1, 0);
 
 #pragma omp for schedule(dynamic, 64)
     for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
       const VertexId v = static_cast<VertexId>(vi);
-      const auto nv = graph.Neighbors(v);
-
-      // --- Triangles (lines 2-7): (v, u, w) with u the lower-degree
-      // neighbor and w their common neighbor; counted once, at the corner
-      // with the lowest vertex rank.
-      for (VertexId u : nv) mark[u] = 1;
-      for (VertexId u : nv) {
-        if (!degree_less(u, v)) continue;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (mark[w] && rank[w] < rank[u] && rank[w] < rank[v]) {
-            const TreeNodeId i = index.Tid(w);
-#pragma omp atomic
-            t.triangles[i] += 1;
-          }
-        }
-      }
-      for (VertexId u : nv) mark[u] = 0;
-
-      // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
-      // reach coreness >= c(v) appear with v (the lowest-rank member);
-      // wedges whose lowest arm has coreness k < c(v) appear at any
-      // neighbor w of coreness k.
       const uint32_t cv = cd.coreness[v];
       int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
       {
@@ -161,7 +214,7 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
         }
       }
       if (cv > 0) {
-        for (VertexId u : nv) {
+        for (VertexId u : graph.Neighbors(v)) {
           const uint32_t cu = cd.coreness[u];
           if (cu < cv) {
             ++cnt[cu];

@@ -38,7 +38,16 @@ std::vector<PrimaryValues> PbksTypeAPrimary(const Graph& graph,
 /// counting (each triangle attributed to its lowest-vertex-rank corner) and
 /// triplet counting (each open wedge attributed to its lowest-rank member),
 /// then parallel bottom-up accumulation. Entry i holds Delta(S) and t(S) of
-/// node i's original k-core. O(m^1.5) work.
+/// node i's original k-core.
+///
+/// Triangles are enumerated on a transient copy of the graph with every
+/// edge oriented from its lower-rank to its higher-rank endpoint (m vertex
+/// ids plus n + 1 offsets, freed before returning): each vertex v marks
+/// its out-neighbours and counts the marked ones among its out-neighbours'
+/// out-neighbours, so each triangle is found once, at its lowest-rank
+/// corner, and v's tree node takes one update. Work is the sum of
+/// |N+(u)| over the oriented edges (v, u); v has at most c(v)
+/// out-neighbours of higher coreness. See DESIGN.md §14.
 std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const CoreDecomposition& cd,
                                             const FlatHcdIndex& index,

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "hcd/flat_index.h"
+#include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
 #include "parallel/omp_utils.h"
 #include "search/bks.h"
@@ -154,6 +156,37 @@ TEST(Pbks, WholeGraphScoresMatchDirectComputation) {
   auto valsb = PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre);
   EXPECT_EQ(valsb[0].triangles, 56u);  // C(8,3)
   EXPECT_EQ(valsb[0].triplets, 8u * 21u);  // 8 * C(7,2)
+}
+
+// The suite graphs have at most 512 vertices, so the triangle pass's dynamic
+// schedule (chunks of 16 vertices) hands out at most 32 chunks. This
+// hub-heavy graph gives it 1,024, with very uneven out-degrees, and repeated
+// runs give the per-vertex atomic updates on shared tree nodes a chance to
+// race.
+TEST(Pbks, TypeBMatchesBksOnSkewedGraph) {
+  const Graph g = RMatGraph500(14, 200'000, 7);
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const FlatHcdIndex flat = Freeze(LcpsBuild(g, cd));
+  const auto pre = PreprocessCorenessCounts(g, cd);
+  const auto vr = ComputeVertexRank(cd);
+  const auto want = BksTypeBPrimary(g, cd, flat, BuildBksIndex(g, cd), vr);
+  ASSERT_GT(cd.k_max, 50u);
+  ASSERT_TRUE(std::any_of(want.begin(), want.end(), [](const auto& pv) {
+    return pv.triangles > 0;
+  }));
+  for (int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 10; ++rep) {
+      const auto got = PbksTypeBPrimary(g, cd, flat, vr, pre);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].triangles, want[i].triangles)
+            << "node " << i << " threads=" << threads << " rep=" << rep;
+        ASSERT_EQ(got[i].triplets, want[i].triplets)
+            << "node " << i << " threads=" << threads << " rep=" << rep;
+      }
+    }
+  }
 }
 
 TEST(Preprocess, CountsAreExact) {
