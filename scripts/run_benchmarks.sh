@@ -45,7 +45,7 @@ if [ -x "$CLI" ]; then
 
   # Element-hierarchy serving rows: the same cached graphs through the
   # truss regime of query-bench (build + freeze + ElementSearchIndex +
-  # concurrent DensestAtLeast/CommunityOf workload). Emits
+  # concurrent ExecuteQuery/CommunityOf workload). Emits
   # truss_query_bench_cli rows next to the core serving baselines.
   for g in bench_data/*.bin; do
     [ -f "$g" ] || continue

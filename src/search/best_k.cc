@@ -1,17 +1,13 @@
 #include "search/best_k.h"
 
+#include <utility>
 #include <vector>
 
 #include "hcd/vertex_rank.h"
-#include "parallel/omp_utils.h"
+#include "search/pbks.h"
 #include "search/preprocess.h"
 
 namespace hcd {
-namespace {
-
-inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
-
-}  // namespace
 
 BestKResult FindBestK(const Graph& graph, const CoreDecomposition& cd,
                       Metric metric) {
@@ -47,58 +43,10 @@ BestKResult FindBestK(const Graph& graph, const CoreDecomposition& cd,
   }
 
   if (IsTypeB(metric)) {
-    const VertexRank vr = ComputeVertexRank(cd);
-    const std::vector<VertexId>& rank = vr.rank;
-    auto degree_less = [&graph](VertexId a, VertexId b) {
-      const VertexId da = graph.Degree(a);
-      const VertexId db = graph.Degree(b);
-      return da < db || (da == db && a < b);
-    };
-#pragma omp parallel
-    {
-      std::vector<uint8_t> mark(n, 0);
-      std::vector<VertexId> cnt(num_levels, 0);
-#pragma omp for schedule(dynamic, 64)
-      for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const auto nv = graph.Neighbors(v);
-        for (VertexId u : nv) mark[u] = 1;
-        for (VertexId u : nv) {
-          if (!degree_less(u, v)) continue;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (mark[w] && rank[w] < rank[u] && rank[w] < rank[v]) {
-#pragma omp atomic
-              triangles[cd.coreness[w]] += 1;
-            }
-          }
-        }
-        for (VertexId u : nv) mark[u] = 0;
-
-        const uint32_t cv = cd.coreness[v];
-        int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
-        const int64_t own = Choose2(gt_k);
-        if (own != 0) {
-#pragma omp atomic
-          triplets[cv] += own;
-        }
-        if (cv > 0) {
-          for (VertexId u : nv) {
-            const uint32_t cu = cd.coreness[u];
-            if (cu < cv) ++cnt[cu];
-          }
-          for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
-            const int64_t c = cnt[k];
-            if (c > 0) {
-              const int64_t add = Choose2(c) + gt_k * c;
-#pragma omp atomic
-              triplets[k] += add;
-              gt_k += c;
-              cnt[k] = 0;
-            }
-          }
-        }
-      }
-    }
+    TypeBTallies b = CountTypeBTallies(graph, cd, ComputeVertexRank(cd), pre,
+                                       cd.coreness, num_levels);
+    triangles = std::move(b.triangles);
+    triplets = std::move(b.triplets);
   }
 
   // Suffix sums: K_k = union of shells with coreness >= k.

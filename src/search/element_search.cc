@@ -52,55 +52,21 @@ ElementSearchIndex::ElementSearchIndex(std::shared_ptr<const FlatHcdIndex> flat)
   }
 
   const double arity = static_cast<double>(f.arity());
-  double best = -1.0;
   for (TreeNodeId t = 0; t < num_nodes; ++t) {
     const uint64_t verts = community_vertices_[t];
     density_[t] = verts == 0
                       ? 0.0
                       : arity * static_cast<double>(f.CoreSize(t)) /
                             static_cast<double>(verts);
-    if (density_[t] > best) {
-      best = density_[t];
-      densest_node_ = t;
-    }
   }
+  best_ = BestNodeByLevel(f, density_);
   stage.AddCounter("nodes", num_nodes);
   stage.AddCounter("elements", f.NumElements());
 }
 
-ElementHit ElementSearchIndex::HitFor(TreeNodeId t) const {
-  ElementHit hit;
-  if (t == kInvalidNode) return hit;
-  hit.found = true;
-  hit.node = t;
-  hit.level = flat_->Level(t);
-  hit.elements = flat_->CoreSize(t);
-  hit.vertices = community_vertices_[t];
-  hit.score = density_[t];
-  return hit;
-}
-
-ElementHit ElementSearchIndex::Densest() const { return HitFor(densest_node_); }
-
-ElementHit ElementSearchIndex::DensestAtLeast(uint32_t k) const {
-  if (k == 0) return Densest();
-  const FlatHcdIndex& f = *flat_;
-  TreeNodeId best = kInvalidNode;
-  double best_score = 0.0;
-  for (TreeNodeId t = 0; t < f.NumNodes(); ++t) {
-    if (f.Level(t) < k) continue;
-    if (best == kInvalidNode || density_[t] > best_score) {
-      best = t;
-      best_score = density_[t];
-    }
-  }
-  return HitFor(best);
-}
-
-ElementHit ElementSearchIndex::CommunityOf(TreeNodeId t, ElementWorkspace* ws,
-                                           std::vector<VertexId>* out) const {
-  const ElementHit hit = HitFor(t);
-  if (!hit.found) return hit;
+void ElementSearchIndex::CommunityOf(TreeNodeId t, SearchWorkspace* ws,
+                                     std::vector<VertexId>* out) const {
+  if (t == kInvalidNode) return;
   const FlatHcdIndex& f = *flat_;
   if (ws->stamp.size() != f.NumGraphVertices()) {
     ws->stamp.assign(f.NumGraphVertices(), 0);
@@ -121,7 +87,6 @@ ElementHit ElementSearchIndex::CommunityOf(TreeNodeId t, ElementWorkspace* ws,
     }
   }
   std::sort(out->begin() + first, out->end());
-  return hit;
 }
 
 }  // namespace hcd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "common/trace.h"
@@ -146,11 +147,16 @@ std::vector<PrimaryValues> PbksTypeAPrimary(
   return ToPrimaryValues(t);
 }
 
-std::vector<PrimaryValues> PbksTypeBPrimary(
-    const Graph& graph, const CoreDecomposition& cd, const FlatHcdIndex& index,
-    const VertexRank& vr, const CorenessNeighborCounts& pre) {
+TypeBTallies CountTypeBTallies(const Graph& graph,
+                               const CoreDecomposition& cd,
+                               const VertexRank& vr,
+                               const CorenessNeighborCounts& pre,
+                               std::span<const uint32_t> slot,
+                               size_t num_slots) {
   const VertexId n = graph.NumVertices();
-  NodeTallies t(index.NumNodes());
+  TypeBTallies t;
+  t.triangles.assign(num_slots, 0);
+  t.triplets.assign(num_slots, 0);
 
   // --- Triangles (lines 2-7), counted once, at the lowest-rank corner.
   // With every edge oriented towards its higher-rank endpoint, a triangle
@@ -181,9 +187,8 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
         }
         for (VertexId u : nv) mark[u] = 0;
         if (count != 0) {
-          const TreeNodeId i = index.Tid(v);
 #pragma omp atomic
-          t.triangles[i] += count;
+          t.triangles[slot[v]] += count;
         }
       }
     }
@@ -194,7 +199,8 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
   // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
   // reach coreness >= c(v) appear with v (the lowest-rank member); wedges
   // whose lowest arm has coreness k < c(v) appear at any neighbor w of
-  // coreness k.
+  // coreness k (all such neighbours share w's slot: its tree node, joined
+  // through v, or its level).
 #pragma omp parallel
   {
     std::vector<VertexId> cnt(cd.k_max + 1, 0);
@@ -206,11 +212,10 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
       const uint32_t cv = cd.coreness[v];
       int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
       {
-        const TreeNodeId i = index.Tid(v);
         const int64_t add = Choose2(gt_k);
         if (add != 0) {
 #pragma omp atomic
-          t.triplets[i] += add;
+          t.triplets[slot[v]] += add;
         }
       }
       if (cv > 0) {
@@ -224,10 +229,9 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
         for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
           const int64_t c = cnt[k];
           if (c > 0) {
-            const TreeNodeId i = index.Tid(rep[k]);
             const int64_t add = Choose2(c) + gt_k * c;
 #pragma omp atomic
-            t.triplets[i] += add;
+            t.triplets[slot[rep[k]]] += add;
             gt_k += c;
             cnt[k] = 0;
           }
@@ -235,7 +239,17 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
       }
     }
   }
+  return t;
+}
 
+std::vector<PrimaryValues> PbksTypeBPrimary(
+    const Graph& graph, const CoreDecomposition& cd, const FlatHcdIndex& index,
+    const VertexRank& vr, const CorenessNeighborCounts& pre) {
+  NodeTallies t(index.NumNodes());
+  TypeBTallies b = CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
+                                     index.NumNodes());
+  t.triangles = std::move(b.triangles);
+  t.triplets = std::move(b.triplets);
   AccumulateUp(index, &t);
   return ToPrimaryValues(t);
 }

@@ -1,6 +1,7 @@
 #ifndef HCD_SEARCH_PBKS_H_
 #define HCD_SEARCH_PBKS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/core_decomposition.h"
@@ -34,20 +35,38 @@ std::vector<PrimaryValues> PbksTypeAPrimary(const Graph& graph,
                                             const FlatHcdIndex& index,
                                             const CorenessNeighborCounts& pre);
 
-/// Type-B primary values of every k-core (Algorithm 5): parallel triangle
-/// counting (each triangle attributed to its lowest-vertex-rank corner) and
-/// triplet counting (each open wedge attributed to its lowest-rank member),
-/// then parallel bottom-up accumulation. Entry i holds Delta(S) and t(S) of
-/// node i's original k-core.
+/// Unaccumulated type-B tallies, one entry per slot.
+struct TypeBTallies {
+  std::vector<int64_t> triangles;
+  std::vector<int64_t> triplets;
+};
+
+/// The parallel triangle and triplet counting pass of Algorithm 5 (lines
+/// 2-15), shared by PBKS and FindBestK (best_k.h): each triangle is
+/// attributed to its lowest-vertex-rank corner and each open wedge to its
+/// lowest-rank member, and a vertex's tallies land in `slot[v]`
+/// (`num_slots` entries). PBKS passes the frozen index's tid array, so a
+/// tally lands on the vertex's tree node; best-k passes the coreness, so
+/// it lands on the vertex's level.
 ///
 /// Triangles are enumerated on a transient copy of the graph with every
 /// edge oriented from its lower-rank to its higher-rank endpoint (m vertex
 /// ids plus n + 1 offsets, freed before returning): each vertex v marks
 /// its out-neighbours and counts the marked ones among its out-neighbours'
 /// out-neighbours, so each triangle is found once, at its lowest-rank
-/// corner, and v's tree node takes one update. Work is the sum of
-/// |N+(u)| over the oriented edges (v, u); v has at most c(v)
-/// out-neighbours of higher coreness. See DESIGN.md §14.
+/// corner, and v's slot takes one update. Work is the sum of |N+(u)| over
+/// the oriented edges (v, u); v has at most c(v) out-neighbours of higher
+/// coreness. See DESIGN.md §14.
+TypeBTallies CountTypeBTallies(const Graph& graph,
+                               const CoreDecomposition& cd,
+                               const VertexRank& vr,
+                               const CorenessNeighborCounts& pre,
+                               std::span<const uint32_t> slot,
+                               size_t num_slots);
+
+/// Type-B primary values of every k-core (Algorithm 5): CountTypeBTallies
+/// keyed by tree node, then parallel bottom-up accumulation. Entry i holds
+/// Delta(S) and t(S) of node i's original k-core.
 std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const CoreDecomposition& cd,
                                             const FlatHcdIndex& index,

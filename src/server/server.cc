@@ -61,11 +61,14 @@ uint64_t StampDelta(uint64_t from, uint64_t to) {
   return to > from ? to - from : 0;
 }
 
-/// Which of ExecuteQuery's regimes answered, for the slow log.
-const char* RegimeName(const QueryRequest& request, bool element_served) {
-  if (request.hierarchy != HierarchyKind::kCore) {
-    return element_served ? "element" : "unserved";
-  }
+/// `index` when it serves element requests of `kind`, else null.
+const ElementSearchIndex* ServingIndex(const ElementSearchIndex* index,
+                                       HierarchyKind kind) {
+  return index != nullptr && index->kind() == kind ? index : nullptr;
+}
+
+/// Which of ExecuteQuery's regimes a served request takes, for the slow log.
+const char* RegimeName(const QueryRequest& request) {
   if (!request.vertices.empty()) return "vertex-set";
   return request.k == 0 ? "global" : "level";
 }
@@ -165,76 +168,38 @@ bool WriteFrame(int fd, std::string_view payload) {
 
 }  // namespace
 
-QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
-                          const QueryRequest& request, SearchWorkspace* ws) {
-  QueryOutcome out;
-  out.epoch = snapshot.epoch();
-  const FlatHcdIndex& flat = snapshot.flat();
-  const SearchIndex& sidx = snapshot.search_index();
-  if (request.vertices.empty()) {
-    const SearchHit hit = SearchInto(flat, sidx, request.metric, ws);
-    if (request.k == 0) {
-      if (hit.best_node == kInvalidNode) return out;
-      out.found = true;
-      out.node = hit.best_node;
-      out.score = hit.best_score;
-    } else {
-      // Restrict the argmax to nodes of level >= k over the scores
-      // SearchInto just filled, keeping its first-node-wins tie order.
-      TreeNodeId best = kInvalidNode;
-      double best_score = 0.0;
-      for (TreeNodeId node = 0; node < flat.NumNodes(); ++node) {
-        if (flat.Level(node) < request.k) continue;
-        if (best == kInvalidNode || ws->scores[node] > best_score) {
-          best = node;
-          best_score = ws->scores[node];
-        }
-      }
-      if (best == kInvalidNode) return out;
-      out.found = true;
-      out.node = best;
-      out.score = best_score;
-    }
-  } else {
-    const TreeNodeId node =
-        NodeOfKCoreContainingAll(flat, request.vertices, request.k);
-    if (node == kInvalidNode) return out;
-    out.found = true;
-    out.node = node;
-    out.score = EvaluateMetric(request.metric,
-                               sidx.PrimaryFor(request.metric)[node],
-                               sidx.globals());
-  }
-  out.level = flat.Level(out.node);
-  out.core_size = flat.CoreSize(out.node);
-  return out;
-}
-
-QueryOutcome ExecuteElementQuery(const ElementSearchIndex& index,
-                                 const QueryRequest& request, uint64_t epoch) {
+QueryOutcome ExecuteQuery(const QuerySnapshot* snapshot,
+                          const ElementSearchIndex* element_index,
+                          uint64_t epoch, const QueryRequest& request) {
   QueryOutcome out;
   out.epoch = epoch;
-  ElementHit hit;
+  // At most one source serves the request: an ElementSearchIndex is never
+  // of kind kCore.
+  const SearchIndex* core =
+      request.hierarchy == HierarchyKind::kCore && snapshot != nullptr
+          ? &snapshot->search_index()
+          : nullptr;
+  const ElementSearchIndex* element =
+      ServingIndex(element_index, request.hierarchy);
+  if (core == nullptr && element == nullptr) return out;  // unserved
+  const FlatHcdIndex& flat =
+      core != nullptr ? snapshot->flat() : element->flat();
+  TreeNodeId node;
   if (request.vertices.empty()) {
-    hit = request.k == 0 ? index.Densest() : index.DensestAtLeast(request.k);
+    node = core != nullptr ? core->BestAtLeast(request.metric, request.k)
+                           : element->BestAtLeast(request.k);
   } else {
     // The ids are untrusted: NodeOfKCoreContaining rejects out-of-range
-    // element ids, so a hostile request degrades to found = false.
-    const TreeNodeId node =
-        NodeOfKCoreContainingAll(index.flat(), request.vertices, request.k);
-    if (node == kInvalidNode) return out;
-    hit.found = true;
-    hit.node = node;
-    hit.level = index.flat().Level(node);
-    hit.elements = index.CommunityElements(node);
-    hit.score = index.Density(node);
+    // ids, so a hostile request degrades to found = false.
+    node = NodeOfKCoreContainingAll(flat, request.vertices, request.k);
   }
-  if (!hit.found) return out;
+  if (node == kInvalidNode) return out;
   out.found = true;
-  out.node = hit.node;
-  out.level = hit.level;
-  out.core_size = hit.elements;
-  out.score = hit.score;
+  out.node = node;
+  out.level = flat.Level(node);
+  out.core_size = flat.CoreSize(node);
+  out.score = core != nullptr ? core->Score(request.metric, node)
+                              : element->Density(node);
   return out;
 }
 
@@ -522,15 +487,6 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   // and the cache refuses to mix the two epochs.
   const QuerySnapshot snapshot = ctx->reader.Snapshot();
   const uint64_t epoch = snapshot.epoch();
-  // Element requests route to the static element index when its kind
-  // matches; otherwise they answer found = false (the default outcome) so
-  // a client can probe what the server has loaded without being dropped.
-  const ElementSearchIndex* element_index =
-      request.hierarchy != HierarchyKind::kCore &&
-              options_.element_index != nullptr &&
-              options_.element_index->kind() == request.hierarchy
-          ? options_.element_index
-          : nullptr;
 
   CachedResult result;
   bool hit = false;
@@ -541,14 +497,8 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   }
   const uint64_t t2 = StampNow(tracer);  // snapshot + cache resolved
   if (!hit) {
-    QueryOutcome outcome;
-    if (request.hierarchy == HierarchyKind::kCore) {
-      outcome = ExecuteQuery(snapshot, request, &ctx->ws);
-    } else if (element_index != nullptr) {
-      outcome = ExecuteElementQuery(*element_index, request, epoch);
-    } else {
-      outcome.epoch = epoch;  // unserved kind: found stays false
-    }
+    const QueryOutcome outcome =
+        ExecuteQuery(&snapshot, options_.element_index, epoch, request);
     result = {outcome.epoch, outcome.found, outcome.node,
               outcome.level, outcome.core_size, outcome.score};
     if (cache_ != nullptr) cache_->Insert(epoch, key, result);
@@ -563,10 +513,12 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
   response.core_size = result.core_size;
   response.score = result.score;
   if (result.found && request.max_return_vertices > 0) {
-    if (element_index != nullptr) {
+    if (request.hierarchy != HierarchyKind::kCore) {
       // Element communities echo their member graph vertices (sorted),
-      // materialized per request into the worker's stamp workspace.
-      element_index->CommunityOf(result.node, &ctx->ews, &response.vertices);
+      // materialized per request into the worker's stamp workspace; a
+      // found element answer implies the index serves this kind.
+      options_.element_index->CommunityOf(result.node, &ctx->ws,
+                                          &response.vertices);
       if (response.vertices.size() > request.max_return_vertices) {
         response.vertices.resize(request.max_return_vertices);
       }
@@ -670,13 +622,13 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
         options_.slow_log_sample_every > 0 &&
         seq % static_cast<uint64_t>(options_.slow_log_sample_every) == 0;
     if (slow || sampled_log) {
-      const bool element_served =
-          options_.element_index != nullptr &&
-          options_.element_index->kind() == request.hierarchy;
+      const bool unserved =
+          request.hierarchy != HierarchyKind::kCore &&
+          ServingIndex(options_.element_index, request.hierarchy) == nullptr;
       SlowLogRecord record;
       record.ts_unix_ms = UnixNowMs();
       record.reason = slow ? "slow" : "sampled";
-      record.regime = RegimeName(request, element_served);
+      record.regime = unserved ? "unserved" : RegimeName(request);
       record.hierarchy = request.hierarchy;
       record.metric = request.metric;
       record.k = request.k;

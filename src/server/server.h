@@ -35,39 +35,40 @@ struct QueryOutcome {
   double score = 0.0;
 };
 
-/// Evaluates one protocol query against `snapshot`, the single scoring
-/// path the server, serve-bench's self mode and the soak tests share:
+/// Evaluates one protocol query: the single query path for every
+/// hierarchy, shared by the server, serve-bench's self mode, query-bench
+/// and the soak tests. It routes on `request.hierarchy`: core requests are
+/// answered from `snapshot`, truss and nucleus requests from
+/// `element_index` when its kind matches. Any other request (an unserved
+/// kind, or a null source) answers found = false. `epoch` stamps every
+/// outcome; the server passes the answering core generation, so element
+/// answers cache under it too. The hierarchies share one tree shape and
+/// differ only in how a node is scored (a metric over the primary values,
+/// or element density), so the three regimes are one code path:
 ///
-///   - empty vertex set, k == 0: QuerySnapshot-equivalent global best
-///     (bit-identical to SearchInto on the same snapshot);
-///   - empty vertex set, k > 0: best-scoring node among those of level
-///     >= k (first such node wins ties, matching SearchInto's order);
+///   - empty vertex set, k == 0: the global best node, one table lookup
+///     (bit-identical to SearchInto's best on the same snapshot);
+///   - empty vertex set, k > 0: the best node of level >= k, one table
+///     lookup (lower preorder id wins ties, SearchInto's order); a k past
+///     the deepest level is not found;
 ///   - non-empty vertex set: the k-core containing all listed vertices
-///     (NodeOfKCoreContainingAll ancestor walks), scored under the
-///     requested metric in O(1) from the eager primary values.
+///     (element ids for truss / nucleus), found by the
+///     NodeOfKCoreContainingAll ancestor walks and scored in O(1).
+///     Out-of-range ids answer found = false.
 ///
-/// Reads only const snapshot state; any number of threads may call it
-/// concurrently, each with its own workspace.
-QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
-                          const QueryRequest& request, SearchWorkspace* ws);
+/// Reads only const state; any number of threads may call it concurrently.
+QueryOutcome ExecuteQuery(const QuerySnapshot* snapshot,
+                          const ElementSearchIndex* element_index,
+                          uint64_t epoch, const QueryRequest& request);
 
-/// Evaluates one element-hierarchy query (request.hierarchy is truss or
-/// nucleus) against an ElementSearchIndex, mirroring ExecuteQuery's three
-/// regimes with `request.vertices` carrying element ids:
-///
-///   - empty ids, k == 0: the globally densest community (Densest);
-///   - empty ids, k > 0: the densest community of level >= k
-///     (DensestAtLeast, same first-node-wins tie order);
-///   - non-empty ids: the community containing all listed elements
-///     (NodeOfKCoreContainingAll ancestor walks over element ids), scored
-///     by its precomputed density.
-///
-/// Out-of-range element ids answer found = false. `epoch` stamps the
-/// outcome (the index is static; the server passes the current snapshot
-/// generation so the result cache keys uniformly). Reads only const index
-/// state; safe for any number of concurrent callers.
-QueryOutcome ExecuteElementQuery(const ElementSearchIndex& index,
-                                 const QueryRequest& request, uint64_t epoch);
+/// The core-snapshot form: ExecuteQuery over `snapshot` alone, stamped
+/// with its epoch. Scoring is O(1), so `ws` is not written; the parameter
+/// keeps the call shape of the workspace-passing SearchInto path.
+inline QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
+                                 const QueryRequest& request,
+                                 SearchWorkspace* /*ws*/) {
+  return ExecuteQuery(&snapshot, nullptr, snapshot.epoch(), request);
+}
 
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back from
@@ -85,8 +86,8 @@ struct ServerOptions {
   bool cache = true;
   ResultCache::Options cache_options;
   /// Optional element-hierarchy index (truss or nucleus) served alongside
-  /// the core snapshots; must outlive the server. Requests whose hierarchy
-  /// byte matches its kind are answered by ExecuteElementQuery; element
+  /// the core snapshots; must outlive the server. ExecuteQuery answers
+  /// requests whose hierarchy byte matches its kind from it; element
   /// requests for any other kind (or when this is null) answer
   /// found = false without closing the connection, so one client can probe
   /// what the server has loaded. The index is static across publishes —
@@ -240,7 +241,6 @@ class QueryServer {
         : reader(manager) {}
     SnapshotReader reader;
     SearchWorkspace ws;
-    ElementWorkspace ews;
     RequestTimings timings;
     uint64_t conn_enqueue_ns = 0;  ///< current connection's admission stamp
     uint64_t conn_queue_ns = 0;    ///< its pending-queue wait

@@ -1,8 +1,9 @@
 // Freeze/serve equivalence for the element domains: the frozen truss and
 // nucleus paths (FreezeTruss/FreezeNucleus + ElementSearchIndex) must be
 // bit-identical to the builder-forest oracles on every suite graph, the
-// DensestAtLeast scan must match a naive reference, and the whole index
-// must stay bit-stable under concurrent readers (the TSan job's target).
+// level queries ExecuteQuery answers from the per-level tables must match
+// a naive scan, and the whole index must stay bit-stable under concurrent
+// readers (the TSan job's target).
 
 #include "search/element_search.h"
 
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -19,6 +21,7 @@
 #include "nucleus/nucleus_decomposition.h"
 #include "nucleus/nucleus_hierarchy.h"
 #include "nucleus/triangle_index.h"
+#include "server/server.h"
 #include "tests/test_util.h"
 #include "truss/edge_index.h"
 #include "truss/truss_decomposition.h"
@@ -119,48 +122,38 @@ TEST_P(ElementSearchSuite, TrussSearchIndexMatchesFrozenQueries) {
   const FlatHcdIndex& flat = *fx.flat;
   EXPECT_EQ(index.kind(), HierarchyKind::kTruss);
 
-  ElementWorkspace ws;  // reused across nodes: exercises epoch stamping
+  SearchWorkspace ws;  // reused across nodes: exercises epoch stamping
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     const TrussCommunity community = TrussCommunityOf(flat, t);
-    EXPECT_EQ(index.CommunityElements(t), community.num_edges);
+    EXPECT_EQ(flat.CoreSize(t), community.num_edges);
     EXPECT_EQ(index.CommunityVertices(t), community.vertices.size());
     EXPECT_EQ(index.Density(t), community.AverageDegree());
 
     std::vector<VertexId> out;
-    const ElementHit hit = index.CommunityOf(t, &ws, &out);
-    ASSERT_TRUE(hit.found);
-    EXPECT_EQ(hit.node, t);
-    EXPECT_EQ(hit.level, flat.Level(t));
-    EXPECT_EQ(hit.elements, community.num_edges);
-    EXPECT_EQ(hit.vertices, community.vertices.size());
-    EXPECT_EQ(hit.score, community.AverageDegree());
+    index.CommunityOf(t, &ws, &out);
     EXPECT_EQ(out, community.vertices);
   }
 
   // Densest: same first-preorder-wins rule as the frozen DensestTruss scan,
   // so the winning node (not just the score) is identical.
   const DensestTrussResult frozen = DensestTruss(flat);
-  const ElementHit densest = index.Densest();
-  ASSERT_EQ(densest.found, frozen.node != kInvalidNode);
-  if (densest.found) {
-    EXPECT_EQ(densest.node, frozen.node);
-    EXPECT_EQ(densest.level, frozen.level);
-    EXPECT_EQ(densest.score, frozen.community.AverageDegree());
-    EXPECT_EQ(densest.elements, frozen.community.num_edges);
-    EXPECT_EQ(densest.vertices, frozen.community.vertices.size());
+  EXPECT_EQ(index.BestAtLeast(0), frozen.node);
+  if (frozen.node != kInvalidNode) {
+    EXPECT_EQ(index.Density(frozen.node), frozen.community.AverageDegree());
   }
 }
 
-TEST_P(ElementSearchSuite, DensestAtLeastMatchesNaiveScan) {
-  const Graph& g = GetParam().graph;
-  const TrussFixture fx = MakeTruss(g);
-  const ElementSearchIndex index(fx.flat);
-  const FlatHcdIndex& flat = *fx.flat;
-
+/// Every k in [0, max level + 1]: ExecuteQuery's level answer must be the
+/// naive scan's densest node of level >= k (first node wins ties), with a
+/// bit-identical score.
+void ExpectLevelQueriesMatchNaiveScan(const ElementSearchIndex& index) {
+  const FlatHcdIndex& flat = index.flat();
   uint32_t max_level = 0;
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     max_level = std::max(max_level, flat.Level(t));
   }
+  server::QueryRequest request;
+  request.hierarchy = index.kind();
   for (uint32_t k = 0; k <= max_level + 1; ++k) {
     // Naive reference: best density among nodes of level >= k, first node
     // winning ties.
@@ -171,13 +164,25 @@ TEST_P(ElementSearchSuite, DensestAtLeastMatchesNaiveScan) {
         expect = t;
       }
     }
-    const ElementHit hit = index.DensestAtLeast(k);
-    ASSERT_EQ(hit.found, expect != kInvalidNode) << "k=" << k;
-    if (hit.found) {
-      EXPECT_EQ(hit.node, expect) << "k=" << k;
-      EXPECT_EQ(hit.score, index.Density(expect)) << "k=" << k;
+    request.k = k;
+    const server::QueryOutcome got =
+        server::ExecuteQuery(nullptr, &index, 0, request);
+    ASSERT_EQ(got.found, expect != kInvalidNode) << "k=" << k;
+    if (got.found) {
+      EXPECT_EQ(got.node, expect) << "k=" << k;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.score),
+                std::bit_cast<uint64_t>(index.Density(expect)))
+          << "k=" << k;
+      EXPECT_EQ(got.level, flat.Level(expect));
+      EXPECT_EQ(got.core_size, flat.CoreSize(expect));
     }
   }
+}
+
+TEST_P(ElementSearchSuite, LevelQueriesMatchNaiveScan) {
+  const Graph& g = GetParam().graph;
+  ExpectLevelQueriesMatchNaiveScan(ElementSearchIndex(MakeTruss(g).flat));
+  ExpectLevelQueriesMatchNaiveScan(ElementSearchIndex(MakeNucleus(g).flat));
 }
 
 TEST_P(ElementSearchSuite, FrozenNucleusCommunityMatchesBuilderOracle) {
@@ -207,28 +212,29 @@ TEST_P(ElementSearchSuite, NucleusSearchIndexMatchesFrozenQueries) {
   const FlatHcdIndex& flat = *fx.flat;
   EXPECT_EQ(index.kind(), HierarchyKind::kNucleus);
 
-  ElementWorkspace ws;
+  SearchWorkspace ws;
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     const NucleusCommunity community = NucleusCommunityOf(flat, t);
-    EXPECT_EQ(index.CommunityElements(t), community.num_triangles);
+    EXPECT_EQ(flat.CoreSize(t), community.num_triangles);
     EXPECT_EQ(index.CommunityVertices(t), community.vertices.size());
     EXPECT_EQ(index.Density(t), community.Density());
 
     std::vector<VertexId> out;
-    const ElementHit hit = index.CommunityOf(t, &ws, &out);
-    ASSERT_TRUE(hit.found);
-    EXPECT_EQ(hit.score, community.Density());
+    index.CommunityOf(t, &ws, &out);
     EXPECT_EQ(out, community.vertices);
   }
 
-  const ElementHit densest = index.Densest();
-  if (densest.found) {
-    // The precomputed densest is the first preorder node attaining the
-    // maximum density.
-    for (TreeNodeId t = 0; t < densest.node; ++t) {
-      EXPECT_LT(index.Density(t), densest.score);
+  const TreeNodeId densest = index.BestAtLeast(0);
+  if (densest != kInvalidNode) {
+    // The densest node is the first preorder node attaining the maximum
+    // density.
+    for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+      if (t < densest) {
+        EXPECT_LT(index.Density(t), index.Density(densest));
+      } else {
+        EXPECT_LE(index.Density(t), index.Density(densest));
+      }
     }
-    EXPECT_EQ(index.Density(densest.node), densest.score);
   } else {
     EXPECT_EQ(flat.NumNodes(), 0u);
   }
@@ -247,30 +253,29 @@ TEST(ElementSearch, CommunityOfAppendsAfterExistingContent) {
   const ElementSearchIndex index(fx.flat);
   ASSERT_GT(fx.flat->NumNodes(), 0u);
 
-  ElementWorkspace ws;
+  SearchWorkspace ws;
   std::vector<VertexId> out = {777, 3};
-  const ElementHit hit = index.CommunityOf(0, &ws, &out);
-  ASSERT_TRUE(hit.found);
+  index.CommunityOf(0, &ws, &out);
   ASSERT_GE(out.size(), 2u);
   EXPECT_EQ(out[0], 777u);  // pre-existing prefix untouched
   EXPECT_EQ(out[1], 3u);
   EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()));
-  EXPECT_EQ(out.size() - 2, hit.vertices);
+  EXPECT_EQ(out.size() - 2, index.CommunityVertices(0));
 }
 
 TEST(ElementSearch, EmptyHierarchyAnswersNotFound) {
-  const TrussFixture fx = MakeTruss(PathGraph(4));  // edges, but no nodes
-  // A path has no triangles, so every edge has trussness 2 and the forest
-  // is non-empty; an edgeless graph gives the truly empty case.
+  // An edgeless graph has no edges, so its truss forest has no nodes.
   const TrussFixture empty = MakeTruss(Graph());
   const ElementSearchIndex index(empty.flat);
-  EXPECT_FALSE(index.Densest().found);
-  EXPECT_FALSE(index.DensestAtLeast(3).found);
-  ElementWorkspace ws;
+  EXPECT_EQ(index.BestAtLeast(0), kInvalidNode);
+  EXPECT_EQ(index.BestAtLeast(3), kInvalidNode);
+  server::QueryRequest request;
+  request.hierarchy = HierarchyKind::kTruss;
+  EXPECT_FALSE(server::ExecuteQuery(nullptr, &index, 0, request).found);
+  SearchWorkspace ws;
   std::vector<VertexId> out;
-  EXPECT_FALSE(index.CommunityOf(kInvalidNode, &ws, &out).found);
+  index.CommunityOf(kInvalidNode, &ws, &out);
   EXPECT_TRUE(out.empty());
-  (void)fx;
 }
 
 // Sweep: randomized graphs, frozen truss serve vs builder oracle end to
@@ -304,25 +309,28 @@ TEST(ElementSearch, ConcurrentReadersBitIdentical) {
 
   constexpr int kQueries = 256;
   struct Answer {
-    ElementHit hit;
+    server::QueryOutcome outcome;
     std::vector<VertexId> community;
   };
-  auto run_query = [&](int q, ElementWorkspace* ws) {
+  auto run_query = [&](int q, SearchWorkspace* ws) {
     Answer a;
+    server::QueryRequest request;
+    request.hierarchy = HierarchyKind::kTruss;
     if (q % 2 == 0) {
-      a.hit = index.DensestAtLeast(static_cast<uint32_t>(q) % 8);
-      if (a.hit.found) index.CommunityOf(a.hit.node, ws, &a.community);
+      request.k = static_cast<uint32_t>(q) % 8;
+      a.outcome = server::ExecuteQuery(nullptr, &index, 0, request);
+      index.CommunityOf(a.outcome.node, ws, &a.community);
     } else {
       const TreeNodeId t =
           static_cast<TreeNodeId>((uint64_t{2654435761u} * q) % num_nodes);
-      a.hit = index.CommunityOf(t, ws, &a.community);
+      index.CommunityOf(t, ws, &a.community);
     }
     return a;
   };
 
   std::vector<Answer> baseline(kQueries);
   {
-    ElementWorkspace ws;
+    SearchWorkspace ws;
     for (int q = 0; q < kQueries; ++q) baseline[q] = run_query(q, &ws);
   }
 
@@ -332,15 +340,16 @@ TEST(ElementSearch, ConcurrentReadersBitIdentical) {
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      ElementWorkspace ws;
+      SearchWorkspace ws;
       for (int q = i; q < kQueries; ++q) {  // staggered start per thread
         const Answer a = run_query(q, &ws);
         const Answer& b = baseline[q];
         const bool same =
-            a.hit.found == b.hit.found && a.hit.node == b.hit.node &&
-            a.hit.level == b.hit.level && a.hit.elements == b.hit.elements &&
-            a.hit.vertices == b.hit.vertices && a.hit.score == b.hit.score &&
-            a.community == b.community;
+            a.outcome.found == b.outcome.found &&
+            a.outcome.node == b.outcome.node &&
+            a.outcome.level == b.outcome.level &&
+            a.outcome.core_size == b.outcome.core_size &&
+            a.outcome.score == b.outcome.score && a.community == b.community;
         if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });

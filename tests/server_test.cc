@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -25,15 +26,13 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/trace.h"
+#include "engine/engine.h"
 #include "engine/live.h"
 #include "graph/generators.h"
 #include "hcd/query.h"
 #include "search/element_search.h"
 #include "search/metrics.h"
 #include "server/client.h"
-#include "truss/edge_index.h"
-#include "truss/truss_decomposition.h"
-#include "truss/truss_hierarchy.h"
 #include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/server.h"
@@ -388,7 +387,9 @@ TEST_F(ExecuteQueryTest, LevelConstraintRestrictsTheArgmax) {
   const QueryOutcome outcome = ExecuteQuery(snapshot, request, &ws);
   ASSERT_TRUE(outcome.found);
   EXPECT_GE(outcome.level, 2u);
-  // Exhaustive check: best score among nodes of level >= k.
+  // Exhaustive check: best score among nodes of level >= k, over the
+  // scores of the scan path.
+  SearchInto(snapshot.flat(), snapshot.search_index(), request.metric, &ws);
   double best = 0.0;
   bool any = false;
   for (TreeNodeId node = 0; node < snapshot.flat().NumNodes(); ++node) {
@@ -405,6 +406,88 @@ TEST_F(ExecuteQueryTest, LevelConstraintRestrictsTheArgmax) {
   request.k = 1u << 20;
   const QueryOutcome none = ExecuteQuery(snapshot, request, &ws);
   EXPECT_FALSE(none.found);
+}
+
+/// The level-filtered argmax over SearchInto's scores: the scan the
+/// per-level tables replace, kept as their oracle (first node wins ties).
+TreeNodeId NaiveBestAtLeast(const FlatHcdIndex& flat,
+                            const std::vector<double>& scores, uint32_t k) {
+  TreeNodeId best = kInvalidNode;
+  for (TreeNodeId node = 0; node < flat.NumNodes(); ++node) {
+    if (flat.Level(node) < k) continue;
+    if (best == kInvalidNode || scores[node] > scores[best]) best = node;
+  }
+  return best;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// Every metric and every k in [0, k_max + 1] on `snapshot`: ExecuteQuery
+/// must name the naive scan's node with a bit-identical score.
+void ExpectLevelQueriesMatchNaiveScan(const QuerySnapshot& snapshot,
+                                      const std::string& name) {
+  const FlatHcdIndex& flat = snapshot.flat();
+  SearchWorkspace ws;
+  for (const Metric metric : kAllMetrics) {
+    SearchInto(flat, snapshot.search_index(), metric, &ws);
+    for (uint32_t k = 0; k <= snapshot.coreness().k_max + 1; ++k) {
+      QueryRequest request;
+      request.metric = metric;
+      request.k = k;
+      const QueryOutcome got = ExecuteQuery(snapshot, request, &ws);
+      const TreeNodeId want = NaiveBestAtLeast(flat, ws.scores, k);
+      ASSERT_EQ(got.found, want != kInvalidNode)
+          << name << " " << MetricName(metric) << " k=" << k;
+      EXPECT_EQ(got.epoch, snapshot.epoch());
+      if (!got.found) continue;
+      EXPECT_EQ(got.node, want)
+          << name << " " << MetricName(metric) << " k=" << k;
+      EXPECT_EQ(Bits(got.score), Bits(ws.scores[want]))
+          << name << " " << MetricName(metric) << " k=" << k;
+      EXPECT_EQ(got.level, flat.Level(want));
+      EXPECT_EQ(got.core_size, flat.CoreSize(want));
+    }
+  }
+}
+
+TEST(ExecuteQueryOracle, LevelQueriesMatchNaiveScanOnSuite) {
+  for (const hcd::testing::GraphCase& c : hcd::testing::StandardGraphSuite()) {
+    HcdEngine engine(&c.graph);
+    ExpectLevelQueriesMatchNaiveScan(engine.Snapshot(), c.name);
+  }
+}
+
+// Disjoint identical cliques give equal scores on one level under every
+// metric; the lower preorder node must win, as in the scan.
+TEST(ExecuteQueryOracle, TiesGoToTheLowerPreorderNode) {
+  constexpr VertexId kCliques = 3;
+  constexpr VertexId kSize = 5;
+  GraphBuilder b;
+  for (VertexId c = 0; c < kCliques; ++c) {
+    for (VertexId u = 0; u < kSize; ++u) {
+      for (VertexId v = u + 1; v < kSize; ++v) {
+        b.AddEdge(c * kSize + u, c * kSize + v);
+      }
+    }
+  }
+  HcdEngine engine(std::move(b).Build(kCliques * kSize));
+  const QuerySnapshot snapshot = engine.Snapshot();
+  const FlatHcdIndex& flat = snapshot.flat();
+  ASSERT_EQ(flat.NumNodes(), kCliques);
+  ExpectLevelQueriesMatchNaiveScan(snapshot, "cliques");
+
+  SearchWorkspace ws;
+  for (const Metric metric : kAllMetrics) {
+    SearchInto(flat, snapshot.search_index(), metric, &ws);
+    for (TreeNodeId node = 1; node < kCliques; ++node) {
+      ASSERT_EQ(Bits(ws.scores[node]), Bits(ws.scores[0]));  // a real tie
+    }
+    QueryRequest request;
+    request.metric = metric;
+    request.k = kSize - 1;
+    EXPECT_EQ(ExecuteQuery(snapshot, request, &ws).node, 0u)
+        << MetricName(metric);
+  }
 }
 
 TEST_F(ExecuteQueryTest, VertexQueriesMatchTheAncestorWalk) {
@@ -506,16 +589,38 @@ TEST(QueryServerTest, StopOfAnIdleServerReturnsImmediately) {
   EXPECT_LT(stop_ms[stop_ms.size() / 2], 20.0);
 }
 
-TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
-  Graph graph = ErdosRenyiGnm(180, 900, 29);
+/// The densest community of level >= k by a scan over the index's
+/// densities, first node winning ties: the naive reference the element
+/// answers must match.
+TreeNodeId NaiveDensestNode(const ElementSearchIndex& index, uint32_t k) {
+  const FlatHcdIndex& flat = index.flat();
+  TreeNodeId best = kInvalidNode;
+  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+    if (flat.Level(t) < k) continue;
+    if (best == kInvalidNode || index.Density(t) > index.Density(best)) {
+      best = t;
+    }
+  }
+  return best;
+}
 
-  // Frozen truss index served next to the live core snapshots.
-  const EdgeIndexer eidx = BuildEdgeIndexer(graph);
-  const TrussDecomposition td = PeelTrussDecomposition(graph, eidx);
-  auto flat = std::make_shared<const FlatHcdIndex>(
-      FreezeTruss(graph, eidx, BuildTrussHierarchy(graph, eidx, td)));
-  const ElementSearchIndex element_index(flat);
-  ASSERT_GT(flat->NumNodes(), 0u);
+class ElementServingTest : public ::testing::TestWithParam<HierarchyKind> {};
+
+TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
+  const HierarchyKind kind = GetParam();
+  Graph graph = ErdosRenyiGnm(120, 1400, 29);
+
+  // Frozen element index served next to the live core snapshots.
+  EngineOptions element_options;
+  element_options.hierarchy = kind;
+  HcdEngine element_engine(Graph(graph), element_options);
+  const ElementSearchIndex& element_index = element_engine.ElementSearcher();
+  const FlatHcdIndex& flat = element_index.flat();
+  ASSERT_GT(flat.NumNodes(), 0u);
+  uint32_t max_level = 0;
+  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+    max_level = std::max(max_level, flat.Level(t));
+  }
 
   LiveEngine live(std::move(graph));
   ServerOptions options;
@@ -527,25 +632,29 @@ TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
   QueryClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
-  // Regime 1: empty ids, k == 0 — the globally densest truss community,
-  // bit-identical to the in-process index.
+  // Regime 1: empty ids, k == 0 — the globally densest community.
   QueryRequest request;
-  request.hierarchy = HierarchyKind::kTruss;
+  request.hierarchy = kind;
   request.max_return_vertices = 8;
   QueryResponse response;
   ASSERT_TRUE(client.Query(request, &response).ok());
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   ASSERT_TRUE(response.found);
-  const ElementHit densest = element_index.Densest();
-  EXPECT_EQ(response.score, densest.score);
-  EXPECT_EQ(response.level, densest.level);
-  EXPECT_EQ(response.core_size, densest.elements);
+  const TreeNodeId densest = NaiveDensestNode(element_index, 0);
+  ASSERT_NE(densest, kInvalidNode);
+  EXPECT_EQ(Bits(response.score), Bits(element_index.Density(densest)));
+  EXPECT_EQ(response.level, flat.Level(densest));
+  EXPECT_EQ(response.core_size, flat.CoreSize(densest));
   EXPECT_EQ(response.epoch, live.Epoch());
+  const QueryOutcome outcome =
+      ExecuteQuery(nullptr, &element_index, live.Epoch(), request);
+  EXPECT_EQ(outcome.node, densest);
+  EXPECT_EQ(outcome.epoch, live.Epoch());
   // The echoed vertices are the community's member graph vertices,
   // ascending and truncated to max_return_vertices.
-  ElementWorkspace ws;
+  SearchWorkspace ws;
   std::vector<VertexId> expect_vertices;
-  element_index.CommunityOf(densest.node, &ws, &expect_vertices);
+  element_index.CommunityOf(densest, &ws, &expect_vertices);
   if (expect_vertices.size() > 8) expect_vertices.resize(8);
   EXPECT_EQ(response.vertices, expect_vertices);
 
@@ -555,47 +664,62 @@ TEST(QueryServerTest, ServesElementHierarchyAlongsideCore) {
   EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.score, response.score);
 
-  // Regime 2: level-constrained densest.
-  request.k = 3;
-  ASSERT_TRUE(client.Query(request, &response).ok());
-  const ElementHit at_least = element_index.DensestAtLeast(3);
-  EXPECT_EQ(response.found, at_least.found);
-  if (response.found) {
-    EXPECT_EQ(response.score, at_least.score);
-    EXPECT_GE(response.level, 3u);
+  // Regime 2: level-constrained densest, every level and one past the top.
+  for (uint32_t k = 0; k <= max_level + 1; ++k) {
+    request.k = k;
+    ASSERT_TRUE(client.Query(request, &response).ok());
+    const TreeNodeId want = NaiveDensestNode(element_index, k);
+    ASSERT_EQ(response.found, want != kInvalidNode) << "k=" << k;
+    EXPECT_EQ(ExecuteQuery(nullptr, &element_index, 0, request).node, want);
+    if (!response.found) continue;
+    EXPECT_EQ(Bits(response.score), Bits(element_index.Density(want)));
+    EXPECT_EQ(response.level, flat.Level(want));
   }
 
-  // Regime 3: ids carry *element* (edge) ids; the answer is the community
+  // Regime 3: ids carry *element* ids; the answer is the community
   // containing them all.
   request.k = 0;
   request.vertices = {0};
   ASSERT_TRUE(client.Query(request, &response).ok());
-  const TreeNodeId node = hcd::NodeOfKCoreContaining(*flat, 0, 0);
+  const TreeNodeId node = hcd::NodeOfKCoreContaining(flat, 0, 0);
   ASSERT_NE(node, kInvalidNode);
   ASSERT_TRUE(response.found);
-  EXPECT_EQ(response.level, flat->Level(node));
-  EXPECT_EQ(response.core_size, flat->CoreSize(node));
+  EXPECT_EQ(response.level, flat.Level(node));
+  EXPECT_EQ(response.core_size, flat.CoreSize(node));
   EXPECT_EQ(response.score, element_index.Density(node));
 
   // A hostile out-of-range element id answers found = false, not a crash.
-  request.vertices = {flat->NumElements() + 1000};
+  request.vertices = {flat.NumElements() + 1000};
   ASSERT_TRUE(client.Query(request, &response).ok());
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_FALSE(response.found);
 
-  // An unserved kind (nucleus here) answers found = false and keeps the
-  // connection open for the next request.
-  request.hierarchy = HierarchyKind::kNucleus;
+  // The other element kind is unserved: found = false with the epoch set,
+  // and the connection stays open for the next request.
+  request.hierarchy = kind == HierarchyKind::kTruss ? HierarchyKind::kNucleus
+                                                    : HierarchyKind::kTruss;
   request.vertices.clear();
   ASSERT_TRUE(client.Query(request, &response).ok());
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_FALSE(response.found);
+  EXPECT_EQ(response.epoch, live.Epoch());
+  const QueryOutcome unserved =
+      ExecuteQuery(nullptr, &element_index, live.Epoch(), request);
+  EXPECT_FALSE(unserved.found);
+  EXPECT_EQ(unserved.epoch, live.Epoch());
   request.hierarchy = HierarchyKind::kCore;
   ASSERT_TRUE(client.Query(request, &response).ok());
   EXPECT_TRUE(response.found);  // core regime still answers on this socket
 
   server.Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TrussAndNucleus, ElementServingTest,
+    ::testing::Values(HierarchyKind::kTruss, HierarchyKind::kNucleus),
+    [](const ::testing::TestParamInfo<HierarchyKind>& info) {
+      return std::string(HierarchyKindName(info.param));
+    });
 
 TEST(QueryServerTest, PipelinedRequestsAnswerInOrder) {
   LiveEngine live(ErdosRenyiGnm(150, 600, 29));

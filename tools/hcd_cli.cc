@@ -70,7 +70,6 @@
 #include "graph/io.h"
 #include "hcd/export.h"
 #include "hcd/hierarchy_kind.h"
-#include "hcd/query.h"
 #include "hcd/serialize.h"
 #include "hcd/stats.h"
 #include "parallel/omp_utils.h"
@@ -973,12 +972,12 @@ int CmdInfluential(const CliArgs& args) {
 }
 
 /// query-bench for element hierarchies (truss / nucleus): builds one
-/// immutable ElementSearchIndex, then serves a mixed workload from
-/// --query-threads concurrent workers — alternating level-constrained
-/// densest scans (k cycling) with community materializations of the
-/// class containing a deterministically sampled element. Reports QPS and
-/// nearest-rank tail latency, and emits a "<kind>_query_bench_cli"
-/// baseline row.
+/// immutable ElementSearchIndex, then serves a mixed workload through
+/// ExecuteQuery from --query-threads concurrent workers — alternating
+/// level-constrained densest lookups (k cycling) with community
+/// materializations of the class containing a deterministically sampled
+/// element. Reports QPS and nearest-rank tail latency, and emits a
+/// "<kind>_query_bench_cli" baseline row.
 int CmdElementQueryBench(const CliArgs& args) {
   std::unique_ptr<HcdEngine> engine;
   Status s = HcdEngine::Load(args.pos[0], args.options, &engine);
@@ -1002,20 +1001,28 @@ int CmdElementQueryBench(const CliArgs& args) {
     pool.reserve(workers);
     for (int t = 0; t < workers; ++t) {
       pool.emplace_back([&, t] {
-        hcd::ElementWorkspace ws;
+        hcd::SearchWorkspace ws;
+        hcd::server::QueryRequest request;
+        request.hierarchy = args.options.hierarchy;
         std::vector<hcd::VertexId> community;
         for (int q = t; q < queries; q += workers) {
           hcd::Timer query_timer;
           if (q % 2 == 0 || num_elements == 0) {
-            index.DensestAtLeast(static_cast<uint32_t>(q / 2) % 8);
+            request.k = static_cast<uint32_t>(q / 2) % 8;
+            request.vertices.clear();
+            hcd::server::ExecuteQuery(nullptr, &index, 0, request);
           } else {
             // Community of the class containing a deterministically
             // sampled element (Knuth-hash spread over the element ids).
-            const hcd::VertexId element = static_cast<hcd::VertexId>(
-                (static_cast<uint64_t>(q) * 2654435761ull) % num_elements);
+            request.k = 0;
+            request.vertices.assign(
+                1, static_cast<hcd::VertexId>(
+                       (static_cast<uint64_t>(q) * 2654435761ull) %
+                       num_elements));
+            const hcd::server::QueryOutcome outcome =
+                hcd::server::ExecuteQuery(nullptr, &index, 0, request);
             community.clear();
-            index.CommunityOf(hcd::NodeOfKCoreContaining(flat, element, 0),
-                              &ws, &community);
+            index.CommunityOf(outcome.node, &ws, &community);
           }
           recorders[t].Record(query_timer.Seconds());
         }
