@@ -63,26 +63,36 @@ void DynamicCoreIndex::AdjacencyList::AssignSorted(
   }
 }
 
-std::vector<VertexId> DynamicCoreIndex::AdjacencyList::SortedCopy() const {
-  std::vector<VertexId> copy(list_.begin(), list_.end());
-  if (hashed_) std::sort(copy.begin(), copy.end());
-  return copy;
-}
-
 // ---------------------------------------------------------------------------
 // DynamicCoreIndex
 // ---------------------------------------------------------------------------
 
+DynamicCoreIndex::DynamicCoreIndex(std::shared_ptr<const Graph> base,
+                                   const CoreDecomposition& cd,
+                                   uint32_t hash_degree_threshold)
+    : base_(std::move(base)),
+      coreness_(cd.coreness),
+      hash_degree_threshold_(hash_degree_threshold) {
+  HCD_CHECK(base_ != nullptr) << "DynamicCoreIndex: null base graph";
+  HCD_CHECK_EQ(coreness_.size(), size_t{base_->NumVertices()})
+      << "DynamicCoreIndex: coreness must cover every base vertex";
+  slot_.assign(coreness_.size(), kUnedited);
+  num_edges_ = base_->NumEdges();
+  scratch_.EnsureSize(coreness_.size());
+}
+
 DynamicCoreIndex::DynamicCoreIndex(const Graph& graph,
                                    uint32_t hash_degree_threshold)
-    : adj_(graph.NumVertices()),
-      hash_degree_threshold_(hash_degree_threshold),
-      num_edges_(graph.NumEdges()) {
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    adj_[v].AssignSorted(graph.Neighbors(v), hash_degree_threshold_);
+    : DynamicCoreIndex(std::make_shared<const Graph>(graph),
+                       BzCoreDecomposition(graph), hash_degree_threshold) {}
+
+DynamicCoreIndex::AdjacencyList& DynamicCoreIndex::Materialize(VertexId v) {
+  if (slot_[v] == kUnedited) {
+    slot_[v] = static_cast<uint32_t>(edited_.size());
+    edited_.emplace_back().AssignSorted(base_->Neighbors(v),
+                                        hash_degree_threshold_);
   }
-  coreness_ = BzCoreDecomposition(graph).coreness;
-  scratch_.EnsureSize(graph.NumVertices());
+  return edited_[slot_[v]];
 }
 
 uint32_t DynamicCoreIndex::KMax() const {
@@ -93,27 +103,42 @@ uint32_t DynamicCoreIndex::KMax() const {
 
 bool DynamicCoreIndex::HasEdge(VertexId u, VertexId v) const {
   if (u >= NumVertices() || v >= NumVertices()) return false;
-  return adj_[u].Contains(v);
+  const uint32_t slot = slot_[u];
+  return slot == kUnedited ? base_->HasEdge(u, v) : edited_[slot].Contains(v);
 }
 
 Graph DynamicCoreIndex::ToGraph() const {
-  std::vector<EdgeIndex> offsets(NumVertices() + 1, 0);
-  for (VertexId v = 0; v < NumVertices(); ++v) {
-    offsets[v + 1] = offsets[v] + adj_[v].Size();
+  const VertexId n = NumVertices();
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    offsets[v + 1] = offsets[v] + Neighbors(v).size();
   }
-  std::vector<VertexId> flat;
-  flat.reserve(offsets.back());
-  for (const AdjacencyList& list : adj_) {
-    const std::vector<VertexId> sorted = list.SortedCopy();
-    flat.insert(flat.end(), sorted.begin(), sorted.end());
+  std::vector<VertexId> flat(offsets[n]);
+#pragma omp parallel for schedule(guided, 256) \
+    if (static_cast<int64_t>(n) >= kParallelGrain)
+  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
+    const VertexId v = static_cast<VertexId>(vi);
+    const std::span<const VertexId> row = Neighbors(v);
+    const auto out = flat.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+    std::copy(row.begin(), row.end(), out);
+    if (slot_[v] != kUnedited && edited_[slot_[v]].Hashed()) {
+      std::sort(out, out + static_cast<std::ptrdiff_t>(row.size()));
+    }
   }
   return Graph(std::move(offsets), std::move(flat));
 }
 
+std::shared_ptr<const Graph> DynamicCoreIndex::Commit() {
+  base_ = std::make_shared<const Graph>(ToGraph());
+  std::fill(slot_.begin(), slot_.end(), kUnedited);
+  edited_.clear();
+  return base_;
+}
+
 void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
                                       Scratch& scratch) {
-  adj_[u].Insert(v, hash_degree_threshold_);
-  adj_[v].Insert(u, hash_degree_threshold_);
+  EditedRow(u).Insert(v, hash_degree_threshold_);
+  EditedRow(v).Insert(u, hash_degree_threshold_);
 
   const uint32_t k = std::min(coreness_[u], coreness_[v]);
 
@@ -123,7 +148,7 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
   // them.
   auto mcd_above_k = [&](VertexId w) {
     uint32_t mcd = 0;
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       if (coreness_[x] >= k && ++mcd > k) return true;
     }
     return false;
@@ -141,7 +166,7 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
     VertexId w = stack.back();
     stack.pop_back();
     sub.push_back(w);
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       if (coreness_[x] == k && !scratch.in_sub[x] && mcd_above_k(x)) {
         scratch.in_sub[x] = 1;
         stack.push_back(x);
@@ -154,7 +179,7 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
   // and cannot support level k+1).
   for (VertexId w : sub) {
     uint32_t cd = 0;
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       cd += coreness_[x] > k || scratch.in_sub[x];
     }
     scratch.cd[w] = cd;
@@ -168,7 +193,7 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
     stack.pop_back();
     if (!scratch.in_sub[w]) continue;
     scratch.in_sub[w] = 0;  // peeled out of the candidate set
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       if (scratch.in_sub[x] && scratch.cd[x]-- == k + 1) stack.push_back(x);
     }
   }
@@ -182,8 +207,8 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
 
 void DynamicCoreIndex::RemoveEdgeImpl(VertexId u, VertexId v,
                                       Scratch& scratch) {
-  adj_[u].Erase(v);
-  adj_[v].Erase(u);
+  EditedRow(u).Erase(v);
+  EditedRow(v).Erase(u);
 
   const uint32_t k = std::min(coreness_[u], coreness_[v]);
   if (k == 0) return;
@@ -203,7 +228,7 @@ void DynamicCoreIndex::RemoveEdgeImpl(VertexId u, VertexId v,
     VertexId w = stack.back();
     stack.pop_back();
     sub.push_back(w);
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       if (coreness_[x] == k && !scratch.in_sub[x]) {
         scratch.in_sub[x] = 1;
         stack.push_back(x);
@@ -214,7 +239,7 @@ void DynamicCoreIndex::RemoveEdgeImpl(VertexId u, VertexId v,
   // Support at level k: neighbors of coreness >= k.
   for (VertexId w : sub) {
     uint32_t cd = 0;
-    for (VertexId x : adj_[w].Neighbors()) cd += coreness_[x] >= k;
+    for (VertexId x : Neighbors(w)) cd += coreness_[x] >= k;
     scratch.cd[w] = cd;
   }
   for (VertexId w : sub) {
@@ -226,7 +251,7 @@ void DynamicCoreIndex::RemoveEdgeImpl(VertexId u, VertexId v,
     if (!scratch.in_sub[w]) continue;
     scratch.in_sub[w] = 0;
     coreness_[w] = k - 1;
-    for (VertexId x : adj_[w].Neighbors()) {
+    for (VertexId x : Neighbors(w)) {
       // x loses w's support at level k whether x is in the subcore or has
       // higher coreness; only subcore members track cd.
       if (scratch.in_sub[x] && scratch.cd[x]-- == k) stack.push_back(x);
@@ -242,6 +267,8 @@ Status DynamicCoreIndex::InsertEdge(VertexId u, VertexId v) {
   if (u == v) return Status::InvalidArgument("self-loop");
   if (HasEdge(u, v)) return Status::InvalidArgument("edge already present");
   scratch_.EnsureSize(NumVertices());
+  Materialize(u);
+  Materialize(v);
   InsertEdgeImpl(u, v, scratch_);
   ++num_edges_;
   return Status::Ok();
@@ -252,6 +279,8 @@ Status DynamicCoreIndex::RemoveEdge(VertexId u, VertexId v) {
     return Status::NotFound("edge not present");
   }
   scratch_.EnsureSize(NumVertices());
+  Materialize(u);
+  Materialize(v);
   RemoveEdgeImpl(u, v, scratch_);
   --num_edges_;
   return Status::Ok();
@@ -321,6 +350,14 @@ Status DynamicCoreIndex::ApplyBatch(std::span<const EdgeUpdate> updates,
   }
   st.applied = pending.size();
   st.deduped = toggles - pending.size();
+
+  // Every row the batch writes belongs to an endpoint: materialise them
+  // all now, serially, so no round below ever grows `edited_` or writes
+  // `slot_` while clusters read them concurrently.
+  for (const NetUpdate& nu : pending) {
+    Materialize(nu.u);
+    Materialize(nu.v);
+  }
 
   std::vector<uint32_t> before;
   if (stats != nullptr) before = coreness_;
@@ -406,7 +443,7 @@ Status DynamicCoreIndex::ApplyBatch(std::span<const EdgeUpdate> updates,
           while (!bfs.empty()) {
             const VertexId w = bfs.back();
             bfs.pop_back();
-            for (VertexId x : adj_[w].Neighbors()) {
+            for (VertexId x : Neighbors(w)) {
               if (coreness_[x] == kmin && claim(x, p)) bfs.push_back(x);
             }
           }

@@ -2,11 +2,13 @@
 #define HCD_CORE_DYNAMIC_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
@@ -82,22 +84,41 @@ struct ApplyBatchOptions {
 /// root coreness drifts off K mid-round (an earlier cluster member moved
 /// an endpoint) is deferred to a later round rather than applied.
 ///
-/// Adjacency is kept sorted per vertex for binary-search membership until
-/// a vertex's degree crosses `hash_degree_threshold`; beyond that the
-/// vertex flips to a hashed index over an unordered list, making
-/// HasEdge / insert / erase O(1) instead of O(degree) on hubs. ToGraph
-/// re-sorts, so the CSR invariants are unaffected.
+/// Storage is an edit layer over an immutable CSR base, shared (not
+/// copied) with whoever published it, plus a dense per-vertex slot table.
+/// A vertex's row is read straight from the base until the first update
+/// that touches it materialises a private AdjacencyList copy; only batch
+/// endpoints are ever written, so a batch of b edges owns at most 2b rows.
+/// An edited row is kept sorted for binary-search membership until its
+/// degree crosses `hash_degree_threshold`; beyond that it flips to a
+/// hashed index over an unordered list, making HasEdge / insert / erase
+/// O(1) instead of O(degree) on hubs. ToGraph re-sorts, so the CSR
+/// invariants are unaffected. ApplyBatch materialises every endpoint of
+/// the net batch serially before the first round, so the slot table is
+/// read-only while clusters run concurrently and each cluster writes only
+/// the rows of its own endpoints. Commit publishes the edited graph as the
+/// next base and drops every edited row.
 class DynamicCoreIndex {
  public:
   static constexpr uint32_t kDefaultHashDegreeThreshold = 128;
 
-  /// Copies the graph into a mutable adjacency structure and computes the
-  /// initial decomposition with BZ.
+  /// Serves `base` with its known decomposition `cd`: shares the CSR and
+  /// copies only the coreness array, so no row is copied and no peeling
+  /// runs. `cd.coreness` must cover exactly the base's vertices
+  /// (CHECK-fails otherwise) and must be the base's true coreness.
+  DynamicCoreIndex(
+      std::shared_ptr<const Graph> base, const CoreDecomposition& cd,
+      uint32_t hash_degree_threshold = kDefaultHashDegreeThreshold);
+
+  /// Convenience for callers without a shared graph or a decomposition:
+  /// copies the CSR into a private base and computes coreness with BZ.
   explicit DynamicCoreIndex(
       const Graph& graph,
       uint32_t hash_degree_threshold = kDefaultHashDegreeThreshold);
 
-  VertexId NumVertices() const { return static_cast<VertexId>(adj_.size()); }
+  VertexId NumVertices() const {
+    return static_cast<VertexId>(coreness_.size());
+  }
   EdgeIndex NumEdges() const { return num_edges_; }
 
   /// Current coreness of v.
@@ -111,6 +132,9 @@ class DynamicCoreIndex {
   uint32_t KMax() const;
 
   bool HasEdge(VertexId u, VertexId v) const;
+
+  /// Rows materialised since construction or the last Commit.
+  size_t EditedRows() const { return edited_.size(); }
 
   /// Inserts edge {u,v} and updates corenesses. InvalidArgument on
   /// self-loops, out-of-range ids, or existing edges.
@@ -132,9 +156,15 @@ class DynamicCoreIndex {
                     const ApplyBatchOptions& options = {});
 
   /// Materializes the current graph as an immutable CSR Graph (e.g. to
-  /// rebuild the HCD with PhcdBuild after a batch of updates). Adjacency
-  /// lists are emitted sorted regardless of the hashed representation.
+  /// rebuild the HCD with PhcdBuild after a batch of updates). Unedited
+  /// rows are copied straight from the base, in parallel; edited rows are
+  /// emitted sorted regardless of the hashed representation.
   Graph ToGraph() const;
+
+  /// ToGraph, then rebase onto the result and drop every edited row, in
+  /// one step so the base can never drift from the edits. Returns the new
+  /// base, ready to be published: the caller and the index share it.
+  std::shared_ptr<const Graph> Commit();
 
  private:
   /// Per-vertex adjacency: a sorted vector until the degree crosses the
@@ -150,7 +180,7 @@ class DynamicCoreIndex {
     void Erase(VertexId v);                            ///< v must be present
     void AssignSorted(std::span<const VertexId> sorted_neighbors,
                       uint32_t hash_threshold);
-    std::vector<VertexId> SortedCopy() const;
+    bool Hashed() const { return hashed_; }
 
    private:
     std::vector<VertexId> list_;
@@ -177,7 +207,28 @@ class DynamicCoreIndex {
   void InsertEdgeImpl(VertexId u, VertexId v, Scratch& scratch);
   void RemoveEdgeImpl(VertexId u, VertexId v, Scratch& scratch);
 
-  std::vector<AdjacencyList> adj_;
+  static constexpr uint32_t kUnedited = ~uint32_t{0};
+
+  /// Current neighbors of v: its edited row if it has one, else the base
+  /// row.
+  std::span<const VertexId> Neighbors(VertexId v) const {
+    const uint32_t slot = slot_[v];
+    return slot == kUnedited ? base_->Neighbors(v) : edited_[slot].Neighbors();
+  }
+
+  /// v's edited row, copied from the base on first use. Serial only: it
+  /// may grow `edited_` and write `slot_`, which the parallel rounds read.
+  AdjacencyList& Materialize(VertexId v);
+
+  /// v's edited row; v must already be materialised.
+  AdjacencyList& EditedRow(VertexId v) {
+    HCD_DCHECK(slot_[v] != kUnedited);
+    return edited_[slot_[v]];
+  }
+
+  std::shared_ptr<const Graph> base_;
+  std::vector<uint32_t> slot_;  ///< index into edited_, or kUnedited
+  std::vector<AdjacencyList> edited_;
   std::vector<uint32_t> coreness_;
   uint32_t hash_degree_threshold_;
   EdgeIndex num_edges_ = 0;

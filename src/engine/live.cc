@@ -26,9 +26,10 @@ std::shared_ptr<const SnapshotState> BuildInitialState(
 LiveEngine::LiveEngine(Graph graph, LiveEngineOptions options)
     : options_(options),
       manager_(BuildInitialState(std::move(graph), options)),
-      // The state owns the (moved) graph now; the dynamic index copies its
-      // adjacency into the mutable representation.
-      dynamic_(manager_.Current()->graph(), options.hash_degree_threshold) {}
+      // The state owns the (moved) graph and its coreness now; the dynamic
+      // index shares the one and copies the other, so nothing is re-peeled.
+      dynamic_(manager_.Current()->shared_graph(),
+               manager_.Current()->coreness(), options.hash_degree_threshold) {}
 
 Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
                               BatchApplyReport* report) {
@@ -68,7 +69,13 @@ Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
   std::shared_ptr<const FlatHcdIndex> new_flat;
   {
     ScopedSpan refreeze_span("live.refreeze");
-    new_graph = std::make_shared<const Graph>(dynamic_.ToGraph());
+    {
+      ScopedSpan to_graph_span("live.to_graph");
+      to_graph_span.AddArg("vertices", dynamic_.NumVertices());
+      to_graph_span.AddArg("edited_rows", dynamic_.EditedRows());
+      // The published graph becomes the dynamic index's next base.
+      new_graph = dynamic_.Commit();
+    }
     CoreDecomposition cd;
     cd.coreness = dynamic_.CorenessValues();
     cd.k_max = dynamic_.KMax();

@@ -105,8 +105,9 @@ struct LiveEngineOptions {
   EngineOptions engine;
   /// Optional prebuilt core flat index (loaded or mmapped from a snapshot)
   /// adopted into the initial build, skipping hierarchy construction: the
-  /// engine still computes coreness over the graph, but the forest build +
-  /// freeze are replaced by the snapshot. Must be kCore and cover exactly
+  /// engine still computes coreness over the graph (once: the dynamic
+  /// index reuses it and shares the graph), but the forest build + freeze
+  /// are replaced by the snapshot. Must be kCore and cover exactly
   /// the graph's vertices (checked; mismatches abort the constructor). A
   /// mapped index keeps its snapshot file mapped for as long as the initial
   /// generation is referenced; later batches re-freeze into owned storage.
@@ -114,7 +115,9 @@ struct LiveEngineOptions {
   /// Dirty-vertex fraction above which a batch re-freezes the whole
   /// hierarchy instead of splicing (see RebuildOptions).
   double full_rebuild_threshold = 0.25;
-  /// Degree at which DynamicCoreIndex adjacency flips to hashed.
+  /// Degree above which a row the batch writes is hashed when the
+  /// DynamicCoreIndex materialises it (or flips once it grows past it).
+  /// Unedited rows stay in the shared CSR and are never hashed.
   uint32_t hash_degree_threshold = DynamicCoreIndex::kDefaultHashDegreeThreshold;
   /// Run the parallel batch schedule (false: one-by-one fallback).
   bool parallel_batches = true;
@@ -145,7 +148,7 @@ struct BatchApplyReport {
 /// publishes the new generation with an incremented epoch.
 ///
 /// Observability: spans "live.apply_batch" > "live.apply" /
-/// "live.refreeze" / "live.publish" per batch; with a MetricsRegistry
+/// "live.refreeze" (> "live.to_graph") / "live.publish" per batch; with a MetricsRegistry
 /// installed, gauge `hcd_snapshot_epoch`, histogram
 /// `hcd_batch_apply_seconds` and counter `hcd_subcores_touched_total`.
 class LiveEngine {
@@ -167,7 +170,8 @@ class LiveEngine {
 
   /// Writer-side view of the maintained graph + coreness. Not synchronized
   /// with ApplyBatch — only meaningful from the (one) writer thread
-  /// between batches.
+  /// between batches, when its base is the published generation's graph
+  /// and it holds no edited rows.
   const DynamicCoreIndex& dynamic() const { return dynamic_; }
 
   /// Applies one batch end to end: coreness maintenance, incremental

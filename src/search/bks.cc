@@ -140,6 +140,7 @@ std::vector<PrimaryValues> BksTypeBPrimary(const Graph& graph,
   std::vector<uint8_t> mark(n, 0);
   for (VertexId v = 0; v < n; ++v) {
     const auto nv = graph.Neighbors(v);
+    t.n_s[hcd_index.Tid(v)] += 1;  // triangle density divides by n(S)
 
     // Triangles, attributed to the lowest-rank corner.
     for (VertexId u : nv) mark[u] = 1;

@@ -246,6 +246,8 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
     const Graph& graph, const CoreDecomposition& cd, const FlatHcdIndex& index,
     const VertexRank& vr, const CorenessNeighborCounts& pre) {
   NodeTallies t(index.NumNodes());
+  // n(S) rides along: triangle density divides by the vertex triples.
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) ++t.n_s[index.Tid(v)];
   TypeBTallies b = CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
                                      index.NumNodes());
   t.triangles = std::move(b.triangles);

@@ -66,7 +66,7 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
 
 /// Type-B primary values of every k-core (Algorithm 5): CountTypeBTallies
 /// keyed by tree node, then parallel bottom-up accumulation. Entry i holds
-/// Delta(S) and t(S) of node i's original k-core.
+/// n(S), Delta(S) and t(S) of node i's original k-core.
 std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const CoreDecomposition& cd,
                                             const FlatHcdIndex& index,

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/random.h"
+#include "core/core_decomposition.h"
 #include "core/dynamic.h"
 #include "core/naive.h"
 #include "graph/builder.h"
@@ -201,6 +203,83 @@ TEST(DynamicBatch, MatchesBzOnRandomGraphs) {
           DynamicCoreIndex::kDefaultHashDegreeThreshold);
     }
   }
+}
+
+void ExpectSameCsr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.NumVertices(), want.NumVertices());
+  for (VertexId v = 0; v <= got.NumVertices(); ++v) {
+    ASSERT_EQ(got.AdjOffset(v), want.AdjOffset(v)) << "offset " << v;
+  }
+  ASSERT_TRUE(std::ranges::equal(got.AdjArray(), want.AdjArray()));
+}
+
+/// An index that shares its CSR and is handed the coreness must walk
+/// through exactly the states of one that copied the graph and ran BZ,
+/// and must never write the CSR it shares. Threshold 8 hashes every edited
+/// hub; every other round commits, so batches land both on a layer of
+/// edits and on a freshly rebased CSR.
+void ExpectSharedBaseMatchesBz(bool parallel) {
+  constexpr uint32_t kHashThreshold = 8;
+  ApplyBatchOptions options;
+  options.parallel = parallel;
+  for (uint64_t seed : testing::SweepSeeds()) {
+    SCOPED_TRACE(seed);
+    const auto base = std::make_shared<const Graph>(
+        BarabasiAlbertVarying(200, 2, 10, seed));
+    const Graph before = *base;
+    DynamicCoreIndex shared(base, PkcCoreDecomposition(*base),
+                            kHashThreshold);
+    DynamicCoreIndex reference(*base, kHashThreshold);
+    EXPECT_EQ(shared.EditedRows(), 0u);
+    Rng rng(seed * 31 + 5);
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE(round);
+      const std::vector<EdgeUpdate> batch =
+          RandomBatch(reference, rng, 40, /*adversarial_mix=*/true);
+      ASSERT_TRUE(shared.ApplyBatch(batch, nullptr, options).ok());
+      ASSERT_TRUE(reference.ApplyBatch(batch, nullptr, options).ok());
+      const Graph now = reference.ToGraph();
+      ASSERT_EQ(shared.CorenessValues(), reference.CorenessValues());
+      ASSERT_EQ(shared.CorenessValues(), BzCoreDecomposition(now).coreness);
+      ASSERT_EQ(shared.NumEdges(), reference.NumEdges());
+      ExpectSameCsr(shared.ToGraph(), now);
+      if (round % 2 == 1) {
+        const std::shared_ptr<const Graph> next = shared.Commit();
+        EXPECT_EQ(shared.EditedRows(), 0u);
+        ExpectSameCsr(*next, now);
+      }
+    }
+    ExpectSameCsr(*base, before);
+  }
+}
+
+TEST(DynamicSharedBase, MatchesBzParallel) { ExpectSharedBaseMatchesBz(true); }
+
+TEST(DynamicSharedBase, MatchesBzSequential) {
+  ExpectSharedBaseMatchesBz(false);
+}
+
+TEST(DynamicSharedBase, SingleUpdatesEditOnlyTheirEndpoints) {
+  const auto base = std::make_shared<const Graph>(PathGraph(6));
+  DynamicCoreIndex index(base, BzCoreDecomposition(*base));
+  ASSERT_TRUE(index.InsertEdge(0, 2).ok());
+  EXPECT_EQ(index.EditedRows(), 2u);
+  ASSERT_TRUE(index.RemoveEdge(2, 3).ok());
+  EXPECT_EQ(index.EditedRows(), 3u);  // 2 was already edited
+  EXPECT_TRUE(index.HasEdge(2, 0));
+  EXPECT_FALSE(index.HasEdge(3, 2));
+  EXPECT_TRUE(index.HasEdge(4, 5));  // unedited rows read the base
+  ExpectMatchesRecompute(index);
+  EXPECT_TRUE(base->HasEdge(2, 3));
+}
+
+TEST(DynamicSharedBaseDeathTest, RejectsCorenessOfWrongLength) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto base = std::make_shared<const Graph>(PathGraph(4));
+  CoreDecomposition cd = BzCoreDecomposition(*base);
+  cd.coreness.pop_back();
+  EXPECT_DEATH(DynamicCoreIndex(base, cd),
+               "coreness must cover every base vertex");
 }
 
 TEST(DynamicBatch, SequentialBatchesKeepMatchingBz) {

@@ -85,6 +85,29 @@ TEST(LiveEngine, ServesExactlyWhatAFreshBuildWould) {
   }
 }
 
+// The writer-side index serves the published generation itself: after
+// every publish it holds no edits, its coreness is the generation's, and
+// its graph is the generation's graph.
+TEST(LiveEngine, DynamicIndexTracksThePublishedGeneration) {
+  LiveEngineOptions options;
+  options.hash_degree_threshold = 8;  // hash the edited hubs too
+  LiveEngine live(BarabasiAlbertVarying(300, 2, 12, 51), options);
+  ASSERT_EQ(live.dynamic().CorenessValues(),
+            live.Snapshot().coreness().coreness);
+  Rng rng(52);
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(
+        live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 20), nullptr).ok());
+    const QuerySnapshot snap = live.Snapshot();
+    ASSERT_EQ(snap.epoch(), static_cast<uint64_t>(round) + 1);
+    ASSERT_EQ(live.dynamic().CorenessValues(), snap.coreness().coreness);
+    EXPECT_EQ(live.dynamic().KMax(), snap.coreness().k_max);
+    EXPECT_EQ(live.dynamic().EditedRows(), 0u);
+    EXPECT_EQ(live.dynamic().NumEdges(), snap.graph().NumEdges());
+    EXPECT_EQ(live.dynamic().ToGraph().Edges(), snap.graph().Edges());
+  }
+}
+
 TEST(LiveEngine, OldSnapshotsSurviveSwapsAndEngineDeath) {
   auto live = std::make_unique<LiveEngine>(ErdosRenyiGnm(120, 400, 21));
   const QuerySnapshot old_snap = live->Snapshot();
@@ -140,6 +163,10 @@ TEST(LiveEngine, ConcurrentReadersAcrossHotSwaps) {
   Rng rng(32);
   uint64_t published = 0;
   while (published < 4) {  // >= 3 hot-swaps under active readers
+    // Let the readers get a query in between publishes, so the swaps
+    // really overlap reads even when the writer outruns thread start-up.
+    const uint64_t reads_before = reads.load();
+    while (reads.load() == reads_before) std::this_thread::yield();
     BatchApplyReport report;
     ASSERT_TRUE(
         live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 25), &report).ok());

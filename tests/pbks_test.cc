@@ -38,6 +38,7 @@ void ExpectPrimaryEqual(const std::vector<PrimaryValues>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE("node " + std::to_string(i));
     if (type_b) {
+      EXPECT_EQ(got[i].n_s, want[i].n_s);
       EXPECT_EQ(got[i].triangles, want[i].triangles);
       EXPECT_EQ(got[i].triplets, want[i].triplets);
     } else {
@@ -89,6 +90,26 @@ TEST_P(PbksSuite, PbksAndBksAgreeOnEveryMetric) {
       EXPECT_NEAR(pbks.scores[i], bks.scores[i], 1e-9) << "node " << i;
     }
     EXPECT_NEAR(pbks.best_score, bks.best_score, 1e-9);
+  }
+}
+
+// Triangle density divides Delta(S) by the C(n(S), 3) vertex triples, so
+// it is the one type-B score that also needs n(S) in the type-B table.
+TEST_P(PbksSuite, TriangleDensityMatchesBruteForce) {
+  Pipeline p = Build(GetParam().graph);
+  const GraphGlobals globals{p.graph.NumVertices(), p.graph.NumEdges()};
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  const SearchResult pbks =
+      PbksSearch(p.graph, p.cd, p.flat, Metric::kTriangleDensity);
+  const SearchResult bks =
+      BksSearch(p.graph, p.cd, p.flat, Metric::kTriangleDensity);
+  ASSERT_EQ(pbks.scores.size(), want.size());
+  ASSERT_EQ(bks.scores.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const double expect =
+        EvaluateMetric(Metric::kTriangleDensity, want[i], globals);
+    EXPECT_EQ(pbks.scores[i], expect) << "node " << i;
+    EXPECT_EQ(bks.scores[i], expect) << "node " << i;
   }
 }
 
