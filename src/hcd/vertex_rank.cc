@@ -1,5 +1,9 @@
 #include "hcd/vertex_rank.h"
 
+#include <array>
+#include <bit>
+#include <span>
+
 #include "common/check.h"
 #include "parallel/omp_utils.h"
 
@@ -56,6 +60,45 @@ VertexRank ComputeVertexRank(const CoreDecomposition& cd) {
       VertexId pos = my_offsets[cd.coreness[v]]++;
       vr.sorted[pos] = v;
       vr.rank[v] = pos;
+    }
+  }
+  return vr;
+}
+
+VertexRank ComputeOrientationRank(const Graph& graph,
+                                  const CoreDecomposition& cd) {
+  HCD_CHECK_EQ(graph.NumVertices(), cd.coreness.size());
+  VertexRank vr = ComputeVertexRank(cd);
+  // std::bit_width of a 32-bit degree: 0 (isolated) through 32.
+  constexpr size_t kDegreeClasses = 33;
+  const int64_t num_shells = static_cast<int64_t>(vr.shell_start.size()) - 1;
+  // A shell slice of `sorted` is in id order, so a stable counting sort by
+  // degree class keeps ids ascending inside each class. The sort writes
+  // only `rank`; `sorted` is rewritten from it once every slice is read.
+#pragma omp parallel
+  {
+    std::array<VertexId, kDegreeClasses> next;
+#pragma omp for schedule(dynamic, 1)
+    for (int64_t k = 0; k < num_shells; ++k) {
+      const std::span<const VertexId> shell =
+          vr.Shell(static_cast<uint32_t>(k));
+      next.fill(0);
+      for (VertexId v : shell) ++next[std::bit_width(graph.Degree(v))];
+      VertexId running = vr.shell_start[k];
+      for (VertexId& slot : next) {
+        const VertexId count = slot;
+        slot = running;
+        running += count;
+      }
+      for (VertexId v : shell) {
+        vr.rank[v] = next[std::bit_width(graph.Degree(v))]++;
+      }
+    }
+    // (implicit barrier)
+#pragma omp for schedule(static)
+    for (int64_t vi = 0; vi < static_cast<int64_t>(vr.rank.size()); ++vi) {
+      const VertexId v = static_cast<VertexId>(vi);
+      vr.sorted[vr.rank[v]] = v;
     }
   }
   return vr;

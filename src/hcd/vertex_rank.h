@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/core_decomposition.h"
+#include "graph/graph.h"
 #include "graph/types.h"
 
 namespace hcd {
@@ -31,6 +32,19 @@ struct VertexRank {
 /// Computes the vertex rank in parallel (Algorithm 1): a stable counting
 /// sort by coreness with per-thread shell bins. O(n) work.
 VertexRank ComputeVertexRank(const CoreDecomposition& cd);
+
+/// A coreness-major order for orienting edges: ascending coreness, then,
+/// inside a shell, ascending degree class std::bit_width(degree), then
+/// ascending id. `shell_start` equals ComputeVertexRank's. Orienting every
+/// edge towards the higher rank bounds a vertex's same-shell out-degree by
+/// the number of vertices of at least half its degree, O(sqrt(m)), where
+/// the id tie-break of Definition 4 leaves it unbounded (DESIGN.md §14).
+/// Built as ComputeVertexRank, then each shell slice is refined by a
+/// stable counting sort over 33 degree classes; a shell is refined whole
+/// by one thread, so the buckets are 33 per thread and the sort needs no
+/// array beyond the result. O(n) work.
+VertexRank ComputeOrientationRank(const Graph& graph,
+                                  const CoreDecomposition& cd);
 
 }  // namespace hcd
 

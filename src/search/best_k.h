@@ -23,7 +23,8 @@ struct BestKResult {
 
 /// Computes the primary values of every k-core set with the PBKS paradigm —
 /// vertex-centric contributions keyed by coreness level instead of tree
-/// node (type-B through PBKS's own CountTypeBTallies pass), followed by a
+/// node (PBKS's own CountTypeATallies and CountTypeBTallies passes, over
+/// the orientation rank of vertex_rank.h), followed by a
 /// suffix sum over descending k — and scores them with `metric`. Parallel;
 /// O(n) work for type-A metrics and O(m^1.5) for type-B, after O(m)
 /// preprocessing.

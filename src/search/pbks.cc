@@ -76,41 +76,49 @@ std::vector<PrimaryValues> ToPrimaryValues(const NodeTallies& t) {
 
 inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
 
-/// The graph with every edge oriented from its lower-rank to its higher-rank
-/// endpoint (vertex rank, Definition 4): Out(v) is N+(v), the neighbours
-/// ranked above v. m entries in all, since each edge is kept once.
+/// Unaccumulated n(S): the length of each slot's run, read off its offsets
+/// (a tree node's own vertices are one run of the preorder vertex array).
+std::vector<int64_t> RunLengths(std::span<const uint32_t> offsets) {
+  std::vector<int64_t> out(offsets.size() - 1);
+  for (size_t s = 0; s < out.size(); ++s) out[s] = offsets[s + 1] - offsets[s];
+  return out;
+}
+
+/// The graph relabelled by rank, with every edge oriented from its
+/// lower-rank to its higher-rank endpoint: row r is the vertex of rank r,
+/// and Out(r) is N+ of that vertex, as rank positions (all above r). m
+/// entries in all, since each edge is kept once.
 struct OrientedAdjacency {
   std::vector<EdgeIndex> offset;  // n + 1
   std::vector<VertexId> target;   // m
 
-  std::span<const VertexId> Out(VertexId v) const {
-    return {target.data() + offset[v],
-            static_cast<size_t>(offset[v + 1] - offset[v])};
+  std::span<const VertexId> Out(VertexId r) const {
+    return {target.data() + offset[r],
+            static_cast<size_t>(offset[r + 1] - offset[r])};
   }
 };
 
 /// Builds the rank-oriented CSR in two parallel passes over the adjacency:
-/// count each vertex's out-degree, prefix-sum, then fill.
-OrientedAdjacency OrientByRank(const Graph& graph,
-                               const std::vector<VertexId>& rank) {
+/// count each row's out-degree, prefix-sum, then fill.
+OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
   const VertexId n = graph.NumVertices();
   OrientedAdjacency out;
   out.offset.assign(static_cast<size_t>(n) + 1, 0);
 #pragma omp parallel for schedule(guided, 256)
-  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-    const VertexId v = static_cast<VertexId>(vi);
+  for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
+    const VertexId r = static_cast<VertexId>(ri);
     EdgeIndex d = 0;
-    for (VertexId u : graph.Neighbors(v)) d += rank[u] > rank[v];
-    out.offset[v + 1] = d;
+    for (VertexId u : graph.Neighbors(vr.sorted[r])) d += vr.rank[u] > r;
+    out.offset[r + 1] = d;
   }
-  for (VertexId v = 0; v < n; ++v) out.offset[v + 1] += out.offset[v];
+  for (VertexId r = 0; r < n; ++r) out.offset[r + 1] += out.offset[r];
   out.target.resize(out.offset[n]);
 #pragma omp parallel for schedule(guided, 256)
-  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    EdgeIndex pos = out.offset[v];
-    for (VertexId u : graph.Neighbors(v)) {
-      if (rank[u] > rank[v]) out.target[pos++] = u;
+  for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
+    const VertexId r = static_cast<VertexId>(ri);
+    EdgeIndex pos = out.offset[r];
+    for (VertexId u : graph.Neighbors(vr.sorted[r])) {
+      if (vr.rank[u] > r) out.target[pos++] = vr.rank[u];
     }
   }
   return out;
@@ -118,31 +126,77 @@ OrientedAdjacency OrientByRank(const Graph& graph,
 
 }  // namespace
 
-std::vector<PrimaryValues> PbksTypeAPrimary(
-    const Graph& graph, const CoreDecomposition& /*cd*/,
-    const FlatHcdIndex& index, const CorenessNeighborCounts& pre) {
-  const VertexId n = graph.NumVertices();
-  NodeTallies t(index.NumNodes());
+TypeATallies CountTypeATallies(const Graph& graph,
+                               const CorenessNeighborCounts& pre,
+                               std::span<const VertexId> order,
+                               std::span<const uint32_t> slot_offsets) {
+  HCD_CHECK(!slot_offsets.empty());
+  HCD_CHECK_EQ(slot_offsets.back(), order.size());
+  const size_t num_slots = slot_offsets.size() - 1;
+  TypeATallies t;
+  t.n_s = RunLengths(slot_offsets);
+  t.edges2.assign(num_slots, 0);
+  t.boundary.assign(num_slots, 0);
 
   // Algorithm 4 lines 2-9: per-vertex contributions. Each vertex counts the
   // edges whose lowest-rank endpoint it is: all edges to greater coreness,
   // and half of the equal-coreness edges (each such edge is charged by both
-  // endpoints, hence the doubled-edge bookkeeping).
-#pragma omp parallel for schedule(static)
-  for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    const int64_t gt = pre.greater[v];
-    const int64_t eq = pre.equal[v];
-    const int64_t lt = static_cast<int64_t>(graph.Degree(v)) - gt - eq;
-    const TreeNodeId i = index.Tid(v);
+  // endpoints, hence the doubled-edge bookkeeping). One chunk of `order`
+  // per thread; a run of one slot sums in registers and is flushed once,
+  // so a slot spanning several chunks takes one atomic add per chunk.
+  const int64_t size = static_cast<int64_t>(order.size());
+  const int64_t chunks = MaxThreads();
+#pragma omp parallel for schedule(static, 1)
+  for (int64_t c = 0; c < chunks; ++c) {
+    const int64_t begin = size * c / chunks;
+    const int64_t end = size * (c + 1) / chunks;
+    if (begin == end) continue;
+    // The last slot starting at or before `begin` owns it (empty slots
+    // share their successor's offset).
+    size_t s = static_cast<size_t>(
+        std::upper_bound(slot_offsets.begin(), slot_offsets.end(),
+                         static_cast<uint32_t>(begin)) -
+        slot_offsets.begin() - 1);
+    int64_t edges2 = 0;
+    int64_t boundary = 0;
+    const auto flush = [&] {
+      if (edges2 != 0) {
 #pragma omp atomic
-    t.n_s[i] += 1;
+        t.edges2[s] += edges2;
+      }
+      if (boundary != 0) {
 #pragma omp atomic
-    t.edges2[i] += 2 * gt + eq;
-#pragma omp atomic
-    t.boundary[i] += lt - gt;
+        t.boundary[s] += boundary;
+      }
+      edges2 = 0;
+      boundary = 0;
+    };
+    for (int64_t pos = begin; pos < end; ++pos) {
+      while (slot_offsets[s + 1] <= pos) {
+        flush();
+        ++s;
+      }
+      const VertexId v = order[pos];
+      const int64_t gt = pre.greater[v];
+      const int64_t eq = pre.equal[v];
+      const int64_t lt = static_cast<int64_t>(graph.Degree(v)) - gt - eq;
+      edges2 += 2 * gt + eq;
+      boundary += lt - gt;
+    }
+    flush();
   }
+  return t;
+}
 
+std::vector<PrimaryValues> PbksTypeAPrimary(
+    const Graph& graph, const CoreDecomposition& /*cd*/,
+    const FlatHcdIndex& index, const CorenessNeighborCounts& pre) {
+  NodeTallies t(index.NumNodes());
+  TypeATallies a = CountTypeATallies(graph, pre, index.data().vertices,
+                                     index.data().vertex_offsets);
+  t.n_s = std::move(a.n_s);
+  t.edges2 = std::move(a.edges2);
+  t.boundary = std::move(a.boundary);
   AccumulateUp(index, &t);
   return ToPrimaryValues(t);
 }
@@ -163,10 +217,11 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
   // v < u < w (by rank) has the out-edges v->u, v->w and u->w: v's pass
   // marks u and w and finds w in N+(u). Neither u nor w has v as an
   // out-neighbour, so no other pass sees it. The oriented CSR lives for
-  // this block only.
+  // this block only. Its rows are in rank order and row r reads only rows
+  // above r, so the part of the CSR the threads touch shrinks as r grows.
   {
     ScopedSpan span("pbks.triangles");
-    const OrientedAdjacency out = OrientByRank(graph, vr.rank);
+    const OrientedAdjacency out = OrientByRank(graph, vr);
     uint64_t wedge_checks = 0;
     uint64_t max_out_degree = 0;
 #pragma omp parallel reduction(+ : wedge_checks) \
@@ -174,9 +229,9 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
     {
       std::vector<uint8_t> mark(n, 0);
 #pragma omp for schedule(dynamic, 16)
-      for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const auto nv = out.Out(v);
+      for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
+        const VertexId r = static_cast<VertexId>(ri);
+        const auto nv = out.Out(r);
         max_out_degree = std::max<uint64_t>(max_out_degree, nv.size());
         for (VertexId u : nv) mark[u] = 1;
         int64_t count = 0;
@@ -188,7 +243,7 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
         for (VertexId u : nv) mark[u] = 0;
         if (count != 0) {
 #pragma omp atomic
-          t.triangles[slot[v]] += count;
+          t.triangles[slot[vr.sorted[r]]] += count;
         }
       }
     }
@@ -247,7 +302,7 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
     const VertexRank& vr, const CorenessNeighborCounts& pre) {
   NodeTallies t(index.NumNodes());
   // n(S) rides along: triangle density divides by the vertex triples.
-  for (VertexId v = 0; v < graph.NumVertices(); ++v) ++t.n_s[index.Tid(v)];
+  t.n_s = RunLengths(index.data().vertex_offsets);
   TypeBTallies b = CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
                                      index.NumNodes());
   t.triangles = std::move(b.triangles);
@@ -280,7 +335,7 @@ SearchResult PbksSearch(const Graph& graph, const CoreDecomposition& cd,
   const CorenessNeighborCounts pre = PreprocessCorenessCounts(graph, cd);
   const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
   if (IsTypeB(metric)) {
-    const VertexRank vr = ComputeVertexRank(cd);
+    const VertexRank vr = ComputeOrientationRank(graph, cd);
     return ScoreNodes(index, metric,
                       PbksTypeBPrimary(graph, cd, index, vr, pre), globals);
   }

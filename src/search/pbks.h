@@ -24,10 +24,31 @@ struct SearchResult {
   std::vector<double> scores;
 };
 
+/// Unaccumulated type-A tallies, one entry per slot.
+struct TypeATallies {
+  std::vector<int64_t> n_s;
+  std::vector<int64_t> edges2;
+  std::vector<int64_t> boundary;
+};
+
+/// The per-vertex counting pass of Algorithm 4 (lines 2-9), shared by PBKS
+/// and FindBestK (best_k.h): every edge is counted once, at its
+/// lowest-vertex-rank endpoint. `order` lists the vertices slot by slot,
+/// slot s owning order[slot_offsets[s], slot_offsets[s + 1]). PBKS passes
+/// the frozen index's preorder `vertices` and `vertex_offsets`, so a slot
+/// is a tree node; best-k passes a coreness-major rank's `sorted` and
+/// `shell_start`, so a slot is a level. n(S) of a slot is its run length.
+/// Each thread takes one contiguous chunk of `order`, sums a run's tallies
+/// in registers and adds them to the slot once, when the run ends: a slot
+/// shared by t chunks takes t updates, not one per vertex.
+TypeATallies CountTypeATallies(const Graph& graph,
+                               const CorenessNeighborCounts& pre,
+                               std::span<const VertexId> order,
+                               std::span<const uint32_t> slot_offsets);
+
 /// Type-A primary values of every k-core (Algorithm 4 without the metric
-/// evaluation): vertex-centric parallel counting (each vertex/edge counted
-/// once, at its lowest-vertex-rank endpoint's tree node) followed by a
-/// parallel bottom-up tree accumulation. Entry i holds the fully
+/// evaluation): CountTypeATallies over the index's preorder vertex array,
+/// then a parallel bottom-up tree accumulation. Entry i holds the fully
 /// accumulated n(S), 2*m(S), b(S) of node i's original k-core. O(n) work
 /// after preprocessing.
 std::vector<PrimaryValues> PbksTypeAPrimary(const Graph& graph,
@@ -43,11 +64,19 @@ struct TypeBTallies {
 
 /// The parallel triangle and triplet counting pass of Algorithm 5 (lines
 /// 2-15), shared by PBKS and FindBestK (best_k.h): each triangle is
-/// attributed to its lowest-vertex-rank corner and each open wedge to its
+/// attributed to its lowest-rank corner and each open wedge to its
 /// lowest-rank member, and a vertex's tallies land in `slot[v]`
 /// (`num_slots` entries). PBKS passes the frozen index's tid array, so a
 /// tally lands on the vertex's tree node; best-k passes the coreness, so
 /// it lands on the vertex's level.
+///
+/// `vr` may be any coreness-major total order: ComputeVertexRank's
+/// (Definition 4) or ComputeOrientationRank's, which the search index
+/// uses. The tallies do not depend on which. A triangle's lowest corner
+/// under any such order has the triangle's minimum coreness k, and all its
+/// corners of coreness k are adjacent, so they lie in one tree node and on
+/// one level: every coreness-major order credits the triangle to the same
+/// slot. Wedges are keyed by coreness alone.
 ///
 /// Triangles are enumerated on a transient copy of the graph with every
 /// edge oriented from its lower-rank to its higher-rank endpoint (m vertex
@@ -56,7 +85,9 @@ struct TypeBTallies {
 /// out-neighbours, so each triangle is found once, at its lowest-rank
 /// corner, and v's slot takes one update. Work is the sum of |N+(u)| over
 /// the oriented edges (v, u); v has at most c(v) out-neighbours of higher
-/// coreness. See DESIGN.md §14.
+/// coreness, and under the orientation rank its same-shell out-neighbours
+/// have at least half its degree, so there are O(sqrt(m)) of them. See
+/// DESIGN.md §14.
 TypeBTallies CountTypeBTallies(const Graph& graph,
                                const CoreDecomposition& cd,
                                const VertexRank& vr,
@@ -66,7 +97,8 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
 
 /// Type-B primary values of every k-core (Algorithm 5): CountTypeBTallies
 /// keyed by tree node, then parallel bottom-up accumulation. Entry i holds
-/// n(S), Delta(S) and t(S) of node i's original k-core.
+/// n(S), Delta(S) and t(S) of node i's original k-core. `vr` may be any
+/// coreness-major total order (see CountTypeBTallies).
 std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const CoreDecomposition& cd,
                                             const FlatHcdIndex& index,

@@ -20,7 +20,7 @@ SearchIndex::SearchIndex(const Graph& graph, const CoreDecomposition& cd,
   }
   {
     ScopedStage stage("search.primary_b");
-    const VertexRank vr = ComputeVertexRank(cd);
+    const VertexRank vr = ComputeOrientationRank(graph, cd);
     type_b_ = PbksTypeBPrimary(graph, cd, index, vr, pre);
   }
   ScopedSpan span("search.best_nodes");

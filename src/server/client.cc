@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -72,6 +73,9 @@ Status QueryClient::Connect(const std::string& host, uint16_t port,
     if (fd_ < 0) return IoError("socket");
     if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
+      // Requests are small frames, often pipelined: send each at once.
+      const int one = 1;
+      ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return Status::Ok();
     }
     const int error = errno;

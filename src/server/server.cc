@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -385,6 +386,10 @@ void QueryServer::AcceptLoop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // A response is one small write: send it at once instead of letting
+    // Nagle hold it until the client's delayed ACK of the last one.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     bool admitted = false;
     {
       // Admission: there is an idle worker to take the connection now, or

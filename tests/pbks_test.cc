@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/trace.h"
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "hcd/flat_index.h"
@@ -59,24 +60,35 @@ TEST_P(PbksSuite, TypeAPrimaryMatchesBruteForce) {
                      /*type_b=*/false);
 }
 
+// The Definition 4 rank and the orientation rank: the type-B tallies must
+// not depend on which coreness-major order orients the triangle pass.
+std::vector<VertexRank> BothRanks(const Pipeline& p) {
+  std::vector<VertexRank> ranks;
+  ranks.push_back(ComputeVertexRank(p.cd));
+  ranks.push_back(ComputeOrientationRank(p.graph, p.cd));
+  return ranks;
+}
+
 TEST_P(PbksSuite, TypeBPrimaryMatchesBruteForce) {
   Pipeline p = Build(GetParam().graph);
   const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
-  const auto vr = ComputeVertexRank(p.cd);
-  ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre),
-                     BruteNodePrimaryValues(p.graph, p.flat),
-                     /*type_b=*/true);
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  for (const VertexRank& vr : BothRanks(p)) {
+    ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre), want,
+                       /*type_b=*/true);
+  }
 }
 
 TEST_P(PbksSuite, BksPrimaryMatchesBruteForce) {
   Pipeline p = Build(GetParam().graph);
   const auto index = BuildBksIndex(p.graph, p.cd);
-  const auto vr = ComputeVertexRank(p.cd);
   const auto want = BruteNodePrimaryValues(p.graph, p.flat);
-  ExpectPrimaryEqual(BksTypeAPrimary(p.graph, p.cd, p.flat, index, vr), want,
-                     /*type_b=*/false);
-  ExpectPrimaryEqual(BksTypeBPrimary(p.graph, p.cd, p.flat, index, vr), want,
-                     /*type_b=*/true);
+  for (const VertexRank& vr : BothRanks(p)) {
+    ExpectPrimaryEqual(BksTypeAPrimary(p.graph, p.cd, p.flat, index, vr),
+                       want, /*type_b=*/false);
+    ExpectPrimaryEqual(BksTypeBPrimary(p.graph, p.cd, p.flat, index, vr),
+                       want, /*type_b=*/true);
+  }
 }
 
 TEST_P(PbksSuite, PbksAndBksAgreeOnEveryMetric) {
@@ -110,6 +122,31 @@ TEST_P(PbksSuite, TriangleDensityMatchesBruteForce) {
         EvaluateMetric(Metric::kTriangleDensity, want[i], globals);
     EXPECT_EQ(pbks.scores[i], expect) << "node " << i;
     EXPECT_EQ(bks.scores[i], expect) << "node " << i;
+  }
+}
+
+// The search index orients type-B by the orientation rank and tallies
+// type-A per node; its tables must equal the one-thread Definition 4 rank
+// passes field for field at every thread count.
+TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
+  Pipeline p = Build(GetParam().graph);
+  std::vector<PrimaryValues> want_a;
+  std::vector<PrimaryValues> want_b;
+  {
+    ThreadCountGuard guard(1);
+    const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
+    want_a = PbksTypeAPrimary(p.graph, p.cd, p.flat, pre);
+    want_b = PbksTypeBPrimary(p.graph, p.cd, p.flat, ComputeVertexRank(p.cd),
+                              pre);
+  }
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    const SearchIndex sidx(p.graph, p.cd, p.flat);
+    for (bool type_b_fields : {false, true}) {
+      ExpectPrimaryEqual(sidx.TypeAPrimary(), want_a, type_b_fields);
+      ExpectPrimaryEqual(sidx.TypeBPrimary(), want_b, type_b_fields);
+    }
   }
 }
 
@@ -208,6 +245,54 @@ TEST(Pbks, TypeBMatchesBksOnSkewedGraph) {
       }
     }
   }
+}
+
+// The `max_out_degree` arg of the `pbks.triangles` span recorded by one
+// PbksTypeBPrimary call under `vr`, whose tallies must equal `want`.
+uint64_t TriangleMaxOutDegree(const Pipeline& p, const VertexRank& vr,
+                              const std::vector<PrimaryValues>& want) {
+  const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
+  Tracer tracer;
+  tracer.Install();
+  ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre), want,
+                     /*type_b=*/true);
+  tracer.Uninstall();
+  for (const TraceSpanRecord& record : tracer.CollectSpans()) {
+    if (record.span.name != "pbks.triangles") continue;
+    for (const TraceArg& arg : record.span.args) {
+      if (arg.key == "max_out_degree") return arg.value;
+    }
+  }
+  ADD_FAILURE() << "no pbks.triangles span with max_out_degree";
+  return 0;
+}
+
+// A windmill: kBlades triangles sharing the hub, vertex 0, and every
+// vertex at coreness 2. Definition 4 ranks the hub first, so all its
+// 2 * kBlades edges leave it; the orientation rank ranks it last, so no
+// vertex keeps more than two out-edges. The tallies do not change.
+TEST(Pbks, OrientationRankBoundsTheWindmillHub) {
+  constexpr VertexId kBlades = 200;
+  GraphBuilder b;
+  for (VertexId i = 0; i < kBlades; ++i) {
+    b.AddEdge(0, 2 * i + 1);
+    b.AddEdge(0, 2 * i + 2);
+    b.AddEdge(2 * i + 1, 2 * i + 2);
+  }
+  const Pipeline p = Build(std::move(b).Build(2 * kBlades + 1));
+  ASSERT_TRUE(std::all_of(p.cd.coreness.begin(), p.cd.coreness.end(),
+                          [](uint32_t c) { return c == 2; }));
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].triangles, kBlades);
+  const std::vector<VertexRank> ranks = BothRanks(p);
+  for (const VertexRank& vr : ranks) {
+    ExpectPrimaryEqual(BksTypeBPrimary(p.graph, p.cd, p.flat,
+                                       BuildBksIndex(p.graph, p.cd), vr),
+                       want, /*type_b=*/true);
+  }
+  EXPECT_EQ(TriangleMaxOutDegree(p, ranks[0], want), 2 * kBlades);
+  EXPECT_LE(TriangleMaxOutDegree(p, ranks[1], want), 2u);
 }
 
 TEST(Preprocess, CountsAreExact) {
