@@ -4,7 +4,9 @@
 Checks that the file is strict JSON in the trace-event envelope, that every
 event is a complete-span ("ph":"X") record with name/ts/dur/tid, and
 optionally that the trace covers enough distinct subsystems (the dotted
-prefix of the span name) and thread ids, and contains required span names.
+prefix of the span name) and thread ids, contains required span names, and
+has required args on a named span (at least one event of that name must
+carry the arg).
 
 With --pair-trace the script additionally asserts that a client trace and
 a server trace describe the same requests: the wire trace ids carried by
@@ -16,7 +18,7 @@ flag works whether the client and server ran in one process or two.
 
 Usage:
   check_trace.py TRACE.json [--min-subsystems=N] [--min-tids=N]
-                 [--require=SPAN_NAME ...]
+                 [--require=SPAN_NAME ...] [--require-arg=SPAN:ARG ...]
                  [--pair-trace=OTHER.json] [--pair-client=NAME]
                  [--pair-server=NAME] [--pair-min-shared=N]
 
@@ -58,6 +60,13 @@ def main() -> int:
         action="append",
         default=[],
         help="span name that must appear at least once (repeatable)",
+    )
+    parser.add_argument(
+        "--require-arg",
+        action="append",
+        default=[],
+        metavar="SPAN:ARG",
+        help="some SPAN event must carry the arg ARG (repeatable)",
     )
     parser.add_argument(
         "--pair-trace",
@@ -108,6 +117,16 @@ def main() -> int:
     for required in args.require:
         if required not in names:
             print(f"required span {required!r} not found in {sorted(names)}")
+            return 1
+
+    for required in args.require_arg:
+        span, sep, arg = required.partition(":")
+        if not sep or not span or not arg:
+            print(f"--require-arg={required!r}: want SPAN:ARG")
+            return 2
+        if not any(e["name"] == span and arg in e.get("args", {})
+                   for e in events):
+            print(f"no {span!r} span carries the arg {arg!r}")
             return 1
 
     if args.pair_trace is not None:

@@ -1,6 +1,7 @@
 #include "search/pbks.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <utility>
 
@@ -86,42 +87,195 @@ std::vector<int64_t> RunLengths(std::span<const uint32_t> offsets) {
 
 /// The graph relabelled by rank, with every edge oriented from its
 /// lower-rank to its higher-rank endpoint: row r is the vertex of rank r,
-/// and Out(r) is N+ of that vertex, as rank positions (all above r). m
-/// entries in all, since each edge is kept once.
+/// and its out-neighbours N+ are rank positions, all above r. Rows below
+/// `dense_begin` are CSR rows (Out). Rows at or above it, the dense
+/// suffix, are bit rows over the ranks [dense_begin, n), `words` 64-bit
+/// words each (Row); their CSR rows are empty. An out-neighbour of a dense
+/// row ranks above it, so it is dense too. Each edge is kept once.
 struct OrientedAdjacency {
   std::vector<EdgeIndex> offset;  // n + 1
-  std::vector<VertexId> target;   // m
+  std::vector<VertexId> target;   // the sparse rows' entries
+  VertexId dense_begin = 0;
+  size_t words = 0;
+  std::vector<uint64_t> bits;     // (n - dense_begin) * words
+  uint64_t max_out_degree = 0;    // over every row, sparse or dense
 
   std::span<const VertexId> Out(VertexId r) const {
     return {target.data() + offset[r],
             static_cast<size_t>(offset[r + 1] - offset[r])};
   }
+  const uint64_t* Row(VertexId r) const {
+    return bits.data() + static_cast<size_t>(r - dense_begin) * words;
+  }
 };
 
-/// Builds the rank-oriented CSR in two parallel passes over the adjacency:
-/// count each row's out-degree, prefix-sum, then fill.
+/// Start of the dense suffix: the largest suffix of whole shells, ranks
+/// [s, n), whose T = n - s rows and E out-entries satisfy T^2 <= 32 E, so
+/// that its T x T bit matrix is no larger than the 32-bit entries it
+/// replaces. n when no suffix qualifies. `offset` holds the prefix sums of
+/// the out-degrees; shells are ranges of any coreness-major rank.
+VertexId DenseBegin(const VertexRank& vr, std::span<const EdgeIndex> offset) {
+  const VertexId n = static_cast<VertexId>(offset.size() - 1);
+  // shell_start ascends, so the first qualifying shell starts the largest.
+  for (size_t k = 0; k + 1 < vr.shell_start.size(); ++k) {
+    const VertexId s = vr.shell_start[k];
+    const uint64_t rows = n - s;
+    if (rows * rows <= 32 * (offset[n] - offset[s])) return s;
+  }
+  return n;
+}
+
+/// Builds the rank-oriented adjacency in two parallel passes: count each
+/// row's out-degree, prefix-sum and pick the dense suffix, then fill the
+/// CSR rows below it and the bit rows in it.
 OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
   const VertexId n = graph.NumVertices();
   OrientedAdjacency out;
   out.offset.assign(static_cast<size_t>(n) + 1, 0);
-#pragma omp parallel for schedule(guided, 256)
+  uint64_t max_out_degree = 0;
+#pragma omp parallel for schedule(guided, 256) \
+    reduction(max : max_out_degree)
   for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
     const VertexId r = static_cast<VertexId>(ri);
     EdgeIndex d = 0;
     for (VertexId u : graph.Neighbors(vr.sorted[r])) d += vr.rank[u] > r;
     out.offset[r + 1] = d;
+    max_out_degree = std::max<uint64_t>(max_out_degree, d);
   }
+  out.max_out_degree = max_out_degree;
   for (VertexId r = 0; r < n; ++r) out.offset[r + 1] += out.offset[r];
-  out.target.resize(out.offset[n]);
+  const VertexId dense = DenseBegin(vr, out.offset);
+  out.dense_begin = dense;
+  std::fill(out.offset.begin() + dense + 1, out.offset.end(),
+            out.offset[dense]);
+  out.target.resize(out.offset[dense]);
+  const size_t dense_rows = n - dense;
+  out.words = (dense_rows + 63) / 64;
+  out.bits.assign(dense_rows * out.words, 0);
 #pragma omp parallel for schedule(guided, 256)
   for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
     const VertexId r = static_cast<VertexId>(ri);
-    EdgeIndex pos = out.offset[r];
-    for (VertexId u : graph.Neighbors(vr.sorted[r])) {
-      if (vr.rank[u] > r) out.target[pos++] = vr.rank[u];
+    if (r < dense) {
+      EdgeIndex pos = out.offset[r];
+      for (VertexId u : graph.Neighbors(vr.sorted[r])) {
+        if (vr.rank[u] > r) out.target[pos++] = vr.rank[u];
+      }
+    } else {
+      uint64_t* row = out.bits.data() + (r - dense) * out.words;
+      for (VertexId u : graph.Neighbors(vr.sorted[r])) {
+        if (vr.rank[u] > r) {
+          const VertexId j = vr.rank[u] - dense;
+          row[j >> 6] |= uint64_t{1} << (j & 63);
+        }
+      }
     }
   }
   return out;
+}
+
+// Hardware popcount for the word-wide kernel: CMake sets no -march, so
+// std::popcount would otherwise call libgcc. GCC clones the outlined
+// OpenMP body along with the function and picks a clone at load time.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define HCD_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#else
+#define HCD_POPCNT_CLONES
+#endif
+
+struct TriangleWork {
+  uint64_t wedge_checks = 0;     // byte-mark checks
+  uint64_t dense_word_ands = 0;  // 64-bit ANDs against bit rows
+};
+
+/// Counts every triangle once, at its lowest-rank corner r, and adds r's
+/// count to `triangles[slot[sorted[r]]]`.
+/// - A dense row r ANDs its own bit row with the bit row of each of its
+///   out-neighbours u, from u's word (u's bits all lie above u) up to r's
+///   last non-zero word.
+/// - A sparse row r marks N+(r) in a byte array and its dense members in
+///   a word mask. A dense out-neighbour u is ANDed with the mask, a
+///   sparse one has its CSR row checked against the byte marks.
+/// With no dense suffix every row takes the plain mark scan, which tests
+/// no per-entry condition.
+HCD_POPCNT_CLONES
+TriangleWork CountTriangles(const OrientedAdjacency& out,
+                            std::span<const VertexId> sorted,
+                            std::span<const uint32_t> slot,
+                            std::vector<int64_t>* triangles) {
+  const VertexId n = static_cast<VertexId>(sorted.size());
+  const VertexId dense = out.dense_begin;
+  const size_t words = out.words;
+  uint64_t wedge_checks = 0;
+  uint64_t dense_word_ands = 0;
+#pragma omp parallel reduction(+ : wedge_checks, dense_word_ands)
+  {
+    std::vector<uint8_t> mark(n, 0);
+    std::vector<uint64_t> mask(words, 0);
+#pragma omp for schedule(dynamic, 16)
+    for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
+      const VertexId r = static_cast<VertexId>(ri);
+      int64_t count = 0;
+      if (r >= dense) {
+        const uint64_t* row = out.Row(r);
+        size_t end = words;
+        while (end > 0 && row[end - 1] == 0) --end;
+        for (size_t w = (r - dense) >> 6; w < end; ++w) {
+          for (uint64_t b = row[w]; b != 0; b &= b - 1) {
+            const uint64_t* row_u =
+                out.Row(dense + static_cast<VertexId>(
+                                    w * 64 + std::countr_zero(b)));
+            for (size_t x = w; x < end; ++x) {
+              count += std::popcount(row[x] & row_u[x]);
+            }
+            dense_word_ands += end - w;
+          }
+        }
+      } else if (dense == n) {
+        const auto nv = out.Out(r);
+        for (VertexId u : nv) mark[u] = 1;
+        for (VertexId u : nv) {
+          const auto nu = out.Out(u);
+          wedge_checks += nu.size();
+          for (VertexId w : nu) count += mark[w];
+        }
+        for (VertexId u : nv) mark[u] = 0;
+      } else {
+        const auto nv = out.Out(r);
+        size_t end = 0;
+        for (VertexId u : nv) {
+          mark[u] = 1;
+          if (u >= dense) {
+            const VertexId j = u - dense;
+            mask[j >> 6] |= uint64_t{1} << (j & 63);
+            end = std::max<size_t>(end, (j >> 6) + 1);
+          }
+        }
+        for (VertexId u : nv) {
+          if (u >= dense) {
+            const uint64_t* row_u = out.Row(u);
+            const size_t w0 = (u - dense) >> 6;
+            for (size_t x = w0; x < end; ++x) {
+              count += std::popcount(mask[x] & row_u[x]);
+            }
+            dense_word_ands += end - w0;
+          } else {
+            const auto nu = out.Out(u);
+            wedge_checks += nu.size();
+            for (VertexId w : nu) count += mark[w];
+          }
+        }
+        for (VertexId u : nv) {
+          mark[u] = 0;
+          if (u >= dense) mask[(u - dense) >> 6] = 0;
+        }
+      }
+      if (count != 0) {
+#pragma omp atomic
+        (*triangles)[slot[sorted[r]]] += count;
+      }
+    }
+  }
+  return {wedge_checks, dense_word_ands};
 }
 
 }  // namespace
@@ -215,48 +369,30 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
   // --- Triangles (lines 2-7), counted once, at the lowest-rank corner.
   // With every edge oriented towards its higher-rank endpoint, a triangle
   // v < u < w (by rank) has the out-edges v->u, v->w and u->w: v's pass
-  // marks u and w and finds w in N+(u). Neither u nor w has v as an
-  // out-neighbour, so no other pass sees it. The oriented CSR lives for
-  // this block only. Its rows are in rank order and row r reads only rows
-  // above r, so the part of the CSR the threads touch shrinks as r grows.
+  // sees u and w in N+(v) and finds w in N+(u). Neither u nor w has v as
+  // an out-neighbour, so no other pass sees it. The oriented adjacency
+  // lives for this block only. Its rows are in rank order and row r reads
+  // only rows above r, so the part the threads touch shrinks as r grows.
   {
     ScopedSpan span("pbks.triangles");
     const OrientedAdjacency out = OrientByRank(graph, vr);
-    uint64_t wedge_checks = 0;
-    uint64_t max_out_degree = 0;
-#pragma omp parallel reduction(+ : wedge_checks) \
-    reduction(max : max_out_degree)
-    {
-      std::vector<uint8_t> mark(n, 0);
-#pragma omp for schedule(dynamic, 16)
-      for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
-        const VertexId r = static_cast<VertexId>(ri);
-        const auto nv = out.Out(r);
-        max_out_degree = std::max<uint64_t>(max_out_degree, nv.size());
-        for (VertexId u : nv) mark[u] = 1;
-        int64_t count = 0;
-        for (VertexId u : nv) {
-          const auto nu = out.Out(u);
-          wedge_checks += nu.size();
-          for (VertexId w : nu) count += mark[w];
-        }
-        for (VertexId u : nv) mark[u] = 0;
-        if (count != 0) {
-#pragma omp atomic
-          t.triangles[slot[vr.sorted[r]]] += count;
-        }
-      }
-    }
-    span.AddArg("max_out_degree", max_out_degree);
-    span.AddArg("wedge_checks", wedge_checks);
+    const TriangleWork work = CountTriangles(out, vr.sorted, slot,
+                                             &t.triangles);
+    span.AddArg("max_out_degree", out.max_out_degree);
+    span.AddArg("wedge_checks", work.wedge_checks);
+    span.AddArg("dense_vertices", n - out.dense_begin);
+    span.AddArg("dense_word_ands", work.dense_word_ands);
   }
 
   // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
   // reach coreness >= c(v) appear with v (the lowest-rank member); wedges
   // whose lowest arm has coreness k < c(v) appear at any neighbor w of
   // coreness k (all such neighbours share w's slot: its tree node, joined
-  // through v, or its level).
-#pragma omp parallel
+  // through v, or its level). The descending loop walks c(v) levels per
+  // vertex; `levels_walked` sums them.
+  ScopedSpan span("pbks.triplets");
+  uint64_t levels_walked = 0;
+#pragma omp parallel reduction(+ : levels_walked)
   {
     std::vector<VertexId> cnt(cd.k_max + 1, 0);
     std::vector<VertexId> rep(cd.k_max + 1, 0);
@@ -274,6 +410,7 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
         }
       }
       if (cv > 0) {
+        levels_walked += cv;
         for (VertexId u : graph.Neighbors(v)) {
           const uint32_t cu = cd.coreness[u];
           if (cu < cv) {
@@ -294,6 +431,7 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
       }
     }
   }
+  span.AddArg("levels_walked", levels_walked);
   return t;
 }
 

@@ -79,14 +79,19 @@ struct TypeBTallies {
 /// slot. Wedges are keyed by coreness alone.
 ///
 /// Triangles are enumerated on a transient copy of the graph with every
-/// edge oriented from its lower-rank to its higher-rank endpoint (m vertex
-/// ids plus n + 1 offsets, freed before returning): each vertex v marks
-/// its out-neighbours and counts the marked ones among its out-neighbours'
-/// out-neighbours, so each triangle is found once, at its lowest-rank
-/// corner, and v's slot takes one update. Work is the sum of |N+(u)| over
-/// the oriented edges (v, u); v has at most c(v) out-neighbours of higher
-/// coreness, and under the orientation rank its same-shell out-neighbours
-/// have at least half its degree, so there are O(sqrt(m)) of them. See
+/// edge oriented from its lower-rank to its higher-rank endpoint, freed
+/// before returning: each vertex v marks its out-neighbours and counts the
+/// marked ones among its out-neighbours' out-neighbours, so each triangle
+/// is found once, at its lowest-rank corner, and v's slot takes one
+/// update. Work is the sum of |N+(u)| over the oriented edges (v, u); v
+/// has at most c(v) out-neighbours of higher coreness, and under the
+/// orientation rank its same-shell out-neighbours have at least half its
+/// degree, so there are O(sqrt(m)) of them. The copy holds the dense
+/// suffix, the largest suffix of whole shells whose T ranks and E edges
+/// satisfy T^2 <= 32 E, as T x T bit rows and the rest as 32-bit CSR
+/// rows: the bit rows take no more than the 32-bit entries they replace,
+/// plus the padding of each row to whole 64-bit words. Checks against a
+/// bit row take one 64-bit AND and a popcount per 64 candidates. See
 /// DESIGN.md §14.
 TypeBTallies CountTypeBTallies(const Graph& graph,
                                const CoreDecomposition& cd,

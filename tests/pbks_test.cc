@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/trace.h"
 #include "core/core_decomposition.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "hcd/flat_index.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
 #include "parallel/omp_utils.h"
+#include "search/best_k.h"
 #include "search/bks.h"
 #include "search/brute.h"
 #include "search/pbks.h"
@@ -247,10 +250,11 @@ TEST(Pbks, TypeBMatchesBksOnSkewedGraph) {
   }
 }
 
-// The `max_out_degree` arg of the `pbks.triangles` span recorded by one
+// The `key` arg of the `pbks.triangles` span recorded by one
 // PbksTypeBPrimary call under `vr`, whose tallies must equal `want`.
-uint64_t TriangleMaxOutDegree(const Pipeline& p, const VertexRank& vr,
-                              const std::vector<PrimaryValues>& want) {
+uint64_t TriangleSpanArg(const Pipeline& p, const VertexRank& vr,
+                         const std::vector<PrimaryValues>& want,
+                         const std::string& key) {
   const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
   Tracer tracer;
   tracer.Install();
@@ -260,10 +264,10 @@ uint64_t TriangleMaxOutDegree(const Pipeline& p, const VertexRank& vr,
   for (const TraceSpanRecord& record : tracer.CollectSpans()) {
     if (record.span.name != "pbks.triangles") continue;
     for (const TraceArg& arg : record.span.args) {
-      if (arg.key == "max_out_degree") return arg.value;
+      if (arg.key == key) return arg.value;
     }
   }
-  ADD_FAILURE() << "no pbks.triangles span with max_out_degree";
+  ADD_FAILURE() << "no pbks.triangles span with " << key;
   return 0;
 }
 
@@ -291,8 +295,178 @@ TEST(Pbks, OrientationRankBoundsTheWindmillHub) {
                                        BuildBksIndex(p.graph, p.cd), vr),
                        want, /*type_b=*/true);
   }
-  EXPECT_EQ(TriangleMaxOutDegree(p, ranks[0], want), 2 * kBlades);
-  EXPECT_LE(TriangleMaxOutDegree(p, ranks[1], want), 2u);
+  EXPECT_EQ(TriangleSpanArg(p, ranks[0], want, "max_out_degree"),
+            2 * kBlades);
+  EXPECT_LE(TriangleSpanArg(p, ranks[1], want, "max_out_degree"), 2u);
+}
+
+// PBKS = BKS = brute on the type-B fields under both ranks at 1, 2 and 4
+// threads. Returns the `dense_vertices` of the orientation-rank pass.
+uint64_t ExpectTypeBMatchesOracles(const Pipeline& p) {
+  const auto want = BruteNodePrimaryValues(p.graph, p.flat);
+  const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
+  const BksIndex bks = BuildBksIndex(p.graph, p.cd);
+  const std::vector<VertexRank> ranks = BothRanks(p);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    for (const VertexRank& vr : ranks) {
+      ExpectPrimaryEqual(PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre),
+                         want, /*type_b=*/true);
+      ExpectPrimaryEqual(BksTypeBPrimary(p.graph, p.cd, p.flat, bks, vr), want,
+                         /*type_b=*/true);
+    }
+  }
+  return TriangleSpanArg(p, ranks[1], want, "dense_vertices");
+}
+
+// K_t on vertices 0..t-1 (t > 5) and a cycle of 8t + 64 fringe vertices,
+// each also joined to two clique vertices. Every fringe vertex has degree
+// and coreness 4 and closes a triangle with its two clique neighbours, and
+// more where cycle neighbours share a clique vertex; the clique is the top
+// shell. The fringe is too sparse to join the dense suffix, so the suffix
+// is exactly the clique.
+Graph CliqueWithFringe(VertexId t) {
+  const VertexId ring = 8 * t + 64;
+  GraphBuilder b;
+  for (VertexId u = 0; u < t; ++u) {
+    for (VertexId v = u + 1; v < t; ++v) b.AddEdge(u, v);
+  }
+  for (VertexId i = 0; i < ring; ++i) {
+    const VertexId a = i % t;
+    b.AddEdge(t + i, a);
+    b.AddEdge(t + i, (a + 1 + i % (t - 1)) % t);
+    b.AddEdge(t + i, t + (i + 1) % ring);
+  }
+  return std::move(b).Build(t + ring);
+}
+
+// Dense suffixes of 2, 63, 64, 65 and 128 bit rows: one word short, one
+// full word, one bit into a second word, two full words.
+TEST(Pbks, DenseSuffixAtWordEdges) {
+  GraphBuilder b;
+  b.AddEdge(0, 1);
+  const Pipeline edge = Build(std::move(b).Build(18));  // K_2 + 16 isolated
+  EXPECT_EQ(ExpectTypeBMatchesOracles(edge), 2u);
+  for (VertexId t : {63u, 64u, 65u, 128u}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    const Pipeline p = Build(CliqueWithFringe(t));
+    ASSERT_EQ(p.cd.k_max, t - 1);
+    EXPECT_EQ(ExpectTypeBMatchesOracles(p), t);
+  }
+}
+
+TEST(Pbks, CliqueIsDenseThroughout) {
+  const Pipeline p = Build(CompleteGraph(100));
+  EXPECT_EQ(ExpectTypeBMatchesOracles(p), 100u);
+  EXPECT_EQ(BruteNodePrimaryValues(p.graph, p.flat)[0].triangles,
+            100u * 99u * 98u / 6u);
+}
+
+TEST(Pbks, PathHasNoDenseSuffix) {
+  EXPECT_EQ(ExpectTypeBMatchesOracles(Build(PathGraph(200))), 0u);
+}
+
+// RMAT scale 12 with a 150-clique planted on vertices spread over the id
+// range: the clique is the top shell, and the suffix reaches part of the
+// way down the RMAT shells.
+Graph RMatWithPlantedClique() {
+  constexpr VertexId kClique = 150;
+  const Graph rmat = RMatGraph500(12, 16'000, 3);
+  GraphBuilder b;
+  b.AddEdges(rmat.Edges());
+  for (VertexId i = 0; i < kClique; ++i) {
+    for (VertexId j = i + 1; j < kClique; ++j) {
+      b.AddEdge(i * 27 % rmat.NumVertices(), j * 27 % rmat.NumVertices());
+    }
+  }
+  return std::move(b).Build(rmat.NumVertices());
+}
+
+// The dense suffix is the largest suffix of whole shells whose T rows and
+// E internal edges satisfy T^2 <= 32 E.
+TEST(Pbks, PlantedCliqueGivesAPartialDenseSuffix) {
+  const Pipeline p = Build(RMatWithPlantedClique());
+  ASSERT_EQ(p.cd.k_max, 149u);
+  const uint64_t dense = ExpectTypeBMatchesOracles(p);
+  EXPECT_GT(dense, 0u);
+  EXPECT_LT(dense, p.graph.NumVertices());
+  const VertexId n = p.graph.NumVertices();
+  const VertexRank vr = ComputeOrientationRank(p.graph, p.cd);
+  const auto fits = [&](VertexId begin) {
+    uint64_t edges = 0;
+    for (const auto& [u, v] : p.graph.Edges()) {
+      edges += vr.rank[u] >= begin && vr.rank[v] >= begin;
+    }
+    return uint64_t{n - begin} * (n - begin) <= 32 * edges;
+  };
+  const VertexId begin = n - static_cast<VertexId>(dense);
+  ASSERT_NE(std::find(vr.shell_start.begin(), vr.shell_start.end(), begin),
+            vr.shell_start.end());
+  EXPECT_TRUE(fits(begin));
+  for (VertexId s : vr.shell_start) {
+    if (s < begin) {
+      EXPECT_FALSE(fits(s)) << "shell start " << s;
+    }
+  }
+}
+
+TEST(Pbks, PlantedCliqueBestKMatchesBruteForce) {
+  const Graph g = RMatWithPlantedClique();
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  // K_k = {v : c(v) >= k}; the levels above the RMAT shells all hold
+  // just the clique, so a repeated member count reuses the last oracle.
+  std::vector<PrimaryValues> want(cd.k_max + 1);
+  size_t last_size = 0;
+  for (uint32_t k = 0; k <= cd.k_max; ++k) {
+    std::vector<VertexId> members;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (cd.coreness[v] >= k) members.push_back(v);
+    }
+    want[k] = k > 0 && members.size() == last_size
+                  ? want[k - 1]
+                  : BrutePrimaryValues(g, members);
+    last_size = members.size();
+  }
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    const BestKResult r = FindBestK(g, cd, Metric::kClusteringCoefficient);
+    ASSERT_EQ(r.per_k.size(), want.size());
+    for (uint32_t k = 0; k <= cd.k_max; ++k) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      EXPECT_EQ(r.per_k[k].n_s, want[k].n_s);
+      EXPECT_EQ(r.per_k[k].edges2, want[k].edges2);
+      EXPECT_EQ(r.per_k[k].boundary, want[k].boundary);
+      EXPECT_EQ(r.per_k[k].triangles, want[k].triangles);
+      EXPECT_EQ(r.per_k[k].triplets, want[k].triplets);
+    }
+  }
+}
+
+// The per-node scores behind the best-node tables run in parallel from
+// kParallelGrain nodes up; the tables must not depend on the thread count.
+TEST(Pbks, BestNodeTablesIdenticalAcrossThreadCounts) {
+  const Graph g = RMatGraph500(14, 200'000, 7);
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const FlatHcdIndex flat = Freeze(LcpsBuild(g, cd));
+  ASSERT_GE(static_cast<int64_t>(flat.NumNodes()), kParallelGrain);
+  std::vector<TreeNodeId> want;
+  for (int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    const SearchIndex sidx(g, cd, flat);
+    std::vector<TreeNodeId> got;
+    for (Metric metric : kAllMetrics) {
+      for (uint32_t k = 0; k <= cd.k_max + 1; ++k) {
+        got.push_back(sidx.BestAtLeast(metric, k));
+      }
+    }
+    if (threads == 1) {
+      want = got;
+    } else {
+      EXPECT_EQ(got, want) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(Preprocess, CountsAreExact) {
