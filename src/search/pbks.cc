@@ -88,10 +88,11 @@ std::vector<int64_t> RunLengths(std::span<const uint32_t> offsets) {
 /// The graph relabelled by rank, with every edge oriented from its
 /// lower-rank to its higher-rank endpoint: row r is the vertex of rank r,
 /// and its out-neighbours N+ are rank positions, all above r. Rows below
-/// `dense_begin` are CSR rows (Out). Rows at or above it, the dense
-/// suffix, are bit rows over the ranks [dense_begin, n), `words` 64-bit
-/// words each (Row); their CSR rows are empty. An out-neighbour of a dense
-/// row ranks above it, so it is dense too. Each edge is kept once.
+/// `dense_begin` are CSR rows (Out), their dense members last. Rows at or
+/// above it, the dense suffix, are bit rows over the ranks
+/// [dense_begin, n), `words` 64-bit words each (Row); their CSR rows are
+/// empty. An out-neighbour of a dense row ranks above it, so it is dense
+/// too. Each edge is kept once.
 struct OrientedAdjacency {
   std::vector<EdgeIndex> offset;  // n + 1
   std::vector<VertexId> target;   // the sparse rows' entries
@@ -156,9 +157,13 @@ OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
   for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
     const VertexId r = static_cast<VertexId>(ri);
     if (r < dense) {
-      EdgeIndex pos = out.offset[r];
+      // Sparse targets fill the row from the front, dense ones from the
+      // back, so a row's dense members are its tail.
+      EdgeIndex front = out.offset[r];
+      EdgeIndex back = out.offset[r + 1];
       for (VertexId u : graph.Neighbors(vr.sorted[r])) {
-        if (vr.rank[u] > r) out.target[pos++] = vr.rank[u];
+        const VertexId q = vr.rank[u];
+        if (q > r) out.target[q < dense ? front++ : --back] = q;
       }
     } else {
       uint64_t* row = out.bits.data() + (r - dense) * out.words;
@@ -176,7 +181,8 @@ OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
 // Hardware popcount for the word-wide kernel: CMake sets no -march, so
 // std::popcount would otherwise call libgcc. GCC clones the outlined
 // OpenMP body along with the function and picks a clone at load time.
-#if defined(__x86_64__) && defined(__GNUC__)
+// Clang also defines __GNUC__ but does not clone the outlined body.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define HCD_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
 #else
 #define HCD_POPCNT_CLONES
@@ -192,11 +198,11 @@ struct TriangleWork {
 /// - A dense row r ANDs its own bit row with the bit row of each of its
 ///   out-neighbours u, from u's word (u's bits all lie above u) up to r's
 ///   last non-zero word.
-/// - A sparse row r marks N+(r) in a byte array and its dense members in
-///   a word mask. A dense out-neighbour u is ANDed with the mask, a
-///   sparse one has its CSR row checked against the byte marks.
-/// With no dense suffix every row takes the plain mark scan, which tests
-/// no per-entry condition.
+/// - A sparse row r marks N+(r) in a byte array and its dense members,
+///   the row's tail, in a word mask. Each sparse out-neighbour has its CSR
+///   row checked against the byte marks, each dense one is ANDed with the
+///   mask. With no dense suffix the tail is empty, and the row takes the
+///   plain mark scan with no per-entry test.
 HCD_POPCNT_CLONES
 TriangleWork CountTriangles(const OrientedAdjacency& out,
                             std::span<const VertexId> sorted,
@@ -230,44 +236,33 @@ TriangleWork CountTriangles(const OrientedAdjacency& out,
             dense_word_ands += end - w;
           }
         }
-      } else if (dense == n) {
+      } else {
         const auto nv = out.Out(r);
+        size_t split = nv.size();
+        while (split > 0 && nv[split - 1] >= dense) --split;
+        const auto nv_dense = nv.subspan(split);
         for (VertexId u : nv) mark[u] = 1;
-        for (VertexId u : nv) {
+        size_t end = 0;
+        for (VertexId u : nv_dense) {
+          const VertexId j = u - dense;
+          mask[j >> 6] |= uint64_t{1} << (j & 63);
+          end = std::max<size_t>(end, (j >> 6) + 1);
+        }
+        for (VertexId u : nv.first(split)) {
           const auto nu = out.Out(u);
           wedge_checks += nu.size();
           for (VertexId w : nu) count += mark[w];
         }
+        for (VertexId u : nv_dense) {
+          const uint64_t* row_u = out.Row(u);
+          const size_t w0 = (u - dense) >> 6;
+          for (size_t x = w0; x < end; ++x) {
+            count += std::popcount(mask[x] & row_u[x]);
+          }
+          dense_word_ands += end - w0;
+        }
         for (VertexId u : nv) mark[u] = 0;
-      } else {
-        const auto nv = out.Out(r);
-        size_t end = 0;
-        for (VertexId u : nv) {
-          mark[u] = 1;
-          if (u >= dense) {
-            const VertexId j = u - dense;
-            mask[j >> 6] |= uint64_t{1} << (j & 63);
-            end = std::max<size_t>(end, (j >> 6) + 1);
-          }
-        }
-        for (VertexId u : nv) {
-          if (u >= dense) {
-            const uint64_t* row_u = out.Row(u);
-            const size_t w0 = (u - dense) >> 6;
-            for (size_t x = w0; x < end; ++x) {
-              count += std::popcount(mask[x] & row_u[x]);
-            }
-            dense_word_ands += end - w0;
-          } else {
-            const auto nu = out.Out(u);
-            wedge_checks += nu.size();
-            for (VertexId w : nu) count += mark[w];
-          }
-        }
-        for (VertexId u : nv) {
-          mark[u] = 0;
-          if (u >= dense) mask[(u - dense) >> 6] = 0;
-        }
+        for (VertexId u : nv_dense) mask[(u - dense) >> 6] = 0;
       }
       if (count != 0) {
 #pragma omp atomic

@@ -3,7 +3,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "hcd/vertex_rank.h"
-#include "parallel/omp_utils.h"
 
 namespace hcd {
 
@@ -25,12 +24,10 @@ SearchIndex::SearchIndex(const Graph& graph, const CoreDecomposition& cd,
     type_b_ = PbksTypeBPrimary(graph, cd, index, vr, pre);
   }
   ScopedSpan span("search.best_nodes");
-  const int64_t num_nodes = index.NumNodes();
-  std::vector<double> scores(num_nodes);
+  std::vector<double> scores(index.NumNodes());
   for (const Metric metric : kAllMetrics) {
-#pragma omp parallel for schedule(static) if (num_nodes >= kParallelGrain)
-    for (int64_t t = 0; t < num_nodes; ++t) {
-      scores[t] = Score(metric, static_cast<TreeNodeId>(t));
+    for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+      scores[t] = Score(metric, t);
     }
     best_[static_cast<size_t>(metric)] = BestNodeByLevel(index, scores);
   }

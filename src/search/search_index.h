@@ -31,8 +31,7 @@ namespace hcd {
 /// index stays valid even if the graph is destroyed (scoring needs only the
 /// frozen FlatHcdIndex alongside it). Construction records the
 /// "search.preprocess", "search.primary_a" and "search.primary_b" stages
-/// and a "search.best_nodes" span around the table build, whose per-node
-/// scores run in parallel from kParallelGrain nodes up.
+/// and a "search.best_nodes" span around the table build.
 class SearchIndex {
  public:
   SearchIndex(const Graph& graph, const CoreDecomposition& cd,

@@ -444,31 +444,6 @@ TEST(Pbks, PlantedCliqueBestKMatchesBruteForce) {
   }
 }
 
-// The per-node scores behind the best-node tables run in parallel from
-// kParallelGrain nodes up; the tables must not depend on the thread count.
-TEST(Pbks, BestNodeTablesIdenticalAcrossThreadCounts) {
-  const Graph g = RMatGraph500(14, 200'000, 7);
-  const CoreDecomposition cd = BzCoreDecomposition(g);
-  const FlatHcdIndex flat = Freeze(LcpsBuild(g, cd));
-  ASSERT_GE(static_cast<int64_t>(flat.NumNodes()), kParallelGrain);
-  std::vector<TreeNodeId> want;
-  for (int threads : {1, 2, 4}) {
-    ThreadCountGuard guard(threads);
-    const SearchIndex sidx(g, cd, flat);
-    std::vector<TreeNodeId> got;
-    for (Metric metric : kAllMetrics) {
-      for (uint32_t k = 0; k <= cd.k_max + 1; ++k) {
-        got.push_back(sidx.BestAtLeast(metric, k));
-      }
-    }
-    if (threads == 1) {
-      want = got;
-    } else {
-      EXPECT_EQ(got, want) << "threads=" << threads;
-    }
-  }
-}
-
 TEST(Preprocess, CountsAreExact) {
   Pipeline p = Build(PaperFigure1Graph());
   const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
