@@ -52,26 +52,50 @@ HcdEngine::HcdEngine(Graph graph, EngineOptions options)
 HcdEngine::HcdEngine(const Graph* graph, EngineOptions options)
     : graph_(graph), options_(options) {}
 
+Status LoadGraph(const std::string& path, const EngineOptions& options,
+                 Graph* graph) {
+  ScopedStage stage("load");
+  IngestOptions ingest_options;
+  ingest_options.io_threads =
+      options.io_threads > 0 ? options.io_threads : options.threads;
+  IngestStats ingest_stats;
+  Status s = HasSuffix(path, ".bin")
+                 ? IngestBinary(path, ingest_options, graph, &ingest_stats)
+                 : IngestEdgeListText(path, ingest_options, graph,
+                                      &ingest_stats);
+  if (!s.ok()) return s;
+  stage.AddCounter("n", graph->NumVertices());
+  stage.AddCounter("m", graph->NumEdges());
+  stage.AddCounter("bytes", ingest_stats.bytes);
+  stage.AddCounter("edges_dropped", ingest_stats.self_loops_dropped +
+                                        ingest_stats.duplicates_dropped);
+  return Status::Ok();
+}
+
+Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
+                         VertexId graph_vertices) {
+  if (flat.kind() != kind) {
+    return Status::InvalidArgument(
+        std::string("snapshot kind ") + HierarchyKindName(flat.kind()) +
+        " does not match hierarchy " + HierarchyKindName(kind));
+  }
+  const VertexId covered = flat.kind() == HierarchyKind::kCore
+                               ? flat.NumVertices()
+                               : flat.NumGraphVertices();
+  if (covered != graph_vertices) {
+    return Status::InvalidArgument(
+        "snapshot covers " + std::to_string(covered) +
+        " graph vertices but the graph has " +
+        std::to_string(graph_vertices));
+  }
+  return Status::Ok();
+}
+
 Status HcdEngine::Load(const std::string& path, const EngineOptions& options,
                        std::unique_ptr<HcdEngine>* out) {
   Graph graph;
-  {
-    ScopedStage stage("load");
-    IngestOptions ingest_options;
-    ingest_options.io_threads =
-        options.io_threads > 0 ? options.io_threads : options.threads;
-    IngestStats ingest_stats;
-    Status s = HasSuffix(path, ".bin")
-                   ? IngestBinary(path, ingest_options, &graph, &ingest_stats)
-                   : IngestEdgeListText(path, ingest_options, &graph,
-                                        &ingest_stats);
-    if (!s.ok()) return s;
-    stage.AddCounter("n", graph.NumVertices());
-    stage.AddCounter("m", graph.NumEdges());
-    stage.AddCounter("bytes", ingest_stats.bytes);
-    stage.AddCounter("edges_dropped", ingest_stats.self_loops_dropped +
-                                          ingest_stats.duplicates_dropped);
-  }
+  Status s = LoadGraph(path, options, &graph);
+  if (!s.ok()) return s;
   out->reset(new HcdEngine(std::move(graph), options));
   return Status::Ok();
 }
@@ -237,20 +261,10 @@ Status HcdEngine::AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat) {
         "AdoptFlat: a flat index is already cached; adopt before the first "
         "Flat() call");
   }
-  if (flat->kind() != options_.hierarchy) {
-    return Status::InvalidArgument(
-        std::string("AdoptFlat: snapshot kind ") +
-        HierarchyKindName(flat->kind()) + " does not match engine hierarchy " +
-        HierarchyKindName(options_.hierarchy));
-  }
-  const VertexId index_graph_vertices = flat->kind() == HierarchyKind::kCore
-                                            ? flat->NumVertices()
-                                            : flat->NumGraphVertices();
-  if (index_graph_vertices != graph_->NumVertices()) {
-    return Status::InvalidArgument(
-        "AdoptFlat: snapshot covers " + std::to_string(index_graph_vertices) +
-        " graph vertices but the graph has " +
-        std::to_string(graph_->NumVertices()));
+  const Status fits =
+      CheckSnapshotFits(*flat, options_.hierarchy, graph_->NumVertices());
+  if (!fits.ok()) {
+    return Status::InvalidArgument("AdoptFlat: " + fits.message());
   }
   flat_ = std::move(flat);
   return Status::Ok();

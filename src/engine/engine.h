@@ -60,6 +60,22 @@ struct EngineOptions {
   int io_threads = 0;
 };
 
+/// Loads a graph (binary when `path` ends in ".bin", else SNAP edge-list
+/// text) through the parallel validated ingest layer, with
+/// `options.io_threads` threads (falling back to `options.threads`).
+/// Records a "load" stage (counters: n, m, bytes, edges_dropped) around the
+/// ingest sub-stages ("load.read", "load.parse", "load.remap", "load.build"
+/// / "load.validate"), which complete first.
+Status LoadGraph(const std::string& path, const EngineOptions& options,
+                 Graph* graph);
+
+/// Checks that a prebuilt flat index can serve a graph: its kind must be
+/// `kind`, and it must cover exactly `graph_vertices` graph vertices (a
+/// core index's vertex domain, an element index's NumGraphVertices()).
+/// InvalidArgument otherwise.
+Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
+                         VertexId graph_vertices);
+
 /// The build-phase pipeline object behind every consumer of the library:
 /// owns (or borrows) one graph and computes each derived stage lazily, at
 /// most once — core decomposition, vertex rank, HCD forest, frozen flat
@@ -91,11 +107,8 @@ class HcdEngine {
   HcdEngine(const HcdEngine&) = delete;
   HcdEngine& operator=(const HcdEngine&) = delete;
 
-  /// Loads a graph (binary when `path` ends in ".bin", else SNAP edge-list
-  /// text) through the parallel validated ingest layer and wraps it in an
-  /// engine. Records a "load" stage (counters: n, m, bytes, edges_dropped)
-  /// around the ingest sub-stages ("load.read", "load.parse", "load.remap",
-  /// "load.build" / "load.validate"), which complete first.
+  /// Loads a graph with LoadGraph (which records the "load" stage) and
+  /// wraps it in an engine.
   static Status Load(const std::string& path, const EngineOptions& options,
                      std::unique_ptr<HcdEngine>* out);
 
@@ -125,10 +138,10 @@ class HcdEngine {
 
   /// Installs a prebuilt flat index (typically loaded or mmapped from a
   /// snapshot via hcd/serialize.h) as the engine's Flat() stage, skipping
-  /// construction entirely. Fails with InvalidArgument if the index's kind
-  /// does not match options().hierarchy, if its graph-vertex domain does not
-  /// match the engine's graph, or if a flat index is already cached (built
-  /// or adopted) — adoption must happen before the first Flat() call.
+  /// construction entirely. Fails with InvalidArgument if the index does not
+  /// fit options().hierarchy and the engine's graph (CheckSnapshotFits), or
+  /// if a flat index is already cached (built or adopted) — adoption must
+  /// happen before the first Flat() call.
   /// Mapped indexes are shared as-is: the engine (and any snapshot sealed
   /// from it) co-owns the mapping, no bytes are copied.
   Status AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat);

@@ -2,7 +2,9 @@
 // JSON parser in tests/test_util.h. The parser rejects bare `inf`/`nan`
 // tokens and trailing garbage, so this is the regression net for the
 // ratio-guard bugs: a degenerate run (zero wall time, zero queries) must
-// emit 0, never `"qps":inf`.
+// emit 0, never `"qps":inf`. It also pins the exit status of every kind of
+// bad invocation, and drives the wire path (serve, serve-bench --connect,
+// stats --connect, SIGTERM) end to end.
 //
 // The CLI binary's path arrives via the HCD_CLI_BIN environment variable
 // (set by the ctest registration from $<TARGET_FILE:hcd_cli>); the whole
@@ -10,7 +12,12 @@
 // runs standalone.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,6 +55,58 @@ std::string RunCli(const std::string& args) {
   EXPECT_EQ(status, 0) << command << "\n--- output ---\n" << out;
   return out;
 }
+
+/// Runs `hcd_cli <args>` under `timeout 20` (a command that wrongly starts
+/// serving fails by timeout instead of hanging the suite) and returns its
+/// exit status; `*err` receives its stderr.
+int RunCliStatus(const std::string& args, std::string* err) {
+  const std::string command = "timeout 20 " + std::string(CliBin()) + " " +
+                              args + " 2>&1 >/dev/null";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  err->clear();
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    err->append(buffer, n);
+  }
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Appends what `fd` yields to `*out` until `done(*out)` holds, EOF, or 20
+/// seconds pass; returns whether `done` held.
+template <typename Done>
+bool ReadUntil(int fd, std::string* out, Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done(*out)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      return false;
+    }
+    char buffer[4096];
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n <= 0) return done(*out);
+    out->append(buffer, static_cast<size_t>(n));
+  }
+  return true;
+}
+
+/// Kills and reaps a child process if the test leaves before reaping it,
+/// so a failed assertion never leaves a server running.
+struct ChildGuard {
+  pid_t pid = -1;
+  ~ChildGuard() {
+    if (pid > 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+    }
+  }
+};
 
 /// The JSON document a command emitted: its last non-empty stdout line.
 /// (Commands in --json mode print exactly one object as the final line;
@@ -180,6 +239,115 @@ TEST_F(CliJsonTest, ServeBenchReportsServerStats) {
   const JsonValue* requests = server->Find("requests");
   ASSERT_NE(requests, nullptr);
   EXPECT_EQ(requests->number, 80.0);
+}
+
+TEST_F(CliJsonTest, BadInvocationsExitTwoWithAnError) {
+  const std::string g = bin_path_;
+  const std::string out = WorkDir() + "/bad_out.bin";
+  const std::vector<std::string> cases = {
+      // Malformed or out-of-range numeric positionals, rejected before any
+      // generator or load runs.
+      "gen gnm " + out + " abc 3000",
+      "gen gnm " + out + " 10 1000",
+      "gen gnm " + out + " 1 0",
+      "gen rmat " + out + " 12x 100",
+      "gen rmat " + out + " 32 100",
+      "gen ba " + out + " 5 5",
+      "gen onion " + out + " 1 5",
+      "influential " + g + " abc 2",
+      "influential " + g + " 3 2x",
+      // Flags a command would otherwise accept and ignore.
+      "serve-bench " + g + " --query-threads=2",
+      "live-bench " + g + " --queries=10",
+      "serve " + g + " --connections=4",
+      "serve " + g + " --distinct-k=2",
+      "serve " + g + " --pipeline=4",
+      "serve " + g + " --server-metrics-out=" + WorkDir() + "/bad.prom",
+      // Unknown, malformed and wrong-command flags.
+      "build " + g + " " + WorkDir() + "/bad.forest --thread=8",
+      "stats " + g + " --threads=zero",
+      "stats " + g + " --algo=fast",
+      "stats " + g + " --io-threads=-1",
+      "stats " + g + " --query-threads=2",
+      "stats " + g + " --batch-size=10",
+      "stats " + g + " --connections=4",
+      "query-bench " + g + " --metrics=conductance,densiy",
+      "serve-bench --connect=localhost",
+  };
+  for (const std::string& args : cases) {
+    std::string err;
+    EXPECT_EQ(RunCliStatus(args, &err), 2) << args << "\n" << err;
+    EXPECT_NE(err.find("error:"), std::string::npos) << args << "\n" << err;
+  }
+}
+
+TEST_F(CliJsonTest, ServeAnswersServeBenchAndStatsOverTheWire) {
+  int out_pipe[2];
+  ASSERT_EQ(pipe(out_pipe), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(out_pipe[1], STDOUT_FILENO);
+    close(out_pipe[0]);
+    close(out_pipe[1]);
+    execl(CliBin(), CliBin(), "serve", bin_path_.c_str(), "--port=0", "--json",
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  ChildGuard guard{pid};
+  close(out_pipe[1]);
+  // The "serving <graph> on 127.0.0.1:PORT (...)" line is the readiness
+  // signal.
+  const std::string marker = "on 127.0.0.1:";
+  std::string out;
+  const bool ready = ReadUntil(out_pipe[0], &out, [&](const std::string& o) {
+    const size_t at = o.find(marker);
+    return at != std::string::npos &&
+           o.find(' ', at + marker.size()) != std::string::npos;
+  });
+  ASSERT_TRUE(ready) << "serve printed no port line:\n" << out;
+  const int port = std::atoi(out.c_str() + out.find(marker) + marker.size());
+  const std::string target = " --connect=127.0.0.1:" + std::to_string(port);
+
+  const JsonValue bench = RunAndParse(
+      "serve-bench" + target + " --queries=200 --server-phase-report",
+      "serve-bench");
+  const JsonValue* result = bench.Find("result");
+  ASSERT_NE(result, nullptr);
+  ASSERT_NE(result->Find("queries"), nullptr);
+  EXPECT_EQ(result->Find("queries")->number, 200.0);
+  EXPECT_NE(result->Find("server_stats"), nullptr);
+  const std::string stats_line = LastLine(RunCli("stats" + target + " --json"));
+  JsonValue stats;
+  EXPECT_TRUE(ParseJson(stats_line, &stats)) << stats_line;
+
+  // SIGTERM must end serve cleanly, with its summary as the last line.
+  kill(pid, SIGTERM);
+  ReadUntil(out_pipe[0], &out, [](const std::string&) { return false; });
+  close(out_pipe[0]);
+  int status = 0;
+  for (int tick = 0; tick < 2000; ++tick) {
+    if (waitpid(pid, &status, WNOHANG) == pid) {
+      guard.pid = -1;
+      break;
+    }
+    usleep(10000);
+  }
+  ASSERT_EQ(guard.pid, -1) << "serve ignored SIGTERM:\n" << out;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  const std::string summary_line = LastLine(out);
+  JsonValue summary;
+  ASSERT_TRUE(ParseJson(summary_line, &summary)) << out;
+  const JsonValue* command = summary.Find("command");
+  ASSERT_NE(command, nullptr);
+  EXPECT_EQ(command->str, "serve");
+  const JsonValue* served = summary.Find("result");
+  ASSERT_NE(served, nullptr);
+  ASSERT_NE(served->Find("requests"), nullptr);
+  EXPECT_EQ(served->Find("requests")->number, 200.0);
+  ASSERT_NE(served->Find("stats_requests"), nullptr);
+  // One from --server-phase-report, one from stats --connect.
+  EXPECT_GE(served->Find("stats_requests")->number, 2.0);
 }
 
 }  // namespace

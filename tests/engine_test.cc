@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
+#include "hcd/serialize.h"
 #include "hcd/validate.h"
 #include "parallel/omp_utils.h"
 #include "search/pbks.h"
@@ -168,6 +170,31 @@ TEST(EngineTest, LoadTotalSecondsCountsNestedStagesOnce) {
   EXPECT_LE(t.TotalSeconds(), wall);
   EXPECT_DOUBLE_EQ(t.TotalSeconds(), t.StageSeconds("load"));
   std::remove(path.c_str());
+}
+
+TEST(EngineTest, AdoptFlatRejectsASnapshotThatDoesNotFitTheGraph) {
+  // CheckSnapshotFits guards AdoptFlat and `hcd_cli serve --snapshot`: the
+  // snapshot's kind must match and it must cover exactly the graph.
+  const Graph g = RMatGraph500(8, 1500, 3);
+  HcdEngine source(&g);
+  const std::string path = ::testing::TempDir() + "/engine_test_adopt.forest";
+  ASSERT_TRUE(SaveFlatIndex(source.Flat(), path).ok());
+  FlatHcdIndex loaded;
+  ASSERT_TRUE(LoadFlatSnapshot(path, SnapshotMode::kRead, &loaded).ok());
+  std::remove(path.c_str());
+  const auto flat = std::make_shared<const FlatHcdIndex>(std::move(loaded));
+
+  HcdEngine truss(&g, {.hierarchy = HierarchyKind::kTruss});
+  EXPECT_EQ(truss.AdoptFlat(flat).code(), StatusCode::kInvalidArgument);
+  const Graph bigger = RMatGraph500(9, 1500, 3);
+  HcdEngine other(&bigger);
+  EXPECT_EQ(other.AdoptFlat(flat).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckSnapshotFits(*flat, HierarchyKind::kCore, g.NumVertices() + 1)
+                .code(),
+            StatusCode::kInvalidArgument);
+  HcdEngine same(&g);
+  ASSERT_TRUE(same.AdoptFlat(flat).ok());
+  EXPECT_EQ(&same.Flat(), flat.get());
 }
 
 TEST(EngineTest, ParseAndNameRoundTrip) {

@@ -23,6 +23,24 @@ if(MODE STREQUAL "trace")
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "trace validation failed (${rc})")
   endif()
+  # live-bench loads through the same ingest path as the engine commands,
+  # so --io-threads applies and the trace holds the enclosing "load" span.
+  set(live_trace ${WORK_DIR}/cli_obs_live_trace.json)
+  execute_process(
+    COMMAND ${HCD_CLI} live-bench ${graph} --query-threads=2 --batches=1
+            --batch-size=10 --io-threads=2 --trace-out=${live_trace}
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "hcd_cli live-bench --trace-out failed (${rc})")
+  endif()
+  execute_process(
+    COMMAND ${PYTHON3} ${SOURCE_DIR}/scripts/check_trace.py ${live_trace}
+            --require=load
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "live-bench trace validation failed (${rc})")
+  endif()
 elseif(MODE STREQUAL "metrics")
   set(prom_file ${WORK_DIR}/cli_obs_metrics.prom)
   execute_process(
