@@ -3,7 +3,7 @@
 // FreezeNucleus) and standing up the eager ElementSearchIndex on top.
 // These are the two steps between "hierarchy constructed" and "queries
 // answered" for the non-core families, the element analogue of
-// table3_freeze. Emits truss_freeze / nucleus_freeze baseline rows.
+// Table III's Frz column.
 
 #include <cstdio>
 #include <memory>
@@ -73,11 +73,6 @@ int main() {
       const double search_t = hcd::bench::TimeWithThreads(
           pmax, [&] { hcd::ElementSearchIndex index(flat); }, 2);
 
-      hcd::bench::ReportBaseline(
-          "truss_freeze", ds.name, pmax, freeze_t,
-          {{"search_seconds", search_t},
-           {"nodes", static_cast<double>(flat->NumNodes())},
-           {"elements", static_cast<double>(flat->NumElements())}});
       std::printf("%-4s | truss   | %8u | %10.3f %10.3f | %8u\n",
                   ds.name.c_str(), flat->NumElements(), freeze_t, search_t,
                   flat->NumNodes());
@@ -107,11 +102,6 @@ int main() {
       const double search_t = hcd::bench::TimeWithThreads(
           pmax, [&] { hcd::ElementSearchIndex index(flat); }, 2);
 
-      hcd::bench::ReportBaseline(
-          "nucleus_freeze", ds.name, pmax, freeze_t,
-          {{"search_seconds", search_t},
-           {"nodes", static_cast<double>(flat->NumNodes())},
-           {"elements", static_cast<double>(flat->NumElements())}});
       std::printf("%-4s | nucleus | %8u | %10.3f %10.3f | %8u\n",
                   ds.name.c_str(), flat->NumElements(), freeze_t, search_t,
                   flat->NumNodes());

@@ -4,7 +4,6 @@
 
 #include "bench/bench_datasets.h"
 #include "bench/bench_util.h"
-#include "common/timer.h"
 #include "core/core_decomposition.h"
 #include "hcd/phcd.h"
 
@@ -13,11 +12,8 @@ int main() {
   std::printf("%-4s %10s %12s %8s %7s %7s  %s\n", "ds", "n", "m", "d_avg",
               "k_max", "|T|", "role");
   for (auto& ds : hcd::bench::LoadBenchSuite()) {
-    hcd::Timer timer;
     hcd::CoreDecomposition cd = hcd::PkcCoreDecomposition(ds.graph);
     hcd::HcdForest forest = hcd::PhcdBuild(ds.graph, cd);
-    hcd::bench::ReportBaseline("table2_decomp_build", ds.name,
-                               hcd::MaxThreads(), timer.Seconds());
     std::printf("%-4s %10u %12llu %8.1f %7u %7u  %s\n", ds.name.c_str(),
                 ds.graph.NumVertices(),
                 static_cast<unsigned long long>(ds.graph.NumEdges()),

@@ -14,6 +14,7 @@
 
 #include "bench/bench_datasets.h"
 #include "bench/bench_util.h"
+#include "common/telemetry.h"
 #include "engine/engine.h"
 #include "hcd/local_core_search.h"
 #include "hcd/lower_bound.h"
@@ -70,11 +71,6 @@ int main() {
         pmax, [&] { hcd::RcComputeParents(g, cd, forest); });
     const double frzp = StageSeconds(g, hcd::EngineAlgo::kPhcd, pmax,
                                      "construction.freeze");
-
-    hcd::bench::ReportBaseline("table3_phcd", ds.name, 1, phcd1);
-    hcd::bench::ReportBaseline("table3_lcps", ds.name, 1, lcps);
-    hcd::bench::ReportBaseline("table3_phcd", ds.name, pmax, phcdp);
-    hcd::bench::ReportBaseline("table3_freeze", ds.name, pmax, frzp);
 
     std::printf("%-4s | %10.3f %6.2fx %6.2fx | %10.3f %6.2fx %7.2fx | %8.3f\n",
                 ds.name.c_str(), phcd1, lb1 / phcd1, lcps / phcd1, phcdp,

@@ -5,21 +5,17 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "common/telemetry.h"
 #include "common/timer.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd::bench {
 
 /// Collects per-query latencies and reports nearest-rank quantiles
-/// (p50/p95/p99), the shared report shape of `hcd_cli query-bench` and
-/// bench_query_throughput. Not thread-safe: give each worker thread its own
+/// (p50/p95/p99), the report shape of `hcd_cli`'s query-bench, live-bench
+/// and serve-bench. Not thread-safe: give each worker thread its own
 /// recorder and Merge them afterwards.
 ///
 /// The sample vector is sorted at most once per batch of insertions: the
@@ -99,46 +95,6 @@ inline double TimeWithThreads(int threads, const std::function<void()>& fn,
 /// 40-core box; this machine's hardware concurrency is reported alongside
 /// so readers can interpret >hardware counts as oversubscription.
 inline std::vector<int> ThreadSweep() { return {1, 2, 4, 8}; }
-
-/// Appends one machine-readable measurement row to the file named by the
-/// HCD_BENCH_BASELINE environment variable (JSON Lines: one object per
-/// row with bench / dataset / threads / seconds, plus any extra
-/// measurement-specific fields passed as (key, value) pairs). A no-op when
-/// the variable is unset, so interactive runs stay table-only;
-/// scripts/run_benchmarks.sh sets it and folds the rows into
-/// BENCH_baseline.json for regression tracking across commits. Values are
-/// sanitized through FiniteOrZero so a degenerate run (zero duration, zero
-/// reads) can never write `inf`/`nan` into the baseline.
-inline void ReportBaseline(
-    const std::string& bench, const std::string& dataset, int threads,
-    double seconds,
-    const std::vector<std::pair<std::string, double>>& extra = {}) {
-  const char* path = std::getenv("HCD_BENCH_BASELINE");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\"bench\":\"%s\",\"dataset\":\"%s\",\"threads\":%d,"
-               "\"seconds\":%.9g",
-               JsonEscape(bench).c_str(), JsonEscape(dataset).c_str(),
-               threads, FiniteOrZero(seconds));
-  for (const auto& [key, value] : extra) {
-    std::fprintf(f, ",\"%s\":%.9g", JsonEscape(key).c_str(),
-                 FiniteOrZero(value));
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-}
-
-/// Dataset label of a graph path for baseline rows: the basename with its
-/// extension dropped ("data/web-Google.bin" -> "web-Google").
-inline std::string DatasetNameFromPath(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  const size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) name = name.substr(0, dot);
-  return name.empty() ? "unnamed" : name;
-}
 
 inline void PrintHardwareBanner(const char* title) {
   std::printf("== %s ==\n", title);

@@ -1,8 +1,8 @@
 // Tests for the shared benchmark helpers, chiefly the LatencyRecorder that
-// query-bench and bench_query_throughput report quantiles through: the
-// nearest-rank definition at the tiny sample counts where off-by-one
-// indexing would bite (0, 1 and 2 samples), and Merge across per-worker
-// recorders.
+// hcd_cli's query-bench, live-bench and serve-bench report quantiles
+// through: the nearest-rank definition at the tiny sample counts where
+// off-by-one indexing would bite (0, 1 and 2 samples), and Merge across
+// per-worker recorders.
 
 #include "bench/bench_util.h"
 
@@ -99,17 +99,6 @@ TEST(LatencyRecorder, FinalizeIsIdempotent) {
   recorder.Finalize();
   EXPECT_DOUBLE_EQ(recorder.P50(), 1.0);
   EXPECT_DOUBLE_EQ(recorder.P99(), 2.0);
-}
-
-TEST(DatasetNameFromPath, StripsDirectoryAndExtension) {
-  EXPECT_EQ(DatasetNameFromPath("data/web-Google.bin"), "web-Google");
-  EXPECT_EQ(DatasetNameFromPath("/a/b/c/graph.txt"), "graph");
-  EXPECT_EQ(DatasetNameFromPath("plain"), "plain");
-  EXPECT_EQ(DatasetNameFromPath("dir.with.dots/name"), "name");
-  EXPECT_EQ(DatasetNameFromPath(".hidden"), ".hidden");  // no stem to keep
-  EXPECT_EQ(DatasetNameFromPath("archive.tar.gz"), "archive.tar");
-  EXPECT_EQ(DatasetNameFromPath(""), "unnamed");
-  EXPECT_EQ(DatasetNameFromPath("dir/"), "unnamed");
 }
 
 }  // namespace

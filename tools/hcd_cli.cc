@@ -570,7 +570,7 @@ struct PoolRun {
 
   /// Samples per second, guarded: a degenerate run (clock granularity on
   /// a tiny run, zero samples) must report 0, never `inf`/`nan`, which
-  /// would not parse in the JSON report or the baseline.
+  /// would not parse in the JSON report.
   double Qps() const {
     return FiniteOrZero(static_cast<double>(latencies.Count()) / wall);
   }
@@ -616,23 +616,14 @@ void PrintQpsAndTail(const PoolRun& run) {
 }
 
 /// Serves one query-bench workload from --query-threads workers under a
-/// single aggregate "serve" stage (not one record per query), then emits
-/// its `row` baseline.
+/// single aggregate "serve" stage (not one record per query).
 PoolRun ServeQueryBench(
-    const CliArgs& args, const std::string& row,
+    const CliArgs& args,
     const std::function<void(int, LatencyRecorder*)>& body) {
-  PoolRun run;
-  {
-    ScopedStage stage("serve");
-    run = RunPool(args.query_threads, body);
-    stage.AddCounter("queries", args.queries);
-    stage.AddCounter("workers", args.query_threads);
-  }
-  bench::ReportBaseline(row, bench::DatasetNameFromPath(args.pos[0]),
-                        args.query_threads, run.wall,
-                        {{"qps", run.Qps()},
-                         {"queries", static_cast<double>(args.queries)},
-                         {"p99_us", run.latencies.P99() * 1e6}});
+  ScopedStage stage("serve");
+  PoolRun run = RunPool(args.query_threads, body);
+  stage.AddCounter("queries", args.queries);
+  stage.AddCounter("workers", args.query_threads);
   return run;
 }
 
@@ -641,8 +632,7 @@ PoolRun ServeQueryBench(
 /// ExecuteQuery from --query-threads concurrent workers — alternating
 /// level-constrained densest lookups (k cycling) with community
 /// materializations of the class containing a deterministically sampled
-/// element. Reports QPS and nearest-rank tail latency, and emits a
-/// "<kind>_query_bench_cli" baseline row.
+/// element. Reports QPS and nearest-rank tail latency.
 int CmdElementQueryBench(const CliArgs& args) {
   const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
   if (engine == nullptr) return 1;
@@ -654,8 +644,7 @@ int CmdElementQueryBench(const CliArgs& args) {
   const int queries = args.queries;
 
   const PoolRun run = ServeQueryBench(
-      args, std::string(kind_name) + "_query_bench_cli",
-      [&](int t, LatencyRecorder* recorder) {
+      args, [&](int t, LatencyRecorder* recorder) {
         SearchWorkspace ws;
         server::QueryRequest request;
         request.hierarchy = args.options.hierarchy;
@@ -843,7 +832,7 @@ int CmdQueryBench(const CliArgs& args) {
   std::vector<std::vector<LatencyRecorder>> recorders(
       workers, std::vector<LatencyRecorder>(workload.size()));
   const PoolRun run = ServeQueryBench(
-      args, "query_bench_cli", [&](int t, LatencyRecorder* recorder) {
+      args, [&](int t, LatencyRecorder* recorder) {
         SearchWorkspace ws;
         for (int q = t; q < queries; q += workers) {
           const size_t mi = static_cast<size_t>(q) % workload.size();
@@ -1234,13 +1223,11 @@ int CmdServeBench(const CliArgs& args) {
   HostedServer hosted;
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  std::string dataset = "remote";
   if (self_hosted) {
     // Self mode drives exactly --connections clients; make sure admission
     // control never sheds the bench's own load.
     const Status s = StartServer(args, args.connections, &hosted);
     if (!s.ok()) return Fail(s);
-    dataset = bench::DatasetNameFromPath(args.pos[0]);
     port = hosted.server->port();
   } else {
     host = args.connect_host;
@@ -1336,14 +1323,6 @@ int CmdServeBench(const CliArgs& args) {
     if (s.ok()) s = client.FetchStats(&server_stats_json);
     if (!s.ok()) return Fail(s);
   }
-
-  bench::ReportBaseline(
-      "serve_bench", dataset, connections, run.wall,
-      {{"qps", qps},
-       {"hit_rate", hit_rate},
-       {"queries", static_cast<double>(served)},
-       {"pipeline", static_cast<double>(args.pipeline)},
-       {"p99_us", run.latencies.P99() * 1e6}});
 
   if (args.json) {
     std::string server_extra;
