@@ -33,7 +33,7 @@ int main() {
     const double treep = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::BuildTrussHierarchy(g, index, td); }, 2);
 
-    hcd::DensestTrussResult best = hcd::DensestTruss(g, index, forest);
+    hcd::DensestTrussResult best = hcd::DensestTruss(index, forest);
     std::printf("%-4s | %10.3f %10.3f %10.3f | %6u %7u | k=%-3u d=%.1f\n",
                 ds.name.c_str(), decomp_t, tree1, treep, td.k_max,
                 forest.NumNodes(), best.level,

@@ -178,10 +178,13 @@ const HcdForest& HcdEngine::Forest() {
     const TrussDecomposition& td = Trussness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
+    if (options_.algo != EngineAlgo::kNaive) {
+      forest_ = BuildTrussHierarchy(*graph_, eidx, td);
+      return *forest_;
+    }
+    // The oracle builder records no stage of its own; time it here.
     ScopedStage stage("truss.construction");
-    forest_ = options_.algo == EngineAlgo::kNaive
-                  ? NaiveTrussHierarchy(*graph_, eidx, td)
-                  : BuildTrussHierarchy(*graph_, eidx, td);
+    forest_ = NaiveTrussHierarchy(*graph_, eidx, td);
     stage.AddCounter("nodes", forest_->NumNodes());
     return *forest_;
   }
@@ -191,10 +194,12 @@ const HcdForest& HcdEngine::Forest() {
     const NucleusDecomposition& nd = NucleusTheta();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
+    if (options_.algo != EngineAlgo::kNaive) {
+      forest_ = BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
+      return *forest_;
+    }
     ScopedStage stage("nucleus.construction");
-    forest_ = options_.algo == EngineAlgo::kNaive
-                  ? NaiveNucleusHierarchy(*graph_, eidx, tidx, nd)
-                  : BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
+    forest_ = NaiveNucleusHierarchy(*graph_, eidx, tidx, nd);
     stage.AddCounter("nodes", forest_->NumNodes());
     return *forest_;
   }

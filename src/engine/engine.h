@@ -27,7 +27,7 @@ namespace hcd {
 
 /// Which HCD construction algorithm the engine runs.
 enum class EngineAlgo {
-  kPhcd,   ///< parallel PHCD (Algorithm 2); serial specialization at p=1
+  kPhcd,   ///< parallel PHCD (Algorithm 2); plain union-find at p=1
   kLcps,   ///< serial LCPS baseline
   kNaive,  ///< definition-driven per-k BFS oracle (tests / ground truth)
 };

@@ -21,15 +21,18 @@ namespace hcd {
 ///   Step 3  groups the k-shell into new tree nodes by pivot;
 ///   Step 4  assigns each recorded child pivot's node the node of its
 ///           component's new pivot as parent.
-/// Steps 1 and 2 are one pass over the shell's adjacency: each
-/// shell-to-core edge reads the core's pivot just before its union (see
-/// DESIGN.md, "PHCD"). That pass is one parallel loop; a barrier then makes
-/// the union-find quiescent for the pivot reads of Steps 3 and 4. A shell
-/// whose adjacency volume is below kParallelGrain runs on one thread.
+/// The shell loop is BuildPivotForest (hcd/pivot_forest.h), which truss and
+/// nucleus hierarchies share. A vertex links to each neighbour of higher
+/// coreness and to each same-coreness neighbour of higher id. Steps 1 and
+/// 2 are one pass over the shell's adjacency: each shell-to-core edge
+/// reads the core's pivot just before its union. That is exact because
+/// the k'-cores above k are already whole components, and only such an
+/// edge can first touch one (DESIGN.md §13). A shell whose adjacency
+/// volume is below kParallelGrain runs on one thread.
 ///
 /// Work: O(n sqrt(p) + m alpha(n)) union-find operations overall. Uses the
 /// current OpenMP thread count; with one thread this is the paper's
-/// "PHCD (1)" serial configuration.
+/// "PHCD (1)" serial configuration, over the plain union-find.
 ///
 /// Requires `cd` to be the core decomposition of `graph`. Records a
 /// "construction" stage (counters: shells, nodes, parallel_shells).

@@ -9,9 +9,10 @@
 
 namespace hcd {
 
-VertexRank ComputeVertexRank(const CoreDecomposition& cd) {
-  const VertexId n = static_cast<VertexId>(cd.coreness.size());
-  const uint32_t num_shells = cd.k_max + 1;
+VertexRank ComputeVertexRank(std::span<const uint32_t> level,
+                             uint32_t max_level) {
+  const VertexId n = static_cast<VertexId>(level.size());
+  const uint32_t num_shells = max_level + 1;
   VertexRank vr;
   vr.sorted.resize(n);
   vr.rank.resize(n);
@@ -34,7 +35,7 @@ VertexRank ComputeVertexRank(const CoreDecomposition& cd) {
     VertexId* my_counts = counts.data() + static_cast<size_t>(p) * num_shells;
 #pragma omp for schedule(static)
     for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-      ++my_counts[cd.coreness[static_cast<VertexId>(vi)]];
+      ++my_counts[level[static_cast<VertexId>(vi)]];
     }
     // (implicit barrier)
 #pragma omp single
@@ -57,7 +58,7 @@ VertexRank ComputeVertexRank(const CoreDecomposition& cd) {
 #pragma omp for schedule(static)
     for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
       VertexId v = static_cast<VertexId>(vi);
-      VertexId pos = my_offsets[cd.coreness[v]]++;
+      VertexId pos = my_offsets[level[v]]++;
       vr.sorted[pos] = v;
       vr.rank[v] = pos;
     }

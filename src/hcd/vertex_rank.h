@@ -29,9 +29,18 @@ struct VertexRank {
   }
 };
 
-/// Computes the vertex rank in parallel (Algorithm 1): a stable counting
-/// sort by coreness with per-thread shell bins. O(n) work.
-VertexRank ComputeVertexRank(const CoreDecomposition& cd);
+/// Computes the rank in parallel (Algorithm 1): a stable counting sort by
+/// level with per-thread shell bins. Every hierarchy kind uses it: `level`
+/// holds one entry per element (a vertex's coreness, an edge's trussness, a
+/// triangle's nucleus number), each at most `max_level`, and the result
+/// orders elements by ascending (level, id). O(n) work.
+VertexRank ComputeVertexRank(std::span<const uint32_t> level,
+                             uint32_t max_level);
+
+/// The vertex rank of Definition 4: ComputeVertexRank over the coreness.
+inline VertexRank ComputeVertexRank(const CoreDecomposition& cd) {
+  return ComputeVertexRank(cd.coreness, cd.k_max);
+}
 
 /// A coreness-major order for orienting edges: ascending coreness, then,
 /// inside a shell, ascending degree class std::bit_width(degree), then

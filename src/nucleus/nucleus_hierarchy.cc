@@ -1,40 +1,13 @@
 #include "nucleus/nucleus_hierarchy.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 #include "common/check.h"
-#include "parallel/omp_utils.h"
-#include "parallel/wf_union_find.h"
+#include "hcd/pivot_forest.h"
+#include "hcd/vertex_rank.h"
 
 namespace hcd {
 namespace {
-
-struct TriangleRank {
-  std::vector<TriIdx> rank;
-  std::vector<TriIdx> sorted;
-  std::vector<TriIdx> shell_start;  // size k_max + 2
-};
-
-TriangleRank ComputeTriangleRank(const NucleusDecomposition& nd) {
-  const TriIdx num_tris = static_cast<TriIdx>(nd.theta.size());
-  TriangleRank tr;
-  tr.rank.resize(num_tris);
-  tr.sorted.resize(num_tris);
-  tr.shell_start.assign(nd.k_max + 2, 0);
-  for (TriIdx t = 0; t < num_tris; ++t) ++tr.shell_start[nd.theta[t] + 1];
-  for (size_t k = 1; k < tr.shell_start.size(); ++k) {
-    tr.shell_start[k] += tr.shell_start[k - 1];
-  }
-  std::vector<TriIdx> cursor(tr.shell_start.begin(), tr.shell_start.end() - 1);
-  for (TriIdx t = 0; t < num_tris; ++t) {
-    const TriIdx p = cursor[nd.theta[t]]++;
-    tr.sorted[p] = t;
-    tr.rank[t] = p;
-  }
-  return tr;
-}
 
 /// fn(x, t1, t2, t3) over every 4-clique of `tri` (duplicated from the
 /// decomposition translation unit on purpose: the hierarchy's filter and
@@ -64,111 +37,26 @@ NucleusForest BuildNucleusHierarchy(const Graph& graph,
                                     const EdgeIndexer& eidx,
                                     const TriangleIndexer& tidx,
                                     const NucleusDecomposition& nd) {
-  const TriIdx num_tris = tidx.NumTriangles();
-  NucleusForest forest(num_tris);
-  if (num_tris == 0) return forest;
-
-  const TriangleRank tr = ComputeTriangleRank(nd);
-  WaitFreeUnionFind uf(num_tris, tr.rank.data());
   const auto& theta = nd.theta;
-
-  std::unique_ptr<std::atomic<bool>[]> in_kpc(new std::atomic<bool>[num_tris]);
-  for (TriIdx t = 0; t < num_tris; ++t) {
-    in_kpc[t].store(false, std::memory_order_relaxed);
-  }
-
-  std::vector<TreeNodeId> parent_of;
-  std::vector<TriIdx> kpc_pivot;
-  std::vector<TriIdx> pivot_of;
-  const int pmax = MaxThreads();
-  std::vector<std::vector<TriIdx>> local_kpc(pmax);
-
-  for (int64_t k = nd.k_max; k >= 0; --k) {
-    const TriIdx begin = tr.shell_start[k];
-    const TriIdx end = tr.shell_start[k + 1];
-    if (begin == end) continue;
-    const uint32_t ck = static_cast<uint32_t>(k);
-
-    // Step 1: capture pivots of adjacent higher-theta components (through
-    // 4-cliques that are valid at level k).
-    kpc_pivot.clear();
-#pragma omp parallel num_threads(pmax)
-    {
-      auto& mine = local_kpc[ThreadId()];
-      mine.clear();
-#pragma omp for schedule(dynamic, 64)
-      for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-        const TriIdx t = tr.sorted[i];
-        ForEachFourClique(
-            graph, eidx, tidx, t,
-            [&](VertexId, TriIdx t1, TriIdx t2, TriIdx t3) {
-              if (theta[t1] < ck || theta[t2] < ck || theta[t3] < ck) return;
-              for (TriIdx other : {t1, t2, t3}) {
-                if (theta[other] > ck) {
-                  const TriIdx pvt = uf.GetPivot(other);
-                  if (!in_kpc[pvt].exchange(true)) mine.push_back(pvt);
-                }
-              }
-            });
-      }
-    }
-    for (auto& mine : local_kpc) {
-      kpc_pivot.insert(kpc_pivot.end(), mine.begin(), mine.end());
-    }
-
-    // Step 2: union the shell through its valid 4-cliques.
-#pragma omp parallel for schedule(dynamic, 64)
-    for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-      const TriIdx t = tr.sorted[i];
-      ForEachFourClique(graph, eidx, tidx, t,
-                        [&](VertexId, TriIdx t1, TriIdx t2, TriIdx t3) {
-                          if (theta[t1] < ck || theta[t2] < ck ||
-                              theta[t3] < ck) {
-                            return;
-                          }
-                          uf.Union(t, t1);
-                          uf.Union(t, t2);
-                          uf.Union(t, t3);
-                        });
-    }
-
-    // Step 3: group the shell by pivot.
-    pivot_of.resize(end - begin);
-#pragma omp parallel for schedule(static)
-    for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-      pivot_of[i - begin] = uf.GetPivot(tr.sorted[i]);
-    }
-    for (TriIdx i = begin; i < end; ++i) {
-      if (pivot_of[i - begin] == tr.sorted[i]) {
-        TreeNodeId node = forest.NewNode(ck);
-        parent_of.push_back(kInvalidNode);
-        forest.AddVertex(node, tr.sorted[i]);
-      }
-    }
-    for (TriIdx i = begin; i < end; ++i) {
-      if (pivot_of[i - begin] != tr.sorted[i]) {
-        forest.AddVertex(forest.Tid(pivot_of[i - begin]), tr.sorted[i]);
-      }
-    }
-
-    // Step 4: parents of the captured components.
-#pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < static_cast<int64_t>(kpc_pivot.size()); ++i) {
-      const TriIdx child_pivot = kpc_pivot[i];
-      const TriIdx new_pivot = uf.GetPivot(child_pivot);
-      HCD_DCHECK(new_pivot != child_pivot);
-      parent_of[forest.Tid(child_pivot)] = forest.Tid(new_pivot);
-      in_kpc[child_pivot].store(false, std::memory_order_relaxed);
-    }
-  }
-
-  for (TreeNodeId node = 0; node < forest.NumNodes(); ++node) {
-    if (parent_of[node] != kInvalidNode) {
-      forest.SetParent(node, parent_of[node]);
-    }
-  }
-  forest.BuildChildren();
-  return forest;
+  return BuildPivotForest(
+      theta, nd.k_max, "nucleus.construction",
+      // The 4-clique scan walks the lowest-degree corner's neighbours.
+      [&](TriIdx t) {
+        const auto [a, b, c] = tidx.triangles[t];
+        return std::min({graph.Degree(a), graph.Degree(b), graph.Degree(c)});
+      },
+      [&](TriIdx t, uint32_t k, auto&& link) {
+        ForEachFourClique(graph, eidx, tidx, t,
+                          [&](VertexId, TriIdx t1, TriIdx t2, TriIdx t3) {
+                            if (theta[t1] < k || theta[t2] < k ||
+                                theta[t3] < k) {
+                              return;
+                            }
+                            link(t1);
+                            link(t2);
+                            link(t3);
+                          });
+      });
 }
 
 NucleusForest NaiveNucleusHierarchy(const Graph& graph,
@@ -179,7 +67,7 @@ NucleusForest NaiveNucleusHierarchy(const Graph& graph,
   NucleusForest forest(num_tris);
   if (num_tris == 0) return forest;
 
-  const TriangleRank tr = ComputeTriangleRank(nd);
+  const VertexRank tr = ComputeVertexRank(nd.theta, nd.k_max);
 
   struct Pending {
     TreeNodeId node;

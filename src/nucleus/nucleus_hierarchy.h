@@ -21,8 +21,18 @@ namespace hcd {
 /// Reuses HcdForest with elements = TriIdx.
 using NucleusForest = HcdForest;
 
-/// Parallel nucleus hierarchy construction. O(sum over triangles of
-/// 4-clique enumerations * alpha) after the decomposition.
+/// Parallel nucleus hierarchy construction: BuildPivotForest
+/// (hcd/pivot_forest.h), PHCD's Algorithm 2 shell loop, over triangles
+/// by nucleus number. A shell triangle links to t1, t2 and t3 of every
+/// 4-clique whose four triangles all have nucleus number at least the
+/// shell's. A 4-clique valid at a higher level was unioned whole in that
+/// level's shell, so the pivot capture is exact: only a link from a shell
+/// triangle first touches a higher component (DESIGN.md §13). Shell work
+/// is each triangle's lowest corner degree, the length of its 4-clique
+/// scan, under the same kParallelGrain rule. Records a
+/// "nucleus.construction" stage (counters: shells, nodes,
+/// parallel_shells). O(sum over triangles of 4-clique enumerations *
+/// alpha) after the decomposition.
 NucleusForest BuildNucleusHierarchy(const Graph& graph,
                                     const EdgeIndexer& eidx,
                                     const TriangleIndexer& tidx,

@@ -5,148 +5,32 @@
 #include <memory>
 
 #include "common/check.h"
-#include "parallel/omp_utils.h"
+#include "hcd/pivot_forest.h"
+#include "hcd/vertex_rank.h"
 #include "parallel/union_find.h"
-#include "parallel/wf_union_find.h"
 
 namespace hcd {
-namespace {
-
-/// Edge rank (the truss analogue of Definition 4): ascending (trussness,
-/// edge id). Returns rank positions, the sorted order, and per-trussness
-/// shell boundaries.
-struct EdgeRank {
-  std::vector<EdgeIdx> rank;
-  std::vector<EdgeIdx> sorted;
-  std::vector<EdgeIdx> shell_start;  // size k_max + 2
-};
-
-EdgeRank ComputeEdgeRank(const TrussDecomposition& td) {
-  const EdgeIdx m = static_cast<EdgeIdx>(td.trussness.size());
-  EdgeRank er;
-  er.rank.resize(m);
-  er.sorted.resize(m);
-  er.shell_start.assign(td.k_max + 2, 0);
-  for (EdgeIdx e = 0; e < m; ++e) ++er.shell_start[td.trussness[e] + 1];
-  for (size_t k = 1; k < er.shell_start.size(); ++k) {
-    er.shell_start[k] += er.shell_start[k - 1];
-  }
-  std::vector<EdgeIdx> cursor(er.shell_start.begin(), er.shell_start.end() - 1);
-  for (EdgeIdx e = 0; e < m; ++e) {
-    const EdgeIdx p = cursor[td.trussness[e]]++;
-    er.sorted[p] = e;
-    er.rank[e] = p;
-  }
-  return er;
-}
-
-}  // namespace
 
 TrussForest BuildTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
                                 const TrussDecomposition& td) {
-  const EdgeIdx m = index.NumEdges();
+  // anchor[x]: the last added edge incident to vertex x. All added edges at
+  // x are connected through x, so an arriving edge links to the anchor it
+  // replaces.
   const VertexId n = graph.NumVertices();
-  TrussForest forest(m);
-  if (m == 0) return forest;
-
-  const EdgeRank er = ComputeEdgeRank(td);
-  WaitFreeUnionFind uf(m, er.rank.data());
-
-  // anchor[x]: some already-added edge incident to vertex x (all such edges
-  // are mutually connected through x).
   std::unique_ptr<std::atomic<EdgeIdx>[]> anchor(new std::atomic<EdgeIdx>[n]);
   for (VertexId x = 0; x < n; ++x) {
     anchor[x].store(kInvalidEdge, std::memory_order_relaxed);
   }
-  std::unique_ptr<std::atomic<bool>[]> in_kpc(new std::atomic<bool>[m]);
-  for (EdgeIdx e = 0; e < m; ++e) {
-    in_kpc[e].store(false, std::memory_order_relaxed);
-  }
-
-  std::vector<TreeNodeId> parent_of;
-  std::vector<EdgeIdx> kpc_pivot;
-  std::vector<EdgeIdx> pivot_of;
-  const int pmax = MaxThreads();
-  std::vector<std::vector<EdgeIdx>> local_kpc(pmax);
-
-  for (int64_t k = td.k_max; k >= 2; --k) {
-    const EdgeIdx begin = er.shell_start[k];
-    const EdgeIdx end = er.shell_start[k + 1];
-    if (begin == end) continue;
-    const uint32_t ck = static_cast<uint32_t>(k);
-    (void)ck;
-
-    // Step 1: capture the pivots of adjacent higher-truss components
-    // (anchors are stable: they only change in Step 2).
-    kpc_pivot.clear();
-#pragma omp parallel num_threads(pmax)
-    {
-      auto& mine = local_kpc[ThreadId()];
-      mine.clear();
-#pragma omp for schedule(dynamic, 256)
-      for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-        const EdgeIdx e = er.sorted[i];
+  return BuildPivotForest(
+      td.trussness, td.k_max, "truss.construction",
+      [](EdgeIdx) { return 2; },
+      [&](EdgeIdx e, uint32_t, auto&& link) {
         const auto [u, v] = index.edges[e];
         for (VertexId x : {u, v}) {
-          const EdgeIdx a = anchor[x].load();
-          if (a == kInvalidEdge) continue;
-          const EdgeIdx pvt = uf.GetPivot(a);
-          if (!in_kpc[pvt].exchange(true)) mine.push_back(pvt);
+          const EdgeIdx old = anchor[x].exchange(e);
+          if (old != kInvalidEdge) link(old);
         }
-      }
-    }
-    for (auto& mine : local_kpc) {
-      kpc_pivot.insert(kpc_pivot.end(), mine.begin(), mine.end());
-    }
-
-    // Step 2: chain each shell edge to its endpoints' anchors.
-#pragma omp parallel for schedule(dynamic, 256)
-    for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-      const EdgeIdx e = er.sorted[i];
-      const auto [u, v] = index.edges[e];
-      for (VertexId x : {u, v}) {
-        const EdgeIdx old = anchor[x].exchange(e);
-        if (old != kInvalidEdge) uf.Union(e, old);
-      }
-    }
-
-    // Step 3: group the shell into nodes by pivot.
-    pivot_of.resize(end - begin);
-#pragma omp parallel for schedule(static)
-    for (int64_t i = begin; i < static_cast<int64_t>(end); ++i) {
-      pivot_of[i - begin] = uf.GetPivot(er.sorted[i]);
-    }
-    for (EdgeIdx i = begin; i < end; ++i) {
-      if (pivot_of[i - begin] == er.sorted[i]) {
-        TreeNodeId node = forest.NewNode(static_cast<uint32_t>(k));
-        parent_of.push_back(kInvalidNode);
-        forest.AddVertex(node, er.sorted[i]);
-      }
-    }
-    for (EdgeIdx i = begin; i < end; ++i) {
-      if (pivot_of[i - begin] != er.sorted[i]) {
-        forest.AddVertex(forest.Tid(pivot_of[i - begin]), er.sorted[i]);
-      }
-    }
-
-    // Step 4: parents of the captured components.
-#pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < static_cast<int64_t>(kpc_pivot.size()); ++i) {
-      const EdgeIdx child_pivot = kpc_pivot[i];
-      const EdgeIdx new_pivot = uf.GetPivot(child_pivot);
-      HCD_DCHECK(new_pivot != child_pivot);
-      parent_of[forest.Tid(child_pivot)] = forest.Tid(new_pivot);
-      in_kpc[child_pivot].store(false, std::memory_order_relaxed);
-    }
-  }
-
-  for (TreeNodeId node = 0; node < forest.NumNodes(); ++node) {
-    if (parent_of[node] != kInvalidNode) {
-      forest.SetParent(node, parent_of[node]);
-    }
-  }
-  forest.BuildChildren();
-  return forest;
+      });
 }
 
 TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
@@ -162,7 +46,7 @@ TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
   };
   std::vector<Pending> parentless;
 
-  const EdgeRank er = ComputeEdgeRank(td);
+  const VertexRank er = ComputeVertexRank(td.trussness, td.k_max);
   std::vector<int64_t> anchor_stamp(n, -1);
   std::vector<EdgeIdx> anchor(n, kInvalidEdge);
 
@@ -217,9 +101,8 @@ TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
   return forest;
 }
 
-TrussCommunity TrussCommunityOf(const Graph& graph, const EdgeIndexer& index,
+TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node) {
-  (void)graph;
   TrussCommunity out;
   std::vector<VertexId> core = forest.CoreVertices(node);  // edge ids
   out.num_edges = core.size();
@@ -235,12 +118,12 @@ TrussCommunity TrussCommunityOf(const Graph& graph, const EdgeIndexer& index,
   return out;
 }
 
-DensestTrussResult DensestTruss(const Graph& graph, const EdgeIndexer& index,
+DensestTrussResult DensestTruss(const EdgeIndexer& index,
                                 const TrussForest& forest) {
   DensestTrussResult best;
   double best_avg = -1.0;
   for (TreeNodeId node = 0; node < forest.NumNodes(); ++node) {
-    TrussCommunity community = TrussCommunityOf(graph, index, forest, node);
+    TrussCommunity community = TrussCommunityOf(index, forest, node);
     const double avg = community.AverageDegree();
     if (avg > best_avg) {
       best_avg = avg;

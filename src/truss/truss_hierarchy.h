@@ -21,13 +21,18 @@ namespace hcd {
 /// operate on edge ids.
 using TrussForest = HcdForest;
 
-/// Parallel hierarchical truss construction: adds edge shells in
-/// descending trussness; connectivity among added edges is maintained in
-/// the pivot union-find, with one *anchor* edge per vertex (all edges
-/// incident to a vertex are mutually connected through it, so chaining each
-/// arriving edge to the vertex's previous anchor with an atomic exchange
-/// yields exact components). Pivot capture / grouping / parent assignment
-/// mirror PHCD's Steps 1-4. O(m alpha(m)) after the truss decomposition.
+/// Parallel hierarchical truss construction: BuildPivotForest
+/// (hcd/pivot_forest.h), PHCD's Algorithm 2 shell loop, over edges by
+/// trussness. Edges of one level-k truss component are vertex-connected,
+/// so each vertex keeps one *anchor*: the last added edge incident to it.
+/// An arriving edge takes each endpoint's anchor with an atomic exchange
+/// and links to the one it replaced, which chains every edge at a vertex
+/// into one component. The pivot capture is exact because the only link
+/// into a higher component is the first exchange at one of its vertices
+/// (DESIGN.md §13). Shell work is two anchors per edge, under the same
+/// kParallelGrain rule. Records a "truss.construction" stage (counters:
+/// shells, nodes, parallel_shells). O(m alpha(m)) after the truss
+/// decomposition.
 TrussForest BuildTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
                                 const TrussDecomposition& td);
 
@@ -51,7 +56,7 @@ struct TrussCommunity {
 /// Builder-forest community-of: a DFS plus an allocation per call. Kept as
 /// the test oracle for the frozen-index overload below; serve paths use
 /// the FlatHcdIndex form.
-TrussCommunity TrussCommunityOf(const Graph& graph, const EdgeIndexer& index,
+TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node);
 
 /// The k-truss (over all k) with the highest average degree — the truss
@@ -63,7 +68,7 @@ struct DensestTrussResult {
 };
 
 /// Builder-forest densest scan; test oracle for the frozen overload.
-DensestTrussResult DensestTruss(const Graph& graph, const EdgeIndexer& index,
+DensestTrussResult DensestTruss(const EdgeIndexer& index,
                                 const TrussForest& forest);
 
 // --- frozen (serve-phase) forms --------------------------------------------

@@ -89,7 +89,7 @@ TEST_P(ElementSearchSuite, FrozenTrussCommunityMatchesBuilderOracle) {
     ASSERT_EQ(Sorted(flat.CoreVertices(t)), Sorted(fx.forest.CoreVertices(ft)));
 
     const TrussCommunity frozen = TrussCommunityOf(flat, t);
-    const TrussCommunity oracle = TrussCommunityOf(g, fx.index, fx.forest, ft);
+    const TrussCommunity oracle = TrussCommunityOf(fx.index, fx.forest, ft);
     EXPECT_EQ(frozen.vertices, oracle.vertices);
     EXPECT_EQ(frozen.num_edges, oracle.num_edges);
     EXPECT_EQ(frozen.AverageDegree(), oracle.AverageDegree());
@@ -100,7 +100,7 @@ TEST_P(ElementSearchSuite, FrozenDensestTrussMatchesBuilderOracle) {
   const Graph& g = GetParam().graph;
   const TrussFixture fx = MakeTruss(g);
   const DensestTrussResult frozen = DensestTruss(*fx.flat);
-  const DensestTrussResult oracle = DensestTruss(g, fx.index, fx.forest);
+  const DensestTrussResult oracle = DensestTruss(fx.index, fx.forest);
 
   ASSERT_EQ(frozen.node == kInvalidNode, oracle.node == kInvalidNode);
   if (frozen.node == kInvalidNode) return;
@@ -289,7 +289,7 @@ TEST(ElementSearch, RandomizedSweepMatchesOracles) {
     for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
       const TreeNodeId ft = fx.forest.Tid(flat.Vertices(t).front());
       const TrussCommunity oracle =
-          TrussCommunityOf(g, fx.index, fx.forest, ft);
+          TrussCommunityOf(fx.index, fx.forest, ft);
       ASSERT_EQ(index.Density(t), oracle.AverageDegree())
           << "seed=" << seed << " node=" << t;
       ASSERT_EQ(index.CommunityVertices(t), oracle.vertices.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/telemetry.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "hcd/validate.h"
@@ -100,7 +101,7 @@ TEST_P(NucleusSuite, HierarchyStableAcrossThreadCounts) {
   NucleusPipeline p = Build(g);
   NucleusDecomposition nd = PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
   NucleusForest base = BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
-  for (int threads : {2, 4}) {
+  for (int threads : {1, 2, 4}) {
     ThreadCountGuard guard(threads);
     EXPECT_TRUE(
         HcdEquals(BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd), base))
@@ -133,6 +134,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<testing::GraphCase>& info) {
       return info.param.name;
     });
+
+// The suite graphs are too small for a triangle shell to reach
+// kParallelGrain, so this one drives the parallel pass over triangles: a
+// planted branching hierarchy whose deepest nucleus shells are above the
+// grain and whose shallower ones, each capturing the cores below it, run
+// on one thread after them. Repeated builds give the stale-capture hazard
+// (DESIGN.md §13) a chance to show.
+TEST(NucleusHierarchy, RepeatedParallelBuildsMatchNaive) {
+  const NucleusPipeline p =
+      Build(PlantedHierarchy(BranchingSpec(3, 14, 3, 2, 40), 7));
+  const NucleusDecomposition nd =
+      PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
+  const NucleusForest oracle =
+      NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
+  const uint64_t shells = testing::DistinctLevels(nd.theta);
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const NucleusForest forest =
+          BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
+      telemetry.Uninstall();
+      const uint64_t parallel_shells = testing::LastStageCounter(
+          telemetry, "nucleus.construction", "parallel_shells");
+      ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
+      ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
+      ASSERT_TRUE(HcdEquals(forest, oracle))
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
 
 TEST(NucleusHierarchy, TwoCliquesSharingAnEdge) {
   // Two K5s sharing one edge: each K5's triangles form a separate

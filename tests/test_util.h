@@ -1,6 +1,7 @@
 #ifndef HCD_TESTS_TEST_UTIL_H_
 #define HCD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -266,6 +267,14 @@ inline uint64_t LastStageCounter(const StageTelemetry& telemetry,
     return 0;
   }
   return 0;
+}
+
+/// Number of distinct values in `levels`: the non-empty shells of a
+/// hierarchy whose elements have these levels.
+inline uint64_t DistinctLevels(std::vector<uint32_t> levels) {
+  std::sort(levels.begin(), levels.end());
+  return static_cast<uint64_t>(
+      std::unique(levels.begin(), levels.end()) - levels.begin());
 }
 
 /// Seeds for randomized property sweeps.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/telemetry.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "hcd/validate.h"
@@ -155,12 +156,41 @@ TEST(TrussHierarchy, RingOfCliquesOneNodePerClique) {
   EXPECT_EQ(clique_nodes, 4u);
 }
 
+// The suite graphs are too small for an edge shell to reach
+// kParallelGrain, so this one drives the parallel pass over edges: the
+// shallow truss shells of an RMAT graph are above the grain and the deep
+// ones below it, so thin shells run on one thread between parallel ones.
+// Repeated builds give the stale-capture hazard (DESIGN.md §13) a chance
+// to show.
+TEST(TrussHierarchy, RepeatedParallelBuildsMatchNaive) {
+  const Graph g = RMatGraph500(12, 80'000, 7);
+  const EdgeIndexer index = BuildEdgeIndexer(g);
+  const TrussDecomposition td = PeelTrussDecomposition(g, index);
+  const TrussForest oracle = NaiveTrussHierarchy(g, index, td);
+  const uint64_t shells = testing::DistinctLevels(td.trussness);
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const TrussForest forest = BuildTrussHierarchy(g, index, td);
+      telemetry.Uninstall();
+      const uint64_t parallel_shells = testing::LastStageCounter(
+          telemetry, "truss.construction", "parallel_shells");
+      ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
+      ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
+      ASSERT_TRUE(HcdEquals(forest, oracle))
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
 TEST(DensestTruss, FindsTheClique) {
   Graph g = RingOfCliques(5, 6);
   EdgeIndexer index = BuildEdgeIndexer(g);
   TrussDecomposition td = PeelTrussDecomposition(g, index);
   TrussForest forest = BuildTrussHierarchy(g, index, td);
-  DensestTrussResult best = DensestTruss(g, index, forest);
+  DensestTrussResult best = DensestTruss(index, forest);
   EXPECT_EQ(best.level, 6u);
   EXPECT_EQ(best.community.vertices.size(), 6u);
   EXPECT_DOUBLE_EQ(best.community.AverageDegree(), 5.0);
@@ -173,7 +203,7 @@ TEST(TrussCommunity, PaperFigure1) {
   TrussForest forest = BuildTrussHierarchy(g, index, td);
   // The 4-clique S3.2 is a 4-truss.
   EXPECT_GE(td.k_max, 4u);
-  DensestTrussResult best = DensestTruss(g, index, forest);
+  DensestTrussResult best = DensestTruss(index, forest);
   EXPECT_GE(best.community.AverageDegree(), 3.0);
 }
 

@@ -23,6 +23,24 @@ if(MODE STREQUAL "trace")
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "trace validation failed (${rc})")
   endif()
+  # Element hierarchies run PHCD's shell loop, so a truss build's trace
+  # holds its per-shell spans under the truss construction stage.
+  set(truss_trace ${WORK_DIR}/cli_obs_truss_trace.json)
+  execute_process(
+    COMMAND ${HCD_CLI} build ${graph} ${WORK_DIR}/cli_obs_truss.forest
+            --hierarchy=truss --threads=2 --trace-out=${truss_trace}
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "hcd_cli build --hierarchy=truss --trace-out failed (${rc})")
+  endif()
+  execute_process(
+    COMMAND ${PYTHON3} ${SOURCE_DIR}/scripts/check_trace.py ${truss_trace}
+            --require=truss.construction --require=phcd.shell
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "truss build trace validation failed (${rc})")
+  endif()
   # live-bench loads through the same ingest path as the engine commands,
   # so --io-threads applies and the trace holds the enclosing "load" span.
   set(live_trace ${WORK_DIR}/cli_obs_live_trace.json)

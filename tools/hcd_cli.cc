@@ -470,29 +470,17 @@ int CmdBestK(const CliArgs& args) {
 
 int CmdTruss(const CliArgs& args) {
   if (args.pos.size() != 1) return Usage();
-  const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
+  CliArgs truss_args = args;
+  truss_args.options.hierarchy = HierarchyKind::kTruss;
+  const std::unique_ptr<HcdEngine> engine = OpenEngine(truss_args);
   if (engine == nullptr) return 1;
-  const Graph& g = engine->graph();
-  std::optional<ThreadCountGuard> guard;
-  if (args.options.threads > 0) guard.emplace(args.options.threads);
-  EdgeIndexer index;
-  TrussDecomposition td;
-  TrussForest forest;
+  const EdgeIndexer& index = engine->Edges();
+  const TrussDecomposition& td = engine->Trussness();
+  const TrussForest& forest = engine->Forest();
   DensestTrussResult best;
   {
-    ScopedStage stage("truss.decomposition");
-    index = BuildEdgeIndexer(g);
-    td = PeelTrussDecomposition(g, index);
-    stage.AddCounter("k_max", td.k_max);
-  }
-  {
-    ScopedStage stage("truss.hierarchy");
-    forest = BuildTrussHierarchy(g, index, td);
-    stage.AddCounter("nodes", forest.NumNodes());
-  }
-  {
     ScopedStage stage("truss.densest");
-    best = DensestTruss(g, index, forest);
+    best = DensestTruss(index, forest);
   }
   if (args.json) {
     char extra[256];
