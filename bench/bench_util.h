@@ -14,9 +14,9 @@
 namespace hcd::bench {
 
 /// Collects per-query latencies and reports nearest-rank quantiles
-/// (p50/p95/p99), the report shape of `hcd_cli`'s query-bench, live-bench
-/// and serve-bench. Not thread-safe: give each worker thread its own
-/// recorder and Merge them afterwards.
+/// (p50/p95/p99), the report shape of `hcd_cli serve-bench`. Not
+/// thread-safe: give each worker thread its own recorder and Merge them
+/// afterwards.
 ///
 /// The sample vector is sorted at most once per batch of insertions: the
 /// first Quantile call after a Record/Merge sorts in place and memoizes,
@@ -91,15 +91,23 @@ inline double TimeWithThreads(int threads, const std::function<void()>& fn,
   return TimeIt(fn, reps);
 }
 
-/// Thread counts swept by the scaling figures. The paper sweeps 1..40 on a
-/// 40-core box; this machine's hardware concurrency is reported alongside
-/// so readers can interpret >hardware counts as oversubscription.
-inline std::vector<int> ThreadSweep() { return {1, 2, 4, 8}; }
+/// Thread counts swept by the scaling figures: powers of two from 1 while
+/// below the host's hardware threads, then the hardware thread count
+/// itself (1, 2, 4 on 4 threads; 1, 2, 4, 6 on 6). The paper sweeps 1..40
+/// on a 40-core box; stopping at the host's count keeps every column,
+/// the last ("pmax") included, free of oversubscription.
+inline std::vector<int> ThreadSweep() {
+  const int hardware = HardwareThreads();
+  std::vector<int> threads;
+  for (int p = 1; p < hardware; p *= 2) threads.push_back(p);
+  threads.push_back(hardware);
+  return threads;
+}
 
 inline void PrintHardwareBanner(const char* title) {
   std::printf("== %s ==\n", title);
-  std::printf("(hardware threads available: %d; thread counts beyond this "
-              "are oversubscribed)\n\n",
+  std::printf("(hardware threads available: %d; the thread sweep ends "
+              "there)\n\n",
               HardwareThreads());
 }
 

@@ -4,12 +4,12 @@
 For Prometheus text exposition (the default format): checks the HELP/TYPE
 structure, that histogram bucket series are cumulative and end in an +Inf
 bucket equal to the _count series, and optionally that a named histogram's
-total count matches an expected value (e.g. query-bench's --queries), that
-a named gauge carries an expected value (e.g. live-bench's
-hcd_snapshot_epoch, which must equal --batches since every batch of
-distinct toggles publishes exactly one epoch), or that a named counter
-carries an expected value (e.g. the serve smoke's
-hcd_server_requests_total, which must equal serve-bench's --queries).
+total count matches an expected value (e.g. hcd_query_latency_seconds,
+which must equal serve-bench's --queries), that a named gauge is present
+or carries an expected value (e.g. hcd_snapshot_mapped_bytes while a
+snapshot is mapped), or that a named counter carries an expected value
+(e.g. the serve smoke's hcd_server_requests_total, which must equal
+serve-bench's --queries).
 
 For .json files: checks the document parses and has the metrics envelope.
 

@@ -287,8 +287,7 @@ Status DynamicCoreIndex::RemoveEdge(VertexId u, VertexId v) {
 }
 
 Status DynamicCoreIndex::ApplyBatch(std::span<const EdgeUpdate> updates,
-                                    BatchStats* stats,
-                                    const ApplyBatchOptions& options) {
+                                    BatchStats* stats) {
   ScopedSpan span("dynamic.apply_batch");
   span.AddArg("updates", updates.size());
   const VertexId n = NumVertices();
@@ -363,8 +362,7 @@ Status DynamicCoreIndex::ApplyBatch(std::span<const EdgeUpdate> updates,
   if (stats != nullptr) before = coreness_;
 
   scratch_.EnsureSize(n);
-  const bool run_parallel =
-      options.parallel && pending.size() > 1 && MaxThreads() > 1;
+  const bool run_parallel = pending.size() > 1 && MaxThreads() > 1;
   if (!run_parallel) {
     // Sequential fallback: the plain single-edge schedule, exact at every
     // step, one subcore per update.
@@ -512,14 +510,6 @@ Status DynamicCoreIndex::ApplyBatch(std::span<const EdgeUpdate> updates,
   span.AddArg("applied", st.applied);
   span.AddArg("rounds", st.rounds);
   span.AddArg("subcores", st.subcores_touched);
-
-  if (options.verify_with_bz) {
-    const CoreDecomposition fresh = BzCoreDecomposition(ToGraph());
-    if (fresh.coreness != coreness_) {
-      return Status::Internal(
-          "batch-dynamic coreness diverged from BZ recomputation");
-    }
-  }
   return Status::Ok();
 }
 

@@ -43,17 +43,6 @@ struct BatchStats {
   std::vector<std::pair<VertexId, VertexId>> applied_edges;
 };
 
-struct ApplyBatchOptions {
-  /// Process independent subcore clusters under OpenMP. The sequential
-  /// fallback (false, or whenever a round has one cluster / one thread)
-  /// applies the same net updates one by one — results are identical.
-  bool parallel = true;
-  /// After applying, recompute coreness from scratch with BZ and return
-  /// Internal if any vertex disagrees. Debug/cross-check only: costs a
-  /// full recomputation per batch.
-  bool verify_with_bz = false;
-};
-
 /// Incrementally maintained core decomposition under edge updates (the
 /// traversal/subcore algorithm of the streaming literature the paper
 /// builds on; the substrate of hierarchical core maintenance [15]).
@@ -150,10 +139,11 @@ class DynamicCoreIndex {
   /// are no-ops against the current graph (insert of a present edge,
   /// remove of an absent one) are skipped and counted in `stats`.
   /// Afterwards every coreness equals the from-scratch value on the
-  /// updated graph, bit-identically.
+  /// updated graph, bit-identically. The thread count selects the
+  /// schedule: with one OpenMP thread, or one net update, the updates are
+  /// applied one by one, with the same result.
   Status ApplyBatch(std::span<const EdgeUpdate> updates,
-                    BatchStats* stats = nullptr,
-                    const ApplyBatchOptions& options = {});
+                    BatchStats* stats = nullptr);
 
   /// Materializes the current graph as an immutable CSR Graph (e.g. to
   /// rebuild the HCD with PhcdBuild after a batch of updates). Unedited

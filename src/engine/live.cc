@@ -42,13 +42,10 @@ Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
   BatchApplyReport& rep = report != nullptr ? *report : local;
   rep = BatchApplyReport{};
 
-  ApplyBatchOptions batch_options;
-  batch_options.parallel = options_.parallel_batches;
-  batch_options.verify_with_bz = options_.verify_batches;
   Timer apply_timer;
   {
     ScopedSpan apply_span("live.apply");
-    const Status s = dynamic_.ApplyBatch(updates, &rep.stats, batch_options);
+    const Status s = dynamic_.ApplyBatch(updates, &rep.stats);
     if (!s.ok()) return s;
     apply_span.AddArg("applied", rep.stats.applied);
   }

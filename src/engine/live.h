@@ -119,11 +119,6 @@ struct LiveEngineOptions {
   /// DynamicCoreIndex materialises it (or flips once it grows past it).
   /// Unedited rows stay in the shared CSR and are never hashed.
   uint32_t hash_degree_threshold = DynamicCoreIndex::kDefaultHashDegreeThreshold;
-  /// Run the parallel batch schedule (false: one-by-one fallback).
-  bool parallel_batches = true;
-  /// Cross-check every batch against a from-scratch BZ recomputation
-  /// (debug: one full decomposition per batch).
-  bool verify_batches = false;
 };
 
 /// Everything one ApplyBatch did, for benches and tests.

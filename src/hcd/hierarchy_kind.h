@@ -11,9 +11,9 @@ namespace hcd {
 /// the decomposed elements are vertices (k-core), edges (k-truss) or
 /// triangles ((3,4)-nucleus) — only the meaning of an element id and its
 /// materialization back to graph vertices differ. The serve stack
-/// (FlatHcdIndex, snapshots, search indexes, query-bench, the socket
-/// server) is parameterized by this kind; the construction side stays in
-/// src/hcd, src/truss and src/nucleus.
+/// (FlatHcdIndex, snapshots, search indexes, the socket server and
+/// serve-bench's requests) is parameterized by this kind; the
+/// construction side stays in src/hcd, src/truss and src/nucleus.
 ///
 /// The numeric values are part of the v3 snapshot format — never reorder.
 enum class HierarchyKind : uint32_t {

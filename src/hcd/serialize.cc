@@ -1,8 +1,11 @@
 #include "hcd/serialize.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/mapped_file.h"
@@ -292,12 +295,8 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
   return Status::Ok();
 }
 
-}  // namespace
-
-Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-
+/// Writes the whole snapshot of `index` to `f`; false on a short write.
+bool WriteFlatIndex(const FlatHcdIndex& index, std::FILE* f) {
   const FlatHcdIndex::Data& d = index.data();
   bool ok;
   if (d.kind == HierarchyKind::kCore) {
@@ -312,7 +311,7 @@ Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
         index.NumLevelGroups(),
         0,  // reserved
     };
-    ok = std::fwrite(header, sizeof(uint64_t), kV2HeaderWords, f.get()) ==
+    ok = std::fwrite(header, sizeof(uint64_t), kV2HeaderWords, f) ==
          kV2HeaderWords;
   } else {
     const uint64_t header[kV3HeaderWords] = {
@@ -329,23 +328,42 @@ Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
         0,  // reserved
         0,  // reserved
     };
-    ok = std::fwrite(header, sizeof(uint64_t), kV3HeaderWords, f.get()) ==
+    ok = std::fwrite(header, sizeof(uint64_t), kV3HeaderWords, f) ==
          kV3HeaderWords;
   }
-  ok = ok && WriteSection(f.get(), d.levels) &&
-       WriteSection(f.get(), d.parents) &&
-       WriteSection(f.get(), d.subtree_nodes) &&
-       WriteSection(f.get(), d.child_offsets) &&
-       WriteSection(f.get(), d.children) &&
-       WriteSection(f.get(), d.vertex_offsets) &&
-       WriteSection(f.get(), d.vertices) && WriteSection(f.get(), d.tid) &&
-       WriteSection(f.get(), d.desc_level_order) &&
-       WriteSection(f.get(), d.level_group_offsets) &&
-       WriteSection(f.get(), d.roots);
+  ok = ok && WriteSection(f, d.levels) && WriteSection(f, d.parents) &&
+       WriteSection(f, d.subtree_nodes) && WriteSection(f, d.child_offsets) &&
+       WriteSection(f, d.children) && WriteSection(f, d.vertex_offsets) &&
+       WriteSection(f, d.vertices) && WriteSection(f, d.tid) &&
+       WriteSection(f, d.desc_level_order) &&
+       WriteSection(f, d.level_group_offsets) && WriteSection(f, d.roots);
   if (d.kind != HierarchyKind::kCore) {
-    ok = ok && WriteSection(f.get(), d.element_members);
+    ok = ok && WriteSection(f, d.element_members);
   }
-  if (!ok) return Status::IoError("short write to " + path);
+  return ok;
+}
+
+}  // namespace
+
+Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
+  // The bytes go to a temporary file in the same directory, which is then
+  // renamed over `path`: a process that has the old file mapped keeps its
+  // own, unchanged inode, where truncating in place would change validated
+  // bytes under its mapping (and cut away pages past a smaller new file).
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot open " + tmp);
+  const bool wrote = WriteFlatIndex(index, f);
+  // fclose flushes the stdio buffer, so it can be the call that fails.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed) {
+    std::remove(tmp.c_str());
+    return Status::IoError("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("cannot rename " + tmp + " to " + path);
+  }
   return Status::Ok();
 }
 

@@ -24,7 +24,7 @@ namespace hcd {
 /// one per-level best-node table over density (BestNodeByLevel). The object
 /// is deeply const after construction: any number of threads may query it
 /// concurrently, each with its own SearchWorkspace — the
-/// QuerySnapshot-grade contract the socket server and query-bench rely on.
+/// QuerySnapshot-grade contract the socket server's workers rely on.
 ///
 /// Construction records the "search.element" stage.
 class ElementSearchIndex {

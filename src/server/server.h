@@ -36,7 +36,7 @@ struct QueryOutcome {
 };
 
 /// Evaluates one protocol query: the single query path for every
-/// hierarchy, shared by the server, serve-bench's self mode, query-bench
+/// hierarchy, shared by the server (which self-hosted serve-bench drives)
 /// and the soak tests. It routes on `request.hierarchy`: core requests are
 /// answered from `snapshot`, truss and nucleus requests from
 /// `element_index` when its kind matches. Any other request (an unserved

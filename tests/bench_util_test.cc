@@ -1,12 +1,14 @@
-// Tests for the shared benchmark helpers, chiefly the LatencyRecorder that
-// hcd_cli's query-bench, live-bench and serve-bench report quantiles
-// through: the nearest-rank definition at the tiny sample counts where
-// off-by-one indexing would bite (0, 1 and 2 samples), and Merge across
-// per-worker recorders.
+// Tests for the shared benchmark helpers: the LatencyRecorder that
+// hcd_cli serve-bench reports quantiles through (the nearest-rank
+// definition at the tiny sample counts where off-by-one indexing would
+// bite, 0, 1 and 2 samples, and Merge across per-worker recorders), and
+// the scaling figures' ThreadSweep.
 
 #include "bench/bench_util.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace hcd::bench {
 namespace {
@@ -99,6 +101,19 @@ TEST(LatencyRecorder, FinalizeIsIdempotent) {
   recorder.Finalize();
   EXPECT_DOUBLE_EQ(recorder.P50(), 1.0);
   EXPECT_DOUBLE_EQ(recorder.P99(), 2.0);
+}
+
+TEST(ThreadSweep, DoublesFromOneAndEndsAtTheHardwareThreads) {
+  const std::vector<int> sweep = ThreadSweep();
+  ASSERT_FALSE(sweep.empty());
+  EXPECT_EQ(sweep.front(), 1);
+  EXPECT_EQ(sweep.back(), HardwareThreads());
+  for (size_t i = 1; i < sweep.size(); ++i) {
+    EXPECT_LT(sweep[i - 1], sweep[i]) << "position " << i;
+    if (i + 1 < sweep.size()) {
+      EXPECT_EQ(sweep[i], 2 * sweep[i - 1]) << "position " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -182,24 +183,13 @@ TEST_F(CliJsonTest, EngineCommands) {
   RunAndParse("influential " + bin_path_ + " 3 2", "influential");
 }
 
-TEST_F(CliJsonTest, QueryBenchRatiosStayFinite) {
+TEST_F(CliJsonTest, ServeBenchServesTheTrussIndex) {
+  // --hierarchy=truss: the self-hosted server builds the truss element
+  // index, every request asks for that kind, and the report names it.
   const JsonValue doc = RunAndParse(
-      "query-bench " + bin_path_ + " --query-threads=2 --queries=60",
-      "query-bench");
-  const JsonValue* result = doc.Find("result");
-  ASSERT_NE(result, nullptr);
-  const JsonValue* qps = result->Find("qps");
-  ASSERT_NE(qps, nullptr);
-  EXPECT_GE(qps->number, 0.0);  // the strict parser already rejected inf/nan
-}
-
-TEST_F(CliJsonTest, ElementQueryBenchReportsKindAndStaysFinite) {
-  // The element regime of query-bench: --hierarchy=truss runs the
-  // ElementSearchIndex workload and tags its result with the kind.
-  const JsonValue doc = RunAndParse(
-      "query-bench " + bin_path_ +
-          " --hierarchy=truss --query-threads=2 --queries=60",
-      "query-bench");
+      "serve-bench " + bin_path_ +
+          " --hierarchy=truss --connections=2 --queries=60",
+      "serve-bench");
   const JsonValue* result = doc.Find("result");
   ASSERT_NE(result, nullptr);
   const JsonValue* hierarchy = result->Find("hierarchy");
@@ -207,20 +197,12 @@ TEST_F(CliJsonTest, ElementQueryBenchReportsKindAndStaysFinite) {
   EXPECT_EQ(hierarchy->str, "truss");
   const JsonValue* qps = result->Find("qps");
   ASSERT_NE(qps, nullptr);
-  EXPECT_GE(qps->number, 0.0);
-  const JsonValue* elements = result->Find("elements");
-  ASSERT_NE(elements, nullptr);
-  EXPECT_GT(elements->number, 0.0);
-}
-
-TEST_F(CliJsonTest, LiveBenchRatiosStayFinite) {
-  const JsonValue doc = RunAndParse(
-      "live-bench " + bin_path_ +
-          " --query-threads=2 --batches=1 --batch-size=20 --seed=5",
-      "live-bench");
-  const JsonValue* result = doc.Find("result");
-  ASSERT_NE(result, nullptr);
-  EXPECT_NE(result->Find("qps_retained"), nullptr);
+  EXPECT_GE(qps->number, 0.0);  // the strict parser already rejected inf/nan
+  const JsonValue* server = result->Find("server");
+  ASSERT_NE(server, nullptr);
+  const JsonValue* requests = server->Find("requests");
+  ASSERT_NE(requests, nullptr);
+  EXPECT_EQ(requests->number, 60.0);
 }
 
 TEST_F(CliJsonTest, ServeBenchReportsServerStats) {
@@ -244,40 +226,52 @@ TEST_F(CliJsonTest, ServeBenchReportsServerStats) {
 TEST_F(CliJsonTest, BadInvocationsExitTwoWithAnError) {
   const std::string g = bin_path_;
   const std::string out = WorkDir() + "/bad_out.bin";
-  const std::vector<std::string> cases = {
+  // Each case names the error it must fail with, so a refused flag cannot
+  // pass by being unknown, nor a bad value by naming a missing command.
+  const std::string kOnlyValid = "is only valid for";
+  const std::vector<std::pair<std::string, std::string>> cases = {
       // Malformed or out-of-range numeric positionals, rejected before any
       // generator or load runs.
-      "gen gnm " + out + " abc 3000",
-      "gen gnm " + out + " 10 1000",
-      "gen gnm " + out + " 1 0",
-      "gen rmat " + out + " 12x 100",
-      "gen rmat " + out + " 32 100",
-      "gen ba " + out + " 5 5",
-      "gen onion " + out + " 1 5",
-      "influential " + g + " abc 2",
-      "influential " + g + " 3 2x",
+      {"gen gnm " + out + " abc 3000", "bad <n> value"},
+      {"gen gnm " + out + " 10 1000", "bad <m> value"},
+      {"gen gnm " + out + " 1 0", "bad <n> value"},
+      {"gen rmat " + out + " 12x 100", "bad <scale> value"},
+      {"gen rmat " + out + " 32 100", "bad <scale> value"},
+      {"gen ba " + out + " 5 5", "bad <edges-per-vertex> value"},
+      {"gen onion " + out + " 1 5", "bad <k_max> value"},
+      {"influential " + g + " abc 2", "bad <k> value"},
+      {"influential " + g + " 3 2x", "bad <r> value"},
       // Flags a command would otherwise accept and ignore.
-      "serve-bench " + g + " --query-threads=2",
-      "live-bench " + g + " --queries=10",
-      "serve " + g + " --connections=4",
-      "serve " + g + " --distinct-k=2",
-      "serve " + g + " --pipeline=4",
-      "serve " + g + " --server-metrics-out=" + WorkDir() + "/bad.prom",
+      {"serve-bench " + g + " --slow-log=" + WorkDir() + "/bad.jsonl",
+       kOnlyValid},
+      {"serve " + g + " --queries=10", kOnlyValid},
+      {"serve " + g + " --connections=4", kOnlyValid},
+      {"serve " + g + " --distinct-k=2", kOnlyValid},
+      {"serve " + g + " --pipeline=4", kOnlyValid},
+      {"serve " + g + " --server-metrics-out=" + WorkDir() + "/bad.prom",
+       kOnlyValid},
       // Unknown, malformed and wrong-command flags.
-      "build " + g + " " + WorkDir() + "/bad.forest --thread=8",
-      "stats " + g + " --threads=zero",
-      "stats " + g + " --algo=fast",
-      "stats " + g + " --io-threads=-1",
-      "stats " + g + " --query-threads=2",
-      "stats " + g + " --batch-size=10",
-      "stats " + g + " --connections=4",
-      "query-bench " + g + " --metrics=conductance,densiy",
-      "serve-bench --connect=localhost",
+      {"build " + g + " " + WorkDir() + "/bad.forest --thread=8",
+       "unknown flag '--thread=8'"},
+      {"stats " + g + " --threads=zero", "bad --threads value"},
+      {"stats " + g + " --algo=fast", "bad --algo value"},
+      {"stats " + g + " --io-threads=-1", "bad --io-threads value"},
+      {"stats " + g + " --pipeline=4", kOnlyValid},
+      {"stats " + g + " --hierarchy=truss", kOnlyValid},
+      {"stats " + g + " --connections=4", kOnlyValid},
+      {"serve-bench " + g + " --metrics=conductance,densiy",
+       "bad --metrics value"},
+      {"serve-bench --connect=localhost", "bad --connect value"},
+      // Commands that no longer exist.
+      {"query-bench " + g, "unknown command 'query-bench'"},
+      {"live-bench " + g, "unknown command 'live-bench'"},
   };
-  for (const std::string& args : cases) {
+  for (const auto& [args, error] : cases) {
     std::string err;
     EXPECT_EQ(RunCliStatus(args, &err), 2) << args << "\n" << err;
-    EXPECT_NE(err.find("error:"), std::string::npos) << args << "\n" << err;
+    EXPECT_NE(err.find("error: "), std::string::npos) << args << "\n" << err;
+    EXPECT_NE(err.find(error), std::string::npos)
+        << args << "\nwant: " << error << "\n" << err;
   }
 }
 

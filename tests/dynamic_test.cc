@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "hcd/phcd.h"
 #include "hcd/validate.h"
+#include "parallel/omp_utils.h"
 #include "tests/test_util.h"
 
 namespace hcd {
@@ -155,21 +156,24 @@ std::vector<EdgeUpdate> RandomBatch(const DynamicCoreIndex& index, Rng& rng,
   return batch;
 }
 
-/// Applies `batch` three ways — parallel schedule, sequential fallback,
-/// and edge-by-edge net replay — and checks all three against BZ from
-/// scratch, bit for bit.
+/// Applies `batch` three ways — parallel schedule (four threads),
+/// sequential schedule (one thread), and edge-by-edge net replay — and
+/// checks all three against BZ from scratch, bit for bit.
 void ExpectBatchEquivalence(const Graph& start,
                             const std::vector<EdgeUpdate>& batch,
                             uint32_t hash_threshold) {
   DynamicCoreIndex par(start, hash_threshold);
   DynamicCoreIndex seq(start, hash_threshold);
   BatchStats par_stats, seq_stats;
-  ApplyBatchOptions par_options;
-  par_options.parallel = true;
-  ApplyBatchOptions seq_options;
-  seq_options.parallel = false;
-  ASSERT_TRUE(par.ApplyBatch(batch, &par_stats, par_options).ok());
-  ASSERT_TRUE(seq.ApplyBatch(batch, &seq_stats, seq_options).ok());
+  {
+    ThreadCountGuard four_threads(4);
+    ASSERT_TRUE(par.ApplyBatch(batch, &par_stats).ok());
+  }
+  {
+    ThreadCountGuard one_thread(1);
+    ASSERT_TRUE(seq.ApplyBatch(batch, &seq_stats).ok());
+  }
+  EXPECT_EQ(seq_stats.parallel_rounds, 0u);
 
   // Edge-by-edge replay of the net effect the batch reported.
   DynamicCoreIndex one(start, hash_threshold);
@@ -217,11 +221,11 @@ void ExpectSameCsr(const Graph& got, const Graph& want) {
 /// through exactly the states of one that copied the graph and ran BZ,
 /// and must never write the CSR it shares. Threshold 8 hashes every edited
 /// hub; every other round commits, so batches land both on a layer of
-/// edits and on a freshly rebased CSR.
-void ExpectSharedBaseMatchesBz(bool parallel) {
+/// edits and on a freshly rebased CSR. `threads` selects the schedule:
+/// one thread runs the sequential one.
+void ExpectSharedBaseMatchesBz(int threads) {
   constexpr uint32_t kHashThreshold = 8;
-  ApplyBatchOptions options;
-  options.parallel = parallel;
+  ThreadCountGuard guard(threads);
   for (uint64_t seed : testing::SweepSeeds()) {
     SCOPED_TRACE(seed);
     const auto base = std::make_shared<const Graph>(
@@ -236,8 +240,8 @@ void ExpectSharedBaseMatchesBz(bool parallel) {
       SCOPED_TRACE(round);
       const std::vector<EdgeUpdate> batch =
           RandomBatch(reference, rng, 40, /*adversarial_mix=*/true);
-      ASSERT_TRUE(shared.ApplyBatch(batch, nullptr, options).ok());
-      ASSERT_TRUE(reference.ApplyBatch(batch, nullptr, options).ok());
+      ASSERT_TRUE(shared.ApplyBatch(batch).ok());
+      ASSERT_TRUE(reference.ApplyBatch(batch).ok());
       const Graph now = reference.ToGraph();
       ASSERT_EQ(shared.CorenessValues(), reference.CorenessValues());
       ASSERT_EQ(shared.CorenessValues(), BzCoreDecomposition(now).coreness);
@@ -253,11 +257,9 @@ void ExpectSharedBaseMatchesBz(bool parallel) {
   }
 }
 
-TEST(DynamicSharedBase, MatchesBzParallel) { ExpectSharedBaseMatchesBz(true); }
+TEST(DynamicSharedBase, MatchesBzParallel) { ExpectSharedBaseMatchesBz(4); }
 
-TEST(DynamicSharedBase, MatchesBzSequential) {
-  ExpectSharedBaseMatchesBz(false);
-}
+TEST(DynamicSharedBase, MatchesBzSequential) { ExpectSharedBaseMatchesBz(1); }
 
 TEST(DynamicSharedBase, SingleUpdatesEditOnlyTheirEndpoints) {
   const auto base = std::make_shared<const Graph>(PathGraph(6));
@@ -283,16 +285,17 @@ TEST(DynamicSharedBaseDeathTest, RejectsCorenessOfWrongLength) {
 }
 
 TEST(DynamicBatch, SequentialBatchesKeepMatchingBz) {
-  // Batches applied back to back on one index, verified via the built-in
-  // BZ cross-check every time.
+  // Batches applied back to back on one index, each checked against a
+  // from-scratch BZ decomposition of the graph it leaves.
   Graph g = ErdosRenyiGnp(120, 0.05, 11);
   DynamicCoreIndex index(g);
   Rng rng(12);
-  ApplyBatchOptions options;
-  options.verify_with_bz = true;
   for (int round = 0; round < 10; ++round) {
     const std::vector<EdgeUpdate> batch = RandomBatch(index, rng, 40, true);
-    ASSERT_TRUE(index.ApplyBatch(batch, nullptr, options).ok());
+    ASSERT_TRUE(index.ApplyBatch(batch).ok());
+    ASSERT_EQ(index.CorenessValues(),
+              BzCoreDecomposition(index.ToGraph()).coreness)
+        << "round " << round;
   }
 }
 

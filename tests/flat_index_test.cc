@@ -8,6 +8,8 @@
 #include "hcd/flat_index.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -787,6 +789,61 @@ TEST(FlatSnapshotMapped, SurvivesSourceFileUnlink) {
   ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
   ASSERT_EQ(std::remove(path.c_str()), 0);
   EXPECT_TRUE(HcdEquals(built, mapped));
+}
+
+TEST(FlatSnapshotMapped, SurvivesASmallerSaveOverItsFile) {
+  // A server maps its snapshot while a rebuild saves a new one to the same
+  // path. The save must replace the file, not rewrite it in place: the
+  // mapping keeps the old bytes, and none of its pages lies past the end
+  // of a shorter new file (touching one would raise SIGBUS).
+  const Graph big = ErdosRenyiGnm(3000, 15000, 31);
+  const Graph small = PathGraph(6);
+  const FlatHcdIndex big_flat =
+      Freeze(NaiveHcdBuild(big, BzCoreDecomposition(big)));
+  const FlatHcdIndex small_flat =
+      Freeze(NaiveHcdBuild(small, BzCoreDecomposition(small)));
+  const std::string path = ::testing::TempDir() + "/flat_map_resave.bin";
+  ASSERT_TRUE(SaveFlatIndex(big_flat, path).ok());
+
+  FlatHcdIndex mapped;
+  ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+  ASSERT_TRUE(SaveFlatIndex(small_flat, path).ok());
+  EXPECT_TRUE(HcdEquals(big_flat, mapped));
+
+  FlatHcdIndex remapped;
+  ASSERT_TRUE(MapFlatIndex(path, &remapped).ok());
+  EXPECT_TRUE(HcdEquals(small_flat, remapped));
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "temporary file left behind";
+  std::remove(path.c_str());
+}
+
+TEST(FlatSnapshotSave, FailedSaveKeepsTheOldFileAndNoTemporary) {
+  const Graph g = PathGraph(6);
+  const FlatHcdIndex flat = Freeze(NaiveHcdBuild(g, BzCoreDecomposition(g)));
+  const std::string path = ::testing::TempDir() + "/flat_save_fail.bin";
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
+  const std::vector<char> before = ReadAll(path);
+
+  // The temporary file cannot be created: the old file stays as it was.
+  const Graph other = PathGraph(9);
+  const FlatHcdIndex other_flat =
+      Freeze(NaiveHcdBuild(other, BzCoreDecomposition(other)));
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  EXPECT_FALSE(SaveFlatIndex(other_flat, path).ok());
+  EXPECT_EQ(ReadAll(path), before);
+  ASSERT_EQ(::rmdir(tmp.c_str()), 0);
+
+  // The rename fails (the target is a directory): the written temporary
+  // file is removed again.
+  const std::string dir = ::testing::TempDir() + "/flat_save_fail_dir";
+  const std::string dir_tmp = dir + ".tmp." + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  EXPECT_FALSE(SaveFlatIndex(flat, dir).ok());
+  EXPECT_NE(::access(dir_tmp.c_str(), F_OK), 0);
+  ASSERT_EQ(::rmdir(dir.c_str()), 0);
+  std::remove(path.c_str());
 }
 
 TEST(FlatSnapshotMapped, ConcurrentReadersShareOneMapping) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/trace.h"
+#include "core/core_decomposition.h"
 #include "engine/engine.h"
 #include "engine/live.h"
 #include "graph/generators.h"
@@ -62,13 +66,14 @@ TEST(LiveEngine, EpochAdvancesPerEffectiveBatch) {
 }
 
 TEST(LiveEngine, ServesExactlyWhatAFreshBuildWould) {
-  LiveEngineOptions options;
-  options.verify_batches = true;  // every batch cross-checked against BZ
-  LiveEngine live(ErdosRenyiGnp(200, 0.015, 13), options);
+  LiveEngine live(ErdosRenyiGnp(200, 0.015, 13));
   Rng rng(14);
   for (int round = 0; round < 5; ++round) {
     ASSERT_TRUE(
         live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 30), nullptr).ok());
+    // Every batch cross-checked against BZ from scratch.
+    ASSERT_EQ(live.dynamic().CorenessValues(),
+              BzCoreDecomposition(live.dynamic().ToGraph()).coreness);
     const QuerySnapshot snap = live.Snapshot();
     HcdEngine fresh(live.dynamic().ToGraph());
     const QuerySnapshot expect = fresh.Snapshot();
@@ -176,6 +181,32 @@ TEST(LiveEngine, ConcurrentReadersAcrossHotSwaps) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(live.Epoch(), published);
   EXPECT_GT(reads.load(), 0u);
+}
+
+// One batch traces as "live.apply_batch" around its four phases.
+TEST(LiveEngine, TracesEachBatchPhaseInsideItsBatch) {
+  Tracer tracer;
+  tracer.Install();
+  {
+    LiveEngine live(ErdosRenyiGnm(100, 300, 43));
+    Rng rng(44);
+    ASSERT_TRUE(
+        live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 15), nullptr).ok());
+  }
+  tracer.Uninstall();
+  std::map<std::string, std::vector<TraceSpan>> by_name;
+  for (const TraceSpanRecord& record : tracer.CollectSpans()) {
+    by_name[record.span.name].push_back(record.span);
+  }
+  ASSERT_EQ(by_name["live.apply_batch"].size(), 1u);
+  const TraceSpan& batch = by_name["live.apply_batch"][0];
+  for (const char* phase :
+       {"live.apply", "live.refreeze", "live.to_graph", "live.publish"}) {
+    ASSERT_EQ(by_name[phase].size(), 1u) << phase;
+    const TraceSpan& span = by_name[phase][0];
+    EXPECT_GE(span.ts_ns, batch.ts_ns) << phase;
+    EXPECT_LE(span.ts_ns + span.dur_ns, batch.ts_ns + batch.dur_ns) << phase;
+  }
 }
 
 TEST(LiveEngine, PublishesMetrics) {

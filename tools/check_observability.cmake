@@ -41,32 +41,34 @@ if(MODE STREQUAL "trace")
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "truss build trace validation failed (${rc})")
   endif()
-  # live-bench loads through the same ingest path as the engine commands,
-  # so --io-threads applies and the trace holds the enclosing "load" span.
-  set(live_trace ${WORK_DIR}/cli_obs_live_trace.json)
+  # A self-hosted serve-bench loads through the same ingest path as the
+  # engine commands, so --io-threads applies and the trace holds the
+  # enclosing "load" span.
+  set(serve_trace ${WORK_DIR}/cli_obs_serve_trace.json)
   execute_process(
-    COMMAND ${HCD_CLI} live-bench ${graph} --query-threads=2 --batches=1
-            --batch-size=10 --io-threads=2 --trace-out=${live_trace}
+    COMMAND ${HCD_CLI} serve-bench ${graph} --io-threads=2
+            --trace-out=${serve_trace}
     OUTPUT_QUIET
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "hcd_cli live-bench --trace-out failed (${rc})")
+    message(FATAL_ERROR "hcd_cli serve-bench --trace-out failed (${rc})")
   endif()
   execute_process(
-    COMMAND ${PYTHON3} ${SOURCE_DIR}/scripts/check_trace.py ${live_trace}
+    COMMAND ${PYTHON3} ${SOURCE_DIR}/scripts/check_trace.py ${serve_trace}
             --require=load
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "live-bench trace validation failed (${rc})")
+    message(FATAL_ERROR "serve-bench trace validation failed (${rc})")
   endif()
 elseif(MODE STREQUAL "metrics")
   set(prom_file ${WORK_DIR}/cli_obs_metrics.prom)
   execute_process(
-    COMMAND ${HCD_CLI} query-bench ${graph} --query-threads=4 --queries=120
+    COMMAND ${HCD_CLI} serve-bench ${graph} --queries=120
             --metrics-out=${prom_file}
+    OUTPUT_QUIET
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "hcd_cli query-bench --metrics-out failed (${rc})")
+    message(FATAL_ERROR "hcd_cli serve-bench --metrics-out failed (${rc})")
   endif()
   execute_process(
     COMMAND ${PYTHON3} ${SOURCE_DIR}/scripts/check_metrics.py ${prom_file}

@@ -1,6 +1,6 @@
 // Command-line front end for the library: generate graphs, inspect
-// statistics, build hierarchies, run subgraph search, and benchmark and
-// serve the query path. Run without arguments for the usage text.
+// statistics, build hierarchies, run subgraph search, and serve and
+// benchmark the query path. Run without arguments for the usage text.
 //
 // All graph-consuming commands run on one shared HcdEngine, so each
 // pipeline stage (load, decomposition, construction, search preprocessing)
@@ -9,13 +9,11 @@
 // remap/build for text, load.read/validate for binary). <graph> is loaded
 // as binary when the path ends in ".bin", else as an edge-list text file.
 //
-// query-bench builds one immutable snapshot and serves a mixed workload
-// from --query-threads concurrent workers; live-bench does the same while a
-// writer hot-swaps epochs; serve runs the socket front door (src/server)
-// until SIGINT/SIGTERM; serve-bench drives a server from --connections
-// loopback clients, against an in-process server (positional graph) or an
-// external one (--connect). The three benches share one worker pool
-// (RunPool) and one QPS / tail report.
+// serve runs the socket front door (src/server) until SIGINT/SIGTERM;
+// serve-bench drives a server from --connections loopback clients, against
+// an in-process server (positional graph) or an external one (--connect),
+// and reports QPS and tail latency. Per-layer numbers for ingest, build,
+// search and serving come from bench/pipeline, not from this tool.
 //
 // Which command takes which flag is decided once, in kFlags: the parser
 // rejects any flag whose entry does not list the command (exit 2), and the
@@ -39,7 +37,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -86,8 +83,6 @@ enum Command : unsigned {
   kTruss,
   kInfluential,
   kBestK,
-  kQueryBench,
-  kLiveBench,
   kServe,
   kServeBench,
   kNumCommands,
@@ -105,14 +100,9 @@ struct CliArgs {
   bool json = false;
   std::string trace_out;    ///< empty: tracing disabled
   std::string metrics_out;  ///< empty: metrics disabled
-  int query_threads = HardwareThreads();
   int queries = 1000;
   std::vector<Metric> workload{std::begin(kAllMetrics),
                                std::end(kAllMetrics)};
-  int batch_size = 100;
-  int batches = 20;
-  double update_rate = 0.0;  ///< batches per second; 0 = unpaced
-  uint64_t seed = 1;
   int port = 0;  ///< 0: ephemeral
   std::string connect_host;
   int connect_port = -1;  ///< <0: no --connect
@@ -565,12 +555,10 @@ struct PoolRun {
 };
 
 /// Runs `body(t, &recorder)` on `workers` threads, t in [0, workers), each
-/// recording into a private LatencyRecorder; `during` (if set) runs on the
-/// calling thread meanwhile. Joins, merges the recorders, and times the
-/// whole pool from the first spawn to the last join.
+/// recording into a private LatencyRecorder. Joins, merges the recorders,
+/// and times the whole pool from the first spawn to the last join.
 PoolRun RunPool(int workers,
-                const std::function<void(int, LatencyRecorder*)>& body,
-                const std::function<void()>& during = nullptr) {
+                const std::function<void(int, LatencyRecorder*)>& body) {
   std::vector<LatencyRecorder> recorders(workers);
   PoolRun run;
   Timer timer;
@@ -579,7 +567,6 @@ PoolRun RunPool(int workers,
   for (int t = 0; t < workers; ++t) {
     pool.emplace_back([&, t] { body(t, &recorders[t]); });
   }
-  if (during) during();
   for (std::thread& worker : pool) worker.join();
   run.wall = timer.Seconds();
   for (const LatencyRecorder& r : recorders) run.latencies.Merge(r);
@@ -595,88 +582,12 @@ std::string LatencyJson(const LatencyRecorder& r) {
   return buf;
 }
 
-/// The QPS and p50/p95/p99 lines of a bench's prose report.
+/// The QPS and p50/p95/p99 lines of serve-bench's prose report.
 void PrintQpsAndTail(const PoolRun& run) {
   std::printf("QPS   %.0f\n", run.Qps());
   std::printf("p50   %.1f us\n", run.latencies.P50() * 1e6);
   std::printf("p95   %.1f us\n", run.latencies.P95() * 1e6);
   std::printf("p99   %.1f us\n", run.latencies.P99() * 1e6);
-}
-
-/// Serves one query-bench workload from --query-threads workers under a
-/// single aggregate "serve" stage (not one record per query).
-PoolRun ServeQueryBench(
-    const CliArgs& args,
-    const std::function<void(int, LatencyRecorder*)>& body) {
-  ScopedStage stage("serve");
-  PoolRun run = RunPool(args.query_threads, body);
-  stage.AddCounter("queries", args.queries);
-  stage.AddCounter("workers", args.query_threads);
-  return run;
-}
-
-/// query-bench for element hierarchies (truss / nucleus): builds one
-/// immutable ElementSearchIndex, then serves a mixed workload through
-/// ExecuteQuery from --query-threads concurrent workers — alternating
-/// level-constrained densest lookups (k cycling) with community
-/// materializations of the class containing a deterministically sampled
-/// element. Reports QPS and nearest-rank tail latency.
-int CmdElementQueryBench(const CliArgs& args) {
-  const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
-  if (engine == nullptr) return 1;
-  const ElementSearchIndex& index = engine->ElementSearcher();
-  const FlatHcdIndex& flat = index.flat();
-  const VertexId num_elements = flat.NumVertices();
-  const char* kind_name = HierarchyKindName(args.options.hierarchy);
-  const int workers = args.query_threads;
-  const int queries = args.queries;
-
-  const PoolRun run = ServeQueryBench(
-      args, [&](int t, LatencyRecorder* recorder) {
-        SearchWorkspace ws;
-        server::QueryRequest request;
-        request.hierarchy = args.options.hierarchy;
-        std::vector<VertexId> community;
-        for (int q = t; q < queries; q += workers) {
-          Timer query_timer;
-          if (q % 2 == 0 || num_elements == 0) {
-            request.k = static_cast<uint32_t>(q / 2) % 8;
-            request.vertices.clear();
-            server::ExecuteQuery(nullptr, &index, 0, request);
-          } else {
-            // Community of the class containing a deterministically
-            // sampled element (Knuth-hash spread over the element ids).
-            request.k = 0;
-            request.vertices.assign(
-                1, static_cast<VertexId>(
-                       (static_cast<uint64_t>(q) * 2654435761ull) %
-                       num_elements));
-            const server::QueryOutcome outcome =
-                server::ExecuteQuery(nullptr, &index, 0, request);
-            community.clear();
-            index.CommunityOf(outcome.node, &ws, &community);
-          }
-          recorder->Record(query_timer.Seconds());
-        }
-      });
-
-  if (args.json) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"result\":{\"hierarchy\":\"%s\",\"queries\":%d,"
-                  "\"query_threads\":%d,\"tree_nodes\":%u,\"elements\":%u,"
-                  "\"qps\":%.1f,",
-                  kind_name, queries, workers, flat.NumNodes(), num_elements,
-                  run.Qps());
-    PrintJsonReport("query-bench", args, *engine,
-                    buf + LatencyJson(run.latencies) + "}");
-    return 0;
-  }
-  std::printf("served %d %s queries with %d workers over one element "
-              "index (%u classes, %u elements)\n",
-              queries, kind_name, workers, flat.NumNodes(), num_elements);
-  PrintQpsAndTail(run);
-  return 0;
 }
 
 std::atomic<bool> g_serve_stop{false};
@@ -778,250 +689,6 @@ void PrintServerStatsJson(const std::string& json) {
   if (json.find("\"total\":{") == std::string::npos) return;
   std::printf("lifetime phase attribution (us):\n");
   PrintPhaseTable(json);
-}
-
-int CmdQueryBench(const CliArgs& args) {
-  if (args.pos.size() != 1) return Usage();
-  if (args.options.hierarchy != HierarchyKind::kCore) {
-    return CmdElementQueryBench(args);
-  }
-  const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
-  if (engine == nullptr) return 1;
-
-  const std::vector<Metric>& workload = args.workload;
-  const int workers = args.query_threads;
-  const int queries = args.queries;
-
-  // Build phase: every expensive stage runs here, once, on this thread.
-  const QuerySnapshot snapshot = engine->Snapshot();
-
-  // When --metrics-out is active, every served query also lands in the
-  // hcd_query_latency_seconds histogram: one unlabeled overall series
-  // (bucket counts sum to --queries) plus one {metric=...} child per
-  // workload metric. The registry lookups happen once, up front; the
-  // per-query path is a pair of lock-free Observe calls.
-  Histogram* overall_hist = nullptr;
-  std::vector<Histogram*> metric_hist(workload.size(), nullptr);
-  if (MetricsRegistry* registry = MetricsRegistry::Current()) {
-    const std::string name = "hcd_query_latency_seconds";
-    const std::string help = "End-to-end latency of one served query.";
-    overall_hist = registry->GetHistogram(name, help);
-    for (size_t i = 0; i < workload.size(); ++i) {
-      metric_hist[i] = registry->GetHistogram(
-          name, help, {{"metric", MetricName(workload[i])}});
-    }
-  }
-
-  // Serve phase: `workers` threads score the mixed workload concurrently
-  // against the shared snapshot. Worker t serves query ids t, t+workers,
-  // ... so every worker sees every metric in the mix. Each worker owns a
-  // reusable SearchWorkspace and private per-metric LatencyRecorders,
-  // merged after the join.
-  std::vector<std::vector<LatencyRecorder>> recorders(
-      workers, std::vector<LatencyRecorder>(workload.size()));
-  const PoolRun run = ServeQueryBench(
-      args, [&](int t, LatencyRecorder* recorder) {
-        SearchWorkspace ws;
-        for (int q = t; q < queries; q += workers) {
-          const size_t mi = static_cast<size_t>(q) % workload.size();
-          Timer query_timer;
-          snapshot.Search(workload[mi], &ws);
-          const double seconds = query_timer.Seconds();
-          recorder->Record(seconds);
-          recorders[t][mi].Record(seconds);
-          if (overall_hist != nullptr) {
-            overall_hist->Observe(seconds);
-            metric_hist[mi]->Observe(seconds);
-          }
-        }
-      });
-  std::vector<LatencyRecorder> per_metric(workload.size());
-  for (const auto& worker_recorders : recorders) {
-    for (size_t i = 0; i < workload.size(); ++i) {
-      per_metric[i].Merge(worker_recorders[i]);
-    }
-  }
-
-  if (args.json) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"result\":{\"queries\":%d,\"query_threads\":%d,"
-                  "\"qps\":%.1f,",
-                  queries, workers, run.Qps());
-    std::string extra =
-        buf + LatencyJson(run.latencies) + ",\"latency_us_by_metric\":{";
-    for (size_t i = 0; i < workload.size(); ++i) {
-      if (i > 0) extra += ',';
-      std::snprintf(buf, sizeof(buf),
-                    "\"%s\":{\"count\":%zu,\"p50\":%.1f,\"p95\":%.1f,"
-                    "\"p99\":%.1f}",
-                    MetricName(workload[i]), per_metric[i].Count(),
-                    per_metric[i].P50() * 1e6, per_metric[i].P95() * 1e6,
-                    per_metric[i].P99() * 1e6);
-      extra += buf;
-    }
-    extra += "}}";
-    PrintJsonReport("query-bench", args, *engine, extra);
-    return 0;
-  }
-  std::printf("served %d queries (%zu-metric mix) with %d workers over one "
-              "snapshot\n",
-              queries, workload.size(), workers);
-  PrintQpsAndTail(run);
-  return 0;
-}
-
-/// Serves a mixed-metric read workload from --query-threads workers while a
-/// writer thread applies --batches random edge batches of --batch-size
-/// updates each (paced by --update-rate), measuring read throughput and
-/// tail latency under live hot-swaps. A second, read-only phase of the same
-/// wall duration then gives the interference-free baseline, so the report
-/// can state what fraction of read throughput survives the update stream.
-int CmdLiveBench(const CliArgs& args) {
-  if (args.pos.size() != 1) return Usage();
-  Graph graph;
-  Status s = LoadGraph(args.pos[0], args.options, &graph);
-  if (!s.ok()) return Fail(s);
-  const VertexId n = graph.NumVertices();
-  if (n < 2) return Fail(Status::InvalidArgument("graph too small"));
-  const EdgeIndex m = graph.NumEdges();
-  const std::vector<Metric>& workload = args.workload;
-  const int workers = args.query_threads;
-
-  LiveEngineOptions live_options;
-  live_options.engine = args.options;
-  LiveEngine live(std::move(graph), live_options);
-
-  // One phase of concurrent reading: `workers` threads acquire + search in
-  // a loop while `writer_body` runs, and stop when it returns.
-  auto run_readers = [&](const std::function<void()>& writer_body) {
-    std::atomic<bool> stop{false};
-    return RunPool(
-        workers,
-        [&](int t, LatencyRecorder* recorder) {
-          SearchWorkspace ws;
-          // Cached per-reader handle: lock-free while the epoch is stable,
-          // refreshed from the manager when a new generation lands.
-          SnapshotReader reader(live.manager());
-          size_t mi = static_cast<size_t>(t) % workload.size();
-          while (!stop.load(std::memory_order_relaxed)) {
-            const QuerySnapshot snap = reader.Snapshot();
-            Timer query_timer;
-            snap.Search(workload[mi], &ws);
-            recorder->Record(query_timer.Seconds());
-            mi = (mi + 1) % workload.size();
-          }
-        },
-        [&] {
-          writer_body();
-          stop.store(true, std::memory_order_relaxed);
-        });
-  };
-
-  // Live phase: the writer toggles `batch_size` distinct random edges per
-  // batch against its own view of the graph, so every batch has full net
-  // effect and publishes exactly one epoch.
-  Rng rng(args.seed);
-  std::vector<BatchApplyReport> reports;
-  reports.reserve(args.batches);
-  Status writer_status = Status::Ok();
-  const auto writer = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    for (int b = 0; b < args.batches; ++b) {
-      if (args.update_rate > 0.0) {
-        const auto due =
-            start + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(b / args.update_rate));
-        std::this_thread::sleep_until(due);
-      }
-      std::vector<EdgeUpdate> batch;
-      std::unordered_set<uint64_t> used;
-      uint64_t attempts = 0;
-      while (batch.size() < static_cast<size_t>(args.batch_size) &&
-             ++attempts < 100 * static_cast<uint64_t>(args.batch_size)) {
-        const auto u = static_cast<VertexId>(rng.Uniform(n));
-        const auto v = static_cast<VertexId>(rng.Uniform(n));
-        if (u == v) continue;
-        const uint64_t key =
-            (uint64_t{std::min(u, v)} << 32) | std::max(u, v);
-        if (!used.insert(key).second) continue;
-        batch.push_back({u, v,
-                         live.dynamic().HasEdge(u, v) ? EdgeOp::kRemove
-                                                      : EdgeOp::kInsert});
-      }
-      BatchApplyReport report;
-      writer_status = live.ApplyBatch(batch, &report);
-      if (!writer_status.ok()) return;
-      reports.push_back(report);
-    }
-  };
-  const PoolRun live_phase = run_readers(writer);
-  if (!writer_status.ok()) return Fail(writer_status);
-
-  // Read-only phase over the final generation, same wall duration.
-  const double live_wall = live_phase.wall;
-  const PoolRun readonly_phase = run_readers([&] {
-    std::this_thread::sleep_for(std::chrono::duration<double>(live_wall));
-  });
-
-  const double live_qps = live_phase.Qps();
-  const double readonly_qps = readonly_phase.Qps();
-  // Guarded like Qps(): a read-only phase with no reads must report 0.
-  const double retained = FiniteOrZero(live_qps / readonly_qps);
-  double apply_sum = 0.0, apply_max = 0.0, refreeze_sum = 0.0;
-  uint64_t subcores = 0, full_rebuilds = 0;
-  for (const BatchApplyReport& r : reports) {
-    apply_sum += r.total_seconds;
-    apply_max = std::max(apply_max, r.total_seconds);
-    refreeze_sum += r.refreeze_seconds;
-    subcores += r.stats.subcores_touched;
-    full_rebuilds += r.full_rebuild ? 1 : 0;
-  }
-  const double apply_mean =
-      reports.empty() ? 0.0 : apply_sum / static_cast<double>(reports.size());
-
-  if (args.json) {
-    std::printf(
-        "{\"command\":\"live-bench\",\"graph\":{\"n\":%u,\"m\":%llu},"
-        "\"result\":{\"query_threads\":%d,\"batches\":%zu,"
-        "\"batch_size\":%d,\"update_rate\":%.3f,\"epochs\":%llu,"
-        "\"live\":{\"reads\":%zu,\"qps\":%.1f,%s},"
-        "\"read_only\":{\"reads\":%zu,\"qps\":%.1f,%s},"
-        "\"qps_retained\":%.3f,"
-        "\"batch_apply_ms\":{\"mean\":%.3f,\"max\":%.3f},"
-        "\"refreeze_ms_total\":%.3f,\"subcores_touched\":%llu,"
-        "\"full_rebuilds\":%llu}}\n",
-        n, static_cast<unsigned long long>(m), workers, reports.size(),
-        args.batch_size, args.update_rate,
-        static_cast<unsigned long long>(live.Epoch()),
-        live_phase.latencies.Count(), live_qps,
-        LatencyJson(live_phase.latencies).c_str(),
-        readonly_phase.latencies.Count(), readonly_qps,
-        LatencyJson(readonly_phase.latencies).c_str(), retained,
-        apply_mean * 1e3, apply_max * 1e3, refreeze_sum * 1e3,
-        static_cast<unsigned long long>(subcores),
-        static_cast<unsigned long long>(full_rebuilds));
-    return 0;
-  }
-  std::printf("live phase: %d readers over %zu batches x %d updates "
-              "(%llu epochs published)\n",
-              workers, reports.size(), args.batch_size,
-              static_cast<unsigned long long>(live.Epoch()));
-  std::printf("  read QPS  %.0f   p50 %.1f us   p99 %.1f us\n", live_qps,
-              live_phase.latencies.P50() * 1e6,
-              live_phase.latencies.P99() * 1e6);
-  std::printf("read-only phase (same duration):\n");
-  std::printf("  read QPS  %.0f   p50 %.1f us   p99 %.1f us\n", readonly_qps,
-              readonly_phase.latencies.P50() * 1e6,
-              readonly_phase.latencies.P99() * 1e6);
-  std::printf("throughput retained under writes: %.1f%%\n", retained * 100.0);
-  std::printf("batch apply: mean %.2f ms, max %.2f ms (%llu subcores, "
-              "%llu full rebuilds)\n",
-              apply_mean * 1e3, apply_max * 1e3,
-              static_cast<unsigned long long>(subcores),
-              static_cast<unsigned long long>(full_rebuilds));
-  return 0;
 }
 
 /// `stats --connect=HOST:PORT [--watch=N]`: fetches a running server's
@@ -1202,7 +869,9 @@ int CmdServe(const CliArgs& args) {
 /// --connect — and reports sustained QPS, nearest-rank tail latency and
 /// the result-cache hit rate. The workload cycles through the metric mix
 /// and --distinct-k k values, so every (metric, k) pair repeats and a
-/// warm cache answers most requests.
+/// warm cache answers most requests. Every request asks --hierarchy's
+/// kind; a truss or nucleus index scores by density, so there the metric
+/// only widens the key space.
 int CmdServeBench(const CliArgs& args) {
   const bool self_hosted = args.connect_port < 0;
   if (self_hosted && args.pos.size() != 1) return Usage();
@@ -1226,6 +895,7 @@ int CmdServeBench(const CliArgs& args) {
   const int connections = args.connections;
   const int queries = args.queries;
   const uint32_t distinct_k = static_cast<uint32_t>(args.distinct_k);
+  const char* kind_name = HierarchyKindName(args.options.hierarchy);
 
   // Connection c serves query ids c, c+connections, ...; the key of query
   // q is (metric q mod |mix|, k (q / |mix|) mod distinct_k), so the
@@ -1248,6 +918,7 @@ int CmdServeBench(const CliArgs& args) {
     // throughput instead of loopback RTT. Recorded latencies at depth
     // > 1 include queueing time inside the window.
     server::QueryRequest request;
+    request.hierarchy = args.options.hierarchy;
     server::QueryResponse response;
     std::vector<int> ids;
     for (int q = c; q < queries; q += connections) ids.push_back(q);
@@ -1331,16 +1002,17 @@ int CmdServeBench(const CliArgs& args) {
     }
     std::printf(
         "{\"command\":\"serve-bench\",\"connections\":%d,\"pipeline\":%d,"
-        "\"result\":{\"queries\":%llu,\"qps\":%.1f,\"hit_rate\":%.4f,"
-        "\"cache_hits\":%llu,%s%s}}\n",
-        connections, args.pipeline, static_cast<unsigned long long>(served),
-        qps, hit_rate, static_cast<unsigned long long>(hits),
+        "\"result\":{\"hierarchy\":\"%s\",\"queries\":%llu,\"qps\":%.1f,"
+        "\"hit_rate\":%.4f,\"cache_hits\":%llu,%s%s}}\n",
+        connections, args.pipeline, kind_name,
+        static_cast<unsigned long long>(served), qps, hit_rate,
+        static_cast<unsigned long long>(hits),
         LatencyJson(run.latencies).c_str(), server_extra.c_str());
     return 0;
   }
   std::printf("served %llu queries over %d connections "
-              "(%zu-metric mix, k<%u, pipeline %d)\n",
-              static_cast<unsigned long long>(served), connections,
+              "(%s, %zu-metric mix, k<%u, pipeline %d)\n",
+              static_cast<unsigned long long>(served), connections, kind_name,
               workload.size(), distinct_k, args.pipeline);
   PrintQpsAndTail(run);
   std::printf("cache hit rate %.1f%% (%llu/%llu)\n", hit_rate * 100.0,
@@ -1374,8 +1046,6 @@ constexpr CommandEntry kCommands[kNumCommands] = {
     {"truss", CmdTruss},
     {"influential", CmdInfluential},
     {"bestk", CmdBestK},
-    {"query-bench", CmdQueryBench},
-    {"live-bench", CmdLiveBench},
     {"serve", CmdServe},
     {"serve-bench", CmdServeBench},
 };
@@ -1530,45 +1200,31 @@ const Flag kFlags[] = {
      PathFlag<&CliArgs::server_metrics_out>,
      "fetch the server's /metrics exposition\n"
      "after the run and write it to F"},
-    {"--query-threads", "N", Bit(kQueryBench) | Bit(kLiveBench),
-     IntFlag<&CliArgs::query_threads, 1>,
-     "concurrent query workers (default:\nhardware threads)"},
-    {"--queries", "N", Bit(kQueryBench) | Bit(kServeBench),
-     IntFlag<&CliArgs::queries, 1>,
+    {"--queries", "N", Bit(kServeBench), IntFlag<&CliArgs::queries, 1>,
      "total queries to serve (default 1000)"},
-    {"--metrics", "a,b,...",
-     Bit(kQueryBench) | Bit(kLiveBench) | Bit(kServeBench),
-     ParseWorkload,
+    {"--metrics", "a,b,...", Bit(kServeBench), ParseWorkload,
      "workload metric mix (default: all\nmetrics, round-robin)"},
     {"--hierarchy", "core|truss|nucleus",
-     Bit(kBuild) | Bit(kExport) | Bit(kQueryBench) | Bit(kServe),
+     Bit(kBuild) | Bit(kExport) | kServers,
      [](const char* f, const std::string& v, CliArgs* a) {
        return CheckChoice(f, v, ParseHierarchyKind(v, &a->options.hierarchy),
                           "core, truss or nucleus");
      },
      "decomposition family to build and serve\n"
      "(default core; serve keeps answering core\n"
-     "queries and adds the element index)"},
-    {"--snapshot", "FILE", Bit(kExport) | Bit(kQueryBench) | Bit(kServe),
+     "queries and adds the element index;\n"
+     "serve-bench queries this kind)"},
+    {"--snapshot", "FILE", Bit(kExport) | Bit(kServe),
      PathFlag<&CliArgs::snapshot_path>,
      "serve a prebuilt flat snapshot (written\n"
      "by `build`) instead of constructing the\n"
      "hierarchy; kind must match --hierarchy"},
-    {"--snapshot-mode", "read|mmap",
-     Bit(kExport) | Bit(kQueryBench) | Bit(kServe),
+    {"--snapshot-mode", "read|mmap", Bit(kExport) | Bit(kServe),
      ParseSnapshotModeFlag,
      "how snapshot bytes reach memory: copy\n"
      "them in (read) or alias the mmap'd file\n"
      "zero-copy (mmap). Default: read, except\n"
      "serve, which defaults to mmap"},
-    {"--batch-size", "N", Bit(kLiveBench), IntFlag<&CliArgs::batch_size, 1>,
-     "edge updates per batch (default 100)"},
-    {"--batches", "N", Bit(kLiveBench), IntFlag<&CliArgs::batches, 1>,
-     "batches the writer applies (default 20)"},
-    {"--update-rate", "R", Bit(kLiveBench), NumberFlag<&CliArgs::update_rate>,
-     "batches per second; 0 = apply\nback-to-back (default 0)"},
-    {"--seed", "N", Bit(kLiveBench), IntFlag<&CliArgs::seed, 0, LLONG_MAX>,
-     "update-stream RNG seed (default 1)"},
     {"--algo", "phcd|lcps|naive", kAnyCommand,
      [](const char* f, const std::string& v, CliArgs* a) {
        return CheckChoice(f, v, ParseEngineAlgo(v, &a->options.algo),
@@ -1669,8 +1325,6 @@ int Usage() {
       "  hcd_cli truss <graph> [flags]\n"
       "  hcd_cli influential <graph> <k> <r> [seed] [flags]\n"
       "  hcd_cli bestk <graph> <metric> [flags]\n"
-      "  hcd_cli query-bench <graph> [flags]\n"
-      "  hcd_cli live-bench <graph> [flags]\n"
       "  hcd_cli serve <graph> [flags]\n"
       "  hcd_cli serve-bench <graph> | --connect=HOST:PORT [flags]\n");
   // One "flags (...)" section per distinct command set, in table order.
