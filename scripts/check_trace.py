@@ -4,9 +4,9 @@
 Checks that the file is strict JSON in the trace-event envelope, that every
 event is a complete-span ("ph":"X") record with name/ts/dur/tid, and
 optionally that the trace covers enough distinct subsystems (the dotted
-prefix of the span name) and thread ids, contains required span names, and
-has required args on a named span (at least one event of that name must
-carry the arg).
+prefix of the span name) and thread ids, contains required span names,
+contains none of the forbidden span names, and has required args on a
+named span (at least one event of that name must carry the arg).
 
 With --pair-trace the script additionally asserts that a client trace and
 a server trace describe the same requests: the wire trace ids carried by
@@ -18,7 +18,8 @@ flag works whether the client and server ran in one process or two.
 
 Usage:
   check_trace.py TRACE.json [--min-subsystems=N] [--min-tids=N]
-                 [--require=SPAN_NAME ...] [--require-arg=SPAN:ARG ...]
+                 [--require=SPAN_NAME ...] [--forbid=SPAN_NAME ...]
+                 [--require-arg=SPAN:ARG ...]
                  [--pair-trace=OTHER.json] [--pair-client=NAME]
                  [--pair-server=NAME] [--pair-min-shared=N]
 
@@ -60,6 +61,12 @@ def main() -> int:
         action="append",
         default=[],
         help="span name that must appear at least once (repeatable)",
+    )
+    parser.add_argument(
+        "--forbid",
+        action="append",
+        default=[],
+        help="span name that must not appear (repeatable)",
     )
     parser.add_argument(
         "--require-arg",
@@ -117,6 +124,12 @@ def main() -> int:
     for required in args.require:
         if required not in names:
             print(f"required span {required!r} not found in {sorted(names)}")
+            return 1
+
+    for forbidden in args.forbid:
+        if forbidden in names:
+            count = sum(1 for e in events if e["name"] == forbidden)
+            print(f"forbidden span {forbidden!r} appears {count} times")
             return 1
 
     for required in args.require_arg:

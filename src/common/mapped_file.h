@@ -53,20 +53,22 @@ class MappedFile {
 };
 
 /// A section of a FlatHcdIndex: either owns its elements (a plain vector)
-/// or aliases a range inside a shared MappedFile. The storage seam is
-/// invisible to readers — data()/size()/operator[] are branch-free in both
-/// modes because `ptr_`/`size_` always track the active storage.
+/// or aliases elements owned elsewhere — a range inside a shared
+/// MappedFile, or another object's owned section (Share). The storage seam
+/// is invisible to readers — data()/size()/operator[] are branch-free in
+/// every mode because `ptr_`/`size_` always track the active storage.
 ///
 /// Semantics:
 ///   - Owned mode behaves like std::vector<T>: copies are deep, mutation
 ///     (resize / push_back / pop_back / operator[] writes) is supported.
-///   - Aliased mode shares the mapping: copies are cheap views that co-own
-///     the MappedFile. Growth/shrink mutators HCD_CHECK; assignment of a
-///     whole new value (operator=, assign) re-seats the ref to owned mode.
-///     The non-const element accessors still *read* correctly from a
-///     mapped ref (validation code walks non-const Data), but writing
-///     through them into a PROT_READ page faults — by design, mapped
-///     sections are immutable.
+///   - Aliased mode shares the backing: copies are cheap views that co-own
+///     it (the MappedFile, or the owner passed to Share). Growth/shrink
+///     mutators HCD_CHECK; assignment of a whole new value (operator=,
+///     assign) re-seats the ref to owned mode. The non-const element
+///     accessors still *read* correctly from an aliased ref (validation
+///     code walks non-const Data), but aliased sections are immutable:
+///     writing through them into a PROT_READ page faults, and writing into
+///     a shared owner's storage would change another index.
 template <typename T>
 class ArrayRef {
  public:
@@ -81,11 +83,27 @@ class ArrayRef {
   /// lie inside `backing`'s mapping. Shares ownership of the mapping.
   ArrayRef(const T* data, size_t size,
            std::shared_ptr<const MappedFile> backing)
-      : ptr_(data), size_(size), backing_(std::move(backing)) {}
+      : ptr_(data), size_(size), backing_(std::move(backing)), mapped_(true) {}
+
+  /// A view of `source`'s elements that copies none of them. A view of an
+  /// aliased source is a copy of it (it co-owns the same backing); a view
+  /// of an owned source aliases its vector and keeps `owner` — the object
+  /// that holds `source` — alive for as long as the view or a copy of it
+  /// lives. `source` must not be mutated while views of it exist.
+  static ArrayRef Share(const ArrayRef& source,
+                        std::shared_ptr<const void> owner) {
+    if (source.backing_ != nullptr) return source;
+    ArrayRef view;
+    view.ptr_ = source.ptr_;
+    view.size_ = source.size_;
+    view.backing_ = std::move(owner);
+    return view;
+  }
 
   ArrayRef(const ArrayRef& other) { *this = other; }
   ArrayRef& operator=(const ArrayRef& other) {
     if (this == &other) return *this;
+    mapped_ = other.mapped_;
     if (other.backing_ != nullptr) {
       own_.clear();
       backing_ = other.backing_;
@@ -103,6 +121,7 @@ class ArrayRef {
   ArrayRef& operator=(ArrayRef&& other) noexcept {
     if (this == &other) return *this;
     backing_ = std::move(other.backing_);
+    mapped_ = other.mapped_;
     if (backing_ != nullptr) {
       own_.clear();
       ptr_ = other.ptr_;
@@ -112,19 +131,20 @@ class ArrayRef {
       Sync();
     }
     other.backing_ = nullptr;
+    other.mapped_ = false;
     other.own_.clear();
     other.Sync();
     return *this;
   }
 
   ArrayRef& operator=(std::initializer_list<T> init) {
-    backing_ = nullptr;
+    Unshare();
     own_.assign(init);
     Sync();
     return *this;
   }
   ArrayRef& operator=(std::vector<T> v) {
-    backing_ = nullptr;
+    Unshare();
     own_ = std::move(v);
     Sync();
     return *this;
@@ -132,7 +152,8 @@ class ArrayRef {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool mapped() const { return backing_ != nullptr; }
+  /// True when the elements live in a mapped snapshot file.
+  bool mapped() const { return mapped_; }
 
   const T* data() const { return ptr_; }
   const T& operator[](size_t i) const { return ptr_[i]; }
@@ -152,24 +173,27 @@ class ArrayRef {
   operator std::span<const T>() const { return {ptr_, size_}; }
 
   // Growth / shrink: owned mode only. `assign` is a whole-value
-  // replacement, so (like operator=) it re-seats a mapped ref to owned.
+  // replacement, so (like operator=) it re-seats an aliased ref to owned.
   void resize(size_t n) {
-    HCD_CHECK(!mapped()) << "cannot resize a mapped section";
+    HCD_CHECK(backing_ == nullptr)
+        << "cannot resize a mapped section or a shared view";
     own_.resize(n);
     Sync();
   }
   void assign(size_t n, const T& value) {
-    backing_ = nullptr;
+    Unshare();
     own_.assign(n, value);
     Sync();
   }
   void push_back(const T& value) {
-    HCD_CHECK(!mapped()) << "cannot grow a mapped section";
+    HCD_CHECK(backing_ == nullptr)
+        << "cannot grow a mapped section or a shared view";
     own_.push_back(value);
     Sync();
   }
   void pop_back() {
-    HCD_CHECK(!mapped()) << "cannot shrink a mapped section";
+    HCD_CHECK(backing_ == nullptr)
+        << "cannot shrink a mapped section or a shared view";
     own_.pop_back();
     Sync();
   }
@@ -189,10 +213,19 @@ class ArrayRef {
     size_ = own_.size();
   }
 
+  /// Drops any aliased backing ahead of a whole-value assignment.
+  void Unshare() {
+    backing_ = nullptr;
+    mapped_ = false;
+  }
+
   std::vector<T> own_;            ///< owned storage (empty when aliased)
   const T* ptr_ = nullptr;        ///< active storage, either mode
   size_t size_ = 0;
-  std::shared_ptr<const MappedFile> backing_;  ///< null in owned mode
+  /// What keeps aliased elements alive: the MappedFile, or the owner given
+  /// to Share. Null in owned mode.
+  std::shared_ptr<const void> backing_;
+  bool mapped_ = false;           ///< backing_ is a MappedFile
 };
 
 }  // namespace hcd

@@ -4,10 +4,12 @@
 
 #include "common/check.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "graph/ingest.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
+#include "hcd/query.h"
 #include "nucleus/nucleus_hierarchy.h"
 #include "parallel/omp_utils.h"
 #include "truss/truss_hierarchy.h"
@@ -73,7 +75,7 @@ Status LoadGraph(const std::string& path, const EngineOptions& options,
 }
 
 Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
-                         VertexId graph_vertices) {
+                         VertexId graph_vertices, EdgeIndex graph_edges) {
   if (flat.kind() != kind) {
     return Status::InvalidArgument(
         std::string("snapshot kind ") + HierarchyKindName(flat.kind()) +
@@ -87,6 +89,12 @@ Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
         "snapshot covers " + std::to_string(covered) +
         " graph vertices but the graph has " +
         std::to_string(graph_vertices));
+  }
+  if (flat.HasSearchTables() && flat.NumGraphEdges() != graph_edges) {
+    return Status::InvalidArgument(
+        "snapshot search tables describe " +
+        std::to_string(flat.NumGraphEdges()) +
+        " graph edges but the graph has " + std::to_string(graph_edges));
   }
   return Status::Ok();
 }
@@ -104,10 +112,19 @@ const CoreDecomposition& HcdEngine::Coreness() {
   if (cd_ == nullptr) {
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    cd_ = std::make_shared<const CoreDecomposition>(
-        options_.algo == EngineAlgo::kNaive
-            ? BzCoreDecomposition(*graph_)
-            : PkcCoreDecomposition(*graph_));
+    if (flat_ != nullptr && options_.hierarchy == HierarchyKind::kCore) {
+      // An adopted core index already records every vertex's coreness as
+      // the level of its node: read it off instead of peeling.
+      ScopedSpan span("coreness.from_index");
+      cd_ = std::make_shared<const CoreDecomposition>(
+          CoreDecompositionOf(*flat_));
+      span.AddArg("k_max", cd_->k_max);
+    } else {
+      cd_ = std::make_shared<const CoreDecomposition>(
+          options_.algo == EngineAlgo::kNaive
+              ? BzCoreDecomposition(*graph_)
+              : PkcCoreDecomposition(*graph_));
+    }
   }
   return *cd_;
 }
@@ -266,8 +283,9 @@ Status HcdEngine::AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat) {
         "AdoptFlat: a flat index is already cached; adopt before the first "
         "Flat() call");
   }
-  const Status fits =
-      CheckSnapshotFits(*flat, options_.hierarchy, graph_->NumVertices());
+  const Status fits = CheckSnapshotFits(*flat, options_.hierarchy,
+                                        graph_->NumVertices(),
+                                        graph_->NumEdges());
   if (!fits.ok()) {
     return Status::InvalidArgument("AdoptFlat: " + fits.message());
   }

@@ -70,11 +70,12 @@ Status LoadGraph(const std::string& path, const EngineOptions& options,
                  Graph* graph);
 
 /// Checks that a prebuilt flat index can serve a graph: its kind must be
-/// `kind`, and it must cover exactly `graph_vertices` graph vertices (a
-/// core index's vertex domain, an element index's NumGraphVertices()).
+/// `kind`, it must cover exactly `graph_vertices` graph vertices (a core
+/// index's vertex domain, an element index's NumGraphVertices()), and
+/// search tables it carries must describe a graph of `graph_edges` edges.
 /// InvalidArgument otherwise.
 Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
-                         VertexId graph_vertices);
+                         VertexId graph_vertices, EdgeIndex graph_edges);
 
 /// The build-phase pipeline object behind every consumer of the library:
 /// owns (or borrows) one graph and computes each derived stage lazily, at
@@ -116,7 +117,10 @@ class HcdEngine {
   const EngineOptions& options() const { return options_; }
 
   /// Core decomposition (stage "decomposition"): PKC for phcd/lcps, the
-  /// serial BZ reference for naive. Computed on first call.
+  /// serial BZ reference for naive. Computed on first call. After a core
+  /// index was adopted (AdoptFlat) it is read off the index instead
+  /// (CoreDecompositionOf, span "coreness.from_index"), with no
+  /// "decomposition" stage.
   const CoreDecomposition& Coreness();
 
   /// Vertex rank over Coreness() (stage "rank"). Computed on first call.
@@ -143,7 +147,9 @@ class HcdEngine {
   /// if a flat index is already cached (built or adopted) — adoption must
   /// happen before the first Flat() call.
   /// Mapped indexes are shared as-is: the engine (and any snapshot sealed
-  /// from it) co-owns the mapping, no bytes are copied.
+  /// from it) co-owns the mapping, no bytes are copied. A core index
+  /// implies Coreness(), and one with search tables (a v4 snapshot) seals
+  /// without building them: a restart runs neither PKC nor PBKS.
   Status AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat);
 
   /// Edge indexer of the graph (stage "truss.index"); the element
@@ -168,11 +174,10 @@ class HcdEngine {
   /// Searcher().
   const ElementSearchIndex& ElementSearcher();
 
-  /// Memoized eager search index over Coreness() and Flat(); constructing
-  /// it runs the PBKS preprocessing and both primary-value passes (stages
-  /// "search.preprocess", "search.primary_a", "search.primary_b"). The
-  /// index lives inside the engine's SnapshotState, so requesting it seals
-  /// the serve-phase state (see Snapshot()).
+  /// The sealed state's search index: a view over the search tables of
+  /// the state's flat index. Sealing builds them when Flat() lacks them
+  /// (stages "search.preprocess", "search.primary_a", "search.primary_b"),
+  /// so requesting it seals the serve-phase state (see Snapshot()).
   const SearchIndex& Searcher();
 
   /// Finishes every query-side stage (Coreness, Forest, Flat, Searcher),
@@ -184,7 +189,9 @@ class HcdEngine {
   /// engine's cached graph, coreness and flat index (they are refcounted
   /// internally), so sealing neither copies nor invalidates references
   /// handed out by the accessors above; only a borrowed graph is copied,
-  /// because the state must own everything it serves.
+  /// because the state must own everything it serves. The state's flat
+  /// index is Flat() with its search tables attached (sharing Flat()'s
+  /// sections), or Flat() itself when it already carries them.
   QuerySnapshot Snapshot();
 
   /// Search via the cached search index (one "search.score" stage per

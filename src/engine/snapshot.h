@@ -16,7 +16,8 @@
 namespace hcd {
 
 /// One immutable generation of the serve-phase state: the graph, its core
-/// decomposition, the frozen FlatHcdIndex, and the eager SearchIndex. A
+/// decomposition, the frozen FlatHcdIndex with its search tables, and the
+/// SearchIndex view over them. A
 /// SnapshotState is reference-counted (std::shared_ptr<const
 /// SnapshotState>), so its lifetime is governed by the snapshots that view
 /// it, not by the engine that built it: a builder may publish a new
@@ -27,9 +28,10 @@ namespace hcd {
 /// The graph, decomposition and flat index are themselves held through
 /// shared_ptr<const T>: a state shares rather than copies the pieces its
 /// builder already has, and two generations that agree on a piece (e.g.
-/// the graph across a pure re-freeze) can share it too. Only the
-/// SearchIndex is per-generation by value, built in place over the other
-/// three.
+/// the graph across a pure re-freeze) can share it too. The state's flat
+/// index always carries its search tables: either it came with them (a v4
+/// snapshot) or Create built them and attached them to a view that shares
+/// the given index's forest sections.
 ///
 /// `epoch` is the generation number: 0 for the state a build-phase
 /// HcdEngine publishes, incremented by one for every batch a LiveEngine
@@ -38,9 +40,12 @@ namespace hcd {
 class SnapshotState {
  public:
   /// Builds a state from the finished serve-phase pieces (none may be
-  /// null). The SearchIndex is constructed in place over them (recording
-  /// its "search.preprocess" / "search.primary_*" stages), so the four
-  /// parts can never disagree about which generation they belong to.
+  /// null). A flat index without search tables gets them here
+  /// (BuildSearchTables, recording its "search.preprocess" /
+  /// "search.primary_*" stages), so the four parts can never disagree
+  /// about which generation they belong to; one that carries them (a
+  /// mapped v4 snapshot) is served as it is, and must describe `graph`'s
+  /// edge count (checked).
   static std::shared_ptr<const SnapshotState> Create(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const CoreDecomposition> cd,
@@ -52,7 +57,9 @@ class SnapshotState {
   const SearchIndex& search_index() const { return search_; }
   uint64_t epoch() const { return epoch_; }
 
-  /// The shared pieces, for builders deriving the next generation.
+  /// The shared pieces, for builders deriving the next generation. The
+  /// flat index is the one carrying the search tables: saving it writes a
+  /// v4 snapshot that a restart maps without rebuilding them.
   const std::shared_ptr<const Graph>& shared_graph() const { return graph_; }
   const std::shared_ptr<const CoreDecomposition>& shared_coreness() const {
     return cd_;
@@ -69,13 +76,13 @@ class SnapshotState {
         cd_(std::move(cd)),
         flat_(std::move(flat)),
         epoch_(epoch),
-        search_(*graph_, *cd_, *flat_) {}
+        search_(*flat_) {}
 
   const std::shared_ptr<const Graph> graph_;
   const std::shared_ptr<const CoreDecomposition> cd_;
   const std::shared_ptr<const FlatHcdIndex> flat_;
   const uint64_t epoch_;
-  const SearchIndex search_;  // last: built over the members above
+  const SearchIndex search_;  // last: a view over flat_'s tables
 };
 
 /// The serve-phase view of one built pipeline: a shared-ownership handle on

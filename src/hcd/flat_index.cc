@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/trace.h"
@@ -37,12 +38,49 @@ void BuildDescLevelOrder(std::span<const uint32_t> levels,
   }
 }
 
+Status Corrupt(const std::string& msg) {
+  return Status::Corruption("flat index: " + msg);
+}
+
+/// The search-table checks of Adopt, over a forest already proven valid
+/// (levels and level groups are trusted). The primaries' values are not
+/// read: they are trusted like the forest's, and a mapped snapshot's rows
+/// stay on disk until a query scores them.
+Status CheckSearchTables(const FlatHcdIndex::Data& d) {
+  if (!d.search_tables) {
+    if (!d.primaries.empty() || !d.best_nodes.empty() ||
+        d.num_graph_edges != 0) {
+      return Corrupt("search table sections without search tables");
+    }
+    return Status::Ok();
+  }
+  if (d.kind != HierarchyKind::kCore) {
+    return Corrupt("search tables on a non-core index");
+  }
+  const size_t num_nodes = d.levels.size();
+  if (d.primaries.size() != num_nodes) {
+    return Corrupt("primary row count does not match node count");
+  }
+  // The first level group holds the largest level.
+  const uint64_t table_len =
+      num_nodes == 0 ? 0 : uint64_t{d.levels[d.desc_level_order[0]]} + 1;
+  if (d.best_nodes.size() != kNumBestTables * table_len) {
+    return Corrupt("best-node table length does not match the level count");
+  }
+  for (size_t i = 0; i < d.best_nodes.size(); ++i) {
+    const TreeNodeId t = d.best_nodes[i];
+    if (t >= num_nodes) return Corrupt("best-node entry out of range");
+    if (d.levels[t] < i % table_len) {
+      return Corrupt("best-node entry below its level");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status FlatHcdIndex::Adopt(Data d, FlatHcdIndex* out) {
-  auto corrupt = [](const std::string& msg) {
-    return Status::Corruption("flat index: " + msg);
-  };
+  const auto corrupt = Corrupt;
   const size_t num_nodes = d.levels.size();
   if (num_nodes >= kInvalidNode) return corrupt("too many nodes");
   if (d.num_vertices >= kInvalidVertex) return corrupt("too many vertices");
@@ -243,7 +281,42 @@ Status FlatHcdIndex::Adopt(Data d, FlatHcdIndex* out) {
       }
     }
   }
+  HCD_RETURN_IF_ERROR(CheckSearchTables(d));
 
+  out->data_ = std::move(d);
+  return Status::Ok();
+}
+
+Status FlatHcdIndex::WithSearchTables(
+    std::shared_ptr<const FlatHcdIndex> base, uint64_t num_graph_edges,
+    ArrayRef<PrimaryValues> primaries, ArrayRef<TreeNodeId> best_nodes,
+    FlatHcdIndex* out) {
+  HCD_CHECK(base != nullptr);
+  const Data& b = base->data_;
+  Data d;
+  d.kind = b.kind;
+  d.num_vertices = b.num_vertices;
+  d.num_graph_vertices = b.num_graph_vertices;
+  const auto share = [&base](const auto& section) {
+    return std::remove_cvref_t<decltype(section)>::Share(section, base);
+  };
+  d.element_members = share(b.element_members);
+  d.levels = share(b.levels);
+  d.parents = share(b.parents);
+  d.subtree_nodes = share(b.subtree_nodes);
+  d.child_offsets = share(b.child_offsets);
+  d.children = share(b.children);
+  d.vertex_offsets = share(b.vertex_offsets);
+  d.vertices = share(b.vertices);
+  d.tid = share(b.tid);
+  d.desc_level_order = share(b.desc_level_order);
+  d.level_group_offsets = share(b.level_group_offsets);
+  d.roots = share(b.roots);
+  d.search_tables = true;
+  d.num_graph_edges = num_graph_edges;
+  d.primaries = std::move(primaries);
+  d.best_nodes = std::move(best_nodes);
+  HCD_RETURN_IF_ERROR(CheckSearchTables(d));
   out->data_ = std::move(d);
   return Status::Ok();
 }

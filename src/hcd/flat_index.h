@@ -2,6 +2,7 @@
 #define HCD_HCD_FLAT_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "graph/types.h"
 #include "hcd/forest.h"
 #include "hcd/hierarchy_kind.h"
+#include "hcd/primary_values.h"
 
 namespace hcd {
 
@@ -39,8 +41,16 @@ namespace hcd {
 ///
 /// The snapshot formats (hcd/serialize.h) are exactly the `Data` struct
 /// below written section by section — v2 ("HCDFOR02") for core indexes,
-/// the kind-tagged v3 ("HCDFOR03") for truss/nucleus — so loading is a
-/// handful of bulk reads followed by `Adopt` validation.
+/// v4 ("HCDFOR04") for core indexes that carry their search tables, the
+/// kind-tagged v3 ("HCDFOR03") for truss/nucleus — so loading is a handful
+/// of bulk reads followed by `Adopt` validation.
+///
+/// A core index may carry the PBKS search tables (Section IV-D) next to
+/// its forest: one accumulated PrimaryValues row per node and one
+/// per-level best-node table per metric. SearchIndex (search/search_index.h)
+/// is a view over them, so a snapshot that carries them serves without
+/// recomputing anything. WithSearchTables adds them to a built index while
+/// sharing, not copying, its forest sections.
 ///
 /// One index class serves all three decomposition families: for truss and
 /// nucleus hierarchies the "vertices" here are element ids (edges /
@@ -87,6 +97,16 @@ class FlatHcdIndex {
     ArrayRef<uint32_t> level_group_offsets;       // [G+1] into the above
     ArrayRef<TreeNodeId> roots;              // [R] ascending preorder ids
 
+    // Search tables: present iff `search_tables` (kCore only); both
+    // sections are empty and num_graph_edges is 0 otherwise. L = the
+    // largest level.
+    bool search_tables = false;
+    uint64_t num_graph_edges = 0;            // m of the graph they describe
+    ArrayRef<PrimaryValues> primaries;       // [N] accumulated per node
+    ArrayRef<TreeNodeId> best_nodes;         // [kNumBestTables * (L+1)],
+                                             //     table-major, entry k =
+                                             //     best node of level >= k
+
     /// True when any section aliases a mapped snapshot.
     bool mapped() const {
       return element_members.mapped() || levels.mapped() ||
@@ -94,7 +114,7 @@ class FlatHcdIndex {
              child_offsets.mapped() || children.mapped() ||
              vertex_offsets.mapped() || vertices.mapped() || tid.mapped() ||
              desc_level_order.mapped() || level_group_offsets.mapped() ||
-             roots.mapped();
+             roots.mapped() || primaries.mapped() || best_nodes.mapped();
     }
   };
 
@@ -107,10 +127,25 @@ class FlatHcdIndex {
   /// Validates `data` against every structural invariant of the layout
   /// (preorder parent/subtree nesting, level ordering, CSR monotonicity,
   /// children <-> parents bijection, tid <-> vertices consistency,
-  /// desc_level_order permutation). Returns Corruption on any violation;
-  /// on success moves the arrays into `*out`. This is the single funnel
-  /// through which untrusted snapshot bytes become a live index.
+  /// desc_level_order permutation) and, when present, of the search tables
+  /// (one row per node; each best-node table L + 1 entries long, entry k a
+  /// node of level >= k). Returns
+  /// Corruption on any violation; on success moves the arrays into
+  /// `*out`. This is the single funnel through which untrusted snapshot
+  /// bytes become a live index.
   static Status Adopt(Data data, FlatHcdIndex* out);
+
+  /// `base`'s forest with search tables: every forest section of `*out` is
+  /// a view of `base`'s (ArrayRef::Share; `*out` co-owns `base`, nothing
+  /// is copied), and the tables are `primaries` and `best_nodes`, computed
+  /// over a graph of `num_graph_edges` edges. `base` must be a core index;
+  /// tables it already carries are replaced. The tables pass Adopt's
+  /// checks or the call returns Corruption.
+  static Status WithSearchTables(std::shared_ptr<const FlatHcdIndex> base,
+                                 uint64_t num_graph_edges,
+                                 ArrayRef<PrimaryValues> primaries,
+                                 ArrayRef<TreeNodeId> best_nodes,
+                                 FlatHcdIndex* out);
 
   // --- accessors (mirror HcdForest) ----------------------------------------
 
@@ -200,6 +235,23 @@ class FlatHcdIndex {
         .subspan(data_.level_group_offsets[g],
                  data_.level_group_offsets[g + 1] -
                      data_.level_group_offsets[g]);
+  }
+
+  // --- search tables --------------------------------------------------------
+
+  /// True when the index carries its search tables (see Data).
+  bool HasSearchTables() const { return data_.search_tables; }
+  /// Edge count of the graph the search tables describe (0 without them).
+  uint64_t NumGraphEdges() const { return data_.num_graph_edges; }
+  /// Accumulated primary values of every node's k-core (empty without
+  /// search tables).
+  std::span<const PrimaryValues> Primaries() const { return data_.primaries; }
+  /// Best-node table `table` (< kNumBestTables): entry k is the
+  /// best-scoring node of level >= k under that table's metric.
+  std::span<const TreeNodeId> BestNodes(size_t table) const {
+    const size_t len = data_.best_nodes.size() / kNumBestTables;
+    return std::span<const TreeNodeId>(data_.best_nodes)
+        .subspan(table * len, len);
   }
 
   /// Read-only view of the packed arrays; the v2 serializer writes these

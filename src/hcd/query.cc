@@ -1,5 +1,8 @@
 #include "hcd/query.h"
 
+#include "common/check.h"
+#include "parallel/omp_utils.h"
+
 namespace hcd {
 
 TreeNodeId NodeOfKCoreContaining(const HcdForest& forest, VertexId v,
@@ -64,6 +67,18 @@ uint32_t CorenessOf(const FlatHcdIndex& index, VertexId v) {
   if (v >= index.NumVertices()) return 0;
   const TreeNodeId node = index.Tid(v);
   return node == kInvalidNode ? 0 : index.Level(node);
+}
+
+CoreDecomposition CoreDecompositionOf(const FlatHcdIndex& index) {
+  HCD_CHECK(index.kind() == HierarchyKind::kCore)
+      << "only a core index records vertex coreness";
+  CoreDecomposition cd;
+  cd.coreness.resize(index.NumVertices());
+  ParallelFor(VertexId{0}, index.NumVertices(),
+              [&](VertexId v) { cd.coreness[v] = CorenessOf(index, v); });
+  // The first level group holds the largest level.
+  if (index.NumNodes() > 0) cd.k_max = index.Level(index.LevelGroup(0)[0]);
+  return cd;
 }
 
 bool InSameKCore(const FlatHcdIndex& index, VertexId u, VertexId v,

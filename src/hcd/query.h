@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "core/core_decomposition.h"
 #include "hcd/flat_index.h"
 #include "hcd/forest.h"
 
@@ -53,6 +54,12 @@ TreeNodeId NodeOfKCoreContainingAll(const FlatHcdIndex& index,
 
 /// Coreness of `v` as recorded by the frozen index (0 when out of range).
 uint32_t CorenessOf(const FlatHcdIndex& index, VertexId v);
+
+/// The core decomposition a core index records: coreness[v] =
+/// CorenessOf(index, v) for every vertex, k_max the largest level (0 for
+/// an index without nodes). One parallel O(n) pass, equal to peeling the
+/// graph the index was built from; no graph is read.
+CoreDecomposition CoreDecompositionOf(const FlatHcdIndex& index);
 
 /// True iff u and v belong to a common k-core on the frozen index.
 bool InSameKCore(const FlatHcdIndex& index, VertexId u, VertexId v,

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -18,6 +19,7 @@ namespace {
 
 constexpr uint64_t kForestMagicV2 = 0x484344464f523032ULL;  // "HCDFOR02"
 constexpr uint64_t kForestMagicV3 = 0x484344464f523033ULL;  // "HCDFOR03"
+constexpr uint64_t kForestMagicV4 = 0x484344464f523034ULL;  // "HCDFOR04"
 
 // v2 header: kForestMagicV2, num_vertices, num_nodes, num_roots,
 // num_children, num_placed, num_level_groups, reserved (0).
@@ -28,6 +30,12 @@ constexpr size_t kV2HeaderBytes = kV2HeaderWords * sizeof(uint64_t);
 // num_level_groups, num_element_members, reserved, reserved (0).
 constexpr size_t kV3HeaderWords = 12;
 constexpr size_t kV3HeaderBytes = kV3HeaderWords * sizeof(uint64_t);
+// v4 header: kForestMagicV4, num_vertices, num_nodes, num_roots,
+// num_children, num_placed, num_level_groups, num_graph_edges,
+// num_best_nodes, reserved (0).
+constexpr size_t kV4HeaderWords = 10;
+constexpr size_t kV4HeaderBytes = kV4HeaderWords * sizeof(uint64_t);
+constexpr size_t kMaxHeaderWords = kV3HeaderWords;
 // Sections are padded to 8 bytes so each starts at an aligned offset.
 constexpr uint64_t kSectionAlign = 8;
 
@@ -51,19 +59,29 @@ Status OpenForRead(const std::string& path, FilePtr* f, uint64_t* file_size) {
   return Status::Ok();
 }
 
-uint64_t PaddedSectionBytes(uint64_t count) {
-  const uint64_t bytes = count * sizeof(uint32_t);
+/// Bytes a section of `count` elements of `element_bytes` each takes in the
+/// file, padding included. Callers bound `count` so the product cannot
+/// overflow.
+uint64_t PaddedSectionBytes(uint64_t count,
+                            uint64_t element_bytes = sizeof(uint32_t)) {
+  const uint64_t bytes = count * element_bytes;
   return (bytes + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
 }
 
+// Sections hold 4-byte ids and offsets, or 8-byte-aligned rows of 64-bit
+// counts (PrimaryValues); both alias correctly at an 8-byte file offset.
+template <typename T>
+constexpr bool kSectionElement =
+    sizeof(T) % sizeof(uint32_t) == 0 && alignof(T) <= kSectionAlign;
+
 template <typename T>
 bool WriteSection(std::FILE* f, const ArrayRef<T>& v) {
-  static_assert(sizeof(T) == sizeof(uint32_t));
+  static_assert(kSectionElement<T>);
   const uint64_t bytes = v.size() * sizeof(T);
   if (bytes > 0 && std::fwrite(v.data(), sizeof(T), v.size(), f) != v.size()) {
     return false;
   }
-  const uint64_t pad = PaddedSectionBytes(v.size()) - bytes;
+  const uint64_t pad = PaddedSectionBytes(v.size(), sizeof(T)) - bytes;
   if (pad > 0) {
     const char zeros[kSectionAlign] = {};
     if (std::fwrite(zeros, 1, pad, f) != pad) return false;
@@ -71,18 +89,18 @@ bool WriteSection(std::FILE* f, const ArrayRef<T>& v) {
   return true;
 }
 
-/// Bulk-reads one v2 section of a known element count (the count was
-/// already validated against the file size, so the resize is safe). This is
-/// the copying path; MapFlatBody below aliases the same bytes instead.
+/// Bulk-reads one section of a known element count (the count was already
+/// validated against the file size, so the resize is safe). This is the
+/// copying path; MapFlatBody below aliases the same bytes instead.
 template <typename T>
 bool ReadSection(std::FILE* f, uint64_t count, ArrayRef<T>* v) {
-  static_assert(sizeof(T) == sizeof(uint32_t));
+  static_assert(kSectionElement<T>);
   v->resize(count);
   if (count > 0 && std::fread(v->data(), sizeof(T), count, f) != count) {
     return false;
   }
-  const long pad =
-      static_cast<long>(PaddedSectionBytes(count) - count * sizeof(T));
+  const long pad = static_cast<long>(PaddedSectionBytes(count, sizeof(T)) -
+                                     count * sizeof(T));
   return pad == 0 || std::fseek(f, pad, SEEK_CUR) == 0;
 }
 
@@ -99,10 +117,10 @@ void RecordSnapshotLoad(const char* mode, double seconds) {
   }
 }
 
-/// Validated header counts of a v2/v3 flat snapshot. One struct serves both
-/// versions (v2 is a kCore header with no member section), so the copying
-/// loader and the zero-copy mapper share a single source of truth for the
-/// section layout.
+/// Validated header counts of a v2/v3/v4 flat snapshot. One struct serves
+/// every version (v2 is a kCore header with no member section, v4 a v2
+/// header plus search tables), so the copying loader and the zero-copy
+/// mapper share a single source of truth for the section layout.
 struct FlatHeader {
   HierarchyKind kind = HierarchyKind::kCore;
   uint64_t n = 0;             ///< elements (index "vertices")
@@ -113,7 +131,10 @@ struct FlatHeader {
   uint64_t num_placed = 0;
   uint64_t num_level_groups = 0;
   uint64_t num_members = 0;   ///< element_members section (0 for v2)
-  uint64_t header_bytes = 0;  ///< kV2HeaderBytes or kV3HeaderBytes
+  bool search_tables = false;  ///< v4: primaries + best_nodes follow
+  uint64_t num_edges = 0;      ///< v4: graph edges the tables describe
+  uint64_t num_best = 0;       ///< v4: best_nodes entries
+  uint64_t header_bytes = 0;  ///< kV2/kV3/kV4HeaderBytes
 };
 
 /// Parses + sanity-checks the v2 header words after the magic.
@@ -136,6 +157,27 @@ Status ParseFlatHeaderV2(const uint64_t* words, const std::string& path,
       h->num_placed > h->n || h->num_level_groups > h->num_nodes ||
       reserved != 0 ||
       (h->num_nodes > 0 && (h->num_roots == 0 || h->num_level_groups == 0))) {
+    return Status::Corruption(path + ": implausible header counts");
+  }
+  return Status::Ok();
+}
+
+/// Parses + sanity-checks the v4 header words after the magic: a v2
+/// header whose reserved word is the graph edge count, then the best-node
+/// entry count. Each of the kNumBestTables tables has one entry per level
+/// (levels are 32-bit), which bounds the count before any size arithmetic.
+Status ParseFlatHeaderV4(const uint64_t* words, const std::string& path,
+                         FlatHeader* h) {
+  uint64_t v2_words[kV2HeaderWords - 1] = {};
+  std::copy(words, words + kV2HeaderWords - 2, v2_words);  // reserved: 0
+  HCD_RETURN_IF_ERROR(ParseFlatHeaderV2(v2_words, path, h));
+  h->search_tables = true;
+  h->num_edges = words[6];
+  h->num_best = words[7];
+  h->header_bytes = kV4HeaderBytes;
+  if (words[8] != 0 || h->num_best % kNumBestTables != 0 ||
+      h->num_best / kNumBestTables > (uint64_t{1} << 32) ||
+      (h->num_nodes == 0) != (h->num_best == 0)) {
     return Status::Corruption(path + ": implausible header counts");
   }
   return Status::Ok();
@@ -188,10 +230,43 @@ uint64_t ExpectedFlatFileSize(const FlatHeader& h) {
          PaddedSectionBytes(h.num_children) +
          PaddedSectionBytes(h.num_placed) + PaddedSectionBytes(h.n) +
          PaddedSectionBytes(h.num_level_groups + 1) +
-         PaddedSectionBytes(h.num_roots) + PaddedSectionBytes(h.num_members);
+         PaddedSectionBytes(h.num_roots) + PaddedSectionBytes(h.num_members) +
+         (h.search_tables
+              ? PaddedSectionBytes(h.num_nodes, sizeof(PrimaryValues)) +
+                    PaddedSectionBytes(h.num_best)
+              : 0);
 }
 
-/// Copying body shared by v2 and v3: bulk-reads each section into owned
+/// Header words (magic included) of a known format version, or 0 for an
+/// unknown magic.
+size_t HeaderWords(uint64_t magic) {
+  switch (magic) {
+    case kForestMagicV2: return kV2HeaderWords;
+    case kForestMagicV3: return kV3HeaderWords;
+    case kForestMagicV4: return kV4HeaderWords;
+    default: return 0;
+  }
+}
+
+/// Parses the header words after `magic` (a known version), then proves
+/// the file is exactly as long as that header's section layout.
+Status ParseFlatHeader(uint64_t magic, const uint64_t* words,
+                       uint64_t file_size, const std::string& path,
+                       FlatHeader* h) {
+  if (magic == kForestMagicV2) {
+    HCD_RETURN_IF_ERROR(ParseFlatHeaderV2(words, path, h));
+  } else if (magic == kForestMagicV3) {
+    HCD_RETURN_IF_ERROR(ParseFlatHeaderV3(words, path, h));
+  } else {
+    HCD_RETURN_IF_ERROR(ParseFlatHeaderV4(words, path, h));
+  }
+  if (ExpectedFlatFileSize(*h) != file_size) {
+    return Status::Corruption(path + ": section sizes do not match file size");
+  }
+  return Status::Ok();
+}
+
+/// Copying body shared by v2, v3 and v4: bulk-reads each section into owned
 /// ArrayRefs and funnels through Adopt. The file size was already proven to
 /// match the header exactly, so every fread is in bounds.
 Status ReadFlatBody(std::FILE* f, const FlatHeader& h, const std::string& path,
@@ -214,6 +289,12 @@ Status ReadFlatBody(std::FILE* f, const FlatHeader& h, const std::string& path,
   if (ok && h.kind != HierarchyKind::kCore) {
     ok = ReadSection(f, h.num_members, &d.element_members);
   }
+  if (ok && h.search_tables) {
+    d.search_tables = true;
+    d.num_graph_edges = h.num_edges;
+    ok = ReadSection(f, h.num_nodes, &d.primaries) &&
+         ReadSection(f, h.num_best, &d.best_nodes);
+  }
   if (!ok) return Status::Corruption(path + ": truncated sections");
 
   Status s = FlatHcdIndex::Adopt(std::move(d), index);
@@ -221,39 +302,7 @@ Status ReadFlatBody(std::FILE* f, const FlatHeader& h, const std::string& path,
   return Status::Ok();
 }
 
-Status LoadFlatV2Body(std::FILE* f, uint64_t file_size,
-                      const std::string& path, FlatHcdIndex* index) {
-  uint64_t words[kV2HeaderWords - 1];  // magic already consumed
-  if (std::fread(words, sizeof(uint64_t), std::size(words), f) !=
-      std::size(words)) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  FlatHeader h;
-  HCD_RETURN_IF_ERROR(ParseFlatHeaderV2(words, path, &h));
-  // The whole file size must match exactly before anything is allocated.
-  if (ExpectedFlatFileSize(h) != file_size) {
-    return Status::Corruption(path + ": section sizes do not match file size");
-  }
-  return ReadFlatBody(f, h, path, index);
-}
-
-Status LoadFlatV3Body(std::FILE* f, uint64_t file_size,
-                      const std::string& path, FlatHcdIndex* index) {
-  uint64_t words[kV3HeaderWords - 1];  // magic already consumed
-  if (std::fread(words, sizeof(uint64_t), std::size(words), f) !=
-      std::size(words)) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  FlatHeader h;
-  HCD_RETURN_IF_ERROR(ParseFlatHeaderV3(words, path, &h));
-  // The whole file size must match exactly before anything is allocated.
-  if (ExpectedFlatFileSize(h) != file_size) {
-    return Status::Corruption(path + ": section sizes do not match file size");
-  }
-  return ReadFlatBody(f, h, path, index);
-}
-
-/// Zero-copy body shared by v2 and v3: aliases each section inside the
+/// Zero-copy body shared by every version: aliases each section inside the
 /// mapping at its computed offset and funnels through the same Adopt
 /// validation the copying loader uses. The caller proved the file size
 /// matches the header exactly BEFORE this runs, so no alias — and no
@@ -268,12 +317,12 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
   d.num_graph_vertices = static_cast<VertexId>(h.ng);
   uint64_t offset = h.header_bytes;
   // Sections start at 8-byte offsets inside a page-aligned mapping, so the
-  // uint32 casts below are always aligned.
+  // casts below are always aligned (kSectionElement).
   auto alias = [&]<typename T>(uint64_t count, ArrayRef<T>* section) {
     *section = ArrayRef<T>(
         reinterpret_cast<const T*>(file->data() + offset),
         static_cast<size_t>(count), file);
-    offset += PaddedSectionBytes(count);
+    offset += PaddedSectionBytes(count, sizeof(T));
   };
   alias(h.num_nodes, &d.levels);
   alias(h.num_nodes, &d.parents);
@@ -289,6 +338,12 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
   if (h.kind != HierarchyKind::kCore) {
     alias(h.num_members, &d.element_members);
   }
+  if (h.search_tables) {
+    d.search_tables = true;
+    d.num_graph_edges = h.num_edges;
+    alias(h.num_nodes, &d.primaries);
+    alias(h.num_best, &d.best_nodes);
+  }
 
   Status s = FlatHcdIndex::Adopt(std::move(d), index);
   if (!s.ok()) return Status(s.code(), path + ": " + s.message());
@@ -299,8 +354,25 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
 bool WriteFlatIndex(const FlatHcdIndex& index, std::FILE* f) {
   const FlatHcdIndex::Data& d = index.data();
   bool ok;
-  if (d.kind == HierarchyKind::kCore) {
-    // Core snapshots stay v2, bit-identical to the pre-kind format.
+  if (d.search_tables) {
+    // Only core indexes carry search tables (Adopt checks it).
+    const uint64_t header[kV4HeaderWords] = {
+        kForestMagicV4,
+        d.num_vertices,
+        d.levels.size(),
+        d.roots.size(),
+        d.children.size(),
+        d.vertices.size(),
+        index.NumLevelGroups(),
+        d.num_graph_edges,
+        d.best_nodes.size(),
+        0,  // reserved
+    };
+    ok = std::fwrite(header, sizeof(uint64_t), kV4HeaderWords, f) ==
+         kV4HeaderWords;
+  } else if (d.kind == HierarchyKind::kCore) {
+    // Forest-only core snapshots stay v2, bit-identical to the pre-kind
+    // format.
     const uint64_t header[kV2HeaderWords] = {
         kForestMagicV2,
         d.num_vertices,
@@ -339,6 +411,9 @@ bool WriteFlatIndex(const FlatHcdIndex& index, std::FILE* f) {
        WriteSection(f, d.level_group_offsets) && WriteSection(f, d.roots);
   if (d.kind != HierarchyKind::kCore) {
     ok = ok && WriteSection(f, d.element_members);
+  }
+  if (d.search_tables) {
+    ok = ok && WriteSection(f, d.primaries) && WriteSection(f, d.best_nodes);
   }
   return ok;
 }
@@ -381,14 +456,17 @@ Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index) {
   if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1) {
     return Status::Corruption(path + ": truncated header");
   }
-  Status s;
-  if (magic == kForestMagicV2) {
-    s = LoadFlatV2Body(f.get(), file_size, path, index);
-  } else if (magic == kForestMagicV3) {
-    s = LoadFlatV3Body(f.get(), file_size, path, index);
-  } else {
-    return Status::Corruption(path + ": bad magic");
+  const size_t header_words = HeaderWords(magic);
+  if (header_words == 0) return Status::Corruption(path + ": bad magic");
+  uint64_t words[kMaxHeaderWords - 1] = {};  // magic already consumed
+  if (std::fread(words, sizeof(uint64_t), header_words - 1, f.get()) !=
+      header_words - 1) {
+    return Status::Corruption(path + ": truncated header");
   }
+  // The whole file size must match exactly before anything is allocated.
+  FlatHeader h;
+  HCD_RETURN_IF_ERROR(ParseFlatHeader(magic, words, file_size, path, &h));
+  const Status s = ReadFlatBody(f.get(), h, path, index);
   if (s.ok()) RecordSnapshotLoad("read", timer.Seconds());
   return s;
 }
@@ -406,30 +484,19 @@ Status MapFlatIndex(const std::string& path, FlatHcdIndex* index) {
   }
   uint64_t magic = 0;
   std::memcpy(&magic, file->data(), sizeof(magic));
-  if (magic != kForestMagicV2 && magic != kForestMagicV3) {
-    return Status::Corruption(path + ": bad magic");
-  }
-
-  const size_t header_words =
-      magic == kForestMagicV2 ? kV2HeaderWords : kV3HeaderWords;
+  const size_t header_words = HeaderWords(magic);
+  if (header_words == 0) return Status::Corruption(path + ": bad magic");
   if (file->size() < header_words * sizeof(uint64_t)) {
     return Status::Corruption(path + ": truncated header");
   }
-  uint64_t words[kV3HeaderWords - 1];  // magic excluded; v3 is the larger
+  uint64_t words[kMaxHeaderWords - 1] = {};  // magic excluded
   std::memcpy(words, file->data() + sizeof(uint64_t),
               (header_words - 1) * sizeof(uint64_t));
-  FlatHeader h;
-  if (magic == kForestMagicV2) {
-    HCD_RETURN_IF_ERROR(ParseFlatHeaderV2(words, path, &h));
-  } else {
-    HCD_RETURN_IF_ERROR(ParseFlatHeaderV3(words, path, &h));
-  }
   // The whole file size must match the header exactly BEFORE any section is
   // aliased: a truncated file must fail here with a Status, never fault on
   // a later page access.
-  if (ExpectedFlatFileSize(h) != file->size()) {
-    return Status::Corruption(path + ": section sizes do not match file size");
-  }
+  FlatHeader h;
+  HCD_RETURN_IF_ERROR(ParseFlatHeader(magic, words, file->size(), path, &h));
   Status s = MapFlatBody(file, h, path, index);
   if (s.ok()) RecordSnapshotLoad("mmap", timer.Seconds());
   return s;

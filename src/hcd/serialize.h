@@ -16,7 +16,7 @@ namespace hcd {
 /// verbatim, each section padded to 8-byte alignment. Loading is a handful
 /// of bulk reads (mmap-friendly: every section sits at a computable aligned
 /// offset) funneled through FlatHcdIndex::Adopt, which validates all
-/// structural invariants, so corrupt files of either version yield
+/// structural invariants, so corrupt files of any version yield
 /// Status::Corruption — never an abort. v2 carries no kind tag and always
 /// loads as HierarchyKind::kCore.
 ///
@@ -25,15 +25,38 @@ namespace hcd {
 /// count, then the v2 section counts plus the element-member count — and
 /// the v2 sections followed by one trailing element_members section
 /// (arity * element count vertices, the element -> member-vertex
-/// materialization). Core indexes keep writing v2, byte-identical to
-/// before, so existing snapshots and their hashes are untouched; a v3
+/// materialization). Core indexes keep writing v2 (v4 with search
+/// tables), so existing snapshots and their hashes are untouched; a v3
 /// file tagged kCore is rejected as non-canonical.
+///
+/// v4 ("HCDFOR04"): a core index with its search tables
+/// (FlatHcdIndex::HasSearchTables), so a restart maps them instead of
+/// re-peeling the graph and rerunning PBKS. A fixed 80-byte header —
+/// magic, the six v2 counts, the graph's edge count, the best-node entry
+/// count, one reserved word (0) — then the v2 sections unchanged, then two
+/// more: the primaries (one 40-byte PrimaryValues row of five uint64 per
+/// node) and the best-node tables (kNumBestTables tables of max level + 1
+/// uint32 node ids each, table-major, padded to 8 bytes). The version
+/// follows from the index: a forest-only core index still writes v2,
+/// byte-identical to before, and one with tables writes v4.
+///
+/// Trust model. A snapshot is trusted to describe the graph it is served
+/// with, as the forest always was: the loaders check structure, not
+/// meaning. Adopt proves the forest's invariants and, for v4, that there
+/// is one row per node, that each table has max level + 1 entries, and
+/// that every entry is a node of level >= its index (the rows' values are
+/// not read, so a mapped file's rows page in only when scored); CheckSnapshotFits (engine/engine.h) matches the
+/// vertex count and, for v4, the edge count against the serving graph.
+/// Tallies that are plausible but wrong (say, a file saved for another
+/// graph with the same n and m) score wrongly; they can never read out of
+/// bounds or abort.
 ///
 /// Any other magic, including the retired v1 builder stream ("HCDFOR01"),
 /// is rejected with Status::Corruption.
 
-/// Writes a flat snapshot: v2 for a core index (byte-identical to the
-/// pre-kind format), v3 for truss / nucleus. Byte-for-byte deterministic:
+/// Writes a flat snapshot: v2 for a core index without search tables
+/// (byte-identical to the pre-kind format), v4 for one with them, v3 for
+/// truss / nucleus. Byte-for-byte deterministic:
 /// saving a loaded index reproduces the input file exactly. The file is
 /// replaced atomically: the bytes go to `<path>.tmp.<pid>`, which is
 /// renamed over `path` once written and closed, so a process that has the
@@ -42,12 +65,12 @@ namespace hcd {
 /// durability across power loss is not promised.
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path);
 
-/// Loads a v2/v3 snapshot into a flat index, reading it section by section
-/// as whole arrays (v2 adopts as kCore).
+/// Loads a v2/v3/v4 snapshot into a flat index, reading it section by
+/// section as whole arrays (v2 and v4 adopt as kCore).
 Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index);
 
-/// Zero-copy load: mmaps the file read-only and aliases every v2/v3 section
-/// in place (the index's ArrayRefs co-own the mapping), after proving the
+/// Zero-copy load: mmaps the file read-only and aliases every section, the
+/// v4 search tables included, in place (the index's ArrayRefs co-own the mapping), after proving the
 /// file size matches the header-declared section layout exactly — a
 /// truncated or padded file fails with Status::Corruption before any byte
 /// past the header is touched, never with a fault. The aliased sections

@@ -2,8 +2,11 @@
 #define HCD_SEARCH_METRICS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+
+#include "hcd/primary_values.h"
 
 namespace hcd {
 
@@ -36,6 +39,9 @@ inline constexpr Metric kAllMetrics[] = {
     Metric::kTriangleDensity,
 };
 
+// A core index keeps one best-node table per metric.
+static_assert(std::size(kAllMetrics) == kNumBestTables);
+
 /// True for metrics defined on high-order motifs (Section II-D's type-B);
 /// false for the n/m/b-based type-A metrics.
 bool IsTypeB(Metric metric);
@@ -52,16 +58,6 @@ bool ParseMetric(std::string_view name, Metric* metric);
 struct GraphGlobals {
   uint64_t n = 0;
   uint64_t m = 0;
-};
-
-/// Primary values of one subgraph S (Section II-D). Edge counts are stored
-/// doubled (2*m(S)) so per-vertex contributions stay integral.
-struct PrimaryValues {
-  uint64_t n_s = 0;        ///< n(S): vertices
-  uint64_t edges2 = 0;     ///< 2*m(S): twice the internal edge count
-  uint64_t boundary = 0;   ///< b(S): boundary edges
-  uint64_t triangles = 0;  ///< Delta(S)
-  uint64_t triplets = 0;   ///< t(S): paths of length 2
 };
 
 /// Evaluates `metric` on primary values `pv` (uses `globals` where the

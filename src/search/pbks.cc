@@ -6,79 +6,28 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
 namespace {
 
-/// Unaccumulated per-node tallies. Signed: a single node's boundary
-/// contribution (lt - gt summed over its vertices) can be negative before
-/// children are folded in.
-struct NodeTallies {
-  std::vector<int64_t> n_s;
-  std::vector<int64_t> edges2;
-  std::vector<int64_t> boundary;
-  std::vector<int64_t> triangles;
-  std::vector<int64_t> triplets;
-
-  explicit NodeTallies(TreeNodeId num_nodes)
-      : n_s(num_nodes, 0),
-        edges2(num_nodes, 0),
-        boundary(num_nodes, 0),
-        triangles(num_nodes, 0),
-        triplets(num_nodes, 0) {}
-};
-
-/// Parallel bottom-up tree accumulation (Algorithm 3 lines 6-9): processes
-/// the index's precomputed level groups in descending order; nodes inside a
-/// group accumulate into their parents concurrently (atomics: two
-/// same-level nodes may share a parent). When a node's group is reached,
-/// all its children (strictly higher levels) are final. No sort and no
-/// group-boundary scan — the frozen index ships both. A group below
-/// kParallelGrain nodes runs on the calling thread.
-void AccumulateUp(const FlatHcdIndex& index, NodeTallies* t) {
-  for (size_t g = 0; g < index.NumLevelGroups(); ++g) {
-    const std::span<const TreeNodeId> group = index.LevelGroup(g);
-#pragma omp parallel for schedule(static) \
-    if (static_cast<int64_t>(group.size()) >= kParallelGrain)
-    for (int64_t idx = 0; idx < static_cast<int64_t>(group.size()); ++idx) {
-      const TreeNodeId node = group[idx];
-      const TreeNodeId pa = index.Parent(node);
-      if (pa == kInvalidNode) continue;
-#pragma omp atomic
-      t->n_s[pa] += t->n_s[node];
-#pragma omp atomic
-      t->edges2[pa] += t->edges2[node];
-#pragma omp atomic
-      t->boundary[pa] += t->boundary[node];
-#pragma omp atomic
-      t->triangles[pa] += t->triangles[node];
-#pragma omp atomic
-      t->triplets[pa] += t->triplets[node];
-    }
+/// Rows whose n(S) is each node's own vertex count, the other fields 0:
+/// the unaccumulated start of both primary-value passes (a tree node's own
+/// vertices are one run of the preorder vertex array).
+std::vector<PrimaryValues> OwnVertexRows(const FlatHcdIndex& index) {
+  const std::span<const uint32_t> offsets = index.data().vertex_offsets;
+  std::vector<PrimaryValues> rows(index.NumNodes());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    rows[t].n_s = offsets[t + 1] - offsets[t];
   }
-}
-
-std::vector<PrimaryValues> ToPrimaryValues(const NodeTallies& t) {
-  std::vector<PrimaryValues> out(t.n_s.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    HCD_DCHECK(t.n_s[i] >= 0);
-    HCD_DCHECK(t.edges2[i] >= 0);
-    HCD_DCHECK(t.boundary[i] >= 0);
-    out[i].n_s = static_cast<uint64_t>(t.n_s[i]);
-    out[i].edges2 = static_cast<uint64_t>(t.edges2[i]);
-    out[i].boundary = static_cast<uint64_t>(t.boundary[i]);
-    out[i].triangles = static_cast<uint64_t>(t.triangles[i]);
-    out[i].triplets = static_cast<uint64_t>(t.triplets[i]);
-  }
-  return out;
+  return rows;
 }
 
 inline int64_t Choose2(int64_t x) { return x * (x - 1) / 2; }
 
-/// Unaccumulated n(S): the length of each slot's run, read off its offsets
-/// (a tree node's own vertices are one run of the preorder vertex array).
+/// Unaccumulated n(S): the length of each slot's run, read off its offsets.
 std::vector<int64_t> RunLengths(std::span<const uint32_t> offsets) {
   std::vector<int64_t> out(offsets.size() - 1);
   for (size_t s = 0; s < out.size(); ++s) out[s] = offsets[s + 1] - offsets[s];
@@ -273,6 +222,59 @@ TriangleWork CountTriangles(const OrientedAdjacency& out,
   return {wedge_checks, dense_word_ands};
 }
 
+/// Parallel bottom-up tree accumulation (Algorithm 3 lines 6-9): processes
+/// the index's precomputed level groups in descending order; nodes inside a
+/// group accumulate into their parents concurrently (atomics: two
+/// same-level nodes may share a parent). When a node's group is reached,
+/// all its children (strictly higher levels) are final. No sort and no
+/// group-boundary scan — the frozen index ships both. A group below
+/// kParallelGrain nodes runs on the calling thread. Sums wrap modulo 2^64,
+/// so signed tallies stored two's-complement come out exact.
+void AccumulatePrimaryUp(const FlatHcdIndex& index,
+                         std::span<PrimaryValues> rows) {
+  HCD_CHECK_EQ(rows.size(), index.NumNodes());
+  for (size_t g = 0; g < index.NumLevelGroups(); ++g) {
+    const std::span<const TreeNodeId> group = index.LevelGroup(g);
+#pragma omp parallel for schedule(static) \
+    if (static_cast<int64_t>(group.size()) >= kParallelGrain)
+    for (int64_t idx = 0; idx < static_cast<int64_t>(group.size()); ++idx) {
+      const TreeNodeId node = group[idx];
+      const TreeNodeId pa = index.Parent(node);
+      if (pa == kInvalidNode) continue;
+      const PrimaryValues& from = rows[node];
+      PrimaryValues& to = rows[pa];
+#pragma omp atomic
+      to.n_s += from.n_s;
+#pragma omp atomic
+      to.edges2 += from.edges2;
+#pragma omp atomic
+      to.boundary += from.boundary;
+#pragma omp atomic
+      to.triangles += from.triangles;
+#pragma omp atomic
+      to.triplets += from.triplets;
+    }
+  }
+}
+
+void SetTypeATallies(const TypeATallies& a, std::span<PrimaryValues> rows) {
+  HCD_CHECK_EQ(a.edges2.size(), rows.size());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    // A node's own boundary tally (lt - gt) can be negative; it is stored
+    // two's-complement, and the accumulated sum, never negative, is exact.
+    rows[t].edges2 = static_cast<uint64_t>(a.edges2[t]);
+    rows[t].boundary = static_cast<uint64_t>(a.boundary[t]);
+  }
+}
+
+void SetTypeBTallies(const TypeBTallies& b, std::span<PrimaryValues> rows) {
+  HCD_CHECK_EQ(b.triangles.size(), rows.size());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    rows[t].triangles = static_cast<uint64_t>(b.triangles[t]);
+    rows[t].triplets = static_cast<uint64_t>(b.triplets[t]);
+  }
+}
+
 }  // namespace
 
 TypeATallies CountTypeATallies(const Graph& graph,
@@ -340,14 +342,12 @@ TypeATallies CountTypeATallies(const Graph& graph,
 std::vector<PrimaryValues> PbksTypeAPrimary(
     const Graph& graph, const CoreDecomposition& /*cd*/,
     const FlatHcdIndex& index, const CorenessNeighborCounts& pre) {
-  NodeTallies t(index.NumNodes());
-  TypeATallies a = CountTypeATallies(graph, pre, index.data().vertices,
-                                     index.data().vertex_offsets);
-  t.n_s = std::move(a.n_s);
-  t.edges2 = std::move(a.edges2);
-  t.boundary = std::move(a.boundary);
-  AccumulateUp(index, &t);
-  return ToPrimaryValues(t);
+  std::vector<PrimaryValues> rows = OwnVertexRows(index);
+  SetTypeATallies(CountTypeATallies(graph, pre, index.data().vertices,
+                                    index.data().vertex_offsets),
+                  rows);
+  AccumulatePrimaryUp(index, rows);
+  return rows;
 }
 
 TypeBTallies CountTypeBTallies(const Graph& graph,
@@ -433,15 +433,37 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
 std::vector<PrimaryValues> PbksTypeBPrimary(
     const Graph& graph, const CoreDecomposition& cd, const FlatHcdIndex& index,
     const VertexRank& vr, const CorenessNeighborCounts& pre) {
-  NodeTallies t(index.NumNodes());
   // n(S) rides along: triangle density divides by the vertex triples.
-  t.n_s = RunLengths(index.data().vertex_offsets);
-  TypeBTallies b = CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
-                                     index.NumNodes());
-  t.triangles = std::move(b.triangles);
-  t.triplets = std::move(b.triplets);
-  AccumulateUp(index, &t);
-  return ToPrimaryValues(t);
+  std::vector<PrimaryValues> rows = OwnVertexRows(index);
+  SetTypeBTallies(CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
+                                    index.NumNodes()),
+                  rows);
+  AccumulatePrimaryUp(index, rows);
+  return rows;
+}
+
+std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
+                                       const CoreDecomposition& cd,
+                                       const FlatHcdIndex& index,
+                                       const CorenessNeighborCounts& pre) {
+  std::vector<PrimaryValues> rows = OwnVertexRows(index);
+  {
+    ScopedStage stage("search.primary_a");
+    SetTypeATallies(CountTypeATallies(graph, pre, index.data().vertices,
+                                      index.data().vertex_offsets),
+                    rows);
+  }
+  {
+    ScopedStage stage("search.primary_b");
+    const VertexRank vr = ComputeOrientationRank(graph, cd);
+    SetTypeBTallies(CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
+                                      index.NumNodes()),
+                    rows);
+  }
+  ScopedSpan span("search.accumulate");
+  AccumulatePrimaryUp(index, rows);
+  span.AddArg("nodes", index.NumNodes());
+  return rows;
 }
 
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,

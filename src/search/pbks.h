@@ -110,6 +110,17 @@ std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const VertexRank& vr,
                                             const CorenessNeighborCounts& pre);
 
+/// All five primary values of every k-core in one row per node: the
+/// search tables a core index carries (FlatHcdIndex::Primaries). Runs the
+/// type-A tallies (stage "search.primary_a"), the type-B tallies over
+/// ComputeOrientationRank (stage "search.primary_b"), then one bottom-up
+/// accumulation (span "search.accumulate"). Row i equals PbksTypeAPrimary's
+/// n(S), 2*m(S), b(S) and PbksTypeBPrimary's Delta(S), t(S) of node i.
+std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
+                                       const CoreDecomposition& cd,
+                                       const FlatHcdIndex& index,
+                                       const CorenessNeighborCounts& pre);
+
 /// Evaluates `metric` on every node's accumulated primary values and
 /// returns all scores plus the best k-core (Algorithm 3's final step).
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,

@@ -1,38 +1,54 @@
 #include "search/search_index.h"
 
+#include <utility>
+
+#include "common/check.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "hcd/vertex_rank.h"
+#include "search/preprocess.h"
 
 namespace hcd {
 
-SearchIndex::SearchIndex(const Graph& graph, const CoreDecomposition& cd,
-                         const FlatHcdIndex& index)
-    : globals_{graph.NumVertices(), graph.NumEdges()} {
-  CorenessNeighborCounts pre;
+SearchIndex::SearchIndex(const FlatHcdIndex& index)
+    : index_(&index), globals_{index.NumVertices(), index.NumGraphEdges()} {
+  HCD_CHECK(index.HasSearchTables())
+      << "a SearchIndex views the search tables of a core index";
+}
+
+std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
+    const Graph& graph, const CoreDecomposition& cd,
+    std::shared_ptr<const FlatHcdIndex> flat) {
+  const FlatHcdIndex& index = *flat;
+  std::vector<PrimaryValues> rows;
   {
-    ScopedStage stage("search.preprocess");
-    pre = PreprocessCorenessCounts(graph, cd);
-  }
-  {
-    ScopedStage stage("search.primary_a");
-    type_a_ = PbksTypeAPrimary(graph, cd, index, pre);
-  }
-  {
-    ScopedStage stage("search.primary_b");
-    const VertexRank vr = ComputeOrientationRank(graph, cd);
-    type_b_ = PbksTypeBPrimary(graph, cd, index, vr, pre);
+    CorenessNeighborCounts pre;
+    {
+      ScopedStage stage("search.preprocess");
+      pre = PreprocessCorenessCounts(graph, cd);
+    }
+    rows = PbksPrimary(graph, cd, index, pre);
   }
   ScopedSpan span("search.best_nodes");
+  const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
+  std::vector<TreeNodeId> best;
   std::vector<double> scores(index.NumNodes());
   for (const Metric metric : kAllMetrics) {
     for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
-      scores[t] = Score(metric, t);
+      scores[t] = EvaluateMetric(metric, rows[t], globals);
     }
-    best_[static_cast<size_t>(metric)] = BestNodeByLevel(index, scores);
+    const std::vector<TreeNodeId> table = BestNodeByLevel(index, scores);
+    best.insert(best.end(), table.begin(), table.end());
   }
   span.AddArg("nodes", index.NumNodes());
-  span.AddArg("levels", best_[0].size());
+  span.AddArg("levels", best.size() / kNumBestTables);
+  FlatHcdIndex out;
+  const Status s = FlatHcdIndex::WithSearchTables(
+      std::move(flat), graph.NumEdges(),
+      ArrayRef<PrimaryValues>(std::move(rows)),
+      ArrayRef<TreeNodeId>(std::move(best)), &out);
+  HCD_CHECK(s.ok()) << "built search tables failed validation: "
+                    << s.message();
+  return std::make_shared<const FlatHcdIndex>(std::move(out));
 }
 
 std::vector<TreeNodeId> BestNodeByLevel(const FlatHcdIndex& index,
@@ -65,7 +81,7 @@ std::vector<TreeNodeId> BestNodeByLevel(const FlatHcdIndex& index,
 
 SearchHit SearchInto(const FlatHcdIndex& index, const SearchIndex& sidx,
                      Metric metric, SearchWorkspace* ws) {
-  const std::vector<PrimaryValues>& primary = sidx.PrimaryFor(metric);
+  const std::span<const PrimaryValues> primary = sidx.Primary();
   const TreeNodeId num_nodes = index.NumNodes();
   if (ws->scores.size() != primary.size()) ws->scores.resize(primary.size());
   SearchHit hit;

@@ -1,7 +1,7 @@
 #ifndef HCD_SEARCH_SEARCH_INDEX_H_
 #define HCD_SEARCH_SEARCH_INDEX_H_
 
-#include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,54 +10,42 @@
 #include "hcd/flat_index.h"
 #include "search/metrics.h"
 #include "search/pbks.h"
-#include "search/preprocess.h"
 
 namespace hcd {
 
-/// Build-phase product of PBKS (Section IV-D), replacing the old lazy
-/// SubgraphSearcher: the constructor runs the coreness-count preprocessing
-/// and *eagerly* computes both the type-A and the type-B primary values, so
-/// the object is deeply const afterwards — no mutable caches, no
-/// first-caller races. Any number of threads may score metrics against one
-/// SearchIndex concurrently (see SearchInto below); that is the serve-phase
-/// seam QuerySnapshot (engine/snapshot.h) is built on.
+/// Serve-phase view of PBKS (Section IV-D): scores tree nodes from the
+/// search tables a core FlatHcdIndex carries — one accumulated
+/// PrimaryValues row per node and one per-level best-node table per
+/// metric — and never computes anything itself. The tables are built once,
+/// bottom-up, by BuildSearchTables (or mapped from a v4 snapshot), so the
+/// view is deeply const: any number of threads may score metrics against
+/// one SearchIndex concurrently (see SearchInto below); that is the
+/// serve-phase seam QuerySnapshot (engine/snapshot.h) is built on.
 ///
-/// Scoring a k-core once is all a global or level query needs, so the
-/// constructor also keeps one per-level best-node table per metric
-/// (BestAtLeast): the serve path answers those regimes with one lookup and
-/// scores any single node in O(1) (Score), never rescanning the tree.
-///
-/// The constructor only reads its arguments; it keeps no references, so the
-/// index stays valid even if the graph is destroyed (scoring needs only the
-/// frozen FlatHcdIndex alongside it). Construction records the
-/// "search.preprocess", "search.primary_a" and "search.primary_b" stages
-/// and a "search.best_nodes" span around the table build.
+/// A global or level query is one table lookup (BestAtLeast), and any
+/// single node scores in O(1) (Score); the serve path never rescans the
+/// tree. The view keeps a pointer to the index, which must outlive it.
 class SearchIndex {
  public:
-  SearchIndex(const Graph& graph, const CoreDecomposition& cd,
-              const FlatHcdIndex& index);
+  /// A view over `index`'s search tables, which it must carry
+  /// (FlatHcdIndex::HasSearchTables).
+  explicit SearchIndex(const FlatHcdIndex& index);
 
-  SearchIndex(const SearchIndex&) = delete;
-  SearchIndex& operator=(const SearchIndex&) = delete;
-
-  /// Whole-graph n and m, captured at construction for the metrics that
-  /// need them (cut ratio, modularity).
+  /// Whole-graph n and m of the graph the tables describe, for the metrics
+  /// that need them (cut ratio, modularity).
   const GraphGlobals& globals() const { return globals_; }
 
-  /// Accumulated primary values per tree node: n(S), 2*m(S), b(S) for
-  /// type-A; additionally Delta(S), t(S) filled in for type-B.
-  const std::vector<PrimaryValues>& TypeAPrimary() const { return type_a_; }
-  const std::vector<PrimaryValues>& TypeBPrimary() const { return type_b_; }
-
-  /// The primary-value table `metric` scores against.
-  const std::vector<PrimaryValues>& PrimaryFor(Metric metric) const {
-    return IsTypeB(metric) ? type_b_ : type_a_;
+  /// Accumulated primary values per tree node: n(S), 2*m(S), b(S), Delta(S)
+  /// and t(S) of each node's k-core, in one row. Every metric scores
+  /// against it.
+  std::span<const PrimaryValues> Primary() const {
+    return index_->Primaries();
   }
 
   /// Score of tree node t under `metric`: the per-node expression of
   /// SearchInto and ScoreNodes, so bit-identical to their scores. O(1).
   double Score(Metric metric, TreeNodeId t) const {
-    return EvaluateMetric(metric, PrimaryFor(metric)[t], globals_);
+    return EvaluateMetric(metric, index_->Primaries()[t], globals_);
   }
 
   /// Highest-scoring node under `metric` among the nodes of level >= k,
@@ -65,17 +53,26 @@ class SearchIndex {
   /// best. Ties go to the lower preorder id, SearchInto's first-node-wins
   /// order. O(1).
   TreeNodeId BestAtLeast(Metric metric, uint32_t k) const {
-    const std::vector<TreeNodeId>& best = best_[static_cast<size_t>(metric)];
+    const std::span<const TreeNodeId> best =
+        index_->BestNodes(static_cast<size_t>(metric));
     return k < best.size() ? best[k] : kInvalidNode;
   }
 
  private:
+  const FlatHcdIndex* index_;
   GraphGlobals globals_;
-  std::vector<PrimaryValues> type_a_;
-  std::vector<PrimaryValues> type_b_;
-  /// One BestNodeByLevel table per metric, indexed by Metric value.
-  std::vector<TreeNodeId> best_[std::size(kAllMetrics)];
 };
+
+/// Builds the search tables of core index `flat` over `graph` and its core
+/// decomposition `cd`: the coreness-count preprocessing (stage
+/// "search.preprocess"), PbksPrimary (stages "search.primary_a" and
+/// "search.primary_b"), and one BestNodeByLevel table per metric (span
+/// "search.best_nodes"). Returns `flat`'s forest with the tables attached
+/// (FlatHcdIndex::WithSearchTables): the result shares `flat`'s sections
+/// and keeps it alive, so references into `*flat` stay valid.
+std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
+    const Graph& graph, const CoreDecomposition& cd,
+    std::shared_ptr<const FlatHcdIndex> flat);
 
 /// Per-level best-node table over one score per tree node: entry k is the
 /// highest-scoring node of level >= k, the lower preorder id winning ties.

@@ -247,7 +247,11 @@ std::string CacheKeyFor(const QueryRequest& request) {
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   std::string key;
   key.reserve(6 + 4 * sorted.size());
-  AppendU8(&key, static_cast<uint8_t>(request.metric));
+  // Truss and nucleus answers are densest communities whatever the metric,
+  // and a response does not echo it, so only core keys carry the metric.
+  AppendU8(&key, request.hierarchy == HierarchyKind::kCore
+                     ? static_cast<uint8_t>(request.metric)
+                     : 0);
   AppendU8(&key, static_cast<uint8_t>(request.hierarchy));
   AppendU32(&key, request.k);
   for (const VertexId v : sorted) AppendU32(&key, v);

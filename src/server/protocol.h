@@ -150,7 +150,10 @@ void AppendFrame(std::string* out, std::string_view payload);
 /// The canonical cache key of a query: metric, hierarchy, k and the
 /// sorted, deduplicated vertex set, packed as bytes. Two requests that
 /// must receive the same answer on one snapshot produce the same key
-/// regardless of vertex order or duplicates. The trace context is
+/// regardless of vertex order or duplicates. The metric keys core requests
+/// only: a truss or nucleus request is answered by density whatever its
+/// metric, so element requests differing only by metric share an entry.
+/// The trace context is
 /// deliberately excluded — it identifies the request, not the question, so
 /// traced and untraced askers of the same query share a cache entry.
 std::string CacheKeyFor(const QueryRequest& request);

@@ -189,12 +189,34 @@ TEST(EngineTest, AdoptFlatRejectsASnapshotThatDoesNotFitTheGraph) {
   const Graph bigger = RMatGraph500(9, 1500, 3);
   HcdEngine other(&bigger);
   EXPECT_EQ(other.AdoptFlat(flat).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(CheckSnapshotFits(*flat, HierarchyKind::kCore, g.NumVertices() + 1)
+  EXPECT_EQ(CheckSnapshotFits(*flat, HierarchyKind::kCore, g.NumVertices() + 1,
+                              g.NumEdges())
                 .code(),
             StatusCode::kInvalidArgument);
   HcdEngine same(&g);
   ASSERT_TRUE(same.AdoptFlat(flat).ok());
   EXPECT_EQ(&same.Flat(), flat.get());
+}
+
+// An adopted core index records every vertex's coreness as the level of
+// its node: the engine reads it off, with no "decomposition" stage, and it
+// equals BZ's peel (the suite covers empty, isolated-only and mixed graphs).
+TEST(EngineTest, AdoptedCoreIndexImpliesCorenessOnEverySuiteGraph) {
+  for (const testing::GraphCase& c : testing::StandardGraphSuite()) {
+    SCOPED_TRACE(c.name);
+    HcdEngine source(&c.graph);
+    const auto flat = std::make_shared<const FlatHcdIndex>(source.Flat());
+    HcdEngine adopted(&c.graph);
+    ASSERT_TRUE(adopted.AdoptFlat(flat).ok());
+    StageTelemetry t;
+    t.Install();
+    const CoreDecomposition& cd = adopted.Coreness();
+    t.Uninstall();
+    EXPECT_EQ(t.CountStage("decomposition"), 0u);
+    const CoreDecomposition bz = BzCoreDecomposition(c.graph);
+    EXPECT_EQ(cd.coreness, bz.coreness);
+    EXPECT_EQ(cd.k_max, bz.k_max);
+  }
 }
 
 TEST(EngineTest, ParseAndNameRoundTrip) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,8 @@
 #include "common/mapped_file.h"
 
 #include "core/core_decomposition.h"
+#include "engine/engine.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
@@ -32,6 +35,7 @@
 #include "nucleus/nucleus_hierarchy.h"
 #include "nucleus/triangle_index.h"
 #include "parallel/omp_utils.h"
+#include "search/search_index.h"
 #include "tests/test_util.h"
 #include "truss/edge_index.h"
 #include "truss/truss_decomposition.h"
@@ -713,6 +717,287 @@ TEST_F(FlatSnapshotV3Corruption, TamperedMembersFailAdopt) {
 }
 
 // ---------------------------------------------------------------------------
+// v4 snapshots: a core index with its search tables.
+
+/// A core index of `g` with its search tables built from the graph.
+FlatHcdIndex TabledCoreOf(const Graph& g) {
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const auto flat =
+      std::make_shared<const FlatHcdIndex>(Freeze(NaiveHcdBuild(g, cd)));
+  return *BuildSearchTables(g, cd, flat);
+}
+
+bool SameSearchTables(const FlatHcdIndex& a, const FlatHcdIndex& b) {
+  const FlatHcdIndex::Data& x = a.data();
+  const FlatHcdIndex::Data& y = b.data();
+  if (x.search_tables != y.search_tables ||
+      x.num_graph_edges != y.num_graph_edges ||
+      x.primaries.size() != y.primaries.size() ||
+      x.best_nodes != y.best_nodes) {
+    return false;
+  }
+  return std::memcmp(x.primaries.data(), y.primaries.data(),
+                     x.primaries.size() * sizeof(PrimaryValues)) == 0;
+}
+
+TEST(FlatIndexAdopt, RejectsSearchTableViolations) {
+  const Graph g = PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 4), 17);
+  const FlatHcdIndex tabled = TabledCoreOf(g);
+  const FlatHcdIndex::Data& valid = tabled.data();
+  ASSERT_TRUE(valid.search_tables);
+  const size_t table_len = valid.best_nodes.size() / kNumBestTables;
+  ASSERT_GE(table_len, 3u);
+  {
+    FlatHcdIndex adopted;
+    ASSERT_TRUE(FlatHcdIndex::Adopt(valid, &adopted).ok());
+    EXPECT_TRUE(SameSearchTables(adopted, tabled));
+  }
+  // The lowest-level node, and the top entry of the first table: the only
+  // nodes of the largest level qualify there.
+  TreeNodeId shallow = 0;
+  for (TreeNodeId t = 0; t < tabled.NumNodes(); ++t) {
+    if (tabled.Level(t) < tabled.Level(shallow)) shallow = t;
+  }
+  ASSERT_LT(tabled.Level(shallow), table_len - 1);
+  {
+    FlatHcdIndex::Data d = valid;
+    d.primaries.pop_back();
+    ExpectAdoptCorruption(std::move(d), "primary row count");
+  }
+  {
+    FlatHcdIndex::Data d = valid;
+    d.best_nodes.pop_back();
+    ExpectAdoptCorruption(std::move(d), "best table length");
+  }
+  {
+    FlatHcdIndex::Data d = valid;
+    d.best_nodes = std::vector<TreeNodeId>(
+        valid.best_nodes.begin(), valid.best_nodes.end() - kNumBestTables);
+    ExpectAdoptCorruption(std::move(d), "best tables one level short");
+  }
+  {
+    FlatHcdIndex::Data d = valid;
+    d.best_nodes[4] = tabled.NumNodes();
+    ExpectAdoptCorruption(std::move(d), "best entry out of range");
+  }
+  {
+    FlatHcdIndex::Data d = valid;
+    d.best_nodes[table_len - 1] = shallow;
+    ExpectAdoptCorruption(std::move(d), "best entry below its level");
+  }
+  {
+    FlatHcdIndex::Data d = valid;
+    d.search_tables = false;
+    ExpectAdoptCorruption(std::move(d), "table sections without tables");
+  }
+  {
+    FlatHcdIndex::Data d = ValidTrussData();
+    d.search_tables = true;
+    ExpectAdoptCorruption(std::move(d), "tables on a truss index");
+  }
+}
+
+TEST(FlatIndexSnapshot, TablesShareTheForestAndSaveAsV4) {
+  const Graph g = RMatGraph500(9, 4000, 23);
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const auto flat =
+      std::make_shared<const FlatHcdIndex>(Freeze(NaiveHcdBuild(g, cd)));
+  const auto tabled = BuildSearchTables(g, cd, flat);
+  // The forest sections are the base index's own bytes, not copies.
+  EXPECT_EQ(tabled->data().levels.data(), flat->data().levels.data());
+  EXPECT_EQ(tabled->data().vertices.data(), flat->data().vertices.data());
+  EXPECT_EQ(tabled->data().tid.data(), flat->data().tid.data());
+  EXPECT_FALSE(tabled->mapped());
+  EXPECT_FALSE(flat->HasSearchTables());
+  EXPECT_TRUE(tabled->HasSearchTables());
+  EXPECT_EQ(tabled->NumGraphEdges(), g.NumEdges());
+  EXPECT_TRUE(HcdEquals(*tabled, *flat));
+
+  const std::string path1 = ::testing::TempDir() + "/flat_v4_1.bin";
+  const std::string path2 = ::testing::TempDir() + "/flat_v4_2.bin";
+  const std::string path_v2 = ::testing::TempDir() + "/flat_v4_base.bin";
+  ASSERT_TRUE(SaveFlatIndex(*tabled, path1).ok());
+  const std::vector<char> bytes = ReadAll(path1);
+  uint64_t magic = 0;
+  std::memcpy(&magic, bytes.data(), sizeof(magic));
+  EXPECT_EQ(magic, 0x484344464f523034ULL);  // "HCDFOR04"
+  // The forest without tables still writes v2, and v4 is that file's
+  // sections under a longer header, followed by the tables.
+  ASSERT_TRUE(SaveFlatIndex(*flat, path_v2).ok());
+  const std::vector<char> v2 = ReadAll(path_v2);
+  ASSERT_GT(bytes.size(), v2.size());
+  EXPECT_TRUE(std::equal(v2.begin() + 64, v2.end(), bytes.begin() + 80));
+
+  FlatHcdIndex loaded;
+  ASSERT_TRUE(LoadFlatIndex(path1, &loaded).ok());
+  EXPECT_TRUE(HcdEquals(*tabled, loaded));
+  EXPECT_TRUE(SameSearchTables(*tabled, loaded));
+  ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
+  EXPECT_EQ(ReadAll(path2), bytes);
+  std::remove(path1.c_str());
+  std::remove(path2.c_str());
+  std::remove(path_v2.c_str());
+}
+
+class FlatSnapshotV4Corruption : public ::testing::Test {
+ protected:
+  static constexpr size_t kHeaderBytes = 10 * sizeof(uint64_t);
+
+  void SetUp() override {
+    index_ = TabledCoreOf(PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 4), 41));
+    path_ = ::testing::TempDir() + "/flat_v4_corrupt.bin";
+    ASSERT_TRUE(SaveFlatIndex(index_, path_).ok());
+    bytes_ = ReadAll(path_);
+    num_nodes_ = HeaderWord(2);
+    num_best_ = HeaderWord(8);
+    ASSERT_EQ(num_best_, index_.data().best_nodes.size());
+    best_off_ = bytes_.size() - Padded(num_best_);
+    primaries_off_ = best_off_ - num_nodes_ * sizeof(PrimaryValues);
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  static size_t Padded(uint64_t count) {
+    return (count * sizeof(uint32_t) + 7) / 8 * 8;
+  }
+
+  /// Rejection parity: both the copying and the mmap loader must refuse.
+  void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
+    WriteAll(path_, bytes);
+    FlatHcdIndex loaded;
+    Status s = LoadFlatIndex(path_, &loaded);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption)
+        << "read: " << what << ": " << s.ToString();
+    FlatHcdIndex mapped;
+    s = MapFlatIndex(path_, &mapped);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption)
+        << "mmap: " << what << ": " << s.ToString();
+  }
+
+  uint64_t HeaderWord(size_t i) const {
+    uint64_t w;
+    std::memcpy(&w, bytes_.data() + i * sizeof(uint64_t), sizeof(w));
+    return w;
+  }
+
+  std::vector<char> WithHeaderWord(size_t i, uint64_t value) const {
+    std::vector<char> bytes = bytes_;
+    std::memcpy(bytes.data() + i * sizeof(uint64_t), &value, sizeof(value));
+    return bytes;
+  }
+
+  std::vector<char> WithBestEntry(size_t i, TreeNodeId value) const {
+    std::vector<char> bytes = bytes_;
+    std::memcpy(bytes.data() + best_off_ + i * sizeof(TreeNodeId), &value,
+                sizeof(value));
+    return bytes;
+  }
+
+  FlatHcdIndex index_;
+  std::string path_;
+  std::vector<char> bytes_;
+  uint64_t num_nodes_ = 0;
+  uint64_t num_best_ = 0;
+  size_t best_off_ = 0;
+  size_t primaries_off_ = 0;
+};
+
+TEST_F(FlatSnapshotV4Corruption, TruncationInsideTheTables) {
+  std::vector<char> bytes = bytes_;
+  bytes.resize(best_off_ + 4);
+  ExpectCorrupt(bytes, "cut inside the best-node tables");
+  bytes.resize(primaries_off_ + sizeof(PrimaryValues) + 12);
+  ExpectCorrupt(bytes, "cut inside the primaries");
+  bytes.resize(primaries_off_);
+  ExpectCorrupt(bytes, "tables missing entirely");
+  bytes.resize(kHeaderBytes - 8);
+  ExpectCorrupt(bytes, "mid-header truncation");
+}
+
+TEST_F(FlatSnapshotV4Corruption, BestEntriesOutOfRangeOrBelowTheirLevel) {
+  const size_t table_len = num_best_ / kNumBestTables;
+  ExpectCorrupt(WithBestEntry(0, static_cast<TreeNodeId>(num_nodes_)),
+                "best entry out of range");
+  ExpectCorrupt(WithBestEntry(3, kInvalidNode), "best entry invalid");
+  TreeNodeId shallow = 0;
+  for (TreeNodeId t = 0; t < index_.NumNodes(); ++t) {
+    if (index_.Level(t) < index_.Level(shallow)) shallow = t;
+  }
+  ASSERT_LT(index_.Level(shallow), table_len - 1);
+  ExpectCorrupt(WithBestEntry(2 * table_len + table_len - 1, shallow),
+                "best entry below its level");
+}
+
+TEST_F(FlatSnapshotV4Corruption, WrongTableLength) {
+  // Header plausibility: the entry count splits into kNumBestTables tables,
+  // and an index with nodes has entries.
+  ExpectCorrupt(WithHeaderWord(8, num_best_ + 1), "not a whole table count");
+  ExpectCorrupt(WithHeaderWord(8, 0), "no tables for a non-empty index");
+  ExpectCorrupt(WithHeaderWord(8, uint64_t{1} << 62), "absurd table count");
+  ExpectCorrupt(WithHeaderWord(9, 1), "nonzero reserved word");
+  // One level fewer per table, with the file cut to match: every size
+  // check passes, and Adopt's length check is what rejects it.
+  const uint64_t shorter = num_best_ - kNumBestTables;
+  std::vector<char> bytes = WithHeaderWord(8, shorter);
+  bytes.resize(best_off_ + Padded(shorter));
+  ExpectCorrupt(bytes, "tables one level short");
+}
+
+TEST(FlatSnapshotV4, AGraphOfAnotherEdgeCountIsRejected) {
+  const Graph g = RMatGraph500(8, 2000, 3);
+  HcdEngine source(&g);
+  const std::string path = ::testing::TempDir() + "/flat_v4_edges.bin";
+  ASSERT_TRUE(
+      SaveFlatIndex(*source.Snapshot().state()->shared_flat(), path).ok());
+  FlatHcdIndex mapped;
+  ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+  std::remove(path.c_str());
+  const auto flat = std::make_shared<const FlatHcdIndex>(std::move(mapped));
+  ASSERT_TRUE(flat->HasSearchTables());
+
+  // Same vertices, one edge fewer.
+  std::vector<Edge> edges = g.Edges();
+  edges.pop_back();
+  GraphBuilder builder;
+  for (const Edge& e : edges) builder.AddEdge(e.first, e.second);
+  const Graph fewer = std::move(builder).Build(g.NumVertices());
+  ASSERT_EQ(fewer.NumVertices(), g.NumVertices());
+  HcdEngine other(&fewer);
+  EXPECT_EQ(other.AdoptFlat(flat).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckSnapshotFits(*flat, HierarchyKind::kCore, g.NumVertices(),
+                              g.NumEdges() + 1)
+                .code(),
+            StatusCode::kInvalidArgument);
+  HcdEngine same(&g);
+  ASSERT_TRUE(same.AdoptFlat(flat).ok());
+  EXPECT_EQ(same.Snapshot().state()->shared_flat(), flat);
+}
+
+// v2 files carry no tables: an engine that adopts one builds them when it
+// seals, and they equal the ones a v4 file carries.
+TEST(FlatSnapshotV4, V2FilesStillLoadAndBuildTheirTables) {
+  const Graph g = RMatGraph500(8, 2000, 7);
+  HcdEngine source(&g);
+  const std::string v2 = ::testing::TempDir() + "/flat_v4_from_v2.bin";
+  ASSERT_TRUE(SaveFlatIndex(source.Flat(), v2).ok());
+  for (SnapshotMode mode : {SnapshotMode::kRead, SnapshotMode::kMmap}) {
+    FlatHcdIndex loaded;
+    ASSERT_TRUE(LoadFlatSnapshot(v2, mode, &loaded).ok());
+    EXPECT_FALSE(loaded.HasSearchTables());
+    HcdEngine engine(&g);
+    ASSERT_TRUE(
+        engine
+            .AdoptFlat(std::make_shared<const FlatHcdIndex>(std::move(loaded)))
+            .ok());
+    const FlatHcdIndex& sealed = *engine.Snapshot().state()->shared_flat();
+    EXPECT_TRUE(sealed.HasSearchTables());
+    EXPECT_TRUE(SameSearchTables(sealed,
+                                 *source.Snapshot().state()->shared_flat()));
+  }
+  std::remove(v2.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // Mapped snapshots: MapFlatIndex must be observably identical to
 // LoadFlatIndex everywhere except storage ownership.
 
@@ -747,6 +1032,8 @@ void ExpectMapMatchesRead(const FlatHcdIndex& built, const std::string& tag) {
   EXPECT_EQ(a.desc_level_order, b.desc_level_order) << tag;
   EXPECT_EQ(a.level_group_offsets, b.level_group_offsets) << tag;
   EXPECT_EQ(a.roots, b.roots) << tag;
+  EXPECT_TRUE(SameSearchTables(read_loaded, mapped)) << tag;
+  EXPECT_TRUE(SameSearchTables(read_loaded, built)) << tag;
   EXPECT_TRUE(HcdEquals(read_loaded, mapped)) << tag;
 
   const std::string resaved = path + ".resaved";
@@ -764,6 +1051,8 @@ TEST_P(MappedSnapshotSuite, MapBitIdenticalToReadForEveryKind) {
   CoreDecomposition cd = BzCoreDecomposition(g);
   ExpectMapMatchesRead(Freeze(NaiveHcdBuild(g, cd)),
                        std::string(GetParam().name) + "_core");
+  ExpectMapMatchesRead(TabledCoreOf(g),
+                       std::string(GetParam().name) + "_core_tables");
   ExpectMapMatchesRead(FreezeTrussOf(g),
                        std::string(GetParam().name) + "_truss");
   ExpectMapMatchesRead(FreezeNucleusOf(g),

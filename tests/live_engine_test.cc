@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "engine/engine.h"
 #include "engine/live.h"
 #include "graph/generators.h"
+#include "hcd/serialize.h"
 #include "hcd/validate.h"
 #include "search/metrics.h"
 #include "tests/test_util.h"
@@ -87,6 +89,54 @@ TEST(LiveEngine, ServesExactlyWhatAFreshBuildWould) {
       ASSERT_DOUBLE_EQ(got.best_score, want.best_score)
           << MetricName(metric);
     }
+  }
+}
+
+bool SameTables(const FlatHcdIndex& a, const FlatHcdIndex& b) {
+  if (a.NumGraphEdges() != b.NumGraphEdges() ||
+      a.Primaries().size() != b.Primaries().size() ||
+      a.data().best_nodes != b.data().best_nodes) {
+    return false;
+  }
+  for (size_t t = 0; t < a.Primaries().size(); ++t) {
+    const PrimaryValues& x = a.Primaries()[t];
+    const PrimaryValues& y = b.Primaries()[t];
+    if (x.n_s != y.n_s || x.edges2 != y.edges2 || x.boundary != y.boundary ||
+        x.triangles != y.triangles || x.triplets != y.triplets) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A live engine seeded from a v4 snapshot starts from the mapped tables
+// and builds fresh ones for every publish: each generation's tables equal
+// a full rebuild's from that generation's graph.
+TEST(LiveEngine, SeededFromAV4SnapshotPublishesTablesOfAFullRebuild) {
+  const Graph graph = RMatGraph500(9, 2500, 61);
+  const std::string path = ::testing::TempDir() + "/live_engine_v4.snap";
+  {
+    HcdEngine source(&graph);
+    ASSERT_TRUE(
+        SaveFlatIndex(*source.Snapshot().state()->shared_flat(), path).ok());
+  }
+  FlatHcdIndex mapped;
+  ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+  std::remove(path.c_str());
+  LiveEngineOptions options;
+  options.initial_flat = std::make_shared<const FlatHcdIndex>(std::move(mapped));
+  LiveEngine live(Graph(graph), options);
+  ASSERT_EQ(live.Snapshot().state()->shared_flat(), options.initial_flat);
+  Rng rng(62);
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(
+        live.ApplyBatch(ToggleBatch(live.dynamic(), rng, 20), nullptr).ok());
+    const QuerySnapshot snap = live.Snapshot();
+    HcdEngine fresh(live.dynamic().ToGraph());
+    const QuerySnapshot expect = fresh.Snapshot();
+    ASSERT_TRUE(HcdEquals(snap.flat(), expect.flat()));
+    ASSERT_TRUE(snap.flat().HasSearchTables());
+    ASSERT_TRUE(SameTables(snap.flat(), expect.flat())) << "round " << round;
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <span>
 #include <string>
 
 #include "common/trace.h"
@@ -11,6 +15,7 @@
 #include "hcd/flat_index.h"
 #include "hcd/lcps.h"
 #include "hcd/naive_hcd.h"
+#include "hcd/serialize.h"
 #include "parallel/omp_utils.h"
 #include "search/best_k.h"
 #include "search/bks.h"
@@ -36,7 +41,13 @@ Pipeline Build(const Graph& g) {
   return p;
 }
 
-void ExpectPrimaryEqual(const std::vector<PrimaryValues>& got,
+/// `p.flat` with its search tables built from the graph.
+std::shared_ptr<const FlatHcdIndex> Tabled(const Pipeline& p) {
+  return BuildSearchTables(p.graph, p.cd,
+                           std::make_shared<const FlatHcdIndex>(p.flat));
+}
+
+void ExpectPrimaryEqual(std::span<const PrimaryValues> got,
                         const std::vector<PrimaryValues>& want, bool type_b) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -128,9 +139,9 @@ TEST_P(PbksSuite, TriangleDensityMatchesBruteForce) {
   }
 }
 
-// The search index orients type-B by the orientation rank and tallies
-// type-A per node; its tables must equal the one-thread Definition 4 rank
-// passes field for field at every thread count.
+// The search tables orient type-B by the orientation rank and tally
+// type-A per node into one row; the row must equal the one-thread
+// Definition 4 rank passes field for field at every thread count.
 TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
   Pipeline p = Build(GetParam().graph);
   std::vector<PrimaryValues> want_a;
@@ -145,10 +156,47 @@ TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadCountGuard guard(threads);
-    const SearchIndex sidx(p.graph, p.cd, p.flat);
-    for (bool type_b_fields : {false, true}) {
-      ExpectPrimaryEqual(sidx.TypeAPrimary(), want_a, type_b_fields);
-      ExpectPrimaryEqual(sidx.TypeBPrimary(), want_b, type_b_fields);
+    const auto tabled = Tabled(p);
+    const SearchIndex sidx(*tabled);
+    ExpectPrimaryEqual(sidx.Primary(), want_a, /*type_b=*/false);
+    ExpectPrimaryEqual(sidx.Primary(), want_b, /*type_b=*/true);
+  }
+}
+
+// A v4 snapshot carries the tables; mapped, they must score every node
+// under every metric bit-identically to tables built from the graph, and
+// to the one-shot type-A / type-B passes, and answer BestAtLeast alike
+// for every k.
+TEST_P(PbksSuite, MappedV4TablesScoreLikeTablesBuiltFromTheGraph) {
+  Pipeline p = Build(GetParam().graph);
+  const auto built = Tabled(p);
+  const std::string path =
+      ::testing::TempDir() + "/pbks_v4_" + GetParam().name + ".snap";
+  ASSERT_TRUE(SaveFlatIndex(*built, path).ok());
+  FlatHcdIndex mapped;
+  ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+  std::remove(path.c_str());
+  ASSERT_TRUE(mapped.HasSearchTables());
+  const SearchIndex want(*built);
+  const SearchIndex got(mapped);
+  uint32_t top = 0;
+  for (TreeNodeId t = 0; t < p.flat.NumNodes(); ++t) {
+    top = std::max(top, p.flat.Level(t));
+  }
+  for (const Metric metric : kAllMetrics) {
+    SCOPED_TRACE(MetricName(metric));
+    const SearchResult oneshot = PbksSearch(p.graph, p.cd, p.flat, metric);
+    for (TreeNodeId t = 0; t < p.flat.NumNodes(); ++t) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.Score(metric, t)),
+                std::bit_cast<uint64_t>(want.Score(metric, t)))
+          << "node " << t;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.Score(metric, t)),
+                std::bit_cast<uint64_t>(oneshot.scores[t]))
+          << "node " << t;
+    }
+    for (uint32_t k = 0; k <= top + 1; ++k) {
+      ASSERT_EQ(got.BestAtLeast(metric, k), want.BestAtLeast(metric, k))
+          << "k=" << k;
     }
   }
 }
@@ -187,7 +235,8 @@ TEST(Pbks, PaperExample2BestAverageDegreeIsS31) {
 
 TEST(Pbks, SearchIndexAgreesWithOneShot) {
   Pipeline p = Build(BarabasiAlbert(250, 4, 21));
-  SearchIndex sidx(p.graph, p.cd, p.flat);
+  const auto tabled = Tabled(p);
+  SearchIndex sidx(*tabled);
   SearchWorkspace ws;
   for (Metric metric : kAllMetrics) {
     SCOPED_TRACE(MetricName(metric));

@@ -25,11 +25,13 @@
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "engine/engine.h"
 #include "engine/live.h"
 #include "graph/generators.h"
 #include "hcd/query.h"
+#include "hcd/serialize.h"
 #include "search/element_search.h"
 #include "search/metrics.h"
 #include "server/client.h"
@@ -167,6 +169,14 @@ TEST(Protocol, CacheKeyCanonicalizesVertexSets) {
   b.k = 2;
   b.metric = Metric::kCutRatio;
   EXPECT_NE(CacheKeyFor(a), CacheKeyFor(b));
+  // Element answers are densities whatever the metric: one key per
+  // question, and still apart from the core key and from the other kind.
+  QueryRequest truss_a = a, truss_b = b, nucleus = a;
+  truss_a.hierarchy = truss_b.hierarchy = HierarchyKind::kTruss;
+  nucleus.hierarchy = HierarchyKind::kNucleus;
+  EXPECT_EQ(CacheKeyFor(truss_a), CacheKeyFor(truss_b));
+  EXPECT_NE(CacheKeyFor(truss_a), CacheKeyFor(a));
+  EXPECT_NE(CacheKeyFor(truss_a), CacheKeyFor(nucleus));
 }
 
 TEST(Protocol, TraceContextRoundTripsAsAVersionTwoTail) {
@@ -511,6 +521,92 @@ TEST_F(ExecuteQueryTest, VertexQueriesMatchTheAncestorWalk) {
   }
 }
 
+// A restart from a v4 snapshot (the search tables saved with the forest)
+// maps everything the server reads: it runs no peel and no PBKS pass, and
+// answers every regime exactly like a server built from the graph.
+TEST(ExecuteQueryOracle, ServerFromAV4SnapshotAnswersLikeOneBuiltFromTheGraph) {
+  const Graph graph = RMatGraph500(10, 6000, 13);
+  LiveEngine built{Graph(graph)};
+  const QuerySnapshot want = built.Snapshot();
+  ASSERT_TRUE(want.flat().HasSearchTables());
+  const std::string path = ::testing::TempDir() + "/server_test_v4.snap";
+  ASSERT_TRUE(SaveFlatIndex(want.flat(), path).ok());
+  FlatHcdIndex mapped;
+  ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+  std::remove(path.c_str());
+  ASSERT_TRUE(mapped.mapped());
+  ASSERT_TRUE(mapped.HasSearchTables());
+
+  StageTelemetry stages;
+  stages.Install();
+  LiveEngineOptions options;
+  options.initial_flat = std::make_shared<const FlatHcdIndex>(std::move(mapped));
+  LiveEngine restarted(Graph(graph), options);
+  stages.Uninstall();
+  for (const char* stage : {"decomposition", "search.preprocess",
+                            "search.primary_a", "search.primary_b"}) {
+    EXPECT_EQ(stages.CountStage(stage), 0u) << stage;
+  }
+  const QuerySnapshot got = restarted.Snapshot();
+  EXPECT_EQ(&got.flat(), options.initial_flat.get());
+  EXPECT_EQ(got.coreness().coreness, want.coreness().coreness);
+  EXPECT_EQ(got.coreness().k_max, want.coreness().k_max);
+
+  SearchWorkspace ws;
+  auto expect_same = [&](const QueryRequest& request, const std::string& tag) {
+    const QueryOutcome a = ExecuteQuery(want, request, &ws);
+    const QueryOutcome b = ExecuteQuery(got, request, &ws);
+    ASSERT_EQ(a.found, b.found) << tag;
+    EXPECT_EQ(a.node, b.node) << tag;
+    EXPECT_EQ(Bits(a.score), Bits(b.score)) << tag;
+    EXPECT_EQ(a.level, b.level) << tag;
+    EXPECT_EQ(a.core_size, b.core_size) << tag;
+  };
+  for (const Metric metric : kAllMetrics) {
+    QueryRequest request;
+    request.metric = metric;
+    for (uint32_t k = 0; k <= want.coreness().k_max + 1; ++k) {
+      request.k = k;
+      expect_same(request, std::string(MetricName(metric)) + " k=" +
+                               std::to_string(k));
+    }
+    for (VertexId v = 0; v < graph.NumVertices(); v += 37) {
+      request.vertices = {v};
+      request.k = want.coreness()[v];
+      expect_same(request, std::string(MetricName(metric)) + " v=" +
+                               std::to_string(v));
+    }
+  }
+
+  // Over the wire as well: the restarted server's responses are the
+  // built server's, bit for bit.
+  ServerOptions server_options;
+  server_options.workers = 1;
+  QueryServer built_server(&built.manager(), server_options);
+  QueryServer restarted_server(&restarted.manager(), server_options);
+  ASSERT_TRUE(built_server.Start().ok());
+  ASSERT_TRUE(restarted_server.Start().ok());
+  QueryClient a, b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", built_server.port()).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", restarted_server.port()).ok());
+  for (const Metric metric : kAllMetrics) {
+    QueryRequest request;
+    request.metric = metric;
+    request.k = want.coreness().k_max / 2;
+    request.max_return_vertices = 16;
+    QueryResponse ra, rb;
+    ASSERT_TRUE(a.Query(request, &ra).ok());
+    ASSERT_TRUE(b.Query(request, &rb).ok());
+    EXPECT_EQ(rb.found, ra.found) << MetricName(metric);
+    EXPECT_EQ(Bits(rb.score), Bits(ra.score)) << MetricName(metric);
+    EXPECT_EQ(rb.level, ra.level) << MetricName(metric);
+    EXPECT_EQ(rb.core_size, ra.core_size) << MetricName(metric);
+    EXPECT_EQ(rb.vertices, ra.vertices) << MetricName(metric);
+  }
+  built_server.Stop();
+  restarted_server.Stop();
+}
+
 // --- server end to end ------------------------------------------------------
 
 TEST(QueryServerTest, AnswersQueriesAndCachesRepeats) {
@@ -720,6 +816,41 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<HierarchyKind>& info) {
       return std::string(HierarchyKindName(info.param));
     });
+
+// A truss answer is the densest community whatever the metric, so two
+// requests that differ only by metric are one cache entry.
+TEST(QueryServerTest, TrussRequestsDifferingOnlyByMetricShareACacheEntry) {
+  Graph graph = ErdosRenyiGnm(120, 1400, 29);
+  HcdEngine element_engine(Graph(graph), {.hierarchy = HierarchyKind::kTruss});
+  const ElementSearchIndex& element_index = element_engine.ElementSearcher();
+  LiveEngine live(std::move(graph));
+  ServerOptions options;
+  options.workers = 1;
+  options.element_index = &element_index;
+  QueryServer server(&live.manager(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  QueryRequest request;
+  request.hierarchy = HierarchyKind::kTruss;
+  request.k = 2;
+  request.metric = Metric::kConductance;
+  QueryResponse first, second;
+  ASSERT_TRUE(client.Query(request, &first).ok());
+  request.metric = Metric::kTriangleDensity;
+  ASSERT_TRUE(client.Query(request, &second).ok());
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  ASSERT_TRUE(first.found);
+  EXPECT_EQ(Bits(second.score), Bits(first.score));
+  EXPECT_EQ(second.level, first.level);
+
+  server.Stop();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
 
 TEST(QueryServerTest, PipelinedRequestsAnswerInOrder) {
   LiveEngine live(ErdosRenyiGnm(150, 600, 29));

@@ -347,10 +347,16 @@ int CmdBuild(const CliArgs& args) {
   const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
   if (engine == nullptr) return 1;
   const FlatHcdIndex& flat = engine->Flat();
+  // A core snapshot is written serve-ready: the sealed state's index
+  // carries the search tables (v4), so `serve --snapshot` maps them
+  // instead of re-peeling and rebuilding them.
+  const bool core = args.options.hierarchy == HierarchyKind::kCore;
+  const std::shared_ptr<const FlatHcdIndex> serve_ready =
+      core ? engine->Snapshot().state()->shared_flat() : nullptr;
   Status s;
   {
     ScopedStage stage("serialize");
-    s = SaveFlatIndex(flat, args.pos[1]);
+    s = SaveFlatIndex(core ? *serve_ready : flat, args.pos[1]);
     stage.AddCounter("nodes", flat.NumNodes());
   }
   if (!s.ok()) return Fail(s);
@@ -362,7 +368,6 @@ int CmdBuild(const CliArgs& args) {
   }
   const StageTelemetry& t = Stages();
   // Non-core kinds record kind-prefixed stage names.
-  const bool core = args.options.hierarchy == HierarchyKind::kCore;
   const std::string prefix =
       core ? "" : std::string(HierarchyKindName(args.options.hierarchy)) + ".";
   std::printf("%s: %s decomposition %.3fs, construction %.3fs (+freeze "
@@ -748,7 +753,7 @@ Status StartServer(const CliArgs& args, int min_pending, HostedServer* h) {
     s = LoadSnapshot(args, SnapshotMode::kMmap, &h->snapshot_flat);
     if (!s.ok()) return s;
     s = CheckSnapshotFits(*h->snapshot_flat, args.options.hierarchy,
-                          graph.NumVertices());
+                          graph.NumVertices(), graph.NumEdges());
     if (!s.ok()) {
       return Status::InvalidArgument(args.snapshot_path + ": " + s.message());
     }
