@@ -736,7 +736,9 @@ bool SameSearchTables(const FlatHcdIndex& a, const FlatHcdIndex& b) {
       x.best_nodes != y.best_nodes) {
     return false;
   }
-  return std::memcmp(x.primaries.data(), y.primaries.data(),
+  // memcmp may not take the null data() of an empty section.
+  return x.primaries.empty() ||
+         std::memcmp(x.primaries.data(), y.primaries.data(),
                      x.primaries.size() * sizeof(PrimaryValues)) == 0;
 }
 
