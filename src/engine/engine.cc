@@ -1,5 +1,9 @@
 #include "engine/engine.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <utility>
 
 #include "common/check.h"
@@ -44,6 +48,12 @@ bool ParseEngineAlgo(std::string_view name, EngineAlgo* algo) {
     return false;
   }
   return true;
+}
+
+HcdEngine::BuildHeapRelease::~BuildHeapRelease() {
+#if defined(__GLIBC__)
+  if (armed) malloc_trim(0);
+#endif
 }
 
 HcdEngine::HcdEngine(Graph graph, EngineOptions options)
@@ -190,6 +200,7 @@ const NucleusDecomposition& HcdEngine::NucleusTheta() {
 
 const HcdForest& HcdEngine::Forest() {
   if (forest_) return *forest_;
+  heap_release_.armed = true;
   if (options_.hierarchy == HierarchyKind::kTruss) {
     const EdgeIndexer& eidx = Edges();
     const TrussDecomposition& td = Trussness();

@@ -203,6 +203,19 @@ class HcdEngine {
   /// Builds state_ from the cached stages (first call only).
   const SnapshotState& SealedState();
 
+  /// Hands the heap pages a hierarchy build freed back to the OS once the
+  /// engine is gone (malloc_trim on glibc). glibc keeps freed heap memory
+  /// resident unless the top of the heap happens to be free, so without
+  /// this the resident size after identical builds differs by several
+  /// MiB, depending on where small unrelated allocations landed. Declared
+  /// first so it runs after every stage cache below is destroyed; armed
+  /// only by Forest(), so an engine over an adopted index (a snapshot
+  /// restart) never trims.
+  struct BuildHeapRelease {
+    bool armed = false;
+    ~BuildHeapRelease();
+  } heap_release_;
+
   std::shared_ptr<const Graph> owned_graph_;  ///< null when borrowing
   const Graph* graph_;
   EngineOptions options_;
