@@ -75,6 +75,34 @@ bool SmallBenchRequested() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
+TriangleCensus CountTriangles(const Graph& g) {
+  TriangleCensus census;
+  std::vector<uint8_t> mark(g.NumVertices(), 0);
+  auto degree_less = [&](VertexId a, VertexId b) {
+    return g.Degree(a) < g.Degree(b) || (g.Degree(a) == g.Degree(b) && a < b);
+  };
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (VertexId u : g.Neighbors(v)) mark[u] = 1;
+    for (VertexId u : g.Neighbors(v)) {
+      if (!degree_less(u, v)) continue;
+      for (VertexId w : g.Neighbors(u)) {
+        if (mark[w] && degree_less(w, u)) {
+          ++census.count;
+          census.clique_work += g.Degree(w);
+        }
+      }
+    }
+    for (VertexId u : g.Neighbors(v)) mark[u] = 0;
+  }
+  return census;
+}
+
+uint64_t TriangleCap() {
+  constexpr uint64_t kTriangleCap = 8000000;
+  constexpr uint64_t kTriangleCapSmall = 1000000;
+  return SmallBenchRequested() ? kTriangleCapSmall : kTriangleCap;
+}
+
 std::vector<BenchDataset> LoadBenchSuite(bool small) {
   small = small || SmallBenchRequested();
   ::mkdir("bench_data", 0755);

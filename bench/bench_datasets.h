@@ -1,6 +1,7 @@
 #ifndef HCD_BENCH_BENCH_DATASETS_H_
 #define HCD_BENCH_BENCH_DATASETS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,20 @@ std::vector<BenchDataset> LoadBenchSuite(bool small = false);
 
 /// True when HCD_BENCH_SMALL is set in the environment.
 bool SmallBenchRequested();
+
+/// A triangle census taken without materializing the triangles: the count
+/// bounds the triangle indexer's memory, and the sum of per-triangle
+/// minimum corner degrees bounds the 4-clique enumeration work of the
+/// nucleus decomposition and hierarchy.
+struct TriangleCensus {
+  uint64_t count = 0;
+  uint64_t clique_work = 0;
+};
+TriangleCensus CountTriangles(const Graph& g);
+
+/// Most triangles a nucleus row materializes (triangles are objects in the
+/// indexer); a dataset above it is skipped. Smaller under HCD_BENCH_SMALL.
+uint64_t TriangleCap();
 
 }  // namespace hcd::bench
 

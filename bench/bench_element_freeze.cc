@@ -19,36 +19,6 @@
 #include "truss/truss_decomposition.h"
 #include "truss/truss_hierarchy.h"
 
-namespace {
-
-// Cheap triangle census (no materialization): decides the nucleus skips
-// the same way bench_nucleus_extension does, since triangles are
-// materialized objects in the indexer.
-uint64_t CountTriangles(const hcd::Graph& g) {
-  uint64_t count = 0;
-  std::vector<uint8_t> mark(g.NumVertices(), 0);
-  for (hcd::VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (hcd::VertexId u : g.Neighbors(v)) mark[u] = 1;
-    for (hcd::VertexId u : g.Neighbors(v)) {
-      if (g.Degree(u) < g.Degree(v) || (g.Degree(u) == g.Degree(v) && u < v)) {
-        for (hcd::VertexId w : g.Neighbors(u)) {
-          if (mark[w] && (g.Degree(w) < g.Degree(u) ||
-                          (g.Degree(w) == g.Degree(u) && w < u))) {
-            ++count;
-          }
-        }
-      }
-    }
-    for (hcd::VertexId u : g.Neighbors(v)) mark[u] = 0;
-  }
-  return count;
-}
-
-constexpr uint64_t kTriangleCap = 8000000;
-constexpr uint64_t kTriangleCapSmall = 300000;
-
-}  // namespace
-
 int main() {
   hcd::bench::PrintHardwareBanner(
       "Element freeze: truss / nucleus forest -> flat index -> search");
@@ -78,10 +48,8 @@ int main() {
                   flat->NumNodes());
     }
 
-    const uint64_t cap =
-        hcd::bench::SmallBenchRequested() ? kTriangleCapSmall : kTriangleCap;
-    const uint64_t tris = CountTriangles(g);
-    if (tris > cap) {
+    const uint64_t tris = hcd::bench::CountTriangles(g).count;
+    if (tris > hcd::bench::TriangleCap()) {
       std::printf("%-4s | nucleus | (skipped: %llu triangles above cap)\n",
                   ds.name.c_str(), static_cast<unsigned long long>(tris));
       continue;

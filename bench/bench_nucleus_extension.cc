@@ -14,37 +14,7 @@
 
 namespace {
 
-// Cheap triangle census (no materialization) to decide skips: the count
-// bounds memory, and the sum of per-triangle minimum corner degrees bounds
-// the 4-clique enumeration work of the decomposition and the hierarchy.
-struct TriangleCensus {
-  uint64_t count = 0;
-  uint64_t clique_work = 0;
-};
-
-TriangleCensus CountTriangles(const hcd::Graph& g) {
-  TriangleCensus census;
-  std::vector<uint8_t> mark(g.NumVertices(), 0);
-  for (hcd::VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (hcd::VertexId u : g.Neighbors(v)) mark[u] = 1;
-    for (hcd::VertexId u : g.Neighbors(v)) {
-      if (g.Degree(u) < g.Degree(v) || (g.Degree(u) == g.Degree(v) && u < v)) {
-        for (hcd::VertexId w : g.Neighbors(u)) {
-          if (mark[w] && (g.Degree(w) < g.Degree(u) ||
-                          (g.Degree(w) == g.Degree(u) && w < u))) {
-            ++census.count;
-            census.clique_work += g.Degree(w);
-          }
-        }
-      }
-    }
-    for (hcd::VertexId u : g.Neighbors(v)) mark[u] = 0;
-  }
-  return census;
-}
-
-constexpr uint64_t kTriangleCap = 8000000;
-constexpr uint64_t kTriangleCapSmall = 300000;
+// Most estimated 4-clique work (TriangleCensus::clique_work) a row runs.
 constexpr uint64_t kCliqueWorkCap = 200000000;
 
 }  // namespace
@@ -53,18 +23,18 @@ int main() {
   hcd::bench::PrintHardwareBanner(
       "Extension: hierarchical (3,4)-nucleus decomposition");
   const int pmax = hcd::bench::ThreadSweep().back();
-  std::printf("%-4s | %12s | %10s %10s %10s | %6s %8s\n", "ds", "#triangles",
-              "decomp(s)", "tree(1) s", "tree(p) s", "k_max", "|T|");
-  std::printf("     |              |                                  |"
-              "  (p=%d)\n\n", pmax);
+  std::printf("%-4s | %12s | %10s %10s | %10s %10s | %6s %8s\n", "ds",
+              "#triangles", "decomp(1)", "decomp(p)", "tree(1) s",
+              "tree(p) s", "k_max", "|T|");
+  std::printf("     |              |                       |"
+              "                       |  (p=%d)\n\n", pmax);
 
   for (auto& ds : hcd::bench::LoadBenchSuite()) {
     const hcd::Graph& g = ds.graph;
-    const uint64_t cap =
-        hcd::bench::SmallBenchRequested() ? kTriangleCapSmall : kTriangleCap;
-    const TriangleCensus census = CountTriangles(g);
+    const hcd::bench::TriangleCensus census = hcd::bench::CountTriangles(g);
     const uint64_t tris = census.count;
-    if (tris > cap || census.clique_work > kCliqueWorkCap) {
+    if (tris > hcd::bench::TriangleCap() ||
+        census.clique_work > kCliqueWorkCap) {
       std::printf("%-4s | %12llu | (skipped: %llu triangles / %llu est. "
                   "4-clique work above caps)\n",
                   ds.name.c_str(), static_cast<unsigned long long>(tris),
@@ -76,8 +46,11 @@ int main() {
     hcd::TriangleIndexer tidx = hcd::BuildTriangleIndexer(g, eidx);
 
     hcd::NucleusDecomposition nd;
-    const double decomp_t = hcd::bench::TimeIt(
-        [&] { nd = hcd::PeelNucleusDecomposition(g, eidx, tidx); });
+    const double decomp1 = hcd::bench::TimeWithThreads(1, [&] {
+      nd = hcd::PeelNucleusDecomposition(g, eidx, tidx);
+    });
+    const double decompp = hcd::bench::TimeWithThreads(
+        pmax, [&] { hcd::PeelNucleusDecomposition(g, eidx, tidx); });
     hcd::NucleusForest forest;
     const double tree1 = hcd::bench::TimeWithThreads(1, [&] {
       forest = hcd::BuildNucleusHierarchy(g, eidx, tidx, nd);
@@ -85,9 +58,9 @@ int main() {
     const double treep = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::BuildNucleusHierarchy(g, eidx, tidx, nd); });
 
-    std::printf("%-4s | %12llu | %10.3f %10.3f %10.3f | %6u %8u\n",
+    std::printf("%-4s | %12llu | %10.3f %10.3f | %10.3f %10.3f | %6u %8u\n",
                 ds.name.c_str(), static_cast<unsigned long long>(tris),
-                decomp_t, tree1, treep, nd.k_max, forest.NumNodes());
+                decomp1, decompp, tree1, treep, nd.k_max, forest.NumNodes());
   }
   return 0;
 }

@@ -26,14 +26,13 @@ std::vector<VertexId> KShellSizes(const CoreDecomposition& cd);
 /// (counters: k_max).
 CoreDecomposition BzCoreDecomposition(const Graph& graph);
 
-/// Parallel PKC-style core decomposition (Kabir & Madduri): level-
-/// synchronous peeling with thread-local worklists and atomic degree
-/// decrements. Once half the scanned vertices are peeled, rounds scan a
-/// compacted list of the unpeeled ones, rebuilt each time it halves, so the
-/// scans cost O(n + m) in all instead of O(n * k_max). A round whose scan
-/// and seeds both stay below kParallelGrain runs on one thread. Uses the
-/// current OpenMP thread count. Records a "decomposition" stage (counters:
-/// levels, k_max, compactions).
+/// Parallel PKC-style core decomposition (Kabir & Madduri): the vertex
+/// instance of PeelLevels (core/peel_levels.h), whose cliques are edges.
+/// Level-synchronous peeling with thread-local worklists, atomic degree
+/// decrements and compacted scans; a round whose work stays below
+/// kParallelGrain runs on one thread. Uses the current OpenMP thread count.
+/// Records a "decomposition" stage (counters: levels, k_max, compactions,
+/// rounds, max_frontier).
 CoreDecomposition PkcCoreDecomposition(const Graph& graph);
 
 }  // namespace hcd

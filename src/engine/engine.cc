@@ -178,9 +178,7 @@ const TrussDecomposition& HcdEngine::Trussness() {
     const EdgeIndexer& eidx = Edges();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage("truss.decomposition");
     td_ = PeelTrussDecomposition(*graph_, eidx);
-    stage.AddCounter("k_max", td_->k_max);
   }
   return *td_;
 }
@@ -191,9 +189,7 @@ const NucleusDecomposition& HcdEngine::NucleusTheta() {
     const TriangleIndexer& tidx = Triangles();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage("nucleus.decomposition");
     nd_ = PeelNucleusDecomposition(*graph_, eidx, tidx);
-    stage.AddCounter("k_max", nd_->k_max);
   }
   return *nd_;
 }

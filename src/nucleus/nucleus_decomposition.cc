@@ -3,45 +3,13 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/peel_levels.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
-namespace {
-
-/// Invokes fn(x, t1, t2, t3) for every 4-clique {a,b,c,x} over triangle
-/// tri = (a,b,c), where t1..t3 are the ids of the three other triangles.
-template <typename Fn>
-void ForEachFourClique(const Graph& graph, const EdgeIndexer& eidx,
-                       const TriangleIndexer& tidx, TriIdx tri, Fn&& fn) {
-  const auto [a, b, c] = tidx.triangles[tri];
-  const EdgeIdx e_ab = eidx.IdOf(graph, a, b);
-  const EdgeIdx e_ac = eidx.IdOf(graph, a, c);
-  const EdgeIdx e_bc = eidx.IdOf(graph, b, c);
-  // Scan the lowest-degree corner's adjacency.
-  VertexId p = a;
-  VertexId q = b;
-  VertexId r = c;
-  if (graph.Degree(q) < graph.Degree(p)) std::swap(p, q);
-  if (graph.Degree(r) < graph.Degree(p)) std::swap(p, r);
-  for (VertexId x : graph.Neighbors(p)) {
-    if (x == q || x == r || x == a || x == b || x == c) continue;
-    if (!graph.HasEdge(q, x) || !graph.HasEdge(r, x)) continue;
-    const TriIdx t1 = tidx.IdOf(e_ab, x);
-    const TriIdx t2 = tidx.IdOf(e_ac, x);
-    const TriIdx t3 = tidx.IdOf(e_bc, x);
-    HCD_DCHECK(t1 != kInvalidTriangle);
-    HCD_DCHECK(t2 != kInvalidTriangle);
-    HCD_DCHECK(t3 != kInvalidTriangle);
-    fn(x, t1, t2, t3);
-  }
-}
-
-}  // namespace
 
 std::vector<uint32_t> ComputeTriangleSupports(const Graph& graph,
-                                              const EdgeIndexer& eidx,
                                               const TriangleIndexer& tidx) {
-  (void)eidx;
   const TriIdx num_tris = tidx.NumTriangles();
   std::vector<uint32_t> sup(num_tris, 0);
 #pragma omp parallel for schedule(dynamic, 64)
@@ -65,60 +33,23 @@ std::vector<uint32_t> ComputeTriangleSupports(const Graph& graph,
 NucleusDecomposition PeelNucleusDecomposition(const Graph& graph,
                                               const EdgeIndexer& eidx,
                                               const TriangleIndexer& tidx) {
-  const TriIdx num_tris = tidx.NumTriangles();
-  NucleusDecomposition nd;
-  nd.theta.assign(num_tris, 0);
-  if (num_tris == 0) return nd;
-
-  std::vector<uint32_t> sup = ComputeTriangleSupports(graph, eidx, tidx);
-  const uint32_t max_sup = *std::max_element(sup.begin(), sup.end());
-
-  std::vector<TriIdx> bin(max_sup + 2, 0);
-  for (TriIdx t = 0; t < num_tris; ++t) ++bin[sup[t] + 1];
-  for (size_t s = 1; s < bin.size(); ++s) bin[s] += bin[s - 1];
-  std::vector<TriIdx> vert(num_tris);
-  std::vector<TriIdx> pos(num_tris);
-  {
-    std::vector<TriIdx> cursor(bin.begin(), bin.end() - 1);
-    for (TriIdx t = 0; t < num_tris; ++t) {
-      pos[t] = cursor[sup[t]];
-      vert[pos[t]] = t;
-      ++cursor[sup[t]];
-    }
-  }
-
-  auto lower_support = [&](TriIdx t, uint32_t floor_s) {
-    if (sup[t] <= floor_s) return;
-    const uint32_t st = sup[t];
-    const TriIdx pt = pos[t];
-    const TriIdx pw = bin[st];
-    const TriIdx w = vert[pw];
-    if (t != w) {
-      std::swap(vert[pt], vert[pw]);
-      pos[t] = pw;
-      pos[w] = pt;
-    }
-    ++bin[st];
-    --sup[t];
-  };
-
-  std::vector<bool> alive(num_tris, true);
-  for (TriIdx i = 0; i < num_tris; ++i) {
-    const TriIdx t = vert[i];
-    const uint32_t s = sup[t];
-    nd.theta[t] = s;
-    nd.k_max = std::max(nd.k_max, s);
-    alive[t] = false;
-    ForEachFourClique(graph, eidx, tidx, t,
-                      [&](VertexId, TriIdx t1, TriIdx t2, TriIdx t3) {
-                        if (alive[t1] && alive[t2] && alive[t3]) {
-                          lower_support(t1, s);
-                          lower_support(t2, s);
-                          lower_support(t3, s);
-                        }
-                      });
-  }
-  return nd;
+  // A triangle's cliques are its 4-cliques; its level is its nucleus
+  // number, which starts at its support.
+  PeelLevelsResult peel = PeelLevels<3>(
+      "nucleus.decomposition",
+      [&] { return ComputeTriangleSupports(graph, tidx); },
+      // The 4-clique scan walks the lowest-degree corner's neighbours.
+      [&](TriIdx t) {
+        const auto [a, b, c] = tidx.triangles[t];
+        return std::min({graph.Degree(a), graph.Degree(b), graph.Degree(c)});
+      },
+      [&](TriIdx t, auto&&, auto&& visit) {
+        ForEachFourClique(graph, eidx, tidx, t,
+                          [&](VertexId, TriIdx t1, TriIdx t2, TriIdx t3) {
+                            visit(t1, t2, t3);
+                          });
+      });
+  return {std::move(peel.level), peel.k_max};
 }
 
 NucleusDecomposition NaiveNucleusDecomposition(const Graph& graph,

@@ -22,11 +22,13 @@ struct NucleusDecomposition {
 /// 4-clique count per triangle (its support), computed in parallel;
 /// O(sum over triangles of min-degree * log).
 std::vector<uint32_t> ComputeTriangleSupports(const Graph& graph,
-                                              const EdgeIndexer& eidx,
                                               const TriangleIndexer& tidx);
 
 /// Nucleus decomposition by support peeling (the k-truss algorithm lifted
-/// one level: triangles peeled in increasing 4-clique support).
+/// one level): the triangle instance of PeelLevels (core/peel_levels.h),
+/// whose cliques are 4-cliques, peeled level-synchronously in increasing
+/// support. Records a "nucleus.decomposition" stage (counters: levels,
+/// k_max, compactions, rounds, max_frontier).
 NucleusDecomposition PeelNucleusDecomposition(const Graph& graph,
                                               const EdgeIndexer& eidx,
                                               const TriangleIndexer& tidx);

@@ -7,31 +7,6 @@
 #include "hcd/vertex_rank.h"
 
 namespace hcd {
-namespace {
-
-/// fn(x, t1, t2, t3) over every 4-clique of `tri` (duplicated from the
-/// decomposition translation unit on purpose: the hierarchy's filter and
-/// the peeling's differ, and sharing would couple their hot loops).
-template <typename Fn>
-void ForEachFourClique(const Graph& graph, const EdgeIndexer& eidx,
-                       const TriangleIndexer& tidx, TriIdx tri, Fn&& fn) {
-  const auto [a, b, c] = tidx.triangles[tri];
-  const EdgeIdx e_ab = eidx.IdOf(graph, a, b);
-  const EdgeIdx e_ac = eidx.IdOf(graph, a, c);
-  const EdgeIdx e_bc = eidx.IdOf(graph, b, c);
-  VertexId p = a;
-  VertexId q = b;
-  VertexId r = c;
-  if (graph.Degree(q) < graph.Degree(p)) std::swap(p, q);
-  if (graph.Degree(r) < graph.Degree(p)) std::swap(p, r);
-  for (VertexId x : graph.Neighbors(p)) {
-    if (x == a || x == b || x == c) continue;
-    if (!graph.HasEdge(q, x) || !graph.HasEdge(r, x)) continue;
-    fn(x, tidx.IdOf(e_ab, x), tidx.IdOf(e_ac, x), tidx.IdOf(e_bc, x));
-  }
-}
-
-}  // namespace
 
 NucleusForest BuildNucleusHierarchy(const Graph& graph,
                                     const EdgeIndexer& eidx,

@@ -5,15 +5,6 @@
 #include "common/check.h"
 
 namespace hcd {
-namespace {
-
-inline bool DegreeLess(const Graph& g, VertexId a, VertexId b) {
-  const VertexId da = g.Degree(a);
-  const VertexId db = g.Degree(b);
-  return da < db || (da == db && a < b);
-}
-
-}  // namespace
 
 TriIdx TriangleIndexer::IdOf(EdgeIdx e, VertexId w) const {
   const auto begin = edge_tri.begin() + edge_tri_start[e];

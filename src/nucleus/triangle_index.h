@@ -2,8 +2,10 @@
 #define HCD_NUCLEUS_TRIANGLE_INDEX_H_
 
 #include <array>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "graph/graph.h"
 #include "truss/edge_index.h"
 
@@ -37,6 +39,33 @@ struct TriangleIndexer {
 /// per-edge membership lists. Requires the triangle count to fit uint32.
 TriangleIndexer BuildTriangleIndexer(const Graph& graph,
                                      const EdgeIndexer& eidx);
+
+/// Invokes fn(x, t1, t2, t3) for every 4-clique {a,b,c,x} over triangle
+/// tri = (a,b,c), where t1..t3 are the ids of the three other triangles.
+/// Scans the lowest-degree corner's adjacency.
+template <typename Fn>
+void ForEachFourClique(const Graph& graph, const EdgeIndexer& eidx,
+                       const TriangleIndexer& tidx, TriIdx tri, Fn&& fn) {
+  const auto [a, b, c] = tidx.triangles[tri];
+  const EdgeIdx e_ab = eidx.IdOf(graph, a, b);
+  const EdgeIdx e_ac = eidx.IdOf(graph, a, c);
+  const EdgeIdx e_bc = eidx.IdOf(graph, b, c);
+  VertexId p = a;
+  VertexId q = b;
+  VertexId r = c;
+  if (graph.Degree(q) < graph.Degree(p)) std::swap(p, q);
+  if (graph.Degree(r) < graph.Degree(p)) std::swap(p, r);
+  for (VertexId x : graph.Neighbors(p)) {
+    if (x == a || x == b || x == c) continue;
+    if (!graph.HasEdge(q, x) || !graph.HasEdge(r, x)) continue;
+    const TriIdx t1 = tidx.IdOf(e_ab, x);
+    const TriIdx t2 = tidx.IdOf(e_ac, x);
+    const TriIdx t3 = tidx.IdOf(e_bc, x);
+    HCD_DCHECK(t1 != kInvalidTriangle && t2 != kInvalidTriangle &&
+               t3 != kInvalidTriangle);
+    fn(x, t1, t2, t3);
+  }
+}
 
 }  // namespace hcd
 

@@ -34,6 +34,14 @@ struct EdgeIndexer {
 /// Builds the indexer in O(m). Requires m < 2^32.
 EdgeIndexer BuildEdgeIndexer(const Graph& graph);
 
+/// Degree order (degree, then id) used to enumerate every triangle exactly
+/// once, from its highest corner down.
+inline bool DegreeLess(const Graph& g, VertexId a, VertexId b) {
+  const VertexId da = g.Degree(a);
+  const VertexId db = g.Degree(b);
+  return da < db || (da == db && a < b);
+}
+
 }  // namespace hcd
 
 #endif  // HCD_TRUSS_EDGE_INDEX_H_

@@ -3,19 +3,10 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/peel_levels.h"
 #include "parallel/omp_utils.h"
 
 namespace hcd {
-namespace {
-
-/// Degree order used to enumerate every triangle exactly once.
-inline bool DegreeLess(const Graph& g, VertexId a, VertexId b) {
-  const VertexId da = g.Degree(a);
-  const VertexId db = g.Degree(b);
-  return da < db || (da == db && a < b);
-}
-
-}  // namespace
 
 std::vector<uint32_t> ComputeEdgeSupports(const Graph& graph,
                                           const EdgeIndexer& index) {
@@ -61,70 +52,36 @@ std::vector<uint32_t> ComputeEdgeSupports(const Graph& graph,
 
 TrussDecomposition PeelTrussDecomposition(const Graph& graph,
                                           const EdgeIndexer& index) {
-  const EdgeIdx m = index.NumEdges();
-  TrussDecomposition td;
-  td.trussness.assign(m, 2);
-  if (m == 0) return td;
-
-  std::vector<uint32_t> sup = ComputeEdgeSupports(graph, index);
-  const uint32_t max_sup = *std::max_element(sup.begin(), sup.end());
-
-  // Bucket all edges by support (BZ-style bins over edges).
-  std::vector<EdgeIdx> bin(max_sup + 2, 0);
-  for (EdgeIdx e = 0; e < m; ++e) ++bin[sup[e] + 1];
-  for (size_t s = 1; s < bin.size(); ++s) bin[s] += bin[s - 1];
-  std::vector<EdgeIdx> vert(m);
-  std::vector<EdgeIdx> pos(m);
-  {
-    std::vector<EdgeIdx> cursor(bin.begin(), bin.end() - 1);
-    for (EdgeIdx e = 0; e < m; ++e) {
-      pos[e] = cursor[sup[e]];
-      vert[pos[e]] = e;
-      ++cursor[sup[e]];
-    }
-  }
-
-  auto lower_support = [&](EdgeIdx e, uint32_t floor_s) {
-    if (sup[e] <= floor_s) return;
-    const uint32_t se = sup[e];
-    const EdgeIdx pe = pos[e];
-    const EdgeIdx pw = bin[se];
-    const EdgeIdx w = vert[pw];
-    if (e != w) {
-      std::swap(vert[pe], vert[pw]);
-      pos[e] = pw;
-      pos[w] = pe;
-    }
-    ++bin[se];
-    --sup[e];
-  };
-
-  std::vector<bool> alive(m, true);
-  uint32_t k_max = 2;
-  for (EdgeIdx i = 0; i < m; ++i) {
-    const EdgeIdx e = vert[i];
-    const uint32_t s = sup[e];
-    td.trussness[e] = s + 2;
-    k_max = std::max(k_max, s + 2);
-    alive[e] = false;
-    auto [u, v] = index.edges[e];
-    // Enumerate surviving triangles through the smaller endpoint.
-    if (graph.Degree(u) > graph.Degree(v)) std::swap(u, v);
-    const EdgeIndex base_u = graph.AdjOffset(u);
-    const auto nu = graph.Neighbors(u);
-    for (size_t j = 0; j < nu.size(); ++j) {
-      const VertexId w = nu[j];
-      if (w == v) continue;
-      const EdgeIdx e_uw = index.eid_at[base_u + j];
-      if (!alive[e_uw]) continue;
-      const EdgeIdx e_vw = index.IdOf(graph, v, w);
-      if (e_vw == kInvalidEdge || !alive[e_vw]) continue;
-      lower_support(e_uw, s);
-      lower_support(e_vw, s);
-    }
-  }
-  td.k_max = k_max;
-  return td;
+  // An edge's cliques are its triangles; its level is its trussness, which
+  // starts at its support + 2.
+  PeelLevelsResult peel = PeelLevels<2>(
+      "truss.decomposition",
+      [&] {
+        std::vector<uint32_t> sup = ComputeEdgeSupports(graph, index);
+        for (uint32_t& s : sup) s += 2;
+        return sup;
+      },
+      [&](EdgeIdx e) {
+        const auto [u, v] = index.edges[e];
+        return std::min(graph.Degree(u), graph.Degree(v));
+      },
+      [&](EdgeIdx e, auto&& skip, auto&& visit) {
+        // Triangles through the smaller endpoint; a skipped edge there saves
+        // the search for the third edge.
+        auto [u, v] = index.edges[e];
+        if (graph.Degree(u) > graph.Degree(v)) std::swap(u, v);
+        const EdgeIndex base_u = graph.AdjOffset(u);
+        const auto nu = graph.Neighbors(u);
+        for (size_t j = 0; j < nu.size(); ++j) {
+          const VertexId w = nu[j];
+          if (w == v) continue;
+          const EdgeIdx e_uw = index.eid_at[base_u + j];
+          if (skip(e_uw)) continue;
+          const EdgeIdx e_vw = index.IdOf(graph, v, w);
+          if (e_vw != kInvalidEdge) visit(e_uw, e_vw);
+        }
+      });
+  return {std::move(peel.level), peel.k_max};
 }
 
 TrussDecomposition NaiveTrussDecomposition(const Graph& graph,
@@ -137,36 +94,46 @@ TrussDecomposition NaiveTrussDecomposition(const Graph& graph,
   std::vector<bool> alive(m, true);
   EdgeIdx remaining = m;
 
-  auto alive_support = [&](EdgeIdx e) {
-    const auto [u, v] = index.edges[e];
-    uint32_t s = 0;
-    VertexId a = u;
-    VertexId b = v;
+  // Calls fn(e1, e2) with the other two edges of each triangle of e whose
+  // edges all remain.
+  auto for_alive_triangles = [&](EdgeIdx e, auto&& fn) {
+    auto [a, b] = index.edges[e];
     if (graph.Degree(a) > graph.Degree(b)) std::swap(a, b);
     const EdgeIndex base_a = graph.AdjOffset(a);
     const auto na = graph.Neighbors(a);
     for (size_t j = 0; j < na.size(); ++j) {
       const VertexId w = na[j];
-      if (w == b || !alive[index.eid_at[base_a + j]]) continue;
-      const EdgeIdx other = index.IdOf(graph, b, w);
-      if (other != kInvalidEdge && alive[other]) ++s;
+      const EdgeIdx e_aw = index.eid_at[base_a + j];
+      if (w == b || !alive[e_aw]) continue;
+      const EdgeIdx e_bw = index.IdOf(graph, b, w);
+      if (e_bw != kInvalidEdge && alive[e_bw]) fn(e_aw, e_bw);
     }
-    return s;
   };
 
+  // Supports among the remaining edges: counted once, then lowered by one
+  // for each triangle a removal destroys.
+  std::vector<uint32_t> support(m, 0);
+  for (EdgeIdx e = 0; e < m; ++e) {
+    for_alive_triangles(e, [&](EdgeIdx, EdgeIdx) { ++support[e]; });
+  }
+  std::vector<EdgeIdx> queue;
   uint32_t k = 3;
   while (remaining > 0) {
-    // Strip to the (k)-truss fixpoint.
-    bool removed_any = true;
-    while (removed_any) {
-      removed_any = false;
-      for (EdgeIdx e = 0; e < m; ++e) {
-        if (alive[e] && alive_support(e) < k - 2) {
-          alive[e] = false;
-          --remaining;
-          removed_any = true;
+    // Strip to the k-truss fixpoint: remove edges with support below k - 2
+    // until none is left.
+    for (EdgeIdx e = 0; e < m; ++e) {
+      if (alive[e] && support[e] < k - 2) queue.push_back(e);
+    }
+    while (!queue.empty()) {
+      const EdgeIdx e = queue.back();
+      queue.pop_back();
+      for_alive_triangles(e, [&](EdgeIdx e1, EdgeIdx e2) {
+        for (EdgeIdx f : {e1, e2}) {
+          if (--support[f] == k - 3) queue.push_back(f);
         }
-      }
+      });
+      alive[e] = false;
+      --remaining;
     }
     for (EdgeIdx e = 0; e < m; ++e) {
       if (alive[e]) td.trussness[e] = k;

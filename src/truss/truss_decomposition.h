@@ -23,16 +23,18 @@ struct TrussDecomposition {
 std::vector<uint32_t> ComputeEdgeSupports(const Graph& graph,
                                           const EdgeIndexer& index);
 
-/// Truss decomposition by support peeling (Wang & Cheng): bin-sorted edges
-/// peeled in increasing support, decrementing the supports of the two
-/// companion edges of each destroyed triangle. O(m^1.5) after the support
-/// computation.
+/// Truss decomposition by support peeling (Wang & Cheng): the edge
+/// instance of PeelLevels (core/peel_levels.h), whose cliques are
+/// triangles. Edges are peeled level-synchronously in increasing support,
+/// each destroyed triangle lowering its two other edges once. O(m^1.5)
+/// after the support computation. Records a "truss.decomposition" stage
+/// (counters: levels, k_max, compactions, rounds, max_frontier).
 TrussDecomposition PeelTrussDecomposition(const Graph& graph,
                                           const EdgeIndexer& index);
 
-/// Definition-driven oracle: for each k, strips edges with in-subgraph
-/// support below k-2 to a fixpoint (recomputing supports from scratch each
-/// sweep). Exponentially simpler to reason about, much slower; tests only.
+/// Definition-driven oracle: for each k in turn, serially strips the edges
+/// whose support among the remaining edges is below k-2 until none is
+/// left; the survivors form the k-truss. Tests only.
 TrussDecomposition NaiveTrussDecomposition(const Graph& graph,
                                            const EdgeIndexer& index);
 

@@ -3,7 +3,6 @@
 #include "common/telemetry.h"
 #include "core/core_decomposition.h"
 #include "core/julienne.h"
-#include "core/mpm.h"
 #include "core/naive.h"
 #include "graph/generators.h"
 #include "parallel/omp_utils.h"
@@ -75,14 +74,6 @@ TEST_P(CoreDecompositionSuite, PkcMatchesBz) {
   CoreDecomposition pkc = PkcCoreDecomposition(g);
   EXPECT_EQ(bz.coreness, pkc.coreness);
   EXPECT_EQ(bz.k_max, pkc.k_max);
-}
-
-TEST_P(CoreDecompositionSuite, MpmMatchesBz) {
-  const Graph& g = GetParam().graph;
-  CoreDecomposition bz = BzCoreDecomposition(g);
-  CoreDecomposition mpm = MpmCoreDecomposition(g);
-  EXPECT_EQ(bz.coreness, mpm.coreness);
-  EXPECT_EQ(bz.k_max, mpm.k_max);
 }
 
 TEST_P(CoreDecompositionSuite, JulienneMatchesBz) {

@@ -54,7 +54,7 @@ TEST(NucleusDecomposition, CompleteGraphs) {
   for (VertexId n : {4u, 5u, 6u, 7u}) {
     NucleusPipeline p = Build(CompleteGraph(n));
     std::vector<uint32_t> sup =
-        ComputeTriangleSupports(p.graph, p.eidx, p.tidx);
+        ComputeTriangleSupports(p.graph, p.tidx);
     for (uint32_t s : sup) EXPECT_EQ(s, n - 3);
     NucleusDecomposition nd =
         PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
@@ -77,12 +77,15 @@ TEST_P(NucleusSuite, PeelMatchesNaiveOracle) {
   const Graph& g = GetParam().graph;
   if (g.NumEdges() > 6000) return;  // oracle cost
   NucleusPipeline p = Build(g);
-  NucleusDecomposition peel =
-      PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
   NucleusDecomposition naive =
       NaiveNucleusDecomposition(p.graph, p.eidx, p.tidx);
-  EXPECT_EQ(peel.theta, naive.theta);
-  EXPECT_EQ(peel.k_max, naive.k_max);
+  for (int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    NucleusDecomposition peel =
+        PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
+    EXPECT_EQ(peel.theta, naive.theta) << "threads=" << threads;
+    EXPECT_EQ(peel.k_max, naive.k_max) << "threads=" << threads;
+  }
 }
 
 TEST_P(NucleusSuite, HierarchyMatchesNaiveOracle) {
@@ -163,6 +166,38 @@ TEST(NucleusHierarchy, RepeatedParallelBuildsMatchNaive) {
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
       ASSERT_TRUE(HcdEquals(forest, oracle))
           << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
+// The suite graphs are too small for a peeling sub-round to reach
+// kParallelGrain. In this planted hierarchy the large shallow nucleus
+// levels peel frontiers above the grain and the deep ones frontiers below
+// it. Repeated peels give a race in the sub-rounds (a 4-clique credited to
+// two frontier triangles, or lowered after one of its triangles was
+// peeled) a chance to show.
+TEST(NucleusDecomposition, RepeatedParallelPeelsMatchNaive) {
+  const NucleusPipeline p =
+      Build(PlantedHierarchy(BranchingSpec(3, 14, 3, 2, 40), 7));
+  const NucleusDecomposition naive =
+      NaiveNucleusDecomposition(p.graph, p.eidx, p.tidx);
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 10; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const NucleusDecomposition nd =
+          PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
+      telemetry.Uninstall();
+      const uint64_t rounds = testing::LastStageCounter(
+          telemetry, "nucleus.decomposition", "rounds");
+      const uint64_t parallel_rounds = testing::LastStageCounter(
+          telemetry, "nucleus.decomposition", "parallel_rounds");
+      ASSERT_GT(parallel_rounds, 0u) << "no sub-round reached the grain";
+      ASSERT_LT(parallel_rounds, rounds) << "every sub-round ran in parallel";
+      ASSERT_EQ(nd.theta, naive.theta)
+          << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(nd.k_max, naive.k_max);
     }
   }
 }

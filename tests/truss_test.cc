@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "common/telemetry.h"
 #include "graph/builder.h"
@@ -88,10 +90,69 @@ TEST_P(TrussSuite, PeelMatchesNaiveOracle) {
   const Graph& g = GetParam().graph;
   if (g.NumEdges() > 50000) return;  // oracle is slow
   EdgeIndexer index = BuildEdgeIndexer(g);
-  TrussDecomposition peel = PeelTrussDecomposition(g, index);
   TrussDecomposition naive = NaiveTrussDecomposition(g, index);
-  EXPECT_EQ(peel.trussness, naive.trussness);
-  EXPECT_EQ(peel.k_max, naive.k_max);
+  for (int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    TrussDecomposition peel = PeelTrussDecomposition(g, index);
+    EXPECT_EQ(peel.trussness, naive.trussness) << "threads=" << threads;
+    EXPECT_EQ(peel.k_max, naive.k_max) << "threads=" << threads;
+  }
+}
+
+// Trussness by the definition, recounted from scratch: for k = 3, 4, ...
+// sweep the remaining edges, each time counting every edge's triangles
+// among them, and drop those with fewer than k - 2 until a sweep drops
+// none; the edges left form the k-truss. Shares no code with the oracle,
+// which counts supports once and lowers them as triangles are destroyed.
+std::vector<uint32_t> TrussnessFromScratch(const Graph& g,
+                                           const EdgeIndexer& index) {
+  const EdgeIdx m = index.NumEdges();
+  std::map<std::pair<VertexId, VertexId>, EdgeIdx> id_of;
+  for (EdgeIdx e = 0; e < m; ++e) {
+    const auto [u, v] = index.edges[e];
+    id_of[{std::min(u, v), std::max(u, v)}] = e;
+  }
+  std::vector<bool> alive(m, true);
+  auto alive_edge = [&](VertexId a, VertexId b) {
+    const auto it = id_of.find({std::min(a, b), std::max(a, b)});
+    return it != id_of.end() && alive[it->second];
+  };
+  std::vector<uint32_t> trussness(m, 2);
+  EdgeIdx remaining = m;
+  for (uint32_t k = 3; remaining > 0; ++k) {
+    for (bool removed = true; removed;) {
+      removed = false;
+      for (EdgeIdx e = 0; e < m; ++e) {
+        if (!alive[e]) continue;
+        const auto [u, v] = index.edges[e];
+        uint32_t support = 0;
+        for (VertexId w : g.Neighbors(u)) {
+          support += w != v && alive_edge(u, w) && alive_edge(v, w);
+        }
+        if (support < k - 2) {
+          alive[e] = false;
+          --remaining;
+          removed = true;
+        }
+      }
+    }
+    for (EdgeIdx e = 0; e < m; ++e) {
+      if (alive[e]) trussness[e] = k;
+    }
+  }
+  return trussness;
+}
+
+TEST_P(TrussSuite, NaiveOracleMatchesFromScratchRecount) {
+  const Graph& g = GetParam().graph;
+  EdgeIndexer index = BuildEdgeIndexer(g);
+  const std::vector<uint32_t> expected = TrussnessFromScratch(g, index);
+  const TrussDecomposition naive = NaiveTrussDecomposition(g, index);
+  EXPECT_EQ(naive.trussness, expected);
+  if (!expected.empty()) {
+    EXPECT_EQ(naive.k_max,
+              *std::max_element(expected.begin(), expected.end()));
+  }
 }
 
 TEST_P(TrussSuite, HierarchyMatchesNaiveOracle) {
@@ -181,6 +242,36 @@ TEST(TrussHierarchy, RepeatedParallelBuildsMatchNaive) {
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
       ASSERT_TRUE(HcdEquals(forest, oracle))
           << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
+// The suite graphs are too small for a peeling sub-round to reach
+// kParallelGrain. On this RMAT graph the shallow truss levels peel
+// frontiers above the grain and the deep ones frontiers below it, so
+// sub-rounds on one thread alternate with parallel ones. Repeated peels
+// give a race in the sub-rounds (a clique credited to two frontier edges,
+// or lowered after one of its edges was peeled) a chance to show.
+TEST(TrussDecomposition, RepeatedParallelPeelsMatchNaive) {
+  const Graph g = RMatGraph500(12, 80'000, 7);
+  const EdgeIndexer index = BuildEdgeIndexer(g);
+  const TrussDecomposition naive = NaiveTrussDecomposition(g, index);
+  for (int threads : {2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (int rep = 0; rep < 10; ++rep) {
+      StageTelemetry telemetry;
+      telemetry.Install();
+      const TrussDecomposition td = PeelTrussDecomposition(g, index);
+      telemetry.Uninstall();
+      const uint64_t rounds = testing::LastStageCounter(
+          telemetry, "truss.decomposition", "rounds");
+      const uint64_t parallel_rounds = testing::LastStageCounter(
+          telemetry, "truss.decomposition", "parallel_rounds");
+      ASSERT_GT(parallel_rounds, 0u) << "no sub-round reached the grain";
+      ASSERT_LT(parallel_rounds, rounds) << "every sub-round ran in parallel";
+      ASSERT_EQ(td.trussness, naive.trussness)
+          << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(td.k_max, naive.k_max);
     }
   }
 }
