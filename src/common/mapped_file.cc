@@ -23,8 +23,8 @@ void PublishMappedBytesGauge() {
   if (MetricsRegistry* registry = MetricsRegistry::Current()) {
     registry
         ->GetGauge("hcd_snapshot_mapped_bytes",
-                   "Bytes of snapshot files currently mmapped into the "
-                   "process")
+                   "Bytes of snapshot and graph files currently mmapped "
+                   "into the process")
         ->Set(static_cast<double>(
             g_total_mapped_bytes.load(std::memory_order_relaxed)));
   }
@@ -45,23 +45,27 @@ Status MappedFile::Open(const std::string& path,
     ::close(fd);
     return Status::IoError("cannot stat " + path + ": " + std::strerror(err));
   }
+  const Status s = Map(fd, static_cast<uint64_t>(st.st_size), path, out);
+  // The mapping holds its own reference to the pages; the descriptor is
+  // no longer needed.
+  ::close(fd);
+  return s;
+}
+
+Status MappedFile::Map(int fd, uint64_t size, const std::string& path,
+                       std::shared_ptr<const MappedFile>* out) {
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-  file->size_ = static_cast<uint64_t>(st.st_size);
   file->path_ = path;
-  if (file->size_ > 0) {
-    void* addr = ::mmap(nullptr, file->size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  if (size > 0) {
+    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (addr == MAP_FAILED) {
       const int err = errno;
-      ::close(fd);
-      file->size_ = 0;  // nothing to munmap in the dtor
       return Status::IoError("cannot mmap " + path + ": " +
                              std::strerror(err));
     }
     file->data_ = addr;
+    file->size_ = size;
   }
-  // The mapping holds its own reference to the pages; the descriptor is
-  // no longer needed.
-  ::close(fd);
   g_total_mapped_bytes.fetch_add(file->size_, std::memory_order_relaxed);
   PublishMappedBytesGauge();
   *out = std::move(file);

@@ -22,8 +22,8 @@ namespace hcd {
 ///
 /// The process-wide total of currently mapped bytes is published to the
 /// metrics registry (gauge `hcd_snapshot_mapped_bytes`) whenever a mapping
-/// is created or destroyed, so a serving process can be monitored for
-/// snapshot residency.
+/// is created or destroyed, so a serving process can be monitored for the
+/// residency of its snapshot and graph files.
 class MappedFile {
  public:
   /// Maps `path` PROT_READ and returns a shared handle. An empty file maps
@@ -31,6 +31,14 @@ class MappedFile {
   /// failures return IoError.
   static Status Open(const std::string& path,
                      std::shared_ptr<const MappedFile>* out);
+
+  /// Maps the first `size` bytes of the open descriptor `fd`, for a caller
+  /// that has already measured the file with fstat on that descriptor and
+  /// goes on reading from it: the mapping and every check made against
+  /// `size` then see the same inode. The descriptor stays the caller's to
+  /// close. `path` only names the mapping in path() and in errors.
+  static Status Map(int fd, uint64_t size, const std::string& path,
+                    std::shared_ptr<const MappedFile>* out);
 
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
@@ -52,9 +60,9 @@ class MappedFile {
   std::string path_;
 };
 
-/// A section of a FlatHcdIndex: either owns its elements (a plain vector)
-/// or aliases elements owned elsewhere — a range inside a shared
-/// MappedFile, or another object's owned section (Share). The storage seam
+/// A section of a FlatHcdIndex or a Graph: either owns its elements (a
+/// plain vector) or aliases elements owned elsewhere — a range inside a
+/// shared MappedFile, or another object's owned section (Share). The storage seam
 /// is invisible to readers — data()/size()/operator[] are branch-free in
 /// every mode because `ptr_`/`size_` always track the active storage.
 ///
@@ -152,7 +160,7 @@ class ArrayRef {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// True when the elements live in a mapped snapshot file.
+  /// True when the elements live in a mapped file (a snapshot or a graph).
   bool mapped() const { return mapped_; }
 
   const T* data() const { return ptr_; }

@@ -4,7 +4,7 @@
 
 namespace hcd {
 
-Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> adj)
+Graph::Graph(ArrayRef<EdgeIndex> offsets, ArrayRef<VertexId> adj)
     : offsets_(std::move(offsets)), adj_(std::move(adj)) {
   HCD_CHECK(!offsets_.empty());
   HCD_CHECK_EQ(offsets_.front(), 0u);

@@ -2,9 +2,11 @@
 #define HCD_GRAPH_GRAPH_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/mapped_file.h"
 #include "graph/types.h"
 
 namespace hcd {
@@ -17,16 +19,28 @@ namespace hcd {
 ///  - adjacency is symmetric: u in Neighbors(v) iff v in Neighbors(u);
 ///  - each adjacency list is sorted ascending (enables binary-search
 ///    membership tests and deterministic iteration).
+///
+/// The two arrays are ArrayRef sections (common/mapped_file.h), the storage
+/// seam FlatHcdIndex uses too: a built graph owns them, and a graph loaded
+/// by IngestBinary aliases its adjacency inside the mapped file. Copies of
+/// an owned graph are deep; copies of a loaded graph are views that co-own
+/// the mapping. Either way the graph is immutable.
 class Graph {
  public:
   /// Constructs an empty graph (0 vertices).
-  Graph() : offsets_(1, 0) {}
+  Graph() : offsets_{0} {}
 
   /// Constructs from raw CSR arrays. `offsets` has n+1 entries; `adj` has
   /// offsets[n] entries. Callers normally use GraphBuilder instead; this
   /// constructor CHECK-fails on malformed shapes but does not re-verify
   /// symmetry or sortedness (see GraphBuilder).
-  Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> adj);
+  Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> adj)
+      : Graph(ArrayRef<EdgeIndex>(std::move(offsets)),
+              ArrayRef<VertexId>(std::move(adj))) {}
+
+  /// The same over sections that may alias storage owned elsewhere (the
+  /// mapped file of IngestBinary, which has verified every invariant).
+  Graph(ArrayRef<EdgeIndex> offsets, ArrayRef<VertexId> adj);
 
   Graph(const Graph&) = default;
   Graph& operator=(const Graph&) = default;
@@ -60,8 +74,9 @@ class Graph {
   /// Start index of v's adjacency slice in the flat adjacency array.
   EdgeIndex AdjOffset(VertexId v) const { return offsets_[v]; }
 
-  /// Flat adjacency array of size 2m (both directions of every edge).
-  std::span<const VertexId> AdjArray() const { return adj_; }
+  /// Flat adjacency array of size 2m (both directions of every edge);
+  /// mapped() when it lives in a loaded graph file.
+  const ArrayRef<VertexId>& AdjArray() const { return adj_; }
 
   /// All undirected edges as (min, max) pairs, sorted.
   EdgeList Edges() const;
@@ -73,8 +88,8 @@ class Graph {
   VertexId MaxDegree() const;
 
  private:
-  std::vector<EdgeIndex> offsets_;  // size n+1
-  std::vector<VertexId> adj_;       // size 2m
+  ArrayRef<EdgeIndex> offsets_;  // size n+1
+  ArrayRef<VertexId> adj_;       // size 2m
 };
 
 }  // namespace hcd

@@ -40,13 +40,18 @@ struct IngestStats {
 Status IngestEdgeListText(const std::string& path, const IngestOptions& options,
                           Graph* graph, IngestStats* stats = nullptr);
 
-/// Validated binary CSR load (format in graph/binary_format.h). Before any
-/// allocation the header is checked against the real file size, so corrupt
-/// headers cannot trigger absurd allocations; after reading, offsets must
-/// be monotone with the documented endpoints and every adjacency slice
-/// must be strictly ascending, in range and self-loop free (checked in
-/// parallel). Violations return Corruption instead of corrupting
-/// downstream algorithms.
+/// Validated binary CSR load (format in graph/binary_format.h). Before
+/// anything is mapped or allocated the header is checked against the real
+/// file size, so corrupt headers cannot trigger absurd allocations. The
+/// file is then mapped: the graph's adjacency aliases the mapping (its
+/// AdjArray() is mapped() and co-owns it, so the path may be unlinked or
+/// replaced while the graph lives), and only the offsets are copied. One
+/// parallel pass then checks that the offsets are monotone with the
+/// documented endpoints and that every adjacency slice is strictly
+/// ascending, in range and self-loop free, and it fingerprints the arcs to
+/// check that every edge is stored from both ends. Violations return
+/// Corruption instead of corrupting downstream algorithms. Records a
+/// `mapped_bytes` counter on the "load.read" stage.
 Status IngestBinary(const std::string& path, const IngestOptions& options,
                     Graph* graph, IngestStats* stats = nullptr);
 

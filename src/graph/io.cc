@@ -2,34 +2,19 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
+#include "common/replace_file.h"
 #include "graph/binary_format.h"
 #include "graph/ingest.h"
 
 namespace hcd {
 namespace {
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/// Finishes a file opened for writing: flush and close are checked
-/// explicitly so a full disk surfaces as IoError instead of an Ok status
-/// over a truncated file. `wrote_ok` carries the accumulated result of the
-/// write calls themselves.
-Status FinishWrite(FilePtr f, const std::string& path, bool wrote_ok) {
-  std::FILE* raw = f.release();
-  const bool flushed = std::fflush(raw) == 0;
-  const bool closed = std::fclose(raw) == 0;
-  if (!wrote_ok || !flushed || !closed) {
-    return Status::IoError("write failed or short write to " + path);
-  }
-  return Status::Ok();
+/// Writes one fixed-size record block; false on a short write.
+template <typename T>
+bool WriteAll(std::FILE* f, const T* data, size_t count) {
+  return count == 0 || std::fwrite(data, sizeof(T), count, f) == count;
 }
 
 }  // namespace
@@ -39,43 +24,33 @@ Status LoadEdgeListText(const std::string& path, Graph* graph) {
 }
 
 Status SaveEdgeListText(const Graph& graph, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  bool ok =
-      std::fprintf(f.get(), "# undirected simple graph: n=%u m=%" PRIu64 "\n",
-                   graph.NumVertices(), graph.NumEdges()) >= 0;
-  for (VertexId v = 0; ok && v < graph.NumVertices(); ++v) {
-    for (VertexId u : graph.Neighbors(v)) {
-      if (v < u && std::fprintf(f.get(), "%u %u\n", v, u) < 0) {
-        ok = false;
-        break;
+  return ReplaceFile(path, [&graph](std::FILE* f) {
+    if (std::fprintf(f, "# undirected simple graph: n=%u m=%" PRIu64 "\n",
+                     graph.NumVertices(), graph.NumEdges()) < 0) {
+      return false;
+    }
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      for (VertexId u : graph.Neighbors(v)) {
+        if (v < u && std::fprintf(f, "%u %u\n", v, u) < 0) return false;
       }
     }
-  }
-  return FinishWrite(std::move(f), path, ok);
+    return true;
+  });
 }
 
 Status SaveBinary(const Graph& graph, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-
   const uint64_t n = graph.NumVertices();
   const uint64_t adj_size = graph.AdjArray().size();
-  bool ok = std::fwrite(&internal::kBinaryMagic, sizeof(internal::kBinaryMagic),
-                        1, f.get()) == 1;
-  ok = ok && std::fwrite(&internal::kBinaryVersion,
-                         sizeof(internal::kBinaryVersion), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&n, sizeof(n), 1, f.get()) == 1;
-  ok = ok && std::fwrite(&adj_size, sizeof(adj_size), 1, f.get()) == 1;
   std::vector<EdgeIndex> offsets(n + 1);
   for (VertexId v = 0; v < n; ++v) offsets[v] = graph.AdjOffset(v);
   offsets[n] = adj_size;
-  ok = ok && std::fwrite(offsets.data(), sizeof(EdgeIndex), offsets.size(),
-                         f.get()) == offsets.size();
-  ok = ok && (adj_size == 0 ||
-              std::fwrite(graph.AdjArray().data(), sizeof(VertexId), adj_size,
-                          f.get()) == adj_size);
-  return FinishWrite(std::move(f), path, ok);
+  return ReplaceFile(path, [&](std::FILE* f) {
+    return WriteAll(f, &internal::kBinaryMagic, 1) &&
+           WriteAll(f, &internal::kBinaryVersion, 1) && WriteAll(f, &n, 1) &&
+           WriteAll(f, &adj_size, 1) &&
+           WriteAll(f, offsets.data(), offsets.size()) &&
+           WriteAll(f, graph.AdjArray().data(), adj_size);
+  });
 }
 
 Status LoadBinary(const std::string& path, Graph* graph) {

@@ -21,13 +21,17 @@ Status LoadEdgeListText(const std::string& path, Graph* graph);
 
 /// Writes `graph` as an edge-list text file (one "u v" line per undirected
 /// edge, u < v), with a comment header. Flush/close failures (e.g. full
-/// disk) surface as IoError.
+/// disk) surface as IoError; the file is replaced through ReplaceFile
+/// (common/replace_file.h), like SaveBinary's.
 Status SaveEdgeListText(const Graph& graph, const std::string& path);
 
 /// Binary CSR snapshot (format documented in graph/binary_format.h). Much
-/// faster to reload than text for benchmark datasets. Loading validates
-/// the header against the file size and the CSR arrays structurally (see
-/// IngestBinary in graph/ingest.h); saving checks flush/close.
+/// faster to reload than text for benchmark datasets. Loading maps the
+/// file and validates the header against the file size and the CSR arrays
+/// structurally (see IngestBinary in graph/ingest.h). Saving checks
+/// flush/close and replaces a regular file atomically (write to
+/// `<path>.tmp.<pid>`, then rename), so a process that has the old file
+/// mapped keeps its bytes.
 Status SaveBinary(const Graph& graph, const std::string& path);
 Status LoadBinary(const std::string& path, Graph* graph);
 

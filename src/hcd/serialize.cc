@@ -1,7 +1,5 @@
 #include "hcd/serialize.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +9,7 @@
 
 #include "common/mapped_file.h"
 #include "common/metrics.h"
+#include "common/replace_file.h"
 #include "common/timer.h"
 #include "common/trace.h"
 
@@ -421,25 +420,8 @@ bool WriteFlatIndex(const FlatHcdIndex& index, std::FILE* f) {
 }  // namespace
 
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
-  // The bytes go to a temporary file in the same directory, which is then
-  // renamed over `path`: a process that has the old file mapped keeps its
-  // own, unchanged inode, where truncating in place would change validated
-  // bytes under its mapping (and cut away pages past a smaller new file).
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open " + tmp);
-  const bool wrote = WriteFlatIndex(index, f);
-  // fclose flushes the stdio buffer, so it can be the call that fails.
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return Status::IoError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::Ok();
+  return ReplaceFile(
+      path, [&index](std::FILE* f) { return WriteFlatIndex(index, f); });
 }
 
 Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index) {

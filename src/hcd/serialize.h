@@ -58,11 +58,9 @@ namespace hcd {
 /// (byte-identical to the pre-kind format), v4 for one with them, v3 for
 /// truss / nucleus. Byte-for-byte deterministic:
 /// saving a loaded index reproduces the input file exactly. The file is
-/// replaced atomically: the bytes go to `<path>.tmp.<pid>`, which is
-/// renamed over `path` once written and closed, so a process that has the
-/// old file mapped keeps reading the old bytes, and a failed save removes
-/// the temporary file and leaves any existing `path` untouched. No fsync:
-/// durability across power loss is not promised.
+/// replaced atomically through ReplaceFile (common/replace_file.h): a
+/// process that has the old file mapped keeps reading the old bytes, and a
+/// failed save leaves any existing `path` untouched.
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path);
 
 /// Loads a v2/v3/v4 snapshot into a flat index, reading it section by

@@ -1,18 +1,25 @@
 // Regression and property tests for the hardened, parallel ingest path:
 // self-loop/duplicate normalization in GraphBuilder::Build, long-line and
-// error handling in the text loader, corrupt-file fixtures for the binary
-// loader, full-device save failures, round-trips, and thread-count
+// error handling in the text loader, corrupt-file fixtures and a seeded
+// mutation fuzz test for the binary loader, the lifetime of a mapped
+// graph, full-device save failures, round-trips, and thread-count
 // equivalence of the parallel loader/builder.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/mapped_file.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/telemetry.h"
 #include "engine/engine.h"
@@ -22,6 +29,7 @@
 #include "graph/ingest.h"
 #include "graph/io.h"
 #include "parallel/omp_utils.h"
+#include "tests/test_util.h"
 
 namespace hcd {
 namespace {
@@ -69,8 +77,8 @@ std::string BinaryFile(uint64_t n, uint64_t adj_size,
       return ::testing::AssertionFailure() << "offset mismatch at " << v;
     }
   }
-  auto aa = a.AdjArray();
-  auto ba = b.AdjArray();
+  const auto& aa = a.AdjArray();
+  const auto& ba = b.AdjArray();
   if (aa.size() != ba.size() ||
       !std::equal(aa.begin(), aa.end(), ba.begin())) {
     return ::testing::AssertionFailure() << "adjacency arrays differ";
@@ -397,6 +405,242 @@ TEST(IngestBinaryFixture, TrailingGarbage) {
   Graph loaded;
   EXPECT_EQ(LoadBinary(path, &loaded).code(), StatusCode::kCorruption);
   std::remove(path.c_str());
+}
+
+TEST(IngestBinaryFixture, AsymmetricAdjacency) {
+  // Every slice is sorted, in range and self-loop free, but 2 lists 0 while
+  // 0 does not list 2. A truss build over such a graph would write its
+  // reverse-edge cursor past the end of the adjacency.
+  const std::string path = TempPath("corrupt_asymmetric.bin");
+  WriteFile(path, BinaryFile(3, 4, {0, 1, 3, 4}, {1, 0, 2, 0}));
+  Graph g;
+  Status s = LoadBinary(path, &g);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("asymmetric"), std::string::npos)
+      << s.message();
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of the binary loader: every mutated file either
+// fails with Corruption or loads a graph that meets every graph.h
+// invariant. Deterministic (fixed seed, fixed budget), so the ASan job
+// that runs this suite sees the same inputs on every run.
+
+/// Every graph.h invariant, checked by a plain walk that shares no code
+/// with the loader: contiguous slices covering an even adjacency, ids in
+/// range, no self-loops, strictly ascending slices and symmetry.
+::testing::AssertionResult MeetsGraphInvariants(const Graph& g) {
+  const VertexId n = g.NumVertices();
+  EdgeIndex end = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (g.AdjOffset(v) != end) {
+      return ::testing::AssertionFailure() << "slice of " << v << " moved";
+    }
+    const auto nbrs = g.Neighbors(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
+      if (u >= n || u == v || (i > 0 && nbrs[i - 1] >= u)) {
+        return ::testing::AssertionFailure() << "bad neighbour of " << v;
+      }
+      if (!g.HasEdge(u, v)) {
+        return ::testing::AssertionFailure()
+               << "edge " << v << "-" << u << " stored from one end";
+      }
+    }
+    end += nbrs.size();
+  }
+  if (end != g.AdjArray().size() || end % 2 != 0 ||
+      g.NumEdges() * 2 != end) {
+    return ::testing::AssertionFailure() << "adjacency size " << end;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One mutation of a SaveBinary image: a bit flip, a truncation, an edited
+/// n or adj_size field, or neighbour ids swapped or duplicated.
+std::string Mutate(const std::string& image, Rng& rng) {
+  constexpr size_t kNField = 12;
+  constexpr size_t kAdjSizeField = 20;
+  std::string out = image;
+  const auto put_u64 = [&out](size_t at, uint64_t value) {
+    std::memcpy(out.data() + at, &value, sizeof(value));
+  };
+  const auto get_u64 = [&out](size_t at) {
+    uint64_t value;
+    std::memcpy(&value, out.data() + at, sizeof(value));
+    return value;
+  };
+  uint64_t n = get_u64(kNField);
+  const size_t adj_begin = 28 + (n + 1) * 8;
+  const size_t adj_entries = (out.size() - adj_begin) / 4;
+  const uint64_t kind = rng.Uniform(6);
+  switch (kind) {
+    case 0: {  // one to three bit flips anywhere
+      for (uint64_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        out[rng.Uniform(out.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+      }
+      break;
+    }
+    case 1:  // truncation
+      out.resize(rng.Uniform(out.size()));
+      break;
+    case 2: {  // n edited by a small step, or to any value
+      const uint64_t step = 1 + rng.Uniform(3);
+      n = rng.Uniform(4) == 0 ? rng.Next64()
+          : rng.Uniform(2) == 0 ? n + step
+                                : n - step;
+      put_u64(kNField, n);
+      break;
+    }
+    case 3: {  // adj_size edited the same way
+      const uint64_t adj_size = get_u64(kAdjSizeField);
+      const uint64_t step = 1 + rng.Uniform(4);
+      put_u64(kAdjSizeField, rng.Uniform(4) == 0 ? rng.Next64()
+                             : rng.Uniform(2) == 0 ? adj_size + step
+                                                   : adj_size - step);
+      break;
+    }
+    case 4:    // two neighbour ids swapped, often next to each other
+    case 5: {  // one neighbour id copied over another
+      if (adj_entries < 2) break;
+      const size_t i = rng.Uniform(adj_entries - 1);
+      const size_t j = rng.Uniform(2) == 0 ? i + 1 : rng.Uniform(adj_entries);
+      char* a = out.data() + adj_begin + 4 * i;
+      char* b = out.data() + adj_begin + 4 * j;
+      if (kind == 4) {
+        std::swap_ranges(a, a + 4, b);
+      } else {
+        std::memmove(b, a, 4);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(IngestBinaryFuzz, MutatedFilesFailCleanlyOrLoadValidGraphs) {
+  constexpr int kMutationsPerGraph = 300;
+  const std::string path = TempPath("ingest_fuzz.bin");
+  Rng rng(20261019);
+  int rejected = 0;
+  int loaded = 0;
+  for (const testing::GraphCase& c : testing::StandardGraphSuite()) {
+    if (c.graph.NumEdges() == 0 || c.graph.NumEdges() > 3000) continue;
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(SaveBinary(c.graph, path).ok());
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string image(28 + (c.graph.NumVertices() + 1) * 8 +
+                          c.graph.AdjArray().size() * 4,
+                      '\0');
+    ASSERT_EQ(std::fread(image.data(), 1, image.size(), f), image.size());
+    std::fclose(f);
+    for (int i = 0; i < kMutationsPerGraph; ++i) {
+      const std::string mutated = Mutate(image, rng);
+      WriteFile(path, mutated);
+      Graph g;
+      const Status s = LoadBinary(path, &g);
+      if (s.ok()) {
+        ++loaded;
+        ASSERT_TRUE(MeetsGraphInvariants(g)) << "mutation " << i;
+      } else {
+        ++rejected;
+        ASSERT_EQ(s.code(), StatusCode::kCorruption)
+            << "mutation " << i << ": " << s.ToString();
+      }
+    }
+  }
+  // The mutator does break files, and what it leaves intact still loads.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// A loaded graph aliases its file's mapping, which outlives the path.
+
+TEST(IngestBinaryMapped, AdjacencyIsMappedAndCountedWhileTheGraphLives) {
+  MetricsRegistry registry;
+  registry.Install();
+  const Graph source = ErdosRenyiGnm(500, 2000, 17);
+  const std::string path = TempPath("ingest_mapped_gauge.bin");
+  ASSERT_TRUE(SaveBinary(source, path).ok());
+  const uint64_t file_size =
+      28 + (source.NumVertices() + 1) * 8 + source.AdjArray().size() * 4;
+  const uint64_t before = MappedFile::TotalMappedBytes();
+  {
+    StageTelemetry telemetry;
+    telemetry.Install();
+    Graph g;
+    const Status s = LoadBinary(path, &g);
+    telemetry.Uninstall();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(g.AdjArray().mapped());
+    EXPECT_EQ(MappedFile::TotalMappedBytes(), before + file_size);
+    EXPECT_EQ(registry.GetGauge("hcd_snapshot_mapped_bytes")->Value(),
+              static_cast<double>(before + file_size));
+    EXPECT_EQ(testing::LastStageCounter(telemetry, "load.read",
+                                        "mapped_bytes"),
+              file_size);
+    EXPECT_TRUE(SameCsr(source, g));
+  }
+  EXPECT_EQ(MappedFile::TotalMappedBytes(), before);
+  EXPECT_EQ(registry.GetGauge("hcd_snapshot_mapped_bytes")->Value(),
+            static_cast<double>(before));
+  registry.Uninstall();
+  std::remove(path.c_str());
+}
+
+TEST(IngestBinaryMapped, LoadedGraphOutlivesItsPath) {
+  const Graph source = BarabasiAlbert(400, 4, 23);
+  const std::string path = TempPath("ingest_mapped_unlink.bin");
+  ASSERT_TRUE(SaveBinary(source, path).ok());
+  Graph g;
+  ASSERT_TRUE(LoadBinary(path, &g).ok());
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  EXPECT_EQ(g.Edges(), source.Edges());
+}
+
+TEST(IngestBinaryMapped, LoadedGraphSurvivesASmallerSaveOverItsPath) {
+  // SaveBinary replaces the file rather than truncating it: the loaded
+  // graph keeps the old inode, none of whose pages lies past the end of
+  // the shorter new file (touching one would raise SIGBUS).
+  const Graph big = ErdosRenyiGnm(3000, 15000, 29);
+  const Graph small = PathGraph(6);
+  const std::string path = TempPath("ingest_mapped_resave.bin");
+  ASSERT_TRUE(SaveBinary(big, path).ok());
+  Graph g;
+  ASSERT_TRUE(LoadBinary(path, &g).ok());
+  ASSERT_TRUE(SaveBinary(small, path).ok());
+  EXPECT_EQ(g.Edges(), big.Edges());
+  Graph reloaded;
+  ASSERT_TRUE(LoadBinary(path, &reloaded).ok());
+  EXPECT_EQ(reloaded.Edges(), small.Edges());
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "temporary file left behind";
+  std::remove(path.c_str());
+}
+
+TEST(IngestBinaryMapped, CopyOfAMappedGraphOutlivesTheOriginal) {
+  const Graph source = RMatGraph500(9, 3000, 31);
+  const std::string path = TempPath("ingest_mapped_copy.bin");
+  ASSERT_TRUE(SaveBinary(source, path).ok());
+  const uint64_t before = MappedFile::TotalMappedBytes();
+  Graph copy;
+  {
+    auto original = std::make_unique<Graph>();
+    ASSERT_TRUE(LoadBinary(path, original.get()).ok());
+    copy = *original;
+    // The copy is a view of the same mapping, not a second one.
+    EXPECT_EQ(copy.AdjArray().data(), original->AdjArray().data());
+  }
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  EXPECT_TRUE(copy.AdjArray().mapped());
+  EXPECT_GT(MappedFile::TotalMappedBytes(), before);
+  EXPECT_TRUE(SameCsr(source, copy));
+  copy = Graph();
+  EXPECT_EQ(MappedFile::TotalMappedBytes(), before);
 }
 
 // ---------------------------------------------------------------------------
