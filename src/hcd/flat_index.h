@@ -69,10 +69,9 @@ class FlatHcdIndex {
   /// triangles) and `element_members` materializes each element back to its
   /// member graph vertices with stride ElementArity(kind).
   ///
-  /// Sections are storage-agnostic ArrayRefs: Freeze and the copying loader
-  /// produce owned (vector-backed) sections, while MapFlatIndex aliases the
-  /// snapshot's mmap'd bytes directly — same accessors, same bytes, zero
-  /// copies. Aliased sections co-own the mapping, so a Data (and any index
+  /// Sections are storage-agnostic ArrayRefs: Freeze produces owned
+  /// (vector-backed) sections, while MapFlatIndex aliases the snapshot's
+  /// mmap'd bytes directly — same accessors, same bytes, zero copies. Aliased sections co-own the mapping, so a Data (and any index
   /// adopted from it) keeps the file mapped for as long as it lives.
   struct Data {
     HierarchyKind kind = HierarchyKind::kCore;
@@ -276,7 +275,7 @@ class FlatHcdIndex {
 /// bottom-up sizing pass. The forest must satisfy the builder contract
 /// (every parent edge strictly decreases the level walking up); violations
 /// abort, as in HcdForest::BuildChildren — untrusted inputs must go through
-/// LoadFlatIndex / MapFlatIndex, which return Status instead.
+/// MapFlatIndex, which returns Status instead.
 FlatHcdIndex Freeze(const HcdForest& forest);
 
 /// Freeze and release the builder representation's memory.

@@ -8,10 +8,8 @@
 #include <utility>
 
 #include "common/mapped_file.h"
-#include "common/metrics.h"
 #include "common/replace_file.h"
-#include "common/timer.h"
-#include "common/trace.h"
+#include "common/telemetry.h"
 
 namespace hcd {
 namespace {
@@ -37,26 +35,6 @@ constexpr size_t kV4HeaderBytes = kV4HeaderWords * sizeof(uint64_t);
 constexpr size_t kMaxHeaderWords = kV3HeaderWords;
 // Sections are padded to 8 bytes so each starts at an aligned offset.
 constexpr uint64_t kSectionAlign = 8;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-Status OpenForRead(const std::string& path, FilePtr* f, uint64_t* file_size) {
-  f->reset(std::fopen(path.c_str(), "rb"));
-  if (*f == nullptr) return Status::IoError("cannot open " + path);
-  if (std::fseek(f->get(), 0, SEEK_END) != 0) {
-    return Status::IoError("cannot seek " + path);
-  }
-  const long end = std::ftell(f->get());
-  if (end < 0) return Status::IoError("cannot stat " + path);
-  *file_size = static_cast<uint64_t>(end);
-  std::rewind(f->get());
-  return Status::Ok();
-}
 
 /// Bytes a section of `count` elements of `element_bytes` each takes in the
 /// file, padding included. Callers bound `count` so the product cannot
@@ -88,38 +66,10 @@ bool WriteSection(std::FILE* f, const ArrayRef<T>& v) {
   return true;
 }
 
-/// Bulk-reads one section of a known element count (the count was already
-/// validated against the file size, so the resize is safe). This is the
-/// copying path; MapFlatBody below aliases the same bytes instead.
-template <typename T>
-bool ReadSection(std::FILE* f, uint64_t count, ArrayRef<T>* v) {
-  static_assert(kSectionElement<T>);
-  v->resize(count);
-  if (count > 0 && std::fread(v->data(), sizeof(T), count, f) != count) {
-    return false;
-  }
-  const long pad = static_cast<long>(PaddedSectionBytes(count, sizeof(T)) -
-                                     count * sizeof(T));
-  return pad == 0 || std::fseek(f, pad, SEEK_CUR) == 0;
-}
-
-/// Observes one snapshot load in the metrics registry, labeled by how the
-/// bytes reached memory ("read" = copying loader, "mmap" = zero-copy map).
-void RecordSnapshotLoad(const char* mode, double seconds) {
-  if (MetricsRegistry* registry = MetricsRegistry::Current()) {
-    registry
-        ->GetHistogram("hcd_snapshot_load_seconds",
-                       "Wall time to load one flat snapshot into a servable "
-                       "index",
-                       {{"mode", mode}})
-        ->Observe(seconds);
-  }
-}
-
 /// Validated header counts of a v2/v3/v4 flat snapshot. One struct serves
 /// every version (v2 is a kCore header with no member section, v4 a v2
-/// header plus search tables), so the copying loader and the zero-copy
-/// mapper share a single source of truth for the section layout.
+/// header plus search tables), so the size check and the section aliasing
+/// share a single source of truth for the layout.
 struct FlatHeader {
   HierarchyKind kind = HierarchyKind::kCore;
   uint64_t n = 0;             ///< elements (index "vertices")
@@ -265,48 +215,11 @@ Status ParseFlatHeader(uint64_t magic, const uint64_t* words,
   return Status::Ok();
 }
 
-/// Copying body shared by v2, v3 and v4: bulk-reads each section into owned
-/// ArrayRefs and funnels through Adopt. The file size was already proven to
-/// match the header exactly, so every fread is in bounds.
-Status ReadFlatBody(std::FILE* f, const FlatHeader& h, const std::string& path,
-                    FlatHcdIndex* index) {
-  FlatHcdIndex::Data d;
-  d.kind = h.kind;
-  d.num_vertices = static_cast<VertexId>(h.n);
-  d.num_graph_vertices = static_cast<VertexId>(h.ng);
-  bool ok = ReadSection(f, h.num_nodes, &d.levels) &&
-            ReadSection(f, h.num_nodes, &d.parents) &&
-            ReadSection(f, h.num_nodes, &d.subtree_nodes) &&
-            ReadSection(f, h.num_nodes + 1, &d.child_offsets) &&
-            ReadSection(f, h.num_children, &d.children) &&
-            ReadSection(f, h.num_nodes + 1, &d.vertex_offsets) &&
-            ReadSection(f, h.num_placed, &d.vertices) &&
-            ReadSection(f, h.n, &d.tid) &&
-            ReadSection(f, h.num_nodes, &d.desc_level_order) &&
-            ReadSection(f, h.num_level_groups + 1, &d.level_group_offsets) &&
-            ReadSection(f, h.num_roots, &d.roots);
-  if (ok && h.kind != HierarchyKind::kCore) {
-    ok = ReadSection(f, h.num_members, &d.element_members);
-  }
-  if (ok && h.search_tables) {
-    d.search_tables = true;
-    d.num_graph_edges = h.num_edges;
-    ok = ReadSection(f, h.num_nodes, &d.primaries) &&
-         ReadSection(f, h.num_best, &d.best_nodes);
-  }
-  if (!ok) return Status::Corruption(path + ": truncated sections");
-
-  Status s = FlatHcdIndex::Adopt(std::move(d), index);
-  if (!s.ok()) return Status(s.code(), path + ": " + s.message());
-  return Status::Ok();
-}
-
 /// Zero-copy body shared by every version: aliases each section inside the
-/// mapping at its computed offset and funnels through the same Adopt
-/// validation the copying loader uses. The caller proved the file size
-/// matches the header exactly BEFORE this runs, so no alias — and no
-/// validation read through one — can touch bytes past the mapping
-/// (truncation is a Status, never a SIGBUS).
+/// mapping at its computed offset and funnels through Adopt's validation.
+/// The caller proved the file size matches the header exactly BEFORE this
+/// runs, so no alias — and no validation read through one — can touch
+/// bytes past the mapping (truncation is a Status, never a SIGBUS).
 Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
                    const FlatHeader& h, const std::string& path,
                    FlatHcdIndex* index) {
@@ -315,13 +228,19 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
   d.num_vertices = static_cast<VertexId>(h.n);
   d.num_graph_vertices = static_cast<VertexId>(h.ng);
   uint64_t offset = h.header_bytes;
+  bool zero_padding = true;
   // Sections start at 8-byte offsets inside a page-aligned mapping, so the
-  // casts below are always aligned (kSectionElement).
+  // casts below are always aligned (kSectionElement). The writer pads with
+  // zeros, and so must the file: a loaded index re-saves to its own bytes.
   auto alias = [&]<typename T>(uint64_t count, ArrayRef<T>* section) {
-    *section = ArrayRef<T>(
-        reinterpret_cast<const T*>(file->data() + offset),
-        static_cast<size_t>(count), file);
+    const uint8_t* begin = file->data() + offset;
+    *section = ArrayRef<T>(reinterpret_cast<const T*>(begin),
+                           static_cast<size_t>(count), file);
     offset += PaddedSectionBytes(count, sizeof(T));
+    zero_padding =
+        zero_padding && std::all_of(begin + count * sizeof(T),
+                                    file->data() + offset,
+                                    [](uint8_t b) { return b == 0; });
   };
   alias(h.num_nodes, &d.levels);
   alias(h.num_nodes, &d.parents);
@@ -342,6 +261,9 @@ Status MapFlatBody(const std::shared_ptr<const MappedFile>& file,
     d.num_graph_edges = h.num_edges;
     alias(h.num_nodes, &d.primaries);
     alias(h.num_best, &d.best_nodes);
+  }
+  if (!zero_padding) {
+    return Status::Corruption(path + ": nonzero section padding");
   }
 
   Status s = FlatHcdIndex::Adopt(std::move(d), index);
@@ -424,43 +346,11 @@ Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path) {
       path, [&index](std::FILE* f) { return WriteFlatIndex(index, f); });
 }
 
-Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index) {
-  ScopedSpan span("load.snapshot.read");
-  span.AddArg("path", path);
-  Timer timer;
-
-  FilePtr f;
-  uint64_t file_size = 0;
-  HCD_RETURN_IF_ERROR(OpenForRead(path, &f, &file_size));
-  span.AddArg("bytes", file_size);
-
-  uint64_t magic = 0;
-  if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  const size_t header_words = HeaderWords(magic);
-  if (header_words == 0) return Status::Corruption(path + ": bad magic");
-  uint64_t words[kMaxHeaderWords - 1] = {};  // magic already consumed
-  if (std::fread(words, sizeof(uint64_t), header_words - 1, f.get()) !=
-      header_words - 1) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  // The whole file size must match exactly before anything is allocated.
-  FlatHeader h;
-  HCD_RETURN_IF_ERROR(ParseFlatHeader(magic, words, file_size, path, &h));
-  const Status s = ReadFlatBody(f.get(), h, path, index);
-  if (s.ok()) RecordSnapshotLoad("read", timer.Seconds());
-  return s;
-}
-
 Status MapFlatIndex(const std::string& path, FlatHcdIndex* index) {
-  ScopedSpan span("load.snapshot.map");
-  span.AddArg("path", path);
-  Timer timer;
-
+  ScopedStage stage("load.snapshot.map");
   std::shared_ptr<const MappedFile> file;
   HCD_RETURN_IF_ERROR(MappedFile::Open(path, &file));
-  span.AddArg("bytes", file->size());
+  stage.AddCounter("bytes", file->size());
   if (file->size() < sizeof(uint64_t)) {
     return Status::Corruption(path + ": truncated header");
   }
@@ -479,31 +369,9 @@ Status MapFlatIndex(const std::string& path, FlatHcdIndex* index) {
   // a later page access.
   FlatHeader h;
   HCD_RETURN_IF_ERROR(ParseFlatHeader(magic, words, file->size(), path, &h));
-  Status s = MapFlatBody(file, h, path, index);
-  if (s.ok()) RecordSnapshotLoad("mmap", timer.Seconds());
-  return s;
-}
-
-const char* SnapshotModeName(SnapshotMode mode) {
-  return mode == SnapshotMode::kMmap ? "mmap" : "read";
-}
-
-bool ParseSnapshotMode(std::string_view text, SnapshotMode* mode) {
-  if (text == "read") {
-    *mode = SnapshotMode::kRead;
-    return true;
-  }
-  if (text == "mmap") {
-    *mode = SnapshotMode::kMmap;
-    return true;
-  }
-  return false;
-}
-
-Status LoadFlatSnapshot(const std::string& path, SnapshotMode mode,
-                        FlatHcdIndex* index) {
-  return mode == SnapshotMode::kMmap ? MapFlatIndex(path, index)
-                                     : LoadFlatIndex(path, index);
+  HCD_RETURN_IF_ERROR(MapFlatBody(file, h, path, index));
+  stage.AddCounter("nodes", index->NumNodes());
+  return Status::Ok();
 }
 
 }  // namespace hcd

@@ -2,7 +2,6 @@
 #define HCD_HCD_SERIALIZE_H_
 
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 #include "hcd/flat_index.h"
@@ -13,12 +12,12 @@ namespace hcd {
 /// ----------------
 /// v2 ("HCDFOR02"): the FlatHcdIndex layout itself. A fixed 64-byte header
 /// (magic + section element counts) followed by the index's arrays written
-/// verbatim, each section padded to 8-byte alignment. Loading is a handful
-/// of bulk reads (mmap-friendly: every section sits at a computable aligned
-/// offset) funneled through FlatHcdIndex::Adopt, which validates all
-/// structural invariants, so corrupt files of any version yield
-/// Status::Corruption — never an abort. v2 carries no kind tag and always
-/// loads as HierarchyKind::kCore.
+/// verbatim, each section zero-padded to 8-byte alignment. Every section sits
+/// at an aligned offset the header fixes, so loading maps the file and
+/// aliases each section in place, then funnels through FlatHcdIndex::Adopt,
+/// which validates all structural invariants: corrupt files of any version
+/// yield Status::Corruption — never an abort. v2 carries no kind tag and
+/// always loads as HierarchyKind::kCore.
 ///
 /// v3 ("HCDFOR03"): the kind-tagged flat layout for non-core hierarchies
 /// (truss / nucleus). A fixed 96-byte header — magic, kind, graph vertex
@@ -41,7 +40,7 @@ namespace hcd {
 /// byte-identical to before, and one with tables writes v4.
 ///
 /// Trust model. A snapshot is trusted to describe the graph it is served
-/// with, as the forest always was: the loaders check structure, not
+/// with, as the forest always was: the loader checks structure, not
 /// meaning. Adopt proves the forest's invariants and, for v4, that there
 /// is one row per node, that each table has max level + 1 entries, and
 /// that every entry is a node of level >= its index (the rows' values are
@@ -63,38 +62,17 @@ namespace hcd {
 /// failed save leaves any existing `path` untouched.
 Status SaveFlatIndex(const FlatHcdIndex& index, const std::string& path);
 
-/// Loads a v2/v3/v4 snapshot into a flat index, reading it section by
-/// section as whole arrays (v2 and v4 adopt as kCore).
-Status LoadFlatIndex(const std::string& path, FlatHcdIndex* index);
-
-/// Zero-copy load: mmaps the file read-only and aliases every section, the
-/// v4 search tables included, in place (the index's ArrayRefs co-own the mapping), after proving the
-/// file size matches the header-declared section layout exactly — a
-/// truncated or padded file fails with Status::Corruption before any byte
-/// past the header is touched, never with a fault. The aliased sections
-/// still funnel through FlatHcdIndex::Adopt, so every structural-corruption
-/// case the copying loader rejects is rejected here too. The resulting index
-/// answers bit-identically to a read-loaded one.
+/// Loads a v2/v3/v4 snapshot (v2 and v4 adopt as kCore) by mapping the
+/// file read-only and aliasing every section, the v4 search tables
+/// included, in place; the index's ArrayRefs co-own the mapping, whose
+/// residency shows in `hcd_snapshot_mapped_bytes`. The file size must match
+/// the header-declared section layout exactly before any section is
+/// aliased, so a truncated or over-long file fails with Status::Corruption,
+/// never with a fault. Nonzero section padding is Corruption too, so that a
+/// loaded index re-saves to the file's own bytes. The aliased sections then
+/// funnel through FlatHcdIndex::Adopt. Runs as the "load.snapshot.map"
+/// stage, with the file's `bytes` and the index's `nodes` as counters.
 Status MapFlatIndex(const std::string& path, FlatHcdIndex* index);
-
-/// How snapshot bytes reach memory: kRead copies them into owned arrays,
-/// kMmap aliases the mapped file (page-cache backed, shared across
-/// processes, demand-paged).
-enum class SnapshotMode {
-  kRead,
-  kMmap,
-};
-
-/// "read" / "mmap".
-const char* SnapshotModeName(SnapshotMode mode);
-
-/// Parses "read" / "mmap"; returns false (leaving `*mode` untouched) on
-/// anything else.
-bool ParseSnapshotMode(std::string_view text, SnapshotMode* mode);
-
-/// Dispatches to LoadFlatIndex or MapFlatIndex by mode.
-Status LoadFlatSnapshot(const std::string& path, SnapshotMode mode,
-                        FlatHcdIndex* index);
 
 }  // namespace hcd
 

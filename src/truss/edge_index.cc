@@ -35,7 +35,12 @@ EdgeIndexer BuildEdgeIndexer(const Graph& graph) {
       const EdgeIdx id = static_cast<EdgeIdx>(index.edges.size());
       index.edges.emplace_back(v, u);
       index.eid_at[base + i] = id;
-      HCD_DCHECK(graph.AdjArray()[cursor[u]] == v);
+      // The adjacency must be symmetric: u lists v at its cursor. A graph
+      // that is not would move the cursor out of u's slice.
+      HCD_CHECK(cursor[u] < graph.AdjOffset(u + 1) &&
+                graph.AdjArray()[cursor[u]] == v)
+          << "asymmetric adjacency: " << v << " lists " << u
+          << " but not the reverse";
       index.eid_at[cursor[u]++] = id;
     }
   }

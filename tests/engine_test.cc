@@ -180,7 +180,7 @@ TEST(EngineTest, AdoptFlatRejectsASnapshotThatDoesNotFitTheGraph) {
   const std::string path = ::testing::TempDir() + "/engine_test_adopt.forest";
   ASSERT_TRUE(SaveFlatIndex(source.Flat(), path).ok());
   FlatHcdIndex loaded;
-  ASSERT_TRUE(LoadFlatSnapshot(path, SnapshotMode::kRead, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(path, &loaded).ok());
   std::remove(path.c_str());
   const auto flat = std::make_shared<const FlatHcdIndex>(std::move(loaded));
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/mapped_file.h"
+#include "common/random.h"
 
 #include "core/core_decomposition.h"
 #include "engine/engine.h"
@@ -29,6 +30,7 @@
 #include "graph/generators.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
+#include "hcd/query.h"
 #include "hcd/serialize.h"
 #include "hcd/validate.h"
 #include "nucleus/nucleus_decomposition.h"
@@ -326,6 +328,16 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   std::fclose(f);
 }
 
+/// Writes `bytes` to `path` and expects MapFlatIndex to reject them with
+/// Status::Corruption.
+void ExpectSnapshotCorrupt(const std::string& path,
+                           const std::vector<char>& bytes, const char* what) {
+  WriteAll(path, bytes);
+  FlatHcdIndex loaded;
+  const Status s = MapFlatIndex(path, &loaded);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << what << ": " << s.ToString();
+}
+
 TEST(FlatIndexSnapshot, V2RoundTripIsBitIdentical) {
   Graph g = RMatGraph500(9, 4000, 23);
   CoreDecomposition cd = PkcCoreDecomposition(g);
@@ -335,7 +347,7 @@ TEST(FlatIndexSnapshot, V2RoundTripIsBitIdentical) {
   const std::string path2 = ::testing::TempDir() + "/flat_rt2.bin";
   ASSERT_TRUE(SaveFlatIndex(flat, path1).ok());
   FlatHcdIndex loaded;
-  ASSERT_TRUE(LoadFlatIndex(path1, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
   EXPECT_TRUE(HcdEquals(flat, loaded));
   EXPECT_EQ(loaded.data().subtree_nodes, flat.data().subtree_nodes);
   ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
@@ -357,20 +369,9 @@ class FlatSnapshotCorruption : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Writes `bytes` and expects Corruption from BOTH loaders: the copying
-  /// fread path and the zero-copy mmap path share the header / size
-  /// validation and the Adopt funnel, so every corruption fixture must be
-  /// rejected identically by each.
+  /// Writes `bytes` and expects the loader to reject them as Corruption.
   void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    WriteAll(path_, bytes);
-    FlatHcdIndex loaded;
-    Status s = LoadFlatIndex(path_, &loaded);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "read: " << what << ": " << s.ToString();
-    FlatHcdIndex mapped;
-    s = MapFlatIndex(path_, &mapped);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "mmap: " << what << ": " << s.ToString();
+    ExpectSnapshotCorrupt(path_, bytes, what);
   }
 
   uint64_t HeaderWord(size_t i) const {
@@ -592,7 +593,7 @@ void ExpectV3RoundTrip(const FlatHcdIndex& flat, const char* tag) {
       ::testing::TempDir() + "/flat_v3_" + tag + "_2.bin";
   ASSERT_TRUE(SaveFlatIndex(flat, path1).ok());
   FlatHcdIndex loaded;
-  ASSERT_TRUE(LoadFlatIndex(path1, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
   EXPECT_TRUE(HcdEquals(flat, loaded));
   EXPECT_EQ(loaded.kind(), flat.kind());
   EXPECT_EQ(loaded.NumGraphVertices(), flat.NumGraphVertices());
@@ -637,17 +638,8 @@ class FlatSnapshotV3Corruption : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Rejection parity: both the copying and the mmap loader must refuse.
   void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    WriteAll(path_, bytes);
-    FlatHcdIndex loaded;
-    Status s = LoadFlatIndex(path_, &loaded);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "read: " << what << ": " << s.ToString();
-    FlatHcdIndex mapped;
-    s = MapFlatIndex(path_, &mapped);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "mmap: " << what << ": " << s.ToString();
+    ExpectSnapshotCorrupt(path_, bytes, what);
   }
 
   uint64_t HeaderWord(size_t i) const {
@@ -831,7 +823,7 @@ TEST(FlatIndexSnapshot, TablesShareTheForestAndSaveAsV4) {
   EXPECT_TRUE(std::equal(v2.begin() + 64, v2.end(), bytes.begin() + 80));
 
   FlatHcdIndex loaded;
-  ASSERT_TRUE(LoadFlatIndex(path1, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
   EXPECT_TRUE(HcdEquals(*tabled, loaded));
   EXPECT_TRUE(SameSearchTables(*tabled, loaded));
   ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
@@ -863,17 +855,8 @@ class FlatSnapshotV4Corruption : public ::testing::Test {
     return (count * sizeof(uint32_t) + 7) / 8 * 8;
   }
 
-  /// Rejection parity: both the copying and the mmap loader must refuse.
   void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    WriteAll(path_, bytes);
-    FlatHcdIndex loaded;
-    Status s = LoadFlatIndex(path_, &loaded);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "read: " << what << ": " << s.ToString();
-    FlatHcdIndex mapped;
-    s = MapFlatIndex(path_, &mapped);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption)
-        << "mmap: " << what << ": " << s.ToString();
+    ExpectSnapshotCorrupt(path_, bytes, what);
   }
 
   uint64_t HeaderWord(size_t i) const {
@@ -982,42 +965,37 @@ TEST(FlatSnapshotV4, V2FilesStillLoadAndBuildTheirTables) {
   HcdEngine source(&g);
   const std::string v2 = ::testing::TempDir() + "/flat_v4_from_v2.bin";
   ASSERT_TRUE(SaveFlatIndex(source.Flat(), v2).ok());
-  for (SnapshotMode mode : {SnapshotMode::kRead, SnapshotMode::kMmap}) {
-    FlatHcdIndex loaded;
-    ASSERT_TRUE(LoadFlatSnapshot(v2, mode, &loaded).ok());
-    EXPECT_FALSE(loaded.HasSearchTables());
-    HcdEngine engine(&g);
-    ASSERT_TRUE(
-        engine
-            .AdoptFlat(std::make_shared<const FlatHcdIndex>(std::move(loaded)))
-            .ok());
-    const FlatHcdIndex& sealed = *engine.Snapshot().state()->shared_flat();
-    EXPECT_TRUE(sealed.HasSearchTables());
-    EXPECT_TRUE(SameSearchTables(sealed,
-                                 *source.Snapshot().state()->shared_flat()));
-  }
+  FlatHcdIndex loaded;
+  ASSERT_TRUE(MapFlatIndex(v2, &loaded).ok());
+  EXPECT_FALSE(loaded.HasSearchTables());
+  HcdEngine engine(&g);
+  ASSERT_TRUE(
+      engine.AdoptFlat(std::make_shared<const FlatHcdIndex>(std::move(loaded)))
+          .ok());
+  const FlatHcdIndex& sealed = *engine.Snapshot().state()->shared_flat();
+  EXPECT_TRUE(sealed.HasSearchTables());
+  EXPECT_TRUE(
+      SameSearchTables(sealed, *source.Snapshot().state()->shared_flat()));
   std::remove(v2.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Mapped snapshots: MapFlatIndex must be observably identical to
-// LoadFlatIndex everywhere except storage ownership.
+// Mapped snapshots: a mapped index equals the index that was saved, section
+// by section. The saved index comes from Freeze (and BuildSearchTables), so
+// the compare does not run through the loader's own code.
 
-/// Saves `built`, loads it back through both loaders, and asserts the two
-/// results are bit-identical: every section element-equal, queries agree,
-/// and re-serializing the mapped index reproduces the input bytes.
-void ExpectMapMatchesRead(const FlatHcdIndex& built, const std::string& tag) {
+/// Saves `built`, maps it back, and asserts the mapped index is `built`
+/// bit for bit: every section element-equal, the search tables equal, the
+/// queries agree, and re-saving the mapped index reproduces the file.
+void ExpectMapMatchesSaved(const FlatHcdIndex& built, const std::string& tag) {
   const std::string path = ::testing::TempDir() + "/flat_map_" + tag + ".bin";
   ASSERT_TRUE(SaveFlatIndex(built, path).ok());
 
-  FlatHcdIndex read_loaded;
   FlatHcdIndex mapped;
-  ASSERT_TRUE(LoadFlatIndex(path, &read_loaded).ok()) << tag;
   ASSERT_TRUE(MapFlatIndex(path, &mapped).ok()) << tag;
-  EXPECT_FALSE(read_loaded.mapped()) << tag;
   EXPECT_TRUE(mapped.mapped()) << tag;
 
-  const FlatHcdIndex::Data& a = read_loaded.data();
+  const FlatHcdIndex::Data& a = built.data();
   const FlatHcdIndex::Data& b = mapped.data();
   EXPECT_EQ(a.kind, b.kind) << tag;
   EXPECT_EQ(a.num_vertices, b.num_vertices) << tag;
@@ -1034,9 +1012,8 @@ void ExpectMapMatchesRead(const FlatHcdIndex& built, const std::string& tag) {
   EXPECT_EQ(a.desc_level_order, b.desc_level_order) << tag;
   EXPECT_EQ(a.level_group_offsets, b.level_group_offsets) << tag;
   EXPECT_EQ(a.roots, b.roots) << tag;
-  EXPECT_TRUE(SameSearchTables(read_loaded, mapped)) << tag;
-  EXPECT_TRUE(SameSearchTables(read_loaded, built)) << tag;
-  EXPECT_TRUE(HcdEquals(read_loaded, mapped)) << tag;
+  EXPECT_TRUE(SameSearchTables(built, mapped)) << tag;
+  EXPECT_TRUE(HcdEquals(built, mapped)) << tag;
 
   const std::string resaved = path + ".resaved";
   ASSERT_TRUE(SaveFlatIndex(mapped, resaved).ok()) << tag;
@@ -1048,17 +1025,17 @@ void ExpectMapMatchesRead(const FlatHcdIndex& built, const std::string& tag) {
 class MappedSnapshotSuite
     : public ::testing::TestWithParam<testing::GraphCase> {};
 
-TEST_P(MappedSnapshotSuite, MapBitIdenticalToReadForEveryKind) {
+TEST_P(MappedSnapshotSuite, MapEqualsTheSavedIndexForEveryKind) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
-  ExpectMapMatchesRead(Freeze(NaiveHcdBuild(g, cd)),
-                       std::string(GetParam().name) + "_core");
-  ExpectMapMatchesRead(TabledCoreOf(g),
-                       std::string(GetParam().name) + "_core_tables");
-  ExpectMapMatchesRead(FreezeTrussOf(g),
-                       std::string(GetParam().name) + "_truss");
-  ExpectMapMatchesRead(FreezeNucleusOf(g),
-                       std::string(GetParam().name) + "_nucleus");
+  ExpectMapMatchesSaved(Freeze(NaiveHcdBuild(g, cd)),
+                        std::string(GetParam().name) + "_core");
+  ExpectMapMatchesSaved(TabledCoreOf(g),
+                        std::string(GetParam().name) + "_core_tables");
+  ExpectMapMatchesSaved(FreezeTrussOf(g),
+                        std::string(GetParam().name) + "_truss");
+  ExpectMapMatchesSaved(FreezeNucleusOf(g),
+                        std::string(GetParam().name) + "_nucleus");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1067,6 +1044,231 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<testing::GraphCase>& info) {
       return std::string(info.param.name);
     });
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz: damaged snapshots of every version either fail with
+// Corruption or load an index that is exactly what the bytes say.
+
+/// Byte range [begin, end) of one section of a saved snapshot, padding
+/// excluded.
+struct SectionRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Header words and section ranges of the snapshot SaveFlatIndex writes
+/// for `index`, in file order.
+size_t SnapshotLayout(const FlatHcdIndex& index,
+                      std::vector<SectionRange>* sections) {
+  const FlatHcdIndex::Data& d = index.data();
+  const size_t header_words = d.search_tables                  ? 10
+                              : d.kind == HierarchyKind::kCore ? 8
+                                                               : 12;
+  std::vector<size_t> bytes = {d.levels.size(),
+                               d.parents.size(),
+                               d.subtree_nodes.size(),
+                               d.child_offsets.size(),
+                               d.children.size(),
+                               d.vertex_offsets.size(),
+                               d.vertices.size(),
+                               d.tid.size(),
+                               d.desc_level_order.size(),
+                               d.level_group_offsets.size(),
+                               d.roots.size()};
+  if (d.kind != HierarchyKind::kCore) bytes.push_back(d.element_members.size());
+  for (size_t& b : bytes) b *= sizeof(uint32_t);
+  if (d.search_tables) {
+    bytes.push_back(d.primaries.size() * sizeof(PrimaryValues));
+    bytes.push_back(d.best_nodes.size() * sizeof(TreeNodeId));
+  }
+  sections->clear();
+  size_t offset = header_words * sizeof(uint64_t);
+  for (size_t b : bytes) {
+    sections->push_back({offset, offset + b});
+    offset += (b + 7) / 8 * 8;
+  }
+  return header_words;
+}
+
+/// One mutation of a snapshot image: bit flips, a truncation, an edited
+/// header count word, one section's bytes spliced over another's, or one
+/// 32-bit section entry moved by a small step.
+std::vector<char> MutateSnapshot(const std::vector<char>& image,
+                                 size_t header_words,
+                                 const std::vector<SectionRange>& sections,
+                                 Rng& rng) {
+  std::vector<char> out = image;
+  std::vector<SectionRange> filled;
+  for (const SectionRange& r : sections) {
+    if (r.end > r.begin) filled.push_back(r);
+  }
+  switch (rng.Uniform(5)) {
+    case 0:  // one to three bit flips anywhere
+      for (uint64_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        out[rng.Uniform(out.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+      }
+      break;
+    case 1:  // truncation
+      out.resize(rng.Uniform(out.size()));
+      break;
+    case 2: {  // a count word (not the magic) by a small step, or any value
+      const size_t at = (1 + rng.Uniform(header_words - 1)) * sizeof(uint64_t);
+      uint64_t word;
+      std::memcpy(&word, out.data() + at, sizeof(word));
+      const uint64_t step = 1 + rng.Uniform(3);
+      word = rng.Uniform(4) == 0   ? rng.Next64()
+             : rng.Uniform(2) == 0 ? word + step
+                                   : word - step;
+      std::memcpy(out.data() + at, &word, sizeof(word));
+      break;
+    }
+    case 3: {  // a prefix of one section copied over another's
+      if (filled.size() < 2) break;
+      const SectionRange& from = filled[rng.Uniform(filled.size())];
+      const SectionRange& to = filled[rng.Uniform(filled.size())];
+      const size_t len = std::min(from.end - from.begin, to.end - to.begin);
+      std::memmove(out.data() + to.begin, image.data() + from.begin, len);
+      break;
+    }
+    case 4: {  // one entry of one section moved by a small step
+      if (filled.empty()) break;
+      const SectionRange& r = filled[rng.Uniform(filled.size())];
+      const size_t at = r.begin + 4 * rng.Uniform((r.end - r.begin) / 4);
+      uint32_t entry;
+      std::memcpy(&entry, out.data() + at, sizeof(entry));
+      entry += rng.Uniform(2) == 0 ? 1 + rng.Uniform(2) : -1 - rng.Uniform(2);
+      std::memcpy(out.data() + at, &entry, sizeof(entry));
+      break;
+    }
+  }
+  return out;
+}
+
+/// Queries a loaded index the way the server does: every vertex's k-core
+/// at its own level and at level 1, and with search tables every
+/// best-node entry, scored.
+void WalkLoadedIndex(const FlatHcdIndex& index) {
+  for (VertexId v = 0; v < index.NumVertices(); ++v) {
+    const TreeNodeId tid = index.Tid(v);
+    if (tid == kInvalidNode) {
+      ASSERT_EQ(NodeOfKCoreContaining(index, v, 1), kInvalidNode);
+      continue;
+    }
+    ASSERT_EQ(NodeOfKCoreContaining(index, v, index.Level(tid)), tid);
+    if (index.Level(tid) >= 1) {
+      ASSERT_LT(NodeOfKCoreContaining(index, v, 1), index.NumNodes());
+    }
+  }
+  if (!index.HasSearchTables()) return;
+  const SearchIndex search(index);
+  const uint32_t table_len =
+      static_cast<uint32_t>(index.data().best_nodes.size() / kNumBestTables);
+  for (Metric metric : kAllMetrics) {
+    for (uint32_t k = 0; k < table_len; ++k) {
+      const TreeNodeId best = search.BestAtLeast(metric, k);
+      ASSERT_LT(best, index.NumNodes());
+      ASSERT_GE(index.Level(best), k);
+      (void)search.Score(metric, best);
+    }
+    ASSERT_EQ(search.BestAtLeast(metric, table_len), kInvalidNode);
+  }
+}
+
+TEST(FlatSnapshotFuzz, MutatedSnapshotsFailCleanlyOrResaveToTheSameBytes) {
+  constexpr int kMutationsPerImage = 200;
+  const std::string path = ::testing::TempDir() + "/flat_fuzz.bin";
+  const std::string resaved = ::testing::TempDir() + "/flat_fuzz_resaved.bin";
+  Rng rng(20261019);
+  int rejected = 0;
+  int loaded = 0;
+  for (const testing::GraphCase& c : testing::StandardGraphSuite()) {
+    const std::string name = c.name;
+    if (name != "ring_of_cliques" && name != "rmat" && name != "onion") {
+      continue;
+    }
+    const Graph& g = c.graph;
+    const FlatHcdIndex images[] = {
+        Freeze(NaiveHcdBuild(g, BzCoreDecomposition(g))),  // v2
+        TabledCoreOf(g),                                    // v4
+        FreezeTrussOf(g),                                   // v3
+        FreezeNucleusOf(g),                                 // v3
+    };
+    for (const FlatHcdIndex& built : images) {
+      SCOPED_TRACE(name + " kind " + HierarchyKindName(built.kind()) +
+                   (built.HasSearchTables() ? " v4" : ""));
+      ASSERT_TRUE(SaveFlatIndex(built, path).ok());
+      const std::vector<char> image = ReadAll(path);
+      std::vector<SectionRange> sections;
+      const size_t header_words = SnapshotLayout(built, &sections);
+      ASSERT_EQ((sections.back().end + 7) / 8 * 8, image.size());
+      for (int i = 0; i < kMutationsPerImage; ++i) {
+        const std::vector<char> mutated =
+            MutateSnapshot(image, header_words, sections, rng);
+        WriteAll(path, mutated);
+        FlatHcdIndex index;
+        const Status s = MapFlatIndex(path, &index);
+        if (!s.ok()) {
+          ++rejected;
+          ASSERT_EQ(s.code(), StatusCode::kCorruption)
+              << "mutation " << i << ": " << s.ToString();
+          continue;
+        }
+        ++loaded;
+        ASSERT_TRUE(SaveFlatIndex(index, resaved).ok());
+        const std::vector<char> again = ReadAll(resaved);
+        const size_t differ =
+            std::mismatch(again.begin(), again.end(), mutated.begin(),
+                          mutated.end())
+                .first -
+            again.begin();
+        ASSERT_EQ(again, mutated)
+            << "mutation " << i << " re-saves differently from byte " << differ;
+        WalkLoadedIndex(index);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "mutation " << i;
+      }
+    }
+  }
+  // The mutator does break files, and what it leaves intact still loads.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
+}
+
+/// Copies of `image`, a saved snapshot of `index`, each with the last
+/// padding byte of one padded section set. The writer pads with zeros, so
+/// an index loaded from such a file would re-save to other bytes.
+std::vector<std::vector<char>> WithNonzeroPadding(
+    const FlatHcdIndex& index, const std::vector<char>& image) {
+  std::vector<SectionRange> sections;
+  SnapshotLayout(index, &sections);
+  std::vector<std::vector<char>> copies;
+  for (const SectionRange& r : sections) {
+    if (r.end % 8 == 0) continue;
+    copies.push_back(image);
+    copies.back()[(r.end + 7) / 8 * 8 - 1] = 1;
+  }
+  EXPECT_FALSE(copies.empty()) << "fixture needs a padded section";
+  return copies;
+}
+
+TEST_F(FlatSnapshotCorruption, NonzeroPaddingIsRejected) {
+  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
+    ExpectCorrupt(bytes, "nonzero v2 padding");
+  }
+}
+
+TEST_F(FlatSnapshotV3Corruption, NonzeroPaddingIsRejected) {
+  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
+    ExpectCorrupt(bytes, "nonzero v3 padding");
+  }
+}
+
+TEST_F(FlatSnapshotV4Corruption, NonzeroPaddingIsRejected) {
+  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
+    ExpectCorrupt(bytes, "nonzero v4 padding");
+  }
+}
 
 TEST(FlatSnapshotMapped, SurvivesSourceFileUnlink) {
   // POSIX keeps mapped pages alive after the last directory entry goes;

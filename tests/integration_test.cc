@@ -98,7 +98,7 @@ TEST(Integration, SaveLoadSearchRoundTrip) {
   const std::string path = ::testing::TempDir() + "/integration_forest.bin";
   ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
   FlatHcdIndex loaded;
-  ASSERT_TRUE(LoadFlatIndex(path, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(path, &loaded).ok());
   SearchResult a = PbksSearch(g, cd, flat, Metric::kAverageDegree);
   SearchResult b = PbksSearch(g, cd, loaded, Metric::kAverageDegree);
   EXPECT_EQ(a.scores, b.scores);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "graph/builder.h"
@@ -33,6 +34,14 @@ TEST(EdgeIndexer, MapsBothDirections) {
     }
   }
   EXPECT_EQ(index.IdOf(g, 0, 1), kInvalidEdge);  // octahedron antipodal pair
+}
+
+TEST(EdgeIndexerDeathTest, AsymmetricAdjacencyFailsBeforeAnyWrite) {
+  // 0 and 1 list 2, and 2 lists nobody: the reverse cursor of 2 would run
+  // past its (empty) slice and past the end of eid_at.
+  const Graph g(std::vector<EdgeIndex>{0, 1, 2, 2},
+                std::vector<VertexId>{2, 2});
+  EXPECT_DEATH(BuildEdgeIndexer(g), "asymmetric adjacency");
 }
 
 TEST(EdgeSupports, CountTrianglesPerEdge) {

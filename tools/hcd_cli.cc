@@ -119,8 +119,6 @@ struct CliArgs {
   int watch_seconds = 0;       ///< 0: print one snapshot and exit
   bool server_phase_report = false;
   std::string snapshot_path;  ///< empty: build the hierarchy from the graph
-  /// Unset: the command's default (serve maps, the others read).
-  std::optional<SnapshotMode> snapshot_mode;
 };
 
 /// Parses all of `text` as a decimal integer in [lo, hi] into `*out`. On
@@ -193,31 +191,25 @@ void PrintJsonReport(const char* command, const CliArgs& args,
               extra.c_str(), Stages().ToJson().c_str());
 }
 
-/// Loads --snapshot in --snapshot-mode (`default_mode` when that flag is
-/// absent) as one "load.snapshot" stage.
-Status LoadSnapshot(const CliArgs& args, SnapshotMode default_mode,
+/// Maps --snapshot (MapFlatIndex) into a shared index.
+Status LoadSnapshot(const CliArgs& args,
                     std::shared_ptr<const FlatHcdIndex>* out) {
   FlatHcdIndex flat;
-  ScopedStage stage("load.snapshot");
-  Status s = LoadFlatSnapshot(args.snapshot_path,
-                              args.snapshot_mode.value_or(default_mode), &flat);
-  if (!s.ok()) return s;
-  stage.AddCounter("nodes", flat.NumNodes());
+  HCD_RETURN_IF_ERROR(MapFlatIndex(args.snapshot_path, &flat));
   *out = std::make_shared<const FlatHcdIndex>(std::move(flat));
   return Status::Ok();
 }
 
 /// Loads <graph> (the first positional) into an engine. With --snapshot it
-/// then installs the snapshot, read by default, as the engine's Flat()
-/// stage, so hierarchy construction is skipped and queries serve straight
-/// from the file's bytes (zero-copy under --snapshot-mode=mmap). On failure
-/// prints the error and returns null.
+/// then installs the mapped snapshot as the engine's Flat() stage, so
+/// hierarchy construction is skipped and queries serve straight from the
+/// file's bytes. On failure prints the error and returns null.
 std::unique_ptr<HcdEngine> OpenEngine(const CliArgs& args) {
   std::unique_ptr<HcdEngine> engine;
   Status s = HcdEngine::Load(args.pos[0], args.options, &engine);
   if (s.ok() && !args.snapshot_path.empty()) {
     std::shared_ptr<const FlatHcdIndex> flat;
-    s = LoadSnapshot(args, SnapshotMode::kRead, &flat);
+    s = LoadSnapshot(args, &flat);
     if (s.ok()) s = engine->AdoptFlat(std::move(flat));
   }
   if (s.ok()) return engine;
@@ -732,9 +724,8 @@ struct HostedServer {
   std::optional<server::QueryServer> server;
 };
 
-/// Loads <graph> (and --snapshot, mapped unless --snapshot-mode=read),
-/// builds the stack from the flags, and starts the server with at least
-/// `min_pending` admission slots.
+/// Loads <graph> (and maps --snapshot), builds the stack from the flags,
+/// and starts the server with at least `min_pending` admission slots.
 Status StartServer(const CliArgs& args, int min_pending, HostedServer* h) {
   if (args.slow_query_ms >= 0.0 && args.slow_log_path.empty()) {
     return Status::InvalidArgument(
@@ -745,12 +736,12 @@ Status StartServer(const CliArgs& args, int min_pending, HostedServer* h) {
   Status s = LoadGraph(args.pos[0], args.options, &graph);
   if (!s.ok()) return s;
   // --snapshot: load a prebuilt flat index instead of constructing the
-  // hierarchy at startup. Serving defaults to --snapshot-mode=mmap: the
-  // kernel pages the index in on demand and shares the page cache across
-  // restarts and processes, so the server is ready as soon as the graph is
-  // loaded and validation has run.
+  // hierarchy at startup. The snapshot is mapped: the kernel pages the
+  // index in on demand and shares the page cache across restarts and
+  // processes, so the server is ready as soon as the graph is loaded and
+  // validation has run.
   if (!args.snapshot_path.empty()) {
-    s = LoadSnapshot(args, SnapshotMode::kMmap, &h->snapshot_flat);
+    s = LoadSnapshot(args, &h->snapshot_flat);
     if (!s.ok()) return s;
     s = CheckSnapshotFits(*h->snapshot_flat, args.options.hierarchy,
                           graph.NumVertices(), graph.NumEdges());
@@ -809,10 +800,7 @@ int CmdServe(const CliArgs& args) {
           ? std::string(", ") + HierarchyKindName(args.options.hierarchy) +
                 " index"
           : "";
-  if (hosted.snapshot_flat != nullptr) {
-    hierarchy_note += std::string(", snapshot ") +
-                      (hosted.snapshot_flat->mapped() ? "mmap" : "read");
-  }
+  if (hosted.snapshot_flat != nullptr) hierarchy_note += ", snapshot";
   if (!args.slow_log_path.empty()) {
     hierarchy_note += ", slow log " + args.slow_log_path;
   }
@@ -1147,17 +1135,6 @@ bool ParseConnect(const char* flag, const std::string& value, CliArgs* a) {
   return ParseInt(flag, value.substr(colon + 1), 1, 65535, &a->connect_port);
 }
 
-bool ParseSnapshotModeFlag(const char* flag, const std::string& value,
-                           CliArgs* a) {
-  SnapshotMode mode;
-  if (!CheckChoice(flag, value, ParseSnapshotMode(value, &mode),
-                   "read or mmap")) {
-    return false;
-  }
-  a->snapshot_mode = mode;
-  return true;
-}
-
 const Flag kFlags[] = {
     {"--port", "N", kServers, IntFlag<&CliArgs::port, 0, 65535>,
      "TCP port on 127.0.0.1 (default: 0 =\n"
@@ -1222,14 +1199,9 @@ const Flag kFlags[] = {
     {"--snapshot", "FILE", Bit(kExport) | Bit(kServe),
      PathFlag<&CliArgs::snapshot_path>,
      "serve a prebuilt flat snapshot (written\n"
-     "by `build`) instead of constructing the\n"
-     "hierarchy; kind must match --hierarchy"},
-    {"--snapshot-mode", "read|mmap", Bit(kExport) | Bit(kServe),
-     ParseSnapshotModeFlag,
-     "how snapshot bytes reach memory: copy\n"
-     "them in (read) or alias the mmap'd file\n"
-     "zero-copy (mmap). Default: read, except\n"
-     "serve, which defaults to mmap"},
+     "by `build`, mapped read-only) instead of\n"
+     "constructing the hierarchy; kind must\n"
+     "match --hierarchy"},
     {"--algo", "phcd|lcps|naive", kAnyCommand,
      [](const char* f, const std::string& v, CliArgs* a) {
        return CheckChoice(f, v, ParseEngineAlgo(v, &a->options.algo),
