@@ -18,6 +18,7 @@
 #include "engine/engine.h"
 #include "hcd/local_core_search.h"
 #include "hcd/lower_bound.h"
+#include "hcd/phcd.h"
 
 namespace {
 
@@ -53,11 +54,12 @@ int main() {
 
   for (auto& ds : hcd::bench::LoadBenchSuite()) {
     const hcd::Graph& g = ds.graph;
-    // One shared engine provides the decomposition and a forest for the
-    // LB / RC baselines, which are not engine stages.
+    // One shared engine provides the decomposition for the LB / RC
+    // baselines, which are not engine stages; RC reads a builder forest,
+    // which the engine does not keep.
     hcd::HcdEngine engine(&g, {.algo = hcd::EngineAlgo::kPhcd});
     const hcd::CoreDecomposition& cd = engine.Coreness();
-    const hcd::HcdForest& forest = engine.Forest();
+    const hcd::HcdForest forest = hcd::PhcdBuild(g, cd);
 
     const double phcd1 = StageSeconds(g, hcd::EngineAlgo::kPhcd, 1, kBuild);
     const double lcps = StageSeconds(g, hcd::EngineAlgo::kLcps, 1, kBuild);

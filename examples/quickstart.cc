@@ -51,10 +51,11 @@ int main(int argc, char** argv) {
               graph.AverageDegree());
 
   // One engine = one loaded graph serving many queries. Stages are lazy and
-  // memoized: Coreness() runs PKC, Forest() runs PHCD, the first Search()
-  // builds the eager SearchIndex, and nothing is ever recomputed. (For
-  // concurrent serving, take engine.Snapshot() and give each worker thread
-  // its own SearchWorkspace — see engine/snapshot.h.)
+  // memoized: Coreness() runs PKC, Flat() runs PHCD and freezes its forest
+  // (the forest itself is not kept), the first Search() builds the eager
+  // SearchIndex, and nothing is ever recomputed. (For concurrent serving,
+  // take engine.Snapshot() and give each worker thread its own
+  // SearchWorkspace — see engine/snapshot.h.)
   hcd::StageTelemetry telemetry;
   telemetry.Install();
   hcd::HcdEngine engine(std::move(graph));

@@ -194,23 +194,20 @@ const NucleusDecomposition& HcdEngine::NucleusTheta() {
   return *nd_;
 }
 
-const HcdForest& HcdEngine::Forest() {
-  if (forest_) return *forest_;
-  heap_release_.armed = true;
+HcdForest HcdEngine::BuildForest() {
   if (options_.hierarchy == HierarchyKind::kTruss) {
     const EdgeIndexer& eidx = Edges();
     const TrussDecomposition& td = Trussness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
     if (options_.algo != EngineAlgo::kNaive) {
-      forest_ = BuildTrussHierarchy(*graph_, eidx, td);
-      return *forest_;
+      return BuildTrussHierarchy(*graph_, eidx, td);
     }
     // The oracle builder records no stage of its own; time it here.
     ScopedStage stage("truss.construction");
-    forest_ = NaiveTrussHierarchy(*graph_, eidx, td);
-    stage.AddCounter("nodes", forest_->NumNodes());
-    return *forest_;
+    HcdForest forest = NaiveTrussHierarchy(*graph_, eidx, td);
+    stage.AddCounter("nodes", forest.NumNodes());
+    return forest;
   }
   if (options_.hierarchy == HierarchyKind::kNucleus) {
     const EdgeIndexer& eidx = Edges();
@@ -219,65 +216,60 @@ const HcdForest& HcdEngine::Forest() {
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
     if (options_.algo != EngineAlgo::kNaive) {
-      forest_ = BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
-      return *forest_;
+      return BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
     }
     ScopedStage stage("nucleus.construction");
-    forest_ = NaiveNucleusHierarchy(*graph_, eidx, tidx, nd);
-    stage.AddCounter("nodes", forest_->NumNodes());
-    return *forest_;
+    HcdForest forest = NaiveNucleusHierarchy(*graph_, eidx, tidx, nd);
+    stage.AddCounter("nodes", forest.NumNodes());
+    return forest;
   }
-  {
-    const CoreDecomposition& cd = Coreness();
-    std::optional<ThreadCountGuard> guard;
-    if (options_.threads > 0) guard.emplace(options_.threads);
-    switch (options_.algo) {
-      case EngineAlgo::kPhcd:
-        forest_ = PhcdBuild(*graph_, cd);
-        break;
-      case EngineAlgo::kLcps:
-        forest_ = LcpsBuild(*graph_, cd);
-        break;
-      case EngineAlgo::kNaive: {
-        // The oracle builder records no stage of its own; time it here.
-        ScopedStage stage("construction");
-        forest_ = NaiveHcdBuild(*graph_, cd);
-        stage.AddCounter("nodes", forest_->NumNodes());
-        break;
-      }
-    }
+  const CoreDecomposition& cd = Coreness();
+  std::optional<ThreadCountGuard> guard;
+  if (options_.threads > 0) guard.emplace(options_.threads);
+  switch (options_.algo) {
+    case EngineAlgo::kPhcd:
+      return PhcdBuild(*graph_, cd);
+    case EngineAlgo::kLcps:
+      return LcpsBuild(*graph_, cd);
+    case EngineAlgo::kNaive:
+      break;
   }
-  return *forest_;
+  // The oracle builder records no stage of its own; time it here.
+  ScopedStage stage("construction");
+  HcdForest forest = NaiveHcdBuild(*graph_, cd);
+  stage.AddCounter("nodes", forest.NumNodes());
+  return forest;
 }
 
 const FlatHcdIndex& HcdEngine::Flat() {
-  if (flat_ == nullptr) {
-    const HcdForest& forest = Forest();
-    std::optional<ThreadCountGuard> guard;
-    if (options_.threads > 0) guard.emplace(options_.threads);
-    switch (options_.hierarchy) {
-      case HierarchyKind::kCore: {
-        ScopedStage stage("construction.freeze");
-        flat_ = std::make_shared<const FlatHcdIndex>(Freeze(forest));
-        stage.AddCounter("nodes", flat_->NumNodes());
-        break;
-      }
-      case HierarchyKind::kTruss: {
-        ScopedStage stage("truss.construction.freeze");
-        flat_ = std::make_shared<const FlatHcdIndex>(
-            FreezeTruss(*graph_, *eidx_, forest));
-        stage.AddCounter("nodes", flat_->NumNodes());
-        break;
-      }
-      case HierarchyKind::kNucleus: {
-        ScopedStage stage("nucleus.construction.freeze");
-        flat_ = std::make_shared<const FlatHcdIndex>(
-            FreezeNucleus(*graph_, *tidx_, forest));
-        stage.AddCounter("nodes", flat_->NumNodes());
-        break;
-      }
-    }
+  if (flat_ != nullptr) return *flat_;
+  heap_release_.armed = true;
+  HcdForest forest = BuildForest();
+  std::optional<ThreadCountGuard> guard;
+  if (options_.threads > 0) guard.emplace(options_.threads);
+  const HierarchyKind kind = options_.hierarchy;
+  ScopedStage stage(kind == HierarchyKind::kCore
+                        ? std::string("construction.freeze")
+                        : std::string(HierarchyKindName(kind)) +
+                              ".construction.freeze");
+  switch (kind) {
+    case HierarchyKind::kCore:
+      flat_ = std::make_shared<const FlatHcdIndex>(Freeze(forest));
+      break;
+    case HierarchyKind::kTruss:
+      flat_ = std::make_shared<const FlatHcdIndex>(
+          FreezeTruss(*graph_, *eidx_, forest));
+      break;
+    case HierarchyKind::kNucleus:
+      flat_ = std::make_shared<const FlatHcdIndex>(
+          FreezeNucleus(*graph_, *tidx_, forest));
+      break;
   }
+  // Serving reads only the frozen index, so the builder forest, one
+  // vector per node, is not kept: it goes here, inside the freeze stage,
+  // before anything the search tables allocate can stack on it.
+  forest = HcdForest();
+  stage.AddCounter("nodes", flat_->NumNodes());
   return *flat_;
 }
 

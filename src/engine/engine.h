@@ -79,10 +79,10 @@ Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
 
 /// The build-phase pipeline object behind every consumer of the library:
 /// owns (or borrows) one graph and computes each derived stage lazily, at
-/// most once — core decomposition, vertex rank, HCD forest, frozen flat
-/// index, search index. Repeated accessor calls return the same cached
-/// object, so e.g. all CLI commands and a long-lived query server pay for
-/// each stage once.
+/// most once — core decomposition, vertex rank, frozen flat index (built
+/// through a transient HCD forest), search index. Repeated accessor calls
+/// return the same cached object, so e.g. all CLI commands and a
+/// long-lived query server pay for each stage once.
 ///
 /// Thread counts are applied per stage with ThreadCountGuard (never by
 /// mutating global OpenMP state), and every stage is a ScopedStage: its
@@ -126,18 +126,16 @@ class HcdEngine {
   /// Vertex rank over Coreness() (stage "rank"). Computed on first call.
   const VertexRank& Rank();
 
-  /// Hierarchy forest of options().hierarchy built by options().algo
-  /// (stage "construction" / "truss.construction" /
-  /// "nucleus.construction"; for non-core kinds, kNaive selects the
-  /// definition-driven oracle builder and anything else the parallel PHCD
-  /// lift). Computed on first call. Builder-facing; query-side consumers
-  /// should use Flat().
-  const HcdForest& Forest();
-
-  /// Immutable kind-tagged flat index frozen from Forest() (stage
+  /// Immutable kind-tagged flat index of options().hierarchy (stage
   /// "construction.freeze", kind-prefixed for non-core kinds). Computed on
-  /// first call; this is the representation every query path (search,
-  /// stats, export) serves from.
+  /// first call: builds the hierarchy forest with options().algo (stage
+  /// "construction" / "truss.construction" / "nucleus.construction"; for
+  /// non-core kinds, kNaive selects the definition-driven oracle builder
+  /// and anything else the parallel PHCD lift), freezes it and releases it
+  /// inside the freeze stage. This is the representation every query path
+  /// (search, stats, export) serves from; the builder forest is not kept,
+  /// so a caller that needs an HcdForest calls a builder (PhcdBuild, ...)
+  /// itself.
   const FlatHcdIndex& Flat();
 
   /// Installs a prebuilt flat index (typically loaded or mmapped from a
@@ -180,7 +178,7 @@ class HcdEngine {
   /// so requesting it seals the serve-phase state (see Snapshot()).
   const SearchIndex& Searcher();
 
-  /// Finishes every query-side stage (Coreness, Forest, Flat, Searcher),
+  /// Finishes every query-side stage (Coreness, Flat, Searcher),
   /// seals them into one refcounted immutable SnapshotState (epoch 0) and
   /// returns a shared-ownership view over it. Cheap once built; repeated
   /// calls return snapshots over the same state. Snapshots own the state:
@@ -203,14 +201,17 @@ class HcdEngine {
   /// Builds state_ from the cached stages (first call only).
   const SnapshotState& SealedState();
 
+  /// The hierarchy forest Flat() freezes; not cached.
+  HcdForest BuildForest();
+
   /// Hands the heap pages a hierarchy build freed back to the OS once the
   /// engine is gone (malloc_trim on glibc). glibc keeps freed heap memory
   /// resident unless the top of the heap happens to be free, so without
   /// this the resident size after identical builds differs by several
   /// MiB, depending on where small unrelated allocations landed. Declared
   /// first so it runs after every stage cache below is destroyed; armed
-  /// only by Forest(), so an engine over an adopted index (a snapshot
-  /// restart) never trims.
+  /// only where Flat() builds a forest, so an engine over an adopted index
+  /// (a snapshot restart) never trims.
   struct BuildHeapRelease {
     bool armed = false;
     ~BuildHeapRelease();
@@ -221,11 +222,10 @@ class HcdEngine {
   EngineOptions options_;
   // Stage caches. Coreness and the flat index are refcounted so sealing
   // shares them with the SnapshotState without a move or copy — references
-  // handed out before Snapshot() stay valid after it. Rank and the builder
-  // forest are build-side only and never sealed.
+  // handed out before Snapshot() stay valid after it. Rank is build-side
+  // only and never sealed.
   std::shared_ptr<const CoreDecomposition> cd_;
   std::optional<VertexRank> rank_;
-  std::optional<HcdForest> forest_;
   std::shared_ptr<const FlatHcdIndex> flat_;
   std::shared_ptr<const SnapshotState> state_;
   SearchWorkspace workspace_;

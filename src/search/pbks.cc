@@ -222,6 +222,83 @@ TriangleWork CountTriangles(const OrientedAdjacency& out,
   return {wedge_checks, dense_word_ands};
 }
 
+/// Algorithm 5 lines 2-7: counts every triangle once, at its lowest-rank
+/// corner, over `out`, the adjacency OrientByRank built from a rank whose
+/// `sorted` array is `sorted`. With every edge oriented towards its
+/// higher-rank endpoint, a triangle v < u < w (by rank) has the out-edges
+/// v->u, v->w and u->w: v's pass sees u and w in N+(v) and finds w in
+/// N+(u). Neither u nor w has v as an out-neighbour, so no other pass sees
+/// it. Rows are in rank order and row r reads only rows above r, so the
+/// part the threads touch shrinks as r grows. Adds `out`'s shape and the
+/// work done to `span` ("pbks.triangles", which the caller opens before
+/// orienting).
+void TallyTriangles(const OrientedAdjacency& out,
+                    std::span<const VertexId> sorted,
+                    std::span<const uint32_t> slot,
+                    std::vector<int64_t>* triangles, ScopedSpan* span) {
+  const TriangleWork work = CountTriangles(out, sorted, slot, triangles);
+  span->AddArg("max_out_degree", out.max_out_degree);
+  span->AddArg("wedge_checks", work.wedge_checks);
+  span->AddArg("dense_vertices", sorted.size() - out.dense_begin);
+  span->AddArg("dense_word_ands", work.dense_word_ands);
+}
+
+/// Algorithm 5 lines 8-15 (span "pbks.triplets"): triplets centered at
+/// each vertex v. Wedges whose two arms both reach coreness >= c(v) appear
+/// with v (the lowest-rank member); wedges whose lowest arm has coreness
+/// k < c(v) appear at any neighbor w of coreness k (all such neighbours
+/// share w's slot: its tree node, joined through v, or its level). The
+/// descending loop walks c(v) levels per vertex; `levels_walked` sums
+/// them.
+void TallyTriplets(const Graph& graph, const CoreDecomposition& cd,
+                   const CorenessNeighborCounts& pre,
+                   std::span<const uint32_t> slot,
+                   std::vector<int64_t>* triplets) {
+  const VertexId n = graph.NumVertices();
+  ScopedSpan span("pbks.triplets");
+  uint64_t levels_walked = 0;
+#pragma omp parallel reduction(+ : levels_walked)
+  {
+    std::vector<VertexId> cnt(cd.k_max + 1, 0);
+    std::vector<VertexId> rep(cd.k_max + 1, 0);
+
+#pragma omp for schedule(dynamic, 64)
+    for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
+      const VertexId v = static_cast<VertexId>(vi);
+      const uint32_t cv = cd.coreness[v];
+      int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
+      {
+        const int64_t add = Choose2(gt_k);
+        if (add != 0) {
+#pragma omp atomic
+          (*triplets)[slot[v]] += add;
+        }
+      }
+      if (cv > 0) {
+        levels_walked += cv;
+        for (VertexId u : graph.Neighbors(v)) {
+          const uint32_t cu = cd.coreness[u];
+          if (cu < cv) {
+            ++cnt[cu];
+            rep[cu] = u;
+          }
+        }
+        for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
+          const int64_t c = cnt[k];
+          if (c > 0) {
+            const int64_t add = Choose2(c) + gt_k * c;
+#pragma omp atomic
+            (*triplets)[slot[rep[k]]] += add;
+            gt_k += c;
+            cnt[k] = 0;
+          }
+        }
+      }
+    }
+  }
+  span.AddArg("levels_walked", levels_walked);
+}
+
 /// Parallel bottom-up tree accumulation (Algorithm 3 lines 6-9): processes
 /// the index's precomputed level groups in descending order; nodes inside a
 /// group accumulate into their parents concurrently (atomics: two
@@ -356,77 +433,15 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
                                const CorenessNeighborCounts& pre,
                                std::span<const uint32_t> slot,
                                size_t num_slots) {
-  const VertexId n = graph.NumVertices();
   TypeBTallies t;
   t.triangles.assign(num_slots, 0);
   t.triplets.assign(num_slots, 0);
-
-  // --- Triangles (lines 2-7), counted once, at the lowest-rank corner.
-  // With every edge oriented towards its higher-rank endpoint, a triangle
-  // v < u < w (by rank) has the out-edges v->u, v->w and u->w: v's pass
-  // sees u and w in N+(v) and finds w in N+(u). Neither u nor w has v as
-  // an out-neighbour, so no other pass sees it. The oriented adjacency
-  // lives for this block only. Its rows are in rank order and row r reads
-  // only rows above r, so the part the threads touch shrinks as r grows.
   {
     ScopedSpan span("pbks.triangles");
-    const OrientedAdjacency out = OrientByRank(graph, vr);
-    const TriangleWork work = CountTriangles(out, vr.sorted, slot,
-                                             &t.triangles);
-    span.AddArg("max_out_degree", out.max_out_degree);
-    span.AddArg("wedge_checks", work.wedge_checks);
-    span.AddArg("dense_vertices", n - out.dense_begin);
-    span.AddArg("dense_word_ands", work.dense_word_ands);
+    TallyTriangles(OrientByRank(graph, vr), vr.sorted, slot, &t.triangles,
+                   &span);
   }
-
-  // --- Triplets centered at v (lines 8-15). Wedges whose two arms both
-  // reach coreness >= c(v) appear with v (the lowest-rank member); wedges
-  // whose lowest arm has coreness k < c(v) appear at any neighbor w of
-  // coreness k (all such neighbours share w's slot: its tree node, joined
-  // through v, or its level). The descending loop walks c(v) levels per
-  // vertex; `levels_walked` sums them.
-  ScopedSpan span("pbks.triplets");
-  uint64_t levels_walked = 0;
-#pragma omp parallel reduction(+ : levels_walked)
-  {
-    std::vector<VertexId> cnt(cd.k_max + 1, 0);
-    std::vector<VertexId> rep(cd.k_max + 1, 0);
-
-#pragma omp for schedule(dynamic, 64)
-    for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
-      const VertexId v = static_cast<VertexId>(vi);
-      const uint32_t cv = cd.coreness[v];
-      int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
-      {
-        const int64_t add = Choose2(gt_k);
-        if (add != 0) {
-#pragma omp atomic
-          t.triplets[slot[v]] += add;
-        }
-      }
-      if (cv > 0) {
-        levels_walked += cv;
-        for (VertexId u : graph.Neighbors(v)) {
-          const uint32_t cu = cd.coreness[u];
-          if (cu < cv) {
-            ++cnt[cu];
-            rep[cu] = u;
-          }
-        }
-        for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
-          const int64_t c = cnt[k];
-          if (c > 0) {
-            const int64_t add = Choose2(c) + gt_k * c;
-#pragma omp atomic
-            t.triplets[slot[rep[k]]] += add;
-            gt_k += c;
-            cnt[k] = 0;
-          }
-        }
-      }
-    }
-  }
-  span.AddArg("levels_walked", levels_walked);
+  TallyTriplets(graph, cd, pre, slot, &t.triplets);
   return t;
 }
 
@@ -445,7 +460,7 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
 std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
                                        const CoreDecomposition& cd,
                                        const FlatHcdIndex& index,
-                                       const CorenessNeighborCounts& pre) {
+                                       CorenessNeighborCounts pre) {
   std::vector<PrimaryValues> rows = OwnVertexRows(index);
   {
     ScopedStage stage("search.primary_a");
@@ -455,10 +470,24 @@ std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
   }
   {
     ScopedStage stage("search.primary_b");
-    const VertexRank vr = ComputeOrientationRank(graph, cd);
-    SetTypeBTallies(CountTypeBTallies(graph, cd, vr, pre, index.data().tid,
-                                      index.NumNodes()),
-                    rows);
+    const std::span<const uint32_t> slot = index.data().tid;
+    TypeBTallies b;
+    b.triangles.assign(index.NumNodes(), 0);
+    b.triplets.assign(index.NumNodes(), 0);
+    // Each input goes as soon as its last reader is done, so the oriented
+    // adjacency, the largest array, does not stack on them: the counts
+    // after the triplets, the rank's `rank` array once the orientation is
+    // built (the count reads only `sorted`).
+    TallyTriplets(graph, cd, pre, slot, &b.triplets);
+    pre = CorenessNeighborCounts();
+    VertexRank vr = ComputeOrientationRank(graph, cd);
+    {
+      ScopedSpan span("pbks.triangles");
+      const OrientedAdjacency out = OrientByRank(graph, vr);
+      vr.rank = std::vector<VertexId>();
+      TallyTriangles(out, vr.sorted, slot, &b.triangles, &span);
+    }
+    SetTypeBTallies(b, rows);
   }
   ScopedSpan span("search.accumulate");
   AccumulatePrimaryUp(index, rows);

@@ -116,10 +116,14 @@ std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
 /// ComputeOrientationRank (stage "search.primary_b"), then one bottom-up
 /// accumulation (span "search.accumulate"). Row i equals PbksTypeAPrimary's
 /// n(S), 2*m(S), b(S) and PbksTypeBPrimary's Delta(S), t(S) of node i.
+/// Takes `pre` by value so that it can free it: the type-B pass counts the
+/// triplets first, then frees `pre`, orients the graph and frees the
+/// rank's `rank` array before counting the triangles, so that the oriented
+/// adjacency is not held next to arrays that no longer have a reader.
 std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
                                        const CoreDecomposition& cd,
                                        const FlatHcdIndex& index,
-                                       const CorenessNeighborCounts& pre);
+                                       CorenessNeighborCounts pre);
 
 /// Evaluates `metric` on every node's accumulated primary values and
 /// returns all scores plus the best k-core (Algorithm 3's final step).

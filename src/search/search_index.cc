@@ -19,15 +19,13 @@ std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
     const Graph& graph, const CoreDecomposition& cd,
     std::shared_ptr<const FlatHcdIndex> flat) {
   const FlatHcdIndex& index = *flat;
-  std::vector<PrimaryValues> rows;
+  CorenessNeighborCounts pre;
   {
-    CorenessNeighborCounts pre;
-    {
-      ScopedStage stage("search.preprocess");
-      pre = PreprocessCorenessCounts(graph, cd);
-    }
-    rows = PbksPrimary(graph, cd, index, pre);
+    ScopedStage stage("search.preprocess");
+    pre = PreprocessCorenessCounts(graph, cd);
   }
+  std::vector<PrimaryValues> rows =
+      PbksPrimary(graph, cd, index, std::move(pre));
   ScopedSpan span("search.best_nodes");
   const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
   std::vector<TreeNodeId> best;

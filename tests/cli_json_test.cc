@@ -175,7 +175,12 @@ TEST_F(CliJsonTest, GenAndConvert) {
 
 TEST_F(CliJsonTest, EngineCommands) {
   RunAndParse("stats " + bin_path_, "stats");
-  RunAndParse("build " + bin_path_ + " " + WorkDir() + "/g.forest", "build");
+  const JsonValue build = RunAndParse(
+      "build " + bin_path_ + " " + WorkDir() + "/g.forest", "build");
+  // The envelope carries the process's peak resident set (getrusage).
+  const JsonValue* peak_rss_mb = build.Find("peak_rss_mb");
+  ASSERT_NE(peak_rss_mb, nullptr);
+  EXPECT_GT(peak_rss_mb->number, 0.0);
   RunAndParse("search " + bin_path_ + " conductance", "search");
   RunAndParse("export " + bin_path_ + " " + WorkDir() + "/g.dot", "export");
   RunAndParse("bestk " + bin_path_ + " average-degree", "bestk");

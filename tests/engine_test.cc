@@ -33,13 +33,11 @@ TEST(EngineTest, StagesAreMemoized) {
   HcdEngine engine(RMatGraph500(9, 3000, 5));
   const CoreDecomposition* cd = &engine.Coreness();
   const VertexRank* rank = &engine.Rank();
-  const HcdForest* forest = &engine.Forest();
   const FlatHcdIndex* flat = &engine.Flat();
   const SearchIndex* searcher = &engine.Searcher();
   // Second calls return the same objects, not recomputations.
   EXPECT_EQ(cd, &engine.Coreness());
   EXPECT_EQ(rank, &engine.Rank());
-  EXPECT_EQ(forest, &engine.Forest());
   EXPECT_EQ(flat, &engine.Flat());
   EXPECT_EQ(searcher, &engine.Searcher());
 }
@@ -55,7 +53,6 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   engine.Search(Metric::kAverageDegree);
   engine.Coreness();
   engine.Rank();
-  engine.Forest();
   engine.Flat();
   engine.Searcher();
   t.Uninstall();
@@ -96,14 +93,12 @@ TEST(EngineTest, AlgoSelectionProducesEquivalentForests) {
     HcdEngine phcd(&c.graph, {.algo = EngineAlgo::kPhcd});
     HcdEngine lcps(&c.graph, {.algo = EngineAlgo::kLcps});
     HcdEngine naive(&c.graph, {.algo = EngineAlgo::kNaive});
-    EXPECT_TRUE(HcdEquals(phcd.Forest(), naive.Forest()));
-    EXPECT_TRUE(HcdEquals(lcps.Forest(), naive.Forest()));
-    // The frozen index preserves the hierarchy of its source forest.
-    EXPECT_TRUE(HcdEquals(phcd.Forest(), lcps.Flat()));
-    EXPECT_TRUE(
-        ValidateHcd(c.graph, phcd.Coreness(), phcd.Forest()).ok());
+    EXPECT_TRUE(HcdEquals(phcd.Flat(), naive.Flat()));
+    EXPECT_TRUE(HcdEquals(lcps.Flat(), naive.Flat()));
     EXPECT_TRUE(
         ValidateHcd(c.graph, phcd.Coreness(), phcd.Flat()).ok());
+    EXPECT_TRUE(
+        ValidateHcd(c.graph, lcps.Coreness(), lcps.Flat()).ok());
   }
 }
 

@@ -39,6 +39,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench/bench_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -178,17 +180,26 @@ const StageTelemetry& Stages() {
   return *StageTelemetry::Current();
 }
 
+/// The process's peak resident set so far, in MiB (getrusage's
+/// ru_maxrss, which Linux reports in KiB).
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 /// Prints the shared JSON envelope: command, effective options, graph
-/// shape, optional extra fields (`",\"result\":{...}"`), and the
-/// invocation's per-stage telemetry.
+/// shape, the process's peak resident set, optional extra fields
+/// (`",\"result\":{...}"`), and the invocation's per-stage telemetry.
 void PrintJsonReport(const char* command, const CliArgs& args,
                      HcdEngine& engine, const std::string& extra = "") {
   std::printf("{\"command\":\"%s\",\"algo\":\"%s\",\"threads\":%d,"
-              "\"graph\":{\"n\":%u,\"m\":%llu}%s,\"telemetry\":%s}\n",
+              "\"graph\":{\"n\":%u,\"m\":%llu},\"peak_rss_mb\":%.2f%s,"
+              "\"telemetry\":%s}\n",
               command, EngineAlgoName(args.options.algo),
               args.options.threads, engine.graph().NumVertices(),
               static_cast<unsigned long long>(engine.graph().NumEdges()),
-              extra.c_str(), Stages().ToJson().c_str());
+              PeakRssMb(), extra.c_str(), Stages().ToJson().c_str());
 }
 
 /// Maps --snapshot (MapFlatIndex) into a shared index.
@@ -461,26 +472,25 @@ int CmdTruss(const CliArgs& args) {
   truss_args.options.hierarchy = HierarchyKind::kTruss;
   const std::unique_ptr<HcdEngine> engine = OpenEngine(truss_args);
   if (engine == nullptr) return 1;
-  const EdgeIndexer& index = engine->Edges();
   const TrussDecomposition& td = engine->Trussness();
-  const TrussForest& forest = engine->Forest();
+  const FlatHcdIndex& flat = engine->Flat();
   DensestTrussResult best;
   {
     ScopedStage stage("truss.densest");
-    best = DensestTruss(index, forest);
+    best = DensestTruss(flat);
   }
   if (args.json) {
     char extra[256];
     std::snprintf(extra, sizeof(extra),
                   ",\"result\":{\"k_max\":%u,\"tree_nodes\":%u,"
                   "\"densest_k\":%u,\"densest_size\":%zu}",
-                  td.k_max, forest.NumNodes(), best.level,
+                  td.k_max, flat.NumNodes(), best.level,
                   best.community.vertices.size());
     PrintJsonReport("truss", args, *engine, extra);
     return 0;
   }
   std::printf("truss k_max  %u\n", td.k_max);
-  std::printf("tree nodes   %u\n", forest.NumNodes());
+  std::printf("tree nodes   %u\n", flat.NumNodes());
   std::printf("densest      k=%u |V|=%zu |E|=%llu avg_deg=%.2f\n", best.level,
               best.community.vertices.size(),
               static_cast<unsigned long long>(best.community.num_edges),
