@@ -36,7 +36,8 @@ int main() {
     const double treep = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::BuildTrussHierarchy(g, index, td); }, 2);
 
-    hcd::DensestTrussResult best = hcd::DensestTruss(index, forest);
+    hcd::DensestTrussResult best =
+        hcd::DensestTruss(hcd::FreezeTruss(g, index, forest));
     std::printf("%-4s | %10.3f %10.3f | %10.3f %10.3f | %6u %7u | k=%-3u "
                 "d=%.1f\n",
                 ds.name.c_str(), decomp1, decompp, tree1, treep, td.k_max,

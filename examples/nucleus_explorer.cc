@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 #include "common/timer.h"
 #include "graph/generators.h"
@@ -45,18 +44,17 @@ int main(int argc, char** argv) {
   }
 
   // Deepest nucleus: its triangles span a near-clique.
-  auto order = forest.NodesByDescendingLevel();
+  const hcd::FlatHcdIndex flat = hcd::FreezeNucleus(graph, tidx, forest);
+  const auto order = flat.NodesByDescendingLevel();
   if (!order.empty() && nd.k_max > 0) {
-    hcd::TreeNodeId deepest = order.front();
-    std::set<hcd::VertexId> span;
-    for (hcd::VertexId tri : forest.CoreVertices(deepest)) {
-      for (hcd::VertexId v : tidx.triangles[tri]) span.insert(v);
-    }
+    const hcd::TreeNodeId deepest = order.front();
+    const hcd::NucleusCommunity community =
+        hcd::NucleusCommunityOf(flat, deepest);
     std::printf("deepest nucleus: theta=%u, %llu triangles over %zu "
                 "vertices (theta+4 = %u-clique territory)\n",
-                forest.Level(deepest),
-                static_cast<unsigned long long>(forest.CoreSize(deepest)),
-                span.size(), forest.Level(deepest) + 4);
+                flat.Level(deepest),
+                static_cast<unsigned long long>(community.num_triangles),
+                community.vertices.size(), flat.Level(deepest) + 4);
   }
   return 0;
 }

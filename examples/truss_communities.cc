@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(per_level[k]));
   }
 
-  hcd::DensestTrussResult best = hcd::DensestTruss(index, forest);
+  hcd::DensestTrussResult best =
+      hcd::DensestTruss(hcd::FreezeTruss(graph, index, forest));
   std::printf("densest k-truss: k=%u, |V|=%zu, |E|=%llu, avg_deg=%.2f\n",
               best.level, best.community.vertices.size(),
               static_cast<unsigned long long>(best.community.num_edges),

@@ -265,9 +265,10 @@ const FlatHcdIndex& HcdEngine::Flat() {
           FreezeNucleus(*graph_, *tidx_, forest));
       break;
   }
-  // Serving reads only the frozen index, so the builder forest, one
-  // vector per node, is not kept: it goes here, inside the freeze stage,
-  // before anything the search tables allocate can stack on it.
+  // Serving reads only the frozen index, so the builder forest (levels,
+  // parents and an n-entry tid) is not kept: it goes here, inside the
+  // freeze stage, before anything the search tables allocate can stack on
+  // it.
   forest = HcdForest();
   stage.AddCounter("nodes", flat_->NumNodes());
   return *flat_;

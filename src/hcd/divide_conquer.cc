@@ -71,7 +71,7 @@ HcdForest DivideAndConquerHcd(const Graph& graph, const CoreDecomposition& cd,
       const VertexId v = stack.back();
       stack.pop_back();
       if (cd.coreness[v] == k) {
-        forest.AddVertex(node, v);
+        forest.Place(node, v);
         final_of_partial[partial_of[v]] = node;
       }
       for (VertexId u : graph.Neighbors(v)) {
@@ -84,12 +84,10 @@ HcdForest DivideAndConquerHcd(const Graph& graph, const CoreDecomposition& cd,
   }
 
   // Step 5: parent-child relations via local k-core searches (RC).
-  forest.BuildChildren();  // child lists required by RcComputeParents users
   const std::vector<TreeNodeId> parents = RcComputeParents(graph, cd, forest);
   for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
     if (parents[t] != kInvalidNode) forest.SetParent(t, parents[t]);
   }
-  forest.BuildChildren();
   return forest;
 }
 

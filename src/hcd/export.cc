@@ -4,22 +4,20 @@
 #include <sstream>
 
 namespace hcd {
-namespace {
 
-template <typename Hierarchy>
-std::string ForestToDotImpl(const Hierarchy& forest, const DotOptions& options) {
+std::string ForestToDot(const FlatHcdIndex& index, const DotOptions& options) {
   std::ostringstream out;
   out << "digraph hcd {\n";
   out << "  rankdir=BT;\n";
   out << "  node [shape=box, style=filled];\n";
   uint32_t max_level = 1;
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    max_level = std::max(max_level, forest.Level(t));
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    max_level = std::max(max_level, index.Level(t));
   }
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    out << "  n" << t << " [label=\"k=" << forest.Level(t) << " |V|="
-        << forest.Vertices(t).size() << "\\n{";
-    const auto verts = forest.Vertices(t);
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    out << "  n" << t << " [label=\"k=" << index.Level(t) << " |V|="
+        << index.Vertices(t).size() << "\\n{";
+    const auto verts = index.Vertices(t);
     for (size_t i = 0; i < verts.size() && i < options.max_vertices_per_label;
          ++i) {
       if (i > 0) out << ",";
@@ -29,62 +27,43 @@ std::string ForestToDotImpl(const Hierarchy& forest, const DotOptions& options) 
     out << "}\"";
     if (options.color_by_level) {
       // Map level to one of 9 blues (1 = lightest).
-      uint32_t shade = 1 + (forest.Level(t) * 8) / std::max(max_level, 1u);
+      uint32_t shade = 1 + (index.Level(t) * 8) / std::max(max_level, 1u);
       out << ", colorscheme=blues9, fillcolor=" << std::min(shade, 9u);
     }
     out << "];\n";
   }
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    if (forest.Parent(t) != kInvalidNode) {
-      out << "  n" << t << " -> n" << forest.Parent(t) << ";\n";
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    if (index.Parent(t) != kInvalidNode) {
+      out << "  n" << t << " -> n" << index.Parent(t) << ";\n";
     }
   }
   out << "}\n";
   return out.str();
 }
 
-template <typename Hierarchy>
-std::string ForestToJsonImpl(const Hierarchy& forest) {
+std::string ForestToJson(const FlatHcdIndex& index) {
   std::ostringstream out;
   out << "[\n";
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    out << "  {\"id\": " << t << ", \"level\": " << forest.Level(t)
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    out << "  {\"id\": " << t << ", \"level\": " << index.Level(t)
         << ", \"parent\": ";
-    if (forest.Parent(t) == kInvalidNode) {
+    if (index.Parent(t) == kInvalidNode) {
       out << "null";
     } else {
-      out << forest.Parent(t);
+      out << index.Parent(t);
     }
     out << ", \"vertices\": [";
-    const auto verts = forest.Vertices(t);
+    const auto verts = index.Vertices(t);
     for (size_t i = 0; i < verts.size(); ++i) {
       if (i > 0) out << ", ";
       out << verts[i];
     }
     out << "]}";
-    if (t + 1 < forest.NumNodes()) out << ",";
+    if (t + 1 < index.NumNodes()) out << ",";
     out << "\n";
   }
   out << "]\n";
   return out.str();
-}
-
-}  // namespace
-
-std::string ForestToDot(const HcdForest& forest, const DotOptions& options) {
-  return ForestToDotImpl(forest, options);
-}
-
-std::string ForestToDot(const FlatHcdIndex& index, const DotOptions& options) {
-  return ForestToDotImpl(index, options);
-}
-
-std::string ForestToJson(const HcdForest& forest) {
-  return ForestToJsonImpl(forest);
-}
-
-std::string ForestToJson(const FlatHcdIndex& index) {
-  return ForestToJsonImpl(index);
 }
 
 }  // namespace hcd

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "hcd/flat_index.h"
-#include "hcd/forest.h"
 
 namespace hcd {
 
@@ -17,16 +16,11 @@ struct DotOptions {
 };
 
 /// Renders the hierarchy as Graphviz DOT (one graph node per tree node,
-/// edges parent -> child), the paper's visualization application. Accepts
-/// either the builder forest or the frozen index.
-std::string ForestToDot(const HcdForest& forest, const DotOptions& options = {});
+/// edges parent -> child), the paper's visualization application.
 std::string ForestToDot(const FlatHcdIndex& index, const DotOptions& options = {});
 
 /// Renders the hierarchy as a JSON document: an array of
-/// {"id", "level", "parent", "vertices"} objects. Note the two
-/// representations number nodes differently (the frozen index uses
-/// preorder ids), so their JSON differs in ids but not in structure.
-std::string ForestToJson(const HcdForest& forest);
+/// {"id", "level", "parent", "vertices"} objects, ids in preorder.
 std::string ForestToJson(const FlatHcdIndex& index);
 
 }  // namespace hcd

@@ -9,10 +9,7 @@
 #include "parallel/omp_utils.h"
 
 namespace hcd {
-namespace {
 
-/// Counting sort of node ids by descending level, ties by ascending id.
-/// Also emits the group boundaries (one group per distinct level).
 void BuildDescLevelOrder(std::span<const uint32_t> levels,
                          std::vector<TreeNodeId>* order,
                          std::vector<uint32_t>* group_offsets) {
@@ -37,6 +34,8 @@ void BuildDescLevelOrder(std::span<const uint32_t> levels,
     (*order)[cursor[max_level - levels[t]]++] = t;
   }
 }
+
+namespace {
 
 Status Corrupt(const std::string& msg) {
   return Status::Corruption("flat index: " + msg);
@@ -332,10 +331,9 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   d.tid.assign(n, kInvalidNode);
   if (num_nodes == 0) return out;
 
-  // Child CSR over the builder's node ids, straight from parent pointers
-  // (works whether or not BuildChildren ran). Freeze re-checks the level
-  // contract so a malformed builder forest fails loudly here instead of
-  // producing a cyclic "preorder".
+  // Child CSR over the builder's node ids, straight from parent pointers.
+  // Freeze re-checks the level contract so a malformed builder forest fails
+  // loudly here instead of producing a cyclic "preorder".
   std::vector<uint32_t> old_child_offsets(num_nodes + 1, 0);
   std::vector<TreeNodeId> old_children;
   {
@@ -372,10 +370,16 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   // ancestor/descendant, so each descending-level group is one parallel
   // step whose reads (children) were all written by earlier groups; a group
   // below kParallelGrain nodes runs on the calling thread.
+  std::vector<uint32_t> own_verts(num_nodes, 0);
   std::vector<TreeNodeId> sub_nodes(num_nodes);
   std::vector<uint32_t> sub_verts(num_nodes);
   {
     ScopedSpan span("freeze.subtree_counts");
+    // Each node's own element count, from tid.
+    for (VertexId v = 0; v < n; ++v) {
+      const TreeNodeId t = forest.Tid(v);
+      if (t != kInvalidNode) ++own_verts[t];
+    }
     std::vector<TreeNodeId> old_order;
     std::vector<uint32_t> old_group_offsets;
     BuildDescLevelOrder(old_levels, &old_order, &old_group_offsets);
@@ -387,7 +391,7 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
       for (int64_t i = begin; i < end; ++i) {
         const TreeNodeId t = old_order[i];
         TreeNodeId sn = 1;
-        uint32_t sv = static_cast<uint32_t>(forest.Vertices(t).size());
+        uint32_t sv = own_verts[t];
         for (TreeNodeId c : old_children_of(t)) {
           sn += sub_nodes[c];
           sv += sub_verts[c];
@@ -458,10 +462,7 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
           d.parents[new_t] =
               old_p == kInvalidNode ? kInvalidNode : old2new[old_p];
           d.vertex_offsets[new_t] = next_slot;
-          for (VertexId v : forest.Vertices(old_t)) {
-            d.vertices[next_slot++] = v;
-            d.tid[v] = new_t;
-          }
+          next_slot += own_verts[old_t];
           // Push in reverse so children pop (and get numbered) in ascending
           // builder order.
           const std::span<const TreeNodeId> kids = old_children_of(old_t);
@@ -471,6 +472,22 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
         numbered += sub_nodes[old_roots[r]];
       }
       worker_span.AddArg("nodes", numbered);
+    }
+  }
+
+  // Elements into the slots the preorder reserved: one counting scatter
+  // over tid, in ascending element id, so each node's span is ascending.
+  {
+    ScopedSpan span("freeze.scatter");
+    span.AddArg("elements", total_placed);
+    std::vector<uint32_t> cursor(d.vertex_offsets.begin(),
+                                 d.vertex_offsets.end() - 1);
+    for (VertexId v = 0; v < n; ++v) {
+      const TreeNodeId t = forest.Tid(v);
+      if (t == kInvalidNode) continue;
+      const TreeNodeId new_t = old2new[t];
+      d.tid[v] = new_t;
+      d.vertices[cursor[new_t]++] = v;
     }
   }
 
@@ -504,32 +521,21 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   return out;
 }
 
-FlatHcdIndex Freeze(HcdForest&& forest) {
-  FlatHcdIndex out = Freeze(static_cast<const HcdForest&>(forest));
-  forest = HcdForest();  // release the builder arrays eagerly
-  return out;
-}
-
 FlatHcdIndex Freeze(const HcdForest& forest, HierarchyKind kind,
-                    std::span<const VertexId> element_members,
+                    std::vector<VertexId> element_members,
                     VertexId num_graph_vertices) {
+  HCD_CHECK(kind != HierarchyKind::kCore)
+      << "a core forest freezes with Freeze(forest)";
   ScopedSpan span("freeze.kind");
   span.AddArg("kind", std::string(HierarchyKindName(kind)));
   FlatHcdIndex out = Freeze(forest);
   FlatHcdIndex::Data& d = out.data_;
-  if (kind == HierarchyKind::kCore) {
-    HCD_CHECK(element_members.empty())
-        << "core freeze takes no element members";
-    HCD_CHECK_EQ(num_graph_vertices, d.num_vertices);
-    return out;
-  }
   HCD_CHECK_EQ(element_members.size(),
                static_cast<uint64_t>(ElementArity(kind)) * d.num_vertices)
       << "element member array must be arity-strided over every element id";
   d.kind = kind;
   d.num_graph_vertices = num_graph_vertices;
-  d.element_members =
-      std::vector<VertexId>(element_members.begin(), element_members.end());
+  d.element_members = std::move(element_members);
   return out;
 }
 

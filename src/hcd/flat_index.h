@@ -19,19 +19,20 @@ namespace hcd {
 /// Immutable, query-facing representation of a hierarchical core
 /// decomposition (Section II-B).
 ///
-/// `HcdForest` stays the builder-facing structure (NewNode / AddVertex /
-/// SetParent); `Freeze` renumbers its nodes in preorder and packs everything
-/// into flat CSR arrays. Preorder numbering gives every node a contiguous
-/// subtree interval, which is what makes the index cheap to serve from:
+/// The builders write an `HcdForest`: levels, parents and tid, nothing
+/// grouped per node. `Freeze` renumbers its nodes in preorder, groups the
+/// elements by node and packs everything into flat CSR arrays. Preorder
+/// numbering gives every node a contiguous subtree interval, which is what
+/// makes the index cheap to serve from:
 ///
 ///   - subtree of t        = node ids [t, t + SubtreeNodes(t))
 ///   - CoreVertices(t)     = vertices[vertex_offsets[t],
 ///                                    vertex_offsets[t + SubtreeNodes(t)])
-///     an O(1) span — the DFS + allocation of HcdForest::CoreVertices is
-///     gone because a node's descendants' vertices are stored right after
-///     its own.
+///     an O(1) span, because a node's descendants' vertices are stored
+///     right after its own.
 ///   - Vertices(t)         = vertices[vertex_offsets[t], vertex_offsets[t+1])
-///     (the next preorder node starts where t's own vertices end).
+///     (the next preorder node starts where t's own vertices end), in
+///     ascending id order.
 ///
 /// The bottom-up accumulations of Algorithms 3-5 also get two fast shapes:
 /// reverse preorder (children always follow parents, so a single descending
@@ -146,7 +147,7 @@ class FlatHcdIndex {
                                  ArrayRef<TreeNodeId> best_nodes,
                                  FlatHcdIndex* out);
 
-  // --- accessors (mirror HcdForest) ----------------------------------------
+  // --- accessors -------------------------------------------------------------
 
   TreeNodeId NumNodes() const {
     return static_cast<TreeNodeId>(data_.levels.size());
@@ -215,9 +216,8 @@ class FlatHcdIndex {
            data_.vertex_offsets[node];
   }
 
-  /// Node ids ordered by descending level (ties by preorder id). Unlike
-  /// HcdForest::NodesByDescendingLevel this is precomputed — no sort, no
-  /// allocation.
+  /// Node ids ordered by descending level (ties by preorder id);
+  /// precomputed, so no sort and no allocation.
   std::span<const TreeNodeId> NodesByDescendingLevel() const {
     return data_.desc_level_order;
   }
@@ -264,34 +264,42 @@ class FlatHcdIndex {
  private:
   friend FlatHcdIndex Freeze(const HcdForest& forest);
   friend FlatHcdIndex Freeze(const HcdForest& forest, HierarchyKind kind,
-                             std::span<const VertexId> element_members,
+                             std::vector<VertexId> element_members,
                              VertexId num_graph_vertices);
 
   Data data_;
 };
 
 /// Renumbers the forest into preorder and packs it into a FlatHcdIndex.
-/// Parallel across roots (one DFS per tree) with a level-synchronous
-/// bottom-up sizing pass. The forest must satisfy the builder contract
-/// (every parent edge strictly decreases the level walking up); violations
-/// abort, as in HcdForest::BuildChildren — untrusted inputs must go through
+/// Builds the child lists from the parent pointers, sizes every subtree in
+/// a level-synchronous bottom-up pass, numbers each tree by a DFS
+/// (parallel across roots), and places every node's elements by a
+/// counting scatter over tid, in ascending element id. The forest must
+/// satisfy the builder contract (every parent edge strictly decreases the
+/// level walking up); violations abort — untrusted inputs must go through
 /// MapFlatIndex, which returns Status instead.
 FlatHcdIndex Freeze(const HcdForest& forest);
 
-/// Freeze and release the builder representation's memory.
-FlatHcdIndex Freeze(HcdForest&& forest);
-
-/// Kind-tagged freeze: same preorder packing, with the forest's element
-/// domain recorded and each element's member vertices carried alongside
-/// (`element_members` is arity-strided by element id, covering ALL element
-/// ids 0..forest.NumVertices(), placed or not — for a truss forest this is
-/// exactly EdgeIndexer::edges flattened). `num_graph_vertices` is the graph
-/// vertex count the member ids live in. The per-kind wrappers FreezeTruss
-/// (src/truss) and FreezeNucleus (src/nucleus) build the member array from
-/// their indexers; call those instead of this directly.
+/// Kind-tagged freeze of a truss or nucleus forest: same preorder packing,
+/// with the forest's element domain recorded and each element's member
+/// vertices moved in alongside (`element_members` is arity-strided by
+/// element id, covering ALL element ids 0..forest.NumVertices(), placed or
+/// not — for a truss forest this is exactly EdgeIndexer::edges flattened).
+/// `num_graph_vertices` is the graph vertex count the member ids live in.
+/// The per-kind wrappers FreezeTruss (src/truss) and FreezeNucleus
+/// (src/nucleus) build the member array from their indexers; call those
+/// instead of this directly.
 FlatHcdIndex Freeze(const HcdForest& forest, HierarchyKind kind,
-                    std::span<const VertexId> element_members,
+                    std::vector<VertexId> element_members,
                     VertexId num_graph_vertices);
+
+/// Counting sort of node ids by descending level, ties by ascending id,
+/// with the group boundaries (one group per distinct level): the
+/// `desc_level_order` and `level_group_offsets` sections of a forest with
+/// these levels.
+void BuildDescLevelOrder(std::span<const uint32_t> levels,
+                         std::vector<TreeNodeId>* order,
+                         std::vector<uint32_t>* group_offsets);
 
 }  // namespace hcd
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -15,40 +14,36 @@ using TreeNodeId = uint32_t;
 inline constexpr TreeNodeId kInvalidNode =
     std::numeric_limits<TreeNodeId>::max();
 
-/// The hierarchical core decomposition index (Section II-B, Figure 2).
+/// The hierarchical core decomposition as the builders write it (Section
+/// II-B, Figure 2; Algorithm 2 Steps 3-4): a parent-pointer forest of three
+/// flat arrays. Each tree node T_i has a level k and a parent P(T_i)
+/// (kInvalidNode for forest roots), and `Tid(v)` maps each element to its
+/// unique containing node, so V(T_i) = {v : tid(v) = T_i}. Nothing is
+/// grouped per node here: Freeze (hcd/flat_index.h) is the one place that
+/// builds child lists and per-node element sets, and every query reads
+/// the frozen index.
 ///
-/// Each tree node T_i corresponds to one k-core S and stores exactly the
-/// vertices of S with coreness k (V(T_i) = S ∩ H_k); `Parent` is P(T_i)
-/// (kInvalidNode for forest roots), `Children` is C(T_i), and `Tid(v)` maps
-/// each vertex to its unique containing node. The original k-core of a node
-/// is the union of the vertex sets of the node's subtree (CoreVertices).
-///
-/// Construction protocol (used by the LCPS / PHCD / oracle builders):
-/// create nodes with NewNode, populate them with AddVertex, link with
-/// SetParent, then call BuildChildren once to materialize child lists.
+/// Construction protocol (PHCD, LCPS, the oracles): create nodes with
+/// NewNode, place elements with Place, link with SetParent.
 class HcdForest {
  public:
   HcdForest() : HcdForest(0) {}
-  explicit HcdForest(VertexId num_vertices)
-      : tid_(num_vertices, kInvalidNode) {}
+  explicit HcdForest(VertexId num_elements)
+      : tid_(num_elements, kInvalidNode) {}
 
-  // --- construction ---------------------------------------------------------
-
-  /// Creates an empty tree node at core level `level`; returns its id.
+  /// Creates an empty tree node at level `level`; returns its id.
   TreeNodeId NewNode(uint32_t level) {
     levels_.push_back(level);
     parents_.push_back(kInvalidNode);
-    vertices_.emplace_back();
     return static_cast<TreeNodeId>(levels_.size() - 1);
   }
 
-  /// Adds `v` to node `node` and records tid(v). A vertex may join exactly
-  /// one node.
-  void AddVertex(TreeNodeId node, VertexId v) {
+  /// Places element `v` in node `node` (tid(v) = node). An element is
+  /// placed exactly once.
+  void Place(TreeNodeId node, VertexId v) {
     HCD_DCHECK(node < NumNodes());
     HCD_DCHECK(v < tid_.size());
-    HCD_DCHECK(tid_[v] == kInvalidNode) << "vertex already placed";
-    vertices_[node].push_back(v);
+    HCD_DCHECK(tid_[v] == kInvalidNode) << "element already placed";
     tid_[v] = node;
   }
 
@@ -58,51 +53,49 @@ class HcdForest {
     parents_[child] = parent;
   }
 
-  /// Derives all child lists from the parent pointers. Call once after all
-  /// SetParent calls.
-  void BuildChildren();
-
-  // --- accessors -------------------------------------------------------------
-
-  TreeNodeId NumNodes() const { return static_cast<TreeNodeId>(levels_.size()); }
+  TreeNodeId NumNodes() const {
+    return static_cast<TreeNodeId>(levels_.size());
+  }
   VertexId NumVertices() const { return static_cast<VertexId>(tid_.size()); }
 
   uint32_t Level(TreeNodeId node) const { return levels_[node]; }
   TreeNodeId Parent(TreeNodeId node) const { return parents_[node]; }
-  std::span<const TreeNodeId> Children(TreeNodeId node) const {
-    HCD_DCHECK(children_built_);
-    return children_[node];
-  }
-  std::span<const VertexId> Vertices(TreeNodeId node) const {
-    return vertices_[node];
-  }
-
   /// Node containing v, or kInvalidNode if v was never placed.
   TreeNodeId Tid(VertexId v) const { return tid_[v]; }
 
-  /// All nodes without a parent.
-  std::vector<TreeNodeId> Roots() const;
-
-  /// Node ids ordered by descending level (ties by id). Processing in this
-  /// order guarantees children come before parents, as required by the
-  /// bottom-up accumulations of Algorithms 3-5.
-  std::vector<TreeNodeId> NodesByDescendingLevel() const;
-
-  /// Vertices of the node's original k-core: the union of the subtree's
-  /// vertex sets.
-  std::vector<VertexId> CoreVertices(TreeNodeId node) const;
-
-  /// Number of vertices in the node's original k-core.
-  uint64_t CoreSize(TreeNodeId node) const;
-
  private:
-  std::vector<uint32_t> levels_;
-  std::vector<TreeNodeId> parents_;
-  std::vector<std::vector<VertexId>> vertices_;
-  std::vector<std::vector<TreeNodeId>> children_;
-  std::vector<TreeNodeId> tid_;
-  bool children_built_ = false;
+  std::vector<uint32_t> levels_;     // [N]
+  std::vector<TreeNodeId> parents_;  // [N]
+  std::vector<TreeNodeId> tid_;      // [n]
 };
+
+/// Elements of the node's original k-core (the union of its subtree's
+/// element sets), ascending. Reads the three arrays only, without Freeze,
+/// so tests can hold the frozen index against it; O(N + n) per call.
+inline std::vector<VertexId> CoreVertices(const HcdForest& forest,
+                                          TreeNodeId node) {
+  // in_subtree[t]: 0 unknown, 1 inside node's subtree, 2 outside. Every
+  // walk up stops at the first marked node, so marking all nodes is O(N).
+  std::vector<uint8_t> in_subtree(forest.NumNodes(), 0);
+  in_subtree[node] = 1;
+  std::vector<TreeNodeId> path;
+  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
+    TreeNodeId u = t;
+    while (u != kInvalidNode && in_subtree[u] == 0) {
+      path.push_back(u);
+      u = forest.Parent(u);
+    }
+    const uint8_t mark = u == kInvalidNode ? 2 : in_subtree[u];
+    for (TreeNodeId w : path) in_subtree[w] = mark;
+    path.clear();
+  }
+  std::vector<VertexId> core;
+  for (VertexId v = 0; v < forest.NumVertices(); ++v) {
+    const TreeNodeId t = forest.Tid(v);
+    if (t != kInvalidNode && in_subtree[t] == 1) core.push_back(v);
+  }
+  return core;
+}
 
 }  // namespace hcd
 

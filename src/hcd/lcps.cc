@@ -102,7 +102,7 @@ HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd) {
       node = forest.NewNode(c);
       open.push_back({c, node});
     }
-    forest.AddVertex(node, v);
+    forest.Place(node, v);
 
     if (have_orphan) {
       if (c < orphan.level) {
@@ -137,7 +137,6 @@ HcdForest LcpsBuild(const Graph& graph, const CoreDecomposition& cd) {
     if (!open.empty()) forest.SetParent(popped.node, open.back().node);
   }
 
-  forest.BuildChildren();
   stage.AddCounter("nodes", forest.NumNodes());
   return forest;
 }

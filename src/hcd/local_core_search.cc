@@ -37,6 +37,12 @@ std::vector<TreeNodeId> RcComputeParents(const Graph& graph,
   std::vector<TreeNodeId> parents(num_nodes, kInvalidNode);
   if (num_nodes == 0) return parents;
 
+  // One seed per node, its smallest vertex, from one pass over tid.
+  std::vector<VertexId> seed_of(num_nodes, kInvalidVertex);
+  for (VertexId v = n; v-- > 0;) {
+    if (forest.Tid(v) != kInvalidNode) seed_of[forest.Tid(v)] = v;
+  }
+
   const int pmax = MaxThreads();
   // Per-thread best container found so far for every node: the ancestor
   // with the largest level strictly below the node's own level is its
@@ -56,7 +62,7 @@ std::vector<TreeNodeId> RcComputeParents(const Graph& graph,
     for (int64_t ti = 0; ti < static_cast<int64_t>(num_nodes); ++ti) {
       const TreeNodeId t = static_cast<TreeNodeId>(ti);
       const uint32_t k = forest.Level(t);
-      const VertexId seed = forest.Vertices(t).front();
+      const VertexId seed = seed_of[t];
       stack.assign(1, seed);
       stamp[seed] = t;
       while (!stack.empty()) {

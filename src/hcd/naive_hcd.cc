@@ -51,12 +51,17 @@ HcdForest NaiveHcdBuild(const Graph& graph, const CoreDecomposition& cd) {
       }
     }
 
-    // One node per component with a non-empty k-shell part.
+    // One node per component with a non-empty k-shell part; its first
+    // vertex is the node's representative.
     std::vector<TreeNodeId> comp_node(num_comps, kInvalidNode);
+    std::vector<Pending> created;
     for (VertexId v : vr.Shell(static_cast<uint32_t>(k))) {
       TreeNodeId& node = comp_node[comp_id[v]];
-      if (node == kInvalidNode) node = forest.NewNode(static_cast<uint32_t>(k));
-      forest.AddVertex(node, v);
+      if (node == kInvalidNode) {
+        node = forest.NewNode(static_cast<uint32_t>(k));
+        created.push_back({node, v});
+      }
+      forest.Place(node, v);
     }
 
     // Adopt parentless higher-level nodes whose component gained a node.
@@ -71,15 +76,8 @@ HcdForest NaiveHcdBuild(const Graph& graph, const CoreDecomposition& cd) {
       }
     }
     parentless = std::move(still_pending);
-    for (VertexId c = 0; c < num_comps; ++c) {
-      if (comp_node[c] != kInvalidNode) {
-        parentless.push_back(
-            {comp_node[c], forest.Vertices(comp_node[c]).front()});
-      }
-    }
+    parentless.insert(parentless.end(), created.begin(), created.end());
   }
-
-  forest.BuildChildren();
   return forest;
 }
 

@@ -33,11 +33,6 @@ HcdForest Build(const VertexRank& order, std::span<const uint32_t> level,
   HcdForest forest(n);
   UF uf(n, order.rank.data());
 
-  // tid lives in the forest; parents are written into this flat array in
-  // Step 4 (one writer per child node) and folded into the forest at the
-  // end.
-  std::vector<TreeNodeId> parent_of;  // indexed by TreeNodeId
-
   // Dedup flags for the captured child pivots ("atomic add if not exists",
   // Line 9).
   std::unique_ptr<std::atomic<bool>[]> in_kpc(new std::atomic<bool>[n]);
@@ -149,20 +144,16 @@ HcdForest Build(const VertexRank& order, std::span<const uint32_t> level,
       step_span.AddArg("pivots", kpc.size());
     }
 
-    // Step 3: one new tree node per pivot; group the shell by pivot. Node
-    // membership is appended serially from the cached pivots (O(|shell|)
-    // with no synchronization).
+    // Step 3: one new tree node per pivot, then every other shell element
+    // takes its pivot's node as tid, serially from the cached pivots
+    // (O(|shell|) with no synchronization). Freeze groups the elements.
     ScopedSpan group_span("phcd.group");
     for (size_t i = 0; i < shell.size(); ++i) {
-      if (pivot_of[i] == shell[i]) {
-        TreeNodeId node = forest.NewNode(ck);
-        parent_of.push_back(kInvalidNode);
-        forest.AddVertex(node, shell[i]);
-      }
+      if (pivot_of[i] == shell[i]) forest.Place(forest.NewNode(ck), shell[i]);
     }
     for (size_t i = 0; i < shell.size(); ++i) {
       if (pivot_of[i] != shell[i]) {
-        forest.AddVertex(forest.Tid(pivot_of[i]), shell[i]);
+        forest.Place(forest.Tid(pivot_of[i]), shell[i]);
       }
     }
 
@@ -174,17 +165,10 @@ HcdForest Build(const VertexRank& order, std::span<const uint32_t> level,
       const TreeNodeId parent = forest.Tid(c.parent);
       HCD_DCHECK(child != kInvalidNode);
       HCD_DCHECK(parent != kInvalidNode);
-      parent_of[child] = parent;
+      forest.SetParent(child, parent);
       in_kpc[c.child].store(false, std::memory_order_relaxed);
     }
   }
-
-  for (TreeNodeId node = 0; node < forest.NumNodes(); ++node) {
-    if (parent_of[node] != kInvalidNode) {
-      forest.SetParent(node, parent_of[node]);
-    }
-  }
-  forest.BuildChildren();
   return forest;
 }
 
@@ -200,11 +184,11 @@ HcdForest Build(const VertexRank& order, std::span<const uint32_t> level,
 /// union-find, whose pivot is the member first in ComputeVertexRank's
 /// (level, id) order. Per shell it runs Steps 1+2 as one fused
 /// capture-and-union pass (DESIGN.md §13), then Step 3 (one new node per
-/// pivot, the shell grouped by pivot) and Step 4 (each captured child
-/// pivot's node gets the node of its new pivot as parent). A shell whose
-/// work is below kParallelGrain runs on the calling thread. With one
-/// OpenMP thread the unions go to the plain UnionFind instead of the
-/// wait-free one; the forest is the same.
+/// pivot, and each shell element's tid is its pivot's node) and Step 4
+/// (each captured child pivot's node gets the node of its new pivot as
+/// parent). A shell whose work is below kParallelGrain runs on the calling
+/// thread. With one OpenMP thread the unions go to the plain UnionFind
+/// instead of the wait-free one; the forest is the same.
 ///
 /// The caller describes the hierarchy with two callables:
 ///  - work(x): the entries the pass reads for x (a vertex's degree), summed

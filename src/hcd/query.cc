@@ -5,35 +5,6 @@
 
 namespace hcd {
 
-TreeNodeId NodeOfKCoreContaining(const HcdForest& forest, VertexId v,
-                                 uint32_t k) {
-  TreeNodeId node = forest.Tid(v);
-  if (node == kInvalidNode || forest.Level(node) < k) return kInvalidNode;
-  while (true) {
-    const TreeNodeId parent = forest.Parent(node);
-    if (parent == kInvalidNode || forest.Level(parent) < k) return node;
-    node = parent;
-  }
-}
-
-std::vector<VertexId> KCoreContaining(const HcdForest& forest, VertexId v,
-                                      uint32_t k) {
-  const TreeNodeId node = NodeOfKCoreContaining(forest, v, k);
-  if (node == kInvalidNode) return {};
-  return forest.CoreVertices(node);
-}
-
-uint32_t CorenessOf(const HcdForest& forest, VertexId v) {
-  const TreeNodeId node = forest.Tid(v);
-  return node == kInvalidNode ? 0 : forest.Level(node);
-}
-
-bool InSameKCore(const HcdForest& forest, VertexId u, VertexId v, uint32_t k) {
-  const TreeNodeId nu = NodeOfKCoreContaining(forest, u, k);
-  if (nu == kInvalidNode) return false;
-  return nu == NodeOfKCoreContaining(forest, v, k);
-}
-
 TreeNodeId NodeOfKCoreContaining(const FlatHcdIndex& index, VertexId v,
                                  uint32_t k) {
   if (v >= index.NumVertices()) return kInvalidNode;

@@ -51,8 +51,7 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
         "rebuild requires an unchanged vertex set");
   }
   if (plan.full_rebuild) {
-    HcdForest forest = PhcdBuild(new_graph, new_cd);
-    *out = Freeze(std::move(forest));
+    *out = Freeze(PhcdBuild(new_graph, new_cd));
     return Status::Ok();
   }
 
@@ -155,25 +154,12 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
     }
   }
 
-  // Descending-level order and its grouping, by counting sort (ascending
-  // ids within a level fall out of the ascending placement loop).
-  uint32_t max_level = 0;
-  for (uint32_t l : data.levels) max_level = std::max(max_level, l);
-  std::vector<uint32_t> level_start(max_level + 1, 0);
-  for (uint32_t l : data.levels) ++level_start[l];
-  data.desc_level_order.resize(num_nodes);
-  data.level_group_offsets.assign(1, 0);
-  uint32_t pos = 0;
-  for (int64_t l = max_level; l >= 0; --l) {
-    const uint32_t count = level_start[l];
-    if (count == 0) continue;
-    level_start[l] = pos;
-    pos += count;
-    data.level_group_offsets.push_back(pos);
-  }
-  for (TreeNodeId t = 0; t < num_nodes; ++t) {
-    data.desc_level_order[level_start[data.levels[t]]++] = t;
-  }
+  // Descending-level order and its grouping, as Freeze builds them.
+  std::vector<TreeNodeId> order;
+  std::vector<uint32_t> group_offsets;
+  BuildDescLevelOrder(data.levels, &order, &group_offsets);
+  data.desc_level_order = std::move(order);
+  data.level_group_offsets = std::move(group_offsets);
 
   stage.AddCounter("kept_trees", kept_trees);
   stage.AddCounter("rebuilt_nodes", subflat.NumNodes());

@@ -4,48 +4,36 @@
 #include <sstream>
 
 namespace hcd {
-namespace {
 
-template <typename Hierarchy>
-ForestStats ComputeForestStatsImpl(const Hierarchy& forest) {
+ForestStats ComputeForestStats(const FlatHcdIndex& index) {
   ForestStats stats;
-  stats.num_nodes = forest.NumNodes();
+  stats.num_nodes = index.NumNodes();
   if (stats.num_nodes == 0) return stats;
 
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    stats.max_level = std::max(stats.max_level, forest.Level(t));
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    stats.max_level = std::max(stats.max_level, index.Level(t));
     stats.max_branching = std::max(
-        stats.max_branching, static_cast<uint32_t>(forest.Children(t).size()));
-    if (forest.Parent(t) == kInvalidNode) ++stats.num_roots;
+        stats.max_branching, static_cast<uint32_t>(index.Children(t).size()));
+    if (index.Parent(t) == kInvalidNode) ++stats.num_roots;
   }
   stats.nodes_per_level.assign(stats.max_level + 1, 0);
   stats.elements_per_level.assign(stats.max_level + 1, 0);
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    ++stats.nodes_per_level[forest.Level(t)];
-    stats.elements_per_level[forest.Level(t)] += forest.Vertices(t).size();
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    ++stats.nodes_per_level[index.Level(t)];
+    stats.elements_per_level[index.Level(t)] += index.Vertices(t).size();
   }
 
   // Depth via one pass in ascending-level order: a parent's depth is final
   // before any of its (strictly higher-level) children are visited.
-  std::vector<uint32_t> depth(forest.NumNodes(), 1);
-  const auto order = forest.NodesByDescendingLevel();
+  std::vector<uint32_t> depth(index.NumNodes(), 1);
+  const auto order = index.NodesByDescendingLevel();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TreeNodeId t = *it;
-    const TreeNodeId p = forest.Parent(t);
+    const TreeNodeId p = index.Parent(t);
     if (p != kInvalidNode) depth[t] = depth[p] + 1;
     stats.depth = std::max(stats.depth, depth[t]);
   }
   return stats;
-}
-
-}  // namespace
-
-ForestStats ComputeForestStats(const HcdForest& forest) {
-  return ComputeForestStatsImpl(forest);
-}
-
-ForestStats ComputeForestStats(const FlatHcdIndex& index) {
-  return ComputeForestStatsImpl(index);
 }
 
 std::string ForestStatsToString(const ForestStats& stats) {

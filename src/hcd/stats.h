@@ -6,13 +6,12 @@
 #include <vector>
 
 #include "hcd/flat_index.h"
-#include "hcd/forest.h"
 
 namespace hcd {
 
-/// Structural statistics of a hierarchy (any HcdForest: vertex, edge or
-/// triangle elements), for exploration and reporting (Table II's |T| plus
-/// the shape the paper discusses qualitatively).
+/// Structural statistics of a frozen hierarchy (vertex, edge or triangle
+/// elements), for exploration and reporting (Table II's |T| plus the shape
+/// the paper discusses qualitatively).
 struct ForestStats {
   TreeNodeId num_nodes = 0;
   uint64_t num_roots = 0;
@@ -28,9 +27,7 @@ struct ForestStats {
   std::vector<uint64_t> elements_per_level;
 };
 
-/// Computes the statistics in O(|T| + n). Accepts either the builder
-/// forest or the frozen index.
-ForestStats ComputeForestStats(const HcdForest& forest);
+/// Computes the statistics in O(|T|).
 ForestStats ComputeForestStats(const FlatHcdIndex& index);
 
 /// Multi-line human-readable rendering of the statistics.

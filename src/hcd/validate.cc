@@ -1,50 +1,82 @@
 #include "hcd/validate.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 namespace hcd {
 namespace {
 
-// The checks below are written once against the accessor surface the two
-// representations share (Level/Parent/Children/Vertices/Tid/CoreVertices)
-// and instantiated for both.
-
-template <typename Hierarchy>
-std::string NodeDesc(const Hierarchy& forest, TreeNodeId node) {
+std::string NodeDesc(const FlatHcdIndex& index, TreeNodeId node) {
   return "node " + std::to_string(node) + " (level " +
-         std::to_string(forest.Level(node)) + ")";
+         std::to_string(index.Level(node)) + ")";
 }
 
-template <typename Hierarchy>
-Status ValidateHcdImpl(const Graph& graph, const CoreDecomposition& cd,
-                       const Hierarchy& forest) {
+/// The node bijection tid induces from `a` to `b`, checked for levels and
+/// parents; written once over the Level/Parent/Tid surface both
+/// representations have.
+template <typename HierarchyA>
+bool HcdEqualsImpl(const HierarchyA& a, const FlatHcdIndex& b) {
+  if (a.NumVertices() != b.NumVertices()) return false;
+  if (a.NumNodes() != b.NumNodes()) return false;
+  const TreeNodeId num_nodes = a.NumNodes();
+  std::vector<TreeNodeId> a2b(num_nodes, kInvalidNode);
+  std::vector<TreeNodeId> b2a(num_nodes, kInvalidNode);
+  for (VertexId v = 0; v < a.NumVertices(); ++v) {
+    const TreeNodeId ta = a.Tid(v);
+    const TreeNodeId tb = b.Tid(v);
+    if ((ta == kInvalidNode) != (tb == kInvalidNode)) return false;
+    if (ta == kInvalidNode) continue;
+    if (ta >= num_nodes || tb >= num_nodes) return false;
+    if (a2b[ta] == kInvalidNode && b2a[tb] == kInvalidNode) {
+      a2b[ta] = tb;
+      b2a[tb] = ta;
+    } else if (a2b[ta] != tb || b2a[tb] != ta) {
+      return false;
+    }
+  }
+  // Every node of `a` is non-empty and maps to a distinct node of `b`; with
+  // equal node counts that makes the map a bijection.
+  for (TreeNodeId ta = 0; ta < num_nodes; ++ta) {
+    const TreeNodeId tb = a2b[ta];
+    if (tb == kInvalidNode) return false;
+    if (a.Level(ta) != b.Level(tb)) return false;
+    const TreeNodeId pa = a.Parent(ta);
+    const TreeNodeId pb = b.Parent(tb);
+    if ((pa == kInvalidNode) != (pb == kInvalidNode)) return false;
+    if (pa != kInvalidNode && a2b[pa] != pb) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Status ValidateHcd(const Graph& graph, const CoreDecomposition& cd,
+                   const FlatHcdIndex& index) {
   const VertexId n = graph.NumVertices();
-  if (forest.NumVertices() != n) {
-    return Status::Corruption("forest vertex count mismatch");
+  if (index.NumVertices() != n) {
+    return Status::Corruption("index vertex count mismatch");
   }
 
   // Vertex placement and levels.
-  std::vector<uint64_t> placed(forest.NumNodes(), 0);
+  std::vector<uint64_t> placed(index.NumNodes(), 0);
   for (VertexId v = 0; v < n; ++v) {
-    TreeNodeId t = forest.Tid(v);
+    TreeNodeId t = index.Tid(v);
     if (t == kInvalidNode) {
       return Status::Corruption("vertex " + std::to_string(v) + " unplaced");
     }
-    if (forest.Level(t) != cd.coreness[v]) {
+    if (index.Level(t) != cd.coreness[v]) {
       return Status::Corruption("vertex " + std::to_string(v) +
                                 " coreness != level of " +
-                                NodeDesc(forest, t));
+                                NodeDesc(index, t));
     }
   }
   uint64_t total = 0;
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    if (forest.Vertices(t).empty()) {
-      return Status::Corruption(NodeDesc(forest, t) + " is empty");
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    if (index.Vertices(t).empty()) {
+      return Status::Corruption(NodeDesc(index, t) + " is empty");
     }
-    for (VertexId v : forest.Vertices(t)) {
-      if (forest.Tid(v) != t) {
+    for (VertexId v : index.Vertices(t)) {
+      if (index.Tid(v) != t) {
         return Status::Corruption("tid inconsistent for vertex " +
                                   std::to_string(v));
       }
@@ -57,16 +89,16 @@ Status ValidateHcdImpl(const Graph& graph, const CoreDecomposition& cd,
   }
 
   // Parent levels and child lists.
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    TreeNodeId p = forest.Parent(t);
-    if (p != kInvalidNode && forest.Level(p) >= forest.Level(t)) {
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    TreeNodeId p = index.Parent(t);
+    if (p != kInvalidNode && index.Level(p) >= index.Level(t)) {
       return Status::Corruption("parent level not below child for " +
-                                NodeDesc(forest, t));
+                                NodeDesc(index, t));
     }
-    for (TreeNodeId c : forest.Children(t)) {
-      if (forest.Parent(c) != t) {
+    for (TreeNodeId c : index.Children(t)) {
+      if (index.Parent(c) != t) {
         return Status::Corruption("child list inconsistent at " +
-                                  NodeDesc(forest, t));
+                                  NodeDesc(index, t));
       }
     }
   }
@@ -74,9 +106,9 @@ Status ValidateHcdImpl(const Graph& graph, const CoreDecomposition& cd,
   // Per-node core checks: connected, min-degree >= k, maximal.
   std::vector<bool> in_core(n, false);
   std::vector<VertexId> stack;
-  for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    const uint32_t k = forest.Level(t);
-    const auto core = forest.CoreVertices(t);
+  for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
+    const uint32_t k = index.Level(t);
+    const auto core = index.CoreVertices(t);
     for (VertexId v : core) in_core[v] = true;
 
     // Min internal degree and maximality.
@@ -87,14 +119,14 @@ Status ValidateHcdImpl(const Graph& graph, const CoreDecomposition& cd,
           ++internal;
         } else if (cd.coreness[u] >= k) {
           for (VertexId w : core) in_core[w] = false;
-          return Status::Corruption(NodeDesc(forest, t) +
+          return Status::Corruption(NodeDesc(index, t) +
                                     " not maximal: vertex " +
                                     std::to_string(u) + " missing");
         }
       }
       if (internal < k) {
         for (VertexId w : core) in_core[w] = false;
-        return Status::Corruption(NodeDesc(forest, t) + " vertex " +
+        return Status::Corruption(NodeDesc(index, t) + " vertex " +
                                   std::to_string(v) +
                                   " has internal degree < k");
       }
@@ -117,59 +149,10 @@ Status ValidateHcdImpl(const Graph& graph, const CoreDecomposition& cd,
       }
     }
     if (reached != core.size()) {
-      return Status::Corruption(NodeDesc(forest, t) + " core disconnected");
+      return Status::Corruption(NodeDesc(index, t) + " core disconnected");
     }
   }
   return Status::Ok();
-}
-
-template <typename HierarchyA, typename HierarchyB>
-bool HcdEqualsImpl(const HierarchyA& a, const HierarchyB& b) {
-  if (a.NumVertices() != b.NumVertices()) return false;
-  if (a.NumNodes() != b.NumNodes()) return false;
-  const VertexId n = a.NumVertices();
-  for (VertexId v = 0; v < n; ++v) {
-    TreeNodeId ta = a.Tid(v);
-    TreeNodeId tb = b.Tid(v);
-    if ((ta == kInvalidNode) != (tb == kInvalidNode)) return false;
-    if (ta == kInvalidNode) continue;
-    if (a.Level(ta) != b.Level(tb)) return false;
-  }
-  for (TreeNodeId ta = 0; ta < a.NumNodes(); ++ta) {
-    if (a.Vertices(ta).empty()) return false;
-    TreeNodeId tb = b.Tid(a.Vertices(ta).front());
-    // Same vertex set.
-    std::vector<VertexId> va(a.Vertices(ta).begin(), a.Vertices(ta).end());
-    std::vector<VertexId> vb(b.Vertices(tb).begin(), b.Vertices(tb).end());
-    std::sort(va.begin(), va.end());
-    std::sort(vb.begin(), vb.end());
-    if (va != vb) return false;
-    // Same parent (compared via any representative vertex).
-    TreeNodeId pa = a.Parent(ta);
-    TreeNodeId pb = b.Parent(tb);
-    if ((pa == kInvalidNode) != (pb == kInvalidNode)) return false;
-    if (pa != kInvalidNode &&
-        b.Tid(a.Vertices(pa).front()) != pb) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Status ValidateHcd(const Graph& graph, const CoreDecomposition& cd,
-                   const HcdForest& forest) {
-  return ValidateHcdImpl(graph, cd, forest);
-}
-
-Status ValidateHcd(const Graph& graph, const CoreDecomposition& cd,
-                   const FlatHcdIndex& index) {
-  return ValidateHcdImpl(graph, cd, index);
-}
-
-bool HcdEquals(const HcdForest& a, const HcdForest& b) {
-  return HcdEqualsImpl(a, b);
 }
 
 bool HcdEquals(const HcdForest& a, const FlatHcdIndex& b) {

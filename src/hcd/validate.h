@@ -9,7 +9,8 @@
 
 namespace hcd {
 
-/// Checks every HCD invariant of the hierarchy against `graph` and `cd`:
+/// Checks every HCD invariant of the frozen hierarchy against `graph` and
+/// `cd`:
 ///  - every vertex belongs to exactly one node whose level equals its
 ///    coreness;
 ///  - parent levels are strictly below child levels;
@@ -18,18 +19,14 @@ namespace hcd {
 ///    maximal (no adjacent coreness>=k vertex outside it).
 /// Returns OK or a Corruption status describing the first violation.
 /// O(sum of core sizes) = O(k_max * m) worst case; intended for tests.
-/// Both the builder forest and the frozen index are accepted.
-Status ValidateHcd(const Graph& graph, const CoreDecomposition& cd,
-                   const HcdForest& forest);
 Status ValidateHcd(const Graph& graph, const CoreDecomposition& cd,
                    const FlatHcdIndex& index);
 
-/// Structural equality of two HCDs over the same vertex set: identical
-/// node partition (as {level, vertex set}) and identical parent relation.
-/// Node ids and vertex orders inside nodes may differ, so a forest can be
-/// compared against its own frozen index (or two different builders'
-/// outputs against each other).
-bool HcdEquals(const HcdForest& a, const HcdForest& b);
+/// Structural equality of two HCDs over the same element set, read from
+/// Level, Parent and Tid alone: tid must induce a bijection between the
+/// nodes (every node non-empty) that keeps levels and parents. Node ids
+/// and element orders inside nodes may differ, so a builder's forest can
+/// be compared against a frozen index, its own or another builder's.
 bool HcdEquals(const HcdForest& a, const FlatHcdIndex& b);
 bool HcdEquals(const FlatHcdIndex& a, const FlatHcdIndex& b);
 

@@ -1,6 +1,7 @@
 #include "nucleus/nucleus_hierarchy.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "hcd/pivot_forest.h"
@@ -85,12 +86,18 @@ NucleusForest NaiveNucleusHierarchy(const Graph& graph,
       }
     }
 
+    // One node per component with a non-empty shell; its first triangle is
+    // the node's representative.
     std::vector<TreeNodeId> comp_node(num_comps, kInvalidNode);
+    std::vector<Pending> created;
     for (TriIdx i = tr.shell_start[k]; i < tr.shell_start[k + 1]; ++i) {
       const TriIdx t = tr.sorted[i];
       TreeNodeId& node = comp_node[comp_id[t]];
-      if (node == kInvalidNode) node = forest.NewNode(ck);
-      forest.AddVertex(node, t);
+      if (node == kInvalidNode) {
+        node = forest.NewNode(ck);
+        created.push_back({node, t});
+      }
+      forest.Place(node, t);
     }
 
     std::vector<Pending> still_pending;
@@ -104,15 +111,8 @@ NucleusForest NaiveNucleusHierarchy(const Graph& graph,
       }
     }
     parentless = std::move(still_pending);
-    for (TriIdx c = 0; c < num_comps; ++c) {
-      if (comp_node[c] != kInvalidNode) {
-        parentless.push_back(
-            {comp_node[c], forest.Vertices(comp_node[c]).front()});
-      }
-    }
+    parentless.insert(parentless.end(), created.begin(), created.end());
   }
-
-  forest.BuildChildren();
   return forest;
 }
 
@@ -127,7 +127,8 @@ FlatHcdIndex FreezeNucleus(const Graph& graph, const TriangleIndexer& tidx,
     members.push_back(corners[1]);
     members.push_back(corners[2]);
   }
-  return Freeze(forest, HierarchyKind::kNucleus, members, graph.NumVertices());
+  return Freeze(forest, HierarchyKind::kNucleus, std::move(members),
+                graph.NumVertices());
 }
 
 namespace {
@@ -151,7 +152,7 @@ NucleusCommunity CommunityFromTriangles(std::span<const VertexId> tris,
 NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
                                     const NucleusForest& forest,
                                     TreeNodeId node) {
-  const std::vector<VertexId> tris = forest.CoreVertices(node);  // tri ids
+  const std::vector<VertexId> tris = CoreVertices(forest, node);  // tri ids
   return CommunityFromTriangles(tris, [&](VertexId tri) {
     return std::span<const VertexId>(tidx.triangles[tri]);
   });

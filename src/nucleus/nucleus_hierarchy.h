@@ -67,8 +67,8 @@ struct NucleusCommunity {
   }
 };
 
-/// Builder-forest community-of (DFS + allocation per call); test oracle
-/// for the frozen overload.
+/// Builder-forest community-of over CoreVertices(forest, node), O(N + T)
+/// per call; test oracle for the frozen overload.
 NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
                                     const NucleusForest& forest,
                                     TreeNodeId node);

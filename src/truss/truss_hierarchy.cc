@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "hcd/pivot_forest.h"
@@ -68,15 +69,18 @@ TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
       }
     }
 
-    // One node per component with a non-empty k-shell.
+    // One node per component with a non-empty k-shell; its first edge is
+    // the node's representative.
     std::vector<TreeNodeId> node_of_root(m, kInvalidNode);
+    std::vector<Pending> created;
     for (EdgeIdx i = begin; i < er.shell_start[k + 1]; ++i) {
       const EdgeIdx e = er.sorted[i];
       TreeNodeId& node = node_of_root[uf.Find(e)];
       if (node == kInvalidNode) {
         node = forest.NewNode(static_cast<uint32_t>(k));
+        created.push_back({node, e});
       }
-      forest.AddVertex(node, e);
+      forest.Place(node, e);
     }
 
     std::vector<Pending> still_pending;
@@ -89,22 +93,15 @@ TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
       }
     }
     parentless = std::move(still_pending);
-    for (EdgeIdx i = begin; i < er.shell_start[k + 1]; ++i) {
-      const EdgeIdx e = er.sorted[i];
-      if (forest.Vertices(forest.Tid(e)).front() == e) {
-        parentless.push_back({forest.Tid(e), e});
-      }
-    }
+    parentless.insert(parentless.end(), created.begin(), created.end());
   }
-
-  forest.BuildChildren();
   return forest;
 }
 
 TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node) {
   TrussCommunity out;
-  std::vector<VertexId> core = forest.CoreVertices(node);  // edge ids
+  const std::vector<VertexId> core = CoreVertices(forest, node);  // edge ids
   out.num_edges = core.size();
   out.vertices.reserve(core.size());
   for (VertexId eid : core) {
@@ -145,7 +142,8 @@ FlatHcdIndex FreezeTruss(const Graph& graph, const EdgeIndexer& index,
     members.push_back(u);
     members.push_back(v);
   }
-  return Freeze(forest, HierarchyKind::kTruss, members, graph.NumVertices());
+  return Freeze(forest, HierarchyKind::kTruss, std::move(members),
+                graph.NumVertices());
 }
 
 TrussCommunity TrussCommunityOf(const FlatHcdIndex& flat, TreeNodeId node) {

@@ -17,8 +17,8 @@ namespace hcd {
 /// of trussness k of one k-truss component (components are vertex-
 /// connected), and parents record truss containment.
 ///
-/// Reuses HcdForest with elements = EdgeIdx; Tid/Vertices/CoreVertices all
-/// operate on edge ids.
+/// Reuses HcdForest with elements = EdgeIdx: Tid and CoreVertices(forest,
+/// node) operate on edge ids.
 using TrussForest = HcdForest;
 
 /// Parallel hierarchical truss construction: BuildPivotForest
@@ -53,9 +53,9 @@ struct TrussCommunity {
   }
 };
 
-/// Builder-forest community-of: a DFS plus an allocation per call. Kept as
-/// the test oracle for the frozen-index overload below; serve paths use
-/// the FlatHcdIndex form.
+/// Builder-forest community-of over CoreVertices(forest, node), O(N + m)
+/// per call. Kept as the test oracle for the frozen-index overload below;
+/// serve paths use the FlatHcdIndex form.
 TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node);
 

@@ -400,8 +400,7 @@ TEST(DynamicCore, RebuildHcdAfterBatch) {
   }
   Graph updated = index.ToGraph();
   CoreDecomposition cd = BzCoreDecomposition(updated);
-  HcdForest forest = PhcdBuild(updated, cd);
-  EXPECT_TRUE(ValidateHcd(updated, cd, forest).ok());
+  EXPECT_TRUE(ValidateHcd(updated, cd, Freeze(PhcdBuild(updated, cd))).ok());
 }
 
 }  // namespace

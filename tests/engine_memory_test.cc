@@ -1,9 +1,10 @@
-// What a built engine keeps on the heap. Serving reads only the frozen
-// index and its search tables, so once Snapshot() has sealed them an engine
-// must not also hold the builder forest, which has one vertex vector per
-// tree node. This binary replaces the global operator new and delete to
-// count live allocations; the count, not the resident size, is what the
-// assertion reads, so it does not depend on where the allocator put
+// What a build allocates and what a built engine keeps on the heap. The
+// builder forest is three flat arrays and Freeze groups elements by a
+// counting scatter, so neither allocates per tree node; serving reads only
+// the frozen index and its search tables, so a sealed engine keeps no
+// builder forest either. This binary replaces the global operator new and
+// delete to count allocations; counts, not resident sizes, are what the
+// assertions read, so they do not depend on where the allocator put
 // anything.
 
 #include <gtest/gtest.h>
@@ -13,25 +14,34 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/core_decomposition.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
+#include "hcd/flat_index.h"
+#include "hcd/phcd.h"
 
 namespace {
 
 std::atomic<int64_t> g_live_allocations{0};
+std::atomic<int64_t> g_total_allocations{0};
+
+void* Counted(void* p) {
+  if (p != nullptr) {
+    g_live_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_total_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return p;
+}
 
 void* CountedAllocOrNull(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p != nullptr) g_live_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
+  return Counted(std::malloc(size == 0 ? 1 : size));
 }
 
 void* CountedAlignedAllocOrNull(std::size_t size, std::align_val_t align) {
   const std::size_t a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  void* p = std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a);
-  if (p != nullptr) g_live_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
+  return Counted(
+      std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a));
 }
 
 void* CountedAlloc(std::size_t size) {
@@ -108,6 +118,23 @@ void operator delete[](void* p, std::align_val_t,
 
 namespace hcd {
 namespace {
+
+TEST(EngineMemoryTest, BuildAllocatesNothingPerTreeNode) {
+  // RMAT at scale 14 leaves thousands of vertices isolated, and each of
+  // them is a tree node of its own: more than 10k nodes in all.
+  const Graph graph = RMatGraph500(14, 16000, 7);
+  const CoreDecomposition cd = PkcCoreDecomposition(graph);
+  const int64_t before = g_total_allocations.load();
+  const FlatHcdIndex flat = Freeze(PhcdBuild(graph, cd));
+  const int64_t made = g_total_allocations.load() - before;
+  const TreeNodeId nodes = flat.NumNodes();
+  ASSERT_GE(nodes, 10000u);
+  // Algorithm 2 writes levels, parents and tid, and Freeze packs them into
+  // a fixed set of sections: allocations grow with shells and threads, not
+  // with nodes.
+  EXPECT_LT(made, static_cast<int64_t>(nodes / 20))
+      << made << " allocations for " << nodes << " tree nodes";
+}
 
 TEST(EngineMemoryTest, SnapshotHoldsNoAllocationPerTreeNode) {
   // RMAT at scale 14 leaves thousands of vertices isolated, and each of

@@ -67,18 +67,37 @@ TEST_P(FlatIndexSuite, FreezeMatchesForestNodeByNode) {
     EXPECT_TRUE(ValidateHcd(g, cd, flat).ok());
   }
 
+  // The forest side, read from its three arrays: each node's own elements
+  // (ascending), its child count, and the roots.
+  std::vector<std::vector<VertexId>> own(forest.NumNodes());
+  for (VertexId v = 0; v < forest.NumVertices(); ++v) {
+    if (forest.Tid(v) != kInvalidNode) own[forest.Tid(v)].push_back(v);
+  }
+  std::vector<size_t> num_children(forest.NumNodes(), 0);
+  size_t num_roots = 0;
+  for (TreeNodeId ft = 0; ft < forest.NumNodes(); ++ft) {
+    if (forest.Parent(ft) == kInvalidNode) {
+      ++num_roots;
+    } else {
+      ++num_children[forest.Parent(ft)];
+    }
+  }
+
   // Cross-representation per-node equality via representative vertices.
-  ASSERT_EQ(flat.Roots().size(), forest.Roots().size());
+  ASSERT_EQ(flat.Roots().size(), num_roots);
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     ASSERT_FALSE(flat.Vertices(t).empty());
     const VertexId rep = flat.Vertices(t).front();
     const TreeNodeId ft = forest.Tid(rep);
     EXPECT_EQ(flat.Level(t), forest.Level(ft));
-    EXPECT_EQ(Sorted(flat.Vertices(t)), Sorted(forest.Vertices(ft)));
-    EXPECT_EQ(flat.CoreSize(t), forest.CoreSize(ft));
-    EXPECT_EQ(Sorted(flat.CoreVertices(t)),
-              Sorted(forest.CoreVertices(ft)));
-    EXPECT_EQ(flat.Children(t).size(), forest.Children(ft).size());
+    // Freeze places each node's elements in ascending id order.
+    EXPECT_EQ(std::vector<VertexId>(flat.Vertices(t).begin(),
+                                    flat.Vertices(t).end()),
+              own[ft]);
+    const std::vector<VertexId> core = CoreVertices(forest, ft);
+    EXPECT_EQ(flat.CoreSize(t), core.size());
+    EXPECT_EQ(Sorted(flat.CoreVertices(t)), core);
+    EXPECT_EQ(flat.Children(t).size(), num_children[ft]);
     const TreeNodeId pa = flat.Parent(t);
     const TreeNodeId fpa = forest.Parent(ft);
     ASSERT_EQ(pa == kInvalidNode, fpa == kInvalidNode);
@@ -175,14 +194,30 @@ TEST(FlatIndex, FreezeStableAcrossThreadCounts) {
   }
 }
 
-TEST(FlatIndex, MoveFreezeReleasesForest) {
-  Graph g = PlantedHierarchy(OnionSpec(5, 8), 2);
-  CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest forest = NaiveHcdBuild(g, cd);
-  const FlatHcdIndex expect = Freeze(forest);
-  const FlatHcdIndex flat = Freeze(std::move(forest));
-  EXPECT_TRUE(HcdEquals(expect, flat));
-  EXPECT_EQ(forest.NumNodes(), 0u);  // builder arrays released
+TEST(FlatIndex, FreezeSortsOutOfOrderPlacements) {
+  // LCPS creates nodes in search order and places elements as it visits
+  // them, so neither node ids nor placements follow element ids. Freeze
+  // still lists each node's elements in ascending id order.
+  HcdForest forest(9);
+  const TreeNodeId deep = forest.NewNode(3);
+  const TreeNodeId root = forest.NewNode(1);
+  const TreeNodeId side = forest.NewNode(2);
+  for (VertexId v : {7u, 2u, 5u}) forest.Place(deep, v);
+  for (VertexId v : {8u, 0u, 4u}) forest.Place(root, v);
+  for (VertexId v : {6u, 1u, 3u}) forest.Place(side, v);
+  forest.SetParent(deep, root);
+  forest.SetParent(side, root);
+
+  const FlatHcdIndex flat = Freeze(forest);
+  ASSERT_EQ(flat.NumNodes(), 3u);
+  EXPECT_TRUE(HcdEquals(forest, flat));
+  const auto elements = [&](VertexId v) {
+    const std::span<const VertexId> own = flat.Vertices(flat.Tid(v));
+    return std::vector<VertexId>(own.begin(), own.end());
+  };
+  EXPECT_EQ(elements(7), (std::vector<VertexId>{2, 5, 7}));
+  EXPECT_EQ(elements(8), (std::vector<VertexId>{0, 4, 8}));
+  EXPECT_EQ(elements(6), (std::vector<VertexId>{1, 3, 6}));
 }
 
 TEST(FlatIndex, EmptyForest) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
 #include "hcd/export.h"
+#include "hcd/flat_index.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/stats.h"
 #include "hcd/validate.h"
@@ -19,18 +21,17 @@ HcdForest SmallForest() {
   TreeNodeId a = f.NewNode(3);
   TreeNodeId b = f.NewNode(2);
   TreeNodeId c = f.NewNode(5);
-  f.AddVertex(root, 0);
-  f.AddVertex(root, 1);
-  f.AddVertex(a, 2);
-  f.AddVertex(a, 3);
-  f.AddVertex(b, 4);
-  f.AddVertex(c, 5);
-  f.AddVertex(c, 6);
-  f.AddVertex(c, 7);
+  f.Place(root, 0);
+  f.Place(root, 1);
+  f.Place(a, 2);
+  f.Place(a, 3);
+  f.Place(b, 4);
+  f.Place(c, 5);
+  f.Place(c, 6);
+  f.Place(c, 7);
   f.SetParent(a, root);
   f.SetParent(b, root);
   f.SetParent(c, a);
-  f.BuildChildren();
   return f;
 }
 
@@ -40,13 +41,16 @@ TEST(HcdForest, BasicAccessors) {
   EXPECT_EQ(f.NumVertices(), 8u);
   EXPECT_EQ(f.Level(0), 1u);
   EXPECT_EQ(f.Parent(0), kInvalidNode);
-  EXPECT_EQ(f.Roots().size(), 1u);
-  EXPECT_EQ(f.Children(0).size(), 2u);
+  EXPECT_EQ(f.Parent(3), 1u);
   EXPECT_EQ(f.Tid(5), 3u);
+  // Roots and child lists exist on the frozen index only.
+  const FlatHcdIndex flat = Freeze(f);
+  EXPECT_EQ(flat.Roots().size(), 1u);
+  EXPECT_EQ(flat.Children(flat.Tid(0)).size(), 2u);
 }
 
 TEST(HcdForest, NodesByDescendingLevel) {
-  HcdForest f = SmallForest();
+  const FlatHcdIndex f = Freeze(SmallForest());
   auto order = f.NodesByDescendingLevel();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(f.Level(order[0]), 5u);
@@ -57,16 +61,19 @@ TEST(HcdForest, NodesByDescendingLevel) {
 
 TEST(HcdForest, CoreVerticesAndSize) {
   HcdForest f = SmallForest();
-  EXPECT_EQ(f.CoreSize(0), 8u);
-  EXPECT_EQ(f.CoreSize(1), 5u);  // node a: itself + grandchild c
-  EXPECT_EQ(f.CoreSize(3), 3u);
-  auto core = f.CoreVertices(1);
-  EXPECT_EQ(core.size(), 5u);
+  EXPECT_EQ(CoreVertices(f, 0).size(), 8u);
+  // node a: itself + grandchild c, ascending.
+  EXPECT_EQ(CoreVertices(f, 1), (std::vector<VertexId>{2, 3, 5, 6, 7}));
+  EXPECT_EQ(CoreVertices(f, 2), (std::vector<VertexId>{4}));
+  EXPECT_EQ(CoreVertices(f, 3).size(), 3u);
+  const FlatHcdIndex flat = Freeze(f);
+  EXPECT_EQ(flat.CoreSize(flat.Tid(0)), 8u);
+  EXPECT_EQ(flat.CoreSize(flat.Tid(2)), 5u);
+  EXPECT_EQ(flat.CoreSize(flat.Tid(5)), 3u);
 }
 
 TEST(ForestStats, SmallForestShape) {
-  HcdForest f = SmallForest();
-  ForestStats stats = ComputeForestStats(f);
+  ForestStats stats = ComputeForestStats(Freeze(SmallForest()));
   EXPECT_EQ(stats.num_nodes, 4u);
   EXPECT_EQ(stats.num_roots, 1u);
   EXPECT_EQ(stats.depth, 3u);  // root -> a -> c
@@ -82,31 +89,29 @@ TEST(ForestStats, SmallForestShape) {
 TEST(ForestStats, OnionDepthEqualsLevels) {
   Graph g = PlantedHierarchy(OnionSpec(9, 10), 4);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
-  ForestStats stats = ComputeForestStats(f);
+  ForestStats stats = ComputeForestStats(Freeze(NaiveHcdBuild(g, cd)));
   EXPECT_EQ(stats.depth, 9u);
   EXPECT_EQ(stats.num_roots, 1u);
   EXPECT_EQ(stats.max_branching, 1u);
 }
 
 TEST(ForestStats, EmptyForest) {
-  ForestStats stats = ComputeForestStats(HcdForest(0));
+  ForestStats stats = ComputeForestStats(Freeze(HcdForest(0)));
   EXPECT_EQ(stats.num_nodes, 0u);
   EXPECT_EQ(stats.depth, 0u);
 }
 
 TEST(Export, DotContainsAllNodesAndEdges) {
-  HcdForest f = SmallForest();
-  std::string dot = ForestToDot(f);
+  // Preorder ids: root 0, a 1, c 2, b 3.
+  std::string dot = ForestToDot(Freeze(SmallForest()));
   EXPECT_NE(dot.find("digraph hcd"), std::string::npos);
   EXPECT_NE(dot.find("n0"), std::string::npos);
-  EXPECT_NE(dot.find("n3 -> n1"), std::string::npos);
+  EXPECT_NE(dot.find("n2 -> n1"), std::string::npos);
   EXPECT_NE(dot.find("k=5"), std::string::npos);
 }
 
 TEST(Export, JsonShape) {
-  HcdForest f = SmallForest();
-  std::string json = ForestToJson(f);
+  std::string json = ForestToJson(Freeze(SmallForest()));
   EXPECT_NE(json.find("\"level\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"parent\": null"), std::string::npos);
   EXPECT_NE(json.find("\"vertices\": [5, 6, 7]"), std::string::npos);
@@ -117,9 +122,8 @@ TEST(Validate, DetectsWrongLevel) {
   CoreDecomposition cd = BzCoreDecomposition(g);
   HcdForest f(4);
   TreeNodeId t = f.NewNode(2);  // wrong level
-  for (VertexId v = 0; v < 4; ++v) f.AddVertex(t, v);
-  f.BuildChildren();
-  EXPECT_FALSE(ValidateHcd(g, cd, f).ok());
+  for (VertexId v = 0; v < 4; ++v) f.Place(t, v);
+  EXPECT_FALSE(ValidateHcd(g, cd, Freeze(f)).ok());
 }
 
 TEST(Validate, DetectsSplitCore) {
@@ -128,12 +132,11 @@ TEST(Validate, DetectsSplitCore) {
   HcdForest f(4);
   TreeNodeId a = f.NewNode(3);
   TreeNodeId b = f.NewNode(3);
-  f.AddVertex(a, 0);
-  f.AddVertex(a, 1);
-  f.AddVertex(b, 2);
-  f.AddVertex(b, 3);
-  f.BuildChildren();
-  EXPECT_FALSE(ValidateHcd(g, cd, f).ok());  // not maximal
+  f.Place(a, 0);
+  f.Place(a, 1);
+  f.Place(b, 2);
+  f.Place(b, 3);
+  EXPECT_FALSE(ValidateHcd(g, cd, Freeze(f)).ok());  // not maximal
 }
 
 TEST(Validate, DetectsMissingVertex) {
@@ -141,10 +144,9 @@ TEST(Validate, DetectsMissingVertex) {
   CoreDecomposition cd = BzCoreDecomposition(g);
   HcdForest f(3);
   TreeNodeId t = f.NewNode(2);
-  f.AddVertex(t, 0);
-  f.AddVertex(t, 1);
-  f.BuildChildren();
-  EXPECT_FALSE(ValidateHcd(g, cd, f).ok());
+  f.Place(t, 0);
+  f.Place(t, 1);
+  EXPECT_FALSE(ValidateHcd(g, cd, Freeze(f)).ok());
 }
 
 TEST(HcdEquals, DistinguishesParents) {
@@ -152,28 +154,53 @@ TEST(HcdEquals, DistinguishesParents) {
   TreeNodeId r1 = a.NewNode(1);
   TreeNodeId c1 = a.NewNode(2);
   TreeNodeId g1 = a.NewNode(3);
-  a.AddVertex(r1, 0);
-  a.AddVertex(c1, 1);
-  a.AddVertex(g1, 2);
-  a.AddVertex(g1, 3);
+  a.Place(r1, 0);
+  a.Place(c1, 1);
+  a.Place(g1, 2);
+  a.Place(g1, 3);
   a.SetParent(c1, r1);
   a.SetParent(g1, c1);
-  a.BuildChildren();
 
   HcdForest b(4);
   TreeNodeId r2 = b.NewNode(1);
   TreeNodeId c2 = b.NewNode(2);
   TreeNodeId g2 = b.NewNode(3);
-  b.AddVertex(r2, 0);
-  b.AddVertex(c2, 1);
-  b.AddVertex(g2, 2);
-  b.AddVertex(g2, 3);
+  b.Place(r2, 0);
+  b.Place(c2, 1);
+  b.Place(g2, 2);
+  b.Place(g2, 3);
   b.SetParent(c2, r2);
   b.SetParent(g2, r2);  // different parent
-  b.BuildChildren();
 
-  EXPECT_FALSE(HcdEquals(a, b));
-  EXPECT_TRUE(HcdEquals(a, a));
+  EXPECT_FALSE(HcdEquals(a, Freeze(b)));
+  EXPECT_TRUE(HcdEquals(a, Freeze(a)));
+}
+
+TEST(HcdEquals, DistinguishesElementPartitions) {
+  // Same levels and shape, but the two nodes split the elements
+  // differently, so tid induces no node bijection.
+  HcdForest a(4);
+  TreeNodeId a0 = a.NewNode(1);
+  TreeNodeId a1 = a.NewNode(1);
+  a.Place(a0, 0);
+  a.Place(a0, 1);
+  a.Place(a1, 2);
+  a.Place(a1, 3);
+
+  HcdForest b(4);
+  TreeNodeId b0 = b.NewNode(1);
+  TreeNodeId b1 = b.NewNode(1);
+  b.Place(b0, 0);
+  b.Place(b1, 1);
+  b.Place(b0, 2);
+  b.Place(b1, 3);
+
+  EXPECT_FALSE(HcdEquals(a, Freeze(b)));
+  EXPECT_TRUE(HcdEquals(b, Freeze(b)));
+
+  // A node no element names makes the forest unequal to any index.
+  a.NewNode(2);
+  EXPECT_FALSE(HcdEquals(a, Freeze(a)));
 }
 
 }  // namespace

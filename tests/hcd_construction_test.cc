@@ -20,7 +20,7 @@ namespace hcd {
 namespace {
 
 /// Finds the node holding vertex v and checks its level.
-void ExpectNodeLevel(const HcdForest& f, VertexId v, uint32_t level) {
+void ExpectNodeLevel(const FlatHcdIndex& f, VertexId v, uint32_t level) {
   ASSERT_NE(f.Tid(v), kInvalidNode);
   EXPECT_EQ(f.Level(f.Tid(v)), level);
 }
@@ -28,7 +28,7 @@ void ExpectNodeLevel(const HcdForest& f, VertexId v, uint32_t level) {
 TEST(NaiveHcd, PaperFigure1Structure) {
   Graph g = PaperFigure1Graph();
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
+  FlatHcdIndex f = Freeze(NaiveHcdBuild(g, cd));
   ASSERT_EQ(f.NumNodes(), 4u);  // T2, T3.1, T3.2, T4 (Figure 2)
 
   TreeNodeId t4 = f.Tid(0);           // octahedron vertex
@@ -56,7 +56,7 @@ TEST(NaiveHcd, PaperFigure1Structure) {
 TEST(NaiveHcd, RingOfCliquesOneNodePerClique) {
   Graph g = RingOfCliques(5, 4);  // 5 triangles-of-4 at level 3, ring level 1
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
+  FlatHcdIndex f = Freeze(NaiveHcdBuild(g, cd));
   EXPECT_TRUE(ValidateHcd(g, cd, f).ok());
   // 5 clique nodes + 1 enclosing node.
   EXPECT_EQ(f.NumNodes(), 6u);
@@ -67,9 +67,9 @@ TEST(PlantedHierarchy, MatchesSpecTreeExactly) {
   // Onion with k_max 6: nodes at levels 6,5,4,3,2,1 in a chain.
   Graph g = PlantedHierarchy(OnionSpec(6, 8), 3);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
+  FlatHcdIndex f = Freeze(NaiveHcdBuild(g, cd));
   ASSERT_EQ(f.NumNodes(), 6u);
-  std::vector<TreeNodeId> order = f.NodesByDescendingLevel();
+  const auto order = f.NodesByDescendingLevel();
   for (size_t i = 0; i + 1 < order.size(); ++i) {
     EXPECT_EQ(f.Parent(order[i]), order[i + 1]);
   }
@@ -81,7 +81,7 @@ TEST(PlantedHierarchy, BranchingSpecNodeCount) {
   // Levels 2,4,6,8,10 with fanout 2: 1+2+4+8+16 = 31 nodes.
   Graph g = PlantedHierarchy(BranchingSpec(2, 10, 2, 2, 5), 4);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
+  FlatHcdIndex f = Freeze(NaiveHcdBuild(g, cd));
   EXPECT_EQ(f.NumNodes(), 31u);
   EXPECT_TRUE(ValidateHcd(g, cd, f).ok());
 }
@@ -92,8 +92,7 @@ class HcdConstructionSuite
 TEST_P(HcdConstructionSuite, NaiveOracleSatisfiesInvariants) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = NaiveHcdBuild(g, cd);
-  Status s = ValidateHcd(g, cd, f);
+  Status s = ValidateHcd(g, cd, Freeze(NaiveHcdBuild(g, cd)));
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -101,24 +100,24 @@ TEST_P(HcdConstructionSuite, LcpsMatchesOracle) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
   HcdForest lcps = LcpsBuild(g, cd);
-  Status s = ValidateHcd(g, cd, lcps);
+  Status s = ValidateHcd(g, cd, Freeze(lcps));
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(HcdEquals(lcps, NaiveHcdBuild(g, cd)));
+  EXPECT_TRUE(HcdEquals(lcps, Freeze(NaiveHcdBuild(g, cd))));
 }
 
 TEST_P(HcdConstructionSuite, PhcdMatchesOracle) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
   HcdForest phcd = PhcdBuild(g, cd);
-  Status s = ValidateHcd(g, cd, phcd);
+  Status s = ValidateHcd(g, cd, Freeze(phcd));
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(HcdEquals(phcd, NaiveHcdBuild(g, cd)));
+  EXPECT_TRUE(HcdEquals(phcd, Freeze(NaiveHcdBuild(g, cd))));
 }
 
 TEST_P(HcdConstructionSuite, DivideAndConquerMatchesOracle) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest oracle = NaiveHcdBuild(g, cd);
+  const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
   for (int partitions : {1, 3, 7}) {
     HcdForest dnc = DivideAndConquerHcd(g, cd, partitions);
     EXPECT_TRUE(HcdEquals(dnc, oracle)) << "partitions=" << partitions;
@@ -128,7 +127,7 @@ TEST_P(HcdConstructionSuite, DivideAndConquerMatchesOracle) {
 TEST_P(HcdConstructionSuite, PhcdStableAcrossThreadCounts) {
   const Graph& g = GetParam().graph;
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest base = PhcdBuild(g, cd);
+  const FlatHcdIndex base = Freeze(PhcdBuild(g, cd));
   for (int threads : {1, 2, 4, 8}) {
     ThreadCountGuard guard(threads);
     HcdForest f = PhcdBuild(g, cd);
@@ -147,14 +146,14 @@ TEST(HcdConstruction, RandomSweepAllBuildersAgree) {
   for (uint64_t seed : testing::SweepSeeds()) {
     Graph g = ErdosRenyiGnm(350, 1200, seed);
     CoreDecomposition cd = BzCoreDecomposition(g);
-    HcdForest oracle = NaiveHcdBuild(g, cd);
+    const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
     EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle)) << "seed=" << seed;
     EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle)) << "seed=" << seed;
   }
   for (uint64_t seed : testing::SweepSeeds()) {
     Graph g = BarabasiAlbert(300, 3, seed);
     CoreDecomposition cd = BzCoreDecomposition(g);
-    HcdForest oracle = NaiveHcdBuild(g, cd);
+    const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
     EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle)) << "seed=" << seed;
     EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle)) << "seed=" << seed;
   }
@@ -166,7 +165,7 @@ TEST(HcdConstruction, SparseFragmentedStress) {
   for (uint64_t seed = 100; seed < 140; ++seed) {
     Graph g = ErdosRenyiGnm(120, 150, seed);  // below the giant threshold
     CoreDecomposition cd = BzCoreDecomposition(g);
-    HcdForest oracle = NaiveHcdBuild(g, cd);
+    const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
     EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle)) << "seed=" << seed;
     EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle)) << "seed=" << seed;
   }
@@ -191,7 +190,7 @@ TEST(HcdConstruction, SparseFragmentedStress) {
     }
     Graph g = std::move(b).Build(80);
     CoreDecomposition cd = BzCoreDecomposition(g);
-    HcdForest oracle = NaiveHcdBuild(g, cd);
+    const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
     EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle)) << "seed=" << seed;
     EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle)) << "seed=" << seed;
   }
@@ -204,8 +203,7 @@ TEST(HcdConstruction, SparseFragmentedStress) {
 TEST(HcdConstruction, PhcdRepeatedParallelBuildsMatchLcps) {
   const Graph g = RMatGraph500(14, 200'000, 7);
   const CoreDecomposition cd = BzCoreDecomposition(g);
-  const HcdForest lcps = LcpsBuild(g, cd);
-  const FlatHcdIndex lcps_flat = Freeze(lcps);
+  const FlatHcdIndex lcps_flat = Freeze(LcpsBuild(g, cd));
   const std::vector<VertexId> shell_sizes = KShellSizes(cd);
   const uint64_t shells = static_cast<uint64_t>(
       std::count_if(shell_sizes.begin(), shell_sizes.end(),
@@ -222,7 +220,7 @@ TEST(HcdConstruction, PhcdRepeatedParallelBuildsMatchLcps) {
                                     "parallel_shells");
       ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
-      ASSERT_TRUE(HcdEquals(phcd, lcps))
+      ASSERT_TRUE(HcdEquals(phcd, lcps_flat))
           << "threads=" << threads << " rep=" << rep;
       ASSERT_TRUE(HcdEquals(Freeze(phcd), lcps_flat))
           << "threads=" << threads << " rep=" << rep;
@@ -233,7 +231,7 @@ TEST(HcdConstruction, PhcdRepeatedParallelBuildsMatchLcps) {
 TEST(HcdConstruction, DeepOnionLevels) {
   Graph g = PlantedHierarchy(OnionSpec(20, 22), 9);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest oracle = NaiveHcdBuild(g, cd);
+  const FlatHcdIndex oracle = Freeze(NaiveHcdBuild(g, cd));
   EXPECT_EQ(oracle.NumNodes(), 20u);
   EXPECT_TRUE(HcdEquals(LcpsBuild(g, cd), oracle));
   EXPECT_TRUE(HcdEquals(PhcdBuild(g, cd), oracle));

@@ -43,15 +43,13 @@ TEST(Integration, ParallelAndSerialPipelinesAgree) {
     CoreDecomposition parallel_cd = PkcCoreDecomposition(g);
     ASSERT_EQ(serial_cd.coreness, parallel_cd.coreness);
 
-    HcdForest serial_f = LcpsBuild(g, serial_cd);
-    HcdForest parallel_f = PhcdBuild(g, parallel_cd);
-    ASSERT_TRUE(ValidateHcd(g, serial_cd, serial_f).ok());
-    ASSERT_TRUE(ValidateHcd(g, parallel_cd, parallel_f).ok());
-    ASSERT_TRUE(HcdEquals(serial_f, parallel_f));
-
-    const FlatHcdIndex serial_i = Freeze(std::move(serial_f));
-    const FlatHcdIndex parallel_i = Freeze(std::move(parallel_f));
+    const HcdForest serial_f = LcpsBuild(g, serial_cd);
+    const HcdForest parallel_f = PhcdBuild(g, parallel_cd);
+    const FlatHcdIndex serial_i = Freeze(serial_f);
+    const FlatHcdIndex parallel_i = Freeze(parallel_f);
     ASSERT_TRUE(ValidateHcd(g, serial_cd, serial_i).ok());
+    ASSERT_TRUE(ValidateHcd(g, parallel_cd, parallel_i).ok());
+    ASSERT_TRUE(HcdEquals(serial_f, parallel_i));
     ASSERT_TRUE(HcdEquals(serial_i, parallel_i));
 
     for (Metric metric : kAllMetrics) {
@@ -75,16 +73,15 @@ TEST(Integration, ParallelAndSerialPipelinesAgree) {
 TEST(Integration, PipelineUnderVaryingThreads) {
   Graph g = BarabasiAlbert(1500, 4, 7);
   CoreDecomposition base_cd = PkcCoreDecomposition(g);
-  HcdForest base_f = PhcdBuild(g, base_cd);
-  const FlatHcdIndex base_i = Freeze(base_f);
+  const FlatHcdIndex base_i = Freeze(PhcdBuild(g, base_cd));
   SearchResult base_r = PbksSearch(g, base_cd, base_i, Metric::kModularity);
   for (int threads : {1, 3, 8}) {
     ThreadCountGuard guard(threads);
     CoreDecomposition cd = PkcCoreDecomposition(g);
     EXPECT_EQ(cd.coreness, base_cd.coreness);
-    HcdForest f = PhcdBuild(g, cd);
-    EXPECT_TRUE(HcdEquals(f, base_f));
-    const FlatHcdIndex flat = Freeze(std::move(f));
+    const HcdForest f = PhcdBuild(g, cd);
+    EXPECT_TRUE(HcdEquals(f, base_i));
+    const FlatHcdIndex flat = Freeze(f);
     EXPECT_TRUE(HcdEquals(flat, base_i));
     SearchResult r = PbksSearch(g, cd, flat, Metric::kModularity);
     EXPECT_EQ(r.scores, base_r.scores);

@@ -94,8 +94,8 @@ TEST_P(NucleusSuite, HierarchyMatchesNaiveOracle) {
   NucleusPipeline p = Build(g);
   NucleusDecomposition nd = PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
   NucleusForest parallel = BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
-  NucleusForest oracle = NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
-  EXPECT_TRUE(HcdEquals(parallel, oracle));
+  EXPECT_TRUE(HcdEquals(
+      parallel, Freeze(NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd))));
 }
 
 TEST_P(NucleusSuite, HierarchyStableAcrossThreadCounts) {
@@ -103,7 +103,8 @@ TEST_P(NucleusSuite, HierarchyStableAcrossThreadCounts) {
   if (g.NumEdges() > 20000) return;
   NucleusPipeline p = Build(g);
   NucleusDecomposition nd = PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
-  NucleusForest base = BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
+  const FlatHcdIndex base =
+      Freeze(BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd));
   for (int threads : {1, 2, 4}) {
     ThreadCountGuard guard(threads);
     EXPECT_TRUE(
@@ -119,11 +120,13 @@ TEST_P(NucleusSuite, EveryTrianglePlacedAtItsTheta) {
   NucleusDecomposition nd = PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
   NucleusForest forest = BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
   uint64_t placed = 0;
+  for (TriIdx tri = 0; tri < p.tidx.NumTriangles(); ++tri) {
+    const TreeNodeId t = forest.Tid(tri);
+    ASSERT_NE(t, kInvalidNode);
+    EXPECT_EQ(nd.theta[tri], forest.Level(t));
+    ++placed;
+  }
   for (TreeNodeId t = 0; t < forest.NumNodes(); ++t) {
-    for (VertexId tri : forest.Vertices(t)) {
-      EXPECT_EQ(nd.theta[tri], forest.Level(t));
-      ++placed;
-    }
     if (forest.Parent(t) != kInvalidNode) {
       EXPECT_LT(forest.Level(forest.Parent(t)), forest.Level(t));
     }
@@ -149,8 +152,8 @@ TEST(NucleusHierarchy, RepeatedParallelBuildsMatchNaive) {
       Build(PlantedHierarchy(BranchingSpec(3, 14, 3, 2, 40), 7));
   const NucleusDecomposition nd =
       PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
-  const NucleusForest oracle =
-      NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
+  const FlatHcdIndex oracle =
+      Freeze(NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd));
   const uint64_t shells = testing::DistinctLevels(nd.theta);
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
@@ -224,8 +227,8 @@ TEST(NucleusHierarchy, TwoCliquesSharingAnEdge) {
     level2 += forest.Level(t) == 2;
   }
   EXPECT_EQ(level2, 2u);
-  EXPECT_TRUE(
-      HcdEquals(forest, NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd)));
+  EXPECT_TRUE(HcdEquals(
+      forest, Freeze(NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd))));
 }
 
 TEST(NucleusHierarchy, NestedCliquesNest) {
@@ -240,14 +243,16 @@ TEST(NucleusHierarchy, NestedCliquesNest) {
   NucleusPipeline p = Build(std::move(b).Build(8));
   NucleusDecomposition nd = PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
   NucleusForest forest = BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
-  EXPECT_TRUE(
-      HcdEquals(forest, NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd)));
+  EXPECT_TRUE(HcdEquals(
+      forest, Freeze(NaiveNucleusHierarchy(p.graph, p.eidx, p.tidx, nd))));
   // The K7 triangles have theta 4; vertex-7 triangles have theta 2 (the
   // K6 on {0..3,7} ... they participate in fewer 4-cliques).
   EXPECT_EQ(nd.k_max, 4u);
   // The deepest node's parent chain reaches a root.
-  auto order = forest.NodesByDescendingLevel();
-  TreeNodeId deepest = order.front();
+  TreeNodeId deepest = 0;
+  for (TreeNodeId t = 1; t < forest.NumNodes(); ++t) {
+    if (forest.Level(t) > forest.Level(deepest)) deepest = t;
+  }
   uint32_t hops = 0;
   for (TreeNodeId t = deepest; t != kInvalidNode; t = forest.Parent(t)) {
     ++hops;

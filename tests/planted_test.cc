@@ -5,6 +5,7 @@
 #include "core/core_decomposition.h"
 #include "core/naive.h"
 #include "graph/generators.h"
+#include "hcd/flat_index.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
 #include "hcd/validate.h"
@@ -23,7 +24,7 @@ void SpecStats(const CoreSpec& spec, uint32_t* nodes, uint64_t* vertices) {
 
 /// Recursively checks that `forest` contains, under `parent_node`, exactly
 /// one node matching `spec` (level and shell size), with matching subtree.
-void CheckSpecSubtree(const HcdForest& forest, const CoreSpec& spec,
+void CheckSpecSubtree(const FlatHcdIndex& forest, const CoreSpec& spec,
                       TreeNodeId node, TreeNodeId expected_parent) {
   ASSERT_NE(node, kInvalidNode);
   EXPECT_EQ(forest.Level(node), spec.level);
@@ -94,9 +95,10 @@ TEST_P(PlantedSuite, HcdMatchesSpecTree) {
     Graph g = PlantedHierarchy(spec, seed);
     CoreDecomposition cd = BzCoreDecomposition(g);
     ASSERT_TRUE(VerifyCoreDecomposition(g, cd));
-    HcdForest forest = PhcdBuild(g, cd);
+    const HcdForest phcd = PhcdBuild(g, cd);
+    const FlatHcdIndex forest = Freeze(phcd);
     ASSERT_TRUE(ValidateHcd(g, cd, forest).ok());
-    EXPECT_TRUE(HcdEquals(forest, NaiveHcdBuild(g, cd)));
+    EXPECT_TRUE(HcdEquals(phcd, Freeze(NaiveHcdBuild(g, cd))));
 
     uint32_t expected_nodes = 0;
     uint64_t expected_vertices = 0;
@@ -119,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PlantedForestGraph, IndependentComponentsKeepTheirHierarchies) {
   Graph g = PlantedForest({OnionSpec(4, 6), OnionSpec(7, 8)}, 3);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = PhcdBuild(g, cd);
+  const FlatHcdIndex f = Freeze(PhcdBuild(g, cd));
   EXPECT_TRUE(ValidateHcd(g, cd, f).ok());
   EXPECT_EQ(f.Roots().size(), 2u);
   // 4 levels + 7 levels of onion nodes.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "core/core_decomposition.h"
 #include "graph/generators.h"
+#include "hcd/flat_index.h"
 #include "hcd/local_core_search.h"
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
@@ -13,10 +16,29 @@
 namespace hcd {
 namespace {
 
+/// Vertex set of the k-core containing `v` (empty when there is none).
+std::vector<VertexId> KCoreContaining(const FlatHcdIndex& flat, VertexId v,
+                                      uint32_t k) {
+  const TreeNodeId node = NodeOfKCoreContaining(flat, v, k);
+  if (node == kInvalidNode) return {};
+  const std::span<const VertexId> core = flat.CoreVertices(node);
+  return {core.begin(), core.end()};
+}
+
+/// The same ancestor walk over the builder forest's parent pointers.
+TreeNodeId ForestNodeOfKCore(const HcdForest& f, VertexId v, uint32_t k) {
+  TreeNodeId node = f.Tid(v);
+  if (node == kInvalidNode || f.Level(node) < k) return kInvalidNode;
+  while (f.Parent(node) != kInvalidNode && f.Level(f.Parent(node)) >= k) {
+    node = f.Parent(node);
+  }
+  return node;
+}
+
 TEST(Query, PaperFigure1) {
   Graph g = PaperFigure1Graph();
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = PhcdBuild(g, cd);
+  const FlatHcdIndex f = Freeze(PhcdBuild(g, cd));
 
   // Vertex 0 (octahedron): in the 4-core (6 vertices), the 3-core S3.1
   // (9 vertices) and the whole 2-core.
@@ -45,7 +67,7 @@ TEST(Query, MatchesLocalCoreSearchOnSuite) {
     SCOPED_TRACE(tc.name);
     const Graph& g = tc.graph;
     CoreDecomposition cd = BzCoreDecomposition(g);
-    HcdForest f = NaiveHcdBuild(g, cd);
+    const FlatHcdIndex f = Freeze(NaiveHcdBuild(g, cd));
     // For a sample of vertices, the index answer at k = c(v) must equal the
     // BFS-based local core search.
     for (VertexId v = 0; v < g.NumVertices();
@@ -61,9 +83,9 @@ TEST(Query, MatchesLocalCoreSearchOnSuite) {
 }
 
 TEST(FlatQuery, MatchesForestAnswersOnSuite) {
-  // The frozen-index overloads must agree with the builder-forest queries
-  // on every graph regime: same coreness, same membership node, same
-  // k-core vertex set (as a set — Freeze renumbers nodes in preorder).
+  // The frozen index must answer as the builder forest's own arrays do on
+  // every graph regime: same coreness, same k-core vertex set (as a set —
+  // Freeze renumbers nodes in preorder).
   for (const auto& tc : testing::StandardGraphSuite()) {
     SCOPED_TRACE(tc.name);
     const Graph& g = tc.graph;
@@ -72,25 +94,26 @@ TEST(FlatQuery, MatchesForestAnswersOnSuite) {
     const FlatHcdIndex flat = Freeze(f);
     for (VertexId v = 0; v < g.NumVertices();
          v += std::max<VertexId>(1, g.NumVertices() / 13)) {
-      EXPECT_EQ(CorenessOf(flat, v), CorenessOf(f, v)) << "vertex " << v;
-      for (uint32_t k : {1u, 2u, CorenessOf(f, v), CorenessOf(f, v) + 1}) {
+      const uint32_t coreness = f.Level(f.Tid(v));
+      EXPECT_EQ(CorenessOf(flat, v), coreness) << "vertex " << v;
+      for (uint32_t k : {1u, 2u, coreness, coreness + 1}) {
         const TreeNodeId node = NodeOfKCoreContaining(flat, v, k);
-        std::vector<VertexId> via_forest = KCoreContaining(f, v, k);
-        if (node == kInvalidNode) {
-          EXPECT_TRUE(via_forest.empty()) << "vertex " << v << " k " << k;
-          continue;
-        }
-        const std::span<const VertexId> members = flat.CoreVertices(node);
-        std::vector<VertexId> via_flat(members.begin(), members.end());
+        const TreeNodeId forest_node = ForestNodeOfKCore(f, v, k);
+        EXPECT_EQ(node == kInvalidNode, forest_node == kInvalidNode)
+            << "vertex " << v << " k " << k;
+        if (node == kInvalidNode || forest_node == kInvalidNode) continue;
+        std::vector<VertexId> via_flat = KCoreContaining(flat, v, k);
         std::sort(via_flat.begin(), via_flat.end());
-        std::sort(via_forest.begin(), via_forest.end());
-        EXPECT_EQ(via_flat, via_forest) << "vertex " << v << " k " << k;
+        EXPECT_EQ(via_flat, CoreVertices(f, forest_node))
+            << "vertex " << v << " k " << k;
       }
     }
     // InSameKCore agrees on a few pairs.
     for (VertexId u = 0; u + 1 < g.NumVertices() && u < 8; ++u) {
       for (uint32_t k : {1u, 2u, 3u}) {
-        EXPECT_EQ(InSameKCore(flat, u, u + 1, k), InSameKCore(f, u, u + 1, k))
+        const TreeNodeId nu = ForestNodeOfKCore(f, u, k);
+        EXPECT_EQ(InSameKCore(flat, u, u + 1, k),
+                  nu != kInvalidNode && nu == ForestNodeOfKCore(f, u + 1, k))
             << "pair " << u << " k " << k;
       }
     }
@@ -132,7 +155,7 @@ TEST(FlatQuery, ContainingAllIntersectsTheWalks) {
 TEST(Query, AncestorWalkLevels) {
   Graph g = PlantedHierarchy(OnionSpec(8, 6), 2);
   CoreDecomposition cd = BzCoreDecomposition(g);
-  HcdForest f = PhcdBuild(g, cd);
+  const FlatHcdIndex f = Freeze(PhcdBuild(g, cd));
   // A deepest vertex is in every k-core for k = 1..8, each strictly larger.
   VertexId deep = 0;
   ASSERT_EQ(cd.coreness[deep], 8u);
