@@ -5,15 +5,16 @@
 // (LCPS/PHCD, "x"); then PHCD at the maximum swept thread count with LB and
 // the local-k-core-search experiment RC at the same thread count.
 //
-// Construction times come from the per-stage telemetry: each configuration
-// runs on a fresh HcdEngine (borrowing the shared dataset) under its own
-// stage collector, and its "construction" stage isolates the build from
-// decomposition exactly like the paper's measurement.
+// Construction times come from the stage records: each configuration runs
+// on a fresh HcdEngine (borrowing the shared dataset) under its own metrics
+// registry, and the "construction" stage's hcd_stage_seconds sum isolates
+// the build from decomposition exactly like the paper's measurement.
 
 #include <cstdio>
 
 #include "bench/bench_datasets.h"
 #include "bench/bench_util.h"
+#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "engine/engine.h"
 #include "hcd/local_core_search.h"
@@ -31,12 +32,12 @@ double StageSeconds(const hcd::Graph& g, hcd::EngineAlgo algo, int threads,
                     const char* stage, int reps = 3) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    hcd::StageTelemetry telemetry;
-    telemetry.Install();
+    hcd::MetricsRegistry registry;
+    registry.Install();
     hcd::HcdEngine engine(&g, {.algo = algo, .threads = threads});
     engine.Flat();
-    telemetry.Uninstall();
-    const double s = telemetry.StageSeconds(stage);
+    registry.Uninstall();
+    const double s = hcd::StageSeconds(registry, stage);
     if (r == 0 || s < best) best = s;
   }
   return best;

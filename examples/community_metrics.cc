@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
   const uint64_t edges = argc > 2 ? std::atoll(argv[2]) : 80000;
   const uint64_t seed = argc > 3 ? std::atoll(argv[3]) : 7;
 
-  hcd::StageTelemetry telemetry;
-  telemetry.Install();
+  hcd::MetricsRegistry registry;
+  registry.Install();
   hcd::HcdEngine engine(hcd::RMatGraph500(scale, edges, seed));
   const hcd::CoreDecomposition& cd = engine.Coreness();
   const hcd::FlatHcdIndex& flat = engine.Flat();
@@ -55,10 +56,15 @@ int main(int argc, char** argv) {
                 prof.scores[k]);
   }
 
-  telemetry.Uninstall();
+  registry.Uninstall();
   std::printf("\n== pipeline stages ==\n");
-  for (const hcd::StageRecord& r : telemetry.records()) {
-    std::printf("  %-18s %8.3f ms\n", r.stage.c_str(), r.seconds * 1e3);
+  for (const char* stage :
+       {"decomposition", "construction", "construction.freeze",
+        "search.preprocess", "search.primary_a", "search.primary_b",
+        "search.score"}) {
+    const unsigned long long runs = hcd::StageRuns(registry, stage);
+    std::printf("  %-20s %3llu run(s) %8.3f ms\n", stage, runs,
+                hcd::StageSeconds(registry, stage) * 1e3);
   }
   return 0;
 }

@@ -1,7 +1,8 @@
 // Quickstart: build a graph, run the HCD pipeline through the engine, and
 // search for the best community under a few metrics. The engine computes
 // each stage (decomposition, construction, search preprocessing) exactly
-// once and reports where the time went.
+// once, and the metrics registry it records into reports where the time
+// went.
 //
 // Run: ./build/examples/quickstart [edge-list-file] [metric]
 // With no arguments it uses the paper's Figure 1 running example and a
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
@@ -56,8 +58,8 @@ int main(int argc, char** argv) {
   // SearchIndex, and nothing is ever recomputed. (For concurrent serving,
   // take engine.Snapshot() and give each worker thread its own
   // SearchWorkspace — see engine/snapshot.h.)
-  hcd::StageTelemetry telemetry;
-  telemetry.Install();
+  hcd::MetricsRegistry registry;
+  registry.Install();
   hcd::HcdEngine engine(std::move(graph));
 
   std::printf("core decomposition: k_max=%u\n", engine.Coreness().k_max);
@@ -74,11 +76,18 @@ int main(int argc, char** argv) {
                 r.best_score);
   }
 
-  telemetry.Uninstall();
-  std::printf("\nper-stage telemetry:\n");
-  for (const hcd::StageRecord& r : telemetry.records()) {
-    std::printf("  %-18s %8.3f ms\n", r.stage.c_str(), r.seconds * 1e3);
+  registry.Uninstall();
+  // Every stage recorded its runs and wall time in the registry's
+  // hcd_stage_seconds histograms (RenderJson / RenderPrometheus print all
+  // of them; hcd_cli --json shows the same document).
+  std::printf("\nper-stage time:\n");
+  for (const char* stage :
+       {"decomposition", "construction", "construction.freeze",
+        "search.preprocess", "search.primary_a", "search.primary_b",
+        "search.score"}) {
+    const unsigned long long runs = hcd::StageRuns(registry, stage);
+    std::printf("  %-20s %3llu run(s) %8.3f ms\n", stage, runs,
+                hcd::StageSeconds(registry, stage) * 1e3);
   }
-  std::printf("peak stage: %s\n", telemetry.PeakStage().c_str());
   return 0;
 }

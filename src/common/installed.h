@@ -7,8 +7,8 @@
 
 namespace hcd {
 
-/// Process-wide publication shared by the observability backends (Tracer,
-/// MetricsRegistry, StageTelemetry), so instrumentation anywhere in the
+/// Process-wide publication shared by the two observability backends
+/// (Tracer, MetricsRegistry), so instrumentation anywhere in the
 /// library finds each one the same way: `T::Current()` is the installed
 /// instance, or null when none is (one relaxed atomic load). Install()
 /// checks that no other T is installed; Uninstall() checks that this one

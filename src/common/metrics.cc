@@ -180,6 +180,27 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return GetInstrument(name, help, labels, Kind::kHistogram)->histogram.get();
 }
 
+const MetricsRegistry::Instrument* MetricsRegistry::FindInstrument(
+    const std::string& name, const MetricLabels& labels, Kind kind) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto family = families_.find(name);
+  if (family == families_.end() || family->second.kind != kind) return nullptr;
+  const auto child = family->second.children.find(RenderLabels(labels));
+  return child == family->second.children.end() ? nullptr : &child->second;
+}
+
+const Counter* MetricsRegistry::FindCounter(const std::string& name,
+                                            const MetricLabels& labels) const {
+  const Instrument* i = FindInstrument(name, labels, Kind::kCounter);
+  return i != nullptr ? i->counter.get() : nullptr;
+}
+
+const Histogram* MetricsRegistry::FindHistogram(
+    const std::string& name, const MetricLabels& labels) const {
+  const Instrument* i = FindInstrument(name, labels, Kind::kHistogram);
+  return i != nullptr ? i->histogram.get() : nullptr;
+}
+
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;

@@ -112,10 +112,10 @@ double HistogramBucketQuantile(
 /// aborts — the exposition would be self-contradictory otherwise.
 ///
 /// Like Tracer, a registry can be published process-wide with Install()
-/// (installed.h) so the `ScopedStage` bridge (telemetry.h) records every
-/// stage's wall time into the `hcd_stage_seconds` histogram family without
-/// any caller wiring; with no registry installed that bridge is a single
-/// pointer test.
+/// (installed.h) so every `ScopedStage` (telemetry.h) records its wall time,
+/// run and counters into the `hcd_stage_*` families without any caller
+/// wiring: the installed registry is the stage record. With no registry
+/// installed that path is a single pointer test.
 class MetricsRegistry : public Installed<MetricsRegistry> {
  public:
   MetricsRegistry() = default;
@@ -130,6 +130,15 @@ class MetricsRegistry : public Installed<MetricsRegistry> {
   Histogram* GetHistogram(const std::string& name,
                           const std::string& help = "",
                           const MetricLabels& labels = {});
+
+  /// The counter / histogram registered under (name, labels), or nullptr
+  /// when there is none. Unlike Get*, a Find creates nothing, so reading a
+  /// series that was never written leaves the rendered documents as they
+  /// were.
+  const Counter* FindCounter(const std::string& name,
+                             const MetricLabels& labels) const;
+  const Histogram* FindHistogram(const std::string& name,
+                                 const MetricLabels& labels) const;
 
   /// Prometheus text exposition format: one `# HELP` / `# TYPE` pair per
   /// family, histograms as cumulative `_bucket{le=...}` series (ending in
@@ -170,6 +179,9 @@ class MetricsRegistry : public Installed<MetricsRegistry> {
 
   Instrument* GetInstrument(const std::string& name, const std::string& help,
                             const MetricLabels& labels, Kind kind);
+  const Instrument* FindInstrument(const std::string& name,
+                                   const MetricLabels& labels,
+                                   Kind kind) const;
 
   std::atomic<uint64_t> lookups_{0};
   mutable std::mutex mu_;

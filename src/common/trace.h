@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,11 +48,11 @@ struct TraceSpanRecord {
 /// Chrome trace-event JSON loadable in Perfetto / chrome://tracing.
 ///
 /// Enabling is process-wide: Install() (installed.h) publishes the tracer so
-/// that `ScopedSpan` (and the `ScopedStage` bridge in telemetry.h) pick it
-/// up anywhere in the library. With no tracer installed the instrumentation
-/// compiles down to one relaxed atomic load and a null test per span — no
-/// allocation, no clock read (asserted by tests/trace_test.cc and measured
-/// by bench_micro).
+/// that `ScopedSpan` (and `ScopedStage` in telemetry.h, which records its
+/// span through one) pick it up anywhere in the library. With no tracer
+/// installed the instrumentation compiles down to one relaxed atomic load
+/// and a null test per span — no allocation, no clock read (asserted by
+/// tests/trace_test.cc and measured by bench_micro).
 ///
 /// Thread-safety contract: RecordSpan may be called from any number of
 /// threads concurrently (each writes only its own buffer). The read side —
@@ -140,9 +141,10 @@ std::string TraceIdHex(uint64_t id);
 class ScopedSpan {
  public:
   /// Records into the process-wide tracer (no-op when none is installed).
-  explicit ScopedSpan(const char* name) : ScopedSpan(Tracer::Current(), name) {}
+  explicit ScopedSpan(std::string_view name)
+      : ScopedSpan(Tracer::Current(), name) {}
 
-  ScopedSpan(Tracer* tracer, const char* name) : tracer_(tracer) {
+  ScopedSpan(Tracer* tracer, std::string_view name) : tracer_(tracer) {
     if (tracer_ == nullptr) return;
     span_.name = name;
     span_.ts_ns = tracer_->NowNs();
@@ -158,14 +160,16 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   /// Attaches a numeric argument (no-op without a tracer).
-  void AddArg(const char* key, uint64_t value) {
-    if (tracer_ != nullptr) span_.args.push_back({key, value, "", false});
+  void AddArg(std::string_view key, uint64_t value) {
+    if (tracer_ != nullptr) {
+      span_.args.push_back({std::string(key), value, "", false});
+    }
   }
 
   /// Attaches a string argument (no-op without a tracer).
-  void AddArg(const char* key, std::string text) {
+  void AddArg(std::string_view key, std::string text) {
     if (tracer_ != nullptr) {
-      span_.args.push_back({key, 0, std::move(text), true});
+      span_.args.push_back({std::string(key), 0, std::move(text), true});
     }
   }
 

@@ -269,7 +269,10 @@ const FlatHcdIndex& HcdEngine::Flat() {
   // parents and an n-entry tid) is not kept: it goes here, inside the
   // freeze stage, before anything the search tables allocate can stack on
   // it.
-  forest = HcdForest();
+  {
+    ScopedSpan span("freeze.release_forest");
+    forest = HcdForest();
+  }
   stage.AddCounter("nodes", flat_->NumNodes());
   return *flat_;
 }

@@ -86,8 +86,8 @@ Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
 ///
 /// Thread counts are applied per stage with ThreadCountGuard (never by
 /// mutating global OpenMP state), and every stage is a ScopedStage: its
-/// wall time and cheap counters reach whichever process-wide backends are
-/// installed (StageTelemetry, Tracer, MetricsRegistry; see
+/// wall time and cheap counters reach whichever of the two process-wide
+/// backends are installed (Tracer, MetricsRegistry; see
 /// common/telemetry.h).
 ///
 /// Thread-safety: the engine itself is not thread-safe — one engine is

@@ -24,12 +24,11 @@ std::shared_ptr<const SnapshotState> BuildInitialState(
 }  // namespace
 
 LiveEngine::LiveEngine(Graph graph, LiveEngineOptions options)
-    : options_(options),
-      manager_(BuildInitialState(std::move(graph), options)),
+    : manager_(BuildInitialState(std::move(graph), options)),
       // The state owns the (moved) graph and its coreness now; the dynamic
       // index shares the one and copies the other, so nothing is re-peeled.
       dynamic_(manager_.Current()->shared_graph(),
-               manager_.Current()->coreness(), options.hash_degree_threshold) {}
+               manager_.Current()->coreness()) {}
 
 Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
                               BatchApplyReport* report) {
@@ -84,10 +83,7 @@ Status LiveEngine::ApplyBatch(std::span<const EdgeUpdate> updates,
       touched.push_back(u);
       touched.push_back(v);
     }
-    RebuildOptions rebuild_options;
-    rebuild_options.full_rebuild_threshold = options_.full_rebuild_threshold;
-    const RebuildPlan plan =
-        PlanRebuild(old_state->flat(), touched, rebuild_options);
+    const RebuildPlan plan = PlanRebuild(old_state->flat(), touched);
     rep.full_rebuild = plan.full_rebuild;
     rep.dirty_fraction = plan.dirty_fraction;
     refreeze_span.AddArg("dirty_fraction", plan.dirty_fraction);

@@ -112,13 +112,6 @@ struct LiveEngineOptions {
   /// mapped index keeps its snapshot file mapped for as long as the initial
   /// generation is referenced; later batches re-freeze into owned storage.
   std::shared_ptr<const FlatHcdIndex> initial_flat;
-  /// Dirty-vertex fraction above which a batch re-freezes the whole
-  /// hierarchy instead of splicing (see RebuildOptions).
-  double full_rebuild_threshold = 0.25;
-  /// Degree above which a row the batch writes is hashed when the
-  /// DynamicCoreIndex materialises it (or flips once it grows past it).
-  /// Unedited rows stay in the shared CSR and are never hashed.
-  uint32_t hash_degree_threshold = DynamicCoreIndex::kDefaultHashDegreeThreshold;
 };
 
 /// Everything one ApplyBatch did, for benches and tests.
@@ -139,7 +132,8 @@ struct BatchApplyReport {
 /// reader threads Acquire() snapshots and query them. Each batch runs
 /// batch-dynamic coreness maintenance (DynamicCoreIndex::ApplyBatch),
 /// re-freezes only the trees the batch touched (PlanRebuild/ApplyRebuild,
-/// falling back to a full rebuild past `full_rebuild_threshold`), then
+/// falling back to a full rebuild past RebuildOptions' default
+/// `full_rebuild_threshold`), then
 /// publishes the new generation with an incremented epoch.
 ///
 /// Observability: spans "live.apply_batch" > "live.apply" /
@@ -178,7 +172,6 @@ class LiveEngine {
                     BatchApplyReport* report = nullptr);
 
  private:
-  LiveEngineOptions options_;
   std::mutex writer_mu_;
   SnapshotManager manager_;
   DynamicCoreIndex dynamic_;  ///< writer-side; guarded by writer_mu_

@@ -334,11 +334,12 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   // Child CSR over the builder's node ids, straight from parent pointers.
   // Freeze re-checks the level contract so a malformed builder forest fails
   // loudly here instead of producing a cyclic "preorder".
-  std::vector<uint32_t> old_child_offsets(num_nodes + 1, 0);
+  std::vector<uint32_t> old_child_offsets;
   std::vector<TreeNodeId> old_children;
   {
     ScopedSpan span("freeze.child_csr");
     span.AddArg("nodes", num_nodes);
+    old_child_offsets.assign(num_nodes + 1, 0);
     for (TreeNodeId t = 0; t < num_nodes; ++t) {
       const TreeNodeId p = forest.Parent(t);
       if (p == kInvalidNode) continue;
@@ -363,18 +364,25 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
                  old_child_offsets[t + 1] - old_child_offsets[t]);
   };
 
-  std::vector<uint32_t> old_levels(num_nodes);
-  for (TreeNodeId t = 0; t < num_nodes; ++t) old_levels[t] = forest.Level(t);
+  std::vector<uint32_t> old_levels;
+  {
+    ScopedSpan span("freeze.levels");
+    old_levels.resize(num_nodes);
+    for (TreeNodeId t = 0; t < num_nodes; ++t) old_levels[t] = forest.Level(t);
+  }
 
   // Subtree node / vertex counts, bottom-up. Nodes of equal level are never
   // ancestor/descendant, so each descending-level group is one parallel
   // step whose reads (children) were all written by earlier groups; a group
   // below kParallelGrain nodes runs on the calling thread.
-  std::vector<uint32_t> own_verts(num_nodes, 0);
-  std::vector<TreeNodeId> sub_nodes(num_nodes);
-  std::vector<uint32_t> sub_verts(num_nodes);
+  std::vector<uint32_t> own_verts;
+  std::vector<TreeNodeId> sub_nodes;
+  std::vector<uint32_t> sub_verts;
   {
     ScopedSpan span("freeze.subtree_counts");
+    own_verts.assign(num_nodes, 0);
+    sub_nodes.resize(num_nodes);
+    sub_verts.resize(num_nodes);
     // Each node's own element count, from tid.
     for (VertexId v = 0; v < n; ++v) {
       const TreeNodeId t = forest.Tid(v);
@@ -403,31 +411,36 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   }
 
   // Per-root preorder id / vertex-slot bases (exclusive scans), so each tree
-  // can be numbered independently in parallel.
+  // can be numbered independently in parallel, then the output arrays at
+  // their final sizes.
   std::vector<TreeNodeId> old_roots;
-  for (TreeNodeId t = 0; t < num_nodes; ++t) {
-    if (forest.Parent(t) == kInvalidNode) old_roots.push_back(t);
+  std::vector<TreeNodeId> node_base;
+  std::vector<uint32_t> vert_base;
+  std::vector<TreeNodeId> old2new;
+  {
+    ScopedSpan span("freeze.layout");
+    for (TreeNodeId t = 0; t < num_nodes; ++t) {
+      if (forest.Parent(t) == kInvalidNode) old_roots.push_back(t);
+    }
+    node_base.assign(old_roots.size() + 1, 0);
+    vert_base.assign(old_roots.size() + 1, 0);
+    for (size_t r = 0; r < old_roots.size(); ++r) {
+      node_base[r + 1] = node_base[r] + sub_nodes[old_roots[r]];
+      vert_base[r + 1] = vert_base[r] + sub_verts[old_roots[r]];
+    }
+    HCD_CHECK_EQ(node_base.back(), num_nodes)
+        << "forest has a parent cycle or orphan nodes";
+    d.levels.resize(num_nodes);
+    d.parents.resize(num_nodes);
+    d.subtree_nodes.resize(num_nodes);
+    d.vertex_offsets.resize(static_cast<size_t>(num_nodes) + 1);
+    d.vertex_offsets[num_nodes] = vert_base.back();
+    d.vertices.resize(vert_base.back());
+    d.roots.resize(old_roots.size());
+    old2new.resize(num_nodes);
   }
   const size_t num_roots = old_roots.size();
-  std::vector<TreeNodeId> node_base(num_roots + 1, 0);
-  std::vector<uint32_t> vert_base(num_roots + 1, 0);
-  for (size_t r = 0; r < num_roots; ++r) {
-    node_base[r + 1] = node_base[r] + sub_nodes[old_roots[r]];
-    vert_base[r + 1] = vert_base[r] + sub_verts[old_roots[r]];
-  }
-  HCD_CHECK_EQ(node_base[num_roots], num_nodes)
-      << "forest has a parent cycle or orphan nodes";
   const uint32_t total_placed = vert_base[num_roots];
-
-  d.levels.resize(num_nodes);
-  d.parents.resize(num_nodes);
-  d.subtree_nodes.resize(num_nodes);
-  d.vertex_offsets.resize(static_cast<size_t>(num_nodes) + 1);
-  d.vertex_offsets[num_nodes] = total_placed;
-  d.vertices.resize(total_placed);
-  d.roots.resize(num_roots);
-
-  std::vector<TreeNodeId> old2new(num_nodes);
   // One preorder DFS per tree; trees write disjoint ranges of every output
   // array, so the loop is embarrassingly parallel. Tree sizes are very
   // skewed but most roots are singletons, so roots are handed out in

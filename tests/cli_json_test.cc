@@ -20,6 +20,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -186,6 +189,65 @@ TEST_F(CliJsonTest, EngineCommands) {
   RunAndParse("bestk " + bin_path_ + " average-degree", "bestk");
   RunAndParse("truss " + bin_path_, "truss");
   RunAndParse("influential " + bin_path_ + " 3 2", "influential");
+}
+
+/// The `hcd_stage_*` series of a registry JSON document, keyed by name and
+/// labels, each with its value (counters) or count and sum (histograms).
+std::map<std::string, std::string> StageSeries(const JsonValue& registry) {
+  std::map<std::string, std::string> series;
+  const JsonValue* metrics = registry.Find("metrics");
+  EXPECT_NE(metrics, nullptr);
+  if (metrics == nullptr) return series;
+  for (const JsonValue& m : metrics->array) {
+    const std::string& name = m.Find("name")->str;
+    if (!name.starts_with("hcd_stage_")) continue;
+    std::string key = name;
+    for (const auto& [label, value] : m.Find("labels")->object) {
+      key += " " + label + "=" + value.str;
+    }
+    const JsonValue* value = m.Find("value");
+    series[key] = value != nullptr
+                      ? std::to_string(value->number)
+                      : std::to_string(m.Find("count")->number) + " " +
+                            std::to_string(m.Find("sum")->number);
+  }
+  return series;
+}
+
+// --json's "telemetry" is the metrics registry, the document
+// --metrics-out=*.json writes: every named stage is in it, whatever order
+// the stages completed in, and both views hold the same stage series.
+TEST_F(CliJsonTest, BuildTelemetryIsTheMetricsRegistry) {
+  const std::string metrics_path = WorkDir() + "/build_metrics.json";
+  const JsonValue build =
+      RunAndParse("build " + bin_path_ + " " + WorkDir() +
+                      "/g_metrics.forest --threads=2 --metrics-out=" +
+                      metrics_path,
+                  "build");
+  const JsonValue* telemetry = build.Find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  const std::map<std::string, std::string> series = StageSeries(*telemetry);
+  for (const char* stage :
+       {"load", "load.read", "load.validate", "decomposition", "construction",
+        "construction.freeze", "serialize"}) {
+    const auto runs =
+        series.find(std::string("hcd_stage_runs_total stage=") + stage);
+    ASSERT_NE(runs, series.end()) << stage;
+    EXPECT_EQ(runs->second, std::to_string(1.0)) << stage;
+    EXPECT_TRUE(series.contains(std::string("hcd_stage_seconds stage=") +
+                                stage))
+        << stage;
+  }
+  EXPECT_TRUE(
+      series.contains("hcd_stage_counter_total stage=serialize counter=nodes"));
+
+  std::ifstream in(metrics_path);
+  ASSERT_TRUE(in.good()) << metrics_path;
+  std::stringstream file;
+  file << in.rdbuf();
+  JsonValue written;
+  ASSERT_TRUE(ParseJson(file.str(), &written));
+  EXPECT_EQ(StageSeries(written), series);
 }
 
 TEST_F(CliJsonTest, ServeBenchServesTheTrussIndex) {

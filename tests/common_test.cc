@@ -127,74 +127,9 @@ TEST(JsonEscape, UnnamedControlCharactersUseUnicodeEscapes) {
 TEST(JsonEscape, EscapedOutputParsesBackToTheOriginal) {
   const std::string nasty = "q\"b\\n\nr\rt\t\x02 end";
   JsonValue doc;
-  ASSERT_TRUE(ParseJson("\"" + JsonEscape(nasty) + "\"", &doc));
+  const std::string literal = '"' + JsonEscape(nasty) + '"';
+  ASSERT_TRUE(ParseJson(literal, &doc));
   EXPECT_EQ(doc.str, nasty);
-}
-
-TEST(StageTelemetry, ZeroRecordSinkRendersAnEmptyReport) {
-  StageTelemetry telemetry;
-  EXPECT_EQ(telemetry.TotalSeconds(), 0.0);
-  EXPECT_EQ(telemetry.PeakStage(), "");
-  EXPECT_EQ(telemetry.CountStage("anything"), 0u);
-  JsonValue doc;
-  ASSERT_TRUE(ParseJson(telemetry.ToJson(), &doc));
-  EXPECT_TRUE(doc.Find("stages")->array.empty());
-  EXPECT_EQ(doc.Find("total_seconds")->number, 0.0);
-  EXPECT_EQ(doc.Find("peak_stage")->str, "");
-}
-
-TEST(StageTelemetry, PeakStageTieKeepsTheFirstRecord) {
-  StageTelemetry telemetry;
-  telemetry.RecordStage({"first", 2.0, {}});
-  telemetry.RecordStage({"second", 2.0, {}});
-  telemetry.RecordStage({"small", 1.0, {}});
-  EXPECT_EQ(telemetry.PeakStage(), "first");
-  EXPECT_DOUBLE_EQ(telemetry.TotalSeconds(), 5.0);
-}
-
-TEST(StageTelemetry, TotalSecondsCountsOnlyOutermostStages) {
-  StageTelemetry telemetry;
-  telemetry.RecordStage({"load.read", 1.0, {}, /*depth=*/1});
-  telemetry.RecordStage({"load", 3.0, {}, /*depth=*/0});
-  telemetry.RecordStage({"decomposition", 2.0, {}, /*depth=*/0});
-  EXPECT_DOUBLE_EQ(telemetry.TotalSeconds(), 5.0);
-  EXPECT_EQ(telemetry.PeakStage(), "load");
-  // Depth shapes the total only; the report does not render it.
-  EXPECT_EQ(telemetry.ToJson().find("depth"), std::string::npos);
-}
-
-TEST(StageTelemetry, ToJsonSurvivesHostileStageAndCounterNames) {
-  StageTelemetry telemetry;
-  StageRecord record;
-  record.stage = "load \"fast\"\npath\\2";
-  record.seconds = 0.125;
-  record.counters.push_back({"edges\t\"in\"", 12345});
-  telemetry.RecordStage(record);
-  telemetry.RecordStage({"clean", 0.5, {}});
-
-  JsonValue doc;
-  ASSERT_TRUE(ParseJson(telemetry.ToJson(), &doc));
-  const JsonValue* stages = doc.Find("stages");
-  ASSERT_EQ(stages->array.size(), 2u);
-  EXPECT_EQ(stages->array[0].Find("name")->str, record.stage);
-  EXPECT_EQ(stages->array[0].Find("seconds")->number, 0.125);
-  const JsonValue* counters = stages->array[0].Find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->Find("edges\t\"in\"")->number, 12345.0);
-  // Records without counters omit the object entirely.
-  EXPECT_EQ(stages->array[1].Find("counters"), nullptr);
-  EXPECT_EQ(doc.Find("peak_stage")->str, "clean");
-}
-
-TEST(StageTelemetry, CountStageAndStageSecondsMatchLabels) {
-  StageTelemetry telemetry;
-  telemetry.RecordStage({"serve", 1.0, {}});
-  telemetry.RecordStage({"serve", 2.5, {}});
-  telemetry.RecordStage({"load", 4.0, {}});
-  EXPECT_EQ(telemetry.CountStage("serve"), 2u);
-  EXPECT_DOUBLE_EQ(telemetry.StageSeconds("serve"), 3.5);
-  EXPECT_EQ(telemetry.CountStage("missing"), 0u);
-  EXPECT_EQ(telemetry.StageSeconds("missing"), 0.0);
 }
 
 TEST(FiniteOrZero, PassesFiniteValuesAndZerosTheRest) {

@@ -147,13 +147,10 @@ TEST(PkcCoreDecomposition, CompactedRoundsMatchBzOnSkewedGraph) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 20; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const CoreDecomposition pkc = PkcCoreDecomposition(g);
-      telemetry.Uninstall();
-      ASSERT_GE(testing::LastStageCounter(telemetry, "decomposition",
-                                          "compactions"),
-                2u);
+      probe.Stop();
+      ASSERT_GE(probe.Counter("decomposition", "compactions"), 2u);
       ASSERT_EQ(pkc.coreness, bz.coreness)
           << "threads=" << threads << " rep=" << rep;
       ASSERT_EQ(pkc.k_max, bz.k_max);

@@ -1,7 +1,7 @@
 // Tests for the HcdEngine pipeline layer: stage memoization (each stage
 // computed at most once per engine), options plumbing (algorithm selection,
-// thread-count guarding), the stages an installed collector receives, the
-// Load factory, and the JSON telemetry shape behind `hcd_cli --json`.
+// thread-count guarding), the stages an installed registry receives, and
+// the Load factory.
 
 #include "engine/engine.h"
 
@@ -43,8 +43,7 @@ TEST(EngineTest, StagesAreMemoized) {
 }
 
 TEST(EngineTest, DecompositionRunsExactlyOnce) {
-  StageTelemetry t;
-  t.Install();
+  testing::StageProbe probe;
   HcdEngine engine(RMatGraph500(9, 3000, 5));
   // Exercise every stage, several times, in an order where each stage
   // demands its prerequisites.
@@ -55,36 +54,37 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   engine.Rank();
   engine.Flat();
   engine.Searcher();
-  t.Uninstall();
-  EXPECT_EQ(t.CountStage("decomposition"), 1u);
-  EXPECT_EQ(t.CountStage("construction"), 1u);
-  EXPECT_EQ(t.CountStage("construction.freeze"), 1u);
-  EXPECT_EQ(t.CountStage("rank"), 1u);
-  EXPECT_EQ(t.CountStage("search.preprocess"), 1u);
-  EXPECT_EQ(t.CountStage("search.primary_a"), 1u);
-  EXPECT_EQ(t.CountStage("search.primary_b"), 1u);
-  EXPECT_EQ(t.CountStage("search.score"), 3u);
+  probe.Stop();
+  EXPECT_EQ(probe.Runs("decomposition"), 1u);
+  EXPECT_EQ(probe.Runs("construction"), 1u);
+  EXPECT_EQ(probe.Runs("construction.freeze"), 1u);
+  EXPECT_EQ(probe.Runs("rank"), 1u);
+  EXPECT_EQ(probe.Runs("search.preprocess"), 1u);
+  EXPECT_EQ(probe.Runs("search.primary_a"), 1u);
+  EXPECT_EQ(probe.Runs("search.primary_b"), 1u);
+  EXPECT_EQ(probe.Runs("search.score"), 3u);
 }
 
-TEST(EngineTest, InstalledCollectorGetsOneStagePerLibraryCall) {
+TEST(EngineTest, InstalledRegistryGetsOneStagePerLibraryCall) {
   Graph g = ErdosRenyiGnm(300, 900, 1);
-  StageTelemetry t;
-  t.Install();
+  testing::StageProbe probe;
   CoreDecomposition cd = PkcCoreDecomposition(g);
-  EXPECT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.CountStage("decomposition"), 1u);
+  EXPECT_EQ(probe.TotalRuns(), 1u);
+  EXPECT_EQ(probe.Runs("decomposition"), 1u);
+  EXPECT_EQ(probe.Runs("construction"), 0u);
   PhcdBuild(g, cd);
-  EXPECT_EQ(t.CountStage("construction"), 1u);
+  EXPECT_EQ(probe.Runs("construction"), 1u);
   LcpsBuild(g, cd);
-  EXPECT_EQ(t.CountStage("construction"), 2u);
+  EXPECT_EQ(probe.Runs("construction"), 2u);
   BzCoreDecomposition(g);
-  EXPECT_EQ(t.CountStage("decomposition"), 2u);
-  t.Uninstall();
-  EXPECT_EQ(t.records().size(), 4u);
+  EXPECT_EQ(probe.Runs("decomposition"), 2u);
+  EXPECT_EQ(probe.TotalRuns(), 4u);
+  probe.Stop();
   // Uninstalled, the calls still work and add nothing.
   CoreDecomposition cd2 = PkcCoreDecomposition(g);
   EXPECT_EQ(cd2.coreness, cd.coreness);
-  EXPECT_EQ(t.records().size(), 4u);
+  EXPECT_EQ(probe.TotalRuns(), 4u);
+  EXPECT_EQ(probe.Runs("decomposition"), 2u);
 }
 
 TEST(EngineTest, AlgoSelectionProducesEquivalentForests) {
@@ -130,40 +130,40 @@ TEST(EngineTest, LoadRecordsLoadStage) {
   const std::string path = ::testing::TempDir() + "/engine_test_graph.bin";
   ASSERT_TRUE(SaveBinary(g, path).ok());
 
-  StageTelemetry t;
-  t.Install();
+  testing::StageProbe probe;
   std::unique_ptr<HcdEngine> engine;
   const Status s = HcdEngine::Load(path, {}, &engine);
-  t.Uninstall();
+  probe.Stop();
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(engine->graph().NumVertices(), g.NumVertices());
   EXPECT_EQ(engine->graph().NumEdges(), g.NumEdges());
-  EXPECT_EQ(t.CountStage("load"), 1u);
+  EXPECT_EQ(probe.Runs("load"), 1u);
 
   std::unique_ptr<HcdEngine> missing;
   EXPECT_FALSE(
       HcdEngine::Load("/nonexistent/graph.bin", {}, &missing).ok());
 }
 
-TEST(EngineTest, LoadTotalSecondsCountsNestedStagesOnce) {
+TEST(EngineTest, LoadStageEnclosesItsSubStages) {
   Graph g = ErdosRenyiGnm(20000, 200000, 4);
   const std::string path = ::testing::TempDir() + "/engine_test_total.txt";
   ASSERT_TRUE(SaveEdgeListText(g, path).ok());
 
-  StageTelemetry t;
-  t.Install();
+  testing::StageProbe probe;
   std::unique_ptr<HcdEngine> engine;
   Timer timer;
   const Status s = HcdEngine::Load(path, {}, &engine);
   const double wall = timer.Seconds();
-  t.Uninstall();
+  probe.Stop();
   ASSERT_TRUE(s.ok());
-  // "load" encloses load.read/parse/remap/build; summing them all would
-  // read about twice the wall time.
-  EXPECT_EQ(t.CountStage("load.parse"), 1u);
-  EXPECT_GT(t.StageSeconds("load.parse"), 0.0);
-  EXPECT_LE(t.TotalSeconds(), wall);
-  EXPECT_DOUBLE_EQ(t.TotalSeconds(), t.StageSeconds("load"));
+  // "load" encloses load.read/parse/remap/build, which run one after the
+  // other inside it.
+  EXPECT_EQ(probe.Runs("load.parse"), 1u);
+  EXPECT_GT(probe.Seconds("load.parse"), 0.0);
+  EXPECT_LE(probe.Seconds("load"), wall);
+  EXPECT_LE(probe.Seconds("load.read") + probe.Seconds("load.parse") +
+                probe.Seconds("load.remap") + probe.Seconds("load.build"),
+            probe.Seconds("load"));
   std::remove(path.c_str());
 }
 
@@ -203,11 +203,10 @@ TEST(EngineTest, AdoptedCoreIndexImpliesCorenessOnEverySuiteGraph) {
     const auto flat = std::make_shared<const FlatHcdIndex>(source.Flat());
     HcdEngine adopted(&c.graph);
     ASSERT_TRUE(adopted.AdoptFlat(flat).ok());
-    StageTelemetry t;
-    t.Install();
+    testing::StageProbe probe;
     const CoreDecomposition& cd = adopted.Coreness();
-    t.Uninstall();
-    EXPECT_EQ(t.CountStage("decomposition"), 0u);
+    probe.Stop();
+    EXPECT_EQ(probe.Runs("decomposition"), 0u);
     const CoreDecomposition bz = BzCoreDecomposition(c.graph);
     EXPECT_EQ(cd.coreness, bz.coreness);
     EXPECT_EQ(cd.k_max, bz.k_max);
@@ -230,25 +229,6 @@ TEST(EngineTest, ParseAndNameRoundTrip) {
     ASSERT_TRUE(ParseEngineAlgo(EngineAlgoName(a), &parsed));
     EXPECT_EQ(parsed, a);
   }
-}
-
-TEST(TelemetryTest, JsonShape) {
-  StageTelemetry t;
-  t.RecordStage({"load", 0.5, {{"n", 3}, {"m", 7}}});
-  t.RecordStage({"decomposition", 0.25, {}});
-  EXPECT_EQ(t.ToJson(),
-            "{\"stages\":["
-            "{\"name\":\"load\",\"seconds\":0.5,\"counters\":{\"n\":3,\"m\":7}},"
-            "{\"name\":\"decomposition\",\"seconds\":0.25}"
-            "],\"total_seconds\":0.75,\"peak_stage\":\"load\"}");
-  EXPECT_DOUBLE_EQ(t.TotalSeconds(), 0.75);
-  EXPECT_EQ(t.PeakStage(), "load");
-  EXPECT_EQ(t.StageSeconds("load"), 0.5);
-  EXPECT_EQ(t.CountStage("load"), 1u);
-  EXPECT_EQ(t.CountStage("missing"), 0u);
-  t.Clear();
-  EXPECT_EQ(t.ToJson(),
-            "{\"stages\":[],\"total_seconds\":0,\"peak_stage\":\"\"}");
 }
 
 TEST(TelemetryTest, JsonEscaping) {

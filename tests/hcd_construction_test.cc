@@ -211,13 +211,11 @@ TEST(HcdConstruction, PhcdRepeatedParallelBuildsMatchLcps) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 20; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const HcdForest phcd = PhcdBuild(g, cd);
-      telemetry.Uninstall();
+      probe.Stop();
       const uint64_t parallel_shells =
-          testing::LastStageCounter(telemetry, "construction",
-                                    "parallel_shells");
+          probe.Counter("construction", "parallel_shells");
       ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
       ASSERT_TRUE(HcdEquals(phcd, lcps_flat))

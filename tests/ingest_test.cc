@@ -561,8 +561,8 @@ TEST(IngestBinaryFuzz, MutatedFilesFailCleanlyOrLoadValidGraphs) {
 // A loaded graph aliases its file's mapping, which outlives the path.
 
 TEST(IngestBinaryMapped, AdjacencyIsMappedAndCountedWhileTheGraphLives) {
-  MetricsRegistry registry;
-  registry.Install();
+  testing::StageProbe probe;
+  MetricsRegistry& registry = probe.registry();
   const Graph source = ErdosRenyiGnm(500, 2000, 17);
   const std::string path = TempPath("ingest_mapped_gauge.bin");
   ASSERT_TRUE(SaveBinary(source, path).ok());
@@ -570,25 +570,20 @@ TEST(IngestBinaryMapped, AdjacencyIsMappedAndCountedWhileTheGraphLives) {
       28 + (source.NumVertices() + 1) * 8 + source.AdjArray().size() * 4;
   const uint64_t before = MappedFile::TotalMappedBytes();
   {
-    StageTelemetry telemetry;
-    telemetry.Install();
     Graph g;
     const Status s = LoadBinary(path, &g);
-    telemetry.Uninstall();
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_TRUE(g.AdjArray().mapped());
     EXPECT_EQ(MappedFile::TotalMappedBytes(), before + file_size);
     EXPECT_EQ(registry.GetGauge("hcd_snapshot_mapped_bytes")->Value(),
               static_cast<double>(before + file_size));
-    EXPECT_EQ(testing::LastStageCounter(telemetry, "load.read",
-                                        "mapped_bytes"),
-              file_size);
+    EXPECT_EQ(probe.Counter("load.read", "mapped_bytes"), file_size);
     EXPECT_TRUE(SameCsr(source, g));
   }
   EXPECT_EQ(MappedFile::TotalMappedBytes(), before);
   EXPECT_EQ(registry.GetGauge("hcd_snapshot_mapped_bytes")->Value(),
             static_cast<double>(before));
-  registry.Uninstall();
+  probe.Stop();
   std::remove(path.c_str());
 }
 
@@ -670,21 +665,22 @@ TEST(Ingest, EngineLoadRecordsIngestStages) {
   ASSERT_TRUE(SaveEdgeListText(g, text_path).ok());
   ASSERT_TRUE(SaveBinary(g, bin_path).ok());
 
-  StageTelemetry telemetry;
-  telemetry.Install();
   std::unique_ptr<HcdEngine> engine;
-  EXPECT_TRUE(HcdEngine::Load(text_path, {.io_threads = 2}, &engine).ok());
-  for (const char* stage :
-       {"load.read", "load.parse", "load.remap", "load.build", "load"}) {
-    EXPECT_EQ(telemetry.CountStage(stage), 1u) << stage;
+  {
+    testing::StageProbe probe;
+    EXPECT_TRUE(HcdEngine::Load(text_path, {.io_threads = 2}, &engine).ok());
+    probe.Stop();
+    for (const char* stage :
+         {"load.read", "load.parse", "load.remap", "load.build", "load"}) {
+      EXPECT_EQ(probe.Runs(stage), 1u) << stage;
+    }
   }
-
-  telemetry.Clear();
+  testing::StageProbe probe;
   const Status s = HcdEngine::Load(bin_path, {}, &engine);
-  telemetry.Uninstall();
+  probe.Stop();
   ASSERT_TRUE(s.ok());
   for (const char* stage : {"load.read", "load.validate", "load"}) {
-    EXPECT_EQ(telemetry.CountStage(stage), 1u) << stage;
+    EXPECT_EQ(probe.Runs(stage), 1u) << stage;
   }
   EXPECT_EQ(engine->graph().NumEdges(), g.NumEdges());
   std::remove(text_path.c_str());

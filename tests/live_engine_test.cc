@@ -144,9 +144,7 @@ TEST(LiveEngine, SeededFromAV4SnapshotPublishesTablesOfAFullRebuild) {
 // every publish it holds no edits, its coreness is the generation's, and
 // its graph is the generation's graph.
 TEST(LiveEngine, DynamicIndexTracksThePublishedGeneration) {
-  LiveEngineOptions options;
-  options.hash_degree_threshold = 8;  // hash the edited hubs too
-  LiveEngine live(BarabasiAlbertVarying(300, 2, 12, 51), options);
+  LiveEngine live(BarabasiAlbertVarying(300, 2, 12, 51));
   ASSERT_EQ(live.dynamic().CorenessValues(),
             live.Snapshot().coreness().coreness);
   Rng rng(52);

@@ -158,13 +158,12 @@ TEST(NucleusHierarchy, RepeatedParallelBuildsMatchNaive) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 20; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const NucleusForest forest =
           BuildNucleusHierarchy(p.graph, p.eidx, p.tidx, nd);
-      telemetry.Uninstall();
-      const uint64_t parallel_shells = testing::LastStageCounter(
-          telemetry, "nucleus.construction", "parallel_shells");
+      probe.Stop();
+      const uint64_t parallel_shells =
+          probe.Counter("nucleus.construction", "parallel_shells");
       ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
       ASSERT_TRUE(HcdEquals(forest, oracle))
@@ -187,15 +186,13 @@ TEST(NucleusDecomposition, RepeatedParallelPeelsMatchNaive) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 10; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const NucleusDecomposition nd =
           PeelNucleusDecomposition(p.graph, p.eidx, p.tidx);
-      telemetry.Uninstall();
-      const uint64_t rounds = testing::LastStageCounter(
-          telemetry, "nucleus.decomposition", "rounds");
-      const uint64_t parallel_rounds = testing::LastStageCounter(
-          telemetry, "nucleus.decomposition", "parallel_rounds");
+      probe.Stop();
+      const uint64_t rounds = probe.Counter("nucleus.decomposition", "rounds");
+      const uint64_t parallel_rounds =
+          probe.Counter("nucleus.decomposition", "parallel_rounds");
       ASSERT_GT(parallel_rounds, 0u) << "no sub-round reached the grain";
       ASSERT_LT(parallel_rounds, rounds) << "every sub-round ran in parallel";
       ASSERT_EQ(nd.theta, naive.theta)

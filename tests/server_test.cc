@@ -537,15 +537,14 @@ TEST(ExecuteQueryOracle, ServerFromAV4SnapshotAnswersLikeOneBuiltFromTheGraph) {
   ASSERT_TRUE(mapped.mapped());
   ASSERT_TRUE(mapped.HasSearchTables());
 
-  StageTelemetry stages;
-  stages.Install();
+  testing::StageProbe probe;
   LiveEngineOptions options;
   options.initial_flat = std::make_shared<const FlatHcdIndex>(std::move(mapped));
   LiveEngine restarted(Graph(graph), options);
-  stages.Uninstall();
+  probe.Stop();
   for (const char* stage : {"decomposition", "search.preprocess",
                             "search.primary_a", "search.primary_b"}) {
-    EXPECT_EQ(stages.CountStage(stage), 0u) << stage;
+    EXPECT_EQ(probe.Runs(stage), 0u) << stage;
   }
   const QuerySnapshot got = restarted.Snapshot();
   EXPECT_EQ(&got.flat(), options.initial_flat.get());

@@ -253,21 +253,54 @@ inline std::vector<GraphCase> StandardGraphSuite() {
   return cases;
 }
 
-/// Value of `counter` on the last `stage` record `telemetry` holds, or 0
-/// when there is no such record or counter.
-inline uint64_t LastStageCounter(const StageTelemetry& telemetry,
-                                 const std::string& stage,
-                                 const std::string& counter) {
-  const auto& records = telemetry.records();
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    if (it->stage != stage) continue;
-    for (const StageCounter& c : it->counters) {
-      if (c.name == counter) return c.value;
-    }
-    return 0;
+/// Installs a fresh MetricsRegistry for its lifetime (or until Stop()) and
+/// reads back what every ScopedStage recorded into it (telemetry.h's
+/// Stage* reads), each 0 for a stage that never ran.
+class StageProbe {
+ public:
+  StageProbe() { registry_.Install(); }
+  ~StageProbe() { Stop(); }
+
+  StageProbe(const StageProbe&) = delete;
+  StageProbe& operator=(const StageProbe&) = delete;
+
+  /// Uninstalls the registry; later stages are not recorded. Idempotent.
+  void Stop() {
+    if (MetricsRegistry::Current() == &registry_) registry_.Uninstall();
   }
-  return 0;
-}
+
+  uint64_t Runs(const std::string& stage) const {
+    return StageRuns(registry_, stage);
+  }
+  double Seconds(const std::string& stage) const {
+    return StageSeconds(registry_, stage);
+  }
+  uint64_t Observations(const std::string& stage) const {
+    return StageObservations(registry_, stage);
+  }
+  uint64_t Counter(const std::string& stage,
+                   const std::string& counter) const {
+    return StageDetail(registry_, stage, counter);
+  }
+
+  /// Completed runs of every stage together: the sum of all
+  /// `hcd_stage_runs_total` series in the registry's JSON view.
+  uint64_t TotalRuns() const {
+    JsonValue doc;
+    if (!ParseJson(registry_.RenderJson(), &doc)) return 0;
+    uint64_t total = 0;
+    for (const JsonValue& m : doc.Find("metrics")->array) {
+      if (m.Find("name")->str != "hcd_stage_runs_total") continue;
+      total += static_cast<uint64_t>(m.Find("value")->number);
+    }
+    return total;
+  }
+
+  MetricsRegistry& registry() { return registry_; }
+
+ private:
+  MetricsRegistry registry_;
+};
 
 /// Number of distinct values in `levels`: the non-empty shells of a
 /// hierarchy whose elements have these levels.

@@ -1,5 +1,5 @@
 // Tests for the span tracer: recording semantics, thread attribution,
-// Chrome JSON export, the ScopedStage bridge to the three process-wide
+// Chrome JSON export, the ScopedStage bridge to the two process-wide
 // backends, and the contract that the disabled path performs no allocation.
 
 #include <gtest/gtest.h>
@@ -94,7 +94,6 @@ TEST(Tracer, InstallPublishesAndUninstallClears) {
 TEST(Tracer, DisabledPathDoesNotAllocate) {
   ASSERT_EQ(Tracer::Current(), nullptr);
   ASSERT_EQ(MetricsRegistry::Current(), nullptr);
-  ASSERT_EQ(StageTelemetry::Current(), nullptr);
   const uint64_t before = g_alloc_count.load();
   for (int i = 0; i < 1000; ++i) {
     ScopedSpan span("disabled");
@@ -284,29 +283,19 @@ TEST(Tracer, WriteChromeJsonReportsIoError) {
   EXPECT_FALSE(tracer.WriteChromeJson("/nonexistent-dir/trace.json").ok());
 }
 
-/// The ScopedStage bridge feeds all three backends from one scope: the
-/// collector gets a StageRecord, the tracer a span whose args are the stage
-/// counters, and the registry the stage histogram/counter family.
-TEST(ScopedStageBridge, ReportsToCollectorTracerAndRegistry) {
+/// The ScopedStage bridge feeds both backends from one scope: the tracer
+/// gets a span whose args are the stage counters, and the registry the
+/// stage's wall time, run and counters.
+TEST(ScopedStageBridge, ReportsToTracerAndRegistry) {
   Tracer tracer;
-  MetricsRegistry registry;
-  StageTelemetry collector;
   tracer.Install();
-  registry.Install();
-  collector.Install();
+  testing::StageProbe probe;
   {
     ScopedStage stage("bridged");
     stage.AddCounter("widgets", 5);
   }
-  collector.Uninstall();
-  registry.Uninstall();
+  probe.Stop();
   tracer.Uninstall();
-
-  ASSERT_EQ(collector.records().size(), 1u);
-  EXPECT_EQ(collector.records()[0].stage, "bridged");
-  EXPECT_EQ(collector.records()[0].depth, 0u);
-  ASSERT_EQ(collector.records()[0].counters.size(), 1u);
-  EXPECT_EQ(collector.records()[0].counters[0].value, 5u);
 
   const std::vector<TraceSpanRecord> spans = tracer.CollectSpans();
   ASSERT_EQ(spans.size(), 1u);
@@ -315,19 +304,56 @@ TEST(ScopedStageBridge, ReportsToCollectorTracerAndRegistry) {
   EXPECT_EQ(spans[0].span.args[0].key, "widgets");
   EXPECT_EQ(spans[0].span.args[0].value, 5u);
 
-  Histogram* hist =
-      registry.GetHistogram("hcd_stage_seconds", "", {{"stage", "bridged"}});
-  EXPECT_EQ(hist->TotalCount(), 1u);
-  Counter* runs =
-      registry.GetCounter("hcd_stage_runs_total", "", {{"stage", "bridged"}});
-  EXPECT_EQ(runs->Value(), 1u);
-  Counter* widgets =
-      registry.GetCounter("hcd_stage_counter_total", "",
-                          {{"stage", "bridged"}, {"counter", "widgets"}});
-  EXPECT_EQ(widgets->Value(), 5u);
+  EXPECT_EQ(probe.Runs("bridged"), 1u);
+  EXPECT_EQ(probe.Observations("bridged"),
+            1u);
+  EXPECT_EQ(probe.Counter("bridged", "widgets"), 5u);
 }
 
-/// Without a collector, a tracer alone still activates the stage (spans
+/// A registry alone records the stage: runs, wall-time observations and
+/// counters add up across runs, and a stage that never ran reads zero.
+TEST(ScopedStageBridge, RegistryAloneSumsRunsSecondsAndCounters) {
+  testing::StageProbe probe;
+  for (uint64_t i = 1; i <= 3; ++i) {
+    ScopedStage stage("repeated");
+    stage.AddCounter("items", i);
+  }
+  probe.Stop();
+  EXPECT_EQ(probe.Runs("repeated"), 3u);
+  EXPECT_EQ(probe.Counter("repeated", "items"), 1u + 2 + 3);
+  EXPECT_EQ(probe.Observations("repeated"),
+            3u);
+  EXPECT_EQ(probe.Runs("never"), 0u);
+  EXPECT_EQ(probe.Seconds("never"), 0.0);
+  // Reading a stage that never ran creates no series.
+  EXPECT_EQ(probe.registry().RenderJson().find("never"), std::string::npos);
+}
+
+/// Stage and counter names become label values, so the registry's JSON
+/// view (hcd_cli --json's "telemetry") must escape them.
+TEST(ScopedStageBridge, HostileStageAndCounterNamesRenderAsJson) {
+  const std::string stage_name = "load \"fast\"\npath\\2";
+  const std::string counter_name = "edges\t\"in\"";
+  testing::StageProbe probe;
+  {
+    ScopedStage stage(stage_name);
+    stage.AddCounter(counter_name, 12345);
+  }
+  probe.Stop();
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(probe.registry().RenderJson(), &doc));
+  bool found_counter = false;
+  for (const JsonValue& m : doc.Find("metrics")->array) {
+    EXPECT_EQ(m.Find("labels")->Find("stage")->str, stage_name);
+    if (m.Find("name")->str != "hcd_stage_counter_total") continue;
+    EXPECT_EQ(m.Find("labels")->Find("counter")->str, counter_name);
+    EXPECT_EQ(m.Find("value")->number, 12345.0);
+    found_counter = true;
+  }
+  EXPECT_TRUE(found_counter);
+}
+
+/// Without a registry, a tracer alone still activates the stage (spans
 /// appear).
 TEST(ScopedStageBridge, TracerAloneActivatesStage) {
   Tracer tracer;
@@ -338,13 +364,10 @@ TEST(ScopedStageBridge, TracerAloneActivatesStage) {
   EXPECT_EQ(tracer.CollectSpans()[0].span.name, "tracer-only");
 }
 
-/// Stages finished on many threads at once all reach the collector, and
-/// each thread's nesting depth is its own: every inner stage sits at depth
-/// 1 under its thread's outer stage, so TotalSeconds counts outer stages
-/// only.
+/// Stages finished on many threads at once, nested and not, are all
+/// counted in the registry, with every counter increment.
 TEST(ScopedStageBridge, StagesFromConcurrentThreadsAreAllRecorded) {
-  StageTelemetry collector;
-  collector.Install();
+  testing::StageProbe probe;
   constexpr int kThreads = 8;
   constexpr int kStagesPerThread = 50;
   std::vector<std::thread> pool;
@@ -353,20 +376,19 @@ TEST(ScopedStageBridge, StagesFromConcurrentThreadsAreAllRecorded) {
       for (int i = 0; i < kStagesPerThread; ++i) {
         ScopedStage outer("outer");
         ScopedStage inner("inner");
-        inner.AddCounter("i", static_cast<uint64_t>(i));
+        inner.AddCounter("one", 1);
       }
     });
   }
   for (std::thread& worker : pool) worker.join();
-  collector.Uninstall();
+  probe.Stop();
 
-  const size_t expected = static_cast<size_t>(kThreads) * kStagesPerThread;
-  EXPECT_EQ(collector.CountStage("outer"), expected);
-  EXPECT_EQ(collector.CountStage("inner"), expected);
-  for (const StageRecord& r : collector.records()) {
-    EXPECT_EQ(r.depth, r.stage == "inner" ? 1u : 0u) << r.stage;
-  }
-  EXPECT_DOUBLE_EQ(collector.TotalSeconds(), collector.StageSeconds("outer"));
+  const uint64_t expected = static_cast<uint64_t>(kThreads) * kStagesPerThread;
+  EXPECT_EQ(probe.Runs("outer"), expected);
+  EXPECT_EQ(probe.Runs("inner"), expected);
+  EXPECT_EQ(probe.Counter("inner", "one"), expected);
+  EXPECT_EQ(probe.Observations("outer"),
+            expected);
 }
 
 }  // namespace

@@ -242,12 +242,11 @@ TEST(TrussHierarchy, RepeatedParallelBuildsMatchNaive) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 20; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const TrussForest forest = BuildTrussHierarchy(g, index, td);
-      telemetry.Uninstall();
-      const uint64_t parallel_shells = testing::LastStageCounter(
-          telemetry, "truss.construction", "parallel_shells");
+      probe.Stop();
+      const uint64_t parallel_shells =
+          probe.Counter("truss.construction", "parallel_shells");
       ASSERT_GT(parallel_shells, 0u) << "no shell reached the grain";
       ASSERT_LT(parallel_shells, shells) << "every shell ran in parallel";
       ASSERT_TRUE(HcdEquals(forest, oracle))
@@ -269,14 +268,12 @@ TEST(TrussDecomposition, RepeatedParallelPeelsMatchNaive) {
   for (int threads : {2, 4}) {
     ThreadCountGuard guard(threads);
     for (int rep = 0; rep < 10; ++rep) {
-      StageTelemetry telemetry;
-      telemetry.Install();
+      testing::StageProbe probe;
       const TrussDecomposition td = PeelTrussDecomposition(g, index);
-      telemetry.Uninstall();
-      const uint64_t rounds = testing::LastStageCounter(
-          telemetry, "truss.decomposition", "rounds");
-      const uint64_t parallel_rounds = testing::LastStageCounter(
-          telemetry, "truss.decomposition", "parallel_rounds");
+      probe.Stop();
+      const uint64_t rounds = probe.Counter("truss.decomposition", "rounds");
+      const uint64_t parallel_rounds =
+          probe.Counter("truss.decomposition", "parallel_rounds");
       ASSERT_GT(parallel_rounds, 0u) << "no sub-round reached the grain";
       ASSERT_LT(parallel_rounds, rounds) << "every sub-round ran in parallel";
       ASSERT_EQ(td.trussness, naive.trussness)

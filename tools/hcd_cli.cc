@@ -4,10 +4,11 @@
 //
 // All graph-consuming commands run on one shared HcdEngine, so each
 // pipeline stage (load, decomposition, construction, search preprocessing)
-// is computed at most once per invocation; --json dumps the per-stage
-// telemetry report, including the ingest sub-stages (load.read/parse/
-// remap/build for text, load.read/validate for binary). <graph> is loaded
-// as binary when the path ends in ".bin", else as an edge-list text file.
+// is computed at most once per invocation; --json's "telemetry" is the
+// invocation's metrics registry, whose hcd_stage_* series hold every stage,
+// including the ingest sub-stages (load.read/parse/remap/build for text,
+// load.read/validate for binary). <graph> is loaded as binary when the
+// path ends in ".bin", else as an edge-list text file.
 //
 // serve runs the socket front door (src/server) until SIGINT/SIGTERM;
 // serve-bench drives a server from --connections loopback clients, against
@@ -175,10 +176,13 @@ bool MetricByName(const std::string& name, Metric* metric) {
   return false;
 }
 
-/// The invocation's stage record, installed by main for every command.
-const StageTelemetry& Stages() {
-  return *StageTelemetry::Current();
-}
+/// The invocation's metrics registry, installed by main for every command:
+/// each stage's runs, seconds and counters are recorded there.
+MetricsRegistry& Registry() { return *MetricsRegistry::Current(); }
+
+/// Wall time of the running command; main restarts it just before the
+/// command runs.
+Timer command_timer;
 
 /// The process's peak resident set so far, in MiB (getrusage's
 /// ru_maxrss, which Linux reports in KiB).
@@ -190,7 +194,8 @@ double PeakRssMb() {
 
 /// Prints the shared JSON envelope: command, effective options, graph
 /// shape, the process's peak resident set, optional extra fields
-/// (`",\"result\":{...}"`), and the invocation's per-stage telemetry.
+/// (`",\"result\":{...}"`), and the invocation's metrics registry as
+/// "telemetry".
 void PrintJsonReport(const char* command, const CliArgs& args,
                      HcdEngine& engine, const std::string& extra = "") {
   std::printf("{\"command\":\"%s\",\"algo\":\"%s\",\"threads\":%d,"
@@ -199,7 +204,7 @@ void PrintJsonReport(const char* command, const CliArgs& args,
               command, EngineAlgoName(args.options.algo),
               args.options.threads, engine.graph().NumVertices(),
               static_cast<unsigned long long>(engine.graph().NumEdges()),
-              PeakRssMb(), extra.c_str(), Stages().ToJson().c_str());
+              PeakRssMb(), extra.c_str(), Registry().RenderJson().c_str());
 }
 
 /// Maps --snapshot (MapFlatIndex) into a shared index.
@@ -307,7 +312,7 @@ int CmdConvert(const CliArgs& args) {
                 "\"m\":%llu},\"telemetry\":%s}\n",
                 JsonEscape(args.pos[1]).c_str(), g.NumVertices(),
                 static_cast<unsigned long long>(g.NumEdges()),
-                Stages().ToJson().c_str());
+                Registry().RenderJson().c_str());
   } else {
     std::printf("converted %s -> %s (n=%u m=%llu)\n", args.pos[0].c_str(),
                 args.pos[1].c_str(), g.NumVertices(),
@@ -341,7 +346,7 @@ int CmdStats(const CliArgs& args) {
   std::printf("k_max     %u\n", cd.k_max);
   std::printf("|T|       %u\n", flat.NumNodes());
   std::printf("%s", ForestStatsToString(ComputeForestStats(flat)).c_str());
-  std::printf("(computed in %.3fs)\n", Stages().TotalSeconds());
+  std::printf("(computed in %.3fs)\n", command_timer.Seconds());
   return 0;
 }
 
@@ -369,7 +374,6 @@ int CmdBuild(const CliArgs& args) {
                         std::to_string(flat.NumNodes()) + "}");
     return 0;
   }
-  const StageTelemetry& t = Stages();
   // Non-core kinds record kind-prefixed stage names.
   const std::string prefix =
       core ? "" : std::string(HierarchyKindName(args.options.hierarchy)) + ".";
@@ -377,9 +381,9 @@ int CmdBuild(const CliArgs& args) {
               "%.3fs), %u nodes\n",
               EngineAlgoName(args.options.algo),
               core ? "core" : HierarchyKindName(args.options.hierarchy),
-              t.StageSeconds((prefix + "decomposition").c_str()),
-              t.StageSeconds((prefix + "construction").c_str()),
-              t.StageSeconds((prefix + "construction.freeze").c_str()),
+              StageSeconds(Registry(), prefix + "decomposition"),
+              StageSeconds(Registry(), prefix + "construction"),
+              StageSeconds(Registry(), prefix + "construction.freeze"),
               flat.NumNodes());
   return 0;
 }
@@ -406,7 +410,7 @@ int CmdSearch(const CliArgs& args) {
   std::printf("best k-core under %s: k=%u |S|=%llu score=%.6f (%.3fs)\n",
               MetricName(metric), flat.Level(r.best_node),
               static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-              r.best_score, Stages().TotalSeconds());
+              r.best_score, command_timer.Seconds());
   return 0;
 }
 
@@ -462,7 +466,7 @@ int CmdBestK(const CliArgs& args) {
               "(|K_k|=%llu vertices, %.3fs)\n",
               args.pos[1].c_str(), r.best_k, r.best_score,
               static_cast<unsigned long long>(r.per_k[r.best_k].n_s),
-              Stages().StageSeconds("bestk"));
+              StageSeconds(Registry(), "bestk"));
   return 0;
 }
 
@@ -495,7 +499,7 @@ int CmdTruss(const CliArgs& args) {
               best.community.vertices.size(),
               static_cast<unsigned long long>(best.community.num_edges),
               best.community.AverageDegree());
-  std::printf("(computed in %.3fs)\n", Stages().TotalSeconds());
+  std::printf("(computed in %.3fs)\n", command_timer.Seconds());
   return 0;
 }
 
@@ -1351,28 +1355,21 @@ int main(int argc, char** argv) {
 
   // Observability backends live for the whole invocation: every ScopedStage
   // and ScopedSpan below the command reports into them, and the files are
-  // written after the command (and its root span) finish. The stage
-  // collector is always installed, since the reports and prose timings read
-  // it; with neither flag the tracer/registry stay uninstalled.
-  hcd::StageTelemetry stages;
+  // written after the command (and its root span) finish. The registry is
+  // always installed: it is the stage record that --json, the prose
+  // timings, --metrics-out and the server's /metrics endpoint all read.
+  // The tracer is installed only for --trace-out.
   hcd::Tracer tracer;
   hcd::MetricsRegistry registry;
-  stages.Install();
+  registry.Install();
   if (!args.trace_out.empty()) tracer.Install();
-  // The server commands always get a registry: the /metrics endpoint (and
-  // serve-bench's --server-metrics-out) should carry the process-wide
-  // instruments (stage histograms, snapshot gauges) next to the server's
-  // own, even when no --metrics-out file was requested.
-  const bool metrics_installed =
-      !args.metrics_out.empty() || args.command == kServe ||
-      args.command == kServeBench;
-  if (metrics_installed) registry.Install();
 
   int rc;
   const std::string root_name =
       std::string("cli.") + kCommands[args.command].name;
   {
-    hcd::ScopedSpan root_span(root_name.c_str());
+    hcd::ScopedSpan root_span(root_name);
+    command_timer.Reset();
     rc = kCommands[args.command].run(args);
   }
 
@@ -1381,8 +1378,7 @@ int main(int argc, char** argv) {
     const hcd::Status s = tracer.WriteChromeJson(args.trace_out);
     if (!s.ok() && rc == 0) rc = Fail(s);
   }
-  if (metrics_installed) registry.Uninstall();
-  stages.Uninstall();
+  registry.Uninstall();
   if (!args.metrics_out.empty()) {
     const std::string text = args.metrics_out.ends_with(".json")
                                  ? registry.RenderJson()
