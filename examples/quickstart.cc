@@ -64,8 +64,12 @@ int main(int argc, char** argv) {
 
   std::printf("core decomposition: k_max=%u\n", engine.Coreness().k_max);
   const hcd::FlatHcdIndex& flat = engine.Flat();
-  std::printf("HCD: %u tree nodes, %zu roots\n", flat.NumNodes(),
-              flat.Roots().size());
+  // Preorder ids: the trees' intervals tile the nodes from 0.
+  size_t roots = 0;
+  for (hcd::TreeNodeId r = 0; r < flat.NumNodes(); r += flat.SubtreeNodes(r)) {
+    ++roots;
+  }
+  std::printf("HCD: %u tree nodes, %zu roots\n", flat.NumNodes(), roots);
 
   for (hcd::Metric metric : metrics) {
     hcd::SearchResult r = engine.Search(metric);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/trace.h"
@@ -11,68 +12,30 @@
 
 namespace hcd {
 
-// ---------------------------------------------------------------------------
-// AdjacencyList: sorted vector below the hash threshold, unordered vector +
-// position map above it. The hashed shape trades ordered iteration (which
-// no algorithm here needs) for O(1) membership, insert and erase on hubs.
-// ---------------------------------------------------------------------------
+namespace {
 
-bool DynamicCoreIndex::AdjacencyList::Contains(VertexId v) const {
-  if (hashed_) return pos_.find(v) != pos_.end();
-  return std::binary_search(list_.begin(), list_.end(), v);
+/// Inserts v, absent, into a sorted row.
+void InsertSorted(std::vector<VertexId>& row, VertexId v) {
+  HCD_DCHECK(!std::binary_search(row.begin(), row.end(), v));
+  row.insert(std::lower_bound(row.begin(), row.end(), v), v);
 }
 
-void DynamicCoreIndex::AdjacencyList::Insert(VertexId v,
-                                             uint32_t hash_threshold) {
-  HCD_DCHECK(!Contains(v));
-  if (!hashed_ && list_.size() >= hash_threshold) {
-    pos_.reserve(list_.size() * 2);
-    for (uint32_t i = 0; i < list_.size(); ++i) pos_.emplace(list_[i], i);
-    hashed_ = true;
-  }
-  if (hashed_) {
-    pos_.emplace(v, static_cast<uint32_t>(list_.size()));
-    list_.push_back(v);
-  } else {
-    list_.insert(std::lower_bound(list_.begin(), list_.end(), v), v);
-  }
+/// Erases v, present, from a sorted row.
+void EraseSorted(std::vector<VertexId>& row, VertexId v) {
+  const auto it = std::lower_bound(row.begin(), row.end(), v);
+  HCD_DCHECK(it != row.end() && *it == v);
+  row.erase(it);
 }
 
-void DynamicCoreIndex::AdjacencyList::Erase(VertexId v) {
-  if (hashed_) {
-    auto it = pos_.find(v);
-    HCD_DCHECK(it != pos_.end());
-    const uint32_t i = it->second;
-    const VertexId last = list_.back();
-    list_[i] = last;
-    pos_[last] = i;  // no-op rebind when v is the last element itself
-    pos_.erase(v);
-    list_.pop_back();
-  } else {
-    list_.erase(std::lower_bound(list_.begin(), list_.end(), v));
-  }
-}
-
-void DynamicCoreIndex::AdjacencyList::AssignSorted(
-    std::span<const VertexId> sorted_neighbors, uint32_t hash_threshold) {
-  list_.assign(sorted_neighbors.begin(), sorted_neighbors.end());
-  if (list_.size() > hash_threshold) {
-    pos_.reserve(list_.size() * 2);
-    for (uint32_t i = 0; i < list_.size(); ++i) pos_.emplace(list_[i], i);
-    hashed_ = true;
-  }
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DynamicCoreIndex
 // ---------------------------------------------------------------------------
 
 DynamicCoreIndex::DynamicCoreIndex(std::shared_ptr<const Graph> base,
-                                   const CoreDecomposition& cd,
-                                   uint32_t hash_degree_threshold)
-    : base_(std::move(base)),
-      coreness_(cd.coreness),
-      hash_degree_threshold_(hash_degree_threshold) {
+                                   const CoreDecomposition& cd)
+    : base_(std::move(base)), coreness_(cd.coreness) {
   HCD_CHECK(base_ != nullptr) << "DynamicCoreIndex: null base graph";
   HCD_CHECK_EQ(coreness_.size(), size_t{base_->NumVertices()})
       << "DynamicCoreIndex: coreness must cover every base vertex";
@@ -81,16 +44,15 @@ DynamicCoreIndex::DynamicCoreIndex(std::shared_ptr<const Graph> base,
   scratch_.EnsureSize(coreness_.size());
 }
 
-DynamicCoreIndex::DynamicCoreIndex(const Graph& graph,
-                                   uint32_t hash_degree_threshold)
+DynamicCoreIndex::DynamicCoreIndex(const Graph& graph)
     : DynamicCoreIndex(std::make_shared<const Graph>(graph),
-                       BzCoreDecomposition(graph), hash_degree_threshold) {}
+                       BzCoreDecomposition(graph)) {}
 
-DynamicCoreIndex::AdjacencyList& DynamicCoreIndex::Materialize(VertexId v) {
+std::vector<VertexId>& DynamicCoreIndex::Materialize(VertexId v) {
   if (slot_[v] == kUnedited) {
     slot_[v] = static_cast<uint32_t>(edited_.size());
-    edited_.emplace_back().AssignSorted(base_->Neighbors(v),
-                                        hash_degree_threshold_);
+    const std::span<const VertexId> row = base_->Neighbors(v);
+    edited_.emplace_back(row.begin(), row.end());
   }
   return edited_[slot_[v]];
 }
@@ -104,7 +66,9 @@ uint32_t DynamicCoreIndex::KMax() const {
 bool DynamicCoreIndex::HasEdge(VertexId u, VertexId v) const {
   if (u >= NumVertices() || v >= NumVertices()) return false;
   const uint32_t slot = slot_[u];
-  return slot == kUnedited ? base_->HasEdge(u, v) : edited_[slot].Contains(v);
+  return slot == kUnedited ? base_->HasEdge(u, v)
+                           : std::binary_search(edited_[slot].begin(),
+                                                edited_[slot].end(), v);
 }
 
 Graph DynamicCoreIndex::ToGraph() const {
@@ -119,11 +83,8 @@ Graph DynamicCoreIndex::ToGraph() const {
   for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
     const VertexId v = static_cast<VertexId>(vi);
     const std::span<const VertexId> row = Neighbors(v);
-    const auto out = flat.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-    std::copy(row.begin(), row.end(), out);
-    if (slot_[v] != kUnedited && edited_[slot_[v]].Hashed()) {
-      std::sort(out, out + static_cast<std::ptrdiff_t>(row.size()));
-    }
+    std::copy(row.begin(), row.end(),
+              flat.begin() + static_cast<std::ptrdiff_t>(offsets[v]));
   }
   return Graph(std::move(offsets), std::move(flat));
 }
@@ -137,8 +98,8 @@ std::shared_ptr<const Graph> DynamicCoreIndex::Commit() {
 
 void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
                                       Scratch& scratch) {
-  EditedRow(u).Insert(v, hash_degree_threshold_);
-  EditedRow(v).Insert(u, hash_degree_threshold_);
+  InsertSorted(EditedRow(u), v);
+  InsertSorted(EditedRow(v), u);
 
   const uint32_t k = std::min(coreness_[u], coreness_[v]);
 
@@ -207,8 +168,8 @@ void DynamicCoreIndex::InsertEdgeImpl(VertexId u, VertexId v,
 
 void DynamicCoreIndex::RemoveEdgeImpl(VertexId u, VertexId v,
                                       Scratch& scratch) {
-  EditedRow(u).Erase(v);
-  EditedRow(v).Erase(u);
+  EraseSorted(EditedRow(u), v);
+  EraseSorted(EditedRow(v), u);
 
   const uint32_t k = std::min(coreness_[u], coreness_[v]);
   if (k == 0) return;

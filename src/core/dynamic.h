@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,34 +75,26 @@ struct BatchStats {
 /// Storage is an edit layer over an immutable CSR base, shared (not
 /// copied) with whoever published it, plus a dense per-vertex slot table.
 /// A vertex's row is read straight from the base until the first update
-/// that touches it materialises a private AdjacencyList copy; only batch
+/// that touches it materialises a private copy of the row; only batch
 /// endpoints are ever written, so a batch of b edges owns at most 2b rows.
-/// An edited row is kept sorted for binary-search membership until its
-/// degree crosses `hash_degree_threshold`; beyond that it flips to a
-/// hashed index over an unordered list, making HasEdge / insert / erase
-/// O(1) instead of O(degree) on hubs. ToGraph re-sorts, so the CSR
-/// invariants are unaffected. ApplyBatch materialises every endpoint of
-/// the net batch serially before the first round, so the slot table is
-/// read-only while clusters run concurrently and each cluster writes only
-/// the rows of its own endpoints. Commit publishes the edited graph as the
-/// next base and drops every edited row.
+/// An edited row is a sorted vector (binary-search membership, O(degree)
+/// insert and erase), so ToGraph copies it as it is. ApplyBatch
+/// materialises every endpoint of the net batch serially before the first
+/// round, so the slot table is read-only while clusters run concurrently
+/// and each cluster writes only the rows of its own endpoints. Commit
+/// publishes the edited graph as the next base and drops every edited row.
 class DynamicCoreIndex {
  public:
-  static constexpr uint32_t kDefaultHashDegreeThreshold = 128;
-
   /// Serves `base` with its known decomposition `cd`: shares the CSR and
   /// copies only the coreness array, so no row is copied and no peeling
   /// runs. `cd.coreness` must cover exactly the base's vertices
   /// (CHECK-fails otherwise) and must be the base's true coreness.
-  DynamicCoreIndex(
-      std::shared_ptr<const Graph> base, const CoreDecomposition& cd,
-      uint32_t hash_degree_threshold = kDefaultHashDegreeThreshold);
+  DynamicCoreIndex(std::shared_ptr<const Graph> base,
+                   const CoreDecomposition& cd);
 
   /// Convenience for callers without a shared graph or a decomposition:
   /// copies the CSR into a private base and computes coreness with BZ.
-  explicit DynamicCoreIndex(
-      const Graph& graph,
-      uint32_t hash_degree_threshold = kDefaultHashDegreeThreshold);
+  explicit DynamicCoreIndex(const Graph& graph);
 
   VertexId NumVertices() const {
     return static_cast<VertexId>(coreness_.size());
@@ -147,8 +138,8 @@ class DynamicCoreIndex {
 
   /// Materializes the current graph as an immutable CSR Graph (e.g. to
   /// rebuild the HCD with PhcdBuild after a batch of updates). Unedited
-  /// rows are copied straight from the base, in parallel; edited rows are
-  /// emitted sorted regardless of the hashed representation.
+  /// rows are copied straight from the base and edited rows from their
+  /// sorted copies, in parallel.
   Graph ToGraph() const;
 
   /// ToGraph, then rebase onto the result and drop every edited row, in
@@ -157,27 +148,6 @@ class DynamicCoreIndex {
   std::shared_ptr<const Graph> Commit();
 
  private:
-  /// Per-vertex adjacency: a sorted vector until the degree crosses the
-  /// hash threshold, then an unordered vector plus a position map with
-  /// O(1) membership and swap-with-back erase.
-  class AdjacencyList {
-   public:
-    size_t Size() const { return list_.size(); }
-    /// Neighbors in unspecified order (sorted while un-hashed).
-    std::span<const VertexId> Neighbors() const { return list_; }
-    bool Contains(VertexId v) const;
-    void Insert(VertexId v, uint32_t hash_threshold);  ///< v must be absent
-    void Erase(VertexId v);                            ///< v must be present
-    void AssignSorted(std::span<const VertexId> sorted_neighbors,
-                      uint32_t hash_threshold);
-    bool Hashed() const { return hashed_; }
-
-   private:
-    std::vector<VertexId> list_;
-    std::unordered_map<VertexId, uint32_t> pos_;  ///< used iff hashed_
-    bool hashed_ = false;
-  };
-
   /// Reusable per-thread scratch for one single-edge update.
   struct Scratch {
     std::vector<uint8_t> in_sub;
@@ -203,24 +173,24 @@ class DynamicCoreIndex {
   /// row.
   std::span<const VertexId> Neighbors(VertexId v) const {
     const uint32_t slot = slot_[v];
-    return slot == kUnedited ? base_->Neighbors(v) : edited_[slot].Neighbors();
+    return slot == kUnedited ? base_->Neighbors(v)
+                             : std::span<const VertexId>(edited_[slot]);
   }
 
   /// v's edited row, copied from the base on first use. Serial only: it
   /// may grow `edited_` and write `slot_`, which the parallel rounds read.
-  AdjacencyList& Materialize(VertexId v);
+  std::vector<VertexId>& Materialize(VertexId v);
 
   /// v's edited row; v must already be materialised.
-  AdjacencyList& EditedRow(VertexId v) {
+  std::vector<VertexId>& EditedRow(VertexId v) {
     HCD_DCHECK(slot_[v] != kUnedited);
     return edited_[slot_[v]];
   }
 
   std::shared_ptr<const Graph> base_;
   std::vector<uint32_t> slot_;  ///< index into edited_, or kUnedited
-  std::vector<AdjacencyList> edited_;
+  std::vector<std::vector<VertexId>> edited_;  ///< sorted rows
   std::vector<uint32_t> coreness_;
-  uint32_t hash_degree_threshold_;
   EdgeIndex num_edges_ = 0;
   Scratch scratch_;  ///< serial-path scratch (parallel rounds use a pool)
 };

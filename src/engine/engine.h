@@ -146,7 +146,7 @@ class HcdEngine {
   /// happen before the first Flat() call.
   /// Mapped indexes are shared as-is: the engine (and any snapshot sealed
   /// from it) co-owns the mapping, no bytes are copied. A core index
-  /// implies Coreness(), and one with search tables (a v4 snapshot) seals
+  /// implies Coreness(), and one that carries its search tables seals
   /// without building them: a restart runs neither PKC nor PBKS.
   Status AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat);
 

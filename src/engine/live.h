@@ -132,9 +132,8 @@ struct BatchApplyReport {
 /// reader threads Acquire() snapshots and query them. Each batch runs
 /// batch-dynamic coreness maintenance (DynamicCoreIndex::ApplyBatch),
 /// re-freezes only the trees the batch touched (PlanRebuild/ApplyRebuild,
-/// falling back to a full rebuild past RebuildOptions' default
-/// `full_rebuild_threshold`), then
-/// publishes the new generation with an incremented epoch.
+/// falling back to a full rebuild once a quarter of the vertices are
+/// dirty), then publishes the new generation with an incremented epoch.
 ///
 /// Observability: spans "live.apply_batch" > "live.apply" /
 /// "live.refreeze" (> "live.to_graph") / "live.publish" per batch; with a MetricsRegistry

@@ -29,9 +29,9 @@ namespace hcd {
 /// shared_ptr<const T>: a state shares rather than copies the pieces its
 /// builder already has, and two generations that agree on a piece (e.g.
 /// the graph across a pure re-freeze) can share it too. The state's flat
-/// index always carries its search tables: either it came with them (a v4
-/// snapshot) or Create built them and attached them to a view that shares
-/// the given index's forest sections.
+/// index always carries its search tables: either it came with them (a
+/// snapshot that carries them) or Create built them and attached them to
+/// a view that shares the given index's forest sections.
 ///
 /// `epoch` is the generation number: 0 for the state a build-phase
 /// HcdEngine publishes, incremented by one for every batch a LiveEngine
@@ -44,8 +44,8 @@ class SnapshotState {
   /// (BuildSearchTables, recording its "search.preprocess" /
   /// "search.primary_*" stages), so the four parts can never disagree
   /// about which generation they belong to; one that carries them (a
-  /// mapped v4 snapshot) is served as it is, and must describe `graph`'s
-  /// edge count (checked).
+  /// mapped snapshot with tables) is served as it is, and must describe
+  /// `graph`'s edge count (checked).
   static std::shared_ptr<const SnapshotState> Create(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const CoreDecomposition> cd,
@@ -59,7 +59,7 @@ class SnapshotState {
 
   /// The shared pieces, for builders deriving the next generation. The
   /// flat index is the one carrying the search tables: saving it writes a
-  /// v4 snapshot that a restart maps without rebuilding them.
+  /// snapshot with tables that a restart maps without rebuilding them.
   const std::shared_ptr<const Graph>& shared_graph() const { return graph_; }
   const std::shared_ptr<const CoreDecomposition>& shared_coreness() const {
     return cd_;

@@ -119,22 +119,17 @@ Status FlatHcdIndex::Adopt(Data d, FlatHcdIndex* out) {
   }
   if (d.parents.size() != num_nodes || d.subtree_nodes.size() != num_nodes ||
       d.desc_level_order.size() != num_nodes ||
-      d.child_offsets.size() != num_nodes + 1 ||
       d.vertex_offsets.size() != num_nodes + 1 ||
       d.tid.size() != d.num_vertices) {
     return corrupt("section size mismatch");
   }
-  if (d.child_offsets.front() != 0 || d.vertex_offsets.front() != 0) {
+  if (d.vertex_offsets.front() != 0) {
     return corrupt("offset array does not start at 0");
   }
   for (size_t t = 0; t < num_nodes; ++t) {
-    if (d.child_offsets[t + 1] < d.child_offsets[t] ||
-        d.vertex_offsets[t + 1] < d.vertex_offsets[t]) {
+    if (d.vertex_offsets[t + 1] < d.vertex_offsets[t]) {
       return corrupt("offset array not monotone");
     }
-  }
-  if (d.child_offsets.back() != d.children.size()) {
-    return corrupt("children size does not match offsets");
   }
   if (d.vertex_offsets.back() != d.vertices.size()) {
     return corrupt("vertices size does not match offsets");
@@ -143,67 +138,36 @@ Status FlatHcdIndex::Adopt(Data d, FlatHcdIndex* out) {
     return corrupt("more placed vertices than graph vertices");
   }
 
-  // Preorder nesting: a node's parent precedes it, sits at a strictly lower
-  // level, and the child's subtree interval nests inside the parent's.
-  size_t root_count = 0;
-  for (size_t t = 0; t < num_nodes; ++t) {
-    const uint64_t sub = d.subtree_nodes[t];
-    if (sub == 0 || t + sub > num_nodes) {
-      return corrupt("subtree interval out of range");
-    }
-    const TreeNodeId p = d.parents[t];
-    if (p == kInvalidNode) {
-      ++root_count;
-      continue;
-    }
-    if (p >= t) return corrupt("parent does not precede child in preorder");
-    if (d.levels[p] >= d.levels[t]) {
-      return corrupt("parent level not below child level");
-    }
-    if (t >= static_cast<uint64_t>(p) + d.subtree_nodes[p] ||
-        t + sub > static_cast<uint64_t>(p) + d.subtree_nodes[p]) {
-      return corrupt("child subtree escapes parent subtree");
-    }
-  }
-
-  // Roots are exactly the parentless nodes, ascending, and their subtree
-  // intervals tile [0, N).
-  if (d.roots.size() != root_count) return corrupt("root count mismatch");
+  // Preorder nesting, in one pass over the stack of subtrees that are open
+  // at t (each one's parent is the entry below it). A node's parent must be
+  // the innermost open subtree, or kInvalidNode when none is open; its
+  // subtree must fit inside the parent's and its level must be above it.
+  // Then every node's descendants are exactly its interval, so the stored
+  // subtree sizes are true and the roots' intervals tile [0, N).
   {
-    size_t ri = 0;
-    uint64_t expected_next = 0;
+    std::vector<TreeNodeId> open;
     for (size_t t = 0; t < num_nodes; ++t) {
-      if (d.parents[t] != kInvalidNode) continue;
-      if (d.roots[ri] != t) return corrupt("roots array mismatch");
-      if (t != expected_next) return corrupt("root subtrees do not tile");
-      expected_next = t + d.subtree_nodes[t];
-      ++ri;
-    }
-    if (num_nodes > 0 && expected_next != num_nodes) {
-      return corrupt("root subtrees do not tile");
-    }
-  }
-
-  // Children: each node's child list must be exactly its subtree's top-level
-  // decomposition — first child at t+1, each next child one subtree later.
-  // Combined with the totals check this makes children <-> parents a
-  // bijection and pins subtree_nodes to the true subtree sizes.
-  if (d.children.size() != num_nodes - root_count) {
-    return corrupt("children total does not match non-root count");
-  }
-  for (size_t t = 0; t < num_nodes; ++t) {
-    uint64_t expected_child = t + 1;
-    for (uint32_t i = d.child_offsets[t]; i < d.child_offsets[t + 1]; ++i) {
-      const TreeNodeId c = d.children[i];
-      if (c >= num_nodes) return corrupt("child id out of range");
-      if (d.parents[c] != t) return corrupt("child/parent mismatch");
-      if (c != expected_child) {
-        return corrupt("children not at preorder subtree boundaries");
+      const uint64_t sub = d.subtree_nodes[t];
+      if (sub == 0 || t + sub > num_nodes) {
+        return corrupt("subtree interval out of range");
       }
-      expected_child = static_cast<uint64_t>(c) + d.subtree_nodes[c];
-    }
-    if (expected_child != t + d.subtree_nodes[t]) {
-      return corrupt("subtree size does not match children");
+      while (!open.empty() &&
+             t >= uint64_t{open.back()} + d.subtree_nodes[open.back()]) {
+        open.pop_back();
+      }
+      const TreeNodeId p = open.empty() ? kInvalidNode : open.back();
+      if (d.parents[t] != p) {
+        return corrupt("parent is not the innermost enclosing subtree");
+      }
+      if (p != kInvalidNode) {
+        if (t + sub > uint64_t{p} + d.subtree_nodes[p]) {
+          return corrupt("child subtree escapes parent subtree");
+        }
+        if (d.levels[p] >= d.levels[t]) {
+          return corrupt("parent level not below child level");
+        }
+      }
+      open.push_back(static_cast<TreeNodeId>(t));
     }
   }
 
@@ -303,14 +267,11 @@ Status FlatHcdIndex::WithSearchTables(
   d.levels = share(b.levels);
   d.parents = share(b.parents);
   d.subtree_nodes = share(b.subtree_nodes);
-  d.child_offsets = share(b.child_offsets);
-  d.children = share(b.children);
   d.vertex_offsets = share(b.vertex_offsets);
   d.vertices = share(b.vertices);
   d.tid = share(b.tid);
   d.desc_level_order = share(b.desc_level_order);
   d.level_group_offsets = share(b.level_group_offsets);
-  d.roots = share(b.roots);
   d.search_tables = true;
   d.num_graph_edges = num_graph_edges;
   d.primaries = std::move(primaries);
@@ -436,7 +397,6 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
     d.vertex_offsets.resize(static_cast<size_t>(num_nodes) + 1);
     d.vertex_offsets[num_nodes] = vert_base.back();
     d.vertices.resize(vert_base.back());
-    d.roots.resize(old_roots.size());
     old2new.resize(num_nodes);
   }
   const size_t num_roots = old_roots.size();
@@ -481,7 +441,6 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
           const std::span<const TreeNodeId> kids = old_children_of(old_t);
           for (size_t i = kids.size(); i-- > 0;) stack.push_back(kids[i]);
         }
-        d.roots[r] = node_base[r];
         numbered += sub_nodes[old_roots[r]];
       }
       worker_span.AddArg("nodes", numbered);
@@ -504,27 +463,9 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
     }
   }
 
-  // Child CSR over the new ids. Sibling order is preserved by the DFS, so
-  // translating the old lists keeps children ascending.
+  // The descending-level order over the preorder ids.
   {
     ScopedSpan span("freeze.relabel");
-    std::vector<TreeNodeId> new2old(num_nodes);
-    ParallelFor(TreeNodeId{0}, num_nodes,
-                [&](TreeNodeId t) { new2old[old2new[t]] = t; });
-    d.child_offsets.resize(static_cast<size_t>(num_nodes) + 1);
-    d.child_offsets[0] = 0;
-    for (TreeNodeId t = 0; t < num_nodes; ++t) {
-      d.child_offsets[t + 1] =
-          d.child_offsets[t] +
-          static_cast<uint32_t>(old_children_of(new2old[t]).size());
-    }
-    d.children.resize(d.child_offsets[num_nodes]);
-    ParallelFor(TreeNodeId{0}, num_nodes, [&](TreeNodeId t) {
-      const std::span<const TreeNodeId> kids = old_children_of(new2old[t]);
-      uint32_t offset = d.child_offsets[t];
-      for (TreeNodeId c : kids) d.children[offset++] = old2new[c];
-    });
-
     std::vector<TreeNodeId> order;
     std::vector<uint32_t> group_offsets;
     BuildDescLevelOrder(d.levels, &order, &group_offsets);

@@ -26,6 +26,10 @@ namespace hcd {
 /// makes the index cheap to serve from:
 ///
 ///   - subtree of t        = node ids [t, t + SubtreeNodes(t))
+///   - children of t       = t + 1, then each next child one subtree later
+///                           (c + SubtreeNodes(c)), up to the end of t's
+///                           subtree; the roots tile [0, NumNodes()) the
+///                           same way from 0. Neither is stored.
 ///   - CoreVertices(t)     = vertices[vertex_offsets[t],
 ///                                    vertex_offsets[t + SubtreeNodes(t)])
 ///     an O(1) span, because a node's descendants' vertices are stored
@@ -40,11 +44,10 @@ namespace hcd {
 /// groups (nodes of equal level are mutually independent, so each group is a
 /// parallel step).
 ///
-/// The snapshot formats (hcd/serialize.h) are exactly the `Data` struct
-/// below written section by section — v2 ("HCDFOR02") for core indexes,
-/// v4 ("HCDFOR04") for core indexes that carry their search tables, the
-/// kind-tagged v3 ("HCDFOR03") for truss/nucleus — so loading is a handful
-/// of bulk reads followed by `Adopt` validation.
+/// The snapshot format (hcd/serialize.h, "HCDFOR05") is exactly the `Data`
+/// struct below written section by section under one header for every
+/// kind, so loading is a handful of bulk reads followed by `Adopt`
+/// validation.
 ///
 /// A core index may carry the PBKS search tables (Section IV-D) next to
 /// its forest: one accumulated PrimaryValues row per node and one
@@ -60,9 +63,9 @@ namespace hcd {
 /// Tid, CoreVertices) is domain-agnostic and works unchanged.
 class FlatHcdIndex {
  public:
-  /// The packed arrays. N = node count, R = root count, G = number of
-  /// distinct levels, P = number of placed elements (== sum of per-node
-  /// element counts), n = number of elements in the decomposed domain.
+  /// The packed arrays. N = node count, G = number of distinct levels,
+  /// P = number of placed elements (== sum of per-node element counts),
+  /// n = number of elements in the decomposed domain.
   ///
   /// For the core hierarchy the elements ARE graph vertices (n = the graph's
   /// vertex count and `element_members` stays empty). For truss / nucleus
@@ -88,14 +91,11 @@ class FlatHcdIndex {
     ArrayRef<TreeNodeId> parents;            // [N] preorder parent; roots map
                                              //     to kInvalidNode
     ArrayRef<TreeNodeId> subtree_nodes;      // [N] nodes in subtree (incl. t)
-    ArrayRef<uint32_t> child_offsets;        // [N+1] CSR into `children`
-    ArrayRef<TreeNodeId> children;           // [N-R] ascending within a node
     ArrayRef<uint32_t> vertex_offsets;       // [N+1] CSR into `vertices`
     ArrayRef<VertexId> vertices;             // [P] vertex sets in preorder
     ArrayRef<TreeNodeId> tid;                // [n] vertex -> node
     ArrayRef<TreeNodeId> desc_level_order;        // [N] level desc, id asc
     ArrayRef<uint32_t> level_group_offsets;       // [G+1] into the above
-    ArrayRef<TreeNodeId> roots;              // [R] ascending preorder ids
 
     // Search tables: present iff `search_tables` (kCore only); both
     // sections are empty and num_graph_edges is 0 otherwise. L = the
@@ -111,22 +111,21 @@ class FlatHcdIndex {
     bool mapped() const {
       return element_members.mapped() || levels.mapped() ||
              parents.mapped() || subtree_nodes.mapped() ||
-             child_offsets.mapped() || children.mapped() ||
              vertex_offsets.mapped() || vertices.mapped() || tid.mapped() ||
              desc_level_order.mapped() || level_group_offsets.mapped() ||
-             roots.mapped() || primaries.mapped() || best_nodes.mapped();
+             primaries.mapped() || best_nodes.mapped();
     }
   };
 
   FlatHcdIndex() {
-    data_.child_offsets.assign(1, 0);
     data_.vertex_offsets.assign(1, 0);
     data_.level_group_offsets.assign(1, 0);
   }
 
   /// Validates `data` against every structural invariant of the layout
-  /// (preorder parent/subtree nesting, level ordering, CSR monotonicity,
-  /// children <-> parents bijection, tid <-> vertices consistency,
+  /// (each node's parent is the innermost subtree interval enclosing it,
+  /// which pins the subtree sizes; level ordering, CSR monotonicity,
+  /// tid <-> vertices consistency,
   /// desc_level_order permutation) and, when present, of the search tables
   /// (one row per node; each best-node table L + 1 entries long, entry k a
   /// node of level >= k). Returns
@@ -182,12 +181,6 @@ class FlatHcdIndex {
     return data_.subtree_nodes[node];
   }
 
-  std::span<const TreeNodeId> Children(TreeNodeId node) const {
-    return std::span<const TreeNodeId>(data_.children)
-        .subspan(data_.child_offsets[node],
-                 data_.child_offsets[node + 1] - data_.child_offsets[node]);
-  }
-
   /// Vertices owned by the node itself (V(T_i) = S ∩ H_k).
   std::span<const VertexId> Vertices(TreeNodeId node) const {
     return std::span<const VertexId>(data_.vertices)
@@ -197,8 +190,6 @@ class FlatHcdIndex {
 
   /// Node containing v, or kInvalidNode if v was never placed.
   TreeNodeId Tid(VertexId v) const { return data_.tid[v]; }
-
-  std::span<const TreeNodeId> Roots() const { return data_.roots; }
 
   /// Vertices of the node's original k-core. O(1): the subtree's vertex
   /// sets are contiguous in preorder.
@@ -253,7 +244,7 @@ class FlatHcdIndex {
         .subspan(table * len, len);
   }
 
-  /// Read-only view of the packed arrays; the v2 serializer writes these
+  /// Read-only view of the packed arrays; the serializer writes these
   /// verbatim, which is what makes snapshots round-trip bit-identically.
   const Data& data() const { return data_; }
 
@@ -271,7 +262,8 @@ class FlatHcdIndex {
 };
 
 /// Renumbers the forest into preorder and packs it into a FlatHcdIndex.
-/// Builds the child lists from the parent pointers, sizes every subtree in
+/// Builds builder-id child lists from the parent pointers for its own
+/// traversal (the index keeps none), sizes every subtree in
 /// a level-synchronous bottom-up pass, numbers each tree by a DFS
 /// (parallel across roots), and places every node's elements by a
 /// counting scatter over tid, in ascending element id. The forest must

@@ -15,7 +15,7 @@ namespace hcd {
 /// serve-bench's requests) is parameterized by this kind; the
 /// construction side stays in src/hcd, src/truss and src/nucleus.
 ///
-/// The numeric values are part of the v3 snapshot format — never reorder.
+/// The numeric values are the snapshot format's kind tag — never reorder.
 enum class HierarchyKind : uint32_t {
   kCore = 0,     ///< elements are graph vertices
   kTruss = 1,    ///< elements are undirected edges (EdgeIdx)

@@ -10,12 +10,22 @@
 #include "hcd/phcd.h"
 
 namespace hcd {
+namespace {
+
+/// Dirty-vertex fraction above which ApplyRebuild rebuilds the whole index.
+constexpr double kFullRebuildFraction = 0.25;
+
+}  // namespace
 
 RebuildPlan PlanRebuild(const FlatHcdIndex& old_index,
-                        std::span<const VertexId> touched,
-                        const RebuildOptions& options) {
+                        std::span<const VertexId> touched) {
   RebuildPlan plan;
-  const std::span<const TreeNodeId> roots = old_index.Roots();
+  // The roots' subtree intervals tile the preorder ids from 0.
+  std::vector<TreeNodeId> roots;
+  for (TreeNodeId r = 0; r < old_index.NumNodes();
+       r += old_index.SubtreeNodes(r)) {
+    roots.push_back(r);
+  }
   std::vector<uint8_t> dirty(roots.size(), 0);
   for (VertexId v : touched) {
     const TreeNodeId t = old_index.Tid(v);
@@ -38,7 +48,7 @@ RebuildPlan PlanRebuild(const FlatHcdIndex& old_index,
           ? 0.0
           : static_cast<double>(plan.dirty_vertices.size()) /
                 static_cast<double>(old_index.NumVertices());
-  plan.full_rebuild = plan.dirty_fraction > options.full_rebuild_threshold;
+  plan.full_rebuild = plan.dirty_fraction > kFullRebuildFraction;
   return plan;
 }
 
@@ -89,7 +99,6 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
   data.num_vertices = old_data.num_vertices;
   data.num_graph_vertices = old_data.num_graph_vertices;
   data.element_members = old_data.element_members;
-  data.child_offsets.assign(1, 0);
   data.vertex_offsets.assign(1, 0);
 
   // Appends src's contiguous preorder node range [first, first + count) as
@@ -111,11 +120,6 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
       data.levels.push_back(src.levels[t]);
       data.parents.push_back(shift(src.parents[t]));
       data.subtree_nodes.push_back(src.subtree_nodes[t]);
-      for (uint32_t c = src.child_offsets[t]; c < src.child_offsets[t + 1];
-           ++c) {
-        data.children.push_back(shift(src.children[c]));
-      }
-      data.child_offsets.push_back(static_cast<uint32_t>(data.children.size()));
       for (uint32_t i = src.vertex_offsets[t]; i < src.vertex_offsets[t + 1];
            ++i) {
         const VertexId v = src.vertices[i];
@@ -124,26 +128,19 @@ Status ApplyRebuild(const RebuildPlan& plan, const FlatHcdIndex& old_index,
       data.vertex_offsets.push_back(
           static_cast<uint32_t>(data.vertices.size()));
     }
-    return base;
   };
 
   size_t kept_trees = 0;
-  for (TreeNodeId r : old_index.Roots()) {
+  for (TreeNodeId r = 0; r < old_index.NumNodes();
+       r += old_index.SubtreeNodes(r)) {
     if (std::binary_search(plan.dirty_roots.begin(), plan.dirty_roots.end(),
                            r)) {
       continue;
     }
-    data.roots.push_back(
-        append_nodes(old_data, r, old_index.SubtreeNodes(r), nullptr));
+    append_nodes(old_data, r, old_index.SubtreeNodes(r), nullptr);
     ++kept_trees;
   }
-  if (subflat.NumNodes() > 0) {
-    const TreeNodeId base =
-        append_nodes(sub_data, 0, subflat.NumNodes(), &sub.vertices);
-    for (TreeNodeId r : sub_data.roots) {
-      data.roots.push_back(base + r);
-    }
-  }
+  append_nodes(sub_data, 0, subflat.NumNodes(), &sub.vertices);
 
   const TreeNodeId num_nodes = static_cast<TreeNodeId>(data.levels.size());
   data.tid.assign(data.num_vertices, kInvalidNode);

@@ -31,16 +31,11 @@ struct RebuildPlan {
   /// |dirty_vertices| / NumVertices of the old index.
   double dirty_fraction = 0.0;
   /// True when the plan decided an incremental splice is not worth it
-  /// (dirty_fraction above the threshold); ApplyRebuild then runs the
-  /// ordinary full PhcdBuild + Freeze.
+  /// (dirty_fraction above a quarter of the vertices: past that point most
+  /// trees are rebuilt anyway, and the splice bookkeeping is pure
+  /// overhead); ApplyRebuild then runs the ordinary full PhcdBuild +
+  /// Freeze.
   bool full_rebuild = false;
-};
-
-struct RebuildOptions {
-  /// Dirty-vertex fraction above which ApplyRebuild falls back to a full
-  /// rebuild: past this point rebuilding most trees anyway, the splice
-  /// bookkeeping is pure overhead.
-  double full_rebuild_threshold = 0.25;
 };
 
 /// Plans the incremental re-freeze for a set of touched vertices (the
@@ -48,8 +43,7 @@ struct RebuildOptions {
 /// changed — BatchStats::changed_vertices + applied_edges provides exactly
 /// this). Touched ids must be valid for `old_index`.
 RebuildPlan PlanRebuild(const FlatHcdIndex& old_index,
-                        std::span<const VertexId> touched,
-                        const RebuildOptions& options = {});
+                        std::span<const VertexId> touched);
 
 /// Executes a plan against the updated graph and its (already maintained)
 /// core decomposition, producing the new frozen index.

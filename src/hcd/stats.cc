@@ -12,8 +12,13 @@ ForestStats ComputeForestStats(const FlatHcdIndex& index) {
 
   for (TreeNodeId t = 0; t < index.NumNodes(); ++t) {
     stats.max_level = std::max(stats.max_level, index.Level(t));
-    stats.max_branching = std::max(
-        stats.max_branching, static_cast<uint32_t>(index.Children(t).size()));
+    // Children in preorder: t + 1, then one subtree after the other.
+    uint32_t branching = 0;
+    for (TreeNodeId c = t + 1; c < t + index.SubtreeNodes(t);
+         c += index.SubtreeNodes(c)) {
+      ++branching;
+    }
+    stats.max_branching = std::max(stats.max_branching, branching);
     if (index.Parent(t) == kInvalidNode) ++stats.num_roots;
   }
   stats.nodes_per_level.assign(stats.max_level + 1, 0);

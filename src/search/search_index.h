@@ -17,7 +17,7 @@ namespace hcd {
 /// search tables a core FlatHcdIndex carries — one accumulated
 /// PrimaryValues row per node and one per-level best-node table per
 /// metric — and never computes anything itself. The tables are built once,
-/// bottom-up, by BuildSearchTables (or mapped from a v4 snapshot), so the
+/// bottom-up, by BuildSearchTables (or mapped from a snapshot), so the
 /// view is deeply const: any number of threads may score metrics against
 /// one SearchIndex concurrently (see SearchInto below); that is the
 /// serve-phase seam QuerySnapshot (engine/snapshot.h) is built on.

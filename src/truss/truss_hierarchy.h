@@ -77,7 +77,7 @@ DensestTrussResult DensestTruss(const EdgeIndexer& index,
 /// plus HierarchyKind::kTruss and the edge -> endpoint materialization
 /// (EdgeIndexer::edges flattened, endpoints ascending). The result serves
 /// every flat-index query (CoreVertices spans over edge ids, ancestor
-/// walks, ElementSearchIndex) and snapshots as the v3 format.
+/// walks, ElementSearchIndex) and snapshots like a core index.
 FlatHcdIndex FreezeTruss(const Graph& graph, const EdgeIndexer& index,
                          const TrussForest& forest);
 

@@ -160,10 +160,9 @@ std::vector<EdgeUpdate> RandomBatch(const DynamicCoreIndex& index, Rng& rng,
 /// sequential schedule (one thread), and edge-by-edge net replay — and
 /// checks all three against BZ from scratch, bit for bit.
 void ExpectBatchEquivalence(const Graph& start,
-                            const std::vector<EdgeUpdate>& batch,
-                            uint32_t hash_threshold) {
-  DynamicCoreIndex par(start, hash_threshold);
-  DynamicCoreIndex seq(start, hash_threshold);
+                            const std::vector<EdgeUpdate>& batch) {
+  DynamicCoreIndex par(start);
+  DynamicCoreIndex seq(start);
   BatchStats par_stats, seq_stats;
   {
     ThreadCountGuard four_threads(4);
@@ -176,7 +175,7 @@ void ExpectBatchEquivalence(const Graph& start,
   EXPECT_EQ(seq_stats.parallel_rounds, 0u);
 
   // Edge-by-edge replay of the net effect the batch reported.
-  DynamicCoreIndex one(start, hash_threshold);
+  DynamicCoreIndex one(start);
   for (const auto& [u, v] : par_stats.applied_edges) {
     if (one.HasEdge(u, v)) {
       ASSERT_TRUE(one.RemoveEdge(u, v).ok());
@@ -203,8 +202,7 @@ TEST(DynamicBatch, MatchesBzOnRandomGraphs) {
     DynamicCoreIndex probe(g);  // only to sample present/absent edges
     for (size_t batch_size : {1u, 8u, 64u, 200u}) {
       ExpectBatchEquivalence(
-          g, RandomBatch(probe, rng, batch_size, /*adversarial_mix=*/true),
-          DynamicCoreIndex::kDefaultHashDegreeThreshold);
+          g, RandomBatch(probe, rng, batch_size, /*adversarial_mix=*/true));
     }
   }
 }
@@ -219,21 +217,18 @@ void ExpectSameCsr(const Graph& got, const Graph& want) {
 
 /// An index that shares its CSR and is handed the coreness must walk
 /// through exactly the states of one that copied the graph and ran BZ,
-/// and must never write the CSR it shares. Threshold 8 hashes every edited
-/// hub; every other round commits, so batches land both on a layer of
-/// edits and on a freshly rebased CSR. `threads` selects the schedule:
-/// one thread runs the sequential one.
+/// and must never write the CSR it shares. Every other round commits, so
+/// batches land both on a layer of edits and on a freshly rebased CSR.
+/// `threads` selects the schedule: one thread runs the sequential one.
 void ExpectSharedBaseMatchesBz(int threads) {
-  constexpr uint32_t kHashThreshold = 8;
   ThreadCountGuard guard(threads);
   for (uint64_t seed : testing::SweepSeeds()) {
     SCOPED_TRACE(seed);
     const auto base = std::make_shared<const Graph>(
         BarabasiAlbertVarying(200, 2, 10, seed));
     const Graph before = *base;
-    DynamicCoreIndex shared(base, PkcCoreDecomposition(*base),
-                            kHashThreshold);
-    DynamicCoreIndex reference(*base, kHashThreshold);
+    DynamicCoreIndex shared(base, PkcCoreDecomposition(*base));
+    DynamicCoreIndex reference(*base);
     EXPECT_EQ(shared.EditedRows(), 0u);
     Rng rng(seed * 31 + 5);
     for (int round = 0; round < 8; ++round) {
@@ -353,24 +348,20 @@ TEST(DynamicBatch, EmptyAndNoOpBatches) {
   EXPECT_EQ(index.NumEdges(), 3u);
 }
 
-TEST(DynamicBatch, HashedAdjacencyThresholdsAgree) {
-  // Threshold 0 hashes every vertex, a huge threshold hashes none; both
-  // must walk through the same states as the default.
+TEST(DynamicBatch, HubBatchMatchesBz) {
+  // Degree-varying preferential attachment: the batch edits hub rows of
+  // very different lengths.
   Graph g = BarabasiAlbertVarying(150, 2, 8, 21);
   Rng rng(22);
   DynamicCoreIndex probe(g);
-  const std::vector<EdgeUpdate> batch = RandomBatch(probe, rng, 120, true);
-  for (uint32_t threshold : {0u, 4u, 1u << 30}) {
-    SCOPED_TRACE(threshold);
-    ExpectBatchEquivalence(g, batch, threshold);
-  }
+  ExpectBatchEquivalence(g, RandomBatch(probe, rng, 120, true));
 }
 
-TEST(DynamicCore, HashedAdjacencySingleUpdates) {
-  // Hub promotion: a star center crosses the hash threshold mid-churn.
+TEST(DynamicCore, HubRowSingleUpdates) {
+  // A star center's edited row grows to 39 neighbors and back to none.
   GraphBuilder b;
   Graph empty = std::move(b).Build(40);
-  DynamicCoreIndex index(empty, /*hash_degree_threshold=*/8);
+  DynamicCoreIndex index(empty);
   for (VertexId v = 1; v < 40; ++v) {
     ASSERT_TRUE(index.InsertEdge(0, v).ok());
   }

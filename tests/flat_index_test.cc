@@ -1,9 +1,9 @@
 // Tests for the frozen flat representation: Freeze equivalence against the
 // builder forest, the preorder/CSR structural invariants, Adopt's
-// validation of every invariant, v2 snapshot round-trips (bit-identical),
-// corrupt-v2 rejection (the retired v1 magic included), and the element
-// domains (kind-tagged truss/nucleus freezes, v3 snapshots, corrupt-v3
-// rejection).
+// validation of every invariant, the element domains (kind-tagged
+// truss/nucleus freezes) and the search tables, and snapshots of every
+// kind: bit-identical round trips, corrupt files (the retired HCDFOR01-04
+// magics included) and a seeded mutation fuzz.
 
 #include "hcd/flat_index.h"
 
@@ -84,7 +84,7 @@ TEST_P(FlatIndexSuite, FreezeMatchesForestNodeByNode) {
   }
 
   // Cross-representation per-node equality via representative vertices.
-  ASSERT_EQ(flat.Roots().size(), num_roots);
+  ASSERT_EQ(testing::Roots(flat).size(), num_roots);
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     ASSERT_FALSE(flat.Vertices(t).empty());
     const VertexId rep = flat.Vertices(t).front();
@@ -97,7 +97,7 @@ TEST_P(FlatIndexSuite, FreezeMatchesForestNodeByNode) {
     const std::vector<VertexId> core = CoreVertices(forest, ft);
     EXPECT_EQ(flat.CoreSize(t), core.size());
     EXPECT_EQ(Sorted(flat.CoreVertices(t)), core);
-    EXPECT_EQ(flat.Children(t).size(), num_children[ft]);
+    EXPECT_EQ(testing::Children(flat, t).size(), num_children[ft]);
     const TreeNodeId pa = flat.Parent(t);
     const TreeNodeId fpa = forest.Parent(ft);
     ASSERT_EQ(pa == kInvalidNode, fpa == kInvalidNode);
@@ -116,6 +116,10 @@ TEST_P(FlatIndexSuite, PreorderInvariantsHold) {
   CoreDecomposition cd = BzCoreDecomposition(g);
   const FlatHcdIndex flat = Freeze(NaiveHcdBuild(g, cd));
   const FlatHcdIndex::Data& d = flat.data();
+  std::vector<size_t> num_children(flat.NumNodes(), 0);
+  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+    if (flat.Parent(t) != kInvalidNode) ++num_children[flat.Parent(t)];
+  }
 
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     // CoreVertices is a true O(1) view into the packed vertex array,
@@ -130,14 +134,11 @@ TEST_P(FlatIndexSuite, PreorderInvariantsHold) {
       EXPECT_LT(flat.Level(t), s == t ? flat.Level(s) + 1 : flat.Level(s));
     }
     EXPECT_EQ(core.size(), subtree_verts);
-    // Children sit exactly at the preorder subtree boundaries.
-    TreeNodeId expected = t + 1;
-    for (TreeNodeId c : flat.Children(t)) {
-      EXPECT_EQ(c, expected);
-      EXPECT_EQ(flat.Parent(c), t);
-      expected = c + flat.SubtreeNodes(c);
-    }
-    EXPECT_EQ(expected, t + flat.SubtreeNodes(t));
+    // The nodes at the preorder subtree boundaries (t + 1, then one
+    // subtree after the other) are exactly the nodes whose parent is t.
+    const std::vector<TreeNodeId> children = testing::Children(flat, t);
+    EXPECT_EQ(children.size(), num_children[t]);
+    for (TreeNodeId c : children) EXPECT_EQ(flat.Parent(c), t);
   }
 
   // Descending-level groups: a partition of the nodes, strictly descending
@@ -225,7 +226,7 @@ TEST(FlatIndex, EmptyForest) {
   EXPECT_EQ(flat.NumNodes(), 0u);
   EXPECT_EQ(flat.NumVertices(), 0u);
   EXPECT_EQ(flat.NumLevelGroups(), 0u);
-  EXPECT_TRUE(flat.Roots().empty());
+  EXPECT_TRUE(testing::Roots(flat).empty());
   FlatHcdIndex adopted;
   EXPECT_TRUE(FlatHcdIndex::Adopt(flat.data(), &adopted).ok());
 }
@@ -243,6 +244,18 @@ void ExpectAdoptCorruption(FlatHcdIndex::Data d, const char* what) {
   FlatHcdIndex out;
   Status s = FlatHcdIndex::Adopt(std::move(d), &out);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << what << ": " << s.ToString();
+}
+
+/// The first two children of the first node that has two, or an empty
+/// vector.
+std::vector<TreeNodeId> SiblingPair(const FlatHcdIndex::Data& d) {
+  for (TreeNodeId t = 0; t < d.levels.size(); ++t) {
+    const TreeNodeId end = t + d.subtree_nodes[t];
+    if (t + 1 < end && t + 1 + d.subtree_nodes[t + 1] < end) {
+      return {t + 1, t + 1 + d.subtree_nodes[t + 1]};
+    }
+  }
+  return {};
 }
 
 TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
@@ -291,15 +304,45 @@ TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
     ExpectAdoptCorruption(std::move(d), "level order not canonical");
   }
   {
+    // A node re-parented to its grandparent: the grandparent encloses it,
+    // but its old parent is the innermost subtree that does.
     FlatHcdIndex::Data d = valid;
-    d.roots[0] = 1;
-    ExpectAdoptCorruption(std::move(d), "roots array mismatch");
+    TreeNodeId t = 0;
+    while (t < d.levels.size() &&
+           (d.parents[t] == kInvalidNode ||
+            d.parents[d.parents[t]] == kInvalidNode)) {
+      ++t;
+    }
+    ASSERT_LT(t, d.levels.size()) << "fixture needs a node of depth 3";
+    d.parents[t] = d.parents[d.parents[t]];
+    ExpectAdoptCorruption(std::move(d), "parent not innermost (parents)");
   }
   {
+    // The reverse: parents untouched, and a first child's subtree grown
+    // over its next sibling, which now lies inside it.
     FlatHcdIndex::Data d = valid;
-    // Break the children <-> subtree bijection without touching parents.
-    d.children[0] = d.children.size() > 1 ? d.children[1] : d.children[0] + 1;
-    ExpectAdoptCorruption(std::move(d), "children not at boundaries");
+    const std::vector<TreeNodeId> siblings = SiblingPair(d);
+    ASSERT_EQ(siblings.size(), 2u) << "fixture needs a node with 2 children";
+    d.subtree_nodes[siblings[0]] += d.subtree_nodes[siblings[1]];
+    ExpectAdoptCorruption(std::move(d), "parent not innermost (subtrees)");
+  }
+  {
+    // A subtree shrunk to its root: its first child falls outside it.
+    FlatHcdIndex::Data d = valid;
+    ASSERT_GT(d.subtree_nodes[0], 1u);
+    d.subtree_nodes[0] = 1;
+    ExpectAdoptCorruption(std::move(d), "descendant outside its subtree");
+  }
+  {
+    // Two trees; the first root's subtree overruns the second root.
+    Graph g = PlantedForest({OnionSpec(3, 5), OnionSpec(4, 5)}, 8);
+    FlatHcdIndex::Data d =
+        Freeze(NaiveHcdBuild(g, BzCoreDecomposition(g))).data();
+    ASSERT_LT(d.subtree_nodes[0], d.levels.size());
+    FlatHcdIndex adopted;
+    ASSERT_TRUE(FlatHcdIndex::Adopt(d, &adopted).ok());
+    ++d.subtree_nodes[0];
+    ExpectAdoptCorruption(std::move(d), "root overruns the next root");
   }
   {
     FlatHcdIndex::Data d = valid;
@@ -319,9 +362,7 @@ TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
     d.levels = {0};
     d.parents = {kInvalidNode};
     d.subtree_nodes = {1};
-    d.child_offsets = {0, 0};
     d.vertex_offsets = {0, 0};
-    d.roots = {0};
     d.desc_level_order = {0};
     d.level_group_offsets = {0, 0x01000000u, 1};
     ExpectAdoptCorruption(std::move(d), "offset past single-level order");
@@ -339,162 +380,6 @@ TEST(FlatIndexAdopt, RejectsEveryInvariantViolation) {
     ASSERT_LT(t, d.levels.size()) << "fixture needs a node with >= 2 vertices";
     d.vertices[d.vertex_offsets[t] + 1] = d.vertices[d.vertex_offsets[t]];
     ExpectAdoptCorruption(std::move(d), "duplicate vertex placement");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// v2 snapshots: bit-identical round trip, corrupt files.
-
-std::vector<char> ReadAll(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  std::vector<char> bytes(static_cast<size_t>(std::ftell(f)));
-  std::rewind(f);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return bytes;
-}
-
-void WriteAll(const std::string& path, const std::vector<char>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
-
-/// Writes `bytes` to `path` and expects MapFlatIndex to reject them with
-/// Status::Corruption.
-void ExpectSnapshotCorrupt(const std::string& path,
-                           const std::vector<char>& bytes, const char* what) {
-  WriteAll(path, bytes);
-  FlatHcdIndex loaded;
-  const Status s = MapFlatIndex(path, &loaded);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption) << what << ": " << s.ToString();
-}
-
-TEST(FlatIndexSnapshot, V2RoundTripIsBitIdentical) {
-  Graph g = RMatGraph500(9, 4000, 23);
-  CoreDecomposition cd = PkcCoreDecomposition(g);
-  const FlatHcdIndex flat = Freeze(PhcdBuild(g, cd));
-
-  const std::string path1 = ::testing::TempDir() + "/flat_rt1.bin";
-  const std::string path2 = ::testing::TempDir() + "/flat_rt2.bin";
-  ASSERT_TRUE(SaveFlatIndex(flat, path1).ok());
-  FlatHcdIndex loaded;
-  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
-  EXPECT_TRUE(HcdEquals(flat, loaded));
-  EXPECT_EQ(loaded.data().subtree_nodes, flat.data().subtree_nodes);
-  ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
-  EXPECT_EQ(ReadAll(path1), ReadAll(path2));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
-}
-
-class FlatSnapshotCorruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Graph g = PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 4), 41);
-    CoreDecomposition cd = BzCoreDecomposition(g);
-    index_ = Freeze(NaiveHcdBuild(g, cd));
-    path_ = ::testing::TempDir() + "/flat_corrupt.bin";
-    ASSERT_TRUE(SaveFlatIndex(index_, path_).ok());
-    bytes_ = ReadAll(path_);
-  }
-
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  /// Writes `bytes` and expects the loader to reject them as Corruption.
-  void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    ExpectSnapshotCorrupt(path_, bytes, what);
-  }
-
-  uint64_t HeaderWord(size_t i) const {
-    uint64_t w;
-    std::memcpy(&w, bytes_.data() + i * sizeof(uint64_t), sizeof(w));
-    return w;
-  }
-
-  std::vector<char> WithHeaderWord(size_t i, uint64_t value) const {
-    std::vector<char> bytes = bytes_;
-    std::memcpy(bytes.data() + i * sizeof(uint64_t), &value, sizeof(value));
-    return bytes;
-  }
-
-  FlatHcdIndex index_;
-  std::string path_;
-  std::vector<char> bytes_;
-};
-
-TEST_F(FlatSnapshotCorruption, Truncation) {
-  std::vector<char> bytes = bytes_;
-  bytes.resize(bytes.size() - 8);
-  ExpectCorrupt(bytes, "dropped tail");
-  bytes.resize(32);  // mid-header
-  ExpectCorrupt(bytes, "mid-header truncation");
-}
-
-TEST_F(FlatSnapshotCorruption, BadMagic) {
-  ExpectCorrupt(WithHeaderWord(0, 0x4242424242424242ULL), "bad magic");
-}
-
-// The v1 builder-stream format is retired: its magic is just a bad one.
-TEST_F(FlatSnapshotCorruption, RetiredV1MagicIsRejected) {
-  ExpectCorrupt(WithHeaderWord(0, 0x484344464f523031ULL), "v1 magic");
-}
-
-TEST_F(FlatSnapshotCorruption, HeaderCountsDisagreeWithFileSize) {
-  // Each tampered count changes the expected file size (or trips the
-  // header plausibility checks) and must be rejected before allocation.
-  ExpectCorrupt(WithHeaderWord(2, HeaderWord(2) + 1), "num_nodes + 1");
-  ExpectCorrupt(WithHeaderWord(5, HeaderWord(5) + 1), "num_placed + 1");
-  ExpectCorrupt(WithHeaderWord(3, HeaderWord(3) + 1), "num_roots + 1");
-  ExpectCorrupt(WithHeaderWord(2, 1ULL << 40), "absurd num_nodes");
-  ExpectCorrupt(WithHeaderWord(7, 1), "nonzero reserved word");
-}
-
-TEST_F(FlatSnapshotCorruption, TamperedSectionsFailAdopt) {
-  const uint64_t num_nodes = HeaderWord(2);
-  auto padded = [](uint64_t count) {
-    return (count * sizeof(uint32_t) + 7) / 8 * 8;
-  };
-  const size_t header_bytes = 8 * sizeof(uint64_t);
-
-  {
-    // parents[1] (section 2, element 1): point it at a later node —
-    // preorder inversion.
-    std::vector<char> bytes = bytes_;
-    const size_t off = header_bytes + padded(num_nodes) + 1 * sizeof(uint32_t);
-    const uint32_t bad_parent = 2;
-    std::memcpy(bytes.data() + off, &bad_parent, sizeof(bad_parent));
-    ExpectCorrupt(bytes, "preorder inversion");
-  }
-  {
-    // tid[0] (the 8th section): out-of-range node id. Sections before tid
-    // are levels, parents, subtree_nodes, child_offsets, children,
-    // vertex_offsets, vertices.
-    std::vector<char> bytes = bytes_;
-    const size_t tid_off = header_bytes + 3 * padded(num_nodes) +
-                           padded(num_nodes + 1) + padded(HeaderWord(4)) +
-                           padded(num_nodes + 1) + padded(HeaderWord(5));
-    const uint32_t bad_tid = static_cast<uint32_t>(num_nodes) + 9;
-    std::memcpy(bytes.data() + tid_off, &bad_tid, sizeof(bad_tid));
-    ExpectCorrupt(bytes, "tid out of range");
-  }
-  {
-    // level_group_offsets[1] (the 10th section) hoisted far past num_nodes:
-    // front/back entries and the file size are untouched, so the snapshot
-    // passes every header check and the upfront offset validation in Adopt
-    // is what rejects it.
-    ASSERT_GE(HeaderWord(6), 2u) << "fixture needs >= 2 level groups";
-    std::vector<char> bytes = bytes_;
-    const size_t group_off = header_bytes + 4 * padded(num_nodes) +
-                             2 * padded(num_nodes + 1) +
-                             padded(HeaderWord(4)) + padded(HeaderWord(5)) +
-                             padded(HeaderWord(1)) + 1 * sizeof(uint32_t);
-    const uint32_t bad_offset = static_cast<uint32_t>(num_nodes) + 0xFFFFFF;
-    std::memcpy(bytes.data() + group_off, &bad_offset, sizeof(bad_offset));
-    ExpectCorrupt(bytes, "level group offset out of range");
   }
 }
 
@@ -619,132 +504,7 @@ TEST(FlatIndexAdopt, RejectsElementDomainViolations) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 snapshots: bit-identical round trips, core stays v2, corrupt files.
-
-void ExpectV3RoundTrip(const FlatHcdIndex& flat, const char* tag) {
-  const std::string path1 =
-      ::testing::TempDir() + "/flat_v3_" + tag + "_1.bin";
-  const std::string path2 =
-      ::testing::TempDir() + "/flat_v3_" + tag + "_2.bin";
-  ASSERT_TRUE(SaveFlatIndex(flat, path1).ok());
-  FlatHcdIndex loaded;
-  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
-  EXPECT_TRUE(HcdEquals(flat, loaded));
-  EXPECT_EQ(loaded.kind(), flat.kind());
-  EXPECT_EQ(loaded.NumGraphVertices(), flat.NumGraphVertices());
-  EXPECT_EQ(loaded.data().element_members, flat.data().element_members);
-  ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
-  EXPECT_EQ(ReadAll(path1), ReadAll(path2));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
-}
-
-TEST(FlatIndexSnapshot, V3TrussRoundTripIsBitIdentical) {
-  ExpectV3RoundTrip(FreezeTrussOf(RMatGraph500(8, 2000, 5)), "truss");
-}
-
-TEST(FlatIndexSnapshot, V3NucleusRoundTripIsBitIdentical) {
-  ExpectV3RoundTrip(FreezeNucleusOf(PlantedHierarchy(OnionSpec(4, 7), 11)),
-                    "nucleus");
-}
-
-TEST(FlatIndexSnapshot, CoreSnapshotsStayV2) {
-  Graph g = PlantedHierarchy(OnionSpec(4, 6), 19);
-  CoreDecomposition cd = BzCoreDecomposition(g);
-  const FlatHcdIndex flat = Freeze(NaiveHcdBuild(g, cd));
-  const std::string path = ::testing::TempDir() + "/flat_still_v2.bin";
-  ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
-  const std::vector<char> bytes = ReadAll(path);
-  uint64_t magic = 0;
-  ASSERT_GE(bytes.size(), sizeof(magic));
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  EXPECT_EQ(magic, 0x484344464f523032ULL);  // "HCDFOR02"
-  std::remove(path.c_str());
-}
-
-class FlatSnapshotV3Corruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    index_ = FreezeTrussOf(PlantedHierarchy(OnionSpec(4, 7), 11));
-    path_ = ::testing::TempDir() + "/flat_v3_corrupt.bin";
-    ASSERT_TRUE(SaveFlatIndex(index_, path_).ok());
-    bytes_ = ReadAll(path_);
-  }
-
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    ExpectSnapshotCorrupt(path_, bytes, what);
-  }
-
-  uint64_t HeaderWord(size_t i) const {
-    uint64_t w;
-    std::memcpy(&w, bytes_.data() + i * sizeof(uint64_t), sizeof(w));
-    return w;
-  }
-
-  std::vector<char> WithHeaderWord(size_t i, uint64_t value) const {
-    std::vector<char> bytes = bytes_;
-    std::memcpy(bytes.data() + i * sizeof(uint64_t), &value, sizeof(value));
-    return bytes;
-  }
-
-  FlatHcdIndex index_;
-  std::string path_;
-  std::vector<char> bytes_;
-};
-
-TEST_F(FlatSnapshotV3Corruption, WrongKindTag) {
-  // v3 header word 1 is the kind. kCore is non-canonical in v3 (the
-  // writer emits v2 for core), out-of-range values are garbage, and a
-  // plausible-but-wrong kind disagrees with the member count (arity).
-  ExpectCorrupt(WithHeaderWord(1, 0), "v3 tagged kCore");
-  ExpectCorrupt(WithHeaderWord(1, 7), "kind out of range");
-  ExpectCorrupt(WithHeaderWord(1, 0xFFFFFFFFFFFFFFFFULL), "kind garbage");
-  ExpectCorrupt(WithHeaderWord(1, 2), "kind/arity mismatch");
-}
-
-TEST_F(FlatSnapshotV3Corruption, ElementCountAndGraphMismatch) {
-  // num_element_members (word 9) must equal arity * n and match the file
-  // size; num_graph_vertices (word 2) bounds every member id.
-  ExpectCorrupt(WithHeaderWord(9, HeaderWord(9) + 1), "member count + 1");
-  ExpectCorrupt(WithHeaderWord(9, HeaderWord(9) - 2), "member count - 2");
-  ExpectCorrupt(WithHeaderWord(2, 1), "graph smaller than members");
-  ExpectCorrupt(WithHeaderWord(10, 1), "nonzero reserved word");
-  ExpectCorrupt(WithHeaderWord(11, 1), "nonzero reserved word 2");
-}
-
-TEST_F(FlatSnapshotV3Corruption, TruncatedElementSection) {
-  std::vector<char> bytes = bytes_;
-  bytes.resize(bytes.size() - 8);  // drop the tail of element_members
-  ExpectCorrupt(bytes, "truncated element section");
-  bytes.resize(12 * sizeof(uint64_t));  // header only
-  ExpectCorrupt(bytes, "sections missing entirely");
-  bytes.resize(40);  // mid-header
-  ExpectCorrupt(bytes, "mid-header truncation");
-}
-
-TEST_F(FlatSnapshotV3Corruption, TamperedMembersFailAdopt) {
-  // Swap the two endpoints of edge 0 in the trailing element section:
-  // every header count and the file size stay valid, so only Adopt's
-  // ascending-members check stands between the file and the serve path.
-  const uint64_t num_members = HeaderWord(9);
-  ASSERT_GE(num_members, 2u);
-  std::vector<char> bytes = bytes_;
-  const size_t padded_members =
-      (num_members * sizeof(uint32_t) + 7) / 8 * 8;
-  const size_t members_off = bytes.size() - padded_members;
-  uint32_t a, b;
-  std::memcpy(&a, bytes.data() + members_off, sizeof(a));
-  std::memcpy(&b, bytes.data() + members_off + sizeof(a), sizeof(b));
-  ASSERT_LT(a, b);
-  std::memcpy(bytes.data() + members_off, &b, sizeof(b));
-  std::memcpy(bytes.data() + members_off + sizeof(b), &a, sizeof(a));
-  ExpectCorrupt(bytes, "members not ascending");
-}
-
-// ---------------------------------------------------------------------------
-// v4 snapshots: a core index with its search tables.
+// Search tables: Adopt's checks.
 
 /// A core index of `g` with its search tables built from the graph.
 FlatHcdIndex TabledCoreOf(const Graph& g) {
@@ -826,7 +586,167 @@ TEST(FlatIndexAdopt, RejectsSearchTableViolations) {
   }
 }
 
-TEST(FlatIndexSnapshot, TablesShareTheForestAndSaveAsV4) {
+// ---------------------------------------------------------------------------
+// Snapshots: one format for every kind, bit-identical round trips.
+
+std::vector<char> ReadAll(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  std::vector<char> bytes(static_cast<size_t>(std::ftell(f)));
+  std::rewind(f);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteAll(const std::string& path, const std::vector<char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// Writes `bytes` to `path` and expects MapFlatIndex to reject them with
+/// Status::Corruption.
+void ExpectSnapshotCorrupt(const std::string& path,
+                           const std::vector<char>& bytes, const char* what) {
+  WriteAll(path, bytes);
+  FlatHcdIndex loaded;
+  const Status s = MapFlatIndex(path, &loaded);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << what << ": " << s.ToString();
+}
+
+/// Header word i of a snapshot image.
+uint64_t HeaderWordOf(const std::vector<char>& bytes, size_t i) {
+  uint64_t w;
+  std::memcpy(&w, bytes.data() + i * sizeof(uint64_t), sizeof(w));
+  return w;
+}
+
+// The snapshot header's words, in file order.
+enum : size_t {
+  kWordMagic,
+  kWordKind,
+  kWordGraphVertices,
+  kWordElements,
+  kWordNodes,
+  kWordPlaced,
+  kWordLevelGroups,
+  kWordSearchTables,
+  kWordGraphEdges,
+  kWordBestNodes,
+  kHeaderWords,
+};
+
+constexpr uint64_t kMagicV5 = 0x484344464f523035ULL;  // "HCDFOR05"
+
+// The snapshot's sections, in file order.
+enum Section : size_t {
+  kLevels,
+  kParents,
+  kSubtreeNodes,
+  kVertexOffsets,
+  kVertices,
+  kTid,
+  kDescLevelOrder,
+  kLevelGroupOffsets,
+  kElementMembers,
+  kPrimaries,
+  kBestNodes,
+  kNumSections,
+};
+
+/// Byte range [begin, end) of one section of a saved snapshot, padding
+/// excluded.
+struct SectionRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// The section ranges, indexed by Section, of the snapshot SaveFlatIndex
+/// writes for `index`. Sections a kind does not have are empty.
+std::vector<SectionRange> SnapshotLayout(const FlatHcdIndex& index) {
+  const FlatHcdIndex::Data& d = index.data();
+  const std::vector<size_t> bytes = {
+      d.levels.size() * sizeof(uint32_t),
+      d.parents.size() * sizeof(TreeNodeId),
+      d.subtree_nodes.size() * sizeof(TreeNodeId),
+      d.vertex_offsets.size() * sizeof(uint32_t),
+      d.vertices.size() * sizeof(VertexId),
+      d.tid.size() * sizeof(TreeNodeId),
+      d.desc_level_order.size() * sizeof(TreeNodeId),
+      d.level_group_offsets.size() * sizeof(uint32_t),
+      d.element_members.size() * sizeof(VertexId),
+      d.primaries.size() * sizeof(PrimaryValues),
+      d.best_nodes.size() * sizeof(TreeNodeId)};
+  std::vector<SectionRange> sections;
+  size_t offset = kHeaderWords * sizeof(uint64_t);
+  for (size_t b : bytes) {
+    sections.push_back({offset, offset + b});
+    offset += (b + 7) / 8 * 8;
+  }
+  return sections;
+}
+
+void ExpectRoundTrip(const FlatHcdIndex& flat, const char* tag) {
+  const std::string path1 =
+      ::testing::TempDir() + "/flat_rt_" + tag + "_1.bin";
+  const std::string path2 =
+      ::testing::TempDir() + "/flat_rt_" + tag + "_2.bin";
+  ASSERT_TRUE(SaveFlatIndex(flat, path1).ok());
+  FlatHcdIndex loaded;
+  ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
+  EXPECT_TRUE(HcdEquals(flat, loaded));
+  EXPECT_EQ(loaded.kind(), flat.kind());
+  EXPECT_EQ(loaded.NumGraphVertices(), flat.NumGraphVertices());
+  EXPECT_EQ(loaded.data().subtree_nodes, flat.data().subtree_nodes);
+  EXPECT_EQ(loaded.data().element_members, flat.data().element_members);
+  ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
+  EXPECT_EQ(ReadAll(path1), ReadAll(path2));
+  std::remove(path1.c_str());
+  std::remove(path2.c_str());
+}
+
+TEST(FlatIndexSnapshot, CoreRoundTripIsBitIdentical) {
+  Graph g = RMatGraph500(9, 4000, 23);
+  CoreDecomposition cd = PkcCoreDecomposition(g);
+  ExpectRoundTrip(Freeze(PhcdBuild(g, cd)), "core");
+}
+
+TEST(FlatIndexSnapshot, TrussRoundTripIsBitIdentical) {
+  ExpectRoundTrip(FreezeTrussOf(RMatGraph500(8, 2000, 5)), "truss");
+}
+
+TEST(FlatIndexSnapshot, NucleusRoundTripIsBitIdentical) {
+  ExpectRoundTrip(FreezeNucleusOf(PlantedHierarchy(OnionSpec(4, 7), 11)),
+                  "nucleus");
+}
+
+// Core, core with tables, truss and nucleus share one magic and one
+// header; the kind tag and the table flag tell them apart.
+TEST(FlatIndexSnapshot, EveryKindWritesOneFormat) {
+  const Graph g = PlantedHierarchy(OnionSpec(4, 6), 19);
+  const CoreDecomposition cd = BzCoreDecomposition(g);
+  const FlatHcdIndex indexes[] = {Freeze(NaiveHcdBuild(g, cd)),
+                                  TabledCoreOf(g), FreezeTrussOf(g),
+                                  FreezeNucleusOf(g)};
+  const std::string path = ::testing::TempDir() + "/flat_one_format.bin";
+  for (const FlatHcdIndex& flat : indexes) {
+    ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
+    const std::vector<char> bytes = ReadAll(path);
+    ASSERT_GE(bytes.size(), kHeaderWords * sizeof(uint64_t));
+    EXPECT_EQ(HeaderWordOf(bytes, kWordMagic), kMagicV5);
+    EXPECT_EQ(HeaderWordOf(bytes, kWordKind),
+              static_cast<uint64_t>(flat.kind()));
+    EXPECT_EQ(HeaderWordOf(bytes, kWordSearchTables),
+              flat.HasSearchTables() ? 1u : 0u);
+    EXPECT_EQ(HeaderWordOf(bytes, kWordNodes), flat.NumNodes());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FlatIndexSnapshot, TablesShareTheForestAndFollowItsSections) {
   const Graph g = RMatGraph500(9, 4000, 23);
   const CoreDecomposition cd = BzCoreDecomposition(g);
   const auto flat =
@@ -842,20 +762,26 @@ TEST(FlatIndexSnapshot, TablesShareTheForestAndSaveAsV4) {
   EXPECT_EQ(tabled->NumGraphEdges(), g.NumEdges());
   EXPECT_TRUE(HcdEquals(*tabled, *flat));
 
-  const std::string path1 = ::testing::TempDir() + "/flat_v4_1.bin";
-  const std::string path2 = ::testing::TempDir() + "/flat_v4_2.bin";
-  const std::string path_v2 = ::testing::TempDir() + "/flat_v4_base.bin";
+  const std::string path1 = ::testing::TempDir() + "/flat_tables_1.bin";
+  const std::string path2 = ::testing::TempDir() + "/flat_tables_2.bin";
+  const std::string path_forest =
+      ::testing::TempDir() + "/flat_tables_base.bin";
   ASSERT_TRUE(SaveFlatIndex(*tabled, path1).ok());
   const std::vector<char> bytes = ReadAll(path1);
-  uint64_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  EXPECT_EQ(magic, 0x484344464f523034ULL);  // "HCDFOR04"
-  // The forest without tables still writes v2, and v4 is that file's
-  // sections under a longer header, followed by the tables.
-  ASSERT_TRUE(SaveFlatIndex(*flat, path_v2).ok());
-  const std::vector<char> v2 = ReadAll(path_v2);
-  ASSERT_GT(bytes.size(), v2.size());
-  EXPECT_TRUE(std::equal(v2.begin() + 64, v2.end(), bytes.begin() + 80));
+  EXPECT_EQ(HeaderWordOf(bytes, kWordSearchTables), 1u);
+  EXPECT_EQ(HeaderWordOf(bytes, kWordGraphEdges), g.NumEdges());
+  // The forest without tables writes the same header bar the table words,
+  // then the same sections; the file with tables adds the tables after
+  // them.
+  ASSERT_TRUE(SaveFlatIndex(*flat, path_forest).ok());
+  const std::vector<char> forest = ReadAll(path_forest);
+  ASSERT_GT(bytes.size(), forest.size());
+  const size_t table_words = kWordSearchTables * sizeof(uint64_t);
+  const size_t header_bytes = kHeaderWords * sizeof(uint64_t);
+  EXPECT_TRUE(
+      std::equal(forest.begin(), forest.begin() + table_words, bytes.begin()));
+  EXPECT_TRUE(std::equal(forest.begin() + header_bytes, forest.end(),
+                         bytes.begin() + header_bytes));
 
   FlatHcdIndex loaded;
   ASSERT_TRUE(MapFlatIndex(path1, &loaded).ok());
@@ -865,108 +791,13 @@ TEST(FlatIndexSnapshot, TablesShareTheForestAndSaveAsV4) {
   EXPECT_EQ(ReadAll(path2), bytes);
   std::remove(path1.c_str());
   std::remove(path2.c_str());
-  std::remove(path_v2.c_str());
+  std::remove(path_forest.c_str());
 }
 
-class FlatSnapshotV4Corruption : public ::testing::Test {
- protected:
-  static constexpr size_t kHeaderBytes = 10 * sizeof(uint64_t);
-
-  void SetUp() override {
-    index_ = TabledCoreOf(PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 4), 41));
-    path_ = ::testing::TempDir() + "/flat_v4_corrupt.bin";
-    ASSERT_TRUE(SaveFlatIndex(index_, path_).ok());
-    bytes_ = ReadAll(path_);
-    num_nodes_ = HeaderWord(2);
-    num_best_ = HeaderWord(8);
-    ASSERT_EQ(num_best_, index_.data().best_nodes.size());
-    best_off_ = bytes_.size() - Padded(num_best_);
-    primaries_off_ = best_off_ - num_nodes_ * sizeof(PrimaryValues);
-  }
-
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  static size_t Padded(uint64_t count) {
-    return (count * sizeof(uint32_t) + 7) / 8 * 8;
-  }
-
-  void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
-    ExpectSnapshotCorrupt(path_, bytes, what);
-  }
-
-  uint64_t HeaderWord(size_t i) const {
-    uint64_t w;
-    std::memcpy(&w, bytes_.data() + i * sizeof(uint64_t), sizeof(w));
-    return w;
-  }
-
-  std::vector<char> WithHeaderWord(size_t i, uint64_t value) const {
-    std::vector<char> bytes = bytes_;
-    std::memcpy(bytes.data() + i * sizeof(uint64_t), &value, sizeof(value));
-    return bytes;
-  }
-
-  std::vector<char> WithBestEntry(size_t i, TreeNodeId value) const {
-    std::vector<char> bytes = bytes_;
-    std::memcpy(bytes.data() + best_off_ + i * sizeof(TreeNodeId), &value,
-                sizeof(value));
-    return bytes;
-  }
-
-  FlatHcdIndex index_;
-  std::string path_;
-  std::vector<char> bytes_;
-  uint64_t num_nodes_ = 0;
-  uint64_t num_best_ = 0;
-  size_t best_off_ = 0;
-  size_t primaries_off_ = 0;
-};
-
-TEST_F(FlatSnapshotV4Corruption, TruncationInsideTheTables) {
-  std::vector<char> bytes = bytes_;
-  bytes.resize(best_off_ + 4);
-  ExpectCorrupt(bytes, "cut inside the best-node tables");
-  bytes.resize(primaries_off_ + sizeof(PrimaryValues) + 12);
-  ExpectCorrupt(bytes, "cut inside the primaries");
-  bytes.resize(primaries_off_);
-  ExpectCorrupt(bytes, "tables missing entirely");
-  bytes.resize(kHeaderBytes - 8);
-  ExpectCorrupt(bytes, "mid-header truncation");
-}
-
-TEST_F(FlatSnapshotV4Corruption, BestEntriesOutOfRangeOrBelowTheirLevel) {
-  const size_t table_len = num_best_ / kNumBestTables;
-  ExpectCorrupt(WithBestEntry(0, static_cast<TreeNodeId>(num_nodes_)),
-                "best entry out of range");
-  ExpectCorrupt(WithBestEntry(3, kInvalidNode), "best entry invalid");
-  TreeNodeId shallow = 0;
-  for (TreeNodeId t = 0; t < index_.NumNodes(); ++t) {
-    if (index_.Level(t) < index_.Level(shallow)) shallow = t;
-  }
-  ASSERT_LT(index_.Level(shallow), table_len - 1);
-  ExpectCorrupt(WithBestEntry(2 * table_len + table_len - 1, shallow),
-                "best entry below its level");
-}
-
-TEST_F(FlatSnapshotV4Corruption, WrongTableLength) {
-  // Header plausibility: the entry count splits into kNumBestTables tables,
-  // and an index with nodes has entries.
-  ExpectCorrupt(WithHeaderWord(8, num_best_ + 1), "not a whole table count");
-  ExpectCorrupt(WithHeaderWord(8, 0), "no tables for a non-empty index");
-  ExpectCorrupt(WithHeaderWord(8, uint64_t{1} << 62), "absurd table count");
-  ExpectCorrupt(WithHeaderWord(9, 1), "nonzero reserved word");
-  // One level fewer per table, with the file cut to match: every size
-  // check passes, and Adopt's length check is what rejects it.
-  const uint64_t shorter = num_best_ - kNumBestTables;
-  std::vector<char> bytes = WithHeaderWord(8, shorter);
-  bytes.resize(best_off_ + Padded(shorter));
-  ExpectCorrupt(bytes, "tables one level short");
-}
-
-TEST(FlatSnapshotV4, AGraphOfAnotherEdgeCountIsRejected) {
+TEST(FlatSnapshotTables, AGraphOfAnotherEdgeCountIsRejected) {
   const Graph g = RMatGraph500(8, 2000, 3);
   HcdEngine source(&g);
-  const std::string path = ::testing::TempDir() + "/flat_v4_edges.bin";
+  const std::string path = ::testing::TempDir() + "/flat_tables_edges.bin";
   ASSERT_TRUE(
       SaveFlatIndex(*source.Snapshot().state()->shared_flat(), path).ok());
   FlatHcdIndex mapped;
@@ -993,15 +824,16 @@ TEST(FlatSnapshotV4, AGraphOfAnotherEdgeCountIsRejected) {
   EXPECT_EQ(same.Snapshot().state()->shared_flat(), flat);
 }
 
-// v2 files carry no tables: an engine that adopts one builds them when it
-// seals, and they equal the ones a v4 file carries.
-TEST(FlatSnapshotV4, V2FilesStillLoadAndBuildTheirTables) {
+// A core file without tables: an engine that adopts one builds them when
+// it seals, and they equal the ones a file with tables carries.
+TEST(FlatSnapshotTables, ForestOnlyFilesLoadAndBuildTheirTables) {
   const Graph g = RMatGraph500(8, 2000, 7);
   HcdEngine source(&g);
-  const std::string v2 = ::testing::TempDir() + "/flat_v4_from_v2.bin";
-  ASSERT_TRUE(SaveFlatIndex(source.Flat(), v2).ok());
+  const std::string forest_only =
+      ::testing::TempDir() + "/flat_forest_only.bin";
+  ASSERT_TRUE(SaveFlatIndex(source.Flat(), forest_only).ok());
   FlatHcdIndex loaded;
-  ASSERT_TRUE(MapFlatIndex(v2, &loaded).ok());
+  ASSERT_TRUE(MapFlatIndex(forest_only, &loaded).ok());
   EXPECT_FALSE(loaded.HasSearchTables());
   HcdEngine engine(&g);
   ASSERT_TRUE(
@@ -1011,8 +843,267 @@ TEST(FlatSnapshotV4, V2FilesStillLoadAndBuildTheirTables) {
   EXPECT_TRUE(sealed.HasSearchTables());
   EXPECT_TRUE(
       SameSearchTables(sealed, *source.Snapshot().state()->shared_flat()));
-  std::remove(v2.c_str());
+  std::remove(forest_only.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// Corrupt snapshots of every kind fail with Corruption.
+
+enum class SnapshotKind { kCore, kCoreTables, kTruss, kNucleus };
+
+struct SnapshotCase {
+  const char* name;
+  SnapshotKind kind;
+};
+
+class FlatSnapshotCorruption : public ::testing::TestWithParam<SnapshotCase> {
+ protected:
+  void SetUp() override {
+    const Graph branching = PlantedHierarchy(BranchingSpec(2, 8, 2, 2, 4), 41);
+    switch (GetParam().kind) {
+      case SnapshotKind::kCore:
+        index_ =
+            Freeze(NaiveHcdBuild(branching, BzCoreDecomposition(branching)));
+        break;
+      case SnapshotKind::kCoreTables:
+        index_ = TabledCoreOf(branching);
+        break;
+      case SnapshotKind::kTruss:
+        index_ = FreezeTrussOf(PlantedHierarchy(OnionSpec(4, 7), 11));
+        break;
+      case SnapshotKind::kNucleus:
+        index_ = FreezeNucleusOf(branching);
+        break;
+    }
+    // The tampering cases need a node with a child and two levels.
+    ASSERT_GT(index_.SubtreeNodes(0), 1u);
+    ASSERT_GE(index_.NumLevelGroups(), 2u);
+    path_ = ::testing::TempDir() + "/flat_corrupt_" + GetParam().name +
+            ".bin";
+    ASSERT_TRUE(SaveFlatIndex(index_, path_).ok());
+    bytes_ = ReadAll(path_);
+    sections_ = SnapshotLayout(index_);
+    ASSERT_EQ((sections_.back().end + 7) / 8 * 8, bytes_.size());
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Writes `bytes` and expects the loader to reject them as Corruption.
+  void ExpectCorrupt(const std::vector<char>& bytes, const char* what) {
+    ExpectSnapshotCorrupt(path_, bytes, what);
+  }
+
+  uint64_t HeaderWord(size_t i) const { return HeaderWordOf(bytes_, i); }
+
+  std::vector<char> WithHeaderWord(size_t i, uint64_t value) const {
+    std::vector<char> bytes = bytes_;
+    std::memcpy(bytes.data() + i * sizeof(uint64_t), &value, sizeof(value));
+    return bytes;
+  }
+
+  /// The image with 32-bit entry i of `section` set to `value`.
+  std::vector<char> WithEntry(Section section, size_t i,
+                              uint32_t value) const {
+    std::vector<char> bytes = bytes_;
+    std::memcpy(bytes.data() + sections_[section].begin + i * sizeof(value),
+                &value, sizeof(value));
+    return bytes;
+  }
+
+  bool Elements() const { return index_.kind() != HierarchyKind::kCore; }
+
+  FlatHcdIndex index_;
+  std::string path_;
+  std::vector<char> bytes_;
+  std::vector<SectionRange> sections_;
+};
+
+TEST_P(FlatSnapshotCorruption, Truncation) {
+  std::vector<char> bytes = bytes_;
+  bytes.resize(bytes.size() - 8);
+  ExpectCorrupt(bytes, "dropped tail");
+  // A cut inside each section (the element members and the tables
+  // included) fails the size check before anything is aliased.
+  for (const SectionRange& r : sections_) {
+    if (r.end - r.begin < 8) continue;
+    bytes = bytes_;
+    bytes.resize(r.begin + 4);
+    ExpectCorrupt(bytes, "cut inside a section");
+  }
+  bytes.resize(kHeaderWords * sizeof(uint64_t));
+  ExpectCorrupt(bytes, "sections missing entirely");
+  bytes.resize(32);
+  ExpectCorrupt(bytes, "mid-header truncation");
+}
+
+TEST_P(FlatSnapshotCorruption, BadMagic) {
+  ExpectCorrupt(WithHeaderWord(kWordMagic, 0x4242424242424242ULL),
+                "bad magic");
+}
+
+// The v1 builder stream and the per-kind v2-v4 layouts are retired: their
+// magics are just bad ones.
+TEST_P(FlatSnapshotCorruption, RetiredMagicsAreRejected) {
+  for (uint64_t magic : {0x484344464f523031ULL, 0x484344464f523032ULL,
+                         0x484344464f523033ULL, 0x484344464f523034ULL}) {
+    ExpectCorrupt(WithHeaderWord(kWordMagic, magic), "retired magic");
+  }
+}
+
+TEST_P(FlatSnapshotCorruption, HeaderCountsDisagreeWithFileSize) {
+  // Each tampered count changes the expected file size (or trips the
+  // header plausibility checks) and must be rejected before allocation.
+  ExpectCorrupt(WithHeaderWord(kWordNodes, HeaderWord(kWordNodes) + 1),
+                "num_nodes + 1");
+  ExpectCorrupt(WithHeaderWord(kWordPlaced, HeaderWord(kWordPlaced) + 1),
+                "num_placed + 1");
+  ExpectCorrupt(
+      WithHeaderWord(kWordLevelGroups, HeaderWord(kWordLevelGroups) + 1),
+      "num_level_groups + 1");
+  ExpectCorrupt(WithHeaderWord(kWordNodes, 1ULL << 40), "absurd num_nodes");
+  ExpectCorrupt(WithHeaderWord(kWordSearchTables, 2), "table flag not 0/1");
+  ExpectCorrupt(WithHeaderWord(kWordSearchTables,
+                               1 - HeaderWord(kWordSearchTables)),
+                "table flag flipped");
+}
+
+TEST_P(FlatSnapshotCorruption, WrongKindTag) {
+  // Out-of-range values are garbage, and every other kind disagrees with
+  // the element member section (arity), with the tables, or both.
+  ExpectCorrupt(WithHeaderWord(kWordKind, 3), "kind out of range");
+  ExpectCorrupt(WithHeaderWord(kWordKind, 0xFFFFFFFFFFFFFFFFULL),
+                "kind garbage");
+  ExpectCorrupt(WithHeaderWord(kWordKind, uint64_t{1} << 32),
+                "kind beyond 32 bits");
+  for (HierarchyKind kind : {HierarchyKind::kCore, HierarchyKind::kTruss,
+                             HierarchyKind::kNucleus}) {
+    if (kind == index_.kind()) continue;
+    ExpectCorrupt(WithHeaderWord(kWordKind, static_cast<uint64_t>(kind)),
+                  "another kind");
+  }
+}
+
+TEST_P(FlatSnapshotCorruption, ElementCountAndGraphMismatch) {
+  // The element count sizes tid (and the member section); the graph vertex
+  // count bounds every member id, and equals the element count for core.
+  ExpectCorrupt(WithHeaderWord(kWordElements, HeaderWord(kWordElements) + 1),
+                "element count + 1");
+  ExpectCorrupt(WithHeaderWord(kWordGraphVertices, 1),
+                "graph smaller than its elements");
+  ExpectCorrupt(WithHeaderWord(kWordGraphVertices, 1ULL << 40),
+                "absurd graph vertex count");
+  if (!Elements()) {
+    ExpectCorrupt(WithHeaderWord(kWordGraphVertices,
+                                 HeaderWord(kWordElements) + 1),
+                  "core graph/element domain split");
+  }
+}
+
+TEST_P(FlatSnapshotCorruption, TamperedSectionsFailAdopt) {
+  const uint32_t num_nodes = static_cast<uint32_t>(HeaderWord(kWordNodes));
+  // parents[1] points at a later node: preorder inversion.
+  ExpectCorrupt(WithEntry(kParents, 1, 2), "preorder inversion");
+  // subtree_nodes[0] shrunk to 1: node 1 falls outside its parent's
+  // subtree.
+  ExpectCorrupt(WithEntry(kSubtreeNodes, 0, 1), "subtree shrunk");
+  // tid[v] of a placed vertex: out-of-range node id.
+  ExpectCorrupt(WithEntry(kTid, index_.data().vertices[0], num_nodes + 9),
+                "tid out of range");
+  // level_group_offsets[1] hoisted far past num_nodes: front/back entries
+  // and the file size are untouched, so the snapshot passes every header
+  // check and the upfront offset validation in Adopt is what rejects it.
+  ExpectCorrupt(WithEntry(kLevelGroupOffsets, 1, num_nodes + 0xFFFFFF),
+                "level group offset out of range");
+}
+
+TEST_P(FlatSnapshotCorruption, TamperedMembersFailAdopt) {
+  if (!Elements()) GTEST_SKIP() << "a core snapshot has no member section";
+  // Swap the first two members of element 0: every header count and the
+  // file size stay valid, so only Adopt's ascending-members check stands
+  // between the file and the serve path.
+  const std::span<const VertexId> m = index_.ElementMembers(0);
+  ASSERT_LT(m[0], m[1]);
+  std::vector<char> bytes = WithEntry(kElementMembers, 0, m[1]);
+  std::memcpy(bytes.data() + sections_[kElementMembers].begin + 4, &m[0],
+              sizeof(VertexId));
+  ExpectCorrupt(bytes, "members not ascending");
+  ExpectCorrupt(WithEntry(kElementMembers, 1, index_.NumGraphVertices()),
+                "member out of graph range");
+}
+
+TEST_P(FlatSnapshotCorruption, BestEntriesOutOfRangeOrBelowTheirLevel) {
+  if (!index_.HasSearchTables()) GTEST_SKIP() << "no search tables";
+  const size_t table_len = HeaderWord(kWordBestNodes) / kNumBestTables;
+  const uint32_t num_nodes = static_cast<uint32_t>(HeaderWord(kWordNodes));
+  ExpectCorrupt(WithEntry(kBestNodes, 0, num_nodes),
+                "best entry out of range");
+  ExpectCorrupt(WithEntry(kBestNodes, 3, kInvalidNode), "best entry invalid");
+  TreeNodeId shallow = 0;
+  for (TreeNodeId t = 0; t < index_.NumNodes(); ++t) {
+    if (index_.Level(t) < index_.Level(shallow)) shallow = t;
+  }
+  ASSERT_LT(index_.Level(shallow), table_len - 1);
+  ExpectCorrupt(WithEntry(kBestNodes, 2 * table_len + table_len - 1, shallow),
+                "best entry below its level");
+}
+
+TEST_P(FlatSnapshotCorruption, WrongTableLength) {
+  if (!index_.HasSearchTables()) {
+    // Without tables, nonzero table counts are table sections without
+    // tables.
+    ExpectCorrupt(WithHeaderWord(kWordGraphEdges, 5), "edges without tables");
+    ExpectCorrupt(WithHeaderWord(kWordBestNodes, kNumBestTables),
+                  "best entries without tables");
+    return;
+  }
+  // Header plausibility: the entry count splits into kNumBestTables tables,
+  // and an index with nodes has entries.
+  const uint64_t num_best = HeaderWord(kWordBestNodes);
+  ExpectCorrupt(WithHeaderWord(kWordBestNodes, num_best + 1),
+                "not a whole table count");
+  ExpectCorrupt(WithHeaderWord(kWordBestNodes, 0),
+                "no tables for a non-empty index");
+  ExpectCorrupt(WithHeaderWord(kWordBestNodes, uint64_t{1} << 62),
+                "absurd table count");
+  // One level fewer per table, with the file cut to match: every size
+  // check passes, and Adopt's length check is what rejects it.
+  const uint64_t shorter = num_best - kNumBestTables;
+  std::vector<char> bytes = WithHeaderWord(kWordBestNodes, shorter);
+  bytes.resize(sections_[kBestNodes].begin +
+               (shorter * sizeof(TreeNodeId) + 7) / 8 * 8);
+  ExpectCorrupt(bytes, "tables one level short");
+}
+
+/// Copies of `image`, a saved snapshot of `index`, each with the last
+/// padding byte of one padded section set. The writer pads with zeros, so
+/// an index loaded from such a file would re-save to other bytes.
+std::vector<std::vector<char>> WithNonzeroPadding(
+    const FlatHcdIndex& index, const std::vector<char>& image) {
+  std::vector<std::vector<char>> copies;
+  for (const SectionRange& r : SnapshotLayout(index)) {
+    if (r.end % 8 == 0) continue;
+    copies.push_back(image);
+    copies.back()[(r.end + 7) / 8 * 8 - 1] = 1;
+  }
+  EXPECT_FALSE(copies.empty()) << "fixture needs a padded section";
+  return copies;
+}
+
+TEST_P(FlatSnapshotCorruption, NonzeroPaddingIsRejected) {
+  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
+    ExpectCorrupt(bytes, "nonzero padding");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKind, FlatSnapshotCorruption,
+    ::testing::Values(SnapshotCase{"core", SnapshotKind::kCore},
+                      SnapshotCase{"core_tables", SnapshotKind::kCoreTables},
+                      SnapshotCase{"truss", SnapshotKind::kTruss},
+                      SnapshotCase{"nucleus", SnapshotKind::kNucleus}),
+    [](const ::testing::TestParamInfo<SnapshotCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Mapped snapshots: a mapped index equals the index that was saved, section
@@ -1039,14 +1130,11 @@ void ExpectMapMatchesSaved(const FlatHcdIndex& built, const std::string& tag) {
   EXPECT_EQ(a.levels, b.levels) << tag;
   EXPECT_EQ(a.parents, b.parents) << tag;
   EXPECT_EQ(a.subtree_nodes, b.subtree_nodes) << tag;
-  EXPECT_EQ(a.child_offsets, b.child_offsets) << tag;
-  EXPECT_EQ(a.children, b.children) << tag;
   EXPECT_EQ(a.vertex_offsets, b.vertex_offsets) << tag;
   EXPECT_EQ(a.vertices, b.vertices) << tag;
   EXPECT_EQ(a.tid, b.tid) << tag;
   EXPECT_EQ(a.desc_level_order, b.desc_level_order) << tag;
   EXPECT_EQ(a.level_group_offsets, b.level_group_offsets) << tag;
-  EXPECT_EQ(a.roots, b.roots) << tag;
   EXPECT_TRUE(SameSearchTables(built, mapped)) << tag;
   EXPECT_TRUE(HcdEquals(built, mapped)) << tag;
 
@@ -1081,55 +1169,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Seeded mutation fuzz: damaged snapshots of every version either fail with
+// Seeded mutation fuzz: damaged snapshots of every kind either fail with
 // Corruption or load an index that is exactly what the bytes say.
-
-/// Byte range [begin, end) of one section of a saved snapshot, padding
-/// excluded.
-struct SectionRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Header words and section ranges of the snapshot SaveFlatIndex writes
-/// for `index`, in file order.
-size_t SnapshotLayout(const FlatHcdIndex& index,
-                      std::vector<SectionRange>* sections) {
-  const FlatHcdIndex::Data& d = index.data();
-  const size_t header_words = d.search_tables                  ? 10
-                              : d.kind == HierarchyKind::kCore ? 8
-                                                               : 12;
-  std::vector<size_t> bytes = {d.levels.size(),
-                               d.parents.size(),
-                               d.subtree_nodes.size(),
-                               d.child_offsets.size(),
-                               d.children.size(),
-                               d.vertex_offsets.size(),
-                               d.vertices.size(),
-                               d.tid.size(),
-                               d.desc_level_order.size(),
-                               d.level_group_offsets.size(),
-                               d.roots.size()};
-  if (d.kind != HierarchyKind::kCore) bytes.push_back(d.element_members.size());
-  for (size_t& b : bytes) b *= sizeof(uint32_t);
-  if (d.search_tables) {
-    bytes.push_back(d.primaries.size() * sizeof(PrimaryValues));
-    bytes.push_back(d.best_nodes.size() * sizeof(TreeNodeId));
-  }
-  sections->clear();
-  size_t offset = header_words * sizeof(uint64_t);
-  for (size_t b : bytes) {
-    sections->push_back({offset, offset + b});
-    offset += (b + 7) / 8 * 8;
-  }
-  return header_words;
-}
 
 /// One mutation of a snapshot image: bit flips, a truncation, an edited
 /// header count word, one section's bytes spliced over another's, or one
 /// 32-bit section entry moved by a small step.
 std::vector<char> MutateSnapshot(const std::vector<char>& image,
-                                 size_t header_words,
                                  const std::vector<SectionRange>& sections,
                                  Rng& rng) {
   std::vector<char> out = image;
@@ -1147,7 +1193,7 @@ std::vector<char> MutateSnapshot(const std::vector<char>& image,
       out.resize(rng.Uniform(out.size()));
       break;
     case 2: {  // a count word (not the magic) by a small step, or any value
-      const size_t at = (1 + rng.Uniform(header_words - 1)) * sizeof(uint64_t);
+      const size_t at = (1 + rng.Uniform(kHeaderWords - 1)) * sizeof(uint64_t);
       uint64_t word;
       std::memcpy(&word, out.data() + at, sizeof(word));
       const uint64_t step = 1 + rng.Uniform(3);
@@ -1223,22 +1269,21 @@ TEST(FlatSnapshotFuzz, MutatedSnapshotsFailCleanlyOrResaveToTheSameBytes) {
     }
     const Graph& g = c.graph;
     const FlatHcdIndex images[] = {
-        Freeze(NaiveHcdBuild(g, BzCoreDecomposition(g))),  // v2
-        TabledCoreOf(g),                                    // v4
-        FreezeTrussOf(g),                                   // v3
-        FreezeNucleusOf(g),                                 // v3
+        Freeze(NaiveHcdBuild(g, BzCoreDecomposition(g))),
+        TabledCoreOf(g),
+        FreezeTrussOf(g),
+        FreezeNucleusOf(g),
     };
     for (const FlatHcdIndex& built : images) {
       SCOPED_TRACE(name + " kind " + HierarchyKindName(built.kind()) +
-                   (built.HasSearchTables() ? " v4" : ""));
+                   (built.HasSearchTables() ? " with tables" : ""));
       ASSERT_TRUE(SaveFlatIndex(built, path).ok());
       const std::vector<char> image = ReadAll(path);
-      std::vector<SectionRange> sections;
-      const size_t header_words = SnapshotLayout(built, &sections);
+      const std::vector<SectionRange> sections = SnapshotLayout(built);
       ASSERT_EQ((sections.back().end + 7) / 8 * 8, image.size());
       for (int i = 0; i < kMutationsPerImage; ++i) {
         const std::vector<char> mutated =
-            MutateSnapshot(image, header_words, sections, rng);
+            MutateSnapshot(image, sections, rng);
         WriteAll(path, mutated);
         FlatHcdIndex index;
         const Status s = MapFlatIndex(path, &index);
@@ -1268,41 +1313,6 @@ TEST(FlatSnapshotFuzz, MutatedSnapshotsFailCleanlyOrResaveToTheSameBytes) {
   EXPECT_GT(loaded, 0);
   std::remove(path.c_str());
   std::remove(resaved.c_str());
-}
-
-/// Copies of `image`, a saved snapshot of `index`, each with the last
-/// padding byte of one padded section set. The writer pads with zeros, so
-/// an index loaded from such a file would re-save to other bytes.
-std::vector<std::vector<char>> WithNonzeroPadding(
-    const FlatHcdIndex& index, const std::vector<char>& image) {
-  std::vector<SectionRange> sections;
-  SnapshotLayout(index, &sections);
-  std::vector<std::vector<char>> copies;
-  for (const SectionRange& r : sections) {
-    if (r.end % 8 == 0) continue;
-    copies.push_back(image);
-    copies.back()[(r.end + 7) / 8 * 8 - 1] = 1;
-  }
-  EXPECT_FALSE(copies.empty()) << "fixture needs a padded section";
-  return copies;
-}
-
-TEST_F(FlatSnapshotCorruption, NonzeroPaddingIsRejected) {
-  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
-    ExpectCorrupt(bytes, "nonzero v2 padding");
-  }
-}
-
-TEST_F(FlatSnapshotV3Corruption, NonzeroPaddingIsRejected) {
-  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
-    ExpectCorrupt(bytes, "nonzero v3 padding");
-  }
-}
-
-TEST_F(FlatSnapshotV4Corruption, NonzeroPaddingIsRejected) {
-  for (const std::vector<char>& bytes : WithNonzeroPadding(index_, bytes_)) {
-    ExpectCorrupt(bytes, "nonzero v4 padding");
-  }
 }
 
 TEST(FlatSnapshotMapped, SurvivesSourceFileUnlink) {

@@ -10,6 +10,7 @@
 #include "hcd/naive_hcd.h"
 #include "hcd/stats.h"
 #include "hcd/validate.h"
+#include "tests/test_util.h"
 
 namespace hcd {
 namespace {
@@ -43,10 +44,10 @@ TEST(HcdForest, BasicAccessors) {
   EXPECT_EQ(f.Parent(0), kInvalidNode);
   EXPECT_EQ(f.Parent(3), 1u);
   EXPECT_EQ(f.Tid(5), 3u);
-  // Roots and child lists exist on the frozen index only.
+  // The frozen index's preorder intervals give roots and child lists.
   const FlatHcdIndex flat = Freeze(f);
-  EXPECT_EQ(flat.Roots().size(), 1u);
-  EXPECT_EQ(flat.Children(flat.Tid(0)).size(), 2u);
+  EXPECT_EQ(testing::Roots(flat).size(), 1u);
+  EXPECT_EQ(testing::Children(flat, flat.Tid(0)).size(), 2u);
 }
 
 TEST(HcdForest, NodesByDescendingLevel) {

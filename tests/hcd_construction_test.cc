@@ -60,7 +60,7 @@ TEST(NaiveHcd, RingOfCliquesOneNodePerClique) {
   EXPECT_TRUE(ValidateHcd(g, cd, f).ok());
   // 5 clique nodes + 1 enclosing node.
   EXPECT_EQ(f.NumNodes(), 6u);
-  EXPECT_EQ(f.Roots().size(), 1u);
+  EXPECT_EQ(testing::Roots(f).size(), 1u);
 }
 
 TEST(PlantedHierarchy, MatchesSpecTreeExactly) {

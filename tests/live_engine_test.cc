@@ -109,12 +109,12 @@ bool SameTables(const FlatHcdIndex& a, const FlatHcdIndex& b) {
   return true;
 }
 
-// A live engine seeded from a v4 snapshot starts from the mapped tables
-// and builds fresh ones for every publish: each generation's tables equal
-// a full rebuild's from that generation's graph.
-TEST(LiveEngine, SeededFromAV4SnapshotPublishesTablesOfAFullRebuild) {
+// A live engine seeded from a snapshot with search tables starts from the
+// mapped tables and builds fresh ones for every publish: each generation's
+// tables equal a full rebuild's from that generation's graph.
+TEST(LiveEngine, SeededFromATabledSnapshotPublishesTablesOfAFullRebuild) {
   const Graph graph = RMatGraph500(9, 2500, 61);
-  const std::string path = ::testing::TempDir() + "/live_engine_v4.snap";
+  const std::string path = ::testing::TempDir() + "/live_engine_tables.snap";
   {
     HcdEngine source(&graph);
     ASSERT_TRUE(

@@ -163,15 +163,15 @@ TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
   }
 }
 
-// A v4 snapshot carries the tables; mapped, they must score every node
-// under every metric bit-identically to tables built from the graph, and
-// to the one-shot type-A / type-B passes, and answer BestAtLeast alike
-// for every k.
-TEST_P(PbksSuite, MappedV4TablesScoreLikeTablesBuiltFromTheGraph) {
+// A snapshot with search tables carries them; mapped, they must score
+// every node under every metric bit-identically to tables built from the
+// graph, and to the one-shot type-A / type-B passes, and answer
+// BestAtLeast alike for every k.
+TEST_P(PbksSuite, MappedTablesScoreLikeTablesBuiltFromTheGraph) {
   Pipeline p = Build(GetParam().graph);
   const auto built = Tabled(p);
   const std::string path =
-      ::testing::TempDir() + "/pbks_v4_" + GetParam().name + ".snap";
+      ::testing::TempDir() + "/pbks_tables_" + GetParam().name + ".snap";
   ASSERT_TRUE(SaveFlatIndex(*built, path).ok());
   FlatHcdIndex mapped;
   ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());

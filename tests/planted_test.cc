@@ -9,6 +9,7 @@
 #include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
 #include "hcd/validate.h"
+#include "tests/test_util.h"
 
 namespace hcd {
 namespace {
@@ -30,11 +31,10 @@ void CheckSpecSubtree(const FlatHcdIndex& forest, const CoreSpec& spec,
   EXPECT_EQ(forest.Level(node), spec.level);
   EXPECT_EQ(forest.Vertices(node).size(), spec.shell_size);
   EXPECT_EQ(forest.Parent(node), expected_parent);
-  ASSERT_EQ(forest.Children(node).size(), spec.children.size());
+  std::vector<TreeNodeId> children = testing::Children(forest, node);
+  ASSERT_EQ(children.size(), spec.children.size());
   // Children of a spec node are built in order and occupy increasing vertex
   // id ranges; match them by their smallest contained vertex.
-  std::vector<TreeNodeId> children(forest.Children(node).begin(),
-                                   forest.Children(node).end());
   std::sort(children.begin(), children.end(),
             [&forest](TreeNodeId a, TreeNodeId b) {
               VertexId ma = *std::min_element(forest.Vertices(a).begin(),
@@ -106,7 +106,7 @@ TEST_P(PlantedSuite, HcdMatchesSpecTree) {
     ASSERT_EQ(forest.NumNodes(), expected_nodes);
     ASSERT_EQ(g.NumVertices(), expected_vertices);
 
-    auto roots = forest.Roots();
+    const std::vector<TreeNodeId> roots = testing::Roots(forest);
     ASSERT_EQ(roots.size(), 1u);
     CheckSpecSubtree(forest, spec, roots[0], kInvalidNode);
   }
@@ -123,7 +123,7 @@ TEST(PlantedForestGraph, IndependentComponentsKeepTheirHierarchies) {
   CoreDecomposition cd = BzCoreDecomposition(g);
   const FlatHcdIndex f = Freeze(PhcdBuild(g, cd));
   EXPECT_TRUE(ValidateHcd(g, cd, f).ok());
-  EXPECT_EQ(f.Roots().size(), 2u);
+  EXPECT_EQ(testing::Roots(f).size(), 2u);
   // 4 levels + 7 levels of onion nodes.
   EXPECT_EQ(f.NumNodes(), 4u + 7u);
 }

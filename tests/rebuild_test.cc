@@ -46,8 +46,6 @@ TEST(Rebuild, IncrementalMatchesFullFreezeAcrossBatches) {
     DynamicCoreIndex index(g);
     FlatHcdIndex current = FreshFlat(g, CdOf(index));
     Rng rng(seed + 500);
-    RebuildOptions options;
-    options.full_rebuild_threshold = 1.1;  // force the incremental path
     for (int round = 0; round < 6; ++round) {
       std::vector<EdgeUpdate> batch;
       for (int i = 0; i < 20; ++i) {
@@ -63,9 +61,8 @@ TEST(Rebuild, IncrementalMatchesFullFreezeAcrossBatches) {
 
       const Graph updated = index.ToGraph();
       const CoreDecomposition cd = CdOf(index);
-      const RebuildPlan plan =
-          PlanRebuild(current, TouchedOf(stats), options);
-      EXPECT_FALSE(plan.full_rebuild);
+      RebuildPlan plan = PlanRebuild(current, TouchedOf(stats));
+      plan.full_rebuild = false;  // force the incremental path
       FlatHcdIndex spliced;
       ASSERT_TRUE(
           ApplyRebuild(plan, current, updated, cd, &spliced).ok());
@@ -86,10 +83,9 @@ TEST(Rebuild, FullRebuildPathMatchesToo) {
   ASSERT_TRUE(index.ApplyBatch(batch, &stats).ok());
   const Graph updated = index.ToGraph();
   const CoreDecomposition cd = CdOf(index);
-  RebuildOptions options;
-  options.full_rebuild_threshold = 0.0;  // anything dirty => full
-  const RebuildPlan plan = PlanRebuild(current, TouchedOf(stats), options);
-  EXPECT_TRUE(plan.full_rebuild);
+  RebuildPlan plan = PlanRebuild(current, TouchedOf(stats));
+  EXPECT_FALSE(plan.dirty_roots.empty());
+  plan.full_rebuild = true;  // force the full path
   FlatHcdIndex rebuilt;
   ASSERT_TRUE(
       ApplyRebuild(plan, current, updated, cd, &rebuilt).ok());
@@ -100,7 +96,7 @@ TEST(Rebuild, UntouchedPlanReproducesTheIndex) {
   Graph g = ErdosRenyiGnp(150, 0.02, 9);
   const CoreDecomposition cd = BzCoreDecomposition(g);
   const FlatHcdIndex flat = FreshFlat(g, cd);
-  const RebuildPlan plan = PlanRebuild(flat, {}, {});
+  const RebuildPlan plan = PlanRebuild(flat, {});
   EXPECT_TRUE(plan.dirty_roots.empty());
   EXPECT_EQ(plan.dirty_fraction, 0.0);
   FlatHcdIndex copy;
@@ -122,18 +118,14 @@ TEST(Rebuild, PlanDirtiesWholeTreesOnly) {
   const CoreDecomposition cd = BzCoreDecomposition(g);
   const FlatHcdIndex flat = FreshFlat(g, cd);
   const std::vector<VertexId> touched = {1};
-  const RebuildPlan plan = PlanRebuild(flat, touched, {});
+  const RebuildPlan plan = PlanRebuild(flat, touched);
   ASSERT_EQ(plan.dirty_roots.size(), 1u);
   std::vector<VertexId> dirty = plan.dirty_vertices;
   std::sort(dirty.begin(), dirty.end());
   EXPECT_EQ(dirty, (std::vector<VertexId>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(plan.dirty_fraction, 0.5);
-  // Half the graph dirty exceeds the default threshold...
+  // Half the graph dirty exceeds the full-rebuild threshold (a quarter).
   EXPECT_TRUE(plan.full_rebuild);
-  // ...but not a permissive one.
-  RebuildOptions lax;
-  lax.full_rebuild_threshold = 0.9;
-  EXPECT_FALSE(PlanRebuild(flat, touched, lax).full_rebuild);
 }
 
 TEST(Rebuild, RejectsVertexSetChange) {
@@ -144,7 +136,7 @@ TEST(Rebuild, RejectsVertexSetChange) {
   const CoreDecomposition bigger_cd = BzCoreDecomposition(bigger);
   FlatHcdIndex out;
   EXPECT_FALSE(
-      ApplyRebuild(PlanRebuild(flat, {}, {}), flat, bigger, bigger_cd, &out)
+      ApplyRebuild(PlanRebuild(flat, {}), flat, bigger, bigger_cd, &out)
           .ok());
 }
 

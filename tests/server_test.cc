@@ -521,15 +521,16 @@ TEST_F(ExecuteQueryTest, VertexQueriesMatchTheAncestorWalk) {
   }
 }
 
-// A restart from a v4 snapshot (the search tables saved with the forest)
+// A restart from a snapshot with the search tables saved next to the forest
 // maps everything the server reads: it runs no peel and no PBKS pass, and
 // answers every regime exactly like a server built from the graph.
-TEST(ExecuteQueryOracle, ServerFromAV4SnapshotAnswersLikeOneBuiltFromTheGraph) {
+TEST(ExecuteQueryOracle,
+     ServerFromATabledSnapshotAnswersLikeOneBuiltFromTheGraph) {
   const Graph graph = RMatGraph500(10, 6000, 13);
   LiveEngine built{Graph(graph)};
   const QuerySnapshot want = built.Snapshot();
   ASSERT_TRUE(want.flat().HasSearchTables());
-  const std::string path = ::testing::TempDir() + "/server_test_v4.snap";
+  const std::string path = ::testing::TempDir() + "/server_test_tables.snap";
   ASSERT_TRUE(SaveFlatIndex(want.flat(), path).ok());
   FlatHcdIndex mapped;
   ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());

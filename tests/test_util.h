@@ -11,6 +11,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "hcd/flat_index.h"
 
 namespace hcd::testing {
 
@@ -308,6 +309,28 @@ inline uint64_t DistinctLevels(std::vector<uint32_t> levels) {
   std::sort(levels.begin(), levels.end());
   return static_cast<uint64_t>(
       std::unique(levels.begin(), levels.end()) - levels.begin());
+}
+
+/// Root ids of a frozen index: the roots' preorder subtree intervals tile
+/// the nodes from 0.
+inline std::vector<TreeNodeId> Roots(const FlatHcdIndex& index) {
+  std::vector<TreeNodeId> roots;
+  for (TreeNodeId r = 0; r < index.NumNodes(); r += index.SubtreeNodes(r)) {
+    roots.push_back(r);
+  }
+  return roots;
+}
+
+/// Child ids of `node`, ascending: in preorder the first child is node + 1
+/// and each next one starts where the previous child's subtree ends.
+inline std::vector<TreeNodeId> Children(const FlatHcdIndex& index,
+                                        TreeNodeId node) {
+  std::vector<TreeNodeId> children;
+  for (TreeNodeId c = node + 1; c < node + index.SubtreeNodes(node);
+       c += index.SubtreeNodes(c)) {
+    children.push_back(c);
+  }
+  return children;
 }
 
 /// Seeds for randomized property sweeps.

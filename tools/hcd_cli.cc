@@ -356,7 +356,7 @@ int CmdBuild(const CliArgs& args) {
   if (engine == nullptr) return 1;
   const FlatHcdIndex& flat = engine->Flat();
   // A core snapshot is written serve-ready: the sealed state's index
-  // carries the search tables (v4), so `serve --snapshot` maps them
+  // carries the search tables, so `serve --snapshot` maps them
   // instead of re-peeling and rebuilding them.
   const bool core = args.options.hierarchy == HierarchyKind::kCore;
   const std::shared_ptr<const FlatHcdIndex> serve_ready =
