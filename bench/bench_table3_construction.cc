@@ -5,10 +5,11 @@
 // (LCPS/PHCD, "x"); then PHCD at the maximum swept thread count with LB and
 // the local-k-core-search experiment RC at the same thread count.
 //
-// Construction times come from the stage records: each configuration runs
-// on a fresh HcdEngine (borrowing the shared dataset) under its own metrics
-// registry, and the "construction" stage's hcd_stage_seconds sum isolates
-// the build from decomposition exactly like the paper's measurement.
+// Construction times come from the stage records: each PHCD configuration
+// runs on a fresh HcdEngine (borrowing the shared dataset), and each LCPS
+// run calls LcpsBuild directly, under its own metrics registry; the
+// "construction" stage's hcd_stage_seconds sum isolates the build from
+// decomposition exactly like the paper's measurement.
 
 #include <cstdio>
 
@@ -17,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "engine/engine.h"
+#include "hcd/lcps.h"
 #include "hcd/local_core_search.h"
 #include "hcd/lower_bound.h"
 #include "hcd/phcd.h"
@@ -26,21 +28,29 @@ namespace {
 constexpr char kBuild[] = "construction";
 
 /// Best-of-`reps` seconds of `stage` ("construction" or
-/// "construction.freeze") over fresh engines of one configuration on a
-/// borrowed graph, each run up to Flat().
-double StageSeconds(const hcd::Graph& g, hcd::EngineAlgo algo, int threads,
-                    const char* stage, int reps = 3) {
+/// "construction.freeze") over `reps` calls of `run`, each under its own
+/// metrics registry.
+template <typename Run>
+double BestStageSeconds(const char* stage, Run run, int reps = 3) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     hcd::MetricsRegistry registry;
     registry.Install();
-    hcd::HcdEngine engine(&g, {.algo = algo, .threads = threads});
-    engine.Flat();
+    run();
     registry.Uninstall();
     const double s = hcd::StageSeconds(registry, stage);
     if (r == 0 || s < best) best = s;
   }
   return best;
+}
+
+/// Best-of-3 seconds of `stage` over fresh engines with `threads` threads
+/// on a borrowed graph, each run up to Flat().
+double PhcdStageSeconds(const hcd::Graph& g, int threads, const char* stage) {
+  return BestStageSeconds(stage, [&] {
+    hcd::HcdEngine engine(&g, {.threads = threads});
+    engine.Flat();
+  });
 }
 
 }  // namespace
@@ -58,22 +68,22 @@ int main() {
     // One shared engine provides the decomposition for the LB / RC
     // baselines, which are not engine stages; RC reads a builder forest,
     // which the engine does not keep.
-    hcd::HcdEngine engine(&g, {.algo = hcd::EngineAlgo::kPhcd});
+    hcd::HcdEngine engine(&g);
     const hcd::CoreDecomposition& cd = engine.Coreness();
     const hcd::HcdForest forest = hcd::PhcdBuild(g, cd);
 
-    const double phcd1 = StageSeconds(g, hcd::EngineAlgo::kPhcd, 1, kBuild);
-    const double lcps = StageSeconds(g, hcd::EngineAlgo::kLcps, 1, kBuild);
+    const double phcd1 = PhcdStageSeconds(g, 1, kBuild);
+    const double lcps =
+        BestStageSeconds(kBuild, [&] { hcd::LcpsBuild(g, cd); });
     const double lb1 =
         hcd::bench::TimeWithThreads(1, [&] { hcd::UnionFindLowerBound(g, cd); }, 3);
 
-    const double phcdp = StageSeconds(g, hcd::EngineAlgo::kPhcd, pmax, kBuild);
+    const double phcdp = PhcdStageSeconds(g, pmax, kBuild);
     const double lbp = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::UnionFindLowerBound(g, cd); }, 3);
     const double rcp = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::RcComputeParents(g, cd, forest); });
-    const double frzp = StageSeconds(g, hcd::EngineAlgo::kPhcd, pmax,
-                                     "construction.freeze");
+    const double frzp = PhcdStageSeconds(g, pmax, "construction.freeze");
 
     std::printf("%-4s | %10.3f %6.2fx %6.2fx | %10.3f %6.2fx %7.2fx | %8.3f\n",
                 ds.name.c_str(), phcd1, lb1 / phcd1, lcps / phcd1, phcdp,

@@ -54,7 +54,7 @@ int main() {
   size_t mismatches = 0;
   for (auto& ds : hcd::bench::LoadBenchSuite()) {
     const hcd::Graph& g = ds.graph;
-    hcd::HcdEngine engine(&g, {.algo = hcd::EngineAlgo::kPhcd});
+    hcd::HcdEngine engine(&g);
     const hcd::CoreDecomposition& cd = engine.Coreness();
     const hcd::FlatHcdIndex& flat = engine.Flat();
 

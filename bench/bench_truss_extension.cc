@@ -4,9 +4,11 @@
 // swept thread count, truss k_max and node count, and the densest truss.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_datasets.h"
 #include "bench/bench_util.h"
+#include "search/element_search.h"
 #include "truss/truss_decomposition.h"
 #include "truss/truss_hierarchy.h"
 
@@ -36,13 +38,17 @@ int main() {
     const double treep = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::BuildTrussHierarchy(g, index, td); }, 2);
 
-    hcd::DensestTrussResult best =
-        hcd::DensestTruss(hcd::FreezeTruss(g, index, forest));
+    // The densest truss is the element search index's global best.
+    const hcd::ElementSearchIndex searcher(
+        std::make_shared<const hcd::FlatHcdIndex>(
+            hcd::FreezeTruss(g, index, forest)));
+    const hcd::TreeNodeId best = searcher.BestAtLeast(0);
     std::printf("%-4s | %10.3f %10.3f | %10.3f %10.3f | %6u %7u | k=%-3u "
                 "d=%.1f\n",
                 ds.name.c_str(), decomp1, decompp, tree1, treep, td.k_max,
-                forest.NumNodes(), best.level,
-                best.community.AverageDegree());
+                forest.NumNodes(),
+                best == hcd::kInvalidNode ? 0 : searcher.flat().Level(best),
+                best == hcd::kInvalidNode ? 0.0 : searcher.Density(best));
   }
   return 0;
 }

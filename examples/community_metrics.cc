@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "search/best_k.h"
+#include "search/search_index.h"
 
 int main(int argc, char** argv) {
   const uint32_t scale = argc > 1 ? std::atoi(argv[1]) : 13;
@@ -31,12 +32,13 @@ int main(int argc, char** argv) {
               cd.k_max, flat.NumNodes());
 
   std::printf("\n== best k-core per metric (PBKS) ==\n");
+  const hcd::SearchIndex& searcher = engine.Searcher();
   for (hcd::Metric metric : hcd::kAllMetrics) {
-    hcd::SearchResult r = engine.Search(metric);
+    const hcd::TreeNodeId best = searcher.BestAtLeast(metric, 0);
     std::printf("%-24s best: k=%-4u |S|=%-8llu score=%.5f\n",
-                hcd::MetricName(metric), flat.Level(r.best_node),
-                static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-                r.best_score);
+                hcd::MetricName(metric), flat.Level(best),
+                static_cast<unsigned long long>(flat.CoreSize(best)),
+                searcher.Score(metric, best));
   }
 
   std::printf("\n== best k for the k-core set (Section VI) ==\n");
@@ -60,8 +62,7 @@ int main(int argc, char** argv) {
   std::printf("\n== pipeline stages ==\n");
   for (const char* stage :
        {"decomposition", "construction", "construction.freeze",
-        "search.preprocess", "search.primary_a", "search.primary_b",
-        "search.score"}) {
+        "search.preprocess", "search.primary_a", "search.primary_b"}) {
     const unsigned long long runs = hcd::StageRuns(registry, stage);
     std::printf("  %-20s %3llu run(s) %8.3f ms\n", stage, runs,
                 hcd::StageSeconds(registry, stage) * 1e3);

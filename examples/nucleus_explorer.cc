@@ -7,34 +7,33 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/timer.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
-#include "nucleus/nucleus_decomposition.h"
-#include "nucleus/nucleus_hierarchy.h"
+#include "search/element_search.h"
 
 int main(int argc, char** argv) {
   const hcd::VertexId n = argc > 1 ? std::atoi(argv[1]) : 5000;
   const hcd::VertexId epv = argc > 2 ? std::atoi(argv[2]) : 12;
   const uint64_t seed = argc > 3 ? std::atoll(argv[3]) : 5;
 
-  hcd::Graph graph = hcd::BarabasiAlbertVarying(n, 1, epv, seed);
+  hcd::HcdEngine engine(hcd::BarabasiAlbertVarying(n, 1, epv, seed),
+                        {.hierarchy = hcd::HierarchyKind::kNucleus});
   hcd::Timer timer;
-  hcd::EdgeIndexer eidx = hcd::BuildEdgeIndexer(graph);
-  hcd::TriangleIndexer tidx = hcd::BuildTriangleIndexer(graph, eidx);
+  const hcd::TriangleIndexer& tidx = engine.Triangles();
   std::printf("graph: n=%u m=%llu, %u triangles (indexed in %.3fs)\n",
-              graph.NumVertices(),
-              static_cast<unsigned long long>(graph.NumEdges()),
+              engine.graph().NumVertices(),
+              static_cast<unsigned long long>(engine.graph().NumEdges()),
               tidx.NumTriangles(), timer.Seconds());
 
   timer.Reset();
-  hcd::NucleusDecomposition nd =
-      hcd::PeelNucleusDecomposition(graph, eidx, tidx);
-  hcd::NucleusForest forest =
-      hcd::BuildNucleusHierarchy(graph, eidx, tidx, nd);
+  const hcd::NucleusDecomposition& nd = engine.NucleusTheta();
+  const hcd::FlatHcdIndex& flat = engine.Flat();
   std::printf("nucleus decomposition + hierarchy: theta_max=%u, %u tree "
               "nodes (%.3fs)\n",
-              nd.k_max, forest.NumNodes(), timer.Seconds());
+              nd.k_max, flat.NumNodes(), timer.Seconds());
 
   std::vector<uint64_t> per_theta(nd.k_max + 1, 0);
   for (uint32_t t : nd.theta) ++per_theta[t];
@@ -43,18 +42,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(per_theta[k]));
   }
 
-  // Deepest nucleus: its triangles span a near-clique.
-  const hcd::FlatHcdIndex flat = hcd::FreezeNucleus(graph, tidx, forest);
-  const auto order = flat.NodesByDescendingLevel();
-  if (!order.empty() && nd.k_max > 0) {
-    const hcd::TreeNodeId deepest = order.front();
-    const hcd::NucleusCommunity community =
-        hcd::NucleusCommunityOf(flat, deepest);
-    std::printf("deepest nucleus: theta=%u, %llu triangles over %zu "
+  // Deepest nucleus: the densest community at level theta_max, whose
+  // triangles span a near-clique.
+  const hcd::ElementSearchIndex& searcher = engine.ElementSearcher();
+  const hcd::TreeNodeId deepest = searcher.BestAtLeast(nd.k_max);
+  if (deepest != hcd::kInvalidNode && nd.k_max > 0) {
+    std::printf("deepest nucleus: theta=%u, %llu triangles over %llu "
                 "vertices (theta+4 = %u-clique territory)\n",
                 flat.Level(deepest),
-                static_cast<unsigned long long>(community.num_triangles),
-                community.vertices.size(), flat.Level(deepest) + 4);
+                static_cast<unsigned long long>(flat.CoreSize(deepest)),
+                static_cast<unsigned long long>(
+                    searcher.CommunityVertices(deepest)),
+                flat.Level(deepest) + 4);
   }
   return 0;
 }

@@ -20,6 +20,7 @@
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "search/metrics.h"
+#include "search/search_index.h"
 
 int main(int argc, char** argv) {
   hcd::Graph graph;
@@ -54,10 +55,10 @@ int main(int argc, char** argv) {
 
   // One engine = one loaded graph serving many queries. Stages are lazy and
   // memoized: Coreness() runs PKC, Flat() runs PHCD and freezes its forest
-  // (the forest itself is not kept), the first Search() builds the eager
-  // SearchIndex, and nothing is ever recomputed. (For concurrent serving,
-  // take engine.Snapshot() and give each worker thread its own
-  // SearchWorkspace — see engine/snapshot.h.)
+  // (the forest itself is not kept), Searcher() builds the search tables,
+  // and nothing is ever recomputed. Each metric's best k-core is then one
+  // table lookup. (For concurrent serving, take engine.Snapshot(): any
+  // number of threads may read it at once — see engine/snapshot.h.)
   hcd::MetricsRegistry registry;
   registry.Install();
   hcd::HcdEngine engine(std::move(graph));
@@ -71,13 +72,14 @@ int main(int argc, char** argv) {
   }
   std::printf("HCD: %u tree nodes, %zu roots\n", flat.NumNodes(), roots);
 
+  const hcd::SearchIndex& searcher = engine.Searcher();
   for (hcd::Metric metric : metrics) {
-    hcd::SearchResult r = engine.Search(metric);
-    if (r.best_node == hcd::kInvalidNode) continue;
+    const hcd::TreeNodeId best = searcher.BestAtLeast(metric, 0);
+    if (best == hcd::kInvalidNode) continue;
     std::printf("best k-core under %-22s: k=%u, |S|=%llu, score=%.4f\n",
-                hcd::MetricName(metric), flat.Level(r.best_node),
-                static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-                r.best_score);
+                hcd::MetricName(metric), flat.Level(best),
+                static_cast<unsigned long long>(flat.CoreSize(best)),
+                searcher.Score(metric, best));
   }
 
   registry.Uninstall();
@@ -87,8 +89,7 @@ int main(int argc, char** argv) {
   std::printf("\nper-stage time:\n");
   for (const char* stage :
        {"decomposition", "construction", "construction.freeze",
-        "search.preprocess", "search.primary_a", "search.primary_b",
-        "search.score"}) {
+        "search.preprocess", "search.primary_a", "search.primary_b"}) {
     const unsigned long long runs = hcd::StageRuns(registry, stage);
     std::printf("  %-20s %3llu run(s) %8.3f ms\n", stage, runs,
                 hcd::StageSeconds(registry, stage) * 1e3);

@@ -5,32 +5,34 @@
 //
 // Run: ./build/examples/truss_communities [scale] [edges] [seed]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/timer.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
-#include "truss/truss_decomposition.h"
-#include "truss/truss_hierarchy.h"
+#include "search/element_search.h"
 
 int main(int argc, char** argv) {
   const uint32_t scale = argc > 1 ? std::atoi(argv[1]) : 14;
   const uint64_t edges = argc > 2 ? std::atoll(argv[2]) : 200000;
   const uint64_t seed = argc > 3 ? std::atoll(argv[3]) : 23;
 
-  hcd::Graph graph = hcd::RMatGraph500(scale, edges, seed);
-  std::printf("RMAT graph: n=%u m=%llu\n", graph.NumVertices(),
-              static_cast<unsigned long long>(graph.NumEdges()));
+  hcd::HcdEngine engine(hcd::RMatGraph500(scale, edges, seed),
+                        {.hierarchy = hcd::HierarchyKind::kTruss});
+  std::printf("RMAT graph: n=%u m=%llu\n", engine.graph().NumVertices(),
+              static_cast<unsigned long long>(engine.graph().NumEdges()));
 
   hcd::Timer timer;
-  hcd::EdgeIndexer index = hcd::BuildEdgeIndexer(graph);
-  hcd::TrussDecomposition td = hcd::PeelTrussDecomposition(graph, index);
+  const hcd::TrussDecomposition& td = engine.Trussness();
   std::printf("truss decomposition: k_max=%u (%.3fs)\n", td.k_max,
               timer.Seconds());
 
   timer.Reset();
-  hcd::TrussForest forest = hcd::BuildTrussHierarchy(graph, index, td);
-  std::printf("truss hierarchy: %u nodes (%.3fs)\n", forest.NumNodes(),
+  const hcd::FlatHcdIndex& flat = engine.Flat();
+  std::printf("truss hierarchy: %u nodes (%.3fs)\n", flat.NumNodes(),
               timer.Seconds());
 
   // Trussness histogram (a few rows).
@@ -41,11 +43,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(per_level[k]));
   }
 
-  hcd::DensestTrussResult best =
-      hcd::DensestTruss(hcd::FreezeTruss(graph, index, forest));
-  std::printf("densest k-truss: k=%u, |V|=%zu, |E|=%llu, avg_deg=%.2f\n",
-              best.level, best.community.vertices.size(),
-              static_cast<unsigned long long>(best.community.num_edges),
-              best.community.AverageDegree());
+  // The element search index scores every truss community by its average
+  // degree; its global best is the densest k-truss.
+  const hcd::ElementSearchIndex& searcher = engine.ElementSearcher();
+  const hcd::TreeNodeId best = searcher.BestAtLeast(0);
+  if (best == hcd::kInvalidNode) {
+    std::printf("no k-truss: the graph has no edges\n");
+    return 0;
+  }
+  std::printf("densest k-truss: k=%u, |V|=%llu, |E|=%llu, avg_deg=%.2f\n",
+              flat.Level(best),
+              static_cast<unsigned long long>(searcher.CommunityVertices(best)),
+              static_cast<unsigned long long>(flat.CoreSize(best)),
+              searcher.Density(best));
   return 0;
 }

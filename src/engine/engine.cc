@@ -10,8 +10,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "graph/ingest.h"
-#include "hcd/lcps.h"
-#include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
 #include "hcd/query.h"
 #include "nucleus/nucleus_hierarchy.h"
@@ -27,28 +25,6 @@ bool HasSuffix(std::string_view s, std::string_view suffix) {
 }
 
 }  // namespace
-
-const char* EngineAlgoName(EngineAlgo algo) {
-  switch (algo) {
-    case EngineAlgo::kPhcd: return "phcd";
-    case EngineAlgo::kLcps: return "lcps";
-    case EngineAlgo::kNaive: return "naive";
-  }
-  return "?";
-}
-
-bool ParseEngineAlgo(std::string_view name, EngineAlgo* algo) {
-  if (name == "phcd") {
-    *algo = EngineAlgo::kPhcd;
-  } else if (name == "lcps") {
-    *algo = EngineAlgo::kLcps;
-  } else if (name == "naive") {
-    *algo = EngineAlgo::kNaive;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 HcdEngine::BuildHeapRelease::~BuildHeapRelease() {
 #if defined(__GLIBC__)
@@ -68,8 +44,7 @@ Status LoadGraph(const std::string& path, const EngineOptions& options,
                  Graph* graph) {
   ScopedStage stage("load");
   IngestOptions ingest_options;
-  ingest_options.io_threads =
-      options.io_threads > 0 ? options.io_threads : options.threads;
+  ingest_options.io_threads = options.threads;
   IngestStats ingest_stats;
   Status s = HasSuffix(path, ".bin")
                  ? IngestBinary(path, ingest_options, graph, &ingest_stats)
@@ -131,23 +106,10 @@ const CoreDecomposition& HcdEngine::Coreness() {
       span.AddArg("k_max", cd_->k_max);
     } else {
       cd_ = std::make_shared<const CoreDecomposition>(
-          options_.algo == EngineAlgo::kNaive
-              ? BzCoreDecomposition(*graph_)
-              : PkcCoreDecomposition(*graph_));
+          PkcCoreDecomposition(*graph_));
     }
   }
   return *cd_;
-}
-
-const VertexRank& HcdEngine::Rank() {
-  if (!rank_) {
-    const CoreDecomposition& cd = Coreness();
-    std::optional<ThreadCountGuard> guard;
-    if (options_.threads > 0) guard.emplace(options_.threads);
-    ScopedStage stage("rank");
-    rank_ = ComputeVertexRank(cd);
-  }
-  return *rank_;
 }
 
 const EdgeIndexer& HcdEngine::Edges() {
@@ -200,14 +162,7 @@ HcdForest HcdEngine::BuildForest() {
     const TrussDecomposition& td = Trussness();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    if (options_.algo != EngineAlgo::kNaive) {
-      return BuildTrussHierarchy(*graph_, eidx, td);
-    }
-    // The oracle builder records no stage of its own; time it here.
-    ScopedStage stage("truss.construction");
-    HcdForest forest = NaiveTrussHierarchy(*graph_, eidx, td);
-    stage.AddCounter("nodes", forest.NumNodes());
-    return forest;
+    return BuildTrussHierarchy(*graph_, eidx, td);
   }
   if (options_.hierarchy == HierarchyKind::kNucleus) {
     const EdgeIndexer& eidx = Edges();
@@ -215,30 +170,12 @@ HcdForest HcdEngine::BuildForest() {
     const NucleusDecomposition& nd = NucleusTheta();
     std::optional<ThreadCountGuard> guard;
     if (options_.threads > 0) guard.emplace(options_.threads);
-    if (options_.algo != EngineAlgo::kNaive) {
-      return BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
-    }
-    ScopedStage stage("nucleus.construction");
-    HcdForest forest = NaiveNucleusHierarchy(*graph_, eidx, tidx, nd);
-    stage.AddCounter("nodes", forest.NumNodes());
-    return forest;
+    return BuildNucleusHierarchy(*graph_, eidx, tidx, nd);
   }
   const CoreDecomposition& cd = Coreness();
   std::optional<ThreadCountGuard> guard;
   if (options_.threads > 0) guard.emplace(options_.threads);
-  switch (options_.algo) {
-    case EngineAlgo::kPhcd:
-      return PhcdBuild(*graph_, cd);
-    case EngineAlgo::kLcps:
-      return LcpsBuild(*graph_, cd);
-    case EngineAlgo::kNaive:
-      break;
-  }
-  // The oracle builder records no stage of its own; time it here.
-  ScopedStage stage("construction");
-  HcdForest forest = NaiveHcdBuild(*graph_, cd);
-  stage.AddCounter("nodes", forest.NumNodes());
-  return forest;
+  return PhcdBuild(*graph_, cd);
 }
 
 const FlatHcdIndex& HcdEngine::Flat() {
@@ -337,19 +274,6 @@ const SearchIndex& HcdEngine::Searcher() {
 QuerySnapshot HcdEngine::Snapshot() {
   SealedState();
   return QuerySnapshot(state_);
-}
-
-SearchResult HcdEngine::Search(Metric metric) {
-  // Sealing first keeps the search-index stages outside this one.
-  const QuerySnapshot snapshot = Snapshot();
-  ScopedStage stage("search.score");
-  const SearchHit hit = snapshot.Search(metric, &workspace_);
-  stage.AddCounter("nodes", snapshot.flat().NumNodes());
-  SearchResult result;
-  result.best_node = hit.best_node;
-  result.best_score = hit.best_score;
-  result.scores = workspace_.scores;
-  return result;
 }
 
 }  // namespace hcd

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 #include "core/core_decomposition.h"
@@ -13,36 +12,18 @@
 #include "hcd/flat_index.h"
 #include "hcd/forest.h"
 #include "hcd/hierarchy_kind.h"
-#include "hcd/vertex_rank.h"
 #include "nucleus/nucleus_decomposition.h"
 #include "nucleus/triangle_index.h"
 #include "search/element_search.h"
-#include "search/metrics.h"
-#include "search/pbks.h"
 #include "search/search_index.h"
 #include "truss/edge_index.h"
 #include "truss/truss_decomposition.h"
 
 namespace hcd {
 
-/// Which HCD construction algorithm the engine runs.
-enum class EngineAlgo {
-  kPhcd,   ///< parallel PHCD (Algorithm 2); plain union-find at p=1
-  kLcps,   ///< serial LCPS baseline
-  kNaive,  ///< definition-driven per-k BFS oracle (tests / ground truth)
-};
-
-/// "phcd", "lcps" or "naive".
-const char* EngineAlgoName(EngineAlgo algo);
-
-/// Parses an algorithm name; returns false (and leaves `*algo` untouched)
-/// on anything but "phcd" / "lcps" / "naive".
-bool ParseEngineAlgo(std::string_view name, EngineAlgo* algo);
-
 /// Configuration shared by every consumer of the pipeline (CLI, examples,
 /// benchmarks).
 struct EngineOptions {
-  EngineAlgo algo = EngineAlgo::kPhcd;
   /// Which decomposition family the hierarchy stages build: k-core
   /// (vertices), k-truss (edges) or (3,4)-nucleus (triangles). The
   /// construction stages dispatch on this; the frozen index is kind-tagged
@@ -54,15 +35,11 @@ struct EngineOptions {
   /// setting. Applied per stage via ThreadCountGuard, so the global OpenMP
   /// state is never leaked.
   int threads = 0;
-  /// OpenMP threads for graph ingest (Load's parallel read/parse/build);
-  /// 0 falls back to `threads`. Lets I/O-bound loading use a different
-  /// width than the compute stages.
-  int io_threads = 0;
 };
 
 /// Loads a graph (binary when `path` ends in ".bin", else SNAP edge-list
 /// text) through the parallel validated ingest layer, with
-/// `options.io_threads` threads (falling back to `options.threads`).
+/// `options.threads` threads.
 /// Records a "load" stage (counters: n, m, bytes, edges_dropped) around the
 /// ingest sub-stages ("load.read", "load.parse", "load.remap", "load.build"
 /// / "load.validate"), which complete first.
@@ -79,8 +56,8 @@ Status CheckSnapshotFits(const FlatHcdIndex& flat, HierarchyKind kind,
 
 /// The build-phase pipeline object behind every consumer of the library:
 /// owns (or borrows) one graph and computes each derived stage lazily, at
-/// most once — core decomposition, vertex rank, frozen flat index (built
-/// through a transient HCD forest), search index. Repeated accessor calls
+/// most once — core decomposition, frozen flat index (built through a
+/// transient HCD forest), search index. Repeated accessor calls
 /// return the same cached object, so e.g. all CLI commands and a
 /// long-lived query server pay for each stage once.
 ///
@@ -116,26 +93,21 @@ class HcdEngine {
   const Graph& graph() const { return *graph_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Core decomposition (stage "decomposition"): PKC for phcd/lcps, the
-  /// serial BZ reference for naive. Computed on first call. After a core
-  /// index was adopted (AdoptFlat) it is read off the index instead
-  /// (CoreDecompositionOf, span "coreness.from_index"), with no
-  /// "decomposition" stage.
+  /// Core decomposition by PKC (stage "decomposition"). Computed on first
+  /// call. After a core index was adopted (AdoptFlat) it is read off the
+  /// index instead (CoreDecompositionOf, span "coreness.from_index"), with
+  /// no "decomposition" stage.
   const CoreDecomposition& Coreness();
-
-  /// Vertex rank over Coreness() (stage "rank"). Computed on first call.
-  const VertexRank& Rank();
 
   /// Immutable kind-tagged flat index of options().hierarchy (stage
   /// "construction.freeze", kind-prefixed for non-core kinds). Computed on
-  /// first call: builds the hierarchy forest with options().algo (stage
-  /// "construction" / "truss.construction" / "nucleus.construction"; for
-  /// non-core kinds, kNaive selects the definition-driven oracle builder
-  /// and anything else the parallel PHCD lift), freezes it and releases it
-  /// inside the freeze stage. This is the representation every query path
-  /// (search, stats, export) serves from; the builder forest is not kept,
-  /// so a caller that needs an HcdForest calls a builder (PhcdBuild, ...)
-  /// itself.
+  /// first call: builds the hierarchy forest with PHCD (PhcdBuild,
+  /// BuildTrussHierarchy or BuildNucleusHierarchy; stage "construction" /
+  /// "truss.construction" / "nucleus.construction"), freezes it and
+  /// releases it inside the freeze stage. This is the representation every
+  /// query path (search, stats, export) serves from; the builder forest is
+  /// not kept, so a caller that needs an HcdForest, or one built by an
+  /// oracle (LcpsBuild, NaiveHcdBuild, ...), calls the builder itself.
   const FlatHcdIndex& Flat();
 
   /// Installs a prebuilt flat index (typically loaded or mmapped from a
@@ -192,11 +164,6 @@ class HcdEngine {
   /// sections), or Flat() itself when it already carries them.
   QuerySnapshot Snapshot();
 
-  /// Search via the cached search index (one "search.score" stage per
-  /// call). Equivalent to Snapshot().Search(metric) with the engine's own
-  /// reusable workspace.
-  SearchResult Search(Metric metric);
-
  private:
   /// Builds state_ from the cached stages (first call only).
   const SnapshotState& SealedState();
@@ -222,13 +189,10 @@ class HcdEngine {
   EngineOptions options_;
   // Stage caches. Coreness and the flat index are refcounted so sealing
   // shares them with the SnapshotState without a move or copy — references
-  // handed out before Snapshot() stay valid after it. Rank is build-side
-  // only and never sealed.
+  // handed out before Snapshot() stay valid after it.
   std::shared_ptr<const CoreDecomposition> cd_;
-  std::optional<VertexRank> rank_;
   std::shared_ptr<const FlatHcdIndex> flat_;
   std::shared_ptr<const SnapshotState> state_;
-  SearchWorkspace workspace_;
   // Element-hierarchy stage caches (truss / nucleus only).
   std::optional<EdgeIndexer> eidx_;
   std::optional<TriangleIndexer> tidx_;

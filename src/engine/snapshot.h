@@ -9,8 +9,6 @@
 #include "core/core_decomposition.h"
 #include "graph/graph.h"
 #include "hcd/flat_index.h"
-#include "search/metrics.h"
-#include "search/pbks.h"
 #include "search/search_index.h"
 
 namespace hcd {
@@ -87,9 +85,9 @@ class SnapshotState {
 
 /// The serve-phase view of one built pipeline: a shared-ownership handle on
 /// a SnapshotState. Every piece behind it is immutable; any number of
-/// worker threads may call Search on one snapshot concurrently, each with
-/// its own SearchWorkspace — the same build-once/serve-many shape as an
-/// inference server's loaded model.
+/// worker threads may query one snapshot concurrently — a metric's best
+/// node is search_index().BestAtLeast and its score Score, both O(1) — the
+/// same build-once/serve-many shape as an inference server's loaded model.
 ///
 /// A snapshot is a cheaply copyable value (one shared_ptr): copies share
 /// the same underlying state and keep it alive. Unlike the pre-refactor
@@ -114,20 +112,6 @@ class QuerySnapshot {
   /// The shared state itself, e.g. to hold the graph alive independently
   /// of this snapshot value.
   const std::shared_ptr<const SnapshotState>& state() const { return state_; }
-
-  /// Hot serve path: scores every tree node under `metric` into
-  /// `ws->scores` and returns the best node. No allocation once the
-  /// workspace is warm, no shared mutable state — safe to call from many
-  /// threads at once. Records no stage, so a served query never touches a
-  /// metrics registry. A nonzero `trace_id` is attached to the "serve.query"
-  /// span (as "0x<hex>" text), tying a self-mode bench query to the same
-  /// request-scoped id scheme the wire server uses.
-  SearchHit Search(Metric metric, SearchWorkspace* ws,
-                   uint64_t trace_id = 0) const;
-
-  /// Allocating convenience wrapper: same scores and best node as the
-  /// workspace overload, returned as a self-contained SearchResult.
-  SearchResult Search(Metric metric) const;
 
   /// Vertices of a search hit's k-core: an O(1) view into the frozen
   /// index's preorder vertex array (empty if nothing was found). The span

@@ -131,40 +131,20 @@ FlatHcdIndex FreezeNucleus(const Graph& graph, const TriangleIndexer& tidx,
                 graph.NumVertices());
 }
 
-namespace {
-
-NucleusCommunity CommunityFromTriangles(std::span<const VertexId> tris,
-                                        auto&& corners_of) {
+NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
+                                    const NucleusForest& forest,
+                                    TreeNodeId node) {
+  const std::vector<VertexId> tris = CoreVertices(forest, node);  // tri ids
   NucleusCommunity out;
   out.num_triangles = tris.size();
   out.vertices.reserve(3 * tris.size());
   for (const VertexId tri : tris) {
-    for (const VertexId v : corners_of(tri)) out.vertices.push_back(v);
+    for (const VertexId v : tidx.triangles[tri]) out.vertices.push_back(v);
   }
   std::sort(out.vertices.begin(), out.vertices.end());
   out.vertices.erase(std::unique(out.vertices.begin(), out.vertices.end()),
                      out.vertices.end());
   return out;
-}
-
-}  // namespace
-
-NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
-                                    const NucleusForest& forest,
-                                    TreeNodeId node) {
-  const std::vector<VertexId> tris = CoreVertices(forest, node);  // tri ids
-  return CommunityFromTriangles(tris, [&](VertexId tri) {
-    return std::span<const VertexId>(tidx.triangles[tri]);
-  });
-}
-
-NucleusCommunity NucleusCommunityOf(const FlatHcdIndex& flat,
-                                    TreeNodeId node) {
-  HCD_CHECK(flat.kind() == HierarchyKind::kNucleus)
-      << "frozen nucleus queries need a nucleus-kind index";
-  return CommunityFromTriangles(
-      flat.CoreVertices(node),
-      [&](VertexId tri) { return flat.ElementMembers(tri); });
 }
 
 }  // namespace hcd

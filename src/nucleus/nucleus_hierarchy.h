@@ -45,15 +45,6 @@ NucleusForest NaiveNucleusHierarchy(const Graph& graph,
                                     const TriangleIndexer& tidx,
                                     const NucleusDecomposition& nd);
 
-// --- frozen (serve-phase) forms --------------------------------------------
-
-/// Kind-tagged freeze of a nucleus forest: HierarchyKind::kNucleus with
-/// the triangle -> corner materialization (TriangleIndexer::triangles
-/// flattened, corners ascending). Serves every flat-index query and
-/// snapshots as the v3 format.
-FlatHcdIndex FreezeNucleus(const Graph& graph, const TriangleIndexer& tidx,
-                           const NucleusForest& forest);
-
 /// A nucleus community as a vertex set: the distinct corners of the
 /// subtree's triangles, plus the triangle count. Density is the triangle
 /// analogue of average degree (triangle-slots per distinct vertex).
@@ -68,14 +59,20 @@ struct NucleusCommunity {
 };
 
 /// Builder-forest community-of over CoreVertices(forest, node), O(N + T)
-/// per call; test oracle for the frozen overload.
+/// per call: the test oracle for ElementSearchIndex::CommunityOf
+/// (search/element_search.h), which serves the frozen index.
 NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
                                     const NucleusForest& forest,
                                     TreeNodeId node);
 
-/// Frozen-index community-of: O(answer) from the subtree's triangle span
-/// and the embedded corner materialization.
-NucleusCommunity NucleusCommunityOf(const FlatHcdIndex& flat, TreeNodeId node);
+// --- frozen (serve-phase) forms --------------------------------------------
+
+/// Kind-tagged freeze of a nucleus forest: HierarchyKind::kNucleus with
+/// the triangle -> corner materialization (TriangleIndexer::triangles
+/// flattened, corners ascending). Serves every flat-index query and
+/// snapshots like a core index.
+FlatHcdIndex FreezeNucleus(const Graph& graph, const TriangleIndexer& tidx,
+                           const NucleusForest& forest);
 
 }  // namespace hcd
 

@@ -20,7 +20,8 @@ namespace hcd {
 ///     density(t) = arity * |elements(t)| / |vertices(t)|
 ///
 /// which for a truss community is exactly its average degree (2m/n), so
-/// BestAtLeast(0) reproduces DensestTruss bit-identically. It then keeps
+/// BestAtLeast(0) is the densest k-truss, with the builder oracle
+/// DensestTruss's density bit for bit. It then keeps
 /// one per-level best-node table over density (BestNodeByLevel). The object
 /// is deeply const after construction: any number of threads may query it
 /// concurrently, each with its own SearchWorkspace — the

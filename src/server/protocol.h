@@ -48,7 +48,7 @@ namespace hcd::server {
 ///
 /// Query semantics for hierarchy == core: with an empty vertex set, the
 /// best-scoring k-core under `metric` over all tree nodes of level >= k
-/// (k = 0 is exactly QuerySnapshot::Search). With vertices, the k-core
+/// (k = 0 is exactly SearchInto's best node). With vertices, the k-core
 /// containing *all* of them (the shared ancestor-walk node), scored under
 /// `metric`; `found` is false when no such core exists.
 ///

@@ -146,57 +146,4 @@ FlatHcdIndex FreezeTruss(const Graph& graph, const EdgeIndexer& index,
                 graph.NumVertices());
 }
 
-TrussCommunity TrussCommunityOf(const FlatHcdIndex& flat, TreeNodeId node) {
-  HCD_CHECK(flat.kind() == HierarchyKind::kTruss)
-      << "frozen truss queries need a truss-kind index";
-  TrussCommunity out;
-  const std::span<const VertexId> edges = flat.CoreVertices(node);
-  out.num_edges = edges.size();
-  out.vertices.reserve(2 * edges.size());
-  for (const VertexId eid : edges) {
-    const std::span<const VertexId> uv = flat.ElementMembers(eid);
-    out.vertices.push_back(uv[0]);
-    out.vertices.push_back(uv[1]);
-  }
-  std::sort(out.vertices.begin(), out.vertices.end());
-  out.vertices.erase(std::unique(out.vertices.begin(), out.vertices.end()),
-                     out.vertices.end());
-  return out;
-}
-
-DensestTrussResult DensestTruss(const FlatHcdIndex& flat) {
-  HCD_CHECK(flat.kind() == HierarchyKind::kTruss)
-      << "frozen truss queries need a truss-kind index";
-  DensestTrussResult best;
-  double best_avg = -1.0;
-  // Distinct endpoints per node via node-id stamping: no sort, no per-node
-  // allocation, O(sum of community edge counts) overall.
-  std::vector<TreeNodeId> stamp(flat.NumGraphVertices(), kInvalidNode);
-  for (TreeNodeId node = 0; node < flat.NumNodes(); ++node) {
-    const std::span<const VertexId> edges = flat.CoreVertices(node);
-    uint64_t distinct = 0;
-    for (const VertexId eid : edges) {
-      for (const VertexId v : flat.ElementMembers(eid)) {
-        if (stamp[v] != node) {
-          stamp[v] = node;
-          ++distinct;
-        }
-      }
-    }
-    const double avg = distinct == 0
-                           ? 0.0
-                           : 2.0 * static_cast<double>(edges.size()) /
-                                 static_cast<double>(distinct);
-    if (avg > best_avg) {
-      best_avg = avg;
-      best.node = node;
-      best.level = flat.Level(node);
-    }
-  }
-  if (best.node != kInvalidNode) {
-    best.community = TrussCommunityOf(flat, best.node);
-  }
-  return best;
-}
-
 }  // namespace hcd

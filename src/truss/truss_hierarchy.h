@@ -42,7 +42,7 @@ TrussForest NaiveTrussHierarchy(const Graph& graph, const EdgeIndexer& index,
                                 const TrussDecomposition& td);
 
 /// The k-truss component of `node` as a vertex set (distinct endpoints of
-/// the subtree's edges), plus its edge count; used by truss search.
+/// the subtree's edges), plus its edge count.
 struct TrussCommunity {
   std::vector<VertexId> vertices;
   uint64_t num_edges = 0;
@@ -54,8 +54,8 @@ struct TrussCommunity {
 };
 
 /// Builder-forest community-of over CoreVertices(forest, node), O(N + m)
-/// per call. Kept as the test oracle for the frozen-index overload below;
-/// serve paths use the FlatHcdIndex form.
+/// per call: the test oracle for ElementSearchIndex::CommunityOf
+/// (search/element_search.h), which serves the frozen index.
 TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node);
 
@@ -67,7 +67,8 @@ struct DensestTrussResult {
   TrussCommunity community;
 };
 
-/// Builder-forest densest scan; test oracle for the frozen overload.
+/// Builder-forest densest scan, ties to the first builder node: the test
+/// oracle for ElementSearchIndex::BestAtLeast(0).
 DensestTrussResult DensestTruss(const EdgeIndexer& index,
                                 const TrussForest& forest);
 
@@ -80,19 +81,6 @@ DensestTrussResult DensestTruss(const EdgeIndexer& index,
 /// walks, ElementSearchIndex) and snapshots like a core index.
 FlatHcdIndex FreezeTruss(const Graph& graph, const EdgeIndexer& index,
                          const TrussForest& forest);
-
-/// Frozen-index community-of: the subtree's edges are one O(1) span and
-/// their endpoints come from the embedded element members, so the cost is
-/// O(answer) with no tree DFS and no per-node allocation. Bit-identical
-/// output (sorted distinct endpoints + edge count) to the builder oracle
-/// on the node holding the same edges.
-TrussCommunity TrussCommunityOf(const FlatHcdIndex& flat, TreeNodeId node);
-
-/// Frozen-index densest scan: one stamped pass over the preorder nodes
-/// (distinct-endpoint counting without sorting), then a single community
-/// materialization for the winner. Same maximum average degree as the
-/// builder oracle; ties resolve to the first preorder node.
-DensestTrussResult DensestTruss(const FlatHcdIndex& flat);
 
 }  // namespace hcd
 

@@ -191,6 +191,33 @@ TEST_F(CliJsonTest, EngineCommands) {
   RunAndParse("influential " + bin_path_ + " 3 2", "influential");
 }
 
+/// `result.found` of a command's document; true when the field is absent.
+bool Found(const JsonValue& doc) {
+  const JsonValue* result = doc.Find("result");
+  EXPECT_NE(result, nullptr);
+  const JsonValue* found = result == nullptr ? nullptr : result->Find("found");
+  return found == nullptr || found->boolean;
+}
+
+// A graph without vertices has no k-core and no k-truss: every engine
+// command still exits 0 with a document that parses, and search and truss
+// report that they found nothing.
+TEST_F(CliJsonTest, EmptyGraphCommands) {
+  const std::string empty = WorkDir() + "/empty.txt";
+  std::ofstream(empty).close();
+  RunAndParse("stats " + empty, "stats");
+  RunAndParse("build " + empty + " " + WorkDir() + "/empty.forest", "build");
+  for (const char* metric : {"average-degree", "clustering-coefficient"}) {
+    EXPECT_FALSE(
+        Found(RunAndParse("search " + empty + " " + metric, "search")))
+        << metric;
+  }
+  RunAndParse("bestk " + empty + " average-degree", "bestk");
+  RunAndParse("export " + empty + " " + WorkDir() + "/empty.dot", "export");
+  EXPECT_FALSE(Found(RunAndParse("truss " + empty, "truss")));
+  RunAndParse("influential " + empty + " 2 3", "influential");
+}
+
 /// The `hcd_stage_*` series of a registry JSON document, keyed by name and
 /// labels, each with its value (counters) or count and sum (histograms).
 std::map<std::string, std::string> StageSeries(const JsonValue& registry) {
@@ -321,8 +348,14 @@ TEST_F(CliJsonTest, BadInvocationsExitTwoWithAnError) {
       {"build " + g + " " + WorkDir() + "/bad.forest --thread=8",
        "unknown flag '--thread=8'"},
       {"stats " + g + " --threads=zero", "bad --threads value"},
-      {"stats " + g + " --algo=fast", "bad --algo value"},
-      {"stats " + g + " --io-threads=-1", "bad --io-threads value"},
+      // Removed flags: the engine always builds with PHCD, and ingest runs
+      // on --threads.
+      {"stats " + g + " --algo=phcd", "unknown flag '--algo=phcd'"},
+      {"build " + g + " " + WorkDir() + "/bad.forest --algo=lcps",
+       "unknown flag '--algo=lcps'"},
+      {"stats " + g + " --io-threads=2", "unknown flag '--io-threads=2'"},
+      {"serve-bench " + g + " --io-threads=4",
+       "unknown flag '--io-threads=4'"},
       {"stats " + g + " --pipeline=4", kOnlyValid},
       {"stats " + g + " --hierarchy=truss", kOnlyValid},
       {"stats " + g + " --connections=4", kOnlyValid},

@@ -1,9 +1,10 @@
-// Freeze/serve equivalence for the element domains: the frozen truss and
-// nucleus paths (FreezeTruss/FreezeNucleus + ElementSearchIndex) must be
-// bit-identical to the builder-forest oracles on every suite graph, the
-// level queries ExecuteQuery answers from the per-level tables must match
-// a naive scan, and the whole index must stay bit-stable under concurrent
-// readers (the TSan job's target).
+// Freeze/serve equivalence for the element domains: ElementSearchIndex,
+// the one frozen reader of truss and nucleus communities, must be
+// bit-identical node for node to the builder-forest oracles
+// (TrussCommunityOf, NucleusCommunityOf, DensestTruss) on every suite
+// graph, the level queries ExecuteQuery answers from the per-level tables
+// must match a naive scan, and the whole index must stay bit-stable under
+// concurrent readers (the TSan job's target).
 
 #include "search/element_search.h"
 
@@ -71,76 +72,85 @@ NucleusFixture MakeNucleus(const Graph& g) {
   return fx;
 }
 
+/// A builder oracle's community in kind-neutral form.
+struct OracleCommunity {
+  std::vector<VertexId> vertices;
+  uint64_t elements = 0;
+  double density = 0.0;
+};
+
+OracleCommunity TrussOracle(const TrussFixture& fx, TreeNodeId ft) {
+  const TrussCommunity c = TrussCommunityOf(fx.index, fx.forest, ft);
+  return {c.vertices, c.num_edges, c.AverageDegree()};
+}
+
+OracleCommunity NucleusOracle(const NucleusFixture& fx, TreeNodeId ft) {
+  const NucleusCommunity c = NucleusCommunityOf(fx.tidx, fx.forest, ft);
+  return {c.vertices, c.num_triangles, c.Density()};
+}
+
+/// Every node of `index` against `oracle` on its builder counterpart: the
+/// same elements, member vertices (CommunityOf, CommunityVertices) and
+/// element count (CoreSize), and a bit-identical density.
+template <typename Oracle>
+void ExpectNodesMatchBuilderOracle(const ElementSearchIndex& index,
+                                   const HcdForest& forest, Oracle oracle) {
+  const FlatHcdIndex& flat = index.flat();
+  ASSERT_EQ(flat.NumNodes(), forest.NumNodes());
+  SearchWorkspace ws;  // reused across nodes: exercises epoch stamping
+  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
+    // Map the frozen node to its builder counterpart through a shared
+    // element: preorder renumbers nodes, so ids do not line up directly.
+    ASSERT_FALSE(flat.Vertices(t).empty());
+    const TreeNodeId ft = forest.Tid(flat.Vertices(t).front());
+    ASSERT_NE(ft, kInvalidNode);
+    ASSERT_EQ(Sorted(flat.CoreVertices(t)), CoreVertices(forest, ft));
+
+    const OracleCommunity want = oracle(ft);
+    std::vector<VertexId> got;
+    index.CommunityOf(t, &ws, &got);
+    EXPECT_EQ(got, want.vertices) << "node " << t;
+    EXPECT_EQ(index.CommunityVertices(t), want.vertices.size());
+    EXPECT_EQ(flat.CoreSize(t), want.elements);
+    EXPECT_EQ(std::bit_cast<uint64_t>(index.Density(t)),
+              std::bit_cast<uint64_t>(want.density))
+        << "node " << t;
+  }
+}
+
 class ElementSearchSuite
     : public ::testing::TestWithParam<testing::GraphCase> {};
 
-TEST_P(ElementSearchSuite, FrozenTrussCommunityMatchesBuilderOracle) {
-  const Graph& g = GetParam().graph;
-  const TrussFixture fx = MakeTruss(g);
-  const FlatHcdIndex& flat = *fx.flat;
-  ASSERT_EQ(flat.NumNodes(), fx.forest.NumNodes());
-
-  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-    // Map the frozen node to its builder counterpart through a shared
-    // edge: preorder renumbers nodes, so ids do not line up directly.
-    ASSERT_FALSE(flat.Vertices(t).empty());
-    const TreeNodeId ft = fx.forest.Tid(flat.Vertices(t).front());
-    ASSERT_NE(ft, kInvalidNode);
-    ASSERT_EQ(Sorted(flat.CoreVertices(t)), CoreVertices(fx.forest, ft));
-
-    const TrussCommunity frozen = TrussCommunityOf(flat, t);
-    const TrussCommunity oracle = TrussCommunityOf(fx.index, fx.forest, ft);
-    EXPECT_EQ(frozen.vertices, oracle.vertices);
-    EXPECT_EQ(frozen.num_edges, oracle.num_edges);
-    EXPECT_EQ(frozen.AverageDegree(), oracle.AverageDegree());
-  }
+TEST_P(ElementSearchSuite, TrussIndexMatchesBuilderOracle) {
+  const TrussFixture fx = MakeTruss(GetParam().graph);
+  const ElementSearchIndex index(fx.flat);
+  EXPECT_EQ(index.kind(), HierarchyKind::kTruss);
+  ExpectNodesMatchBuilderOracle(
+      index, fx.forest, [&](TreeNodeId ft) { return TrussOracle(fx, ft); });
 }
 
-TEST_P(ElementSearchSuite, FrozenDensestTrussMatchesBuilderOracle) {
-  const Graph& g = GetParam().graph;
-  const TrussFixture fx = MakeTruss(g);
-  const DensestTrussResult frozen = DensestTruss(*fx.flat);
-  const DensestTrussResult oracle = DensestTruss(fx.index, fx.forest);
-
-  ASSERT_EQ(frozen.node == kInvalidNode, oracle.node == kInvalidNode);
-  if (frozen.node == kInvalidNode) return;
-  // Equal-density ties are common (disjoint copies of one shape), and the
-  // two scans visit nodes in different orders, so compare the extremal
-  // score bit-for-bit rather than the winning node id.
-  EXPECT_EQ(frozen.community.AverageDegree(), oracle.community.AverageDegree());
-  // The frozen winner's community is self-consistent with CommunityOf.
-  const TrussCommunity check = TrussCommunityOf(*fx.flat, frozen.node);
-  EXPECT_EQ(frozen.community.vertices, check.vertices);
-  EXPECT_EQ(frozen.community.num_edges, check.num_edges);
-  EXPECT_EQ(frozen.level, fx.flat->Level(frozen.node));
-}
-
-TEST_P(ElementSearchSuite, TrussSearchIndexMatchesFrozenQueries) {
-  const Graph& g = GetParam().graph;
-  const TrussFixture fx = MakeTruss(g);
+TEST_P(ElementSearchSuite, DensestTrussMatchesBuilderOracle) {
+  const TrussFixture fx = MakeTruss(GetParam().graph);
   const ElementSearchIndex index(fx.flat);
   const FlatHcdIndex& flat = *fx.flat;
-  EXPECT_EQ(index.kind(), HierarchyKind::kTruss);
+  const TreeNodeId best = index.BestAtLeast(0);
+  const DensestTrussResult oracle = DensestTruss(fx.index, fx.forest);
+  ASSERT_EQ(best == kInvalidNode, oracle.node == kInvalidNode);
+  if (best == kInvalidNode) return;
 
-  SearchWorkspace ws;  // reused across nodes: exercises epoch stamping
-  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-    const TrussCommunity community = TrussCommunityOf(flat, t);
-    EXPECT_EQ(flat.CoreSize(t), community.num_edges);
-    EXPECT_EQ(index.CommunityVertices(t), community.vertices.size());
-    EXPECT_EQ(index.Density(t), community.AverageDegree());
-
-    std::vector<VertexId> out;
-    index.CommunityOf(t, &ws, &out);
-    EXPECT_EQ(out, community.vertices);
-  }
-
-  // Densest: same first-preorder-wins rule as the frozen DensestTruss scan,
-  // so the winning node (not just the score) is identical.
-  const DensestTrussResult frozen = DensestTruss(flat);
-  EXPECT_EQ(index.BestAtLeast(0), frozen.node);
-  if (frozen.node != kInvalidNode) {
-    EXPECT_EQ(index.Density(frozen.node), frozen.community.AverageDegree());
-  }
+  // The frozen node holding the oracle winner's own edges.
+  EdgeIdx edge = 0;
+  while (fx.forest.Tid(edge) != oracle.node) ++edge;
+  const TreeNodeId mapped = flat.Tid(edge);
+  EXPECT_EQ(flat.Level(mapped), oracle.level);
+  // Equal-density ties are common (disjoint copies of one shape). The
+  // oracle takes the first builder node and the index the first preorder
+  // node (LevelQueriesMatchNaiveScan pins that order), so the oracle's
+  // winner must tie the index's, which precedes it.
+  EXPECT_EQ(std::bit_cast<uint64_t>(index.Density(best)),
+            std::bit_cast<uint64_t>(oracle.community.AverageDegree()));
+  EXPECT_EQ(index.Density(mapped), index.Density(best));
+  EXPECT_LE(best, mapped);
 }
 
 /// Every k in [0, max level + 1]: ExecuteQuery's level answer must be the
@@ -185,59 +195,12 @@ TEST_P(ElementSearchSuite, LevelQueriesMatchNaiveScan) {
   ExpectLevelQueriesMatchNaiveScan(ElementSearchIndex(MakeNucleus(g).flat));
 }
 
-TEST_P(ElementSearchSuite, FrozenNucleusCommunityMatchesBuilderOracle) {
-  const Graph& g = GetParam().graph;
-  const NucleusFixture fx = MakeNucleus(g);
-  const FlatHcdIndex& flat = *fx.flat;
-  ASSERT_EQ(flat.NumNodes(), fx.forest.NumNodes());
-
-  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-    ASSERT_FALSE(flat.Vertices(t).empty());
-    const TreeNodeId ft = fx.forest.Tid(flat.Vertices(t).front());
-    ASSERT_NE(ft, kInvalidNode);
-    ASSERT_EQ(Sorted(flat.CoreVertices(t)), CoreVertices(fx.forest, ft));
-
-    const NucleusCommunity frozen = NucleusCommunityOf(flat, t);
-    const NucleusCommunity oracle = NucleusCommunityOf(fx.tidx, fx.forest, ft);
-    EXPECT_EQ(frozen.vertices, oracle.vertices);
-    EXPECT_EQ(frozen.num_triangles, oracle.num_triangles);
-    EXPECT_EQ(frozen.Density(), oracle.Density());
-  }
-}
-
-TEST_P(ElementSearchSuite, NucleusSearchIndexMatchesFrozenQueries) {
-  const Graph& g = GetParam().graph;
-  const NucleusFixture fx = MakeNucleus(g);
+TEST_P(ElementSearchSuite, NucleusIndexMatchesBuilderOracle) {
+  const NucleusFixture fx = MakeNucleus(GetParam().graph);
   const ElementSearchIndex index(fx.flat);
-  const FlatHcdIndex& flat = *fx.flat;
   EXPECT_EQ(index.kind(), HierarchyKind::kNucleus);
-
-  SearchWorkspace ws;
-  for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-    const NucleusCommunity community = NucleusCommunityOf(flat, t);
-    EXPECT_EQ(flat.CoreSize(t), community.num_triangles);
-    EXPECT_EQ(index.CommunityVertices(t), community.vertices.size());
-    EXPECT_EQ(index.Density(t), community.Density());
-
-    std::vector<VertexId> out;
-    index.CommunityOf(t, &ws, &out);
-    EXPECT_EQ(out, community.vertices);
-  }
-
-  const TreeNodeId densest = index.BestAtLeast(0);
-  if (densest != kInvalidNode) {
-    // The densest node is the first preorder node attaining the maximum
-    // density.
-    for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-      if (t < densest) {
-        EXPECT_LT(index.Density(t), index.Density(densest));
-      } else {
-        EXPECT_LE(index.Density(t), index.Density(densest));
-      }
-    }
-  } else {
-    EXPECT_EQ(flat.NumNodes(), 0u);
-  }
+  ExpectNodesMatchBuilderOracle(
+      index, fx.forest, [&](TreeNodeId ft) { return NucleusOracle(fx, ft); });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -282,18 +245,11 @@ TEST(ElementSearch, EmptyHierarchyAnswersNotFound) {
 // end (the randomized half of the freeze/serve equivalence requirement).
 TEST(ElementSearch, RandomizedSweepMatchesOracles) {
   for (const uint64_t seed : testing::SweepSeeds()) {
-    Graph g = ErdosRenyiGnm(160, 900, seed);
-    const TrussFixture fx = MakeTruss(g);
-    const ElementSearchIndex index(fx.flat);
-    const FlatHcdIndex& flat = *fx.flat;
-    for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
-      const TreeNodeId ft = fx.forest.Tid(flat.Vertices(t).front());
-      const TrussCommunity oracle =
-          TrussCommunityOf(fx.index, fx.forest, ft);
-      ASSERT_EQ(index.Density(t), oracle.AverageDegree())
-          << "seed=" << seed << " node=" << t;
-      ASSERT_EQ(index.CommunityVertices(t), oracle.vertices.size());
-    }
+    SCOPED_TRACE(seed);
+    const TrussFixture fx = MakeTruss(ErdosRenyiGnm(160, 900, seed));
+    ExpectNodesMatchBuilderOracle(
+        ElementSearchIndex(fx.flat), fx.forest,
+        [&](TreeNodeId ft) { return TrussOracle(fx, ft); });
   }
 }
 

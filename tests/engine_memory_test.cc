@@ -141,7 +141,7 @@ TEST(EngineMemoryTest, SnapshotHoldsNoAllocationPerTreeNode) {
   // them is a tree node of its own: more than 10k nodes in all.
   Graph graph = RMatGraph500(14, 16000, 7);
   const int64_t before = g_live_allocations.load();
-  HcdEngine engine(std::move(graph), {.algo = EngineAlgo::kPhcd});
+  HcdEngine engine(std::move(graph));
   const QuerySnapshot snapshot = engine.Snapshot();
   const int64_t extra = g_live_allocations.load() - before;
   const TreeNodeId nodes = engine.Flat().NumNodes();

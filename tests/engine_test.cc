@@ -1,12 +1,14 @@
 // Tests for the HcdEngine pipeline layer: stage memoization (each stage
-// computed at most once per engine), options plumbing (algorithm selection,
-// thread-count guarding), the stages an installed registry receives, and
-// the Load factory.
+// computed at most once per engine), options plumbing (thread-count
+// guarding), the stages an installed registry receives, the Load factory,
+// and the search index against the one-shot PBKS oracle.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,10 +20,8 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "hcd/lcps.h"
-#include "hcd/naive_hcd.h"
 #include "hcd/phcd.h"
 #include "hcd/serialize.h"
-#include "hcd/validate.h"
 #include "parallel/omp_utils.h"
 #include "search/pbks.h"
 #include "tests/test_util.h"
@@ -32,12 +32,10 @@ namespace {
 TEST(EngineTest, StagesAreMemoized) {
   HcdEngine engine(RMatGraph500(9, 3000, 5));
   const CoreDecomposition* cd = &engine.Coreness();
-  const VertexRank* rank = &engine.Rank();
   const FlatHcdIndex* flat = &engine.Flat();
   const SearchIndex* searcher = &engine.Searcher();
   // Second calls return the same objects, not recomputations.
   EXPECT_EQ(cd, &engine.Coreness());
-  EXPECT_EQ(rank, &engine.Rank());
   EXPECT_EQ(flat, &engine.Flat());
   EXPECT_EQ(searcher, &engine.Searcher());
 }
@@ -47,22 +45,19 @@ TEST(EngineTest, DecompositionRunsExactlyOnce) {
   HcdEngine engine(RMatGraph500(9, 3000, 5));
   // Exercise every stage, several times, in an order where each stage
   // demands its prerequisites.
-  engine.Search(Metric::kConductance);
-  engine.Search(Metric::kClusteringCoefficient);
-  engine.Search(Metric::kAverageDegree);
+  engine.Searcher();
+  engine.Snapshot();
+  engine.Searcher();
   engine.Coreness();
-  engine.Rank();
   engine.Flat();
   engine.Searcher();
   probe.Stop();
   EXPECT_EQ(probe.Runs("decomposition"), 1u);
   EXPECT_EQ(probe.Runs("construction"), 1u);
   EXPECT_EQ(probe.Runs("construction.freeze"), 1u);
-  EXPECT_EQ(probe.Runs("rank"), 1u);
   EXPECT_EQ(probe.Runs("search.preprocess"), 1u);
   EXPECT_EQ(probe.Runs("search.primary_a"), 1u);
   EXPECT_EQ(probe.Runs("search.primary_b"), 1u);
-  EXPECT_EQ(probe.Runs("search.score"), 3u);
 }
 
 TEST(EngineTest, InstalledRegistryGetsOneStagePerLibraryCall) {
@@ -87,41 +82,34 @@ TEST(EngineTest, InstalledRegistryGetsOneStagePerLibraryCall) {
   EXPECT_EQ(probe.Runs("decomposition"), 2u);
 }
 
-TEST(EngineTest, AlgoSelectionProducesEquivalentForests) {
-  for (auto& c : testing::StandardGraphSuite()) {
-    SCOPED_TRACE(c.name);
-    HcdEngine phcd(&c.graph, {.algo = EngineAlgo::kPhcd});
-    HcdEngine lcps(&c.graph, {.algo = EngineAlgo::kLcps});
-    HcdEngine naive(&c.graph, {.algo = EngineAlgo::kNaive});
-    EXPECT_TRUE(HcdEquals(phcd.Flat(), naive.Flat()));
-    EXPECT_TRUE(HcdEquals(lcps.Flat(), naive.Flat()));
-    EXPECT_TRUE(
-        ValidateHcd(c.graph, phcd.Coreness(), phcd.Flat()).ok());
-    EXPECT_TRUE(
-        ValidateHcd(c.graph, lcps.Coreness(), lcps.Flat()).ok());
-  }
-}
-
 TEST(EngineTest, ThreadOptionDoesNotLeakGlobalState) {
   const int ambient = MaxThreads();
-  HcdEngine engine(RMatGraph500(8, 2000, 3),
-                   {.algo = EngineAlgo::kPhcd, .threads = ambient + 1});
-  engine.Search(Metric::kAverageDegree);
+  HcdEngine engine(RMatGraph500(8, 2000, 3), {.threads = ambient + 1});
+  engine.Searcher();
   // Every stage ran under ThreadCountGuard; the ambient OpenMP setting is
   // untouched.
   EXPECT_EQ(MaxThreads(), ambient);
 }
 
-TEST(EngineTest, SearchMatchesDirectPbks) {
-  Graph g = RMatGraph500(9, 3000, 7);
-  HcdEngine engine(&g);
-  for (Metric metric : {Metric::kAverageDegree, Metric::kConductance,
-                        Metric::kClusteringCoefficient}) {
-    SearchResult via_engine = engine.Search(metric);
-    SearchResult direct =
-        PbksSearch(g, engine.Coreness(), engine.Flat(), metric);
-    EXPECT_EQ(via_engine.best_node, direct.best_node);
-    EXPECT_DOUBLE_EQ(via_engine.best_score, direct.best_score);
+// The search tables answer a metric query with one lookup: the global
+// best node and its score must be the one-shot PBKS scan's, bit for bit,
+// for every metric on every suite graph (the empty graph has no best node
+// on either side).
+TEST(EngineTest, SearcherMatchesPbksOnEverySuiteGraph) {
+  for (const testing::GraphCase& c : testing::StandardGraphSuite()) {
+    SCOPED_TRACE(c.name);
+    HcdEngine engine(&c.graph);
+    const SearchIndex& searcher = engine.Searcher();
+    for (const Metric metric : kAllMetrics) {
+      SCOPED_TRACE(MetricName(metric));
+      const SearchResult pbks =
+          PbksSearch(c.graph, engine.Coreness(), engine.Flat(), metric);
+      const TreeNodeId best = searcher.BestAtLeast(metric, 0);
+      ASSERT_EQ(best, pbks.best_node);
+      if (best == kInvalidNode) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(searcher.Score(metric, best)),
+                std::bit_cast<uint64_t>(pbks.best_score));
+    }
   }
 }
 
@@ -210,24 +198,6 @@ TEST(EngineTest, AdoptedCoreIndexImpliesCorenessOnEverySuiteGraph) {
     const CoreDecomposition bz = BzCoreDecomposition(c.graph);
     EXPECT_EQ(cd.coreness, bz.coreness);
     EXPECT_EQ(cd.k_max, bz.k_max);
-  }
-}
-
-TEST(EngineTest, ParseAndNameRoundTrip) {
-  EngineAlgo algo = EngineAlgo::kPhcd;
-  EXPECT_TRUE(ParseEngineAlgo("lcps", &algo));
-  EXPECT_EQ(algo, EngineAlgo::kLcps);
-  EXPECT_TRUE(ParseEngineAlgo("naive", &algo));
-  EXPECT_EQ(algo, EngineAlgo::kNaive);
-  EXPECT_TRUE(ParseEngineAlgo("phcd", &algo));
-  EXPECT_EQ(algo, EngineAlgo::kPhcd);
-  EXPECT_FALSE(ParseEngineAlgo("pchd", &algo));
-  EXPECT_EQ(algo, EngineAlgo::kPhcd);  // untouched on failure
-  for (EngineAlgo a : {EngineAlgo::kPhcd, EngineAlgo::kLcps,
-                       EngineAlgo::kNaive}) {
-    EngineAlgo parsed;
-    ASSERT_TRUE(ParseEngineAlgo(EngineAlgoName(a), &parsed));
-    EXPECT_EQ(parsed, a);
   }
 }
 

@@ -668,7 +668,7 @@ TEST(Ingest, EngineLoadRecordsIngestStages) {
   std::unique_ptr<HcdEngine> engine;
   {
     testing::StageProbe probe;
-    EXPECT_TRUE(HcdEngine::Load(text_path, {.io_threads = 2}, &engine).ok());
+    EXPECT_TRUE(HcdEngine::Load(text_path, {.threads = 2}, &engine).ok());
     probe.Stop();
     for (const char* stage :
          {"load.read", "load.parse", "load.remap", "load.build", "load"}) {

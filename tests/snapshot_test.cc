@@ -1,11 +1,11 @@
 // Tests for the serve phase: QuerySnapshot over a built engine. The
 // headline test is the build/serve acceptance check — eight threads
-// hammering one snapshot with every metric interleaved, each result
-// bit-identical to the single-threaded PBKS baseline — and it is the test
-// the ThreadSanitizer CI job runs to prove the serve path has no data
-// races. Worker threads record mismatch counts instead of calling gtest
-// macros (EXPECT_* is not thread-safe); the main thread asserts after the
-// join.
+// reading one snapshot with every metric interleaved, each table lookup
+// and each full SearchInto scan bit-identical to the single-threaded PBKS
+// baseline — and it is the test the ThreadSanitizer CI job runs to prove
+// the serve path has no data races. Worker threads record mismatch
+// counts instead of calling gtest macros (EXPECT_* is not thread-safe);
+// the main thread asserts after the join.
 
 #include "engine/snapshot.h"
 
@@ -52,9 +52,15 @@ TEST(SnapshotTest, ConcurrentQueriesBitIdenticalToBaseline) {
         // threads: at any instant different workers score different
         // metrics against the same shared snapshot.
         const size_t mi = (static_cast<size_t>(q) + t) % kMetricCount;
-        const SearchHit hit = snapshot.Search(kAllMetrics[mi], &ws);
+        const Metric metric = kAllMetrics[mi];
+        const SearchHit hit = SearchInto(snapshot.flat(),
+                                         snapshot.search_index(), metric, &ws);
         const SearchResult& want = baseline[mi];
         if (hit.best_node != want.best_node) ++mismatches[t];
+        // The served answer: one lookup in the per-level best-node table.
+        if (snapshot.search_index().BestAtLeast(metric, 0) != want.best_node) {
+          ++mismatches[t];
+        }
         // Bit-identical, not just approximately equal: compare the raw
         // representation of every double.
         if (std::memcmp(&hit.best_score, &want.best_score,
@@ -75,23 +81,24 @@ TEST(SnapshotTest, ConcurrentQueriesBitIdenticalToBaseline) {
   }
 }
 
-TEST(SnapshotTest, WorkspaceReuseMatchesAllocatingOverload) {
+TEST(SnapshotTest, SearchIntoAgreesWithTheTablesAndReusesItsWorkspace) {
   Graph g = RMatGraph500(9, 3000, 5);
   HcdEngine engine(&g);
   const QuerySnapshot snapshot = engine.Snapshot();
+  const SearchIndex& sidx = snapshot.search_index();
   SearchWorkspace ws;
   for (Metric metric : kAllMetrics) {
-    const SearchHit hit = snapshot.Search(metric, &ws);
-    const SearchResult full = snapshot.Search(metric);
-    EXPECT_EQ(hit.best_node, full.best_node) << MetricName(metric);
-    EXPECT_EQ(hit.best_score, full.best_score) << MetricName(metric);
-    EXPECT_EQ(ws.scores, full.scores) << MetricName(metric);
+    const SearchHit hit = SearchInto(snapshot.flat(), sidx, metric, &ws);
+    EXPECT_EQ(hit.best_node, sidx.BestAtLeast(metric, 0))
+        << MetricName(metric);
+    EXPECT_EQ(hit.best_score, sidx.Score(metric, hit.best_node))
+        << MetricName(metric);
     EXPECT_EQ(ws.scores.size(), snapshot.flat().NumNodes());
   }
   // Once warm, reuse never reallocates the scores buffer.
   const double* warm = ws.scores.data();
-  snapshot.Search(Metric::kConductance, &ws);
-  snapshot.Search(Metric::kClusteringCoefficient, &ws);
+  SearchInto(snapshot.flat(), sidx, Metric::kConductance, &ws);
+  SearchInto(snapshot.flat(), sidx, Metric::kClusteringCoefficient, &ws);
   EXPECT_EQ(ws.scores.data(), warm);
 }
 
@@ -99,11 +106,11 @@ TEST(SnapshotTest, CoreVerticesRoundTrip) {
   Graph g = RMatGraph500(9, 3000, 7);
   HcdEngine engine(&g);
   const QuerySnapshot snapshot = engine.Snapshot();
-  SearchWorkspace ws;
-  const SearchHit hit = snapshot.Search(Metric::kAverageDegree, &ws);
-  ASSERT_NE(hit.best_node, kInvalidNode);
-  const auto vertices = snapshot.CoreVertices(hit.best_node);
-  EXPECT_EQ(vertices.size(), snapshot.flat().CoreSize(hit.best_node));
+  const TreeNodeId best =
+      snapshot.search_index().BestAtLeast(Metric::kAverageDegree, 0);
+  ASSERT_NE(best, kInvalidNode);
+  const auto vertices = snapshot.CoreVertices(best);
+  EXPECT_EQ(vertices.size(), snapshot.flat().CoreSize(best));
   EXPECT_FALSE(vertices.empty());
   EXPECT_TRUE(snapshot.CoreVertices(kInvalidNode).empty());
 }
@@ -123,15 +130,18 @@ TEST(SnapshotTest, SnapshotsShareTheEngineState) {
   EXPECT_EQ(&c.flat(), &a.flat());
 }
 
-TEST(SnapshotTest, SearchDoesNoRegistryLookups) {
+TEST(SnapshotTest, QueriesDoNoRegistryLookups) {
   HcdEngine engine(RMatGraph500(8, 2000, 3));
   const QuerySnapshot snapshot = engine.Snapshot();
+  const SearchIndex& sidx = snapshot.search_index();
   MetricsRegistry registry;
   registry.Install();
   const uint64_t before = registry.lookup_count();
   SearchWorkspace ws;
   for (int q = 0; q < 100; ++q) {
-    snapshot.Search(kAllMetrics[static_cast<size_t>(q) % kMetricCount], &ws);
+    const Metric metric = kAllMetrics[static_cast<size_t>(q) % kMetricCount];
+    sidx.Score(metric, sidx.BestAtLeast(metric, 0));
+    SearchInto(snapshot.flat(), sidx, metric, &ws);
   }
   const uint64_t after = registry.lookup_count();
   registry.Uninstall();

@@ -42,11 +42,11 @@ if(MODE STREQUAL "trace")
     message(FATAL_ERROR "truss build trace validation failed (${rc})")
   endif()
   # A self-hosted serve-bench loads through the same ingest path as the
-  # engine commands, so --io-threads applies and the trace holds the
+  # engine commands, so --threads sizes it and the trace holds the
   # enclosing "load" span.
   set(serve_trace ${WORK_DIR}/cli_obs_serve_trace.json)
   execute_process(
-    COMMAND ${HCD_CLI} serve-bench ${graph} --io-threads=2
+    COMMAND ${HCD_CLI} serve-bench ${graph} --threads=2
             --trace-out=${serve_trace}
     OUTPUT_QUIET
     RESULT_VARIABLE rc)

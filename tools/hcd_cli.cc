@@ -60,13 +60,14 @@
 #include "hcd/stats.h"
 #include "parallel/omp_utils.h"
 #include "search/best_k.h"
+#include "search/element_search.h"
 #include "search/influential.h"
 #include "search/metrics.h"
+#include "search/search_index.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "truss/truss_decomposition.h"
-#include "truss/truss_hierarchy.h"
 
 namespace hcd::cli {
 namespace {
@@ -198,11 +199,10 @@ double PeakRssMb() {
 /// "telemetry".
 void PrintJsonReport(const char* command, const CliArgs& args,
                      HcdEngine& engine, const std::string& extra = "") {
-  std::printf("{\"command\":\"%s\",\"algo\":\"%s\",\"threads\":%d,"
+  std::printf("{\"command\":\"%s\",\"threads\":%d,"
               "\"graph\":{\"n\":%u,\"m\":%llu},\"peak_rss_mb\":%.2f%s,"
               "\"telemetry\":%s}\n",
-              command, EngineAlgoName(args.options.algo),
-              args.options.threads, engine.graph().NumVertices(),
+              command, args.options.threads, engine.graph().NumVertices(),
               static_cast<unsigned long long>(engine.graph().NumEdges()),
               PeakRssMb(), extra.c_str(), Registry().RenderJson().c_str());
 }
@@ -377,9 +377,8 @@ int CmdBuild(const CliArgs& args) {
   // Non-core kinds record kind-prefixed stage names.
   const std::string prefix =
       core ? "" : std::string(HierarchyKindName(args.options.hierarchy)) + ".";
-  std::printf("%s: %s decomposition %.3fs, construction %.3fs (+freeze "
+  std::printf("%s decomposition %.3fs, construction %.3fs (+freeze "
               "%.3fs), %u nodes\n",
-              EngineAlgoName(args.options.algo),
               core ? "core" : HierarchyKindName(args.options.hierarchy),
               StageSeconds(Registry(), prefix + "decomposition"),
               StageSeconds(Registry(), prefix + "construction"),
@@ -394,23 +393,36 @@ int CmdSearch(const CliArgs& args) {
   if (!MetricByName(args.pos[1], &metric)) return 2;
   const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
   if (engine == nullptr) return 1;
-  SearchResult r = engine->Search(metric);
+  const SearchIndex& searcher = engine->Searcher();
   const FlatHcdIndex& flat = engine->Flat();
+  // A graph without vertices has no k-core, so no node to report.
+  const TreeNodeId best = searcher.BestAtLeast(metric, 0);
   if (args.json) {
     char extra[256];
-    std::snprintf(extra, sizeof(extra),
-                  ",\"result\":{\"metric\":\"%s\",\"k\":%u,\"size\":%llu,"
-                  "\"score\":%.9g}",
-                  MetricName(metric), flat.Level(r.best_node),
-                  static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-                  r.best_score);
+    if (best == kInvalidNode) {
+      std::snprintf(extra, sizeof(extra),
+                    ",\"result\":{\"metric\":\"%s\",\"found\":false}",
+                    MetricName(metric));
+    } else {
+      std::snprintf(extra, sizeof(extra),
+                    ",\"result\":{\"metric\":\"%s\",\"k\":%u,\"size\":%llu,"
+                    "\"score\":%.9g}",
+                    MetricName(metric), flat.Level(best),
+                    static_cast<unsigned long long>(flat.CoreSize(best)),
+                    searcher.Score(metric, best));
+    }
     PrintJsonReport("search", args, *engine, extra);
     return 0;
   }
+  if (best == kInvalidNode) {
+    std::printf("no k-core under %s: the graph has no vertices\n",
+                MetricName(metric));
+    return 0;
+  }
   std::printf("best k-core under %s: k=%u |S|=%llu score=%.6f (%.3fs)\n",
-              MetricName(metric), flat.Level(r.best_node),
-              static_cast<unsigned long long>(flat.CoreSize(r.best_node)),
-              r.best_score, command_timer.Seconds());
+              MetricName(metric), flat.Level(best),
+              static_cast<unsigned long long>(flat.CoreSize(best)),
+              searcher.Score(metric, best), command_timer.Seconds());
   return 0;
 }
 
@@ -478,27 +490,32 @@ int CmdTruss(const CliArgs& args) {
   if (engine == nullptr) return 1;
   const TrussDecomposition& td = engine->Trussness();
   const FlatHcdIndex& flat = engine->Flat();
-  DensestTrussResult best;
-  {
-    ScopedStage stage("truss.densest");
-    best = DensestTruss(flat);
-  }
+  const ElementSearchIndex& searcher = engine->ElementSearcher();
+  // The densest k-truss; a graph without edges has none.
+  const TreeNodeId best = searcher.BestAtLeast(0);
   if (args.json) {
-    char extra[256];
-    std::snprintf(extra, sizeof(extra),
-                  ",\"result\":{\"k_max\":%u,\"tree_nodes\":%u,"
-                  "\"densest_k\":%u,\"densest_size\":%zu}",
-                  td.k_max, flat.NumNodes(), best.level,
-                  best.community.vertices.size());
+    std::string extra = ",\"result\":{\"k_max\":" + std::to_string(td.k_max) +
+                        ",\"tree_nodes\":" + std::to_string(flat.NumNodes());
+    extra += best == kInvalidNode
+                 ? ",\"found\":false}"
+                 : ",\"densest_k\":" + std::to_string(flat.Level(best)) +
+                       ",\"densest_size\":" +
+                       std::to_string(searcher.CommunityVertices(best)) + "}";
     PrintJsonReport("truss", args, *engine, extra);
     return 0;
   }
   std::printf("truss k_max  %u\n", td.k_max);
   std::printf("tree nodes   %u\n", flat.NumNodes());
-  std::printf("densest      k=%u |V|=%zu |E|=%llu avg_deg=%.2f\n", best.level,
-              best.community.vertices.size(),
-              static_cast<unsigned long long>(best.community.num_edges),
-              best.community.AverageDegree());
+  if (best == kInvalidNode) {
+    std::printf("densest      none: the graph has no edges\n");
+  } else {
+    std::printf("densest      k=%u |V|=%llu |E|=%llu avg_deg=%.2f\n",
+                flat.Level(best),
+                static_cast<unsigned long long>(
+                    searcher.CommunityVertices(best)),
+                static_cast<unsigned long long>(flat.CoreSize(best)),
+                searcher.Density(best));
+  }
   std::printf("(computed in %.3fs)\n", command_timer.Seconds());
   return 0;
 }
@@ -1110,8 +1127,7 @@ bool SwitchFlag(const char*, const std::string&, CliArgs* args) {
   return true;
 }
 
-/// A value of a closed set (--algo and friends): `parsed` is the lookup's
-/// result.
+/// A value of a closed set (--hierarchy): `parsed` is the lookup's result.
 bool CheckChoice(const char* flag, const std::string& value, bool parsed,
                  const char* want) {
   if (!parsed) {
@@ -1216,23 +1232,11 @@ const Flag kFlags[] = {
      "by `build`, mapped read-only) instead of\n"
      "constructing the hierarchy; kind must\n"
      "match --hierarchy"},
-    {"--algo", "phcd|lcps|naive", kAnyCommand,
-     [](const char* f, const std::string& v, CliArgs* a) {
-       return CheckChoice(f, v, ParseEngineAlgo(v, &a->options.algo),
-                          "phcd, lcps or naive");
-     },
-     "HCD construction algorithm (default phcd)"},
     {"--threads", "N", kAnyCommand,
      [](const char* f, const std::string& v, CliArgs* a) {
        return ParseInt(f, v, 1, INT_MAX, &a->options.threads);
      },
      "OpenMP threads for every stage (default:\nambient setting)"},
-    {"--io-threads", "N", kAnyCommand,
-     [](const char* f, const std::string& v, CliArgs* a) {
-       return ParseInt(f, v, 1, INT_MAX, &a->options.io_threads);
-     },
-     "OpenMP threads for graph ingest only\n"
-     "(default: the --threads setting)"},
     {"--json", nullptr, kAnyCommand, SwitchFlag<&CliArgs::json>,
      "print a machine-readable per-stage\n"
      "telemetry report instead of prose"},
