@@ -297,13 +297,17 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
   // loudly here instead of producing a cyclic "preorder".
   std::vector<uint32_t> old_child_offsets;
   std::vector<TreeNodeId> old_children;
+  size_t num_roots = 0;
   {
     ScopedSpan span("freeze.child_csr");
     span.AddArg("nodes", num_nodes);
     old_child_offsets.assign(num_nodes + 1, 0);
     for (TreeNodeId t = 0; t < num_nodes; ++t) {
       const TreeNodeId p = forest.Parent(t);
-      if (p == kInvalidNode) continue;
+      if (p == kInvalidNode) {
+        ++num_roots;
+        continue;
+      }
       HCD_CHECK_LT(forest.Level(p), forest.Level(t))
           << "parent level must be below child level";
       ++old_child_offsets[p + 1];
@@ -373,19 +377,21 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
 
   // Per-root preorder id / vertex-slot bases (exclusive scans), so each tree
   // can be numbered independently in parallel, then the output arrays at
-  // their final sizes.
-  std::vector<TreeNodeId> old_roots;
+  // their final sizes. The child CSR pass counted the roots, so the root
+  // list is sized once.
+  std::vector<TreeNodeId> old_roots(num_roots);
   std::vector<TreeNodeId> node_base;
   std::vector<uint32_t> vert_base;
   std::vector<TreeNodeId> old2new;
   {
     ScopedSpan span("freeze.layout");
+    size_t next_root = 0;
     for (TreeNodeId t = 0; t < num_nodes; ++t) {
-      if (forest.Parent(t) == kInvalidNode) old_roots.push_back(t);
+      if (forest.Parent(t) == kInvalidNode) old_roots[next_root++] = t;
     }
-    node_base.assign(old_roots.size() + 1, 0);
-    vert_base.assign(old_roots.size() + 1, 0);
-    for (size_t r = 0; r < old_roots.size(); ++r) {
+    node_base.assign(num_roots + 1, 0);
+    vert_base.assign(num_roots + 1, 0);
+    for (size_t r = 0; r < num_roots; ++r) {
       node_base[r + 1] = node_base[r] + sub_nodes[old_roots[r]];
       vert_base[r + 1] = vert_base[r] + sub_verts[old_roots[r]];
     }
@@ -399,7 +405,6 @@ FlatHcdIndex Freeze(const HcdForest& forest) {
     d.vertices.resize(vert_base.back());
     old2new.resize(num_nodes);
   }
-  const size_t num_roots = old_roots.size();
   const uint32_t total_placed = vert_base[num_roots];
   // One preorder DFS per tree; trees write disjoint ranges of every output
   // array, so the loop is embarrassingly parallel. Tree sizes are very

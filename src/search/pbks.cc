@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -41,9 +42,11 @@ std::vector<int64_t> RunLengths(std::span<const uint32_t> offsets) {
 /// above it, the dense suffix, are bit rows over the ranks
 /// [dense_begin, n), `words` 64-bit words each (Row); their CSR rows are
 /// empty. An out-neighbour of a dense row ranks above it, so it is dense
-/// too. Each edge is kept once.
+/// too. Each edge is kept once, so `Offset` only has to hold m: WithOffsets
+/// picks uint32_t below 2^32 edges and uint64_t above.
+template <typename Offset>
 struct OrientedAdjacency {
-  std::vector<EdgeIndex> offset;  // n + 1
+  std::vector<Offset> offset;     // n + 1
   std::vector<VertexId> target;   // the sparse rows' entries
   VertexId dense_begin = 0;
   size_t words = 0;
@@ -57,47 +60,75 @@ struct OrientedAdjacency {
   const uint64_t* Row(VertexId r) const {
     return bits.data() + static_cast<size_t>(r - dense_begin) * words;
   }
+  /// Offsets, targets and bit rows.
+  uint64_t Bytes() const {
+    return offset.size() * sizeof(Offset) + target.size() * sizeof(VertexId) +
+           bits.size() * sizeof(uint64_t);
+  }
 };
+
+/// Calls `f` with a value of the narrowest offset type that indexes the
+/// oriented copy of a graph of `edges` edges (each edge is one entry).
+template <typename F>
+decltype(auto) WithOffsets(uint64_t edges, F&& f) {
+  if (edges <= std::numeric_limits<uint32_t>::max()) return f(uint32_t{0});
+  return f(uint64_t{0});
+}
 
 /// Start of the dense suffix: the largest suffix of whole shells, ranks
 /// [s, n), whose T = n - s rows and E out-entries satisfy T^2 <= 32 E, so
 /// that its T x T bit matrix is no larger than the 32-bit entries it
 /// replaces. n when no suffix qualifies. `offset` holds the prefix sums of
 /// the out-degrees; shells are ranges of any coreness-major rank.
-VertexId DenseBegin(const VertexRank& vr, std::span<const EdgeIndex> offset) {
+template <typename Offset>
+VertexId DenseBegin(const VertexRank& vr, std::span<const Offset> offset) {
   const VertexId n = static_cast<VertexId>(offset.size() - 1);
   // shell_start ascends, so the first qualifying shell starts the largest.
   for (size_t k = 0; k + 1 < vr.shell_start.size(); ++k) {
     const VertexId s = vr.shell_start[k];
     const uint64_t rows = n - s;
-    if (rows * rows <= 32 * (offset[n] - offset[s])) return s;
+    if (rows * rows <= 32 * uint64_t{offset[n] - offset[s]}) return s;
   }
   return n;
 }
 
-/// Builds the rank-oriented adjacency in two parallel passes: count each
-/// row's out-degree, prefix-sum and pick the dense suffix, then fill the
-/// CSR rows below it and the bit rows in it.
-OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
+/// Each row's out-degree |N+(r)| at entry r + 1 of an (n + 1)-entry array,
+/// entry 0 zero: the input OrientByRank takes. One parallel pass over the
+/// adjacency; the search-table build gets the same array from its
+/// neighbourhood scan instead.
+template <typename Offset>
+std::vector<Offset> CountOutDegrees(const Graph& graph, const VertexRank& vr) {
   const VertexId n = graph.NumVertices();
-  OrientedAdjacency out;
-  out.offset.assign(static_cast<size_t>(n) + 1, 0);
-  uint64_t max_out_degree = 0;
-#pragma omp parallel for schedule(guided, 256) \
-    reduction(max : max_out_degree)
+  std::vector<Offset> degrees(static_cast<size_t>(n) + 1, 0);
+#pragma omp parallel for schedule(guided, 256)
   for (int64_t ri = 0; ri < static_cast<int64_t>(n); ++ri) {
     const VertexId r = static_cast<VertexId>(ri);
-    EdgeIndex d = 0;
+    Offset d = 0;
     for (VertexId u : graph.Neighbors(vr.sorted[r])) d += vr.rank[u] > r;
-    out.offset[r + 1] = d;
-    max_out_degree = std::max<uint64_t>(max_out_degree, d);
+    degrees[r + 1] = d;
   }
-  out.max_out_degree = max_out_degree;
-  for (VertexId r = 0; r < n; ++r) out.offset[r + 1] += out.offset[r];
-  const VertexId dense = DenseBegin(vr, out.offset);
+  return degrees;
+}
+
+/// Builds the rank-oriented adjacency from each row's out-degree
+/// (`offset[r + 1]`, CountOutDegrees' layout): prefix-sums the degrees in
+/// place, picks the dense suffix, then allocates and fills, in one parallel
+/// pass, the CSR rows below it and the bit rows in it.
+template <typename Offset>
+OrientedAdjacency<Offset> OrientByRank(const Graph& graph,
+                                       const VertexRank& vr,
+                                       std::vector<Offset> offset) {
+  const VertexId n = graph.NumVertices();
+  HCD_CHECK_EQ(offset.size(), static_cast<size_t>(n) + 1);
+  OrientedAdjacency<Offset> out;
+  for (VertexId r = 0; r < n; ++r) {
+    out.max_out_degree = std::max<uint64_t>(out.max_out_degree, offset[r + 1]);
+    offset[r + 1] += offset[r];
+  }
+  const VertexId dense = DenseBegin<Offset>(vr, offset);
   out.dense_begin = dense;
-  std::fill(out.offset.begin() + dense + 1, out.offset.end(),
-            out.offset[dense]);
+  std::fill(offset.begin() + dense + 1, offset.end(), offset[dense]);
+  out.offset = std::move(offset);
   out.target.resize(out.offset[dense]);
   const size_t dense_rows = n - dense;
   out.words = (dense_rows + 63) / 64;
@@ -108,8 +139,8 @@ OrientedAdjacency OrientByRank(const Graph& graph, const VertexRank& vr) {
     if (r < dense) {
       // Sparse targets fill the row from the front, dense ones from the
       // back, so a row's dense members are its tail.
-      EdgeIndex front = out.offset[r];
-      EdgeIndex back = out.offset[r + 1];
+      Offset front = out.offset[r];
+      Offset back = out.offset[r + 1];
       for (VertexId u : graph.Neighbors(vr.sorted[r])) {
         const VertexId q = vr.rank[u];
         if (q > r) out.target[q < dense ? front++ : --back] = q;
@@ -152,11 +183,11 @@ struct TriangleWork {
 ///   row checked against the byte marks, each dense one is ANDed with the
 ///   mask. With no dense suffix the tail is empty, and the row takes the
 ///   plain mark scan with no per-entry test.
-HCD_POPCNT_CLONES
-TriangleWork CountTriangles(const OrientedAdjacency& out,
-                            std::span<const VertexId> sorted,
-                            std::span<const uint32_t> slot,
-                            std::vector<int64_t>* triangles) {
+template <typename Offset>
+HCD_POPCNT_CLONES TriangleWork
+CountTriangles(const OrientedAdjacency<Offset>& out,
+               std::span<const VertexId> sorted, std::span<const uint32_t> slot,
+               std::vector<int64_t>* triangles) {
   const VertexId n = static_cast<VertexId>(sorted.size());
   const VertexId dense = out.dense_begin;
   const size_t words = out.words;
@@ -229,26 +260,52 @@ TriangleWork CountTriangles(const OrientedAdjacency& out,
 /// v->u, v->w and u->w: v's pass sees u and w in N+(v) and finds w in
 /// N+(u). Neither u nor w has v as an out-neighbour, so no other pass sees
 /// it. Rows are in rank order and row r reads only rows above r, so the
-/// part the threads touch shrinks as r grows. Adds `out`'s shape and the
-/// work done to `span` ("pbks.triangles", which the caller opens before
-/// orienting).
-void TallyTriangles(const OrientedAdjacency& out,
+/// part the threads touch shrinks as r grows. Adds `out`'s shape and size
+/// and the work done to `span` ("pbks.triangles", which the caller opens
+/// before orienting).
+template <typename Offset>
+void TallyTriangles(const OrientedAdjacency<Offset>& out,
                     std::span<const VertexId> sorted,
                     std::span<const uint32_t> slot,
                     std::vector<int64_t>* triangles, ScopedSpan* span) {
   const TriangleWork work = CountTriangles(out, sorted, slot, triangles);
+  span->AddArg("oriented_bytes", out.Bytes());
+  span->AddArg("offset_bytes", sizeof(Offset));
   span->AddArg("max_out_degree", out.max_out_degree);
   span->AddArg("wedge_checks", work.wedge_checks);
   span->AddArg("dense_vertices", sorted.size() - out.dense_begin);
   span->AddArg("dense_word_ands", work.dense_word_ands);
 }
 
-/// Algorithm 5 lines 8-15 (span "pbks.triplets"): triplets centered at
-/// each vertex v. Wedges whose two arms both reach coreness >= c(v) appear
-/// with v (the lowest-rank member); wedges whose lowest arm has coreness
-/// k < c(v) appear at any neighbor w of coreness k (all such neighbours
-/// share w's slot: its tree node, joined through v, or its level). The
-/// descending loop walks c(v) levels per vertex; `levels_walked` sums
+/// Algorithm 5 lines 8-15 for one vertex v of coreness `cv`, once its
+/// neighbours of lower coreness are bucketed by level (`cnt[k]` of them at
+/// level k, `rep[k]` one of them). Wedges whose arms both reach coreness
+/// >= c(v) (`gt_k` neighbours) appear with v, and the caller adds them at
+/// v's slot; a wedge whose lowest arm has coreness k < c(v) appears at a
+/// neighbour of coreness k (all of them share a slot: their tree node,
+/// joined through v, or their level). Walks the levels from c(v) - 1
+/// down, each level's wedges pairing its arms with each other and with
+/// every higher arm, and clears the buckets it read.
+inline void AddLowerWedges(uint32_t cv, int64_t gt_k, std::span<VertexId> cnt,
+                           std::span<const VertexId> rep,
+                           std::span<const uint32_t> slot,
+                           std::vector<int64_t>* triplets) {
+  for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
+    const int64_t c = cnt[k];
+    if (c > 0) {
+      const int64_t add = Choose2(c) + gt_k * c;
+#pragma omp atomic
+      (*triplets)[slot[rep[k]]] += add;
+      gt_k += c;
+      cnt[k] = 0;
+    }
+  }
+}
+
+/// Triplets centered at each vertex (span "pbks.triplets"), from the
+/// coreness counts: each vertex adds C(greater + equal, 2) at its own slot,
+/// then buckets its lower-coreness neighbours for AddLowerWedges. The
+/// descending walk covers c(v) levels per vertex; `levels_walked` sums
 /// them.
 void TallyTriplets(const Graph& graph, const CoreDecomposition& cd,
                    const CorenessNeighborCounts& pre,
@@ -266,13 +323,11 @@ void TallyTriplets(const Graph& graph, const CoreDecomposition& cd,
     for (int64_t vi = 0; vi < static_cast<int64_t>(n); ++vi) {
       const VertexId v = static_cast<VertexId>(vi);
       const uint32_t cv = cd.coreness[v];
-      int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
-      {
-        const int64_t add = Choose2(gt_k);
-        if (add != 0) {
+      const int64_t gt_k = static_cast<int64_t>(pre.greater[v]) + pre.equal[v];
+      const int64_t add = Choose2(gt_k);
+      if (add != 0) {
 #pragma omp atomic
-          (*triplets)[slot[v]] += add;
-        }
+        (*triplets)[slot[v]] += add;
       }
       if (cv > 0) {
         levels_walked += cv;
@@ -283,20 +338,118 @@ void TallyTriplets(const Graph& graph, const CoreDecomposition& cd,
             rep[cu] = u;
           }
         }
-        for (int64_t k = static_cast<int64_t>(cv) - 1; k >= 0; --k) {
-          const int64_t c = cnt[k];
-          if (c > 0) {
-            const int64_t add = Choose2(c) + gt_k * c;
-#pragma omp atomic
-            (*triplets)[slot[rep[k]]] += add;
-            gt_k += c;
-            cnt[k] = 0;
-          }
-        }
+        AddLowerWedges(cv, gt_k, cnt, rep, slot, triplets);
       }
     }
   }
   span.AddArg("levels_walked", levels_walked);
+}
+
+/// Vertices of the preorder array per chunk of the fused scan's dynamic
+/// schedule; a node's run takes one flush per chunk it overlaps.
+constexpr int64_t kScanChunk = 256;
+
+/// The search-table build's first read of the adjacency (span
+/// "pbks.triplets"). In one pass per vertex v it tallies:
+/// - the type-A tallies 2m(S) and b(S) of v's tree node into `a`
+///   (CountTypeATallies' sums, with the coreness counts taken from this
+///   read instead of from a CorenessNeighborCounts);
+/// - v's triplets into `triplets` (TallyTriplets' tallies);
+/// - v's out-degree under `vr`, returned in CountOutDegrees' layout for
+///   OrientByRank.
+/// Vertices are visited in the index's preorder `vertices` array, chunks
+/// of kScanChunk handed out dynamically, so a node's vertices are one run
+/// whose type-A sums and own triplets (the wedges both of whose arms reach
+/// c(v)) stay in registers until the run or the chunk ends.
+/// `vr` must be coreness-major: a neighbour u is below v's shell, in it or
+/// above it by where rank(u) falls against v's `shell_start` bounds, so
+/// each entry loads rank(u), and coreness(u) only to bucket a lower one.
+/// The coreness counts are never stored: they would be freed before the
+/// oriented adjacency is allocated, but the heap would keep their pages.
+template <typename Offset>
+std::vector<Offset> ScanNeighbourhoods(const Graph& graph,
+                                       const CoreDecomposition& cd,
+                                       const VertexRank& vr,
+                                       const FlatHcdIndex& index,
+                                       TypeATallies* a,
+                                       std::vector<int64_t>* triplets) {
+  const VertexId n = graph.NumVertices();
+  const std::span<const VertexId> order = index.data().vertices;
+  const std::span<const uint32_t> slot = index.data().tid;
+  HCD_CHECK_EQ(order.size(), n) << "a core index places every vertex";
+  ScopedSpan span("pbks.triplets");
+  std::vector<Offset> degrees(static_cast<size_t>(n) + 1, 0);
+  const int64_t chunks =
+      (static_cast<int64_t>(n) + kScanChunk - 1) / kScanChunk;
+  uint64_t levels_walked = 0;
+#pragma omp parallel reduction(+ : levels_walked)
+  {
+    std::vector<VertexId> cnt(cd.k_max + 1, 0);
+    std::vector<VertexId> rep(cd.k_max + 1, 0);
+
+#pragma omp for schedule(dynamic, 1)
+    for (int64_t c = 0; c < chunks; ++c) {
+      const int64_t end = std::min<int64_t>((c + 1) * kScanChunk, n);
+      uint32_t run = slot[order[c * kScanChunk]];
+      int64_t edges2 = 0;
+      int64_t boundary = 0;
+      int64_t own_triplets = 0;
+      const auto flush = [&] {
+        if (edges2 != 0) {
+#pragma omp atomic
+          a->edges2[run] += edges2;
+        }
+        if (boundary != 0) {
+#pragma omp atomic
+          a->boundary[run] += boundary;
+        }
+        if (own_triplets != 0) {
+#pragma omp atomic
+          (*triplets)[run] += own_triplets;
+        }
+        edges2 = 0;
+        boundary = 0;
+        own_triplets = 0;
+      };
+      for (int64_t pos = c * kScanChunk; pos < end; ++pos) {
+        const VertexId v = order[pos];
+        if (slot[v] != run) {
+          flush();
+          run = slot[v];
+        }
+        const uint32_t cv = cd.coreness[v];
+        const VertexId rv = vr.rank[v];
+        const VertexId lo = vr.shell_start[cv];
+        const VertexId hi = vr.shell_start[cv + 1];
+        VertexId lt = 0;
+        VertexId gt = 0;
+        VertexId up = 0;  // neighbours ranked above v
+        for (VertexId u : graph.Neighbors(v)) {
+          const VertexId q = vr.rank[u];
+          if (q < lo) {
+            const uint32_t cu = cd.coreness[u];
+            ++cnt[cu];
+            rep[cu] = u;
+            ++lt;
+          } else {
+            gt += q >= hi;
+            up += q > rv;
+          }
+        }
+        degrees[static_cast<size_t>(rv) + 1] = up;
+        const int64_t gt_k = static_cast<int64_t>(graph.Degree(v)) - lt;
+        edges2 += gt_k + gt;  // 2 * greater + equal
+        boundary += static_cast<int64_t>(lt) - gt;
+        own_triplets += Choose2(gt_k);
+        levels_walked += cv;
+        AddLowerWedges(cv, gt_k, cnt, rep, slot, triplets);
+      }
+      flush();
+    }
+  }
+  span.AddArg("levels_walked", levels_walked);
+  span.AddArg("adjacency_entries", graph.AdjArray().size());
+  return degrees;
 }
 
 /// Parallel bottom-up tree accumulation (Algorithm 3 lines 6-9): processes
@@ -436,11 +589,12 @@ TypeBTallies CountTypeBTallies(const Graph& graph,
   TypeBTallies t;
   t.triangles.assign(num_slots, 0);
   t.triplets.assign(num_slots, 0);
-  {
+  WithOffsets(graph.NumEdges(), [&]<typename Offset>(Offset) {
     ScopedSpan span("pbks.triangles");
-    TallyTriangles(OrientByRank(graph, vr), vr.sorted, slot, &t.triangles,
-                   &span);
-  }
+    TallyTriangles(
+        OrientByRank(graph, vr, CountOutDegrees<Offset>(graph, vr)),
+        vr.sorted, slot, &t.triangles, &span);
+  });
   TallyTriplets(graph, cd, pre, slot, &t.triplets);
   return t;
 }
@@ -457,42 +611,58 @@ std::vector<PrimaryValues> PbksTypeBPrimary(
   return rows;
 }
 
-std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
-                                       const CoreDecomposition& cd,
-                                       const FlatHcdIndex& index,
-                                       CorenessNeighborCounts pre) {
+template <typename Offset>
+std::vector<PrimaryValues> PbksPrimaryWithOffsets(const Graph& graph,
+                                                  const CoreDecomposition& cd,
+                                                  const FlatHcdIndex& index) {
   std::vector<PrimaryValues> rows = OwnVertexRows(index);
+  TypeBTallies b;
+  b.triangles.assign(index.NumNodes(), 0);
+  b.triplets.assign(index.NumNodes(), 0);
+  VertexRank vr;
+  {
+    ScopedStage stage("search.preprocess");
+    vr = ComputeOrientationRank(graph, cd);
+  }
+  std::vector<Offset> degrees;
   {
     ScopedStage stage("search.primary_a");
-    SetTypeATallies(CountTypeATallies(graph, pre, index.data().vertices,
-                                      index.data().vertex_offsets),
-                    rows);
+    TypeATallies a;
+    a.edges2.assign(index.NumNodes(), 0);
+    a.boundary.assign(index.NumNodes(), 0);
+    degrees = ScanNeighbourhoods<Offset>(graph, cd, vr, index, &a,
+                                         &b.triplets);
+    SetTypeATallies(a, rows);
   }
   {
+    // The oriented adjacency, the largest array, is allocated only now,
+    // and the rank's `rank` array goes as soon as the fill is done (the
+    // triangle count reads only `sorted`).
     ScopedStage stage("search.primary_b");
-    const std::span<const uint32_t> slot = index.data().tid;
-    TypeBTallies b;
-    b.triangles.assign(index.NumNodes(), 0);
-    b.triplets.assign(index.NumNodes(), 0);
-    // Each input goes as soon as its last reader is done, so the oriented
-    // adjacency, the largest array, does not stack on them: the counts
-    // after the triplets, the rank's `rank` array once the orientation is
-    // built (the count reads only `sorted`).
-    TallyTriplets(graph, cd, pre, slot, &b.triplets);
-    pre = CorenessNeighborCounts();
-    VertexRank vr = ComputeOrientationRank(graph, cd);
-    {
-      ScopedSpan span("pbks.triangles");
-      const OrientedAdjacency out = OrientByRank(graph, vr);
-      vr.rank = std::vector<VertexId>();
-      TallyTriangles(out, vr.sorted, slot, &b.triangles, &span);
-    }
-    SetTypeBTallies(b, rows);
+    ScopedSpan span("pbks.triangles");
+    const OrientedAdjacency<Offset> out =
+        OrientByRank(graph, vr, std::move(degrees));
+    vr.rank = std::vector<VertexId>();
+    TallyTriangles(out, vr.sorted, index.data().tid, &b.triangles, &span);
   }
+  SetTypeBTallies(b, rows);
   ScopedSpan span("search.accumulate");
   AccumulatePrimaryUp(index, rows);
   span.AddArg("nodes", index.NumNodes());
   return rows;
+}
+
+template std::vector<PrimaryValues> PbksPrimaryWithOffsets<uint32_t>(
+    const Graph&, const CoreDecomposition&, const FlatHcdIndex&);
+template std::vector<PrimaryValues> PbksPrimaryWithOffsets<uint64_t>(
+    const Graph&, const CoreDecomposition&, const FlatHcdIndex&);
+
+std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
+                                       const CoreDecomposition& cd,
+                                       const FlatHcdIndex& index) {
+  return WithOffsets(graph.NumEdges(), [&]<typename Offset>(Offset) {
+    return PbksPrimaryWithOffsets<Offset>(graph, cd, index);
+  });
 }
 
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,

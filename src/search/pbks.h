@@ -90,9 +90,11 @@ struct TypeBTallies {
 /// suffix, the largest suffix of whole shells whose T ranks and E edges
 /// satisfy T^2 <= 32 E, as T x T bit rows and the rest as 32-bit CSR
 /// rows: the bit rows take no more than the 32-bit entries they replace,
-/// plus the padding of each row to whole 64-bit words. Checks against a
-/// bit row take one 64-bit AND and a popcount per 64 candidates. See
-/// DESIGN.md §14.
+/// plus the padding of each row to whole 64-bit words. The row offsets
+/// are 32-bit below 2^32 edges, 64-bit above. Checks against a bit row
+/// take one 64-bit AND and a popcount per 64 candidates. The copy's
+/// out-degrees take a counting pass of their own here; PbksPrimary reads
+/// them off its one fused scan instead. See DESIGN.md §14.
 TypeBTallies CountTypeBTallies(const Graph& graph,
                                const CoreDecomposition& cd,
                                const VertexRank& vr,
@@ -111,19 +113,34 @@ std::vector<PrimaryValues> PbksTypeBPrimary(const Graph& graph,
                                             const CorenessNeighborCounts& pre);
 
 /// All five primary values of every k-core in one row per node: the
-/// search tables a core index carries (FlatHcdIndex::Primaries). Runs the
-/// type-A tallies (stage "search.primary_a"), the type-B tallies over
-/// ComputeOrientationRank (stage "search.primary_b"), then one bottom-up
-/// accumulation (span "search.accumulate"). Row i equals PbksTypeAPrimary's
-/// n(S), 2*m(S), b(S) and PbksTypeBPrimary's Delta(S), t(S) of node i.
-/// Takes `pre` by value so that it can free it: the type-B pass counts the
-/// triplets first, then frees `pre`, orients the graph and frees the
-/// rank's `rank` array before counting the triangles, so that the oriented
-/// adjacency is not held next to arrays that no longer have a reader.
+/// search tables a core index carries (FlatHcdIndex::Primaries), from two
+/// reads of the adjacency instead of the four the per-type passes take.
+/// - Stage "search.preprocess": ComputeOrientationRank, which reads only
+///   the coreness and the degrees.
+/// - Stage "search.primary_a": one scan of every adjacency list (span
+///   "pbks.triplets") that tallies type A and the triplets per node and
+///   each vertex's oriented out-degree. The coreness counts it reads off
+///   each list are used at once and never stored.
+/// - Stage "search.primary_b" (span "pbks.triangles"): only now is the
+///   oriented adjacency allocated and filled by the second scan; the
+///   rank's `rank` array is freed and the triangles are counted.
+/// - Span "search.accumulate": one bottom-up accumulation.
+/// Row i equals PbksTypeAPrimary's n(S), 2*m(S), b(S) and
+/// PbksTypeBPrimary's Delta(S), t(S) of node i. The oriented rows'
+/// offsets are 32-bit when the graph has fewer than 2^32 edges, 64-bit
+/// otherwise. See DESIGN.md §14.
 std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
                                        const CoreDecomposition& cd,
-                                       const FlatHcdIndex& index,
-                                       CorenessNeighborCounts pre);
+                                       const FlatHcdIndex& index);
+
+/// PbksPrimary with the oriented rows' offsets of type `Offset`, uint32_t
+/// or uint64_t (the two instantiations); PbksPrimary picks the narrower
+/// one that holds m. Exposed so that both widths can be checked against
+/// each other on small graphs.
+template <typename Offset>
+std::vector<PrimaryValues> PbksPrimaryWithOffsets(const Graph& graph,
+                                                  const CoreDecomposition& cd,
+                                                  const FlatHcdIndex& index);
 
 /// Evaluates `metric` on every node's accumulated primary values and
 /// returns all scores plus the best k-core (Algorithm 3's final step).

@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
-#include "search/preprocess.h"
 
 namespace hcd {
 
@@ -19,13 +17,7 @@ std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
     const Graph& graph, const CoreDecomposition& cd,
     std::shared_ptr<const FlatHcdIndex> flat) {
   const FlatHcdIndex& index = *flat;
-  CorenessNeighborCounts pre;
-  {
-    ScopedStage stage("search.preprocess");
-    pre = PreprocessCorenessCounts(graph, cd);
-  }
-  std::vector<PrimaryValues> rows =
-      PbksPrimary(graph, cd, index, std::move(pre));
+  std::vector<PrimaryValues> rows = PbksPrimary(graph, cd, index);
   ScopedSpan span("search.best_nodes");
   const GraphGlobals globals{graph.NumVertices(), graph.NumEdges()};
   std::vector<TreeNodeId> best;

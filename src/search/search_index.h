@@ -64,9 +64,9 @@ class SearchIndex {
 };
 
 /// Builds the search tables of core index `flat` over `graph` and its core
-/// decomposition `cd`: the coreness-count preprocessing (stage
-/// "search.preprocess"), PbksPrimary (stages "search.primary_a" and
-/// "search.primary_b"), and one BestNodeByLevel table per metric (span
+/// decomposition `cd`: PbksPrimary (stages "search.preprocess",
+/// "search.primary_a" and "search.primary_b"), and one BestNodeByLevel
+/// table per metric (span
 /// "search.best_nodes"). Returns `flat`'s forest with the tables attached
 /// (FlatHcdIndex::WithSearchTables): the result shares `flat`'s sections
 /// and keeps it alive, so references into `*flat` stay valid.

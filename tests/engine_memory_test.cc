@@ -2,23 +2,30 @@
 // builder forest is three flat arrays and Freeze groups elements by a
 // counting scatter, so neither allocates per tree node; serving reads only
 // the frozen index and its search tables, so a sealed engine keeps no
-// builder forest either. This binary replaces the global operator new and
-// delete to count allocations; counts, not resident sizes, are what the
-// assertions read, so they do not depend on where the allocator put
-// anything.
+// builder forest either. The search-table build's transient oriented
+// adjacency, the largest array of a build, is pinned byte for byte through
+// its span's `oriented_bytes`. This binary replaces the global operator
+// new and delete to count allocations; counts and byte sizes, not
+// resident sizes, are what the assertions read, so they do not depend on
+// where the allocator put anything.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <string>
 
+#include "common/trace.h"
 #include "core/core_decomposition.h"
 #include "engine/engine.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "hcd/flat_index.h"
 #include "hcd/phcd.h"
+#include "hcd/vertex_rank.h"
 
 namespace {
 
@@ -150,6 +157,60 @@ TEST(EngineMemoryTest, SnapshotHoldsNoAllocationPerTreeNode) {
   // sections, the search tables, the sealed state), not one per node.
   EXPECT_LT(extra, static_cast<int64_t>(nodes / 20))
       << extra << " live allocations for " << nodes << " tree nodes";
+}
+
+// K_70 on vertices 0..69 and a ring of 624 fringe vertices, each joined
+// to two clique vertices: the clique is the top shell and, alone, the
+// dense suffix of the oriented adjacency, so a serve-ready build orients
+// the fringe as CSR rows and the clique as bit rows.
+Graph CliqueWithFringe() {
+  constexpr VertexId kClique = 70;
+  constexpr VertexId kRing = 8 * kClique + 64;
+  GraphBuilder b;
+  for (VertexId u = 0; u < kClique; ++u) {
+    for (VertexId v = u + 1; v < kClique; ++v) b.AddEdge(u, v);
+  }
+  for (VertexId i = 0; i < kRing; ++i) {
+    b.AddEdge(kClique + i, i % kClique);
+    b.AddEdge(kClique + i, (i + 1 + i % (kClique - 1)) % kClique);
+    b.AddEdge(kClique + i, kClique + (i + 1) % kRing);
+  }
+  return std::move(b).Build(kClique + kRing);
+}
+
+TEST(EngineMemoryTest, OrientedAdjacencyHas32BitRowOffsets) {
+  const Graph graph = CliqueWithFringe();
+  Tracer tracer;
+  tracer.Install();
+  {
+    HcdEngine engine{Graph(graph)};
+    engine.Snapshot();
+  }
+  tracer.Uninstall();
+  std::map<std::string, uint64_t> args;
+  for (const TraceSpanRecord& record : tracer.CollectSpans()) {
+    if (record.span.name != "pbks.triangles") continue;
+    for (const TraceArg& arg : record.span.args) args[arg.key] = arg.value;
+  }
+  ASSERT_EQ(args.count("oriented_bytes"), 1u);
+  ASSERT_EQ(args.count("offset_bytes"), 1u);
+  const uint64_t n = graph.NumVertices();
+  const uint64_t dense = args["dense_vertices"];
+  ASSERT_GT(dense, 0u);
+  ASSERT_LT(dense, n);
+  // Rows ranked at or above n - dense are bit rows of ceil(dense / 64)
+  // words each, and an edge between two of them takes no CSR entry.
+  const VertexRank vr =
+      ComputeOrientationRank(graph, PkcCoreDecomposition(graph));
+  const uint64_t dense_begin = n - dense;
+  uint64_t sparse_entries = 0;
+  for (const auto& [u, v] : graph.Edges()) {
+    sparse_entries += vr.rank[u] < dense_begin || vr.rank[v] < dense_begin;
+  }
+  const uint64_t bit_words = dense * ((dense + 63) / 64);
+  EXPECT_EQ(args["offset_bytes"], 4u);
+  EXPECT_EQ(args["oriented_bytes"],
+            4 * (n + 1) + 4 * sparse_entries + 8 * bit_words);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Regression and property tests for the hardened, parallel ingest path:
 // self-loop/duplicate normalization in GraphBuilder::Build, long-line and
-// error handling in the text loader, corrupt-file fixtures and a seeded
-// mutation fuzz test for the binary loader, the lifetime of a mapped
-// graph, full-device save failures, round-trips, and thread-count
-// equivalence of the parallel loader/builder.
+// error handling in the text loader, corrupt-file fixtures for the binary
+// loader, seeded mutation fuzz tests for the binary and text loaders, the
+// lifetime of a mapped graph, full-device save failures, round-trips, and
+// thread-count equivalence of the parallel loader/builder.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -554,6 +555,127 @@ TEST(IngestBinaryFuzz, MutatedFilesFailCleanlyOrLoadValidGraphs) {
   // The mutator does break files, and what it leaves intact still loads.
   EXPECT_GT(rejected, 1000);
   EXPECT_GT(loaded, 0);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of the text loader, on the same terms: every
+// mutated edge list either fails with Corruption or loads a graph that
+// meets every graph.h invariant. The images are SaveEdgeListText's own
+// output, and the loader runs at 4 threads, so an image of a few thousand
+// edges is parsed as several newline-aligned chunks.
+
+/// The decimal ids a mutation may write over an id: the 32-bit and 64-bit
+/// limits and one past each, and a number no 64-bit integer holds.
+constexpr const char* kExtremeIds[] = {
+    "0",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999999"};
+
+/// One mutation of a SaveEdgeListText image: bit flips, a truncation,
+/// inserted or erased bytes, an id rewritten to an extreme value, or one
+/// line copied to another place.
+std::string MutateText(const std::string& image, Rng& rng) {
+  // Bytes the parser gives a meaning to, and a few it does not.
+  constexpr char kAlphabet[] = "0123456789 \t\r\n#%-+xe";
+  std::string out = image;
+  const auto random_line = [&](size_t* begin, size_t* end) {
+    size_t at = rng.Uniform(out.size());
+    *begin = out.rfind('\n', at);
+    *begin = *begin == std::string::npos ? 0 : *begin + 1;
+    *end = out.find('\n', at);
+    *end = *end == std::string::npos ? out.size() : *end + 1;
+  };
+  if (out.empty()) return out;
+  switch (rng.Uniform(6)) {
+    case 0:  // one to three bit flips anywhere
+      for (uint64_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        out[rng.Uniform(out.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+      }
+      break;
+    case 1:  // truncation
+      out.resize(rng.Uniform(out.size()));
+      break;
+    case 2:  // one to four bytes inserted
+      for (uint64_t k = 1 + rng.Uniform(4); k > 0; --k) {
+        out.insert(out.begin() + static_cast<ptrdiff_t>(
+                                     rng.Uniform(out.size() + 1)),
+                   kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
+      }
+      break;
+    case 3:  // up to 16 bytes erased
+      out.erase(rng.Uniform(out.size()), 1 + rng.Uniform(16));
+      break;
+    case 4: {  // the id under a random byte rewritten
+      size_t at = rng.Uniform(out.size());
+      if (out[at] < '0' || out[at] > '9') break;
+      size_t begin = at;
+      while (begin > 0 && out[begin - 1] >= '0' && out[begin - 1] <= '9') {
+        --begin;
+      }
+      while (at < out.size() && out[at] >= '0' && out[at] <= '9') ++at;
+      out.replace(begin, at - begin,
+                  kExtremeIds[rng.Uniform(std::size(kExtremeIds))]);
+      break;
+    }
+    case 5: {  // a line copied over to before another one
+      size_t begin = 0;
+      size_t end = 0;
+      random_line(&begin, &end);
+      const std::string line = out.substr(begin, end - begin);
+      random_line(&begin, &end);
+      out.insert(begin, line);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(IngestTextFuzz, MutatedEdgeListsFailCleanlyOrLoadValidGraphs) {
+  constexpr int kMutationsPerGraph = 300;
+  const std::string path = TempPath("ingest_fuzz.txt");
+  Rng rng(20261020);
+  IngestOptions options;
+  options.io_threads = 4;
+  int rejected = 0;
+  int loaded = 0;
+  for (const testing::GraphCase& c : testing::StandardGraphSuite()) {
+    if (c.graph.NumEdges() == 0 || c.graph.NumEdges() > 3000) continue;
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(SaveEdgeListText(c.graph, path).ok());
+    std::string image;
+    {
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      char buf[4096];
+      for (size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+        image.append(buf, got);
+      }
+      std::fclose(f);
+    }
+    for (int i = 0; i < kMutationsPerGraph; ++i) {
+      WriteFile(path, MutateText(image, rng));
+      Graph g;
+      IngestStats stats;
+      const Status s = IngestEdgeListText(path, options, &g, &stats);
+      if (s.ok()) {
+        ++loaded;
+        ASSERT_TRUE(MeetsGraphInvariants(g)) << "mutation " << i;
+        ASSERT_EQ(g.NumVertices(), stats.vertices) << "mutation " << i;
+        ASSERT_LE(g.NumEdges(), stats.edges_parsed) << "mutation " << i;
+      } else {
+        ++rejected;
+        ASSERT_EQ(s.code(), StatusCode::kCorruption)
+            << "mutation " << i << ": " << s.ToString();
+      }
+    }
+  }
+  // The mutator does break files, and what it leaves intact still loads.
+  EXPECT_GT(rejected, 500);
+  EXPECT_GT(loaded, 500);
   std::remove(path.c_str());
 }
 

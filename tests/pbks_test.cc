@@ -163,6 +163,85 @@ TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
   }
 }
 
+void ExpectRowsEqual(std::span<const PrimaryValues> got,
+                     std::span<const PrimaryValues> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(got[i].n_s, want[i].n_s);
+    EXPECT_EQ(got[i].edges2, want[i].edges2);
+    EXPECT_EQ(got[i].boundary, want[i].boundary);
+    EXPECT_EQ(got[i].triangles, want[i].triangles);
+    EXPECT_EQ(got[i].triplets, want[i].triplets);
+  }
+}
+
+// The `offset_bytes` arg of the one `pbks.triangles` span `build` records.
+template <typename Build>
+uint64_t OffsetBytesOf(const Build& build) {
+  Tracer tracer;
+  tracer.Install();
+  build();
+  tracer.Uninstall();
+  for (const TraceSpanRecord& record : tracer.CollectSpans()) {
+    if (record.span.name != "pbks.triangles") continue;
+    for (const TraceArg& arg : record.span.args) {
+      if (arg.key == "offset_bytes") return arg.value;
+    }
+  }
+  ADD_FAILURE() << "no pbks.triangles span with offset_bytes";
+  return 0;
+}
+
+// The search-table build reads the adjacency twice: one scan tallies
+// type A, the triplets and the oriented out-degrees, and the second fills
+// the oriented rows. Its rows must be bit-equal to the separate passes
+// (type A from the coreness counts, type B over the orientation rank) and
+// to BKS at 1, 2 and 4 threads, and a build forced onto 64-bit row
+// offsets must give the same rows as the 32-bit one it picks itself.
+TEST_P(PbksSuite, FusedScanMatchesSeparatePassesAndBks) {
+  Pipeline p = Build(GetParam().graph);
+  const auto pre = PreprocessCorenessCounts(p.graph, p.cd);
+  const VertexRank vr = ComputeOrientationRank(p.graph, p.cd);
+  std::vector<PrimaryValues> want = PbksTypeAPrimary(p.graph, p.cd, p.flat,
+                                                     pre);
+  const std::vector<PrimaryValues> type_b =
+      PbksTypeBPrimary(p.graph, p.cd, p.flat, vr, pre);
+  for (size_t i = 0; i < want.size(); ++i) {
+    want[i].triangles = type_b[i].triangles;
+    want[i].triplets = type_b[i].triplets;
+  }
+  const BksIndex bks = BuildBksIndex(p.graph, p.cd);
+  std::vector<PrimaryValues> bks_rows =
+      BksTypeAPrimary(p.graph, p.cd, p.flat, bks, vr);
+  const std::vector<PrimaryValues> bks_b =
+      BksTypeBPrimary(p.graph, p.cd, p.flat, bks, vr);
+  for (size_t i = 0; i < bks_rows.size(); ++i) {
+    bks_rows[i].triangles = bks_b[i].triangles;
+    bks_rows[i].triplets = bks_b[i].triplets;
+  }
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    const auto tabled = Tabled(p);
+    ExpectRowsEqual(SearchIndex(*tabled).Primary(), want);
+    ExpectRowsEqual(SearchIndex(*tabled).Primary(), bks_rows);
+    std::vector<PrimaryValues> narrow;
+    std::vector<PrimaryValues> wide;
+    EXPECT_EQ(OffsetBytesOf([&] {
+                narrow = PbksPrimaryWithOffsets<uint32_t>(p.graph, p.cd,
+                                                          p.flat);
+              }),
+              4u);
+    EXPECT_EQ(OffsetBytesOf([&] {
+                wide = PbksPrimaryWithOffsets<uint64_t>(p.graph, p.cd, p.flat);
+              }),
+              8u);
+    ExpectRowsEqual(narrow, want);
+    ExpectRowsEqual(wide, narrow);
+  }
+}
+
 // A snapshot with search tables carries them; mapped, they must score
 // every node under every metric bit-identically to tables built from the
 // graph, and to the one-shot type-A / type-B passes, and answer
