@@ -1,6 +1,7 @@
 // Serve-phase cost of the element hierarchies: freezing a built truss /
 // nucleus forest into the kind-tagged flat index (FreezeTruss /
-// FreezeNucleus) and standing up the eager ElementSearchIndex on top.
+// FreezeNucleus) and building its search tables on top
+// (BuildElementSearchTables).
 // These are the two steps between "hierarchy constructed" and "queries
 // answered" for the non-core families, the element analogue of
 // Table III's Frz column.
@@ -14,7 +15,7 @@
 #include "nucleus/nucleus_decomposition.h"
 #include "nucleus/nucleus_hierarchy.h"
 #include "nucleus/triangle_index.h"
-#include "search/element_search.h"
+#include "search/search_index.h"
 #include "truss/edge_index.h"
 #include "truss/truss_decomposition.h"
 #include "truss/truss_hierarchy.h"
@@ -41,7 +42,8 @@ int main() {
             hcd::FreezeTruss(g, eidx, forest));
       }, 2);
       const double search_t = hcd::bench::TimeWithThreads(
-          pmax, [&] { hcd::ElementSearchIndex index(flat); }, 2);
+          pmax,
+          [&] { hcd::BuildElementSearchTables(flat, g.NumEdges()); }, 2);
 
       std::printf("%-4s | truss   | %8u | %10.3f %10.3f | %8u\n",
                   ds.name.c_str(), flat->NumElements(), freeze_t, search_t,
@@ -68,7 +70,8 @@ int main() {
             hcd::FreezeNucleus(g, tidx, forest));
       }, 2);
       const double search_t = hcd::bench::TimeWithThreads(
-          pmax, [&] { hcd::ElementSearchIndex index(flat); }, 2);
+          pmax,
+          [&] { hcd::BuildElementSearchTables(flat, g.NumEdges()); }, 2);
 
       std::printf("%-4s | nucleus | %8u | %10.3f %10.3f | %8u\n",
                   ds.name.c_str(), flat->NumElements(), freeze_t, search_t,

@@ -8,7 +8,7 @@
 
 #include "bench/bench_datasets.h"
 #include "bench/bench_util.h"
-#include "search/element_search.h"
+#include "search/search_index.h"
 #include "truss/truss_decomposition.h"
 #include "truss/truss_hierarchy.h"
 
@@ -38,17 +38,20 @@ int main() {
     const double treep = hcd::bench::TimeWithThreads(
         pmax, [&] { hcd::BuildTrussHierarchy(g, index, td); }, 2);
 
-    // The densest truss is the element search index's global best.
-    const hcd::ElementSearchIndex searcher(
+    // The densest truss is the truss index's global best.
+    const hcd::SearchIndex searcher(hcd::BuildElementSearchTables(
         std::make_shared<const hcd::FlatHcdIndex>(
-            hcd::FreezeTruss(g, index, forest)));
-    const hcd::TreeNodeId best = searcher.BestAtLeast(0);
+            hcd::FreezeTruss(g, index, forest)),
+        g.NumEdges()));
+    const hcd::Metric density = hcd::Metric::kAverageDegree;
+    const hcd::TreeNodeId best = searcher.BestAtLeast(density, 0);
     std::printf("%-4s | %10.3f %10.3f | %10.3f %10.3f | %6u %7u | k=%-3u "
                 "d=%.1f\n",
                 ds.name.c_str(), decomp1, decompp, tree1, treep, td.k_max,
                 forest.NumNodes(),
                 best == hcd::kInvalidNode ? 0 : searcher.flat().Level(best),
-                best == hcd::kInvalidNode ? 0.0 : searcher.Density(best));
+                best == hcd::kInvalidNode ? 0.0
+                                          : searcher.Score(density, best));
   }
   return 0;
 }

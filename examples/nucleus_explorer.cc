@@ -12,7 +12,7 @@
 #include "common/timer.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
-#include "search/element_search.h"
+#include "search/search_index.h"
 
 int main(int argc, char** argv) {
   const hcd::VertexId n = argc > 1 ? std::atoi(argv[1]) : 5000;
@@ -44,15 +44,16 @@ int main(int argc, char** argv) {
 
   // Deepest nucleus: the densest community at level theta_max, whose
   // triangles span a near-clique.
-  const hcd::ElementSearchIndex& searcher = engine.ElementSearcher();
-  const hcd::TreeNodeId deepest = searcher.BestAtLeast(nd.k_max);
+  const hcd::SearchIndex& searcher = engine.Searcher();
+  const hcd::TreeNodeId deepest =
+      searcher.BestAtLeast(hcd::Metric::kAverageDegree, nd.k_max);
   if (deepest != hcd::kInvalidNode && nd.k_max > 0) {
     std::printf("deepest nucleus: theta=%u, %llu triangles over %llu "
                 "vertices (theta+4 = %u-clique territory)\n",
                 flat.Level(deepest),
                 static_cast<unsigned long long>(flat.CoreSize(deepest)),
                 static_cast<unsigned long long>(
-                    searcher.CommunityVertices(deepest)),
+                    searcher.Primary()[deepest].n_s),
                 flat.Level(deepest) + 4);
   }
   return 0;

@@ -13,7 +13,7 @@
 #include "common/timer.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
-#include "search/element_search.h"
+#include "search/search_index.h"
 
 int main(int argc, char** argv) {
   const uint32_t scale = argc > 1 ? std::atoi(argv[1]) : 14;
@@ -43,18 +43,19 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(per_level[k]));
   }
 
-  // The element search index scores every truss community by its average
-  // degree; its global best is the densest k-truss.
-  const hcd::ElementSearchIndex& searcher = engine.ElementSearcher();
-  const hcd::TreeNodeId best = searcher.BestAtLeast(0);
+  // A truss index's search tables score every community by its average
+  // degree, whatever the metric; the global best is the densest k-truss.
+  const hcd::SearchIndex& searcher = engine.Searcher();
+  const hcd::Metric density = hcd::Metric::kAverageDegree;
+  const hcd::TreeNodeId best = searcher.BestAtLeast(density, 0);
   if (best == hcd::kInvalidNode) {
     std::printf("no k-truss: the graph has no edges\n");
     return 0;
   }
   std::printf("densest k-truss: k=%u, |V|=%llu, |E|=%llu, avg_deg=%.2f\n",
               flat.Level(best),
-              static_cast<unsigned long long>(searcher.CommunityVertices(best)),
+              static_cast<unsigned long long>(searcher.Primary()[best].n_s),
               static_cast<unsigned long long>(flat.CoreSize(best)),
-              searcher.Density(best));
+              searcher.Score(density, best));
   return 0;
 }

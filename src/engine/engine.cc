@@ -233,23 +233,11 @@ Status HcdEngine::AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat) {
   return Status::Ok();
 }
 
-const ElementSearchIndex& HcdEngine::ElementSearcher() {
-  if (!element_searcher_) {
-    HCD_CHECK(options_.hierarchy != HierarchyKind::kCore)
-        << "ElementSearcher serves element hierarchies; use Searcher()";
-    Flat();
-    std::optional<ThreadCountGuard> guard;
-    if (options_.threads > 0) guard.emplace(options_.threads);
-    element_searcher_.emplace(flat_);
-  }
-  return *element_searcher_;
-}
-
 const SnapshotState& HcdEngine::SealedState() {
   if (state_ == nullptr) {
     HCD_CHECK(options_.hierarchy == HierarchyKind::kCore)
         << "snapshot sealing scores core hierarchies; element hierarchies "
-           "serve through ElementSearcher()";
+           "serve through Searcher()";
     Coreness();
     Flat();
     std::optional<ThreadCountGuard> guard;
@@ -268,7 +256,19 @@ const SnapshotState& HcdEngine::SealedState() {
 }
 
 const SearchIndex& HcdEngine::Searcher() {
-  return SealedState().search_index();
+  if (options_.hierarchy == HierarchyKind::kCore) {
+    return SealedState().search_index();
+  }
+  if (!element_searcher_) {
+    Flat();
+    if (!flat_->HasSearchTables()) {
+      std::optional<ThreadCountGuard> guard;
+      if (options_.threads > 0) guard.emplace(options_.threads);
+      flat_ = BuildElementSearchTables(std::move(flat_), graph_->NumEdges());
+    }
+    element_searcher_.emplace(flat_);
+  }
+  return *element_searcher_;
 }
 
 QuerySnapshot HcdEngine::Snapshot() {

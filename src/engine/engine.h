@@ -14,7 +14,6 @@
 #include "hcd/hierarchy_kind.h"
 #include "nucleus/nucleus_decomposition.h"
 #include "nucleus/triangle_index.h"
-#include "search/element_search.h"
 #include "search/search_index.h"
 #include "truss/edge_index.h"
 #include "truss/truss_decomposition.h"
@@ -119,7 +118,9 @@ class HcdEngine {
   /// Mapped indexes are shared as-is: the engine (and any snapshot sealed
   /// from it) co-owns the mapping, no bytes are copied. A core index
   /// implies Coreness(), and one that carries its search tables seals
-  /// without building them: a restart runs neither PKC nor PBKS.
+  /// without building them: a restart runs neither PKC nor PBKS. A truss or
+  /// nucleus index that carries them serves Searcher() as it is, with no
+  /// decomposition, construction or "search.element" stage.
   Status AdoptFlat(std::shared_ptr<const FlatHcdIndex> flat);
 
   /// Edge indexer of the graph (stage "truss.index"); the element
@@ -138,16 +139,17 @@ class HcdEngine {
   /// on first call.
   const NucleusDecomposition& NucleusTheta();
 
-  /// Memoized eager element-community search index over Flat(); requires a
-  /// non-core hierarchy (stage "search.element"). The returned object is
-  /// deeply const and serves concurrent readers, the element analogue of
-  /// Searcher().
-  const ElementSearchIndex& ElementSearcher();
-
-  /// The sealed state's search index: a view over the search tables of
-  /// the state's flat index. Sealing builds them when Flat() lacks them
-  /// (stages "search.preprocess", "search.primary_a", "search.primary_b"),
-  /// so requesting it seals the serve-phase state (see Snapshot()).
+  /// The search index of options().hierarchy: a deeply const view over the
+  /// search tables of a flat index, which serves concurrent readers.
+  ///   - core: the sealed state's index. Sealing builds the tables when
+  ///     Flat() lacks them (stages "search.preprocess", "search.primary_a",
+  ///     "search.primary_b"), so requesting it seals the serve-phase state
+  ///     (see Snapshot()).
+  ///   - truss / nucleus: Flat() with its tables. They are built (stage
+  ///     "search.element") only when Flat() lacks them, e.g. for an
+  ///     adopted forest-only snapshot; Flat() then returns the tabled index,
+  ///     which shares the old one's sections, so earlier references stay
+  ///     valid.
   const SearchIndex& Searcher();
 
   /// Finishes every query-side stage (Coreness, Flat, Searcher),
@@ -198,7 +200,7 @@ class HcdEngine {
   std::optional<TriangleIndexer> tidx_;
   std::optional<TrussDecomposition> td_;
   std::optional<NucleusDecomposition> nd_;
-  std::optional<ElementSearchIndex> element_searcher_;
+  std::optional<SearchIndex> element_searcher_;
 };
 
 }  // namespace hcd

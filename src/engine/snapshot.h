@@ -74,7 +74,7 @@ class SnapshotState {
         cd_(std::move(cd)),
         flat_(std::move(flat)),
         epoch_(epoch),
-        search_(*flat_) {}
+        search_(flat_) {}
 
   const std::shared_ptr<const Graph> graph_;
   const std::shared_ptr<const CoreDecomposition> cd_;

@@ -53,9 +53,6 @@ Status CheckSearchTables(const FlatHcdIndex::Data& d) {
     }
     return Status::Ok();
   }
-  if (d.kind != HierarchyKind::kCore) {
-    return Corrupt("search tables on a non-core index");
-  }
   const size_t num_nodes = d.levels.size();
   if (d.primaries.size() != num_nodes) {
     return Corrupt("primary row count does not match node count");
@@ -63,7 +60,7 @@ Status CheckSearchTables(const FlatHcdIndex::Data& d) {
   // The first level group holds the largest level.
   const uint64_t table_len =
       num_nodes == 0 ? 0 : uint64_t{d.levels[d.desc_level_order[0]]} + 1;
-  if (d.best_nodes.size() != kNumBestTables * table_len) {
+  if (d.best_nodes.size() != NumBestTables(d.kind) * table_len) {
     return Corrupt("best-node table length does not match the level count");
   }
   for (size_t i = 0; i < d.best_nodes.size(); ++i) {

@@ -49,10 +49,13 @@ namespace hcd {
 /// kind, so loading is a handful of bulk reads followed by `Adopt`
 /// validation.
 ///
-/// A core index may carry the PBKS search tables (Section IV-D) next to
-/// its forest: one accumulated PrimaryValues row per node and one
-/// per-level best-node table per metric. SearchIndex (search/search_index.h)
-/// is a view over them, so a snapshot that carries them serves without
+/// An index of any kind may carry the search tables (Section IV-D) next
+/// to its forest: one PrimaryValues row per node and per-level best-node
+/// tables, NumBestTables(kind) of them. A core index's rows are PBKS's
+/// accumulated primary values with one table per metric; a truss or
+/// nucleus index's rows count each community's distinct member vertices,
+/// with one table over density. SearchIndex (search/search_index.h) is a
+/// view over them, so a snapshot that carries them serves without
 /// recomputing anything. WithSearchTables adds them to a built index while
 /// sharing, not copying, its forest sections.
 ///
@@ -97,15 +100,15 @@ class FlatHcdIndex {
     ArrayRef<TreeNodeId> desc_level_order;        // [N] level desc, id asc
     ArrayRef<uint32_t> level_group_offsets;       // [G+1] into the above
 
-    // Search tables: present iff `search_tables` (kCore only); both
-    // sections are empty and num_graph_edges is 0 otherwise. L = the
-    // largest level.
+    // Search tables: present iff `search_tables`; both sections are empty
+    // and num_graph_edges is 0 otherwise. L = the largest level.
     bool search_tables = false;
     uint64_t num_graph_edges = 0;            // m of the graph they describe
-    ArrayRef<PrimaryValues> primaries;       // [N] accumulated per node
-    ArrayRef<TreeNodeId> best_nodes;         // [kNumBestTables * (L+1)],
-                                             //     table-major, entry k =
-                                             //     best node of level >= k
+    ArrayRef<PrimaryValues> primaries;       // [N] one row per node
+    ArrayRef<TreeNodeId> best_nodes;         // [NumBestTables(kind) *
+                                             //     (L+1)], table-major,
+                                             //     entry k = best node of
+                                             //     level >= k
 
     /// True when any section aliases a mapped snapshot.
     bool mapped() const {
@@ -127,8 +130,8 @@ class FlatHcdIndex {
   /// which pins the subtree sizes; level ordering, CSR monotonicity,
   /// tid <-> vertices consistency,
   /// desc_level_order permutation) and, when present, of the search tables
-  /// (one row per node; each best-node table L + 1 entries long, entry k a
-  /// node of level >= k). Returns
+  /// (one row per node; NumBestTables(kind) best-node tables, each L + 1
+  /// entries long, entry k a node of level >= k). Returns
   /// Corruption on any violation; on success moves the arrays into
   /// `*out`. This is the single funnel through which untrusted snapshot
   /// bytes become a live index.
@@ -137,9 +140,9 @@ class FlatHcdIndex {
   /// `base`'s forest with search tables: every forest section of `*out` is
   /// a view of `base`'s (ArrayRef::Share; `*out` co-owns `base`, nothing
   /// is copied), and the tables are `primaries` and `best_nodes`, computed
-  /// over a graph of `num_graph_edges` edges. `base` must be a core index;
-  /// tables it already carries are replaced. The tables pass Adopt's
-  /// checks or the call returns Corruption.
+  /// over a graph of `num_graph_edges` edges. Tables `base` already
+  /// carries are replaced. The tables pass Adopt's checks or the call
+  /// returns Corruption.
   static Status WithSearchTables(std::shared_ptr<const FlatHcdIndex> base,
                                  uint64_t num_graph_edges,
                                  ArrayRef<PrimaryValues> primaries,
@@ -233,13 +236,14 @@ class FlatHcdIndex {
   bool HasSearchTables() const { return data_.search_tables; }
   /// Edge count of the graph the search tables describe (0 without them).
   uint64_t NumGraphEdges() const { return data_.num_graph_edges; }
-  /// Accumulated primary values of every node's k-core (empty without
-  /// search tables).
+  /// One row per node: the accumulated primary values of its k-core, or
+  /// for an element index its community's distinct member vertices in
+  /// n_s (empty without search tables).
   std::span<const PrimaryValues> Primaries() const { return data_.primaries; }
-  /// Best-node table `table` (< kNumBestTables): entry k is the
+  /// Best-node table `table` (< NumBestTables(kind())): entry k is the
   /// best-scoring node of level >= k under that table's metric.
   std::span<const TreeNodeId> BestNodes(size_t table) const {
-    const size_t len = data_.best_nodes.size() / kNumBestTables;
+    const size_t len = data_.best_nodes.size() / NumBestTables(data_.kind);
     return std::span<const TreeNodeId>(data_.best_nodes)
         .subspan(table * len, len);
   }

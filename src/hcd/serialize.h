@@ -20,11 +20,11 @@ namespace hcd {
 /// vertex_offsets [N+1], vertices [placed], tid [n], desc_level_order [N],
 /// level_group_offsets [groups+1], element_members [arity * n, none for a
 /// core index], primaries [N 40-byte PrimaryValues rows of five uint64,
-/// with tables only] and best_nodes [kNumBestTables tables of max level + 1
-/// node ids each, table-major]. Child lists and the root list are not
-/// stored: in preorder the subtree sizes give both. Every section sits at
-/// an aligned offset the header fixes, so loading maps the file and
-/// aliases each section in place, then funnels through
+/// with tables only] and best_nodes [NumBestTables(kind) tables of max
+/// level + 1 node ids each, table-major]. Child lists and the root list
+/// are not stored: in preorder the subtree sizes give both. Every section
+/// sits at an aligned offset the header fixes, so loading maps the file
+/// and aliases each section in place, then funnels through
 /// FlatHcdIndex::Adopt, which validates all structural invariants: a
 /// corrupt file yields Status::Corruption, never an abort.
 ///

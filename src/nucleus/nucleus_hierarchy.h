@@ -59,8 +59,9 @@ struct NucleusCommunity {
 };
 
 /// Builder-forest community-of over CoreVertices(forest, node), O(N + T)
-/// per call: the test oracle for ElementSearchIndex::CommunityOf
-/// (search/element_search.h), which serves the frozen index.
+/// per call: the test oracle for CommunityOf and the search tables'
+/// distinct-vertex rows (search/search_index.h), which serve the frozen
+/// index.
 NucleusCommunity NucleusCommunityOf(const TriangleIndexer& tidx,
                                     const NucleusForest& forest,
                                     TreeNodeId node);

@@ -666,7 +666,7 @@ std::vector<PrimaryValues> PbksPrimary(const Graph& graph,
 }
 
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,
-                        const std::vector<PrimaryValues>& accumulated,
+                        std::span<const PrimaryValues> accumulated,
                         const GraphGlobals& globals) {
   SearchResult result;
   result.scores.resize(index.NumNodes());

@@ -143,9 +143,11 @@ std::vector<PrimaryValues> PbksPrimaryWithOffsets(const Graph& graph,
                                                   const FlatHcdIndex& index);
 
 /// Evaluates `metric` on every node's accumulated primary values and
-/// returns all scores plus the best k-core (Algorithm 3's final step).
+/// returns all scores plus the best k-core (Algorithm 3's final step; the
+/// first node wins ties). Over a SearchIndex's Primary() rows it is the
+/// scan the per-level best-node tables replace, and their oracle.
 SearchResult ScoreNodes(const FlatHcdIndex& index, Metric metric,
-                        const std::vector<PrimaryValues>& accumulated,
+                        std::span<const PrimaryValues> accumulated,
                         const GraphGlobals& globals);
 
 /// One-call parallel subgraph search (PBKS, Section IV-D): preprocessing,

@@ -1,16 +1,20 @@
 #include "search/search_index.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 
 namespace hcd {
 
-SearchIndex::SearchIndex(const FlatHcdIndex& index)
-    : index_(&index), globals_{index.NumVertices(), index.NumGraphEdges()} {
-  HCD_CHECK(index.HasSearchTables())
-      << "a SearchIndex views the search tables of a core index";
+SearchIndex::SearchIndex(std::shared_ptr<const FlatHcdIndex> index)
+    : index_(std::move(index)),
+      element_(index_->kind() != HierarchyKind::kCore),
+      globals_{index_->NumGraphVertices(), index_->NumGraphEdges()} {
+  HCD_CHECK(index_->HasSearchTables())
+      << "a SearchIndex views the search tables of an index";
 }
 
 std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
@@ -37,6 +41,60 @@ std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
       ArrayRef<PrimaryValues>(std::move(rows)),
       ArrayRef<TreeNodeId>(std::move(best)), &out);
   HCD_CHECK(s.ok()) << "built search tables failed validation: "
+                    << s.message();
+  return std::make_shared<const FlatHcdIndex>(std::move(out));
+}
+
+std::shared_ptr<const FlatHcdIndex> BuildElementSearchTables(
+    std::shared_ptr<const FlatHcdIndex> flat, uint64_t num_graph_edges) {
+  const FlatHcdIndex& index = *flat;
+  HCD_CHECK(index.kind() != HierarchyKind::kCore)
+      << "a core index builds its tables with BuildSearchTables";
+  ScopedStage stage("search.element");
+  const TreeNodeId num_nodes = index.NumNodes();
+  std::vector<PrimaryValues> rows(num_nodes);
+
+  // Distinct member vertices per node. Nodes are independent, so the loop
+  // is parallel with one stamp array per worker; stamping with t+1 makes
+  // every node's pass see a clean array without clearing (0 is never a
+  // stamp, t+1 is unique per node).
+  {
+    ScopedSpan span("search.element.community_sizes");
+    span.AddArg("nodes", num_nodes);
+#pragma omp parallel
+    {
+      std::vector<uint32_t> stamp(index.NumGraphVertices(), 0);
+#pragma omp for schedule(dynamic, 64)
+      for (int64_t t = 0; t < static_cast<int64_t>(num_nodes); ++t) {
+        const TreeNodeId node = static_cast<TreeNodeId>(t);
+        const uint32_t mark = node + 1;
+        uint64_t distinct = 0;
+        for (const VertexId element : index.CoreVertices(node)) {
+          for (const VertexId v : index.ElementMembers(element)) {
+            if (stamp[v] != mark) {
+              stamp[v] = mark;
+              ++distinct;
+            }
+          }
+        }
+        rows[node].n_s = distinct;
+      }
+    }
+  }
+
+  std::vector<double> density(num_nodes);
+  for (TreeNodeId t = 0; t < num_nodes; ++t) {
+    density[t] = ElementDensity(index.arity(), index.CoreSize(t), rows[t].n_s);
+  }
+  std::vector<TreeNodeId> best = BestNodeByLevel(index, density);
+  stage.AddCounter("nodes", num_nodes);
+  stage.AddCounter("elements", index.NumElements());
+  FlatHcdIndex out;
+  const Status s = FlatHcdIndex::WithSearchTables(
+      std::move(flat), num_graph_edges,
+      ArrayRef<PrimaryValues>(std::move(rows)),
+      ArrayRef<TreeNodeId>(std::move(best)), &out);
+  HCD_CHECK(s.ok()) << "built element search tables failed validation: "
                     << s.message();
   return std::make_shared<const FlatHcdIndex>(std::move(out));
 }
@@ -69,20 +127,28 @@ std::vector<TreeNodeId> BestNodeByLevel(const FlatHcdIndex& index,
   return best;
 }
 
-SearchHit SearchInto(const FlatHcdIndex& index, const SearchIndex& sidx,
-                     Metric metric, SearchWorkspace* ws) {
-  const std::span<const PrimaryValues> primary = sidx.Primary();
-  const TreeNodeId num_nodes = index.NumNodes();
-  if (ws->scores.size() != primary.size()) ws->scores.resize(primary.size());
-  SearchHit hit;
-  for (TreeNodeId i = 0; i < num_nodes; ++i) {
-    ws->scores[i] = EvaluateMetric(metric, primary[i], sidx.globals());
-    if (hit.best_node == kInvalidNode || ws->scores[i] > hit.best_score) {
-      hit.best_node = i;
-      hit.best_score = ws->scores[i];
+void CommunityOf(const FlatHcdIndex& index, TreeNodeId t, SearchWorkspace* ws,
+                 std::vector<VertexId>* out) {
+  if (t == kInvalidNode) return;
+  if (ws->stamp.size() != index.NumGraphVertices()) {
+    ws->stamp.assign(index.NumGraphVertices(), 0);
+    ws->epoch = 0;
+  }
+  if (++ws->epoch == 0) {  // epoch wrap: one full clear every 2^32 queries
+    std::fill(ws->stamp.begin(), ws->stamp.end(), 0);
+    ws->epoch = 1;
+  }
+  const uint32_t mark = ws->epoch;
+  const size_t first = out->size();
+  for (const VertexId element : index.CoreVertices(t)) {
+    for (const VertexId v : index.ElementMembers(element)) {
+      if (ws->stamp[v] != mark) {
+        ws->stamp[v] = mark;
+        out->push_back(v);
+      }
     }
   }
-  return hit;
+  std::sort(out->begin() + first, out->end());
 }
 
 }  // namespace hcd

@@ -13,53 +13,78 @@
 
 namespace hcd {
 
-/// Serve-phase view of PBKS (Section IV-D): scores tree nodes from the
-/// search tables a core FlatHcdIndex carries — one accumulated
-/// PrimaryValues row per node and one per-level best-node table per
-/// metric — and never computes anything itself. The tables are built once,
-/// bottom-up, by BuildSearchTables (or mapped from a snapshot), so the
-/// view is deeply const: any number of threads may score metrics against
-/// one SearchIndex concurrently (see SearchInto below); that is the
-/// serve-phase seam QuerySnapshot (engine/snapshot.h) is built on.
+/// Density of an element community: arity * elements / distinct member
+/// vertices, 0 without vertices. For a truss community this is its
+/// average degree (2m/n).
+inline double ElementDensity(uint32_t arity, uint64_t elements,
+                             uint64_t vertices) {
+  return vertices == 0 ? 0.0
+                       : static_cast<double>(arity) *
+                             static_cast<double>(elements) /
+                             static_cast<double>(vertices);
+}
+
+/// Serve-phase view of the search tables (Section IV-D) a FlatHcdIndex of
+/// any kind carries: one PrimaryValues row per node and per-level
+/// best-node tables. It never computes anything itself. The tables are
+/// built once by BuildSearchTables (core) or BuildElementSearchTables
+/// (truss, nucleus), or mapped from a snapshot, so the view is deeply
+/// const: any number of threads may query one SearchIndex concurrently;
+/// that is the serve-phase seam QuerySnapshot (engine/snapshot.h) is built
+/// on.
+///
+/// A core node scores under a metric over its primary values. A truss or
+/// nucleus node scores by the density of its community whatever the
+/// metric (ElementDensity; BestAtLeast(m, 0) is the densest k-truss), and
+/// its index carries a single table that every metric reads.
 ///
 /// A global or level query is one table lookup (BestAtLeast), and any
 /// single node scores in O(1) (Score); the serve path never rescans the
-/// tree. The view keeps a pointer to the index, which must outlive it.
+/// tree. The view co-owns the index.
 class SearchIndex {
  public:
   /// A view over `index`'s search tables, which it must carry
   /// (FlatHcdIndex::HasSearchTables).
-  explicit SearchIndex(const FlatHcdIndex& index);
+  explicit SearchIndex(std::shared_ptr<const FlatHcdIndex> index);
+
+  /// The index the tables belong to.
+  const FlatHcdIndex& flat() const { return *index_; }
 
   /// Whole-graph n and m of the graph the tables describe, for the metrics
   /// that need them (cut ratio, modularity).
   const GraphGlobals& globals() const { return globals_; }
 
-  /// Accumulated primary values per tree node: n(S), 2*m(S), b(S), Delta(S)
-  /// and t(S) of each node's k-core, in one row. Every metric scores
-  /// against it.
+  /// One row per tree node. Core: n(S), 2*m(S), b(S), Delta(S) and t(S)
+  /// of each node's k-core, which every metric scores against. Truss and
+  /// nucleus: n_s, the community's distinct member vertices.
   std::span<const PrimaryValues> Primary() const {
     return index_->Primaries();
   }
 
-  /// Score of tree node t under `metric`: the per-node expression of
-  /// SearchInto and ScoreNodes, so bit-identical to their scores. O(1).
+  /// Score of tree node t under `metric`: for a core index the per-node
+  /// expression of ScoreNodes, so bit-identical to its scores; for an
+  /// element index the community's density. O(1).
   double Score(Metric metric, TreeNodeId t) const {
-    return EvaluateMetric(metric, index_->Primaries()[t], globals_);
+    const PrimaryValues& row = index_->Primaries()[t];
+    if (element_) {
+      return ElementDensity(index_->arity(), index_->CoreSize(t), row.n_s);
+    }
+    return EvaluateMetric(metric, row, globals_);
   }
 
   /// Highest-scoring node under `metric` among the nodes of level >= k,
   /// or kInvalidNode when no node reaches level k; k == 0 is the global
-  /// best. Ties go to the lower preorder id, SearchInto's first-node-wins
-  /// order. O(1).
+  /// best. Ties go to the lower preorder id, ScoreNodes's first-node-wins
+  /// order. An element index reads its one table whatever `metric`. O(1).
   TreeNodeId BestAtLeast(Metric metric, uint32_t k) const {
     const std::span<const TreeNodeId> best =
-        index_->BestNodes(static_cast<size_t>(metric));
+        index_->BestNodes(element_ ? 0 : static_cast<size_t>(metric));
     return k < best.size() ? best[k] : kInvalidNode;
   }
 
  private:
-  const FlatHcdIndex* index_;
+  std::shared_ptr<const FlatHcdIndex> index_;
+  bool element_;
   GraphGlobals globals_;
 };
 
@@ -74,6 +99,17 @@ std::shared_ptr<const FlatHcdIndex> BuildSearchTables(
     const Graph& graph, const CoreDecomposition& cd,
     std::shared_ptr<const FlatHcdIndex> flat);
 
+/// Builds the search tables of truss or nucleus index `flat`, which
+/// describes a graph of `num_graph_edges` edges: each node's row holds the
+/// distinct member vertices of its community (parallel over nodes, one
+/// stamp array per thread), and one BestNodeByLevel table over the nodes'
+/// ElementDensity. Needs no graph: the members are in the index. Records
+/// the "search.element" stage around the span
+/// "search.element.community_sizes". Returns `flat`'s forest with the
+/// tables attached, as BuildSearchTables does.
+std::shared_ptr<const FlatHcdIndex> BuildElementSearchTables(
+    std::shared_ptr<const FlatHcdIndex> flat, uint64_t num_graph_edges);
+
 /// Per-level best-node table over one score per tree node: entry k is the
 /// highest-scoring node of level >= k, the lower preorder id winning ties.
 /// A suffix argmax over the index's descending level groups; the table has
@@ -82,34 +118,20 @@ std::vector<TreeNodeId> BestNodeByLevel(const FlatHcdIndex& index,
                                         std::span<const double> scores);
 
 /// Caller-owned scratch for one query thread, reused across queries so the
-/// hot path does not allocate: the scores vector is grown once to the node
-/// count, and the stamp array once to the graph vertex count, then only
-/// overwritten.
+/// hot path does not allocate: the stamp array is grown once to the graph
+/// vertex count, then only overwritten.
 struct SearchWorkspace {
-  std::vector<double> scores;  ///< per-node scores of the last SearchInto
-  /// Vertex marks of ElementSearchIndex::CommunityOf, reused epoch-style:
-  /// a vertex is marked for the current query iff stamp[v] == epoch.
+  /// Vertex marks of CommunityOf, reused epoch-style: a vertex is marked
+  /// for the current query iff stamp[v] == epoch.
   std::vector<uint32_t> stamp;
   uint32_t epoch = 0;
 };
 
-/// Best node of one serve-phase query; the full score table lives in the
-/// caller's SearchWorkspace.
-struct SearchHit {
-  TreeNodeId best_node = kInvalidNode;
-  double best_score = 0.0;
-};
-
-/// Serve-phase scoring: evaluates `metric` on every tree node into
-/// `ws->scores` and returns the best node. Reads only const state, so any
-/// number of threads may call it on one (index, sidx) pair concurrently,
-/// each with its own workspace. Runs serially on the calling thread — the
-/// serve phase takes its parallelism from concurrent queries, not from
-/// OpenMP inside one query — and produces scores bit-identical to
-/// ScoreNodes (pbks.h), whose parallel loop evaluates the same per-node
-/// expression.
-SearchHit SearchInto(const FlatHcdIndex& index, const SearchIndex& sidx,
-                     Metric metric, SearchWorkspace* ws);
+/// Appends the distinct member graph vertices of node t's community (its
+/// k-truss / k-nucleus) in element index `index` to `*out`, in ascending
+/// order; appends nothing for kInvalidNode. O(answer).
+void CommunityOf(const FlatHcdIndex& index, TreeNodeId t, SearchWorkspace* ws,
+                 std::vector<VertexId>* out);
 
 }  // namespace hcd
 

@@ -184,8 +184,8 @@ bool DecodeQueryRequest(std::string_view payload, QueryRequest* out) {
   out->sampled = false;
   if (!reader.AtEnd()) {
     uint8_t sampled = 0;
-    if (!reader.ReadU64(&out->trace_id) || !reader.ReadU8(&sampled) ||
-        sampled > 1) {
+    if (!reader.ReadU64(&out->trace_id) || out->trace_id == 0 ||
+        !reader.ReadU8(&sampled) || sampled > 1) {
       return false;
     }
     out->sampled = sampled != 0;
@@ -209,7 +209,7 @@ bool DecodeQueryResponse(std::string_view payload, QueryResponse* out) {
   if (!reader.ReadU64(&out->epoch) || !reader.ReadU8(&cache_hit) ||
       !reader.ReadU8(&found) || !reader.ReadU32(&out->level) ||
       !reader.ReadU64(&out->core_size) || !reader.ReadU64(&score_bits) ||
-      !reader.ReadU32(&num_vertices)) {
+      !reader.ReadU32(&num_vertices) || cache_hit > 1 || found > 1) {
     return false;
   }
   if (reader.Rest().size() != size_t{num_vertices} * 4) return false;

@@ -40,7 +40,8 @@ namespace hcd::server {
 /// The trace context is a strictly optional tail: a version-1 frame ends
 /// at the vertex array and decodes with trace_id == 0, so old clients keep
 /// working against new servers; a version-2 frame carries exactly nine
-/// more bytes. Any other tail length (or a sampled byte > 1) is malformed.
+/// more bytes. Any other tail length (or a zero trace id, or a sampled
+/// byte > 1) is malformed.
 /// The trace id never enters the cache key — it names the request, not the
 /// question — and servers attach it to every span recorded for the
 /// request, so one Perfetto view lines up the client's and the server's
@@ -48,7 +49,7 @@ namespace hcd::server {
 ///
 /// Query semantics for hierarchy == core: with an empty vertex set, the
 /// best-scoring k-core under `metric` over all tree nodes of level >= k
-/// (k = 0 is exactly SearchInto's best node). With vertices, the k-core
+/// (k = 0 is exactly ScoreNodes's best node). With vertices, the k-core
 /// containing *all* of them (the shared ancestor-walk node), scored under
 /// `metric`; `found` is false when no such core exists.
 ///
@@ -56,7 +57,8 @@ namespace hcd::server {
 /// matching element index (otherwise it answers found = false without
 /// closing the connection). The `vertices` field then carries *element
 /// ids* (edge ids / triangle ids of the frozen index), `metric` is
-/// ignored (element communities score by density), and the semantics
+/// ignored (element communities score by density, from the index's one
+/// best-node table), and the semantics
 /// mirror the core regimes: empty ids + k == 0 is the densest community,
 /// empty ids + k > 0 the densest community of level >= k, and non-empty
 /// ids the community containing all of them. The echoed vertices are the
@@ -67,8 +69,8 @@ namespace hcd::server {
 ///   u8  status                  (ResponseStatus)
 ///   -- status == kOk, answering kQuery:
 ///   u64 epoch                   (snapshot generation that answered)
-///   u8  cache_hit
-///   u8  found
+///   u8  cache_hit               (0 or 1)
+///   u8  found                   (0 or 1)
 ///   u32 level                   (k of the answering core)
 ///   u64 core_size
 ///   u64 score_bits              (IEEE-754 double)
@@ -132,8 +134,9 @@ std::string EncodeMetricsResponse(std::string_view prometheus_text);
 /// The one-byte shed/bad-request frames.
 std::string EncodeStatusOnlyResponse(ResponseStatus status);
 
-/// Decoders are strict: exact length, in-range enum values, and no
-/// trailing bytes (except the metrics response, whose tail IS the text).
+/// Decoders are strict: exact length, in-range enum values and flag bytes,
+/// and no trailing bytes (except the metrics response, whose tail IS the
+/// text), so a payload they accept re-encodes to its own bytes.
 /// They return false on any malformed payload and leave *out unspecified.
 bool DecodeRequestType(std::string_view payload, MessageType* out);
 bool DecodeQueryRequest(std::string_view payload, QueryRequest* out);

@@ -62,10 +62,17 @@ uint64_t StampDelta(uint64_t from, uint64_t to) {
   return to > from ? to - from : 0;
 }
 
-/// `index` when it serves element requests of `kind`, else null.
-const ElementSearchIndex* ServingIndex(const ElementSearchIndex* index,
-                                       HierarchyKind kind) {
-  return index != nullptr && index->kind() == kind ? index : nullptr;
+/// The index that answers requests of `kind`: `snapshot`'s for core,
+/// `element_index` for the truss or nucleus kind it holds, else null.
+const SearchIndex* ServingIndex(const QuerySnapshot* snapshot,
+                                const SearchIndex* element_index,
+                                HierarchyKind kind) {
+  if (kind == HierarchyKind::kCore) {
+    return snapshot != nullptr ? &snapshot->search_index() : nullptr;
+  }
+  return element_index != nullptr && element_index->flat().kind() == kind
+             ? element_index
+             : nullptr;
 }
 
 /// Which of ExecuteQuery's regimes a served request takes, for the slow log.
@@ -170,37 +177,26 @@ bool WriteFrame(int fd, std::string_view payload) {
 }  // namespace
 
 QueryOutcome ExecuteQuery(const QuerySnapshot* snapshot,
-                          const ElementSearchIndex* element_index,
-                          uint64_t epoch, const QueryRequest& request) {
+                          const SearchIndex* element_index, uint64_t epoch,
+                          const QueryRequest& request) {
   QueryOutcome out;
   out.epoch = epoch;
-  // At most one source serves the request: an ElementSearchIndex is never
-  // of kind kCore.
-  const SearchIndex* core =
-      request.hierarchy == HierarchyKind::kCore && snapshot != nullptr
-          ? &snapshot->search_index()
-          : nullptr;
-  const ElementSearchIndex* element =
-      ServingIndex(element_index, request.hierarchy);
-  if (core == nullptr && element == nullptr) return out;  // unserved
-  const FlatHcdIndex& flat =
-      core != nullptr ? snapshot->flat() : element->flat();
-  TreeNodeId node;
-  if (request.vertices.empty()) {
-    node = core != nullptr ? core->BestAtLeast(request.metric, request.k)
-                           : element->BestAtLeast(request.k);
-  } else {
-    // The ids are untrusted: NodeOfKCoreContaining rejects out-of-range
-    // ids, so a hostile request degrades to found = false.
-    node = NodeOfKCoreContainingAll(flat, request.vertices, request.k);
-  }
+  const SearchIndex* index =
+      ServingIndex(snapshot, element_index, request.hierarchy);
+  if (index == nullptr) return out;  // unserved
+  const FlatHcdIndex& flat = index->flat();
+  // The ids are untrusted: NodeOfKCoreContaining rejects out-of-range ids,
+  // so a hostile request degrades to found = false.
+  const TreeNodeId node =
+      request.vertices.empty()
+          ? index->BestAtLeast(request.metric, request.k)
+          : NodeOfKCoreContainingAll(flat, request.vertices, request.k);
   if (node == kInvalidNode) return out;
   out.found = true;
   out.node = node;
   out.level = flat.Level(node);
   out.core_size = flat.CoreSize(node);
-  out.score = core != nullptr ? core->Score(request.metric, node)
-                              : element->Density(node);
+  out.score = index->Score(request.metric, node);
   return out;
 }
 
@@ -522,8 +518,8 @@ bool QueryServer::AnswerQuery(int fd, const QueryRequest& request,
       // Element communities echo their member graph vertices (sorted),
       // materialized per request into the worker's stamp workspace; a
       // found element answer implies the index serves this kind.
-      options_.element_index->CommunityOf(result.node, &ctx->ws,
-                                          &response.vertices);
+      CommunityOf(options_.element_index->flat(), result.node, &ctx->ws,
+                  &response.vertices);
       if (response.vertices.size() > request.max_return_vertices) {
         response.vertices.resize(request.max_return_vertices);
       }
@@ -629,7 +625,8 @@ void QueryServer::RecordRequestObservability(const QueryRequest& request,
     if (slow || sampled_log) {
       const bool unserved =
           request.hierarchy != HierarchyKind::kCore &&
-          ServingIndex(options_.element_index, request.hierarchy) == nullptr;
+          ServingIndex(nullptr, options_.element_index, request.hierarchy) ==
+              nullptr;
       SlowLogRecord record;
       record.ts_unix_ms = UnixNowMs();
       record.reason = slow ? "slow" : "sampled";

@@ -16,7 +16,6 @@
 #include "common/trace.h"
 #include "engine/live.h"
 #include "engine/snapshot.h"
-#include "search/element_search.h"
 #include "search/search_index.h"
 #include "server/protocol.h"
 #include "server/result_cache.h"
@@ -37,19 +36,19 @@ struct QueryOutcome {
 
 /// Evaluates one protocol query: the single query path for every
 /// hierarchy, shared by the server (which self-hosted serve-bench drives)
-/// and the soak tests. It routes on `request.hierarchy`: core requests are
-/// answered from `snapshot`, truss and nucleus requests from
-/// `element_index` when its kind matches. Any other request (an unserved
-/// kind, or a null source) answers found = false. `epoch` stamps every
-/// outcome; the server passes the answering core generation, so element
-/// answers cache under it too. The hierarchies share one tree shape and
-/// differ only in how a node is scored (a metric over the primary values,
-/// or element density), so the three regimes are one code path:
+/// and the soak tests. The hierarchy byte picks one SearchIndex: core
+/// requests are answered from `snapshot`'s, truss and nucleus requests
+/// from `element_index` when its kind matches. Any other request (an
+/// unserved kind, or a null source) answers found = false. `epoch` stamps
+/// every outcome; the server passes the answering core generation, so
+/// element answers cache under it too. Every kind scores through the same
+/// SearchIndex calls (a metric over the primary values, or element
+/// density), so the three regimes are one code path:
 ///
 ///   - empty vertex set, k == 0: the global best node, one table lookup
-///     (bit-identical to SearchInto's best on the same snapshot);
+///     (bit-identical to ScoreNodes's best over the same rows);
 ///   - empty vertex set, k > 0: the best node of level >= k, one table
-///     lookup (lower preorder id wins ties, SearchInto's order); a k past
+///     lookup (lower preorder id wins ties, ScoreNodes's order); a k past
 ///     the deepest level is not found;
 ///   - non-empty vertex set: the k-core containing all listed vertices
 ///     (element ids for truss / nucleus), found by the
@@ -58,12 +57,12 @@ struct QueryOutcome {
 ///
 /// Reads only const state; any number of threads may call it concurrently.
 QueryOutcome ExecuteQuery(const QuerySnapshot* snapshot,
-                          const ElementSearchIndex* element_index,
-                          uint64_t epoch, const QueryRequest& request);
+                          const SearchIndex* element_index, uint64_t epoch,
+                          const QueryRequest& request);
 
 /// The core-snapshot form: ExecuteQuery over `snapshot` alone, stamped
 /// with its epoch. Scoring is O(1), so `ws` is not written; the parameter
-/// keeps the call shape of the workspace-passing SearchInto path.
+/// keeps the call shape of the callers that pass a per-thread workspace.
 inline QueryOutcome ExecuteQuery(const QuerySnapshot& snapshot,
                                  const QueryRequest& request,
                                  SearchWorkspace* /*ws*/) {
@@ -85,14 +84,14 @@ struct ServerOptions {
   /// Serve results through the epoch-keyed ResultCache.
   bool cache = true;
   ResultCache::Options cache_options;
-  /// Optional element-hierarchy index (truss or nucleus) served alongside
-  /// the core snapshots; must outlive the server. ExecuteQuery answers
-  /// requests whose hierarchy byte matches its kind from it; element
-  /// requests for any other kind (or when this is null) answer
+  /// Optional search index of a truss or nucleus hierarchy, served
+  /// alongside the core snapshots; must outlive the server. ExecuteQuery
+  /// answers requests whose hierarchy byte matches its kind from it;
+  /// element requests for any other kind (or when this is null) answer
   /// found = false without closing the connection, so one client can probe
   /// what the server has loaded. The index is static across publishes —
   /// its answers are cached under the current core-snapshot epoch.
-  const ElementSearchIndex* element_index = nullptr;
+  const SearchIndex* element_index = nullptr;
   /// Slow-query logging: with a non-empty `slow_log_path`, a request whose
   /// total (queue wait + work) exceeds `slow_query_ms` milliseconds
   /// appends one JSONL record (0 logs every request; negative disables

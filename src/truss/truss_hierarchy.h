@@ -54,8 +54,9 @@ struct TrussCommunity {
 };
 
 /// Builder-forest community-of over CoreVertices(forest, node), O(N + m)
-/// per call: the test oracle for ElementSearchIndex::CommunityOf
-/// (search/element_search.h), which serves the frozen index.
+/// per call: the test oracle for CommunityOf and the search tables'
+/// distinct-vertex rows (search/search_index.h), which serve the frozen
+/// index.
 TrussCommunity TrussCommunityOf(const EdgeIndexer& index,
                                 const TrussForest& forest, TreeNodeId node);
 
@@ -68,7 +69,7 @@ struct DensestTrussResult {
 };
 
 /// Builder-forest densest scan, ties to the first builder node: the test
-/// oracle for ElementSearchIndex::BestAtLeast(0).
+/// oracle for a truss index's SearchIndex::BestAtLeast(metric, 0).
 DensestTrussResult DensestTruss(const EdgeIndexer& index,
                                 const TrussForest& forest);
 
@@ -78,7 +79,7 @@ DensestTrussResult DensestTruss(const EdgeIndexer& index,
 /// plus HierarchyKind::kTruss and the edge -> endpoint materialization
 /// (EdgeIndexer::edges flattened, endpoints ascending). The result serves
 /// every flat-index query (CoreVertices spans over edge ids, ancestor
-/// walks, ElementSearchIndex) and snapshots like a core index.
+/// walks, search tables, SearchIndex) and snapshots like a core index.
 FlatHcdIndex FreezeTruss(const Graph& graph, const EdgeIndexer& index,
                          const TrussForest& forest);
 

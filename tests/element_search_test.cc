@@ -1,12 +1,10 @@
-// Freeze/serve equivalence for the element domains: ElementSearchIndex,
-// the one frozen reader of truss and nucleus communities, must be
-// bit-identical node for node to the builder-forest oracles
+// Freeze/serve equivalence for the element domains: the search tables of
+// a truss or nucleus index, read through SearchIndex and CommunityOf, must
+// be bit-identical node for node to the builder-forest oracles
 // (TrussCommunityOf, NucleusCommunityOf, DensestTruss) on every suite
-// graph, the level queries ExecuteQuery answers from the per-level tables
-// must match a naive scan, and the whole index must stay bit-stable under
-// concurrent readers (the TSan job's target).
-
-#include "search/element_search.h"
+// graph, the level queries ExecuteQuery answers from the per-level table
+// must match a naive scan whatever the metric, and the whole index must
+// stay bit-stable under concurrent readers (the TSan job's target).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +20,7 @@
 #include "nucleus/nucleus_decomposition.h"
 #include "nucleus/nucleus_hierarchy.h"
 #include "nucleus/triangle_index.h"
+#include "search/search_index.h"
 #include "server/server.h"
 #include "tests/test_util.h"
 #include "truss/edge_index.h"
@@ -37,7 +36,8 @@ std::vector<VertexId> Sorted(std::span<const VertexId> s) {
   return v;
 }
 
-/// Builder-side and frozen-side truss artifacts over one graph.
+/// Builder-side and frozen-side truss artifacts over one graph; the frozen
+/// index carries its search tables.
 struct TrussFixture {
   EdgeIndexer index;
   TrussForest forest;
@@ -49,8 +49,10 @@ TrussFixture MakeTruss(const Graph& g) {
   fx.index = BuildEdgeIndexer(g);
   TrussDecomposition td = PeelTrussDecomposition(g, fx.index);
   fx.forest = BuildTrussHierarchy(g, fx.index, td);
-  fx.flat = std::make_shared<const FlatHcdIndex>(
-      FreezeTruss(g, fx.index, fx.forest));
+  fx.flat = BuildElementSearchTables(
+      std::make_shared<const FlatHcdIndex>(
+          FreezeTruss(g, fx.index, fx.forest)),
+      g.NumEdges());
   return fx;
 }
 
@@ -67,8 +69,10 @@ NucleusFixture MakeNucleus(const Graph& g) {
   fx.tidx = BuildTriangleIndexer(g, fx.eidx);
   NucleusDecomposition nd = PeelNucleusDecomposition(g, fx.eidx, fx.tidx);
   fx.forest = BuildNucleusHierarchy(g, fx.eidx, fx.tidx, nd);
-  fx.flat = std::make_shared<const FlatHcdIndex>(
-      FreezeNucleus(g, fx.tidx, fx.forest));
+  fx.flat = BuildElementSearchTables(
+      std::make_shared<const FlatHcdIndex>(
+          FreezeNucleus(g, fx.tidx, fx.forest)),
+      g.NumEdges());
   return fx;
 }
 
@@ -89,11 +93,15 @@ OracleCommunity NucleusOracle(const NucleusFixture& fx, TreeNodeId ft) {
   return {c.vertices, c.num_triangles, c.Density()};
 }
 
+/// A truss or nucleus node's score: its community's density, whatever the
+/// metric.
+constexpr Metric kDensity = Metric::kAverageDegree;
+
 /// Every node of `index` against `oracle` on its builder counterpart: the
-/// same elements, member vertices (CommunityOf, CommunityVertices) and
-/// element count (CoreSize), and a bit-identical density.
+/// same elements, member vertices (CommunityOf, the row's n_s) and element
+/// count (CoreSize), and a bit-identical density.
 template <typename Oracle>
-void ExpectNodesMatchBuilderOracle(const ElementSearchIndex& index,
+void ExpectNodesMatchBuilderOracle(const SearchIndex& index,
                                    const HcdForest& forest, Oracle oracle) {
   const FlatHcdIndex& flat = index.flat();
   ASSERT_EQ(flat.NumNodes(), forest.NumNodes());
@@ -108,11 +116,11 @@ void ExpectNodesMatchBuilderOracle(const ElementSearchIndex& index,
 
     const OracleCommunity want = oracle(ft);
     std::vector<VertexId> got;
-    index.CommunityOf(t, &ws, &got);
+    CommunityOf(flat, t, &ws, &got);
     EXPECT_EQ(got, want.vertices) << "node " << t;
-    EXPECT_EQ(index.CommunityVertices(t), want.vertices.size());
+    EXPECT_EQ(index.Primary()[t].n_s, want.vertices.size());
     EXPECT_EQ(flat.CoreSize(t), want.elements);
-    EXPECT_EQ(std::bit_cast<uint64_t>(index.Density(t)),
+    EXPECT_EQ(std::bit_cast<uint64_t>(index.Score(kDensity, t)),
               std::bit_cast<uint64_t>(want.density))
         << "node " << t;
   }
@@ -123,17 +131,17 @@ class ElementSearchSuite
 
 TEST_P(ElementSearchSuite, TrussIndexMatchesBuilderOracle) {
   const TrussFixture fx = MakeTruss(GetParam().graph);
-  const ElementSearchIndex index(fx.flat);
-  EXPECT_EQ(index.kind(), HierarchyKind::kTruss);
+  const SearchIndex index(fx.flat);
+  EXPECT_EQ(index.flat().kind(), HierarchyKind::kTruss);
   ExpectNodesMatchBuilderOracle(
       index, fx.forest, [&](TreeNodeId ft) { return TrussOracle(fx, ft); });
 }
 
 TEST_P(ElementSearchSuite, DensestTrussMatchesBuilderOracle) {
   const TrussFixture fx = MakeTruss(GetParam().graph);
-  const ElementSearchIndex index(fx.flat);
+  const SearchIndex index(fx.flat);
   const FlatHcdIndex& flat = *fx.flat;
-  const TreeNodeId best = index.BestAtLeast(0);
+  const TreeNodeId best = index.BestAtLeast(kDensity, 0);
   const DensestTrussResult oracle = DensestTruss(fx.index, fx.forest);
   ASSERT_EQ(best == kInvalidNode, oracle.node == kInvalidNode);
   if (best == kInvalidNode) return;
@@ -147,30 +155,31 @@ TEST_P(ElementSearchSuite, DensestTrussMatchesBuilderOracle) {
   // oracle takes the first builder node and the index the first preorder
   // node (LevelQueriesMatchNaiveScan pins that order), so the oracle's
   // winner must tie the index's, which precedes it.
-  EXPECT_EQ(std::bit_cast<uint64_t>(index.Density(best)),
+  EXPECT_EQ(std::bit_cast<uint64_t>(index.Score(kDensity, best)),
             std::bit_cast<uint64_t>(oracle.community.AverageDegree()));
-  EXPECT_EQ(index.Density(mapped), index.Density(best));
+  EXPECT_EQ(index.Score(kDensity, mapped), index.Score(kDensity, best));
   EXPECT_LE(best, mapped);
 }
 
 /// Every k in [0, max level + 1]: ExecuteQuery's level answer must be the
 /// naive scan's densest node of level >= k (first node wins ties), with a
 /// bit-identical score.
-void ExpectLevelQueriesMatchNaiveScan(const ElementSearchIndex& index) {
+void ExpectLevelQueriesMatchNaiveScan(const SearchIndex& index) {
   const FlatHcdIndex& flat = index.flat();
   uint32_t max_level = 0;
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     max_level = std::max(max_level, flat.Level(t));
   }
   server::QueryRequest request;
-  request.hierarchy = index.kind();
+  request.hierarchy = flat.kind();
   for (uint32_t k = 0; k <= max_level + 1; ++k) {
     // Naive reference: best density among nodes of level >= k, first node
     // winning ties.
     TreeNodeId expect = kInvalidNode;
     for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
       if (flat.Level(t) < k) continue;
-      if (expect == kInvalidNode || index.Density(t) > index.Density(expect)) {
+      if (expect == kInvalidNode ||
+          index.Score(kDensity, t) > index.Score(kDensity, expect)) {
         expect = t;
       }
     }
@@ -181,7 +190,7 @@ void ExpectLevelQueriesMatchNaiveScan(const ElementSearchIndex& index) {
     if (got.found) {
       EXPECT_EQ(got.node, expect) << "k=" << k;
       EXPECT_EQ(std::bit_cast<uint64_t>(got.score),
-                std::bit_cast<uint64_t>(index.Density(expect)))
+                std::bit_cast<uint64_t>(index.Score(kDensity, expect)))
           << "k=" << k;
       EXPECT_EQ(got.level, flat.Level(expect));
       EXPECT_EQ(got.core_size, flat.CoreSize(expect));
@@ -191,14 +200,54 @@ void ExpectLevelQueriesMatchNaiveScan(const ElementSearchIndex& index) {
 
 TEST_P(ElementSearchSuite, LevelQueriesMatchNaiveScan) {
   const Graph& g = GetParam().graph;
-  ExpectLevelQueriesMatchNaiveScan(ElementSearchIndex(MakeTruss(g).flat));
-  ExpectLevelQueriesMatchNaiveScan(ElementSearchIndex(MakeNucleus(g).flat));
+  ExpectLevelQueriesMatchNaiveScan(SearchIndex(MakeTruss(g).flat));
+  ExpectLevelQueriesMatchNaiveScan(SearchIndex(MakeNucleus(g).flat));
+}
+
+// The wire's metric byte runs over every metric, and an element index has
+// one table: every metric must give the same node and score, at every
+// level, for global, level and element-set requests alike.
+TEST_P(ElementSearchSuite, EveryMetricGivesTheSameAnswer) {
+  const Graph& g = GetParam().graph;
+  for (const std::shared_ptr<const FlatHcdIndex>& flat :
+       {MakeTruss(g).flat, MakeNucleus(g).flat}) {
+    SCOPED_TRACE(HierarchyKindName(flat->kind()));
+    const SearchIndex index(flat);
+    uint32_t max_level = 0;
+    for (TreeNodeId t = 0; t < flat->NumNodes(); ++t) {
+      max_level = std::max(max_level, flat->Level(t));
+    }
+    server::QueryRequest request;
+    request.hierarchy = flat->kind();
+    for (uint32_t k = 0; k <= max_level + 1; ++k) {
+      for (const bool by_element : {false, true}) {
+        request.k = k;
+        request.vertices.clear();
+        if (by_element && flat->NumElements() > 0) request.vertices = {0};
+        request.metric = kAllMetrics[0];
+        const server::QueryOutcome want =
+            server::ExecuteQuery(nullptr, &index, 0, request);
+        for (const Metric metric : kAllMetrics) {
+          request.metric = metric;
+          const server::QueryOutcome got =
+              server::ExecuteQuery(nullptr, &index, 0, request);
+          EXPECT_EQ(got.found, want.found) << MetricName(metric) << " k=" << k;
+          EXPECT_EQ(got.node, want.node) << MetricName(metric) << " k=" << k;
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.score),
+                    std::bit_cast<uint64_t>(want.score))
+              << MetricName(metric) << " k=" << k;
+          EXPECT_EQ(index.BestAtLeast(metric, k),
+                    index.BestAtLeast(kAllMetrics[0], k));
+        }
+      }
+    }
+  }
 }
 
 TEST_P(ElementSearchSuite, NucleusIndexMatchesBuilderOracle) {
   const NucleusFixture fx = MakeNucleus(GetParam().graph);
-  const ElementSearchIndex index(fx.flat);
-  EXPECT_EQ(index.kind(), HierarchyKind::kNucleus);
+  const SearchIndex index(fx.flat);
+  EXPECT_EQ(index.flat().kind(), HierarchyKind::kNucleus);
   ExpectNodesMatchBuilderOracle(
       index, fx.forest, [&](TreeNodeId ft) { return NucleusOracle(fx, ft); });
 }
@@ -213,31 +262,30 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ElementSearch, CommunityOfAppendsAfterExistingContent) {
   Graph g = RingOfCliques(4, 5);
   const TrussFixture fx = MakeTruss(g);
-  const ElementSearchIndex index(fx.flat);
   ASSERT_GT(fx.flat->NumNodes(), 0u);
 
   SearchWorkspace ws;
   std::vector<VertexId> out = {777, 3};
-  index.CommunityOf(0, &ws, &out);
+  CommunityOf(*fx.flat, 0, &ws, &out);
   ASSERT_GE(out.size(), 2u);
   EXPECT_EQ(out[0], 777u);  // pre-existing prefix untouched
   EXPECT_EQ(out[1], 3u);
   EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()));
-  EXPECT_EQ(out.size() - 2, index.CommunityVertices(0));
+  EXPECT_EQ(out.size() - 2, fx.flat->Primaries()[0].n_s);
 }
 
 TEST(ElementSearch, EmptyHierarchyAnswersNotFound) {
   // An edgeless graph has no edges, so its truss forest has no nodes.
   const TrussFixture empty = MakeTruss(Graph());
-  const ElementSearchIndex index(empty.flat);
-  EXPECT_EQ(index.BestAtLeast(0), kInvalidNode);
-  EXPECT_EQ(index.BestAtLeast(3), kInvalidNode);
+  const SearchIndex index(empty.flat);
+  EXPECT_EQ(index.BestAtLeast(kDensity, 0), kInvalidNode);
+  EXPECT_EQ(index.BestAtLeast(kDensity, 3), kInvalidNode);
   server::QueryRequest request;
   request.hierarchy = HierarchyKind::kTruss;
   EXPECT_FALSE(server::ExecuteQuery(nullptr, &index, 0, request).found);
   SearchWorkspace ws;
   std::vector<VertexId> out;
-  index.CommunityOf(kInvalidNode, &ws, &out);
+  CommunityOf(*empty.flat, kInvalidNode, &ws, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -248,7 +296,7 @@ TEST(ElementSearch, RandomizedSweepMatchesOracles) {
     SCOPED_TRACE(seed);
     const TrussFixture fx = MakeTruss(ErdosRenyiGnm(160, 900, seed));
     ExpectNodesMatchBuilderOracle(
-        ElementSearchIndex(fx.flat), fx.forest,
+        SearchIndex(fx.flat), fx.forest,
         [&](TreeNodeId ft) { return TrussOracle(fx, ft); });
   }
 }
@@ -259,8 +307,9 @@ TEST(ElementSearch, RandomizedSweepMatchesOracles) {
 TEST(ElementSearch, ConcurrentReadersBitIdentical) {
   Graph g = BarabasiAlbert(500, 6, 77);
   const TrussFixture fx = MakeTruss(g);
-  const ElementSearchIndex index(fx.flat);
-  const TreeNodeId num_nodes = fx.flat->NumNodes();
+  const SearchIndex index(fx.flat);
+  const FlatHcdIndex& flat = *fx.flat;
+  const TreeNodeId num_nodes = flat.NumNodes();
   ASSERT_GT(num_nodes, 0u);
 
   constexpr int kQueries = 256;
@@ -275,11 +324,11 @@ TEST(ElementSearch, ConcurrentReadersBitIdentical) {
     if (q % 2 == 0) {
       request.k = static_cast<uint32_t>(q) % 8;
       a.outcome = server::ExecuteQuery(nullptr, &index, 0, request);
-      index.CommunityOf(a.outcome.node, ws, &a.community);
+      CommunityOf(flat, a.outcome.node, ws, &a.community);
     } else {
       const TreeNodeId t =
           static_cast<TreeNodeId>((uint64_t{2654435761u} * q) % num_nodes);
-      index.CommunityOf(t, ws, &a.community);
+      CommunityOf(flat, t, ws, &a.community);
     }
     return a;
   };

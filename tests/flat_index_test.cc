@@ -514,6 +514,17 @@ FlatHcdIndex TabledCoreOf(const Graph& g) {
   return *BuildSearchTables(g, cd, flat);
 }
 
+/// A truss / nucleus index of `g` with its search tables.
+FlatHcdIndex TabledTrussOf(const Graph& g) {
+  return *BuildElementSearchTables(
+      std::make_shared<const FlatHcdIndex>(FreezeTrussOf(g)), g.NumEdges());
+}
+
+FlatHcdIndex TabledNucleusOf(const Graph& g) {
+  return *BuildElementSearchTables(
+      std::make_shared<const FlatHcdIndex>(FreezeNucleusOf(g)), g.NumEdges());
+}
+
 bool SameSearchTables(const FlatHcdIndex& a, const FlatHcdIndex& b) {
   const FlatHcdIndex::Data& x = a.data();
   const FlatHcdIndex::Data& y = b.data();
@@ -582,7 +593,37 @@ TEST(FlatIndexAdopt, RejectsSearchTableViolations) {
   {
     FlatHcdIndex::Data d = ValidTrussData();
     d.search_tables = true;
-    ExpectAdoptCorruption(std::move(d), "tables on a truss index");
+    ExpectAdoptCorruption(std::move(d), "table flag without truss rows");
+  }
+  // A truss index carries one table, over density.
+  const FlatHcdIndex truss = TabledTrussOf(g);
+  const FlatHcdIndex::Data& truss_valid = truss.data();
+  ASSERT_TRUE(truss_valid.search_tables);
+  ASSERT_FALSE(truss_valid.best_nodes.empty());
+  {
+    FlatHcdIndex adopted;
+    ASSERT_TRUE(FlatHcdIndex::Adopt(truss_valid, &adopted).ok());
+    EXPECT_TRUE(SameSearchTables(adopted, truss));
+  }
+  {
+    FlatHcdIndex::Data d = truss_valid;
+    std::vector<TreeNodeId> nine;
+    for (size_t i = 0; i < kNumBestTables; ++i) {
+      nine.insert(nine.end(), truss_valid.best_nodes.begin(),
+                  truss_valid.best_nodes.end());
+    }
+    d.best_nodes = std::move(nine);
+    ExpectAdoptCorruption(std::move(d), "nine tables on a truss index");
+  }
+  {
+    FlatHcdIndex::Data d = truss_valid;
+    d.best_nodes[0] = truss.NumNodes();
+    ExpectAdoptCorruption(std::move(d), "truss best entry out of range");
+  }
+  {
+    FlatHcdIndex::Data d = truss_valid;
+    d.primaries.pop_back();
+    ExpectAdoptCorruption(std::move(d), "truss primary row count");
   }
 }
 
@@ -702,6 +743,7 @@ void ExpectRoundTrip(const FlatHcdIndex& flat, const char* tag) {
   EXPECT_EQ(loaded.NumGraphVertices(), flat.NumGraphVertices());
   EXPECT_EQ(loaded.data().subtree_nodes, flat.data().subtree_nodes);
   EXPECT_EQ(loaded.data().element_members, flat.data().element_members);
+  EXPECT_TRUE(SameSearchTables(loaded, flat));
   ASSERT_TRUE(SaveFlatIndex(loaded, path2).ok());
   EXPECT_EQ(ReadAll(path1), ReadAll(path2));
   std::remove(path1.c_str());
@@ -723,14 +765,20 @@ TEST(FlatIndexSnapshot, NucleusRoundTripIsBitIdentical) {
                   "nucleus");
 }
 
-// Core, core with tables, truss and nucleus share one magic and one
-// header; the kind tag and the table flag tell them apart.
+TEST(FlatIndexSnapshot, TabledElementRoundTripsAreBitIdentical) {
+  ExpectRoundTrip(TabledTrussOf(RMatGraph500(8, 2000, 5)), "truss_tables");
+  ExpectRoundTrip(TabledNucleusOf(PlantedHierarchy(OnionSpec(4, 7), 11)),
+                  "nucleus_tables");
+}
+
+// Every kind, with and without tables, shares one magic and one header;
+// the kind tag and the table flag tell them apart.
 TEST(FlatIndexSnapshot, EveryKindWritesOneFormat) {
   const Graph g = PlantedHierarchy(OnionSpec(4, 6), 19);
   const CoreDecomposition cd = BzCoreDecomposition(g);
-  const FlatHcdIndex indexes[] = {Freeze(NaiveHcdBuild(g, cd)),
-                                  TabledCoreOf(g), FreezeTrussOf(g),
-                                  FreezeNucleusOf(g)};
+  const FlatHcdIndex indexes[] = {
+      Freeze(NaiveHcdBuild(g, cd)), TabledCoreOf(g),   FreezeTrussOf(g),
+      FreezeNucleusOf(g),           TabledTrussOf(g), TabledNucleusOf(g)};
   const std::string path = ::testing::TempDir() + "/flat_one_format.bin";
   for (const FlatHcdIndex& flat : indexes) {
     ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
@@ -822,10 +870,21 @@ TEST(FlatSnapshotTables, AGraphOfAnotherEdgeCountIsRejected) {
   HcdEngine same(&g);
   ASSERT_TRUE(same.AdoptFlat(flat).ok());
   EXPECT_EQ(same.Snapshot().state()->shared_flat(), flat);
+
+  // A truss index's tables record the edge count too.
+  const auto truss = std::make_shared<const FlatHcdIndex>(TabledTrussOf(g));
+  const EngineOptions truss_options{.hierarchy = HierarchyKind::kTruss};
+  HcdEngine other_truss(&fewer, truss_options);
+  EXPECT_EQ(other_truss.AdoptFlat(truss).code(),
+            StatusCode::kInvalidArgument);
+  HcdEngine same_truss(&g, truss_options);
+  ASSERT_TRUE(same_truss.AdoptFlat(truss).ok());
+  EXPECT_EQ(&same_truss.Searcher().flat(), truss.get());
 }
 
-// A core file without tables: an engine that adopts one builds them when
-// it seals, and they equal the ones a file with tables carries.
+// A file without tables: an engine that adopts one builds them (a core
+// engine when it seals, a truss engine in Searcher()), and they equal the
+// ones a file with tables carries.
 TEST(FlatSnapshotTables, ForestOnlyFilesLoadAndBuildTheirTables) {
   const Graph g = RMatGraph500(8, 2000, 7);
   HcdEngine source(&g);
@@ -843,13 +902,40 @@ TEST(FlatSnapshotTables, ForestOnlyFilesLoadAndBuildTheirTables) {
   EXPECT_TRUE(sealed.HasSearchTables());
   EXPECT_TRUE(
       SameSearchTables(sealed, *source.Snapshot().state()->shared_flat()));
+
+  // A forest-only truss file, as builds wrote before element indexes
+  // carried tables: Searcher() builds them over the adopted forest, equal
+  // to a build's, and keeps serving the mapped forest sections.
+  const EngineOptions truss{.hierarchy = HierarchyKind::kTruss};
+  HcdEngine truss_source(&g, truss);
+  ASSERT_TRUE(SaveFlatIndex(truss_source.Flat(), forest_only).ok());
+  FlatHcdIndex truss_loaded;
+  ASSERT_TRUE(MapFlatIndex(forest_only, &truss_loaded).ok());
+  EXPECT_FALSE(truss_loaded.HasSearchTables());
+  HcdEngine truss_engine(&g, truss);
+  ASSERT_TRUE(truss_engine
+                  .AdoptFlat(std::make_shared<const FlatHcdIndex>(
+                      std::move(truss_loaded)))
+                  .ok());
+  const FlatHcdIndex& served = truss_engine.Searcher().flat();
+  EXPECT_TRUE(served.HasSearchTables());
+  EXPECT_TRUE(served.data().levels.mapped());
+  EXPECT_EQ(&truss_engine.Flat(), &served);
+  EXPECT_TRUE(SameSearchTables(served, truss_source.Searcher().flat()));
   std::remove(forest_only.c_str());
 }
 
 // ---------------------------------------------------------------------------
 // Corrupt snapshots of every kind fail with Corruption.
 
-enum class SnapshotKind { kCore, kCoreTables, kTruss, kNucleus };
+enum class SnapshotKind {
+  kCore,
+  kCoreTables,
+  kTruss,
+  kNucleus,
+  kTrussTables,
+  kNucleusTables
+};
 
 struct SnapshotCase {
   const char* name;
@@ -873,6 +959,12 @@ class FlatSnapshotCorruption : public ::testing::TestWithParam<SnapshotCase> {
         break;
       case SnapshotKind::kNucleus:
         index_ = FreezeNucleusOf(branching);
+        break;
+      case SnapshotKind::kTrussTables:
+        index_ = TabledTrussOf(PlantedHierarchy(OnionSpec(4, 7), 11));
+        break;
+      case SnapshotKind::kNucleusTables:
+        index_ = TabledNucleusOf(branching);
         break;
     }
     // The tampering cases need a node with a child and two levels.
@@ -1033,7 +1125,8 @@ TEST_P(FlatSnapshotCorruption, TamperedMembersFailAdopt) {
 
 TEST_P(FlatSnapshotCorruption, BestEntriesOutOfRangeOrBelowTheirLevel) {
   if (!index_.HasSearchTables()) GTEST_SKIP() << "no search tables";
-  const size_t table_len = HeaderWord(kWordBestNodes) / kNumBestTables;
+  const size_t tables = NumBestTables(index_.kind());
+  const size_t table_len = HeaderWord(kWordBestNodes) / tables;
   const uint32_t num_nodes = static_cast<uint32_t>(HeaderWord(kWordNodes));
   ExpectCorrupt(WithEntry(kBestNodes, 0, num_nodes),
                 "best entry out of range");
@@ -1043,7 +1136,7 @@ TEST_P(FlatSnapshotCorruption, BestEntriesOutOfRangeOrBelowTheirLevel) {
     if (index_.Level(t) < index_.Level(shallow)) shallow = t;
   }
   ASSERT_LT(index_.Level(shallow), table_len - 1);
-  ExpectCorrupt(WithEntry(kBestNodes, 2 * table_len + table_len - 1, shallow),
+  ExpectCorrupt(WithEntry(kBestNodes, tables * table_len - 1, shallow),
                 "best entry below its level");
 }
 
@@ -1056,18 +1149,18 @@ TEST_P(FlatSnapshotCorruption, WrongTableLength) {
                   "best entries without tables");
     return;
   }
-  // Header plausibility: the entry count splits into kNumBestTables tables,
-  // and an index with nodes has entries.
+  // Header plausibility: the entry count splits into NumBestTables(kind)
+  // tables of max level + 1 entries, and an index with nodes has entries.
   const uint64_t num_best = HeaderWord(kWordBestNodes);
   ExpectCorrupt(WithHeaderWord(kWordBestNodes, num_best + 1),
-                "not a whole table count");
+                "one entry too many");
   ExpectCorrupt(WithHeaderWord(kWordBestNodes, 0),
                 "no tables for a non-empty index");
   ExpectCorrupt(WithHeaderWord(kWordBestNodes, uint64_t{1} << 62),
                 "absurd table count");
   // One level fewer per table, with the file cut to match: every size
   // check passes, and Adopt's length check is what rejects it.
-  const uint64_t shorter = num_best - kNumBestTables;
+  const uint64_t shorter = num_best - NumBestTables(index_.kind());
   std::vector<char> bytes = WithHeaderWord(kWordBestNodes, shorter);
   bytes.resize(sections_[kBestNodes].begin +
                (shorter * sizeof(TreeNodeId) + 7) / 8 * 8);
@@ -1100,7 +1193,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SnapshotCase{"core", SnapshotKind::kCore},
                       SnapshotCase{"core_tables", SnapshotKind::kCoreTables},
                       SnapshotCase{"truss", SnapshotKind::kTruss},
-                      SnapshotCase{"nucleus", SnapshotKind::kNucleus}),
+                      SnapshotCase{"nucleus", SnapshotKind::kNucleus},
+                      SnapshotCase{"truss_tables", SnapshotKind::kTrussTables},
+                      SnapshotCase{"nucleus_tables",
+                                   SnapshotKind::kNucleusTables}),
     [](const ::testing::TestParamInfo<SnapshotCase>& info) {
       return std::string(info.param.name);
     });
@@ -1159,6 +1255,10 @@ TEST_P(MappedSnapshotSuite, MapEqualsTheSavedIndexForEveryKind) {
                         std::string(GetParam().name) + "_truss");
   ExpectMapMatchesSaved(FreezeNucleusOf(g),
                         std::string(GetParam().name) + "_nucleus");
+  ExpectMapMatchesSaved(TabledTrussOf(g),
+                        std::string(GetParam().name) + "_truss_tables");
+  ExpectMapMatchesSaved(TabledNucleusOf(g),
+                        std::string(GetParam().name) + "_nucleus_tables");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1227,8 +1327,10 @@ std::vector<char> MutateSnapshot(const std::vector<char>& image,
 
 /// Queries a loaded index the way the server does: every vertex's k-core
 /// at its own level and at level 1, and with search tables every
-/// best-node entry, scored.
-void WalkLoadedIndex(const FlatHcdIndex& index) {
+/// best-node entry under every metric, scored, and for an element index
+/// the global best's community materialized.
+void WalkLoadedIndex(const std::shared_ptr<const FlatHcdIndex>& shared) {
+  const FlatHcdIndex& index = *shared;
   for (VertexId v = 0; v < index.NumVertices(); ++v) {
     const TreeNodeId tid = index.Tid(v);
     if (tid == kInvalidNode) {
@@ -1241,9 +1343,9 @@ void WalkLoadedIndex(const FlatHcdIndex& index) {
     }
   }
   if (!index.HasSearchTables()) return;
-  const SearchIndex search(index);
-  const uint32_t table_len =
-      static_cast<uint32_t>(index.data().best_nodes.size() / kNumBestTables);
+  const SearchIndex search(shared);
+  const uint32_t table_len = static_cast<uint32_t>(
+      index.data().best_nodes.size() / NumBestTables(index.kind()));
   for (Metric metric : kAllMetrics) {
     for (uint32_t k = 0; k < table_len; ++k) {
       const TreeNodeId best = search.BestAtLeast(metric, k);
@@ -1252,6 +1354,13 @@ void WalkLoadedIndex(const FlatHcdIndex& index) {
       (void)search.Score(metric, best);
     }
     ASSERT_EQ(search.BestAtLeast(metric, table_len), kInvalidNode);
+  }
+  if (index.kind() != HierarchyKind::kCore && table_len > 0) {
+    SearchWorkspace ws;
+    std::vector<VertexId> members;
+    CommunityOf(index, search.BestAtLeast(kAllMetrics[0], 0), &ws, &members);
+    ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
+    for (const VertexId v : members) ASSERT_LT(v, index.NumGraphVertices());
   }
 }
 
@@ -1273,6 +1382,8 @@ TEST(FlatSnapshotFuzz, MutatedSnapshotsFailCleanlyOrResaveToTheSameBytes) {
         TabledCoreOf(g),
         FreezeTrussOf(g),
         FreezeNucleusOf(g),
+        TabledTrussOf(g),
+        TabledNucleusOf(g),
     };
     for (const FlatHcdIndex& built : images) {
       SCOPED_TRACE(name + " kind " + HierarchyKindName(built.kind()) +
@@ -1303,7 +1414,7 @@ TEST(FlatSnapshotFuzz, MutatedSnapshotsFailCleanlyOrResaveToTheSameBytes) {
             again.begin();
         ASSERT_EQ(again, mutated)
             << "mutation " << i << " re-saves differently from byte " << differ;
-        WalkLoadedIndex(index);
+        WalkLoadedIndex(std::make_shared<const FlatHcdIndex>(std::move(index)));
         ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "mutation " << i;
       }
     }

@@ -200,7 +200,6 @@ TEST(LiveEngine, ConcurrentReadersAcrossHotSwaps) {
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&live, &stop, &reads] {
-      SearchWorkspace ws;
       SnapshotReader reader(live.manager());
       uint64_t last_epoch = 0;
       uint64_t iter = 0;
@@ -211,8 +210,10 @@ TEST(LiveEngine, ConcurrentReadersAcrossHotSwaps) {
         // backwards across swaps.
         EXPECT_GE(snap.epoch(), last_epoch);
         last_epoch = snap.epoch();
-        const SearchHit hit = SearchInto(snap.flat(), snap.search_index(),
-                                         Metric::kAverageDegree, &ws);
+        const SearchIndex& sidx = snap.search_index();
+        const SearchResult hit =
+            ScoreNodes(snap.flat(), Metric::kAverageDegree, sidx.Primary(),
+                       sidx.globals());
         EXPECT_NE(hit.best_node, kInvalidNode);
         reads.fetch_add(1, std::memory_order_relaxed);
       }

@@ -157,7 +157,7 @@ TEST_P(PbksSuite, SearchIndexTablesMatchDefinition4Rank) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadCountGuard guard(threads);
     const auto tabled = Tabled(p);
-    const SearchIndex sidx(*tabled);
+    const SearchIndex sidx(tabled);
     ExpectPrimaryEqual(sidx.Primary(), want_a, /*type_b=*/false);
     ExpectPrimaryEqual(sidx.Primary(), want_b, /*type_b=*/true);
   }
@@ -224,8 +224,8 @@ TEST_P(PbksSuite, FusedScanMatchesSeparatePassesAndBks) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadCountGuard guard(threads);
     const auto tabled = Tabled(p);
-    ExpectRowsEqual(SearchIndex(*tabled).Primary(), want);
-    ExpectRowsEqual(SearchIndex(*tabled).Primary(), bks_rows);
+    ExpectRowsEqual(SearchIndex(tabled).Primary(), want);
+    ExpectRowsEqual(SearchIndex(tabled).Primary(), bks_rows);
     std::vector<PrimaryValues> narrow;
     std::vector<PrimaryValues> wide;
     EXPECT_EQ(OffsetBytesOf([&] {
@@ -256,8 +256,9 @@ TEST_P(PbksSuite, MappedTablesScoreLikeTablesBuiltFromTheGraph) {
   ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
   std::remove(path.c_str());
   ASSERT_TRUE(mapped.HasSearchTables());
-  const SearchIndex want(*built);
-  const SearchIndex got(mapped);
+  const SearchIndex want(built);
+  const SearchIndex got(
+      std::make_shared<const FlatHcdIndex>(std::move(mapped)));
   uint32_t top = 0;
   for (TreeNodeId t = 0; t < p.flat.NumNodes(); ++t) {
     top = std::max(top, p.flat.Level(t));
@@ -315,18 +316,19 @@ TEST(Pbks, PaperExample2BestAverageDegreeIsS31) {
 TEST(Pbks, SearchIndexAgreesWithOneShot) {
   Pipeline p = Build(BarabasiAlbert(250, 4, 21));
   const auto tabled = Tabled(p);
-  SearchIndex sidx(*tabled);
-  SearchWorkspace ws;
+  const SearchIndex sidx(tabled);
   for (Metric metric : kAllMetrics) {
     SCOPED_TRACE(MetricName(metric));
-    SearchHit hit = SearchInto(p.flat, sidx, metric, &ws);
+    const SearchResult hit =
+        ScoreNodes(p.flat, metric, sidx.Primary(), sidx.globals());
     SearchResult oneshot = PbksSearch(p.graph, p.cd, p.flat, metric);
-    EXPECT_EQ(ws.scores, oneshot.scores);
+    EXPECT_EQ(hit.scores, oneshot.scores);
     EXPECT_EQ(hit.best_node, oneshot.best_node);
     EXPECT_EQ(hit.best_score, oneshot.best_score);
   }
   // CoreVertices of the best node round-trips through the frozen index.
-  SearchHit hit = SearchInto(p.flat, sidx, Metric::kAverageDegree, &ws);
+  const SearchResult hit = ScoreNodes(p.flat, Metric::kAverageDegree,
+                                      sidx.Primary(), sidx.globals());
   auto core = p.flat.CoreVertices(hit.best_node);
   EXPECT_EQ(core.size(), p.flat.CoreSize(hit.best_node));
 }

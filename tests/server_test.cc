@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,7 +34,7 @@
 #include "graph/generators.h"
 #include "hcd/query.h"
 #include "hcd/serialize.h"
-#include "search/element_search.h"
+#include "search/search_index.h"
 #include "search/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -223,6 +225,26 @@ TEST(Protocol, MalformedTraceTailsAreRejected) {
   std::string bad_flag = traced;
   bad_flag.back() = '\x02';
   EXPECT_FALSE(DecodeQueryRequest(bad_flag, &out));
+  // A version-2 tail names a request: its trace id is nonzero (id 0 is a
+  // version-1 frame, which has no tail).
+  std::string zero_id = traced;
+  std::fill(zero_id.end() - 9, zero_id.end() - 1, '\0');
+  EXPECT_FALSE(DecodeQueryRequest(zero_id, &out));
+}
+
+// Found with the wire fuzz: flag bytes other than 0 and 1 decoded as true,
+// so the payload did not re-encode to its own bytes.
+TEST(Protocol, ResponseFlagBytesAreStrictlyZeroOrOne) {
+  QueryResponse response;
+  response.found = true;
+  const std::string payload = EncodeQueryResponse(response);
+  QueryResponse out;
+  ASSERT_TRUE(DecodeQueryResponse(payload, &out));
+  for (const size_t at : {size_t{9}, size_t{10}}) {  // cache_hit, found
+    std::string bad = payload;
+    bad[at] = '\x21';
+    EXPECT_FALSE(DecodeQueryResponse(bad, &out)) << "byte " << at;
+  }
 }
 
 TEST(Protocol, CacheKeyIgnoresTraceContext) {
@@ -372,14 +394,14 @@ class ExecuteQueryTest : public ::testing::Test {
 
 TEST_F(ExecuteQueryTest, GlobalBestMatchesSnapshotSearchBitExactly) {
   const QuerySnapshot snapshot = live_.Snapshot();
-  SearchWorkspace ws, expect_ws;
+  const SearchIndex& sidx = snapshot.search_index();
+  SearchWorkspace ws;
   for (const Metric metric : kAllMetrics) {
     QueryRequest request;
     request.metric = metric;
     const QueryOutcome outcome = ExecuteQuery(snapshot, request, &ws);
-    const SearchHit expect =
-        SearchInto(snapshot.flat(), snapshot.search_index(), metric,
-                   &expect_ws);
+    const SearchResult expect =
+        ScoreNodes(snapshot.flat(), metric, sidx.Primary(), sidx.globals());
     ASSERT_TRUE(outcome.found);
     EXPECT_EQ(outcome.node, expect.best_node);
     EXPECT_EQ(outcome.score, expect.best_score);  // bit-identical
@@ -399,13 +421,15 @@ TEST_F(ExecuteQueryTest, LevelConstraintRestrictsTheArgmax) {
   EXPECT_GE(outcome.level, 2u);
   // Exhaustive check: best score among nodes of level >= k, over the
   // scores of the scan path.
-  SearchInto(snapshot.flat(), snapshot.search_index(), request.metric, &ws);
+  const SearchIndex& sidx = snapshot.search_index();
+  const SearchResult scan = ScoreNodes(snapshot.flat(), request.metric,
+                                       sidx.Primary(), sidx.globals());
   double best = 0.0;
   bool any = false;
   for (TreeNodeId node = 0; node < snapshot.flat().NumNodes(); ++node) {
     if (snapshot.flat().Level(node) < 2) continue;
-    if (!any || ws.scores[node] > best) {
-      best = ws.scores[node];
+    if (!any || scan.scores[node] > best) {
+      best = scan.scores[node];
       any = true;
     }
   }
@@ -418,7 +442,7 @@ TEST_F(ExecuteQueryTest, LevelConstraintRestrictsTheArgmax) {
   EXPECT_FALSE(none.found);
 }
 
-/// The level-filtered argmax over SearchInto's scores: the scan the
+/// The level-filtered argmax over ScoreNodes's scores: the scan the
 /// per-level tables replace, kept as their oracle (first node wins ties).
 TreeNodeId NaiveBestAtLeast(const FlatHcdIndex& flat,
                             const std::vector<double>& scores, uint32_t k) {
@@ -437,22 +461,24 @@ uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 void ExpectLevelQueriesMatchNaiveScan(const QuerySnapshot& snapshot,
                                       const std::string& name) {
   const FlatHcdIndex& flat = snapshot.flat();
+  const SearchIndex& sidx = snapshot.search_index();
   SearchWorkspace ws;
   for (const Metric metric : kAllMetrics) {
-    SearchInto(flat, snapshot.search_index(), metric, &ws);
+    const SearchResult scan =
+        ScoreNodes(flat, metric, sidx.Primary(), sidx.globals());
     for (uint32_t k = 0; k <= snapshot.coreness().k_max + 1; ++k) {
       QueryRequest request;
       request.metric = metric;
       request.k = k;
       const QueryOutcome got = ExecuteQuery(snapshot, request, &ws);
-      const TreeNodeId want = NaiveBestAtLeast(flat, ws.scores, k);
+      const TreeNodeId want = NaiveBestAtLeast(flat, scan.scores, k);
       ASSERT_EQ(got.found, want != kInvalidNode)
           << name << " " << MetricName(metric) << " k=" << k;
       EXPECT_EQ(got.epoch, snapshot.epoch());
       if (!got.found) continue;
       EXPECT_EQ(got.node, want)
           << name << " " << MetricName(metric) << " k=" << k;
-      EXPECT_EQ(Bits(got.score), Bits(ws.scores[want]))
+      EXPECT_EQ(Bits(got.score), Bits(scan.scores[want]))
           << name << " " << MetricName(metric) << " k=" << k;
       EXPECT_EQ(got.level, flat.Level(want));
       EXPECT_EQ(got.core_size, flat.CoreSize(want));
@@ -486,11 +512,13 @@ TEST(ExecuteQueryOracle, TiesGoToTheLowerPreorderNode) {
   ASSERT_EQ(flat.NumNodes(), kCliques);
   ExpectLevelQueriesMatchNaiveScan(snapshot, "cliques");
 
+  const SearchIndex& sidx = snapshot.search_index();
   SearchWorkspace ws;
   for (const Metric metric : kAllMetrics) {
-    SearchInto(flat, snapshot.search_index(), metric, &ws);
+    const SearchResult scan =
+        ScoreNodes(flat, metric, sidx.Primary(), sidx.globals());
     for (TreeNodeId node = 1; node < kCliques; ++node) {
-      ASSERT_EQ(Bits(ws.scores[node]), Bits(ws.scores[0]));  // a real tie
+      ASSERT_EQ(Bits(scan.scores[node]), Bits(scan.scores[0]));  // a real tie
     }
     QueryRequest request;
     request.metric = metric;
@@ -685,38 +713,66 @@ TEST(QueryServerTest, StopOfAnIdleServerReturnsImmediately) {
   EXPECT_LT(stop_ms[stop_ms.size() / 2], 20.0);
 }
 
+/// A truss or nucleus node's score: its community's density, whatever the
+/// metric.
+constexpr Metric kDensity = Metric::kAverageDegree;
+
 /// The densest community of level >= k by a scan over the index's
 /// densities, first node winning ties: the naive reference the element
 /// answers must match.
-TreeNodeId NaiveDensestNode(const ElementSearchIndex& index, uint32_t k) {
+TreeNodeId NaiveDensestNode(const SearchIndex& index, uint32_t k) {
   const FlatHcdIndex& flat = index.flat();
   TreeNodeId best = kInvalidNode;
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     if (flat.Level(t) < k) continue;
-    if (best == kInvalidNode || index.Density(t) > index.Density(best)) {
+    if (best == kInvalidNode ||
+        index.Score(kDensity, t) > index.Score(kDensity, best)) {
       best = t;
     }
   }
   return best;
 }
 
-class ElementServingTest : public ::testing::TestWithParam<HierarchyKind> {};
+struct ElementServingCase {
+  HierarchyKind kind;
+  /// Serve from the built index's saved snapshot, mapped with its search
+  /// tables, as a restart does; otherwise from the index built from the
+  /// graph.
+  bool from_snapshot;
+};
+
+class ElementServingTest
+    : public ::testing::TestWithParam<ElementServingCase> {};
 
 TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
-  const HierarchyKind kind = GetParam();
+  const HierarchyKind kind = GetParam().kind;
   Graph graph = ErdosRenyiGnm(120, 1400, 29);
 
-  // Frozen element index served next to the live core snapshots.
+  // The element search index built from the graph: every answer below must
+  // be its answer, whichever index the server reads.
   EngineOptions element_options;
   element_options.hierarchy = kind;
   HcdEngine element_engine(Graph(graph), element_options);
-  const ElementSearchIndex& element_index = element_engine.ElementSearcher();
-  const FlatHcdIndex& flat = element_index.flat();
+  const SearchIndex& built = element_engine.Searcher();
+  const FlatHcdIndex& flat = built.flat();
   ASSERT_GT(flat.NumNodes(), 0u);
   uint32_t max_level = 0;
   for (TreeNodeId t = 0; t < flat.NumNodes(); ++t) {
     max_level = std::max(max_level, flat.Level(t));
   }
+  std::optional<SearchIndex> restarted;
+  if (GetParam().from_snapshot) {
+    const std::string path = ::testing::TempDir() + "/server_element_" +
+                             HierarchyKindName(kind) + ".snap";
+    ASSERT_TRUE(SaveFlatIndex(flat, path).ok());
+    FlatHcdIndex mapped;
+    ASSERT_TRUE(MapFlatIndex(path, &mapped).ok());
+    std::remove(path.c_str());
+    ASSERT_TRUE(mapped.HasSearchTables());
+    ASSERT_TRUE(mapped.data().primaries.mapped());
+    restarted.emplace(std::make_shared<const FlatHcdIndex>(std::move(mapped)));
+  }
+  const SearchIndex& element_index = restarted ? *restarted : built;
 
   LiveEngine live(std::move(graph));
   ServerOptions options;
@@ -736,9 +792,9 @@ TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
   ASSERT_TRUE(client.Query(request, &response).ok());
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   ASSERT_TRUE(response.found);
-  const TreeNodeId densest = NaiveDensestNode(element_index, 0);
+  const TreeNodeId densest = NaiveDensestNode(built, 0);
   ASSERT_NE(densest, kInvalidNode);
-  EXPECT_EQ(Bits(response.score), Bits(element_index.Density(densest)));
+  EXPECT_EQ(Bits(response.score), Bits(built.Score(kDensity, densest)));
   EXPECT_EQ(response.level, flat.Level(densest));
   EXPECT_EQ(response.core_size, flat.CoreSize(densest));
   EXPECT_EQ(response.epoch, live.Epoch());
@@ -750,7 +806,7 @@ TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
   // ascending and truncated to max_return_vertices.
   SearchWorkspace ws;
   std::vector<VertexId> expect_vertices;
-  element_index.CommunityOf(densest, &ws, &expect_vertices);
+  CommunityOf(flat, densest, &ws, &expect_vertices);
   if (expect_vertices.size() > 8) expect_vertices.resize(8);
   EXPECT_EQ(response.vertices, expect_vertices);
 
@@ -764,11 +820,11 @@ TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
   for (uint32_t k = 0; k <= max_level + 1; ++k) {
     request.k = k;
     ASSERT_TRUE(client.Query(request, &response).ok());
-    const TreeNodeId want = NaiveDensestNode(element_index, k);
+    const TreeNodeId want = NaiveDensestNode(built, k);
     ASSERT_EQ(response.found, want != kInvalidNode) << "k=" << k;
     EXPECT_EQ(ExecuteQuery(nullptr, &element_index, 0, request).node, want);
     if (!response.found) continue;
-    EXPECT_EQ(Bits(response.score), Bits(element_index.Density(want)));
+    EXPECT_EQ(Bits(response.score), Bits(built.Score(kDensity, want)));
     EXPECT_EQ(response.level, flat.Level(want));
   }
 
@@ -782,7 +838,7 @@ TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
   ASSERT_TRUE(response.found);
   EXPECT_EQ(response.level, flat.Level(node));
   EXPECT_EQ(response.core_size, flat.CoreSize(node));
-  EXPECT_EQ(response.score, element_index.Density(node));
+  EXPECT_EQ(response.score, built.Score(kDensity, node));
 
   // A hostile out-of-range element id answers found = false, not a crash.
   request.vertices = {flat.NumElements() + 1000};
@@ -812,9 +868,13 @@ TEST_P(ElementServingTest, ServesElementHierarchyAlongsideCore) {
 
 INSTANTIATE_TEST_SUITE_P(
     TrussAndNucleus, ElementServingTest,
-    ::testing::Values(HierarchyKind::kTruss, HierarchyKind::kNucleus),
-    [](const ::testing::TestParamInfo<HierarchyKind>& info) {
-      return std::string(HierarchyKindName(info.param));
+    ::testing::Values(ElementServingCase{HierarchyKind::kTruss, false},
+                      ElementServingCase{HierarchyKind::kNucleus, false},
+                      ElementServingCase{HierarchyKind::kTruss, true},
+                      ElementServingCase{HierarchyKind::kNucleus, true}),
+    [](const ::testing::TestParamInfo<ElementServingCase>& info) {
+      return std::string(HierarchyKindName(info.param.kind)) +
+             (info.param.from_snapshot ? "_snapshot" : "");
     });
 
 // A truss answer is the densest community whatever the metric, so two
@@ -822,7 +882,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(QueryServerTest, TrussRequestsDifferingOnlyByMetricShareACacheEntry) {
   Graph graph = ErdosRenyiGnm(120, 1400, 29);
   HcdEngine element_engine(Graph(graph), {.hierarchy = HierarchyKind::kTruss});
-  const ElementSearchIndex& element_index = element_engine.ElementSearcher();
+  const SearchIndex& element_index = element_engine.Searcher();
   LiveEngine live(std::move(graph));
   ServerOptions options;
   options.workers = 1;
@@ -1502,6 +1562,214 @@ TEST(QueryServerTest, RegistryCountersMirrorServerStatsExactly) {
         stats.requests);
   }
   registry.Uninstall();
+}
+
+// --- wire fuzz --------------------------------------------------------------
+// Seeded mutations of the frames the repo's own writers produce. Every
+// payload must be rejected by the decoder it is offered to, or decode to a
+// value that re-encodes to exactly its bytes. Every decoded request is
+// then answered by ExecuteQuery over a core snapshot and a tabled truss
+// index, and the answer is checked against the index.
+
+/// One mutation of a payload: bit flips, a truncation, inserted or erased
+/// bytes, one byte set to a boundary value, or a 32-bit window set to one.
+std::string MutatePayload(const std::string& payload, Rng& rng) {
+  std::string out = payload;
+  const auto at = [&](size_t size) {
+    return static_cast<size_t>(rng.Uniform(size + 1));
+  };
+  switch (rng.Uniform(6)) {
+    case 0:  // one to three bit flips
+      if (out.empty()) break;
+      for (uint64_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        out[rng.Uniform(out.size())] ^= static_cast<char>(1 << rng.Uniform(8));
+      }
+      break;
+    case 1:  // truncation
+      out.resize(at(out.size()));
+      break;
+    case 2:  // one to nine random bytes inserted
+      for (uint64_t k = 1 + rng.Uniform(9); k > 0; --k) {
+        out.insert(out.begin() + at(out.size()),
+                   static_cast<char>(rng.Uniform(256)));
+      }
+      break;
+    case 3: {  // one to nine bytes erased
+      const size_t from = at(out.size());
+      out.erase(from, 1 + rng.Uniform(9));
+      break;
+    }
+    case 4: {  // one byte set to an enum or flag boundary
+      if (out.empty()) break;
+      constexpr uint8_t kEdges[] = {0, 1, 2, 3, 8, 9, 0x7f, 0x80, 0xff};
+      out[rng.Uniform(out.size())] =
+          static_cast<char>(kEdges[rng.Uniform(std::size(kEdges))]);
+      break;
+    }
+    case 5: {  // one 32-bit window set to a count or id boundary
+      if (out.size() < 4) break;
+      constexpr uint32_t kEdges[] = {0,          1,          2,
+                                     119,        120,        1400,
+                                     1u << 18,   0x7fffffff, 0xffffffff};
+      const uint32_t value = kEdges[rng.Uniform(std::size(kEdges))];
+      const size_t pos = rng.Uniform(out.size() - 3);
+      for (int i = 0; i < 4; ++i) {
+        out[pos + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// Answers `request` the way a worker does, and checks the answer: a found
+/// node names a node of the serving index at level >= k, with that index's
+/// level, size and score, and an element answer does not depend on the
+/// metric. Materializes the echoed vertices as the worker would.
+void ExpectSaneAnswer(const QuerySnapshot& snapshot, const SearchIndex& truss,
+                      const QueryRequest& request, SearchWorkspace* ws) {
+  const QueryOutcome out = ExecuteQuery(&snapshot, &truss, 7, request);
+  EXPECT_EQ(out.epoch, 7u);
+  (void)CacheKeyFor(request);
+  const SearchIndex* index =
+      request.hierarchy == HierarchyKind::kCore    ? &snapshot.search_index()
+      : request.hierarchy == HierarchyKind::kTruss ? &truss
+                                                   : nullptr;
+  if (index == nullptr) {
+    EXPECT_FALSE(out.found);
+    return;
+  }
+  if (request.hierarchy == HierarchyKind::kTruss) {
+    QueryRequest by_density = request;
+    by_density.metric = kAllMetrics[0];
+    const QueryOutcome want = ExecuteQuery(&snapshot, &truss, 7, by_density);
+    ASSERT_EQ(out.found, want.found);
+    ASSERT_EQ(out.node, want.node);
+    ASSERT_EQ(Bits(out.score), Bits(want.score));
+  }
+  if (!out.found) return;
+  const FlatHcdIndex& flat = index->flat();
+  ASSERT_LT(out.node, flat.NumNodes());
+  EXPECT_GE(out.level, request.k);
+  EXPECT_EQ(out.level, flat.Level(out.node));
+  EXPECT_EQ(out.core_size, flat.CoreSize(out.node));
+  EXPECT_EQ(Bits(out.score), Bits(index->Score(request.metric, out.node)));
+  std::vector<VertexId> vertices;
+  if (request.hierarchy == HierarchyKind::kTruss) {
+    CommunityOf(flat, out.node, ws, &vertices);
+    for (const VertexId v : vertices) ASSERT_LT(v, flat.NumGraphVertices());
+  } else {
+    EXPECT_EQ(snapshot.CoreVertices(out.node).size(), out.core_size);
+  }
+}
+
+TEST(WireFuzz, MutatedFramesAreRejectedOrDecodeToValidValues) {
+  constexpr int kMutationsPerFrame = 500;
+  const Graph graph = ErdosRenyiGnm(120, 1400, 29);
+  HcdEngine core_engine(&graph);
+  const QuerySnapshot snapshot = core_engine.Snapshot();
+  HcdEngine truss_engine(&graph, {.hierarchy = HierarchyKind::kTruss});
+  const SearchIndex& truss = truss_engine.Searcher();
+
+  // The metrics and stats documents a running server sends.
+  std::string prometheus_text;
+  std::string stats_json;
+  {
+    LiveEngine live{Graph(graph)};
+    ServerOptions options;
+    options.workers = 1;
+    QueryServer server(&live.manager(), options);
+    ASSERT_TRUE(server.Start().ok());
+    QueryClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(client.FetchMetrics(&prometheus_text).ok());
+    ASSERT_TRUE(client.FetchStats(&stats_json).ok());
+    server.Stop();
+  }
+
+  std::vector<std::string> requests;
+  {
+    QueryRequest r;  // version 1, core, a vertex set
+    r.metric = Metric::kConductance;
+    r.k = 2;
+    r.max_return_vertices = 8;
+    r.vertices = {0, 5, 17};
+    requests.push_back(EncodeQueryRequest(r));
+    r.hierarchy = HierarchyKind::kTruss;  // element ids, last metric byte
+    r.metric = kAllMetrics[std::size(kAllMetrics) - 1];
+    r.vertices = {3};
+    requests.push_back(EncodeQueryRequest(r));
+    r.vertices.clear();  // version 2: the trace tail
+    r.k = 0;
+    r.trace_id = 0x0123456789abcdefULL;
+    r.sampled = true;
+    requests.push_back(EncodeQueryRequest(r));
+    r.hierarchy = HierarchyKind::kNucleus;  // unserved kind
+    requests.push_back(EncodeQueryRequest(r));
+    requests.push_back(EncodeMetricsRequest());
+    requests.push_back(EncodeStatsRequest());
+  }
+  std::vector<std::string> responses;
+  {
+    QueryResponse r;
+    r.epoch = 42;
+    r.cache_hit = true;
+    r.found = true;
+    r.level = 6;
+    r.core_size = 123;
+    r.score = 0.1 + 0.2;
+    r.vertices = {3, 1, 4};
+    responses.push_back(EncodeQueryResponse(r));
+    responses.push_back(EncodeStatusOnlyResponse(ResponseStatus::kOverloaded));
+    responses.push_back(EncodeMetricsResponse(prometheus_text));
+    responses.push_back(EncodeMetricsResponse(stats_json));
+  }
+
+  Rng rng(20261021);
+  SearchWorkspace ws;
+  int rejected = 0;
+  int decoded = 0;
+  for (const std::string& seed : requests) {
+    for (int i = 0; i < kMutationsPerFrame; ++i) {
+      const std::string payload = MutatePayload(seed, rng);
+      MessageType type;
+      if (!DecodeRequestType(payload, &type)) {
+        ++rejected;
+        continue;
+      }
+      EXPECT_EQ(static_cast<uint8_t>(type), static_cast<uint8_t>(payload[0]));
+      QueryRequest request;
+      if (!DecodeQueryRequest(payload, &request)) {
+        ++rejected;
+        continue;
+      }
+      ++decoded;
+      ASSERT_EQ(EncodeQueryRequest(request), payload) << "mutation " << i;
+      ExpectSaneAnswer(snapshot, truss, request, &ws);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "mutation " << i;
+    }
+  }
+  for (const std::string& seed : responses) {
+    for (int i = 0; i < kMutationsPerFrame; ++i) {
+      const std::string payload = MutatePayload(seed, rng);
+      QueryResponse response;
+      if (DecodeQueryResponse(payload, &response)) {
+        ++decoded;
+        ASSERT_EQ(EncodeQueryResponse(response), payload) << "mutation " << i;
+      } else {
+        ++rejected;
+      }
+      ResponseStatus status;
+      std::string text;
+      if (DecodeMetricsResponse(payload, &status, &text)) {
+        ASSERT_EQ(EncodeStatusOnlyResponse(status) + text, payload)
+            << "mutation " << i;
+      }
+    }
+  }
+  // The mutator does break frames, and what it leaves intact decodes.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(decoded, 200);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the serve phase: QuerySnapshot over a built engine. The
 // headline test is the build/serve acceptance check — eight threads
 // reading one snapshot with every metric interleaved, each table lookup
-// and each full SearchInto scan bit-identical to the single-threaded PBKS
-// baseline — and it is the test the ThreadSanitizer CI job runs to prove
+// and each full ScoreNodes scan of its rows bit-identical to the
+// single-threaded PBKS baseline — and it is the test the ThreadSanitizer CI job runs to prove
 // the serve path has no data races. Worker threads record mismatch
 // counts instead of calling gtest macros (EXPECT_* is not thread-safe);
 // the main thread asserts after the join.
@@ -46,15 +46,15 @@ TEST(SnapshotTest, ConcurrentQueriesBitIdenticalToBaseline) {
   pool.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&snapshot, &baseline, &mismatches, t] {
-      SearchWorkspace ws;
+      const SearchIndex& sidx = snapshot.search_index();
       for (int q = 0; q < kQueriesPerThread; ++q) {
         // Offset by the thread id so the metric mix is interleaved across
         // threads: at any instant different workers score different
         // metrics against the same shared snapshot.
         const size_t mi = (static_cast<size_t>(q) + t) % kMetricCount;
         const Metric metric = kAllMetrics[mi];
-        const SearchHit hit = SearchInto(snapshot.flat(),
-                                         snapshot.search_index(), metric, &ws);
+        const SearchResult hit = ScoreNodes(snapshot.flat(), metric,
+                                            sidx.Primary(), sidx.globals());
         const SearchResult& want = baseline[mi];
         if (hit.best_node != want.best_node) ++mismatches[t];
         // The served answer: one lookup in the per-level best-node table.
@@ -67,9 +67,9 @@ TEST(SnapshotTest, ConcurrentQueriesBitIdenticalToBaseline) {
                         sizeof(double)) != 0) {
           ++mismatches[t];
         }
-        if (ws.scores.size() != want.scores.size() ||
-            std::memcmp(ws.scores.data(), want.scores.data(),
-                        ws.scores.size() * sizeof(double)) != 0) {
+        if (hit.scores.size() != want.scores.size() ||
+            std::memcmp(hit.scores.data(), want.scores.data(),
+                        hit.scores.size() * sizeof(double)) != 0) {
           ++mismatches[t];
         }
       }
@@ -81,25 +81,20 @@ TEST(SnapshotTest, ConcurrentQueriesBitIdenticalToBaseline) {
   }
 }
 
-TEST(SnapshotTest, SearchIntoAgreesWithTheTablesAndReusesItsWorkspace) {
+TEST(SnapshotTest, ScoreNodesAgreesWithTheTables) {
   Graph g = RMatGraph500(9, 3000, 5);
   HcdEngine engine(&g);
   const QuerySnapshot snapshot = engine.Snapshot();
   const SearchIndex& sidx = snapshot.search_index();
-  SearchWorkspace ws;
   for (Metric metric : kAllMetrics) {
-    const SearchHit hit = SearchInto(snapshot.flat(), sidx, metric, &ws);
+    const SearchResult hit =
+        ScoreNodes(snapshot.flat(), metric, sidx.Primary(), sidx.globals());
     EXPECT_EQ(hit.best_node, sidx.BestAtLeast(metric, 0))
         << MetricName(metric);
     EXPECT_EQ(hit.best_score, sidx.Score(metric, hit.best_node))
         << MetricName(metric);
-    EXPECT_EQ(ws.scores.size(), snapshot.flat().NumNodes());
+    EXPECT_EQ(hit.scores.size(), snapshot.flat().NumNodes());
   }
-  // Once warm, reuse never reallocates the scores buffer.
-  const double* warm = ws.scores.data();
-  SearchInto(snapshot.flat(), sidx, Metric::kConductance, &ws);
-  SearchInto(snapshot.flat(), sidx, Metric::kClusteringCoefficient, &ws);
-  EXPECT_EQ(ws.scores.data(), warm);
 }
 
 TEST(SnapshotTest, CoreVerticesRoundTrip) {
@@ -137,11 +132,10 @@ TEST(SnapshotTest, QueriesDoNoRegistryLookups) {
   MetricsRegistry registry;
   registry.Install();
   const uint64_t before = registry.lookup_count();
-  SearchWorkspace ws;
   for (int q = 0; q < 100; ++q) {
     const Metric metric = kAllMetrics[static_cast<size_t>(q) % kMetricCount];
     sidx.Score(metric, sidx.BestAtLeast(metric, 0));
-    SearchInto(snapshot.flat(), sidx, metric, &ws);
+    ScoreNodes(snapshot.flat(), metric, sidx.Primary(), sidx.globals());
   }
   const uint64_t after = registry.lookup_count();
   registry.Uninstall();

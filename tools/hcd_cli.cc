@@ -60,7 +60,6 @@
 #include "hcd/stats.h"
 #include "parallel/omp_utils.h"
 #include "search/best_k.h"
-#include "search/element_search.h"
 #include "search/influential.h"
 #include "search/metrics.h"
 #include "search/search_index.h"
@@ -354,17 +353,14 @@ int CmdBuild(const CliArgs& args) {
   if (args.pos.size() != 2) return Usage();
   const std::unique_ptr<HcdEngine> engine = OpenEngine(args);
   if (engine == nullptr) return 1;
-  const FlatHcdIndex& flat = engine->Flat();
-  // A core snapshot is written serve-ready: the sealed state's index
-  // carries the search tables, so `serve --snapshot` maps them
+  // A snapshot of every kind is written serve-ready: the search index's
+  // flat carries the search tables, so `serve --snapshot` maps them
   // instead of re-peeling and rebuilding them.
-  const bool core = args.options.hierarchy == HierarchyKind::kCore;
-  const std::shared_ptr<const FlatHcdIndex> serve_ready =
-      core ? engine->Snapshot().state()->shared_flat() : nullptr;
+  const FlatHcdIndex& flat = engine->Searcher().flat();
   Status s;
   {
     ScopedStage stage("serialize");
-    s = SaveFlatIndex(core ? *serve_ready : flat, args.pos[1]);
+    s = SaveFlatIndex(flat, args.pos[1]);
     stage.AddCounter("nodes", flat.NumNodes());
   }
   if (!s.ok()) return Fail(s);
@@ -375,11 +371,14 @@ int CmdBuild(const CliArgs& args) {
     return 0;
   }
   // Non-core kinds record kind-prefixed stage names.
+  const HierarchyKind kind = args.options.hierarchy;
   const std::string prefix =
-      core ? "" : std::string(HierarchyKindName(args.options.hierarchy)) + ".";
+      kind == HierarchyKind::kCore
+          ? ""
+          : std::string(HierarchyKindName(kind)) + ".";
   std::printf("%s decomposition %.3fs, construction %.3fs (+freeze "
               "%.3fs), %u nodes\n",
-              core ? "core" : HierarchyKindName(args.options.hierarchy),
+              HierarchyKindName(kind),
               StageSeconds(Registry(), prefix + "decomposition"),
               StageSeconds(Registry(), prefix + "construction"),
               StageSeconds(Registry(), prefix + "construction.freeze"),
@@ -489,10 +488,12 @@ int CmdTruss(const CliArgs& args) {
   const std::unique_ptr<HcdEngine> engine = OpenEngine(truss_args);
   if (engine == nullptr) return 1;
   const TrussDecomposition& td = engine->Trussness();
-  const FlatHcdIndex& flat = engine->Flat();
-  const ElementSearchIndex& searcher = engine->ElementSearcher();
-  // The densest k-truss; a graph without edges has none.
-  const TreeNodeId best = searcher.BestAtLeast(0);
+  const SearchIndex& searcher = engine->Searcher();
+  const FlatHcdIndex& flat = searcher.flat();
+  // The densest k-truss (a truss index scores by density whatever the
+  // metric); a graph without edges has none.
+  const Metric density = Metric::kAverageDegree;
+  const TreeNodeId best = searcher.BestAtLeast(density, 0);
   if (args.json) {
     std::string extra = ",\"result\":{\"k_max\":" + std::to_string(td.k_max) +
                         ",\"tree_nodes\":" + std::to_string(flat.NumNodes());
@@ -500,7 +501,7 @@ int CmdTruss(const CliArgs& args) {
                  ? ",\"found\":false}"
                  : ",\"densest_k\":" + std::to_string(flat.Level(best)) +
                        ",\"densest_size\":" +
-                       std::to_string(searcher.CommunityVertices(best)) + "}";
+                       std::to_string(searcher.Primary()[best].n_s) + "}";
     PrintJsonReport("truss", args, *engine, extra);
     return 0;
   }
@@ -511,10 +512,9 @@ int CmdTruss(const CliArgs& args) {
   } else {
     std::printf("densest      k=%u |V|=%llu |E|=%llu avg_deg=%.2f\n",
                 flat.Level(best),
-                static_cast<unsigned long long>(
-                    searcher.CommunityVertices(best)),
+                static_cast<unsigned long long>(searcher.Primary()[best].n_s),
                 static_cast<unsigned long long>(flat.CoreSize(best)),
-                searcher.Density(best));
+                searcher.Score(density, best));
   }
   std::printf("(computed in %.3fs)\n", command_timer.Seconds());
   return 0;
@@ -744,13 +744,12 @@ int CmdStatsConnect(const CliArgs& args) {
 
 /// The in-process serving stack over <graph> that serve and a self-hosted
 /// serve-bench share: a LiveEngine publishing core generations, the
-/// element index of --hierarchy=truss|nucleus, and the QueryServer that
+/// search index of --hierarchy=truss|nucleus, and the QueryServer that
 /// answers from both. Members are declared in teardown order: the server
 /// stops before anything it reads goes away.
 struct HostedServer {
   std::shared_ptr<const FlatHcdIndex> snapshot_flat;  ///< null: no --snapshot
-  std::optional<HcdEngine> element_engine;
-  std::optional<ElementSearchIndex> snapshot_element_index;
+  std::optional<SearchIndex> element_index;
   std::optional<LiveEngine> live;
   std::optional<server::QueryServer> server;
 };
@@ -780,20 +779,21 @@ Status StartServer(const CliArgs& args, int min_pending, HostedServer* h) {
       return Status::InvalidArgument(args.snapshot_path + ": " + s.message());
     }
   }
-  // --hierarchy=truss|nucleus: build the element hierarchy up front (on a
-  // copy of the graph — the live engine takes the original) and serve its
-  // eager search index next to the core snapshots. The live manager keeps
+  // --hierarchy=truss|nucleus: build the element hierarchy's search index
+  // up front, before the live engine takes the graph, and serve it next to
+  // the core snapshots. The engine borrows the graph and goes once the
+  // index (which owns its flat index) is out. The live manager keeps
   // publishing core generations; element requests route by their wire
-  // hierarchy byte. With --snapshot, the element index is built straight
-  // over the (typically mapped) snapshot — no decomposition runs at all.
+  // hierarchy byte. With --snapshot, the engine adopts the (typically
+  // mapped) snapshot: no decomposition runs at all, and a snapshot with
+  // its search tables serves them as they are.
   if (args.options.hierarchy != HierarchyKind::kCore) {
+    HcdEngine element_engine(&graph, args.options);
     if (h->snapshot_flat != nullptr) {
-      h->snapshot_element_index.emplace(h->snapshot_flat);
-      options.element_index = &*h->snapshot_element_index;
-    } else {
-      h->element_engine.emplace(Graph(graph), args.options);
-      options.element_index = &h->element_engine->ElementSearcher();
+      s = element_engine.AdoptFlat(h->snapshot_flat);
+      if (!s.ok()) return s;
     }
+    options.element_index = &h->element_index.emplace(element_engine.Searcher());
   }
   LiveEngineOptions live_options;
   live_options.engine = args.options;
